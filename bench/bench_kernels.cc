@@ -86,11 +86,9 @@ int Main() {
 
   const std::size_t dim = config.embedding_dim;
   const std::vector<Shape> shapes = {
-      // LSTM cell gate products as the batched engine issues them: all N
-      // attacker rows of one episode (SampleEpisode / RecomputeLogProbs)
-      // and the full M·N-row stack of SampleEpisodesBatched. The old
-      // m=1 per-row shape is gone from the engine — every LSTM GEMM now
-      // carries at least the N attacker rows.
+      // LSTM cell gate products as the attacker issues them: the N
+      // attacker rows of one episode (SampleEpisode) and the M·N-row
+      // stack that TrainStep samples and recomputes.
       {"lstm_batch", config.num_attackers, dim, 4 * dim},
       {"lstm_batch_step",
        config.samples_per_step * config.num_attackers, dim, 4 * dim},

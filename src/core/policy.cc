@@ -210,44 +210,11 @@ void Policy::SampleStepTree(const std::vector<float>& dht, std::size_t row,
 
 std::vector<SampledTrajectory> Policy::SampleEpisode(
     std::size_t trajectory_length, Rng* rng) const {
-  nn::NoGradScope no_grad;
-  const std::size_t n = num_attackers_;
-  std::vector<SampledTrajectory> trajs(n);
-  std::vector<std::size_t> attacker_ids(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    trajs[i].attacker_index = i;
-    trajs[i].steps.resize(trajectory_length);
-    attacker_ids[i] = i;
-  }
-
-  nn::LstmCell::State state = lstm_.InitialState(n);
-  state = lstm_.Step(user_emb_.Forward(attacker_ids), state);
-  for (std::size_t t = 0; t < trajectory_length; ++t) {
-    nn::Tensor dht = dnn_.Forward(state.h);  // (n x dim)
-    const std::vector<float>& dht_data = dht.data();
-    std::vector<std::size_t> chosen(n);
-    for (std::size_t row = 0; row < n; ++row) {
-      SampledStep* step = &trajs[row].steps[t];
-      switch (config_.action_space) {
-        case ActionSpaceKind::kPlain:
-          SampleStepPlain(dht_data, row, rng, step);
-          break;
-        case ActionSpaceKind::kBPlain:
-          SampleStepBPlain(dht_data, row, rng, step);
-          break;
-        case ActionSpaceKind::kBcbtPopular:
-        case ActionSpaceKind::kBcbtRandom:
-        case ActionSpaceKind::kCbtUnbiased:
-          SampleStepTree(dht_data, row, rng, step);
-          break;
-      }
-      chosen[row] = step->item;
-    }
-    if (t + 1 < trajectory_length) {
-      state = lstm_.Step(item_emb_.Forward(chosen), state);
-    }
-  }
-  return trajs;
+  std::vector<Rng> rngs = {*rng};
+  std::vector<std::vector<SampledTrajectory>> episodes =
+      SampleEpisodesBatched(1, trajectory_length, &rngs);
+  *rng = rngs[0];
+  return std::move(episodes[0]);
 }
 
 std::vector<std::vector<SampledTrajectory>> Policy::SampleEpisodesBatched(
@@ -275,8 +242,7 @@ std::vector<std::vector<SampledTrajectory>> Policy::SampleEpisodesBatched(
     nn::Tensor dht = dnn_.Forward(state.h);  // (episodes·n x dim)
     const std::vector<float>& dht_data = dht.data();
     std::vector<std::size_t> chosen(rows);
-    // Per-episode RNG draw order matches SampleEpisode exactly: for a
-    // fixed episode e, rows are visited 0..n-1 at each t.
+    // Episode e draws only from its own stream, rows 0..n-1 at each t.
     for (std::size_t e = 0; e < episodes; ++e) {
       Rng* rng = &(*rngs)[e];
       for (std::size_t i = 0; i < n; ++i) {
@@ -305,52 +271,6 @@ std::vector<std::vector<SampledTrajectory>> Policy::SampleEpisodesBatched(
   return out;
 }
 
-std::vector<SampledTrajectory> Policy::SampleEpisodePerRow(
-    std::size_t trajectory_length, Rng* rng) const {
-  nn::NoGradScope no_grad;
-  const std::size_t n = num_attackers_;
-  std::vector<SampledTrajectory> trajs(n);
-  std::vector<nn::LstmCell::State> states;
-  states.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    trajs[i].attacker_index = i;
-    trajs[i].steps.resize(trajectory_length);
-    nn::LstmCell::State state = lstm_.InitialState(1);
-    states.push_back(lstm_.Step(user_emb_.Forward({i}), state));
-  }
-  for (std::size_t t = 0; t < trajectory_length; ++t) {
-    // Timestep-major like SampleEpisode so the shared RNG stream is
-    // consumed in the same order: at each t, rows 0..n-1 decide.
-    std::vector<std::size_t> chosen(n);
-    for (std::size_t row = 0; row < n; ++row) {
-      nn::Tensor dht = dnn_.Forward(states[row].h);  // (1 x dim)
-      const std::vector<float>& dht_data = dht.data();
-      SampledStep* step = &trajs[row].steps[t];
-      switch (config_.action_space) {
-        case ActionSpaceKind::kPlain:
-          SampleStepPlain(dht_data, 0, rng, step);
-          break;
-        case ActionSpaceKind::kBPlain:
-          SampleStepBPlain(dht_data, 0, rng, step);
-          break;
-        case ActionSpaceKind::kBcbtPopular:
-        case ActionSpaceKind::kBcbtRandom:
-        case ActionSpaceKind::kCbtUnbiased:
-          SampleStepTree(dht_data, 0, rng, step);
-          break;
-      }
-      chosen[row] = step->item;
-    }
-    if (t + 1 < trajectory_length) {
-      for (std::size_t row = 0; row < n; ++row) {
-        states[row] =
-            lstm_.Step(item_emb_.Forward({chosen[row]}), states[row]);
-      }
-    }
-  }
-  return trajs;
-}
-
 // ---------------------------------------------------------------------------
 // PPO recompute (differentiable)
 // ---------------------------------------------------------------------------
@@ -376,36 +296,8 @@ std::vector<nn::Tensor> Policy::HiddenStates(
   return hs;
 }
 
-std::vector<nn::Tensor> Policy::HiddenStatesPerRow(
-    const std::vector<std::size_t>& attacker_ids,
-    const std::vector<std::vector<data::ItemId>>& item_prefixes,
-    std::size_t trajectory_length) const {
-  const std::size_t rows = attacker_ids.size();
-  std::vector<nn::LstmCell::State> states;
-  states.reserve(rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    nn::LstmCell::State state = lstm_.InitialState(1);
-    states.push_back(lstm_.Step(user_emb_.Forward({attacker_ids[r]}), state));
-  }
-  std::vector<nn::Tensor> hs;
-  hs.reserve(trajectory_length);
-  std::vector<nn::Tensor> row_h(rows);
-  for (std::size_t t = 0; t < trajectory_length; ++t) {
-    if (t > 0) {
-      for (std::size_t r = 0; r < rows; ++r) {
-        states[r] = lstm_.Step(
-            item_emb_.Forward({item_prefixes[r][t - 1]}), states[r]);
-      }
-    }
-    for (std::size_t r = 0; r < rows; ++r) row_h[r] = states[r].h;
-    hs.push_back(nn::StackRows(row_h));
-  }
-  return hs;
-}
-
 std::vector<DecisionBatch> Policy::RecomputeLogProbs(
-    const std::vector<const SampledTrajectory*>& trajectories,
-    bool per_row_recurrence) const {
+    const std::vector<const SampledTrajectory*>& trajectories) const {
   POISONREC_CHECK(!trajectories.empty());
   const std::size_t rows = trajectories.size();
   const std::size_t T = trajectories[0]->steps.size();
@@ -421,9 +313,7 @@ std::vector<DecisionBatch> Policy::RecomputeLogProbs(
     }
   }
 
-  std::vector<nn::Tensor> hs =
-      per_row_recurrence ? HiddenStatesPerRow(attacker_ids, sequences, T)
-                         : HiddenStates(attacker_ids, sequences, T);
+  std::vector<nn::Tensor> hs = HiddenStates(attacker_ids, sequences, T);
   std::vector<DecisionBatch> batches;
 
   nn::Tensor feats;  // [item embeddings; node embeddings] for tree gathers

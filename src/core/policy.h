@@ -66,42 +66,24 @@ class Policy {
 
   /// Samples one episode's N trajectories (one per attacker), each of
   /// length T, recording per-decision log-probs under current parameters.
+  /// Same as SampleEpisodesBatched with the single stream `rng`.
   std::vector<SampledTrajectory> SampleEpisode(std::size_t trajectory_length,
                                                Rng* rng) const;
 
-  /// Batched variant: rolls out `episodes` episodes at once by stacking
-  /// all episodes' attacker rows into one (episodes·N x dim) recurrence
-  /// — one LSTM/DNN forward per timestep instead of `episodes`. Episode
-  /// e consumes (*rngs)[e] in exactly the per-row order SampleEpisode
-  /// uses (t ascending, rows 0..N-1), and every dense op computes each
-  /// output row independently of the batch it sits in, so the result is
-  /// bit-identical to `episodes` separate SampleEpisode calls with the
-  /// same RNG streams.
+  /// Rolls out `episodes` episodes at once by stacking all episodes'
+  /// attacker rows into one (episodes·N x dim) recurrence — one LSTM/DNN
+  /// forward per timestep. Episode e consumes (*rngs)[e] only, in a
+  /// fixed order (t ascending, rows 0..N-1), and every dense op computes
+  /// each output row independently of the batch it sits in, so episode
+  /// e is bit-identical to a SampleEpisode call on the same stream.
   std::vector<std::vector<SampledTrajectory>> SampleEpisodesBatched(
       std::size_t episodes, std::size_t trajectory_length,
       std::vector<Rng>* rngs) const;
 
-  /// Per-row baseline: advances each attacker's LSTM state and DNN head
-  /// with its own 1×d matmuls (~6N tiny ops per timestep) instead of one
-  /// N-row forward. RNG draw order is identical to SampleEpisode (t
-  /// ascending, rows 0..N-1), and every kernel computes a given output
-  /// row by the same accumulation order regardless of batch size, so the
-  /// trajectories are bit-identical to SampleEpisode's. Kept as the
-  /// historical reference the batched engine is benchmarked and
-  /// identity-checked against (bench_train_step_timing).
-  std::vector<SampledTrajectory> SampleEpisodePerRow(
-      std::size_t trajectory_length, Rng* rng) const;
-
   /// Recomputes every decision's log-prob for PPO (Eq. 7/9). All
-  /// trajectories must share the same length. With `per_row_recurrence`
-  /// the hidden states come from per-row 1×d recurrence chains stacked
-  /// via nn::StackRows (the per-row baseline); gradients are bit-identical
-  /// to the batched recurrence because StackRows orders the backward
-  /// visit rows-ascending per timestep — the batched GemmTN's reduction
-  /// order.
+  /// trajectories must share the same length.
   std::vector<DecisionBatch> RecomputeLogProbs(
-      const std::vector<const SampledTrajectory*>& trajectories,
-      bool per_row_recurrence = false) const;
+      const std::vector<const SampledTrajectory*>& trajectories) const;
 
   std::vector<nn::Tensor> Parameters() const;
 
@@ -121,14 +103,6 @@ class Policy {
   /// user embedding and the first t items, for t = 0..T-1 (the state used
   /// to pick a_t). Output: T tensors of shape (rows x dim).
   std::vector<nn::Tensor> HiddenStates(
-      const std::vector<std::size_t>& attacker_ids,
-      const std::vector<std::vector<data::ItemId>>& item_prefixes,
-      std::size_t trajectory_length) const;
-
-  /// Per-row baseline recurrence: one 1×d LSTM chain per sequence,
-  /// stacked per timestep into the same (rows x dim) layout HiddenStates
-  /// produces. Values and gradients are bit-identical to HiddenStates.
-  std::vector<nn::Tensor> HiddenStatesPerRow(
       const std::vector<std::size_t>& attacker_ids,
       const std::vector<std::vector<data::ItemId>>& item_prefixes,
       std::size_t trajectory_length) const;

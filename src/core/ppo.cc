@@ -7,10 +7,8 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <optional>
 #include <sstream>
 
-#include "nn/graph.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -89,35 +87,6 @@ bool ReadFloats(std::istream& in, std::vector<float>* v) {
 }
 
 }  // namespace
-
-// One TrainStep's recorded update graph (config().engine
-// .reuse_update_graph). The K epochs of a step recompute the exact same
-// ops over the exact same trajectories: between epochs only the
-// parameters change (advanced by Adam) plus the host-recomputed clip
-// masks that depend on them. So epoch 0 records the two differentiable
-// forwards on tapes — the log-prob recompute and the surrogate loss,
-// with the host-side mask pass sitting between them — and captures the
-// backward schedule; epochs 1..K-1 replay all three instead of
-// re-flattening, re-taping, and re-walking the graph. Valid only while
-// the batch is the full episode set (a resampled batch changes the
-// graph), which TrainStep checks before constructing one.
-struct PpoUpdateGraph {
-  bool built = false;
-  // Flattened batch, fixed for the step.
-  std::vector<const SampledTrajectory*> trajs;
-  std::vector<double> traj_advantage;
-  // Forward tapes: policy log-prob recompute, then the clipped
-  // surrogate. Replay order matters — masks are derived from the
-  // recomputed log-probs before the loss tape runs.
-  nn::GraphTape recompute_tape;
-  nn::GraphTape loss_tape;
-  nn::RecordedBackward backward;
-  std::vector<DecisionBatch> decisions;
-  // The clip masks are the only loss-graph leaves that change between
-  // epochs; their data is overwritten in place before replaying.
-  std::vector<nn::Tensor> adv_masks;
-  nn::Tensor loss;
-};
 
 PoisonRecAttacker::PoisonRecAttacker(const env::AttackEnvironment* environment,
                                      const PoisonRecConfig& config)
@@ -402,71 +371,47 @@ bool PoisonRecAttacker::SweepPostStep(TrainStepStats* stats) {
 
 nn::Tensor PoisonRecAttacker::PpoLoss(
     const std::vector<const Episode*>& batch, double* loss_value,
-    PpoDiagnostics* diagnostics, PpoUpdateGraph* graph) {
-  const bool replay = graph != nullptr && graph->built;
-
-  std::vector<const SampledTrajectory*> local_trajs;
-  std::vector<double> local_adv;
-  std::vector<DecisionBatch> local_decisions;
-  if (!replay) {
-    // Eq. 8: normalize rewards within the batch. Imputed (unobserved)
-    // rewards are excluded from the statistics and get zero advantage.
-    std::vector<double> advantages(batch.size());
-    std::vector<char> observed(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      advantages[i] = batch[i]->reward;
-      observed[i] = batch[i]->reward_observed ? 1 : 0;
-    }
-    NormalizeRewards(&advantages, observed);
-
-    // Flatten trajectories; every decision inherits its episode's
-    // advantage. Dead slots (drained account pool) are excluded: their
-    // trajectories were never injected, so Eq. 7/9 renormalizes over the
-    // surviving fleet's decisions.
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      for (const SampledTrajectory& t : batch[i]->trajectories) {
-        if (pool_ != nullptr && !pool_->IsLive(t.attacker_index)) continue;
-        local_trajs.push_back(&t);
-        local_adv.push_back(advantages[i]);
-      }
-    }
-
-    if (graph != nullptr) {
-      // Record the recompute forward so later epochs replay it against
-      // the parameters Adam advanced, instead of re-taping it.
-      nn::GraphTape::RecordScope record(&graph->recompute_tape);
-      local_decisions = policy_->RecomputeLogProbs(local_trajs);
-    } else {
-      local_decisions = policy_->RecomputeLogProbs(
-          local_trajs, config_.engine.per_row_recurrence);
-    }
-  } else {
-    // Same trajectories, new parameters: recompute every decision's
-    // log-prob by replaying the recorded nodes in creation order —
-    // numerically identical to RecomputeLogProbs from scratch.
-    graph->recompute_tape.ReplayForward();
+    PpoDiagnostics* diagnostics) {
+  // Eq. 8: normalize rewards within the batch. Imputed (unobserved)
+  // rewards are excluded from the statistics and get zero advantage.
+  std::vector<double> advantages(batch.size());
+  std::vector<char> observed(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    advantages[i] = batch[i]->reward;
+    observed[i] = batch[i]->reward_observed ? 1 : 0;
   }
-  const std::vector<DecisionBatch>& decisions =
-      replay ? graph->decisions : local_decisions;
-  const std::vector<double>& traj_advantage =
-      replay ? graph->traj_advantage : local_adv;
+  NormalizeRewards(&advantages, observed);
+
+  // Flatten trajectories; every decision inherits its episode's
+  // advantage. Dead slots (drained account pool) are excluded: their
+  // trajectories were never injected, so Eq. 7/9 renormalizes over the
+  // surviving fleet's decisions.
+  std::vector<const SampledTrajectory*> trajs;
+  std::vector<double> traj_advantage;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    for (const SampledTrajectory& t : batch[i]->trajectories) {
+      if (pool_ != nullptr && !pool_->IsLive(t.attacker_index)) continue;
+      trajs.push_back(&t);
+      traj_advantage.push_back(advantages[i]);
+    }
+  }
+  const std::vector<DecisionBatch> decisions =
+      policy_->RecomputeLogProbs(trajs);
 
   // Clipped surrogate (Eq. 7/9): obj = min(r*A, clip(r,1±ε)*A). The min
   // either selects the ratio term (gradient flows) or a clipped constant
-  // (gradient zero); we encode that with a forward-computed mask. The
-  // mask pass is host-side and runs every epoch (it depends on the fresh
-  // log-probs); only the graph around it is reused.
+  // (gradient zero); we encode that with a forward-computed mask.
   const float eps = config_.clip_epsilon;
   std::size_t n_decisions = 0;
   double const_part = 0.0;  // sum of clipped (constant) objective terms
   double neg_logp_sum = 0.0;  // -log pi(a|s): sampled-entropy estimate
   double kl_sum = 0.0;        // log pi_old - log pi_new: approx KL
-  std::vector<std::vector<float>> masks(decisions.size());
-  for (std::size_t b = 0; b < decisions.size(); ++b) {
-    const DecisionBatch& batch_k = decisions[b];
+  nn::Tensor total;  // scalar accumulator of sum(obj)
+  for (const DecisionBatch& batch_k : decisions) {
     const std::size_t k = batch_k.new_log_probs.rows();
     n_decisions += k;
-    masks[b].resize(k);
+    std::vector<float> old_vals(k);
+    std::vector<float> mask(k);
     for (std::size_t i = 0; i < k; ++i) {
       const double adv = traj_advantage[batch_k.traj_index[i]];
       const double new_lp =
@@ -484,15 +429,21 @@ nn::Tensor PoisonRecAttacker::PpoLoss(
         unclipped = r >= 1.0 - eps;
       }
       if (unclipped) {
-        masks[b][i] = static_cast<float>(adv);
+        mask[i] = static_cast<float>(adv);
       } else {
-        masks[b][i] = 0.0f;
+        mask[i] = 0.0f;
         const double clipped_r =
             std::clamp(r, 1.0 - static_cast<double>(eps),
                        1.0 + static_cast<double>(eps));
         const_part += clipped_r * adv;
       }
+      old_vals[i] = static_cast<float>(batch_k.old_log_probs[i]);
     }
+    nn::Tensor old_t = nn::Tensor::FromData(k, 1, std::move(old_vals));
+    nn::Tensor am_t = nn::Tensor::FromData(k, 1, std::move(mask));
+    nn::Tensor ratio = nn::Exp(nn::Sub(batch_k.new_log_probs, old_t));
+    nn::Tensor obj = nn::Sum(nn::Mul(ratio, am_t));
+    total = total.defined() ? nn::Add(total, obj) : obj;
   }
   POISONREC_CHECK_GT(n_decisions, 0u);
   if (diagnostics != nullptr) {
@@ -501,44 +452,9 @@ nn::Tensor PoisonRecAttacker::PpoLoss(
     diagnostics->approx_kl = kl_sum / static_cast<double>(n_decisions);
   }
 
-  nn::Tensor loss;
-  if (!replay) {
-    std::optional<nn::GraphTape::RecordScope> record;
-    if (graph != nullptr) record.emplace(&graph->loss_tape);
-    nn::Tensor total;  // scalar accumulator of sum(obj)
-    for (std::size_t b = 0; b < decisions.size(); ++b) {
-      const DecisionBatch& batch_k = decisions[b];
-      const std::size_t k = batch_k.new_log_probs.rows();
-      std::vector<float> old_vals(k);
-      for (std::size_t i = 0; i < k; ++i) {
-        old_vals[i] = static_cast<float>(batch_k.old_log_probs[i]);
-      }
-      nn::Tensor old_t = nn::Tensor::FromData(k, 1, std::move(old_vals));
-      nn::Tensor am_t = nn::Tensor::FromData(k, 1, std::move(masks[b]));
-      if (graph != nullptr) graph->adv_masks.push_back(am_t);
-      nn::Tensor ratio = nn::Exp(nn::Sub(batch_k.new_log_probs, old_t));
-      nn::Tensor obj = nn::Sum(nn::Mul(ratio, am_t));
-      total = total.defined() ? nn::Add(total, obj) : obj;
-    }
-    // loss = -(1/D) * (sum_masked + const_part)
-    loss = nn::Scale(total, -1.0f / static_cast<float>(n_decisions));
-    if (graph != nullptr) {
-      graph->trajs = std::move(local_trajs);
-      graph->traj_advantage = std::move(local_adv);
-      graph->decisions = std::move(local_decisions);
-      graph->loss = loss;
-      graph->built = true;
-    }
-  } else {
-    // Feed this epoch's masks into the recorded loss graph (the masks
-    // are its only changing leaves — the Mul closures read the leaf's
-    // data through the impl at call time) and replay it.
-    for (std::size_t b = 0; b < graph->adv_masks.size(); ++b) {
-      graph->adv_masks[b].mutable_data() = std::move(masks[b]);
-    }
-    graph->loss_tape.ReplayForward();
-    loss = graph->loss;
-  }
+  // loss = -(1/D) * (sum_masked + const_part)
+  nn::Tensor loss =
+      nn::Scale(total, -1.0f / static_cast<float>(n_decisions));
   if (loss_value != nullptr) {
     *loss_value = loss.item() -
                   const_part / static_cast<double>(n_decisions);
@@ -551,88 +467,62 @@ TrainStepStats PoisonRecAttacker::TrainStep() {
   // `stats` are read straight off the spans, so the Chrome trace and the
   // printed/streamed numbers are the same measurement. Whatever the
   // phases don't cover is the step's bookkeeping, reported explicitly.
+  // RunStep's locals (episodes, autograd tapes) are freed before the span
+  // stops, so `seconds` covers the whole step.
   obs::TraceSpan step_span("ppo/step");
   TrainStepStats stats;
   stats.step = ++steps_taken_;
-  const GuardConfig& guard = config_.guard;
   // Liveness beacon for stall watchdogs: once at step entry and again
   // after each phase, so a supervisor can tell "long step" from "stuck".
   if (heartbeat_) heartbeat_();
-  const auto finish = [&step_span, this](TrainStepStats& s) {
-    s.seconds = step_span.Stop();
-    s.other_seconds = std::max(0.0, s.seconds - s.sample_seconds -
-                                        s.query_seconds - s.update_seconds);
-    EmitStepTelemetry(s);
-    if (heartbeat_) heartbeat_();
-  };
+  RunStep(&stats);
+  stats.seconds = step_span.Stop();
+  stats.other_seconds =
+      std::max(0.0, stats.seconds - stats.sample_seconds -
+                        stats.query_seconds - stats.update_seconds);
+  EmitStepTelemetry(stats);
+  if (heartbeat_) heartbeat_();
+  return stats;
+}
+
+void PoisonRecAttacker::RunStep(TrainStepStats* stats) {
+  const GuardConfig& guard = config_.guard;
 
   // Guard monitor: a corrupted policy samples garbage trajectories;
   // catch that before burning M reward queries on it.
   if (guard.enabled && guard.pre_step_param_sweep) {
     const FiniteSweep sweep = policy_->SweepParametersFinite();
     if (!sweep.clean()) {
-      RecordGuardEvent(&stats, GuardEventKind::kNonFiniteParameter,
+      RecordGuardEvent(stats, GuardEventKind::kNonFiniteParameter,
                        std::numeric_limits<double>::quiet_NaN(), 0.0,
                        std::to_string(sweep.bad()) + "/" +
                            std::to_string(sweep.checked) +
                            " non-finite before sampling");
-      finish(stats);
-      return stats;
+      return;
     }
   }
 
   // -- Sample M training examples -------------------------------------------
   // Episode m of step s rolls out under its own Rng stream, derived as a
   // pure function of (seed, s, m) — the shared generator is never
-  // advanced by sampling. That makes the M rollouts order-free: they run
-  // under ParallelFor (SampleEpisode is a read-only no-grad pass over
-  // the policy) and the sampled trajectories are bit-identical for any
-  // thread count and across checkpoint/resume.
+  // advanced by sampling. All M episodes roll out as one stacked (M·N x
+  // dim) recurrence in which each episode draws only from its own
+  // stream, so the sampled trajectories are bit-identical for any thread
+  // count and across checkpoint/resume.
   obs::TraceSpan sample_span("ppo/sample");
-  // Node-recycling arena for the step's tensor churn (sampling
-  // activations, recompute/loss graphs). Activated before any tensor of
-  // the step is created and reset when the step returns — declared here
-  // so every local graph handle below destructs first and the reset can
-  // recycle the whole step's nodes. The free list is a member, so step
-  // s+1 reuses step s's buffers.
-  std::optional<nn::TensorArena::Scope> arena_scope;
-  if (config_.engine.tensor_arena) arena_scope.emplace(&step_arena_);
-  std::vector<Episode> episodes(config_.samples_per_step);
-  const std::size_t sample_threads =
-      config_.parallel_sampling ? config_.num_threads : 1;
-  const std::uint64_t step_index = stats.step;
-  if (config_.engine.batched_sampling) {
-    // One stacked (M·N x dim) recurrence for all M episodes: each
-    // episode still consumes its own derived Rng stream in SampleEpisode
-    // order, so the trajectories are bit-identical to the per-episode
-    // path below (and to any earlier checkpoint's future).
-    std::vector<Rng> rngs;
-    rngs.reserve(episodes.size());
-    for (std::size_t m = 0; m < episodes.size(); ++m) {
-      rngs.emplace_back(DeriveStreamSeed(config_.seed, step_index, m));
-    }
-    std::vector<std::vector<SampledTrajectory>> sampled =
-        policy_->SampleEpisodesBatched(episodes.size(),
-                                       env_->trajectory_length(), &rngs);
-    for (std::size_t m = 0; m < episodes.size(); ++m) {
-      episodes[m].trajectories = std::move(sampled[m]);
-    }
-  } else {
-    // The per-row baseline advances each attacker with its own 1×d
-    // matmuls (the historical engine); same Rng streams, same bits.
-    const bool per_row = config_.engine.per_row_recurrence;
-    ParallelFor(episodes.size(), sample_threads,
-                [this, &episodes, step_index, per_row](std::size_t m) {
-                  Rng episode_rng(
-                      DeriveStreamSeed(config_.seed, step_index, m));
-                  episodes[m].trajectories =
-                      per_row ? policy_->SampleEpisodePerRow(
-                                    env_->trajectory_length(), &episode_rng)
-                              : policy_->SampleEpisode(
-                                    env_->trajectory_length(), &episode_rng);
-                });
+  std::vector<Rng> rngs;
+  rngs.reserve(config_.samples_per_step);
+  for (std::size_t m = 0; m < config_.samples_per_step; ++m) {
+    rngs.emplace_back(DeriveStreamSeed(config_.seed, stats->step, m));
   }
-  stats.sample_seconds = sample_span.Stop();
+  std::vector<std::vector<SampledTrajectory>> sampled =
+      policy_->SampleEpisodesBatched(rngs.size(), env_->trajectory_length(),
+                                     &rngs);
+  std::vector<Episode> episodes(sampled.size());
+  for (std::size_t m = 0; m < episodes.size(); ++m) {
+    episodes[m].trajectories = std::move(sampled[m]);
+  }
+  stats->sample_seconds = sample_span.Stop();
   if (heartbeat_) heartbeat_();
 
   // The black-box reward queries are independent and may run
@@ -649,7 +539,7 @@ TrainStepStats PoisonRecAttacker::TrainStep() {
                                                          : 1;
   ParallelFor(
       episodes.size(), eval_threads,
-      [this, &episodes, &query_retries, &stats](std::size_t m) {
+      [this, &episodes, &query_retries, stats](std::size_t m) {
         const std::vector<env::Trajectory> trajs =
             MapToAccounts(episodes[m].trajectories);
         if (faulty_ == nullptr && defended_ == nullptr) {
@@ -659,7 +549,7 @@ TrainStepStats PoisonRecAttacker::TrainStep() {
         // Deterministic query id: resuming from a checkpoint replays the
         // same fault stream as an uninterrupted run.
         const std::uint64_t query_id =
-            (static_cast<std::uint64_t>(stats.step) - 1) *
+            (static_cast<std::uint64_t>(stats->step) - 1) *
                 config_.samples_per_step +
             m;
         RetryStats retry_stats;
@@ -682,19 +572,16 @@ TrainStepStats PoisonRecAttacker::TrainStep() {
         }
       });
 
-  stats.query_seconds = query_span.Stop();
+  stats->query_seconds = query_span.Stop();
   if (heartbeat_) heartbeat_();
 
-  for (std::size_t r : query_retries) stats.retries += r;
+  for (std::size_t r : query_retries) stats->retries += r;
 
   // Adaptive-defender bookkeeping: pick up this step's bans, remap banned
   // slots onto reserve accounts, and abort once the fleet is too thin.
   if (defended_ != nullptr || pool_ != nullptr) {
-    SyncDefenderState(&stats);
-    if (!campaign_status_.ok()) {
-      finish(stats);
-      return stats;
-    }
+    SyncDefenderState(stats);
+    if (!campaign_status_.ok()) return;
   }
 
   // Guard monitor (Eq. 8 input): a NaN/Inf reward must reach neither the
@@ -705,15 +592,12 @@ TrainStepStats PoisonRecAttacker::TrainStep() {
     for (std::size_t m = 0; m < episodes.size(); ++m) {
       if (episodes[m].reward_observed &&
           !std::isfinite(episodes[m].reward)) {
-        RecordGuardEvent(&stats, GuardEventKind::kNonFiniteReward,
+        RecordGuardEvent(stats, GuardEventKind::kNonFiniteReward,
                          episodes[m].reward, 0.0,
                          "episode " + std::to_string(m));
       }
     }
-    if (stats.guard.tripped()) {
-      finish(stats);
-      return stats;
-    }
+    if (stats->guard.tripped()) return;
   }
 
   // Graceful degradation: impute failed queries with the mean of the
@@ -723,7 +607,7 @@ TrainStepStats PoisonRecAttacker::TrainStep() {
   for (const Episode& ep : episodes) {
     click_ratio_sum += TargetClickRatio(ep, env_->num_original_items());
     if (!ep.reward_observed) {
-      ++stats.failed_queries;
+      ++stats->failed_queries;
       continue;
     }
     reward_stats.AddTracked(ep.reward);
@@ -736,21 +620,21 @@ TrainStepStats PoisonRecAttacker::TrainStep() {
     for (Episode& ep : episodes) {
       if (!ep.reward_observed) {
         ep.reward = reward_stats.mean();
-        ++stats.imputed_rewards;
+        ++stats->imputed_rewards;
       }
     }
   }
-  stats.mean_reward = reward_stats.mean();
-  stats.max_reward = reward_stats.max();
-  stats.min_reward = reward_stats.min();
-  stats.best_reward_so_far = best_episode_.reward;
-  stats.target_click_ratio =
+  stats->mean_reward = reward_stats.mean();
+  stats->max_reward = reward_stats.max();
+  stats->min_reward = reward_stats.min();
+  stats->best_reward_so_far = best_episode_.reward;
+  stats->target_click_ratio =
       click_ratio_sum / static_cast<double>(config_.samples_per_step);
-  if (stats.failed_queries > 0) {
+  if (stats->failed_queries > 0) {
     POISONREC_LOG(Warning)
-        << "step " << stats.step << ": " << stats.failed_queries << "/"
+        << "step " << stats->step << ": " << stats->failed_queries << "/"
         << episodes.size() << " reward queries failed after retries ("
-        << stats.imputed_rewards << " imputed)";
+        << stats->imputed_rewards << " imputed)";
   }
 
   // -- K epochs of PPO updates ----------------------------------------------
@@ -759,9 +643,8 @@ TrainStepStats PoisonRecAttacker::TrainStep() {
   // (pool drained with min_live_attackers == 0) has nothing to train on.
   if (reward_stats.count() < 2 ||
       (pool_ != nullptr && pool_->live_slots() == 0)) {
-    stats.loss = 0.0;
-    finish(stats);
-    return stats;
+    stats->loss = 0.0;
+    return;
   }
   obs::TraceSpan update_span("ppo/update");
   double loss_sum = 0.0;
@@ -769,18 +652,6 @@ TrainStepStats PoisonRecAttacker::TrainStep() {
   double kl_sum = 0.0;
   std::size_t diag_epochs = 0;
   std::size_t completed_epochs = 0;
-  // Graph reuse applies when every epoch trains on the full episode set
-  // (B >= M — the paper's configuration): the K epochs then share one
-  // recorded graph, built on epoch 0 and replayed afterwards. With a
-  // resampled batch each epoch sees a different graph, so each builds
-  // fresh. Declared after arena_scope: the graph (and the tapes' node
-  // handles) must destruct before the arena reset sweeps the step.
-  const bool reuse_graph = config_.engine.reuse_update_graph &&
-                           !config_.engine.per_row_recurrence &&
-                           config_.batch_size >= episodes.size() &&
-                           config_.update_epochs > 1;
-  std::optional<PpoUpdateGraph> update_graph;
-  if (reuse_graph) update_graph.emplace();
   for (std::size_t epoch = 0; epoch < config_.update_epochs; ++epoch) {
     std::vector<const Episode*> batch;
     if (config_.batch_size >= episodes.size()) {
@@ -792,8 +663,7 @@ TrainStepStats PoisonRecAttacker::TrainStep() {
     }
     double loss_value = 0.0;
     PpoDiagnostics diag;
-    nn::Tensor loss = PpoLoss(batch, &loss_value, &diag,
-                              update_graph ? &*update_graph : nullptr);
+    nn::Tensor loss = PpoLoss(batch, &loss_value, &diag);
     entropy_sum += diag.entropy;
     kl_sum += diag.approx_kl;
     ++diag_epochs;
@@ -803,59 +673,45 @@ TrainStepStats PoisonRecAttacker::TrainStep() {
     if (guard.enabled) {
       const std::string where = "epoch " + std::to_string(epoch);
       if (diag.non_finite_log_probs > 0) {
-        RecordGuardEvent(&stats, GuardEventKind::kNonFiniteLogit,
+        RecordGuardEvent(stats, GuardEventKind::kNonFiniteLogit,
                          std::numeric_limits<double>::quiet_NaN(), 0.0,
                          std::to_string(diag.non_finite_log_probs) +
                              " decision log-probs, " + where);
         break;
       }
       if (!std::isfinite(loss_value)) {
-        RecordGuardEvent(&stats, GuardEventKind::kNonFiniteLoss,
+        RecordGuardEvent(stats, GuardEventKind::kNonFiniteLoss,
                          loss_value, 0.0, where);
         break;
       }
       if (guard.entropy_floor > 0.0 && diag.entropy < guard.entropy_floor) {
-        RecordGuardEvent(&stats, GuardEventKind::kEntropyCollapse,
+        RecordGuardEvent(stats, GuardEventKind::kEntropyCollapse,
                          diag.entropy, guard.entropy_floor, where);
         break;
       }
       if (guard.approx_kl_threshold > 0.0 &&
           diag.approx_kl > guard.approx_kl_threshold) {
-        RecordGuardEvent(&stats, GuardEventKind::kKlDivergence,
+        RecordGuardEvent(stats, GuardEventKind::kKlDivergence,
                          diag.approx_kl, guard.approx_kl_threshold, where);
         break;
       }
     }
 
     optimizer_->ZeroGrad();
-    if (update_graph) {
-      // First epoch: freeze the backward schedule (the exact closure
-      // order Tensor::Backward would run). Every epoch: zero the
-      // recorded nodes' grads — fresh tapes get that for free from node
-      // construction — then run the frozen schedule. Same closures, same
-      // order, same float accumulation as loss.Backward().
-      if (!update_graph->backward.captured()) {
-        update_graph->backward.Capture(loss);
-      }
-      update_graph->recompute_tape.ZeroGrads();
-      update_graph->loss_tape.ZeroGrads();
-      update_graph->backward.Run(loss);
-    } else {
-      loss.Backward();
-    }
+    loss.Backward();
     const double pre_clip =
         static_cast<double>(nn::GradNorm(optimizer_->parameters()));
-    stats.pre_clip_grad_norm = std::max(stats.pre_clip_grad_norm, pre_clip);
+    stats->pre_clip_grad_norm = std::max(stats->pre_clip_grad_norm, pre_clip);
     if (guard.enabled) {
       if (!std::isfinite(pre_clip)) {
-        RecordGuardEvent(&stats, GuardEventKind::kNonFiniteGradient,
+        RecordGuardEvent(stats, GuardEventKind::kNonFiniteGradient,
                          pre_clip, 0.0,
                          "global grad norm, epoch " + std::to_string(epoch));
         break;
       }
       if (guard.grad_norm_threshold > 0.0 &&
           pre_clip > guard.grad_norm_threshold) {
-        RecordGuardEvent(&stats, GuardEventKind::kGradNormExplosion,
+        RecordGuardEvent(stats, GuardEventKind::kGradNormExplosion,
                          pre_clip, guard.grad_norm_threshold,
                          "epoch " + std::to_string(epoch));
         break;
@@ -871,19 +727,17 @@ TrainStepStats PoisonRecAttacker::TrainStep() {
   // Post-update sweep once per step rather than per epoch: corruption
   // introduced by an early epoch's update still surfaces this step, via
   // the next epoch's logit/loss monitors or this final sweep.
-  if (guard.enabled && !stats.guard.tripped() && completed_epochs > 0) {
-    SweepPostStep(&stats);
+  if (guard.enabled && !stats->guard.tripped() && completed_epochs > 0) {
+    SweepPostStep(stats);
   }
   if (completed_epochs > 0) {
-    stats.loss = loss_sum / static_cast<double>(completed_epochs);
+    stats->loss = loss_sum / static_cast<double>(completed_epochs);
   }
   if (diag_epochs > 0) {
-    stats.entropy = entropy_sum / static_cast<double>(diag_epochs);
-    stats.approx_kl = kl_sum / static_cast<double>(diag_epochs);
+    stats->entropy = entropy_sum / static_cast<double>(diag_epochs);
+    stats->approx_kl = kl_sum / static_cast<double>(diag_epochs);
   }
-  stats.update_seconds = update_span.Stop();
-  finish(stats);
-  return stats;
+  stats->update_seconds = update_span.Stop();
 }
 
 std::vector<TrainStepStats> PoisonRecAttacker::Train(std::size_t steps) {

@@ -19,7 +19,6 @@
 #include "env/defended.h"
 #include "env/environment.h"
 #include "env/fault.h"
-#include "nn/arena.h"
 #include "nn/optimizer.h"
 #include "obs/event_log.h"
 #include "util/cancel.h"
@@ -28,41 +27,6 @@
 #include "util/status.h"
 
 namespace poisonrec::core {
-
-/// Execution-engine knobs (docs/performance.md). Every fast path here is
-/// bit-identical to the reference path it replaces — same trajectories,
-/// same rewards, same post-update parameters, same checkpoint bytes — so
-/// they default on and exist as flags only so tests and benches can pin
-/// the reference engine for identity/regression comparisons.
-struct EngineConfig {
-  /// Roll out all M episodes of a step as one stacked (M·N x dim)
-  /// recurrence (Policy::SampleEpisodesBatched): one LSTM/DNN forward
-  /// per timestep instead of M·N tiny ones. Per-episode RNG streams are
-  /// preserved, so sampling stays bit-identical and parallel_sampling
-  /// becomes irrelevant while this is on.
-  bool batched_sampling = true;
-  /// Record the PPO update graph (recompute + surrogate) on epoch 0 and
-  /// replay it for epochs 1..K-1 instead of re-taping: forward closures
-  /// recompute the same nodes in creation order, and the captured
-  /// backward schedule re-runs Tensor::Backward()'s exact closure order,
-  /// so gradients accumulate in the same float order every epoch.
-  /// Applies only when the batch covers all M episodes (batch_size >=
-  /// samples_per_step) — a resampled batch changes the graph.
-  bool reuse_update_graph = true;
-  /// Recycle autograd nodes through a per-step TensorArena: steady-state
-  /// steps reuse the previous step's node/activation buffers instead of
-  /// hitting the allocator (nn/arena.h).
-  bool tensor_arena = true;
-  /// Historical per-row baseline: advance every attacker row with its own
-  /// 1×d matmuls in sampling (Policy::SampleEpisodePerRow) and in the PPO
-  /// recompute (Policy::HiddenStatesPerRow), ~6N tiny tape nodes per
-  /// timestep instead of 6. Bit-identical to both the reference and the
-  /// batched engines (trajectories, rewards, post-update parameters) —
-  /// kept purely as the identity oracle and speedup denominator for
-  /// bench_train_step_timing; never enable it for real campaigns. Forces
-  /// the fresh-tape update path (graph reuse is skipped).
-  bool per_row_recurrence = false;
-};
 
 struct PoisonRecConfig {
   /// M: episodes sampled per training step (paper: 32).
@@ -83,15 +47,10 @@ struct PoisonRecConfig {
   /// Evaluate the M independent reward queries of each step concurrently.
   /// Results are identical either way.
   bool parallel_rewards = false;
-  /// Roll out the M episodes of each step concurrently. Each episode m
-  /// of step s samples from its own Rng stream derived as a pure
-  /// function of (seed, s, m) — never from the shared generator — so
-  /// results are bit-identical for every thread count and across
-  /// checkpoint/resume.
-  bool parallel_sampling = true;
-  /// Worker threads for parallel sampling/evaluation (0 = hardware
-  /// concurrency). Kernel-level GEMM threading is a separate process
-  /// knob: nn::SetNumThreads.
+  /// Worker threads for the concurrent reward queries of
+  /// `parallel_rewards` (0 = hardware concurrency); unused otherwise.
+  /// Kernel-level GEMM threading, which the attacker's sampling and
+  /// update run on, is a separate process knob: nn::SetNumThreads.
   std::size_t num_threads = 0;
   /// Per-query retry schedule, used when a FaultyEnvironment is attached
   /// (each of the M reward queries retries independently).
@@ -102,8 +61,6 @@ struct PoisonRecConfig {
   /// the policy keeps its N slots and the pool remaps banned slots onto
   /// fresh reserve accounts (core/account_pool.h).
   AccountPoolConfig pool;
-  /// Batched-engine fast paths (all bit-identical to the reference).
-  EngineConfig engine;
   PolicyConfig policy;
   std::uint64_t seed = 99;
 };
@@ -175,10 +132,6 @@ struct GuardedTrainResult {
   /// checkpointing itself failed.
   Status status;
 };
-
-/// Recorded update graph shared by the K epochs of one TrainStep
-/// (defined in ppo.cc; built on epoch 0, replayed afterwards).
-struct PpoUpdateGraph;
 
 /// The PoisonRec attack agent: ties a Policy to an AttackEnvironment and
 /// runs Algorithm 1.
@@ -339,15 +292,13 @@ class PoisonRecAttacker {
     std::size_t non_finite_log_probs = 0;
   };
 
+  /// Body of TrainStep: sample, query and update phases, filling
+  /// everything in `stats` but the step total.
+  void RunStep(TrainStepStats* stats);
+
   /// PPO surrogate loss over one batch of episodes; differentiable.
-  /// With `graph` non-null the first call records the whole forward
-  /// (recompute + surrogate) into it and later calls replay it against
-  /// current parameters — numerically identical to rebuilding from
-  /// scratch, since replay recomputes the same nodes in the same order.
-  /// Pass nullptr for the fresh-tape reference path.
   nn::Tensor PpoLoss(const std::vector<const Episode*>& batch,
-                     double* loss_value, PpoDiagnostics* diagnostics,
-                     PpoUpdateGraph* graph);
+                     double* loss_value, PpoDiagnostics* diagnostics);
 
   /// Records a tripped guard into both the step verdict and the
   /// incident ring (and its JSONL sink, when configured).
@@ -392,10 +343,6 @@ class PoisonRecAttacker {
   PoisonRecConfig config_;
   std::unique_ptr<Policy> policy_;
   std::unique_ptr<nn::Adam> optimizer_;
-  /// Node-recycling arena for TrainStep (config_.engine.tensor_arena):
-  /// activated for the span of each step, reset at its end, free list
-  /// persisting across steps so step s+1 reuses step s's buffers.
-  nn::TensorArena step_arena_;
   Rng rng_;
   Episode best_episode_;
   std::size_t steps_taken_ = 0;

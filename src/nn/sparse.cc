@@ -1,9 +1,7 @@
 #include "nn/sparse.h"
 
-#include <algorithm>
 #include <map>
 
-#include "nn/graph.h"
 #include "nn/kernels.h"
 
 namespace poisonrec::nn {
@@ -51,38 +49,28 @@ CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols,
   }
 }
 
-namespace {
-
-// Forward rows are partitioned like the dense kernels: each output row
-// is owned by one thread and its entry order (p ascending) never
-// depends on the partition, so results are bit-identical at any thread
-// count. Zero-fills first so the same helper serves graph replay.
-void SpmmForward(const CsrMatrix* am, const internal::TensorImpl* xi,
-                 internal::TensorImpl* oi, std::size_t n) {
-  std::fill(oi->data.begin(), oi->data.end(), 0.0f);
-  float* od = oi->data.data();
-  const float* xd = xi->data.data();
-  kernels::ParallelRows(
-      am->rows(), am->nnz() * n, [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-          float* orow = od + r * n;
-          for (std::size_t p = am->row_offsets()[r];
-               p < am->row_offsets()[r + 1]; ++p) {
-            const float v = am->values()[p];
-            const float* xrow = xd + am->col_indices()[p] * n;
-            for (std::size_t c = 0; c < n; ++c) orow[c] += v * xrow[c];
-          }
-        }
-      });
-}
-
-}  // namespace
-
 Tensor SparseMatMul(const CsrMatrix& a, const Tensor& x) {
   POISONREC_CHECK_EQ(a.cols(), x.rows());
   const std::size_t n = x.cols();
   Tensor out = Tensor::Zeros(a.rows(), n);
-  SpmmForward(&a, x.impl().get(), out.impl().get(), n);
+  // Forward rows are partitioned like the dense kernels: each output row
+  // is owned by one thread and its entry order (p ascending) never
+  // depends on the partition, so results are bit-identical at any thread
+  // count.
+  float* od = out.mutable_data().data();
+  const float* xd = x.data().data();
+  kernels::ParallelRows(
+      a.rows(), a.nnz() * n, [&](std::size_t r0, std::size_t r1) {
+        for (std::size_t r = r0; r < r1; ++r) {
+          float* orow = od + r * n;
+          for (std::size_t p = a.row_offsets()[r]; p < a.row_offsets()[r + 1];
+               ++p) {
+            const float v = a.values()[p];
+            const float* xrow = xd + a.col_indices()[p] * n;
+            for (std::size_t c = 0; c < n; ++c) orow[c] += v * xrow[c];
+          }
+        }
+      });
   if (GradEnabled() && x.requires_grad()) {
     auto oi = out.impl();
     oi->requires_grad = true;
@@ -111,10 +99,6 @@ Tensor SparseMatMul(const CsrMatrix& a, const Tensor& x) {
             }
           });
     };
-    if (GraphTape* tape = GraphTape::Current()) {
-      oi->forward_fn = [am, xi, oraw, n]() { SpmmForward(am, xi, oraw, n); };
-      tape->Register(oi);
-    }
   }
   return out;
 }

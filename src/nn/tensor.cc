@@ -4,8 +4,6 @@
 #include <cmath>
 #include <unordered_set>
 
-#include "nn/arena.h"
-#include "nn/graph.h"
 #include "nn/kernels.h"
 
 namespace poisonrec::nn {
@@ -17,9 +15,6 @@ namespace {
 thread_local bool g_grad_enabled = true;
 
 std::shared_ptr<TensorImpl> NewNode(std::size_t rows, std::size_t cols) {
-  if (TensorArena* arena = TensorArena::Current()) {
-    return arena->Acquire(rows, cols);
-  }
   auto node = std::make_shared<TensorImpl>();
   node->rows = rows;
   node->cols = cols;
@@ -36,14 +31,9 @@ bool TrackGrad(std::initializer_list<const Tensor*> inputs) {
 }
 
 // Registers parents + backward closure on `out` when tracking is on.
-// `forward_fn` recomputes out's data from its parents' current data; it
-// is only materialized (and the node only registered for replay) while
-// a GraphTape is recording on this thread, so the normal path pays one
-// thread-local read and nothing else.
-template <typename FwdFn>
 void Attach(const std::shared_ptr<TensorImpl>& out,
             std::initializer_list<const Tensor*> inputs,
-            std::function<void()> backward_fn, FwdFn&& forward_fn) {
+            std::function<void()> backward_fn) {
   out->requires_grad = true;
   out->EnsureGrad();
   for (const Tensor* t : inputs) {
@@ -51,10 +41,6 @@ void Attach(const std::shared_ptr<TensorImpl>& out,
     if (t->requires_grad()) t->impl()->EnsureGrad();
   }
   out->backward_fn = std::move(backward_fn);
-  if (GraphTape* tape = GraphTape::Current()) {
-    out->forward_fn = std::forward<FwdFn>(forward_fn);
-    tape->Register(out);
-  }
 }
 
 }  // namespace
@@ -172,8 +158,6 @@ void Tensor::Backward() {
       << "Backward() on a tensor that does not require grad";
 
   // Iterative post-order DFS to build reverse topological order.
-  // RecordedBackward::Capture (nn/graph.cc) replicates this traversal
-  // to freeze the closure order for graph reuse — keep them in sync.
   std::vector<TensorImpl*> topo;
   std::unordered_set<TensorImpl*> visited;
   struct Frame {
@@ -205,26 +189,7 @@ void Tensor::Backward() {
 
 // ---------------------------------------------------------------------------
 // Ops
-//
-// Each op's forward loop lives in one *Forward helper taking raw impls:
-// the op calls it once at build time, and the same helper (captured in
-// a replay closure) recomputes the node when the PPO update replays its
-// recorded graph. One source of truth per loop keeps replay trivially
-// bit-identical to the original forward.
 // ---------------------------------------------------------------------------
-
-namespace {
-
-void MatMulForward(const TensorImpl* ai, const TensorImpl* bi, TensorImpl* oi,
-                   std::size_t m, std::size_t k, std::size_t n) {
-  // GemmNN accumulates, so replay must clear the previous epoch's
-  // values first (a no-op on the freshly zeroed first call).
-  std::fill(oi->data.begin(), oi->data.end(), 0.0f);
-  kernels::GemmNN(m, k, n, ai->data.data(), bi->data.data(),
-                  oi->data.data());
-}
-
-}  // namespace
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   POISONREC_CHECK_EQ(a.cols(), b.rows())
@@ -252,8 +217,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
             kernels::GemmTN(k, m, n, ai->data.data(), oi->grad.data(),
                             bi->grad.data());
           }
-        },
-        [ai, bi, oi, m, k, n]() { MatMulForward(ai, bi, oi, m, k, n); });
+        });
   }
   return result;
 }
@@ -268,17 +232,6 @@ AddKind CheckAddShapes(const Tensor& a, const Tensor& b) {
       << "Add/Sub shape mismatch " << a.ShapeString() << " vs "
       << b.ShapeString();
   return AddKind::kBroadcastRow;
-}
-
-void AddForward(const TensorImpl* ai, const TensorImpl* bi, TensorImpl* oi,
-                AddKind kind, float sign) {
-  const std::size_t n = ai->cols;
-  for (std::size_t r = 0; r < ai->rows; ++r) {
-    for (std::size_t c = 0; c < n; ++c) {
-      const float bv = kind == AddKind::kSame ? bi->at(r, c) : bi->at(0, c);
-      oi->at(r, c) = ai->at(r, c) + sign * bv;
-    }
-  }
 }
 
 }  // namespace
@@ -320,8 +273,7 @@ Tensor Add(const Tensor& a, const Tensor& b) {
               }
             }
           }
-        },
-        [ai, bi, oi, kind]() { AddForward(ai, bi, oi, kind, 1.0f); });
+        });
   }
   return result;
 }
@@ -362,25 +314,10 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
               }
             }
           }
-        },
-        [ai, bi, oi, kind]() { AddForward(ai, bi, oi, kind, -1.0f); });
+        });
   }
   return result;
 }
-
-namespace {
-
-void MulForward(const TensorImpl* ai, const TensorImpl* bi, TensorImpl* oi,
-                bool broadcast_col) {
-  for (std::size_t r = 0; r < ai->rows; ++r) {
-    for (std::size_t c = 0; c < ai->cols; ++c) {
-      const float bv = broadcast_col ? bi->at(r, 0) : bi->at(r, c);
-      oi->at(r, c) = ai->at(r, c) * bv;
-    }
-  }
-}
-
-}  // namespace
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
   const bool broadcast_col = (b.cols() == 1 && b.rows() == a.rows() &&
@@ -394,7 +331,12 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
   TensorImpl* ai = a.impl().get();
   TensorImpl* bi = b.impl().get();
   TensorImpl* oi = out.get();
-  MulForward(ai, bi, oi, broadcast_col);
+  for (std::size_t r = 0; r < ai->rows; ++r) {
+    for (std::size_t c = 0; c < ai->cols; ++c) {
+      const float bv = broadcast_col ? bi->at(r, 0) : bi->at(r, c);
+      oi->at(r, c) = ai->at(r, c) * bv;
+    }
+  }
   Tensor result(out);
   if (TrackGrad({&a, &b})) {
     Attach(
@@ -415,9 +357,6 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
               }
             }
           }
-        },
-        [ai, bi, oi, broadcast_col]() {
-          MulForward(ai, bi, oi, broadcast_col);
         });
   }
   return result;
@@ -443,11 +382,6 @@ Tensor UnaryOp(const Tensor& a, Fwd fwd, Dfn dfn) {
           if (!ai->requires_grad) return;
           for (std::size_t i = 0; i < ai->grad.size(); ++i) {
             ai->grad[i] += oi->grad[i] * dfn(ai->data[i], oi->data[i]);
-          }
-        },
-        [ai, oi, fwd]() {
-          for (std::size_t i = 0; i < ai->data.size(); ++i) {
-            oi->data[i] = fwd(ai->data[i]);
           }
         });
   }
@@ -532,9 +466,10 @@ Tensor Square(const Tensor& a) {
       [](float x, float) { return 2.0f * x; });
 }
 
-namespace {
-
-void SoftmaxForward(const TensorImpl* ai, TensorImpl* oi) {
+Tensor Softmax(const Tensor& a) {
+  auto out = NewNode(a.rows(), a.cols());
+  TensorImpl* ai = a.impl().get();
+  TensorImpl* oi = out.get();
   for (std::size_t r = 0; r < ai->rows; ++r) {
     float maxv = ai->at(r, 0);
     for (std::size_t c = 1; c < ai->cols; ++c) {
@@ -548,32 +483,6 @@ void SoftmaxForward(const TensorImpl* ai, TensorImpl* oi) {
     }
     for (std::size_t c = 0; c < ai->cols; ++c) oi->at(r, c) /= denom;
   }
-}
-
-void LogSoftmaxForward(const TensorImpl* ai, TensorImpl* oi) {
-  for (std::size_t r = 0; r < ai->rows; ++r) {
-    float maxv = ai->at(r, 0);
-    for (std::size_t c = 1; c < ai->cols; ++c) {
-      maxv = std::max(maxv, ai->at(r, c));
-    }
-    float denom = 0.0f;
-    for (std::size_t c = 0; c < ai->cols; ++c) {
-      denom += std::exp(ai->at(r, c) - maxv);
-    }
-    const float lse = maxv + std::log(denom);
-    for (std::size_t c = 0; c < ai->cols; ++c) {
-      oi->at(r, c) = ai->at(r, c) - lse;
-    }
-  }
-}
-
-}  // namespace
-
-Tensor Softmax(const Tensor& a) {
-  auto out = NewNode(a.rows(), a.cols());
-  TensorImpl* ai = a.impl().get();
-  TensorImpl* oi = out.get();
-  SoftmaxForward(ai, oi);
   Tensor result(out);
   if (TrackGrad({&a})) {
     Attach(
@@ -589,8 +498,7 @@ Tensor Softmax(const Tensor& a) {
               ai->gat(r, c) += oi->at(r, c) * (oi->gat(r, c) - dot);
             }
           }
-        },
-        [ai, oi]() { SoftmaxForward(ai, oi); });
+        });
   }
   return result;
 }
@@ -599,7 +507,20 @@ Tensor LogSoftmax(const Tensor& a) {
   auto out = NewNode(a.rows(), a.cols());
   TensorImpl* ai = a.impl().get();
   TensorImpl* oi = out.get();
-  LogSoftmaxForward(ai, oi);
+  for (std::size_t r = 0; r < ai->rows; ++r) {
+    float maxv = ai->at(r, 0);
+    for (std::size_t c = 1; c < ai->cols; ++c) {
+      maxv = std::max(maxv, ai->at(r, c));
+    }
+    float denom = 0.0f;
+    for (std::size_t c = 0; c < ai->cols; ++c) {
+      denom += std::exp(ai->at(r, c) - maxv);
+    }
+    const float lse = maxv + std::log(denom);
+    for (std::size_t c = 0; c < ai->cols; ++c) {
+      oi->at(r, c) = ai->at(r, c) - lse;
+    }
+  }
   Tensor result(out);
   if (TrackGrad({&a})) {
     Attach(
@@ -614,8 +535,7 @@ Tensor LogSoftmax(const Tensor& a) {
                   oi->gat(r, c) - std::exp(oi->at(r, c)) * gsum;
             }
           }
-        },
-        [ai, oi]() { LogSoftmaxForward(ai, oi); });
+        });
   }
   return result;
 }
@@ -635,11 +555,6 @@ Tensor Sum(const Tensor& a) {
           if (!ai->requires_grad) return;
           const float g = oi->grad[0];
           for (float& gv : ai->grad) gv += g;
-        },
-        [ai, oi]() {
-          float sum = 0.0f;
-          for (float v : ai->data) sum += v;
-          oi->data[0] = sum;
         });
   }
   return result;
@@ -662,33 +577,20 @@ Tensor Mean(const Tensor& a) {
           if (!ai->requires_grad) return;
           const float g = oi->grad[0] * inv;
           for (float& gv : ai->grad) gv += g;
-        },
-        [ai, oi]() {
-          float sum = 0.0f;
-          for (float v : ai->data) sum += v;
-          oi->data[0] = sum / static_cast<float>(ai->data.size());
         });
   }
   return result;
 }
 
-namespace {
-
-void RowSumForward(const TensorImpl* ai, TensorImpl* oi) {
+Tensor RowSum(const Tensor& a) {
+  auto out = NewNode(a.rows(), 1);
+  TensorImpl* ai = a.impl().get();
+  TensorImpl* oi = out.get();
   for (std::size_t r = 0; r < ai->rows; ++r) {
     float acc = 0.0f;
     for (std::size_t c = 0; c < ai->cols; ++c) acc += ai->at(r, c);
     oi->data[r] = acc;
   }
-}
-
-}  // namespace
-
-Tensor RowSum(const Tensor& a) {
-  auto out = NewNode(a.rows(), 1);
-  TensorImpl* ai = a.impl().get();
-  TensorImpl* oi = out.get();
-  RowSumForward(ai, oi);
   Tensor result(out);
   if (TrackGrad({&a})) {
     Attach(
@@ -699,29 +601,20 @@ Tensor RowSum(const Tensor& a) {
             const float g = oi->grad[r];
             for (std::size_t c = 0; c < ai->cols; ++c) ai->gat(r, c) += g;
           }
-        },
-        [ai, oi]() { RowSumForward(ai, oi); });
+        });
   }
   return result;
 }
-
-namespace {
-
-void TransposeForward(const TensorImpl* ai, TensorImpl* oi) {
-  for (std::size_t r = 0; r < ai->rows; ++r) {
-    for (std::size_t c = 0; c < ai->cols; ++c) {
-      oi->at(c, r) = ai->at(r, c);
-    }
-  }
-}
-
-}  // namespace
 
 Tensor Transpose(const Tensor& a) {
   auto out = NewNode(a.cols(), a.rows());
   TensorImpl* ai = a.impl().get();
   TensorImpl* oi = out.get();
-  TransposeForward(ai, oi);
+  for (std::size_t r = 0; r < ai->rows; ++r) {
+    for (std::size_t c = 0; c < ai->cols; ++c) {
+      oi->at(c, r) = ai->at(r, c);
+    }
+  }
   Tensor result(out);
   if (TrackGrad({&a})) {
     Attach(
@@ -733,32 +626,10 @@ Tensor Transpose(const Tensor& a) {
               ai->gat(r, c) += oi->gat(c, r);
             }
           }
-        },
-        [ai, oi]() { TransposeForward(ai, oi); });
+        });
   }
   return result;
 }
-
-namespace {
-
-void ConcatColsForward(const TensorImpl* ai, const TensorImpl* bi,
-                       TensorImpl* oi) {
-  for (std::size_t r = 0; r < ai->rows; ++r) {
-    for (std::size_t c = 0; c < ai->cols; ++c) oi->at(r, c) = ai->at(r, c);
-    for (std::size_t c = 0; c < bi->cols; ++c) {
-      oi->at(r, ai->cols + c) = bi->at(r, c);
-    }
-  }
-}
-
-void ConcatRowsForward(const TensorImpl* ai, const TensorImpl* bi,
-                       TensorImpl* oi) {
-  std::copy(ai->data.begin(), ai->data.end(), oi->data.begin());
-  std::copy(bi->data.begin(), bi->data.end(),
-            oi->data.begin() + static_cast<std::ptrdiff_t>(ai->data.size()));
-}
-
-}  // namespace
 
 Tensor ConcatCols(const Tensor& a, const Tensor& b) {
   POISONREC_CHECK_EQ(a.rows(), b.rows());
@@ -766,7 +637,12 @@ Tensor ConcatCols(const Tensor& a, const Tensor& b) {
   TensorImpl* ai = a.impl().get();
   TensorImpl* bi = b.impl().get();
   TensorImpl* oi = out.get();
-  ConcatColsForward(ai, bi, oi);
+  for (std::size_t r = 0; r < ai->rows; ++r) {
+    for (std::size_t c = 0; c < ai->cols; ++c) oi->at(r, c) = ai->at(r, c);
+    for (std::size_t c = 0; c < bi->cols; ++c) {
+      oi->at(r, ai->cols + c) = bi->at(r, c);
+    }
+  }
   Tensor result(out);
   if (TrackGrad({&a, &b})) {
     Attach(
@@ -784,8 +660,7 @@ Tensor ConcatCols(const Tensor& a, const Tensor& b) {
               }
             }
           }
-        },
-        [ai, bi, oi]() { ConcatColsForward(ai, bi, oi); });
+        });
   }
   return result;
 }
@@ -796,7 +671,9 @@ Tensor ConcatRows(const Tensor& a, const Tensor& b) {
   TensorImpl* ai = a.impl().get();
   TensorImpl* bi = b.impl().get();
   TensorImpl* oi = out.get();
-  ConcatRowsForward(ai, bi, oi);
+  std::copy(ai->data.begin(), ai->data.end(), oi->data.begin());
+  std::copy(bi->data.begin(), bi->data.end(),
+            oi->data.begin() + static_cast<std::ptrdiff_t>(ai->data.size()));
   Tensor result(out);
   if (TrackGrad({&a, &b})) {
     Attach(
@@ -813,94 +690,21 @@ Tensor ConcatRows(const Tensor& a, const Tensor& b) {
               bi->grad[i] += oi->grad[offset + i];
             }
           }
-        },
-        [ai, bi, oi]() { ConcatRowsForward(ai, bi, oi); });
+        });
   }
   return result;
 }
-
-namespace {
-
-void StackRowsForward(const std::vector<TensorImpl*>& parts, TensorImpl* oi) {
-  std::size_t offset = 0;
-  for (const TensorImpl* p : parts) {
-    std::copy(p->data.begin(), p->data.end(),
-              oi->data.begin() + static_cast<std::ptrdiff_t>(offset));
-    offset += p->data.size();
-  }
-}
-
-}  // namespace
-
-Tensor StackRows(const std::vector<Tensor>& parts) {
-  POISONREC_CHECK(!parts.empty());
-  const std::size_t cols = parts[0].cols();
-  std::size_t rows = 0;
-  for (const Tensor& p : parts) {
-    POISONREC_CHECK_EQ(p.cols(), cols);
-    rows += p.rows();
-  }
-  auto out = NewNode(rows, cols);
-  std::vector<TensorImpl*> impls;
-  impls.reserve(parts.size());
-  bool track = false;
-  for (const Tensor& p : parts) {
-    impls.push_back(p.impl().get());
-    if (p.requires_grad()) track = true;
-  }
-  TensorImpl* oi = out.get();
-  StackRowsForward(impls, oi);
-  Tensor result(out);
-  if (GradMode::Enabled() && track) {
-    out->requires_grad = true;
-    out->EnsureGrad();
-    // Parents in descending part order — Backward()'s post-order DFS
-    // then appends part N-1's subtree first, so the reversed closure
-    // order visits part 0's chain first. See the header comment: this
-    // is what makes the per-row recurrence accumulate into shared
-    // weights in the same ascending-row order as one batched GemmTN.
-    for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
-      out->parents.push_back(it->impl());
-      if (it->requires_grad()) it->impl()->EnsureGrad();
-    }
-    out->backward_fn = [impls, oi]() {
-      std::size_t offset = 0;
-      for (TensorImpl* p : impls) {
-        if (p->requires_grad) {
-          for (std::size_t i = 0; i < p->grad.size(); ++i) {
-            p->grad[i] += oi->grad[offset + i];
-          }
-        }
-        offset += p->data.size();
-      }
-    };
-    if (GraphTape* tape = GraphTape::Current()) {
-      out->forward_fn = [impls, oi]() { StackRowsForward(impls, oi); };
-      tape->Register(out);
-    }
-  }
-  return result;
-}
-
-namespace {
-
-void ColsForward(const TensorImpl* ai, TensorImpl* oi, std::size_t start,
-                 std::size_t len) {
-  for (std::size_t r = 0; r < ai->rows; ++r) {
-    for (std::size_t c = 0; c < len; ++c) {
-      oi->at(r, c) = ai->at(r, start + c);
-    }
-  }
-}
-
-}  // namespace
 
 Tensor Cols(const Tensor& a, std::size_t start, std::size_t len) {
   POISONREC_CHECK_LE(start + len, a.cols());
   auto out = NewNode(a.rows(), len);
   TensorImpl* ai = a.impl().get();
   TensorImpl* oi = out.get();
-  ColsForward(ai, oi, start, len);
+  for (std::size_t r = 0; r < ai->rows; ++r) {
+    for (std::size_t c = 0; c < len; ++c) {
+      oi->at(r, c) = ai->at(r, start + c);
+    }
+  }
   Tensor result(out);
   if (TrackGrad({&a})) {
     Attach(
@@ -912,8 +716,7 @@ Tensor Cols(const Tensor& a, std::size_t start, std::size_t len) {
               ai->gat(r, start + c) += oi->gat(r, c);
             }
           }
-        },
-        [ai, oi, start, len]() { ColsForward(ai, oi, start, len); });
+        });
   }
   return result;
 }
@@ -933,45 +736,17 @@ Tensor Rows(const Tensor& table, const std::vector<std::size_t>& indices) {
   if (TrackGrad({&table})) {
     TensorImpl* ti = table.impl().get();
     TensorImpl* oi = out.get();
-    // One shared index copy serves both closures.
-    auto idx = std::make_shared<const std::vector<std::size_t>>(indices);
-    Attach(
-        out, {&table},
-        [ti, oi, idx, dim]() {
-          if (!ti->requires_grad) return;
-          for (std::size_t i = 0; i < idx->size(); ++i) {
-            float* dst = ti->grad.data() + (*idx)[i] * dim;
-            const float* src = oi->grad.data() + i * dim;
-            for (std::size_t c = 0; c < dim; ++c) dst[c] += src[c];
-          }
-        },
-        [ti, oi, idx, dim]() {
-          for (std::size_t i = 0; i < idx->size(); ++i) {
-            std::copy(ti->data.begin() +
-                          static_cast<std::ptrdiff_t>((*idx)[i] * dim),
-                      ti->data.begin() +
-                          static_cast<std::ptrdiff_t>(((*idx)[i] + 1) * dim),
-                      oi->data.begin() + static_cast<std::ptrdiff_t>(i * dim));
-          }
-        });
+    Attach(out, {&table}, [ti, oi, idx = indices, dim]() {
+      if (!ti->requires_grad) return;
+      for (std::size_t i = 0; i < idx.size(); ++i) {
+        float* dst = ti->grad.data() + idx[i] * dim;
+        const float* src = oi->grad.data() + i * dim;
+        for (std::size_t c = 0; c < dim; ++c) dst[c] += src[c];
+      }
+    });
   }
   return result;
 }
-
-namespace {
-
-void RowDotForward(const TensorImpl* ai, const TensorImpl* bi,
-                   TensorImpl* oi) {
-  for (std::size_t r = 0; r < ai->rows; ++r) {
-    float acc = 0.0f;
-    for (std::size_t c = 0; c < ai->cols; ++c) {
-      acc += ai->at(r, c) * bi->at(r, c);
-    }
-    oi->data[r] = acc;
-  }
-}
-
-}  // namespace
 
 Tensor RowDot(const Tensor& a, const Tensor& b) {
   POISONREC_CHECK_EQ(a.rows(), b.rows());
@@ -980,7 +755,13 @@ Tensor RowDot(const Tensor& a, const Tensor& b) {
   TensorImpl* ai = a.impl().get();
   TensorImpl* bi = b.impl().get();
   TensorImpl* oi = out.get();
-  RowDotForward(ai, bi, oi);
+  for (std::size_t r = 0; r < ai->rows; ++r) {
+    float acc = 0.0f;
+    for (std::size_t c = 0; c < ai->cols; ++c) {
+      acc += ai->at(r, c) * bi->at(r, c);
+    }
+    oi->data[r] = acc;
+  }
   Tensor result(out);
   if (TrackGrad({&a, &b})) {
     Attach(
@@ -993,8 +774,7 @@ Tensor RowDot(const Tensor& a, const Tensor& b) {
               if (bi->requires_grad) bi->gat(r, c) += g * ai->at(r, c);
             }
           }
-        },
-        [ai, bi, oi]() { RowDotForward(ai, bi, oi); });
+        });
   }
   return result;
 }
@@ -1056,13 +836,10 @@ LstmGatesResult LstmGates(const Tensor& preact, const Tensor& c_prev) {
   TensorImpl* cni = cnew.get();
   TensorImpl* hni = hnew.get();
 
-  const auto forward = [pi, ci, acti, cni, hni, rows, h]() {
-    kernels::ParallelRows(rows, rows * 4 * h,
-                          [&](std::size_t r0, std::size_t r1) {
-                            LstmGatesRows(r0, r1, h, pi, ci, acti, cni, hni);
-                          });
-  };
-  forward();
+  kernels::ParallelRows(rows, rows * 4 * h,
+                        [&](std::size_t r0, std::size_t r1) {
+                          LstmGatesRows(r0, r1, h, pi, ci, acti, cni, hni);
+                        });
 
   Tensor act_t(act);
   Tensor cnew_t(cnew);
@@ -1077,11 +854,7 @@ LstmGatesResult LstmGates(const Tensor& preact, const Tensor& c_prev) {
   // only by the thread that owns the row, so results are bit-identical
   // at every thread count.
   //
-  // act = [σ(i) | σ(f) | tanh(g) | σ(o)] with parent `preact`. Its
-  // replay closure reruns the whole fused forward (act, c, h); the
-  // other two nodes' closures are no-ops, so a tape replay still
-  // computes every value exactly once and in topological order (act is
-  // registered first).
+  // act = [σ(i) | σ(f) | tanh(g) | σ(o)] with parent `preact`.
   Attach(
       act, {&preact},
       [pi, acti, rows, h]() {
@@ -1102,8 +875,7 @@ LstmGatesResult LstmGates(const Tensor& preact, const Tensor& c_prev) {
                 }
               }
             });
-      },
-      forward);
+      });
 
   // c = f·c_prev + i·g with parents {act, c_prev}.
   Attach(
@@ -1127,8 +899,7 @@ LstmGatesResult LstmGates(const Tensor& preact, const Tensor& c_prev) {
                 }
               }
             });
-      },
-      []() {});
+      });
 
   // h = o·tanh(c) with parents {act, c}.
   Attach(
@@ -1149,8 +920,7 @@ LstmGatesResult LstmGates(const Tensor& preact, const Tensor& c_prev) {
                 }
               }
             });
-      },
-      []() {});
+      });
 
   return result;
 }

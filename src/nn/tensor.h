@@ -37,12 +37,6 @@ struct TensorImpl {
   // (no ownership cycles).
   std::vector<std::shared_ptr<TensorImpl>> parents;
   std::function<void()> backward_fn;
-  // Recorded only while a GraphTape scope is active (see nn/graph.h):
-  // recomputes this node's data from its parents' current data, letting
-  // the PPO update replay an identical graph across epochs instead of
-  // re-taping it. Null outside recording scopes — zero cost on the
-  // normal path.
-  std::function<void()> forward_fn;
 
   float& at(std::size_t r, std::size_t c) { return data[r * cols + c]; }
   float at(std::size_t r, std::size_t c) const { return data[r * cols + c]; }
@@ -200,16 +194,6 @@ Tensor Transpose(const Tensor& a);
 Tensor ConcatCols(const Tensor& a, const Tensor& b);
 /// Vertical concatenation: (a x n) ++ (b x n) -> ((a+b) x n).
 Tensor ConcatRows(const Tensor& a, const Tensor& b);
-
-/// Variadic vertical stack: parts[0] on top, parts.back() at the bottom.
-/// Parents are registered in *descending* part order so Backward()'s
-/// reverse-post-order traversal runs part 0's producing chain first.
-/// The per-row PPO baseline relies on that: N per-row recurrence chains
-/// stacked per timestep accumulate into the shared LSTM weights in
-/// ascending row order — the same in-place add sequence one batched
-/// GemmTN issues — keeping the per-row and batched engines bit-identical
-/// through the update. See Policy::RecomputeLogProbs(per_row).
-Tensor StackRows(const std::vector<Tensor>& parts);
 
 /// Contiguous column slice: columns [start, start+len) -> (m x len).
 Tensor Cols(const Tensor& a, std::size_t start, std::size_t len);

@@ -1,7 +1,7 @@
 // Minimal data parallelism: a blocking parallel-for over an index range,
 // executed on a persistent worker pool. Used for the M independent
-// reward queries and episode rollouts of a PoisonRec training step and
-// for the row partitions of the GEMM kernels in src/nn/kernels.cc.
+// reward queries of a PoisonRec training step and for the row
+// partitions of the GEMM kernels in src/nn/kernels.cc.
 //
 // The pool is process-global and lazily grown: the first ParallelFor
 // that wants N-way execution spawns up to N-1 helper threads which then

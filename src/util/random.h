@@ -109,8 +109,8 @@ inline std::uint64_t SplitMix64(std::uint64_t x) {
 /// created in any order (or in parallel) and the result is identical.
 /// Used to give every episode rollout of a train step its own Rng —
 /// child m of step s is Rng(DeriveStreamSeed(seed, s, m)) — which makes
-/// parallel sampling deterministic and checkpoint/resume exact: the
-/// derivation state is just (seed, step).
+/// the stacked M-episode rollout deterministic and checkpoint/resume
+/// exact: the derivation state is just (seed, step).
 inline std::uint64_t DeriveStreamSeed(std::uint64_t seed, std::uint64_t stream,
                                       std::uint64_t index) {
   return SplitMix64(SplitMix64(seed ^ SplitMix64(stream)) + index);

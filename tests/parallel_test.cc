@@ -12,6 +12,7 @@
 
 #include "core/ppo.h"
 #include "data/synthetic.h"
+#include "nn/kernels.h"
 #include "rec/registry.h"
 
 namespace poisonrec {
@@ -134,8 +135,14 @@ TEST(ParallelForTest, InParallelWorkerFlag) {
   EXPECT_FALSE(InParallelWorker());
 }
 
+// Every ranker's reward queries, run concurrently on 4 threads with
+// 4-thread kernels, must give bit-identical training to the sequential
+// single-threaded run.
 TEST(ParallelRewards, TrainingIsIdenticalToSequential) {
-  auto make_env = []() {
+  struct KernelThreads {
+    ~KernelThreads() { nn::SetNumThreads(0); }
+  } restore;
+  const auto train = [](const std::string& ranker, bool parallel) {
     data::SyntheticConfig cfg;
     cfg.num_users = 100;
     cfg.num_items = 80;
@@ -147,30 +154,38 @@ TEST(ParallelRewards, TrainingIsIdenticalToSequential) {
     env_cfg.num_target_items = 3;
     env_cfg.num_candidate_originals = 20;
     env_cfg.seed = 11;
-    return std::make_unique<env::AttackEnvironment>(
-        data::GenerateSynthetic(cfg),
-        rec::MakeRecommender("ItemPop").value(), env_cfg);
+    rec::FitConfig fit;
+    fit.embedding_dim = 8;
+    fit.epochs = 2;
+    nn::SetNumThreads(parallel ? 4 : 1);
+    env::AttackEnvironment env(data::GenerateSynthetic(cfg),
+                               rec::MakeRecommender(ranker, fit).value(),
+                               env_cfg);
+    core::PoisonRecConfig attacker_cfg;
+    attacker_cfg.samples_per_step = 6;
+    attacker_cfg.batch_size = 6;
+    attacker_cfg.update_epochs = 2;
+    attacker_cfg.policy.embedding_dim = 8;
+    attacker_cfg.seed = 5;
+    attacker_cfg.parallel_rewards = parallel;
+    attacker_cfg.num_threads = parallel ? 4 : 1;
+    core::PoisonRecAttacker attacker(&env, attacker_cfg);
+    return attacker.Train(3);
   };
-  auto env_seq = make_env();
-  auto env_par = make_env();
-
-  core::PoisonRecConfig cfg;
-  cfg.samples_per_step = 6;
-  cfg.batch_size = 6;
-  cfg.update_epochs = 2;
-  cfg.policy.embedding_dim = 8;
-  cfg.seed = 5;
-
-  core::PoisonRecAttacker sequential(env_seq.get(), cfg);
-  cfg.parallel_rewards = true;
-  cfg.num_threads = 4;
-  core::PoisonRecAttacker parallel(env_par.get(), cfg);
-
-  for (int step = 0; step < 3; ++step) {
-    auto a = sequential.TrainStep();
-    auto b = parallel.TrainStep();
-    EXPECT_DOUBLE_EQ(a.mean_reward, b.mean_reward) << "step " << step;
-    EXPECT_DOUBLE_EQ(a.loss, b.loss) << "step " << step;
+  for (const std::string& ranker : rec::ExtendedRecommenderNames()) {
+    const auto sequential = train(ranker, /*parallel=*/false);
+    const auto parallel = train(ranker, /*parallel=*/true);
+    ASSERT_EQ(sequential.size(), parallel.size()) << ranker;
+    for (std::size_t step = 0; step < sequential.size(); ++step) {
+      const core::TrainStepStats& a = sequential[step];
+      const core::TrainStepStats& b = parallel[step];
+      EXPECT_EQ(a.mean_reward, b.mean_reward) << ranker << " step " << step;
+      EXPECT_EQ(a.max_reward, b.max_reward) << ranker << " step " << step;
+      EXPECT_EQ(a.min_reward, b.min_reward) << ranker << " step " << step;
+      EXPECT_EQ(a.loss, b.loss) << ranker << " step " << step;
+      EXPECT_EQ(a.pre_clip_grad_norm, b.pre_clip_grad_norm)
+          << ranker << " step " << step;
+    }
   }
 }
 
@@ -189,59 +204,6 @@ std::unique_ptr<env::AttackEnvironment> MakeSamplingEnv() {
   return std::make_unique<env::AttackEnvironment>(
       data::GenerateSynthetic(cfg), rec::MakeRecommender("ItemPop").value(),
       env_cfg);
-}
-
-void ExpectSameTrajectories(const std::vector<core::SampledTrajectory>& a,
-                            const std::vector<core::SampledTrajectory>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t t = 0; t < a.size(); ++t) {
-    EXPECT_EQ(a[t].attacker_index, b[t].attacker_index);
-    ASSERT_EQ(a[t].steps.size(), b[t].steps.size());
-    for (std::size_t s = 0; s < a[t].steps.size(); ++s) {
-      EXPECT_EQ(a[t].steps[s].item, b[t].steps[s].item);
-      EXPECT_EQ(a[t].steps[s].path, b[t].steps[s].path);
-      ASSERT_EQ(a[t].steps[s].old_log_probs.size(),
-                b[t].steps[s].old_log_probs.size());
-      for (std::size_t p = 0; p < a[t].steps[s].old_log_probs.size(); ++p) {
-        EXPECT_DOUBLE_EQ(a[t].steps[s].old_log_probs[p],
-                         b[t].steps[s].old_log_probs[p]);
-      }
-    }
-  }
-}
-
-// Episode sampling draws from per-episode streams derived from
-// (seed, step, m), so the sampled trajectories — and everything
-// downstream of them — are bit-identical whether the M rollouts run on
-// one thread or many, with parallel sampling on or off.
-TEST(ParallelSampling, TrainStepIsThreadCountInvariant) {
-  auto env_seq = MakeSamplingEnv();
-  auto env_par = MakeSamplingEnv();
-
-  core::PoisonRecConfig cfg;
-  cfg.samples_per_step = 6;
-  cfg.batch_size = 6;
-  cfg.update_epochs = 2;
-  cfg.policy.embedding_dim = 8;
-  cfg.seed = 5;
-
-  cfg.parallel_sampling = false;
-  cfg.num_threads = 1;
-  core::PoisonRecAttacker sequential(env_seq.get(), cfg);
-  cfg.parallel_sampling = true;
-  cfg.num_threads = 4;
-  core::PoisonRecAttacker threaded(env_par.get(), cfg);
-
-  for (int step = 0; step < 3; ++step) {
-    auto a = sequential.TrainStep();
-    auto b = threaded.TrainStep();
-    EXPECT_DOUBLE_EQ(a.mean_reward, b.mean_reward) << "step " << step;
-    EXPECT_DOUBLE_EQ(a.max_reward, b.max_reward) << "step " << step;
-    EXPECT_DOUBLE_EQ(a.min_reward, b.min_reward) << "step " << step;
-    EXPECT_DOUBLE_EQ(a.loss, b.loss) << "step " << step;
-    ExpectSameTrajectories(sequential.best_episode().trajectories,
-                           threaded.best_episode().trajectories);
-  }
 }
 
 // Per-phase timing satellite: the breakdown must be populated and not

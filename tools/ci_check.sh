@@ -51,36 +51,10 @@ mkdir -p "${POISONREC_OUT}"
 "${BUILD_DIR}/bench/bench_defended_attack"
 "${BUILD_DIR}/bench/bench_storage_integrity"
 
-# Perf smoke: quick-mode kernel microbench + the end-to-end TrainStep
-# timing comparison (which exits nonzero if any engine or thread count
-# changes a reward). The attacker sweep stays at CI scale; the batched
-# engine must beat the per-row baseline on the update+sample phases by
-# >= 3x at N=200 and the reward sequences must agree exactly.
+# Perf smoke: quick-mode kernel microbench. Engine identity is pinned
+# by the golden fixtures in tests/batched_engine_test.cc, which ran in
+# the ctest pass above and run again in the TSan leg below.
 POISONREC_REPEATS=2 "${BUILD_DIR}/bench/bench_kernels"
-POISONREC_ATTACKER_SWEEP="${POISONREC_ATTACKER_SWEEP:-20,200}" \
-  "${BUILD_DIR}/bench/bench_train_step_timing"
-POISONREC_GATE_THREADS="${POISONREC_THREADS:-4}" \
-  python3 - "${POISONREC_OUT}/train_step_timing.json" <<'EOF'
-import json, os, sys
-rows = json.load(open(sys.argv[1]))
-mismatches = sum(int(r["reward_mismatches"]) for r in rows)
-if mismatches:
-    sys.exit(f"engine identity gate: {mismatches} reward mismatches")
-threads = int(os.environ["POISONREC_GATE_THREADS"])
-gate = [r for r in rows
-        if r["engine"] == "batched" and int(r["attackers"]) == 200
-        and int(r["threads"]) == threads]
-if not gate:
-    sys.exit("engine speedup gate: no batched N=200 row at "
-             f"threads={threads} in sweep")
-speedup = min(float(r["update_sample_speedup"]) for r in gate)
-if speedup < 3.0:
-    sys.exit(f"engine speedup gate: batched update+sample speedup "
-             f"{speedup:.2f}x over the per-row baseline at N=200 "
-             "(need >= 3.0x)")
-print(f"engine gate: 0 mismatches across {len(rows)} rows, "
-      f"batched {speedup:.2f}x per-row at N=200/{threads}t")
-EOF
 
 # Defended-campaign smoke: adaptive defender in the loop, pooled attacker,
 # crash-safe checkpointing. Must finish without exhausting the pool.
@@ -381,11 +355,10 @@ printf '{"type":"campaign","id":"smoke0","sta' \
 fsck_expect journal_torn_tail 2 'torn_tail'
 
 # TSan leg: the fleet scheduler, watchdog, journal, and lease paths are
-# intentionally multi-threaded control paths, and the batched attacker
-# engine adds row-partitioned kernels, threaded sparse matmuls, and a
-# parallel recorded-backward schedule; run their tests under
-# ThreadSanitizer (incompatible with ASan, hence the separate build
-# tree).
+# intentionally multi-threaded control paths, and the attacker engine
+# runs on row-partitioned kernels and threaded sparse matmuls; run their
+# tests under ThreadSanitizer (incompatible with ASan, hence the
+# separate build tree).
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "${TSAN_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

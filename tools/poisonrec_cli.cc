@@ -20,10 +20,10 @@
 // Common flags: --dataset=<Steam|MovieLens|Phone|Clothing> --scale=<f>
 //   --data=<csv>  --seed=<n>  --attackers=<N>  --length=<T>
 //   --targets=<k> --dim=<e>   --eval-users=<n>
-//   --num-threads=<n> worker threads for episode sampling, parallel
-//                     reward evaluation (--parallel), and the GEMM
-//                     kernels (0 = hardware concurrency). Results are
-//                     bit-identical for every thread count.
+//   --num-threads=<n> worker threads for parallel reward evaluation
+//                     (--parallel) and the GEMM kernels (0 = hardware
+//                     concurrency). Results are bit-identical for every
+//                     thread count.
 //
 // Campaign fault flags (all rates in [0,1], default 0 = off):
 //   --fault-failure  transient query failure rate (kUnavailable)
@@ -921,7 +921,8 @@ int Main(int argc, char** argv) {
   const std::string command = argv[1];
   Flags flags(argc, argv);
   // Kernel-level GEMM threading is a process-wide knob; the same flag
-  // also feeds PoisonRecConfig::num_threads for sampling/evaluation.
+  // also feeds PoisonRecConfig::num_threads for concurrent reward
+  // queries (--parallel).
   nn::SetNumThreads(flags.GetSize("num-threads", 0));
   if (command == "datagen") return CmdDatagen(flags);
   if (command == "quality") return CmdQuality(flags);
