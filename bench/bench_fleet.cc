@@ -136,43 +136,6 @@ int Run() {
     return std::string(buffer);
   };
 
-  // -- Shared-mode overhead: the same plan under one --shared worker,
-  // which adds leases, heartbeat renewals, token-suffixed checkpoints,
-  // a per-worker journal file, and the final merged replay.
-  {
-    std::filesystem::remove_all(work_dir);
-    orch::FleetOptions options;
-    options.journal_path = work_dir + "/journal.jsonl";
-    options.checkpoint_dir = work_dir + "/ckpts";
-    options.report_json_path.clear();
-    options.report_csv_path.clear();
-    options.max_concurrent = 1;
-    options.shared = true;
-    options.worker_id = "bench";
-    orch::FleetOrchestrator orchestrator(plan, &log, options);
-    const orch::FleetResult result = orchestrator.Run();
-    if (result.ExitCode() != 0) {
-      std::fprintf(stderr, "shared fleet run failed: %s\n",
-                   result.status.ToString().c_str());
-      return 1;
-    }
-    for (const orch::CampaignOutcome& outcome : result.outcomes) {
-      if (reference[outcome.id] != outcome.step_rewards) {
-        std::fprintf(stderr,
-                     "shared fleet produced different step rewards for %s\n",
-                     outcome.id.c_str());
-        return 1;
-      }
-    }
-    const double ratio =
-        serial_wall > 0.0 ? result.wall_seconds / serial_wall : 0.0;
-    std::printf("shared-mode overhead: %.2fs vs %.2fs serial (%.2fx)\n",
-                result.wall_seconds, serial_wall, ratio);
-    robustness_rows.push_back(
-        {"shared_wall_seconds", seconds(result.wall_seconds)});
-    robustness_rows.push_back({"shared_overhead_ratio", seconds(ratio)});
-  }
-
   // -- Lease transition throughput: durable (tmp-fsync-rename) renewals
   // under the sidecar flock, the cost every running campaign pays each
   // ttl/3.
@@ -227,10 +190,14 @@ int Run() {
       // Wait for the victim's first committed step so the submission
       // arrives mid-run.
       for (int i = 0; i < 20000; ++i) {
-        auto replay = orch::FleetJournal::ReplayFile(options.journal_path);
+        auto replay = orch::FleetJournal::Replay(
+            orch::FleetJournal::ListJournalFiles(options.journal_path));
         if (replay.ok()) {
-          const auto it = replay->find("low");
-          if (it != replay->end() && it->second.steps_completed >= 1) break;
+          const auto it = replay->campaigns.find("low");
+          if (it != replay->campaigns.end() &&
+              it->second.steps_completed >= 1) {
+            break;
+          }
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
@@ -241,10 +208,11 @@ int Run() {
       const auto submit_time = std::chrono::steady_clock::now();
       if (!orchestrator.Submit(high).ok()) return;
       for (int i = 0; i < 60000; ++i) {
-        auto replay = orch::FleetJournal::ReplayFile(options.journal_path);
+        auto replay = orch::FleetJournal::Replay(
+            orch::FleetJournal::ListJournalFiles(options.journal_path));
         if (replay.ok()) {
-          const auto it = replay->find("high");
-          if (it != replay->end() &&
+          const auto it = replay->campaigns.find("high");
+          if (it != replay->campaigns.end() &&
               it->second.state != orch::CampaignState::kPending) {
             latency = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - submit_time)

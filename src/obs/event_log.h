@@ -10,7 +10,7 @@
 //     from ANY process: the file is opened with O_APPEND and the full
 //     line plus '\n' goes out in a single ::write(). POSIX guarantees
 //     the kernel performs the seek-to-end and the write as one atomic
-//     step for O_APPEND regular files, so two `poisonrec fleet --shared`
+//     step for O_APPEND regular files, so two `poisonrec fleet`
 //     workers appending to the same journal can never interleave
 //     mid-line — a guarantee buffered stdio append ("ab" + fwrite)
 //     cannot make once a line crosses the FILE* buffer boundary.

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -103,6 +104,18 @@ std::string HostName() {
   return buffer;
 }
 
+/// Highest fencing token campaign `id` has used: its journal epoch or
+/// any `<id>.t<N>.ckpt` name. A new lease epoch must exceed it even when
+/// the lease file itself was deleted or damaged.
+std::uint64_t TokenFloor(const std::string& checkpoint_dir,
+                         const std::string& id,
+                         std::uint64_t journal_token) {
+  const auto checkpoints = ListCheckpoints(checkpoint_dir, id);
+  return checkpoints.empty()
+             ? journal_token
+             : std::max(journal_token, checkpoints.front().first);
+}
+
 /// Journal state a preempted campaign carries into its next run.
 CampaignReplay ReplayFromOutcome(const CampaignOutcome& outcome) {
   CampaignReplay replay;
@@ -146,9 +159,8 @@ void FleetOrchestrator::RequestShutdown() {
 }
 
 std::string FleetOrchestrator::WorkerJournalPath() const {
-  if (!options_.shared) return options_.journal_path;
-  // Each shared worker appends to its own sibling file so no two
-  // processes ever share a journal fd; replay merges the whole family.
+  // Each worker appends to its own sibling file so no two processes
+  // ever share a journal fd; replay merges the whole family.
   const std::filesystem::path base(options_.journal_path);
   std::filesystem::path dir = base.parent_path();
   const std::string name =
@@ -245,7 +257,7 @@ std::string FleetOrchestrator::WorkerStatusJson(bool shutdown) {
 
   obs::JsonObjectBuilder b;
   b.Str("type", "worker_status")
-      .Str("worker", status_worker_id_)
+      .Str("worker", options_.worker_id)
       .Int("pid", static_cast<std::uint64_t>(::getpid()))
       .Str("host", HostName())
       .Int("seq", ++status_seq_)
@@ -258,7 +270,6 @@ std::string FleetOrchestrator::WorkerStatusJson(bool shutdown) {
                : internal::ElapsedSecondsSince(run_start_ticks_))
       .Num("publish_period_seconds", options_.status_publish_seconds)
       .Num("lease_ttl_seconds", options_.lease_ttl_seconds)
-      .Bool("shared", options_.shared)
       .Bool("shutdown", shutdown)
       .Raw("campaigns", campaigns)
       .Raw("metrics", obs::MetricsRegistry::Global().SnapshotJson());
@@ -270,7 +281,7 @@ void FleetOrchestrator::PublishWorkerStatus(bool shutdown) {
   const std::string json = WorkerStatusJson(shutdown);
   const std::string path =
       (std::filesystem::path(TelemetryDir()) /
-       (status_worker_id_ + ".status.json"))
+       (options_.worker_id + ".status.json"))
           .string();
   const Status wrote = WriteFileDurableChecksummed(path, json);
   if (wrote.ok()) {
@@ -285,14 +296,8 @@ void FleetOrchestrator::PublishWorkerStatus(bool shutdown) {
 }
 
 StatusOr<JournalReplayResult> FleetOrchestrator::MergedReplay() const {
-  std::vector<std::string> files;
-  if (options_.shared) {
-    files = FleetJournal::ListJournalFiles(options_.journal_path);
-  } else if (std::filesystem::exists(options_.journal_path)) {
-    files.push_back(options_.journal_path);
-  }
-  if (files.empty()) return JournalReplayResult{};
-  return FleetJournal::Replay(files);
+  return FleetJournal::Replay(
+      FleetJournal::ListJournalFiles(options_.journal_path));
 }
 
 Status FleetOrchestrator::Submit(CampaignSpec spec) {
@@ -371,7 +376,6 @@ FleetOrchestrator::Entry* FleetOrchestrator::BestReadyLocked() {
 }
 
 void FleetOrchestrator::RefreshSiblingsLocked() {
-  if (leases_ == nullptr) return;
   StatusOr<JournalReplayResult> merged = MergedReplay();
   if (!merged.ok()) {
     POISONREC_LOG(Warning) << "fleet: sibling journal merge failed: "
@@ -410,7 +414,7 @@ void FleetOrchestrator::WorkerLoop() {
   std::unique_lock<std::mutex> lock(sched_mu_);
   while (true) {
     if (stop_.load(std::memory_order_acquire)) {
-      // Drain: queued campaigns are left for a later --resume (or a
+      // Drain: queued campaigns are left for a later run (or a
       // sibling); they journal nothing and report as interrupted.
       for (const auto& entry : entries_) {
         if (entry->slot != Slot::kReady) continue;
@@ -441,24 +445,25 @@ void FleetOrchestrator::WorkerLoop() {
       // Mark the claim before dropping the lock so no sibling worker
       // thread races us to the same entry.
       entry->slot = Slot::kRunning;
-      std::uint64_t token = 0;
-      if (leases_ != nullptr) {
-        lock.unlock();
-        StatusOr<LeaseInfo> lease = leases_->Acquire(entry->spec.id);
-        lock.lock();
-        if (!lease.ok()) {
-          // A live sibling beat us to it; anything else (I/O) is worth
-          // a warning but is handled the same way — re-probed later.
-          entry->slot = Slot::kSibling;
-          if (lease.status().code() != StatusCode::kUnavailable) {
-            POISONREC_LOG(Warning)
-                << "fleet: lease acquire failed for " << entry->spec.id
-                << ": " << lease.status().ToString();
-          }
-          continue;
+      const std::uint64_t journal_token =
+          entry->replay.has_value() ? entry->replay->token : 0;
+      lock.unlock();
+      StatusOr<LeaseInfo> lease = leases_->Acquire(
+          entry->spec.id, TokenFloor(options_.checkpoint_dir, entry->spec.id,
+                                     journal_token));
+      lock.lock();
+      if (!lease.ok()) {
+        // A live sibling beat us to it; anything else (I/O) is worth a
+        // warning but is handled the same way — re-probed later.
+        entry->slot = Slot::kSibling;
+        if (lease.status().code() != StatusCode::kUnavailable) {
+          POISONREC_LOG(Warning)
+              << "fleet: lease acquire failed for " << entry->spec.id
+              << ": " << lease.status().ToString();
         }
-        token = lease->token;
+        continue;
       }
+      const std::uint64_t token = lease->token;
 
       SupervisorOptions supervisor_options;
       supervisor_options.checkpoint_dir = options_.checkpoint_dir;
@@ -489,13 +494,11 @@ void FleetOrchestrator::WorkerLoop() {
         record.campaign_id = outcome.id;
         record.state = CampaignState::kFailed;
         record.token = token;
-        if (leases_ != nullptr) record.owner = leases_->owner_id();
+        record.owner = leases_->owner_id();
         record.detail = outcome.detail;
         journal_.Record(record);
       }
-      const bool release_lease =
-          leases_ != nullptr && !outcome.fenced;
-      if (release_lease) {
+      if (!outcome.fenced) {
         const Status released = leases_->Release(entry->spec.id, token);
         if (!released.ok()) {
           POISONREC_LOG(Warning)
@@ -536,7 +539,7 @@ void FleetOrchestrator::WorkerLoop() {
     if (!have_running && !have_sibling) return;  // drained
 
     double wait_seconds = std::max(options_.watchdog_poll_seconds, 0.001);
-    if (have_sibling && leases_ != nullptr) {
+    if (have_sibling) {
       // Probe cadence for sibling liveness: a fraction of the TTL so a
       // dead sibling's campaigns are seized promptly.
       wait_seconds = std::min(
@@ -546,18 +549,14 @@ void FleetOrchestrator::WorkerLoop() {
     sched_cv_.wait_for(lock,
                        std::chrono::duration<double>(wait_seconds));
     --idle_workers_;
-    if (have_sibling && leases_ != nullptr &&
-        !stop_.load(std::memory_order_acquire)) {
+    if (have_sibling && !stop_.load(std::memory_order_acquire)) {
       RefreshSiblingsLocked();
       for (const auto& e : entries_) {
-        if (e->slot != Slot::kSibling) continue;
-        StatusOr<LeaseInfo> info = leases_->Read(e->spec.id);
-        const bool seizable =
-            info.ok() ? leases_->Seizable(*info)
-                      : info.status().code() == StatusCode::kNotFound;
         // Re-queue: the claim path re-acquires under the flock, which
         // is where the seizure (token bump) actually happens.
-        if (seizable) e->slot = Slot::kReady;
+        if (e->slot == Slot::kSibling && leases_->Seizable(e->spec.id)) {
+          e->slot = Slot::kReady;
+        }
       }
     }
   }
@@ -611,7 +610,7 @@ void FleetOrchestrator::WatchdogLoop() {
     // Lease heartbeats every ttl/3: a worker alive but past renewal is
     // indistinguishable from a dead one to siblings, so renewal rides
     // the watchdog, which keeps ticking even when campaigns block.
-    if (leases_ != nullptr) {
+    {
       std::lock_guard<std::mutex> lock(sched_mu_);
       for (const auto& entry : entries_) {
         if (entry->slot != Slot::kRunning || entry->supervisor == nullptr) {
@@ -725,9 +724,9 @@ Status FleetOrchestrator::WriteJsonReport(const FleetResult& result) const {
   obs::JsonObjectBuilder report;
   report.Str("type", "fleet_report")
       .Str("plan", result.plan_name)
-      .Str("dataset", plan_.dataset);
-  if (options_.shared) report.Str("worker", options_.worker_id);
-  report.Raw("summary", std::move(summary).Finish())
+      .Str("dataset", plan_.dataset)
+      .Str("worker", options_.worker_id)
+      .Raw("summary", std::move(summary).Finish())
       .Raw("journal", std::move(journal).Finish())
       .Raw("campaigns", campaigns);
   std::ofstream out(options_.report_json_path,
@@ -772,11 +771,16 @@ FleetResult FleetOrchestrator::Run() {
 
   result.status = ValidatePlan(plan_);
   if (!result.status.ok()) return result;
-  if (options_.shared && options_.worker_id.empty()) {
-    options_.worker_id = DefaultWorkerId();
+  // Checked before anything touches disk. A zero TTL would mark every
+  // lease expired and renew it on every watchdog poll.
+  if (!std::isfinite(options_.lease_ttl_seconds) ||
+      options_.lease_ttl_seconds <= 0.0) {
+    result.status = Status::InvalidArgument(
+        "lease TTL must be finite and > 0 seconds, got " +
+        FormatDouble(options_.lease_ttl_seconds));
+    return result;
   }
-  status_worker_id_ =
-      options_.worker_id.empty() ? DefaultWorkerId() : options_.worker_id;
+  if (options_.worker_id.empty()) options_.worker_id = DefaultWorkerId();
   run_start_ticks_ = start_ticks;
 
   std::error_code ec;
@@ -798,35 +802,27 @@ FleetResult FleetOrchestrator::Run() {
   if (!journal_dir.empty()) {
     std::filesystem::create_directories(journal_dir, ec);
   }
-  if (options_.shared) {
-    leases_ = std::make_unique<LeaseManager>(
-        (std::filesystem::path(options_.checkpoint_dir) / "leases").string(),
-        options_.worker_id, options_.lease_ttl_seconds);
-    result.status = leases_->Init();
-    if (!result.status.ok()) return result;
-  }
+  leases_ = std::make_unique<LeaseManager>(
+      (std::filesystem::path(options_.checkpoint_dir) / "leases").string(),
+      options_.worker_id, options_.lease_ttl_seconds);
+  result.status = leases_->Init();
+  if (!result.status.ok()) return result;
 
-  // --resume replays the journal before reopening it in append mode, so
-  // the recovery history and the new run share one file family. Shared
-  // mode always replays: sibling workers may already hold progress, and
-  // its journals are append-only by construction.
-  std::map<std::string, CampaignReplay> replay;
-  if (options_.resume || options_.shared) {
-    StatusOr<JournalReplayResult> replayed = MergedReplay();
-    if (!replayed.ok()) {
-      result.status = replayed.status();
-      return result;
-    }
-    replay = std::move(replayed->campaigns);
-    if (!replay.empty()) {
-      POISONREC_LOG(Info) << "fleet resume: replayed " << replay.size()
-                          << " campaign(s) from "
-                          << replayed->files_merged << " journal file(s)";
-    }
+  // Replay before appending: earlier runs and sibling workers may
+  // already hold progress, and the journal family is append-only.
+  StatusOr<JournalReplayResult> replayed = MergedReplay();
+  if (!replayed.ok()) {
+    result.status = replayed.status();
+    return result;
   }
-  result.status =
-      journal_.Open(WorkerJournalPath(),
-                    /*truncate=*/!(options_.resume || options_.shared));
+  const std::map<std::string, CampaignReplay> replay =
+      std::move(replayed->campaigns);
+  if (!replay.empty()) {
+    POISONREC_LOG(Info) << "fleet resume: replayed " << replay.size()
+                        << " campaign(s) from " << replayed->files_merged
+                        << " journal file(s)";
+  }
+  result.status = journal_.Open(WorkerJournalPath());
   if (!result.status.ok()) return result;
 
   {
@@ -844,11 +840,6 @@ FleetResult FleetOrchestrator::Run() {
           entry->slot = Slot::kDone;
         }
       } else {
-        if (options_.resume) {
-          POISONREC_LOG(Info)
-              << "fleet resume: campaign " << spec.id
-              << " has no journal history; scheduling fresh";
-        }
         CampaignJournalRecord record;
         record.campaign_id = spec.id;
         record.state = CampaignState::kPending;

@@ -1,22 +1,27 @@
 // Fleet orchestrator: runs a FleetPlan's campaigns under supervision
 // with bounded concurrency, a stall/deadline watchdog, a crash-durable
-// journal, priority preemption, and a consolidated report. With
-// --shared, N orchestrator processes cooperate on one plan over a
-// shared journal/checkpoint/lease directory (orch/lease.h).
+// journal, priority preemption, and a consolidated report. Every run is
+// a lease-holding worker: N orchestrator processes cooperate on one
+// plan over a shared journal/checkpoint/lease directory (orch/lease.h),
+// and a single process is simply a one-worker fleet.
 //
 // Lifecycle of one `poisonrec fleet` run:
 //
-//   1. Validate the plan and create the checkpoint directory.
-//   2. On --resume, replay the journal (all sibling journal files are
-//      merged in shared mode, fencing-token-aware): campaigns already
-//      terminal (done/quarantined/failed) are reported as recovered
-//      without re-running; unfinished ones are re-scheduled from their
-//      last durable checkpoint.
+//   1. Validate the plan and the lease TTL, then create the checkpoint
+//      and lease directories.
+//   2. Replay the journal family (every worker's `<stem>.<worker><ext>`
+//      file, merged fencing-token-aware): campaigns already terminal
+//      (done/quarantined/failed) are reported as recovered without
+//      re-running; unfinished ones are re-scheduled from their last
+//      durable checkpoint. A run always continues the state dir it is
+//      pointed at; a fresh sweep needs a fresh journal and checkpoint
+//      dir.
 //   3. Workers claim the highest-priority ready campaign (plan order as
-//      tiebreak). In shared mode a claim also acquires the campaign
-//      lease; a campaign held by a live sibling is left to it, and an
-//      expired lease (dead or stopped sibling) is seized with an
-//      incremented fencing token after re-merging the journals.
+//      tiebreak) by acquiring its lease. A campaign held by a live
+//      sibling is left to it; an expired lease (a dead or stopped
+//      sibling, or this command's own earlier run killed without a
+//      stable worker id) is seized with an incremented fencing token
+//      after re-merging the journals.
 //   4. A watchdog thread (condition-variable wait, so shutdown wakes it
 //      immediately) polls running supervisors: stall -> hard cancel +
 //      restart budget; deadline overrun -> quarantine. It also renews
@@ -28,10 +33,10 @@
 //   5. RequestShutdown (threads) / RequestShutdownFromSignal (signal
 //      handlers) soft-stop the fleet: running campaigns checkpoint at
 //      the next step boundary and journal `checkpointed`; queued ones
-//      stay pending. Both resume under a later `fleet --resume`.
-//   6. Write results/fleet_report.{json,csv}. In shared mode the final
-//      report merges every worker's journal, so campaigns finished by
-//      siblings appear with their real states.
+//      stay pending. Both resume when the same command runs again.
+//   6. Write results/fleet_report.{json,csv}. The final report merges
+//      every worker's journal, so campaigns finished by siblings appear
+//      with their real states.
 //
 // Exit-code contract (FleetResult::ExitCode): 0 = every campaign done;
 // 2 = partial (quarantined, failed, interrupted, or still owned by a
@@ -60,18 +65,16 @@
 namespace poisonrec::orch {
 
 struct FleetOptions {
-  /// JSONL write-ahead journal; replayed by --resume after a crash. In
-  /// shared mode each worker appends to its own sibling file
-  /// `<stem>.<worker id><ext>` and replay merges the whole family.
+  /// Base path of the JSONL write-ahead journal family: each worker
+  /// appends to its own `<stem>.<worker id><ext>` file, and every run
+  /// replays the merged family before scheduling.
   std::string journal_path = "results/fleet_journal.jsonl";
-  /// Directory of per-campaign v3 checkpoints (`<id>.ckpt`; token-
-  /// suffixed `<id>.t<token>.ckpt` in shared mode).
+  /// Directory of per-campaign checkpoints, `<id>.t<token>.ckpt` (one
+  /// per lease epoch), plus the `leases/` directory.
   std::string checkpoint_dir = "results/fleet_checkpoints";
   /// Consolidated report paths; empty skips that format.
   std::string report_json_path = "results/fleet_report.json";
   std::string report_csv_path = "results/fleet_report.csv";
-  /// Replay the journal and re-schedule only unfinished campaigns.
-  bool resume = false;
   /// Campaigns running at once. Campaign internals are single-threaded
   /// (orch/spec.h MakeAttackerConfig), so this is the fleet's only
   /// parallelism knob.
@@ -81,15 +84,13 @@ struct FleetOptions {
   /// (condition variables wake immediately); signal-handler shutdown
   /// latency is bounded by one poll.
   double watchdog_poll_seconds = 0.02;
-  /// Multi-process fleet: claim campaigns through leases, append to a
-  /// per-worker journal file, merge sibling journals at replay/report
-  /// time. Implies the journal is never truncated.
-  bool shared = false;
-  /// Worker identity in lease files and journal records; empty uses
-  /// DefaultWorkerId() (`w<pid>-<nonce>`). Only meaningful with shared.
+  /// Worker identity in lease files, journal records, the journal file
+  /// name and the status snapshot; empty uses DefaultWorkerId()
+  /// (`w<pid>-<nonce>`). A stable id lets a restart after kill -9
+  /// re-acquire its own leases at once instead of waiting out the TTL.
   std::string worker_id;
   /// Lease heartbeat TTL: a lease not renewed for this long counts as
-  /// abandoned and may be seized by a sibling.
+  /// abandoned and may be seized by a sibling. Must be finite and > 0.
   double lease_ttl_seconds = 2.0;
   /// Directory watched for late campaign submissions (`*.json`, one
   /// ParseCampaignSpecText object per file). Empty disables. Each file
@@ -103,7 +104,7 @@ struct FleetOptions {
   /// progress (state/step/reward/rate) and the obs::Metrics registry.
   bool publish_status = true;
   /// Snapshot directory; empty derives `<checkpoint_dir>/telemetry` so
-  /// shared workers land in one place without extra flags.
+  /// every worker lands in one place without extra flags.
   std::string telemetry_dir;
   /// Publication cadence (rides the watchdog thread; a final snapshot
   /// with `"shutdown":true` is written when Run finishes either way).
@@ -131,7 +132,7 @@ struct FleetResult {
   std::size_t preemptions = 0;
   /// Campaigns this worker lost mid-run to a lease seizure.
   std::size_t fenced = 0;
-  /// Campaigns owned by sibling workers (shared mode).
+  /// Campaigns owned by sibling workers.
   std::size_t sibling_owned = 0;
   /// Journal-merge hygiene (orch/journal.h JournalReplayResult) from
   /// the final replay backing this report.
@@ -190,7 +191,7 @@ class FleetOrchestrator {
     kReady,    // waiting for a worker (fresh, resumed, or re-queued)
     kRunning,  // a local supervisor is executing it
     kDone,     // outcome final for this worker (terminal / interrupted)
-    kSibling,  // shared mode: a sibling worker holds the lease
+    kSibling,  // a sibling worker holds the lease
   };
   struct Entry {
     CampaignSpec spec;
@@ -219,14 +220,13 @@ class FleetOrchestrator {
   /// Picks the best ready entry (highest priority, arrival tiebreak);
   /// nullptr when none. Caller holds sched_mu_.
   Entry* BestReadyLocked();
-  /// Shared mode: re-merge every journal file and fold fresh sibling
-  /// progress into kSibling entries (terminal ones become kDone).
-  /// Caller holds sched_mu_.
+  /// Re-merge every journal file and fold fresh sibling progress into
+  /// kSibling entries (terminal ones become kDone). Caller holds
+  /// sched_mu_.
   void RefreshSiblingsLocked();
-  /// Shared mode: scan submit_dir for new `*.json` campaign files.
+  /// Scan submit_dir for new `*.json` campaign files.
   void IngestSubmissions();
-  /// Journal merge of the worker's own file, or the whole sibling
-  /// family in shared mode.
+  /// Journal merge of the whole worker family.
   StatusOr<JournalReplayResult> MergedReplay() const;
   /// The path this worker's journal records go to.
   std::string WorkerJournalPath() const;
@@ -236,8 +236,8 @@ class FleetOrchestrator {
   /// Serializes this worker's status snapshot (takes sched_mu_).
   std::string WorkerStatusJson(bool shutdown);
   /// Durably publishes the snapshot to
-  /// `<telemetry dir>/<status worker id>.status.json`. Failures are
-  /// logged, never fatal — observability must not take the fleet down.
+  /// `<telemetry dir>/<worker id>.status.json`. Failures are logged,
+  /// never fatal — observability must not take the fleet down.
   void PublishWorkerStatus(bool shutdown);
 
   FleetPlan plan_;
@@ -262,7 +262,6 @@ class FleetOrchestrator {
   std::set<std::string> ingested_submissions_;
 
   /// Status publication state (watchdog thread + Run tail only).
-  std::string status_worker_id_;
   std::uint64_t status_seq_ = 0;
   std::uint64_t last_status_ticks_ = 0;
   std::uint64_t run_start_ticks_ = 0;

@@ -156,8 +156,10 @@ FsckArtifact AuditLease(const LeaseManager& manager,
     artifact.detail = "lease file vanished mid-audit";
     return artifact;
   }
-  // Damaged lease files are always repairable: the next Acquire holds
-  // the flock sidecar and rewrites the lease from scratch.
+  // Damaged lease files are always repairable: once one has gone a TTL
+  // without a rewrite, the next Acquire holds the flock sidecar and
+  // rewrites it from scratch, above the journal's and checkpoints'
+  // highest token.
   artifact.verdict = FsckVerdict::kCorrupt;
   artifact.repairable = true;
   std::string message = info.status().message();
@@ -334,7 +336,8 @@ StatusOr<FsckReport> RunFsck(const FsckOptions& options) {
         report.artifacts.push_back(AuditLease(manager, id, path));
       }
     }
-    // A missing lease dir is normal for single-process fleets: silence.
+    // A missing lease dir is normal for a state dir written before
+    // every fleet held leases: silence.
   }
 
   for (const FsckArtifact& artifact : report.artifacts) {

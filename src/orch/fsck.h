@@ -20,9 +20,10 @@
 // checkpoint is repairable when an intact sibling checkpoint for the
 // same campaign exists (the supervisor quarantines the bad file and
 // falls back — orch/supervisor.h); a damaged lease is always repairable
-// (the next acquire rewrites it); a torn journal tail is repairable
-// (replay skips the frontier line); interior journal corruption is
-// UNREPAIRABLE — those records are gone and replay can only count them.
+// (the next acquire rewrites it once it has gone a TTL unrewritten); a
+// torn journal tail is repairable (replay skips the frontier line);
+// interior journal corruption is UNREPAIRABLE — those records are gone
+// and replay can only count them.
 //
 // Exit-code contract (FsckReport::ExitCode): 0 = everything intact,
 // 2 = damage found but every damaged artifact is repairable,

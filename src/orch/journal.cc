@@ -40,10 +40,11 @@ bool IsTerminal(CampaignState state) {
          state == CampaignState::kFailed;
 }
 
-Status FleetJournal::Open(const std::string& path, bool truncate) {
+Status FleetJournal::Open(const std::string& path) {
   // checksum=true: every journal line carries a CRC32C member so
   // replay can tell rotted records from torn ones (obs/crc32c.h).
-  if (!log_.Open(path, truncate, obs::EventLog::FlushPolicy::kEveryLine,
+  if (!log_.Open(path, /*truncate=*/false,
+                 obs::EventLog::FlushPolicy::kEveryLine,
                  /*checksum=*/true)) {
     return Status::IoError("cannot open fleet journal " + path);
   }
@@ -189,9 +190,9 @@ StatusOr<JournalReplayResult> FleetJournal::Replay(
       // Everything else is token-aware last-writer-wins: a record below
       // the campaign's winning epoch is a fenced-out owner's stale write
       // and must not override the new owner's state. Outranked kPending
-      // records are skipped silently — every shared worker journals
-      // pending for the whole plan, so those duplicates are expected,
-      // not zombie writes.
+      // records are skipped silently — every worker journals pending
+      // for each campaign it has no history for, so those duplicates
+      // are expected, not zombie writes.
       if (record_token < entry.token) {
         if (*parsed_state != CampaignState::kPending) ++result.stale_records;
         continue;
@@ -218,13 +219,6 @@ StatusOr<JournalReplayResult> FleetJournal::Replay(
     }
   }
   return result;
-}
-
-StatusOr<std::map<std::string, CampaignReplay>> FleetJournal::ReplayFile(
-    const std::string& path) {
-  POISONREC_ASSIGN_OR_RETURN(JournalReplayResult result,
-                             Replay({path}));
-  return std::move(result.campaigns);
 }
 
 }  // namespace poisonrec::orch

@@ -1,8 +1,8 @@
 // Crash-durable fleet journal: the orchestrator's write-ahead record of
 // every campaign's lifecycle, one JSONL line per transition, backed by
 // obs::EventLog (O_APPEND single-write appends — everything up to the
-// last completed append survives kill -9, and appends from multiple
-// `fleet --shared` worker processes never interleave mid-line).
+// last completed append survives kill -9, and concurrent appends never
+// interleave mid-line).
 //
 // State machine per campaign:
 //
@@ -25,13 +25,14 @@
 // callback, i.e. strictly after the campaign checkpoint for that step
 // is durable on disk — the journal never claims progress the checkpoint
 // doesn't have. Each carries (step, reward), so replay can reconstruct
-// the committed reward sequence and `fleet --resume` can verify
+// the committed reward sequence and a rerun fleet can verify
 // bit-identical recovery.
 //
 // Fencing: every record carries the writer's lease token and owner id
-// (orch/lease.h; token 0 = single-process fleet, no leases). In shared
-// fleets each worker appends to its own `<stem>.<worker>.jsonl` next to
-// the configured journal path, and Replay() merges every sibling file.
+// (orch/lease.h; token 0 = a `pending` record written before any lease
+// was taken, or a journal from before every fleet held leases). Each
+// worker appends to its own `<stem>.<worker>.jsonl` next to the
+// configured journal path, and Replay() merges every sibling file.
 //
 // Replay folds the merged stream per campaign id with token-aware
 // last-writer-wins: the campaign's authoritative state comes from its
@@ -89,9 +90,9 @@ struct CampaignJournalRecord {
   double reward = 0.0;
   double best_reward = 0.0;
   std::uint64_t restarts = 0;
-  /// Fencing token of the writer's campaign lease (0 = no lease).
+  /// Fencing token of the writer's campaign lease (0 = no lease held).
   std::uint64_t token = 0;
-  /// Worker id of the writer ("" = single-process fleet).
+  /// Worker id of the writer ("" = no lease held).
   std::string owner;
   std::string detail;
 };
@@ -135,10 +136,9 @@ struct JournalReplayResult {
 /// the EventLog O_APPEND single-write contract.
 class FleetJournal {
  public:
-  /// Opens the journal. truncate=false (resume / shared workers)
-  /// appends to the existing log so the recovery history stays in one
-  /// file.
-  Status Open(const std::string& path, bool truncate);
+  /// Opens the journal for appending: the recovery history of every
+  /// run by this worker stays in one file.
+  Status Open(const std::string& path);
 
   /// Appends one record (no-op returning false when closed).
   bool Record(const CampaignJournalRecord& record);
@@ -160,10 +160,6 @@ class FleetJournal {
   /// error; unknown record types are ignored.
   static StatusOr<JournalReplayResult> Replay(
       const std::vector<std::string>& paths);
-
-  /// Single-file convenience wrapper around Replay (legacy signature).
-  static StatusOr<std::map<std::string, CampaignReplay>> ReplayFile(
-      const std::string& path);
 
  private:
   obs::EventLog log_;

@@ -2,8 +2,10 @@
 
 #include <fcntl.h>
 #include <sys/file.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -58,6 +60,19 @@ double WallClockSeconds() {
   return std::chrono::duration<double>(
              std::chrono::system_clock::now().time_since_epoch())
       .count();
+}
+
+/// Last-modification time of `path` in unix seconds.
+StatusOr<double> MtimeUnixSeconds(const std::string& path) {
+  struct stat st;
+  if (::stat(path.c_str(), &st) != 0) {
+    const int stat_errno = errno;
+    if (stat_errno == ENOENT) return Status::NotFound("no file at " + path);
+    return Status::IoError("cannot stat " + path + ": " +
+                           std::strerror(stat_errno));
+  }
+  return static_cast<double>(st.st_mtim.tv_sec) +
+         static_cast<double>(st.st_mtim.tv_nsec) * 1e-9;
 }
 
 }  // namespace
@@ -172,61 +187,88 @@ StatusOr<LeaseInfo> LeaseManager::Read(const std::string& campaign_id) const {
   return info;
 }
 
-StatusOr<LeaseInfo> LeaseManager::Acquire(const std::string& campaign_id) {
+Status LeaseManager::ClaimVerdict(const std::string& campaign_id,
+                                  const StatusOr<LeaseInfo>& current) const {
+  if (current.ok()) {
+    if (current->owner.empty() || current->owner == owner_id_) {
+      return Status::OK();
+    }
+    const double age = Now() - current->renewed_unix;
+    const double ttl =
+        current->ttl_seconds > 0.0 ? current->ttl_seconds : ttl_seconds_;
+    if (age > ttl) return Status::OK();
+    return Status::Unavailable("campaign " + campaign_id + " leased by " +
+                               current->owner + " (age " +
+                               std::to_string(age) + "s <= ttl " +
+                               std::to_string(ttl) + "s)");
+  }
+  if (current.status().code() == StatusCode::kNotFound) return Status::OK();
+  if (current.status().code() != StatusCode::kDataLoss) {
+    return current.status();
+  }
+  // A damaged lease names no owner we can trust. A live owner rewrites
+  // its lease every ttl/3, so one untouched for a whole TTL has nobody
+  // behind it; until then, assume someone is.
+  StatusOr<double> mtime = MtimeUnixSeconds(LeasePath(campaign_id));
+  if (!mtime.ok()) {
+    return mtime.status().code() == StatusCode::kNotFound ? Status::OK()
+                                                          : mtime.status();
+  }
+  const double age = Now() - *mtime;
+  if (age > ttl_seconds_) return Status::OK();
+  return Status::Unavailable("campaign " + campaign_id +
+                             " has a damaged lease rewritten " +
+                             std::to_string(age) + "s ago (<= ttl " +
+                             std::to_string(ttl_seconds_) + "s)");
+}
+
+bool LeaseManager::Seizable(const std::string& campaign_id) const {
+  return ClaimVerdict(campaign_id, Read(campaign_id)).ok();
+}
+
+StatusOr<LeaseInfo> LeaseManager::Acquire(const std::string& campaign_id,
+                                          std::uint64_t token_floor) {
   FileLock lock(LockPath(campaign_id));
   if (!lock.held()) {
     return Status::IoError("cannot lock lease transition for " + campaign_id);
   }
+  const StatusOr<LeaseInfo> current = Read(campaign_id);
+  POISONREC_RETURN_NOT_OK(ClaimVerdict(campaign_id, current));
+
   LeaseInfo next;
   next.campaign_id = campaign_id;
   next.owner = owner_id_;
   next.pid = static_cast<std::uint64_t>(::getpid());
   next.renewed_unix = Now();
   next.ttl_seconds = ttl_seconds_;
-
-  StatusOr<LeaseInfo> current = Read(campaign_id);
-  if (current.ok()) {
-    if (current->owner == owner_id_) {
-      // Idempotent re-acquire: already ours, keep the token.
-      next.token = current->token;
-    } else if (current->owner.empty()) {
-      // Released cleanly; a new acquisition is a new fencing epoch.
-      next.token = current->token + 1;
-    } else {
-      const double age = Now() - current->renewed_unix;
-      const double ttl =
-          current->ttl_seconds > 0.0 ? current->ttl_seconds : ttl_seconds_;
-      if (age <= ttl) {
-        return Status::Unavailable(
-            "campaign " + campaign_id + " leased by " + current->owner +
-            " (age " + std::to_string(age) + "s <= ttl " +
-            std::to_string(ttl) + "s)");
-      }
-      // Expired heartbeat: seize with an incremented token. The stale
-      // owner's writes are fenced out by the token from here on.
-      next.token = current->token + 1;
+  const std::uint64_t held = current.ok() ? current->token : 0;
+  if (current.ok() && current->owner == owner_id_ && held >= token_floor) {
+    // Idempotent re-acquire: already ours, keep the token.
+    next.token = held;
+  } else {
+    // A new fencing epoch. The floor covers what the lease file cannot
+    // vouch for: a deleted lease dir or a damaged file.
+    next.token = std::max(held, token_floor) + 1;
+    const bool seized = current.ok() ? !current->owner.empty() &&
+                                           current->owner != owner_id_
+                                     : current.status().code() ==
+                                           StatusCode::kDataLoss;
+    if (seized) {
+      // The previous owner's writes are fenced out by the token from
+      // here on.
       LeaseCounter("poisonrec_fleet_lease_takeovers_total")->Increment();
       POISONREC_LOG(Warning)
           << "lease takeover: campaign " << campaign_id << " seized from "
-          << current->owner << " (stale " << age << "s > ttl " << ttl
-          << "s), fencing token " << next.token;
+          << (current.ok() ? current->owner
+                           : "a damaged lease (" +
+                                 current.status().message() + ")")
+          << ", fencing token " << next.token;
     }
-  } else if (current.status().code() == StatusCode::kNotFound) {
-    next.token = 1;
-  } else {
-    return current.status();
   }
 
   POISONREC_RETURN_NOT_OK(WriteLease(next));
   LeaseCounter("poisonrec_fleet_lease_acquired_total")->Increment();
   return next;
-}
-
-bool LeaseManager::Seizable(const LeaseInfo& info) const {
-  if (info.owner.empty() || info.owner == owner_id_) return true;
-  const double ttl =
-      info.ttl_seconds > 0.0 ? info.ttl_seconds : ttl_seconds_;
-  return Now() - info.renewed_unix > ttl;
 }
 
 Status LeaseManager::Renew(const std::string& campaign_id,

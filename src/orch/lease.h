@@ -1,6 +1,8 @@
 // Campaign leases: cross-process mutual exclusion + fencing for
-// `poisonrec fleet --shared`, where N orchestrator processes claim
-// campaigns from one plan over a shared journal/checkpoint directory.
+// `poisonrec fleet`. Every fleet run claims its campaigns through these
+// leases, so any number of orchestrator processes (one is just a
+// one-worker fleet) can share one plan over one journal/checkpoint
+// directory.
 //
 // One durable JSON file per campaign (`<lease_dir>/<id>.lease`):
 //
@@ -18,19 +20,23 @@
 //             │ owner dies / SIGSTOPs: renewals stop   │ next Acquire
 //             v                                        v
 //            lease expires (now - renewed > ttl)     token T+1
-//             │
+//             │     (or the file is damaged and
+//             │      untouched for a ttl)
 //             v
 //            SEIZED by sibling: owner=O', token T+1 (takeover)
 //
 // Fencing contract: the token is monotonically increasing per campaign
 // (every acquisition — fresh, re-claim after release, or seizure —
-// writes token+1). Checkpoint publishes and journal records carry the
-// owner's token; a zombie worker resumed after takeover (SIGSTOP →
-// lease expired → seized → SIGCONT) fails Validate/Renew with
-// kFailedPrecondition and must stop writing — and even its in-flight
-// writes cannot clobber the new owner, because checkpoints are
-// token-suffixed (`<id>.t<token>.ckpt`) and journal replay drops
-// stale-token records (orch/journal.h).
+// writes a token above both the lease's and the caller's token floor,
+// the highest token the campaign's journal and checkpoint names carry,
+// so a deleted or damaged lease file never rewinds the epoch).
+// Checkpoint publishes and journal records carry the owner's token; a
+// zombie worker resumed after takeover (SIGSTOP → lease expired →
+// seized → SIGCONT) fails Validate/Renew with kFailedPrecondition and
+// must stop writing — and even its in-flight writes cannot clobber the
+// new owner, because checkpoints are token-suffixed
+// (`<id>.t<token>.ckpt`) and journal replay drops stale-token records
+// (orch/journal.h).
 //
 // Durability and atomicity: lease files are published with the
 // util/fsio tmp-fsync-rename discipline, and every read-modify-write
@@ -80,11 +86,14 @@ class LeaseManager {
   /// Creates the lease directory. Call before Acquire.
   Status Init();
 
-  /// Claims the campaign. Succeeds when the lease is free, released,
-  /// expired (seizure — the stale owner is fenced out), or already ours
-  /// (idempotent re-acquire, same token). kUnavailable when a live
-  /// sibling holds it.
-  StatusOr<LeaseInfo> Acquire(const std::string& campaign_id);
+  /// Claims the campaign when Seizable says so. A new epoch's token
+  /// exceeds both the lease's token and `token_floor` (the highest token
+  /// in the campaign's journal and `<id>.t<N>.ckpt` names), so a missing
+  /// or damaged lease never reissues a used token. Re-acquiring our own
+  /// lease keeps its token unless the floor has passed it. kUnavailable
+  /// while a live sibling holds it.
+  StatusOr<LeaseInfo> Acquire(const std::string& campaign_id,
+                              std::uint64_t token_floor = 0);
 
   /// Heartbeat: refreshes renewed_unix. kFailedPrecondition when the
   /// lease no longer carries (owner, token) — we have been fenced out.
@@ -99,15 +108,17 @@ class LeaseManager {
   Status Release(const std::string& campaign_id, std::uint64_t token);
 
   /// Parses a lease file. kNotFound when it does not exist, kDataLoss
-  /// when unparseable (torn tmp never lands thanks to rename, but a
-  /// foreign file could sit at the path).
+  /// when unparseable or its line checksum fails (a torn rename or bit
+  /// rot, or a foreign file at the path).
   StatusOr<LeaseInfo> Read(const std::string& campaign_id) const;
 
   /// True when an Acquire by this manager would succeed without waiting:
-  /// the lease is released, already ours, or its heartbeat has expired.
-  /// A cheap read-only probe (no flock) for scheduler polling; Acquire
-  /// remains the authoritative, race-free claim.
-  bool Seizable(const LeaseInfo& info) const;
+  /// the lease is missing, released, already ours, or its heartbeat has
+  /// expired — or it is damaged and its file has not been rewritten for
+  /// a TTL (a live owner rewrites it every ttl/3, so nobody is behind
+  /// it). A cheap read-only probe (no flock) for scheduler polling;
+  /// Acquire makes the same decision under the flock.
+  bool Seizable(const std::string& campaign_id) const;
 
   std::string LeasePath(const std::string& campaign_id) const;
   const std::string& owner_id() const { return owner_id_; }
@@ -122,6 +133,11 @@ class LeaseManager {
  private:
   double Now() const;
   std::string LockPath(const std::string& campaign_id) const;
+  /// The one seizability rule, given what Read returned: OK when this
+  /// worker may claim the lease now, kUnavailable while someone may
+  /// still be behind it, other errors for I/O.
+  Status ClaimVerdict(const std::string& campaign_id,
+                      const StatusOr<LeaseInfo>& current) const;
   Status WriteLease(const LeaseInfo& info) const;
 
   std::string dir_;

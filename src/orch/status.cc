@@ -93,7 +93,6 @@ bool ParseSnapshot(const std::string& payload, const std::string& path,
   out->row.uptime_seconds = GetNumber(root, "uptime_seconds", 0.0);
   out->row.publish_period_seconds =
       GetNumber(root, "publish_period_seconds", 0.0);
-  out->row.shared = GetBool(root, "shared");
   out->row.shutdown = GetBool(root, "shutdown");
   out->row.snapshot_path = path;
   const JsonValue* metrics = root.Find("metrics");
@@ -442,7 +441,6 @@ std::string FleetStatusJson(const FleetStatus& status) {
         .Num("uptime_seconds", w.uptime_seconds)
         .Num("age_seconds", w.age_seconds)
         .Num("publish_period_seconds", w.publish_period_seconds)
-        .Bool("shared", w.shared)
         .Bool("shutdown", w.shutdown)
         .Str("snapshot", w.snapshot_path);
     workers += std::move(b).Finish();

@@ -3,7 +3,7 @@
 // from any process (the `poisonrec fleet --status` backend):
 //
 //   * the journal family (orch/journal.h) — authoritative campaign
-//     lifecycle state, merged token-aware across shared workers;
+//     lifecycle state, merged token-aware across workers;
 //   * live lease files (orch/lease.h)     — current ownership, fencing
 //     tokens, and heartbeat freshness;
 //   * worker status snapshots             — `<telemetry>/<w>.status.json`
@@ -65,7 +65,6 @@ struct WorkerStatusRow {
   /// now - wall_unix at collection time.
   double age_seconds = 0.0;
   double publish_period_seconds = 0.0;
-  bool shared = false;
   bool shutdown = false;
   WorkerHealth health = WorkerHealth::kLive;
   std::string snapshot_path;

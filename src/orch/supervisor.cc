@@ -51,9 +51,8 @@ obs::Counter* FleetCounter(const char* name) {
   return obs::MetricsRegistry::Global().GetCounter(name);
 }
 
-/// Parses `<id>.t<N>.ckpt` names; nullopt for the plain `<id>.ckpt`
-/// (token 0) and anything that is not a token-suffixed checkpoint of
-/// this campaign.
+/// Parses `<id>.t<N>.ckpt` names; nullopt for anything else, the plain
+/// `<id>.ckpt` included.
 std::optional<std::uint64_t> CheckpointToken(const std::string& filename,
                                              const std::string& id) {
   const std::string prefix = id + ".t";
@@ -76,55 +75,55 @@ std::optional<std::uint64_t> CheckpointToken(const std::string& filename,
 
 }  // namespace
 
+std::vector<std::pair<std::uint64_t, std::string>> ListCheckpoints(
+    const std::string& dir, const std::string& id) {
+  std::vector<std::pair<std::uint64_t, std::string>> checkpoints;
+  std::error_code ec;
+  for (std::filesystem::directory_iterator it(dir, ec), end;
+       !ec && it != end; it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    std::optional<std::uint64_t> token = CheckpointToken(name, id);
+    if (!token.has_value()) {
+      if (name != id + ".ckpt") continue;
+      token = 0;  // written before every fleet held leases
+    }
+    checkpoints.emplace_back(*token, it->path().string());
+  }
+  std::sort(checkpoints.begin(), checkpoints.end(),
+            [](const auto& a, const auto& b) { return a.first > b.first; });
+  return checkpoints;
+}
+
 CampaignSupervisor::CampaignSupervisor(const CampaignSpec& spec,
                                        const data::Dataset* dataset,
                                        SupervisorOptions options)
     : spec_(spec), dataset_(dataset), options_(std::move(options)) {
   POISONREC_CHECK(dataset_ != nullptr);
+  POISONREC_CHECK(options_.leases != nullptr)
+      << "campaign " << spec_.id << " needs a lease manager";
 }
 
 std::string CampaignSupervisor::CheckpointPath() const {
-  // Token-suffixed under a lease: each ownership epoch publishes to its
-  // own file, so a fenced-out zombie's in-flight save lands in a file
-  // the new owner (holding a strictly higher token) never reads.
-  const std::string name =
-      options_.leases != nullptr
-          ? spec_.id + ".t" + std::to_string(options_.lease_token) + ".ckpt"
-          : spec_.id + ".ckpt";
-  return (std::filesystem::path(options_.checkpoint_dir) / name).string();
+  // Each ownership epoch publishes to its own file, so a fenced-out
+  // zombie's in-flight save lands in a file the new owner (holding a
+  // strictly higher token) never reads.
+  return (std::filesystem::path(options_.checkpoint_dir) /
+          (spec_.id + ".t" + std::to_string(options_.lease_token) + ".ckpt"))
+      .string();
 }
 
 std::vector<std::string> CampaignSupervisor::FindResumeCheckpoints() const {
-  if (options_.leases == nullptr) {
-    const std::string path = CheckpointPath();
-    if (std::filesystem::exists(path)) return {path};
-    return {};
-  }
   // Every epoch at or below our token, newest first: normally the
-  // previous owner's frontier (our token - 1) right after a seizure,
-  // or our own file after a restart, with older epochs behind it as
-  // fallbacks should the frontier turn out torn or rotted. Files above
-  // our token would mean we are the zombie; they are ignored here and
-  // the lease validation at the next commit fences us out.
-  const std::filesystem::path dir(options_.checkpoint_dir);
-  std::vector<std::pair<std::uint64_t, std::string>> candidates;
-  std::error_code ec;
-  for (std::filesystem::directory_iterator it(dir, ec), end;
-       !ec && it != end; it.increment(ec)) {
-    const std::string name = it->path().filename().string();
-    std::optional<std::uint64_t> token = CheckpointToken(name, spec_.id);
-    if (!token.has_value()) {
-      if (name == spec_.id + ".ckpt") token = 0;  // pre-shared legacy file
-      else continue;
-    }
-    if (*token > options_.lease_token) continue;
-    candidates.emplace_back(*token, it->path().string());
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
+  // previous owner's frontier right after a seizure, or our own file
+  // after a restart, with older epochs behind it as fallbacks should
+  // the frontier turn out torn or rotted. Files above our token would
+  // mean we are the zombie; they are ignored here and the lease
+  // validation at the next commit fences us out.
   std::vector<std::string> paths;
-  paths.reserve(candidates.size());
-  for (auto& [token, path] : candidates) paths.push_back(std::move(path));
+  for (auto& [token, path] :
+       ListCheckpoints(options_.checkpoint_dir, spec_.id)) {
+    if (token <= options_.lease_token) paths.push_back(std::move(path));
+  }
   return paths;
 }
 
@@ -152,20 +151,18 @@ void CampaignSupervisor::Journal(CampaignState state, std::uint64_t step,
                                  std::uint64_t restarts,
                                  const std::string& detail) {
   if (options_.journal == nullptr) return;
-  if (options_.leases != nullptr) {
-    // Fencing check on the write path: once a sibling holds a higher
-    // token, appending would be a stale write — replay would drop it
-    // anyway (token-aware fold), but not writing at all keeps the
-    // journal clean and stops this worker within one step boundary.
-    const Status valid =
-        options_.leases->Validate(spec_.id, options_.lease_token);
-    if (!valid.ok()) {
-      RequestSoftStop(SoftStopKind::kFenced);
-      POISONREC_LOG(Warning)
-          << "campaign " << spec_.id << ": journal write suppressed: "
-          << valid.message();
-      return;
-    }
+  // Fencing check on the write path: once a sibling holds a higher
+  // token, appending would be a stale write — replay would drop it
+  // anyway (token-aware fold), but not writing at all keeps the journal
+  // clean and stops this worker within one step boundary.
+  const Status valid =
+      options_.leases->Validate(spec_.id, options_.lease_token);
+  if (!valid.ok()) {
+    RequestSoftStop(SoftStopKind::kFenced);
+    POISONREC_LOG(Warning) << "campaign " << spec_.id
+                           << ": journal write suppressed: "
+                           << valid.message();
+    return;
   }
   CampaignJournalRecord record;
   record.campaign_id = spec_.id;
@@ -175,7 +172,7 @@ void CampaignSupervisor::Journal(CampaignState state, std::uint64_t step,
   record.best_reward = best_reward;
   record.restarts = restarts;
   record.token = options_.lease_token;
-  if (options_.leases != nullptr) record.owner = options_.leases->owner_id();
+  record.owner = options_.leases->owner_id();
   record.detail = detail;
   options_.journal->Record(record);
 }
@@ -306,19 +303,17 @@ Status CampaignSupervisor::RunAttempt(CampaignOutcome* outcome) {
       FleetCounter("poisonrec_fleet_steps_committed_total");
   attacker.SetStepCommittedCallback(
       [this, outcome](const core::TrainStepStats& stats) {
-        if (options_.leases != nullptr) {
-          const Status valid =
-              options_.leases->Validate(spec_.id, options_.lease_token);
-          if (!valid.ok()) {
-            // Zombie write rejected: the checkpoint went to our stale
-            // token-suffixed file (harmless), and neither the outcome
-            // nor the journal records the step.
-            RequestSoftStop(SoftStopKind::kFenced);
-            POISONREC_LOG(Warning)
-                << "campaign " << spec_.id
-                << ": step commit rejected: " << valid.message();
-            return;
-          }
+        const Status valid =
+            options_.leases->Validate(spec_.id, options_.lease_token);
+        if (!valid.ok()) {
+          // Zombie write rejected: the checkpoint went to our stale
+          // token-suffixed file (harmless), and neither the outcome nor
+          // the journal records the step.
+          RequestSoftStop(SoftStopKind::kFenced);
+          POISONREC_LOG(Warning) << "campaign " << spec_.id
+                                 << ": step commit rejected: "
+                                 << valid.message();
+          return;
         }
         outcome->step_rewards[stats.step] = stats.mean_reward;
         outcome->steps_completed = stats.step;
@@ -487,7 +482,7 @@ CampaignOutcome CampaignSupervisor::Run() {
     if (status.code() == StatusCode::kCancelled &&
         (FleetStopRaised() || stop_kind == SoftStopKind::kShutdown)) {
       // Graceful shutdown: the last clean step is already checkpointed
-      // and journaled; `fleet --resume` picks the campaign back up.
+      // and journaled; rerunning the fleet picks the campaign back up.
       outcome.interrupted = true;
       interrupted_total->Increment();
       finish(CampaignState::kCheckpointed,

@@ -4,8 +4,9 @@
 // The supervisor owns the campaign's CancelToken, heartbeat clock and
 // soft-stop flag. It builds the environment stack (ranker ->
 // AttackEnvironment -> FaultyEnvironment -> DefendedEnvironment) fresh
-// for every attempt, resumes from the campaign's own v3 checkpoint when
-// one exists, and classifies TrainGuarded's exit status:
+// for every attempt, resumes from the campaign's newest intact
+// checkpoint at or below its lease token, and classifies
+// TrainGuarded's exit status:
 //
 //   OK                   -> done
 //   kCancelled + fenced          -> lease lost to a sibling worker: stop
@@ -13,7 +14,8 @@
 //                           be a stale write); the new owner's journal
 //                           is authoritative
 //   kCancelled + fleet stop      -> checkpointed (graceful shutdown;
-//                           resumable — `fleet --resume` reschedules it)
+//                           resumable — rerunning the fleet reschedules
+//                           it)
 //   kCancelled + preempt request -> preempted (resumable: the scheduler
 //                           re-queues it behind the higher-priority
 //                           campaign; journals the `preempted` state)
@@ -31,8 +33,8 @@
 // Every transition is journaled (orch/journal.h) before the supervisor
 // moves on, and committed steps are journaled from the attacker's
 // step-commit callback — strictly after the step's checkpoint is
-// durable. In shared fleets (orch/lease.h) the supervisor holds a
-// campaign lease: checkpoints are published to the token-suffixed path
+// durable. The supervisor holds a campaign lease (orch/lease.h):
+// checkpoints are published to the token-suffixed path
 // `<id>.t<token>.ckpt` (a zombie's stale-token saves can never clobber
 // the new owner's file) and the lease is validated before every journal
 // commit, so a fenced-out worker stops within one step boundary.
@@ -45,6 +47,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/dataset.h"
@@ -67,9 +70,15 @@ enum class SoftStopKind : int {
   kFenced = 3,
 };
 
+/// Checkpoints of campaign `id` in `dir`, highest fencing token first:
+/// every `<id>.t<N>.ckpt`, plus a plain `<id>.ckpt` (written before
+/// every fleet held leases) as token 0. Missing dir = empty list.
+std::vector<std::pair<std::uint64_t, std::string>> ListCheckpoints(
+    const std::string& dir, const std::string& id);
+
 struct SupervisorOptions {
-  /// Directory holding one `<campaign id>.ckpt` per campaign (token-
-  /// suffixed `<id>.t<token>.ckpt` when a lease is attached).
+  /// Directory holding the campaign's `<id>.t<token>.ckpt` files, one
+  /// per ownership epoch.
   std::string checkpoint_dir = "checkpoints";
   /// Journal for lifecycle records; nullptr journals nothing (tests).
   FleetJournal* journal = nullptr;
@@ -77,11 +86,11 @@ struct SupervisorOptions {
   /// nullptr when the campaign runs standalone. Not owned. Mirrored
   /// into the supervisor's own soft-stop flag from the heartbeat hook.
   const std::atomic<bool>* fleet_stop = nullptr;
-  /// Replayed journal state for `fleet --resume` (terminal campaigns are
-  /// not re-run; unfinished ones resume from their checkpoint).
+  /// Replayed journal state (terminal campaigns are not re-run;
+  /// unfinished ones resume from their checkpoint).
   std::optional<CampaignReplay> replay;
-  /// Shared-fleet lease manager; nullptr outside `--shared`. Not owned.
-  /// When set, `lease_token` must hold the token Acquire returned.
+  /// Campaign lease manager (required; not owned). `lease_token` must
+  /// hold the token Acquire returned.
   LeaseManager* leases = nullptr;
   std::uint64_t lease_token = 0;
   /// Preemptions already charged against spec.max_preemptions (carried
@@ -123,11 +132,11 @@ struct CampaignOutcome {
   /// True when this worker lost the campaign lease mid-run: the outcome
   /// is NOT authoritative — the seizing sibling's journal is.
   bool fenced = false;
-  /// Fencing token the outcome's journal records carried (0 = none).
+  /// Fencing token the outcome's journal records carried.
   std::uint64_t lease_token = 0;
-  /// Shared fleets only: a sibling worker owned (or finished) this
-  /// campaign; the outcome was reconstructed from the merged journals,
-  /// not from a local run. Set by the orchestrator.
+  /// A sibling worker owned (or finished) this campaign; the outcome
+  /// was reconstructed from the merged journals, not from a local run.
+  /// Set by the orchestrator.
   bool sibling_owned = false;
 };
 
@@ -195,8 +204,7 @@ class CampaignSupervisor {
   /// than extrapolating from another epoch's rate.
   double CommittedStepRate() const;
 
-  /// Path checkpoints are published to: `<id>.ckpt`, or the token-
-  /// suffixed `<id>.t<token>.ckpt` under a lease.
+  /// Path checkpoints are published to: `<id>.t<lease token>.ckpt`.
   std::string CheckpointPath() const;
 
  private:
@@ -208,11 +216,11 @@ class CampaignSupervisor {
   std::string TakeAbortReason();
   /// Restart backoff honouring the fleet stop flag and soft stops.
   void SleepForRestart(double seconds);
-  /// Resume candidates, newest first: ours, or under a lease every
-  /// token-suffixed file at or below our token (the seized owner's
-  /// frontier first, then older epochs). RunAttempt walks the list so
-  /// a damaged frontier falls back to the previous epoch's checkpoint
-  /// instead of costing the whole campaign.
+  /// Resume candidates, newest first: every checkpoint at or below our
+  /// token (the seized owner's frontier first, then older epochs, then
+  /// a plain `<id>.ckpt`). RunAttempt walks the list so a damaged
+  /// frontier falls back to the previous epoch's checkpoint instead of
+  /// costing the whole campaign.
   std::vector<std::string> FindResumeCheckpoints() const;
   /// Moves a damaged checkpoint into `<checkpoint_dir>/corrupt/` so it
   /// stops being a resume candidate but stays available for forensics

@@ -1,9 +1,12 @@
 // Crash-recovery end-to-end test: a fleet run in a forked child is
 // SIGKILLed mid-campaign (no destructors, no flushing beyond what the
-// journal/checkpoint layers already guarantee), then resumed in the
-// parent. The merged per-step rewards must be bit-identical to a fleet
-// that was never killed — the whole point of the durable journal +
-// fsynced checkpoints + deterministic replay streams.
+// journal/checkpoint layers already guarantee), then rerun in the
+// parent under another worker id, the way a restart without a stable
+// --worker-id comes back: it waits out the dead run's lease, seizes it
+// with a bumped fencing token and resumes from the dead epoch's
+// checkpoint. The merged per-step rewards must be bit-identical to a
+// fleet that was never killed — the whole point of the durable journal
+// + fsynced checkpoints + deterministic replay streams.
 //
 // POSIX-only by construction (fork/kill/waitpid); the entire test body
 // is gated on unistd.h availability.
@@ -17,6 +20,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -61,7 +65,10 @@ FleetPlan RecoveryPlan() {
   return plan;
 }
 
-FleetOptions DirOptions(const std::string& dir) {
+/// `worker_id` empty keeps the process default. The forked child would
+/// inherit the parent's cached default, so the kill test names both.
+FleetOptions DirOptions(const std::string& dir,
+                        const std::string& worker_id = "") {
   FleetOptions options;
   options.journal_path = dir + "/journal.jsonl";
   options.checkpoint_dir = dir + "/ckpts";
@@ -70,14 +77,25 @@ FleetOptions DirOptions(const std::string& dir) {
   // Fork safety: exactly one campaign at a time, no helper threads other
   // than the watchdog.
   options.max_concurrent = 1;
+  options.worker_id = worker_id;
+  // Short, so the rerun seizes the dead run's lease promptly.
+  options.lease_ttl_seconds = 0.5;
   return options;
 }
 
+/// Folded campaigns of the whole journal family under `base`.
+std::map<std::string, CampaignReplay> ReplayFamily(const std::string& base) {
+  auto replay =
+      FleetJournal::Replay(FleetJournal::ListJournalFiles(base));
+  if (!replay.ok()) return {};
+  return std::move(replay->campaigns);
+}
+
 std::uint64_t CommittedSteps(const std::string& journal_path) {
-  auto replay = FleetJournal::ReplayFile(journal_path);
-  if (!replay.ok()) return 0;
   std::uint64_t total = 0;
-  for (const auto& [id, entry] : *replay) total += entry.steps_completed;
+  for (const auto& [id, entry] : ReplayFamily(journal_path)) {
+    total += entry.steps_completed;
+  }
   return total;
 }
 
@@ -104,7 +122,7 @@ TEST(FleetRecoveryTest, Sigkill9MidFleetResumesBitIdentically) {
   const pid_t child = fork();
   ASSERT_GE(child, 0) << "fork failed";
   if (child == 0) {
-    FleetOrchestrator victim(plan, &log, DirOptions(crash_dir));
+    FleetOrchestrator victim(plan, &log, DirOptions(crash_dir, "w-killed"));
     victim.Run();
     _exit(0);
   }
@@ -137,20 +155,25 @@ TEST(FleetRecoveryTest, Sigkill9MidFleetResumesBitIdentically) {
   const std::uint64_t committed_at_kill = CommittedSteps(crash_journal);
   ASSERT_LT(committed_at_kill, 30u) << "fleet finished before the kill";
   // Record which campaigns were already terminal when the kill landed:
-  // resume must report them recovered, not re-run them.
-  auto at_kill = FleetJournal::ReplayFile(crash_journal);
-  ASSERT_TRUE(at_kill.ok()) << at_kill.status();
+  // resume must report them recovered, not re-run them. The one in
+  // flight must be seized in a new fencing epoch.
   std::set<std::string> finished_at_kill;
-  for (const auto& [id, entry] : *at_kill) {
-    if (entry.state == CampaignState::kDone) finished_at_kill.insert(id);
+  std::set<std::string> in_flight_at_kill;
+  for (const auto& [id, entry] : ReplayFamily(crash_journal)) {
+    if (entry.state == CampaignState::kDone) {
+      finished_at_kill.insert(id);
+    } else if (entry.steps_completed > 0) {
+      in_flight_at_kill.insert(id);
+    }
   }
   ASSERT_FALSE(finished_at_kill.empty())
       << "threshold guarantees victim0 finished before the kill";
+  ASSERT_FALSE(in_flight_at_kill.empty())
+      << "threshold guarantees victim1 was mid-flight at the kill";
 
-  // Resume in the parent from the torn-but-durable journal + fsynced
+  // Rerun in the parent from the torn-but-durable journal + fsynced
   // checkpoints. Loop defensively; one pass is the normal case.
-  FleetOptions resume_options = DirOptions(crash_dir);
-  resume_options.resume = true;
+  const FleetOptions resume_options = DirOptions(crash_dir, "w-restarted");
   int exit_code = -1;
   FleetResult resumed_result;
   for (int round = 0; round < 3 && exit_code != 0; ++round) {
@@ -173,6 +196,10 @@ TEST(FleetRecoveryTest, Sigkill9MidFleetResumesBitIdentically) {
     if (finished_at_kill.count(rec.id)) {
       EXPECT_TRUE(rec.recovered_from_journal)
           << rec.id << " finished before the kill but was re-run";
+    }
+    if (in_flight_at_kill.count(rec.id)) {
+      EXPECT_GE(rec.lease_token, 2u)
+          << rec.id << " was not seized from the killed run's epoch";
     }
     ASSERT_EQ(ref.step_rewards.size(), rec.step_rewards.size()) << ref.id;
     for (const auto& [step, reward] : ref.step_rewards) {

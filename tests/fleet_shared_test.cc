@@ -1,5 +1,5 @@
-// Cross-process shared-fleet tests: two `--shared` workers cooperate on
-// one plan over a shared journal/checkpoint/lease directory.
+// Cross-process shared-fleet tests: two fleet workers cooperate on one
+// plan over a shared journal/checkpoint/lease directory.
 //
 //   1. SIGKILL takeover: a forked worker is killed mid-campaign; the
 //      surviving worker seizes its expired lease, resumes from the
@@ -76,7 +76,6 @@ FleetOptions SharedOptions(const std::string& dir,
   options.report_csv_path = "";
   // Fork safety: exactly one campaign at a time per worker.
   options.max_concurrent = 1;
-  options.shared = true;
   options.worker_id = worker_id;
   options.lease_ttl_seconds = 0.5;
   return options;
@@ -138,7 +137,7 @@ TEST(FleetSharedTest, SigkilledWorkerIsSeizedBySiblingBitIdentically) {
   const data::Dataset log = MakeLog();
   const FleetPlan plan = SharedPlan(3);
 
-  // Reference: one worker, never interrupted, not shared.
+  // Reference: one worker, never interrupted.
   FleetOrchestrator reference(plan, &log, ReferenceOptions(ref_dir));
   const FleetResult ref_result = reference.Run();
   ASSERT_EQ(ref_result.ExitCode(), 0) << ref_result.status;

@@ -1,5 +1,5 @@
 // Cross-process acceptance test for the fleet status surface: two
-// `--shared` workers run one plan while the parent process queries
+// fleet workers run one plan while the parent process queries
 // CollectFleetStatus read-only from the side, like `poisonrec fleet
 // --status` would.
 //
@@ -71,7 +71,6 @@ FleetOptions WorkerOptions(const std::string& dir,
   options.report_json_path = dir + "/report." + worker_id + ".json";
   options.report_csv_path = "";
   options.max_concurrent = 1;
-  options.shared = true;
   options.worker_id = worker_id;
   // Generous ttl so the mid-run query never races a lease expiry; the
   // kill is detected through the pid probe, not heartbeat age.

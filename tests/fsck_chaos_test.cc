@@ -2,12 +2,14 @@
 // schedules (util/fsio.h FaultyFs) over a small fleet run and check the
 // recovery contract end to end:
 //
-//   1. Every fsio fault class injected into the checkpoint path —
+//   1. Every fsio fault class injected into the checkpoint directory —
 //      ENOSPC, EIO, short write, fsync failure, torn rename, bit flip —
-//      is either survived transparently (retry loops, bounded restarts)
-//      or surfaces as a classified failure; after the run, `fsck`
-//      audits the state directory and a `--resume` pass reproduces the
-//      fault-free reference bit-identically.
+//      whether it lands on a lease, a status snapshot or a campaign
+//      checkpoint, is either survived transparently (retry loops,
+//      bounded restarts, seizing a damaged lease after a TTL) or
+//      surfaces as a classified failure; after the run, `fsck` audits
+//      the state directory and a rerun reproduces the fault-free
+//      reference bit-identically.
 //   2. Offline corruption of the resume frontier (bit rot, torn
 //      publish) is detected by fsck, quarantined by the resuming
 //      supervisor into `<ckpt-dir>/corrupt/`, and recovered — from an
@@ -23,6 +25,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -72,6 +75,9 @@ FleetOptions DirOptions(const std::string& dir) {
   options.report_json_path = "";
   options.report_csv_path = "";
   options.max_concurrent = 1;
+  // Short: a fault that damages the lease costs one TTL before the
+  // fleet seizes it again.
+  options.lease_ttl_seconds = 0.2;
   // Restart backoffs must not really sleep: fault-induced restarts are
   // part of the happy path here.
   options.restart_sleep = [](double) {};
@@ -197,52 +203,61 @@ TEST(FsckChaosTest, EveryFsioFaultClassIsSurvivedOrClassified) {
       FsFaultKind::kShortWrite, FsFaultKind::kFsyncFail,
       FsFaultKind::kTornRename, FsFaultKind::kBitFlip,
   };
-  for (const FsFaultKind kind : kinds) {
-    SCOPED_TRACE(FsFaultKindName(kind));
-    const std::string fault_dir =
-        (base / ("fault_" + std::string(FsFaultKindName(kind)))).string();
-    fs::create_directories(fault_dir);
-    const FleetOptions options = DirOptions(fault_dir);
+  // Anything under the checkpoint dir (early on, that is the status
+  // snapshot and the lease writes every run makes), then the campaign's
+  // own checkpoint files.
+  const std::pair<const char*, const char*> targets[] = {
+      {"", "/ckpts/"},
+      {"_checkpoint", "/ckpts/c0.t"},
+  };
+  for (const auto& [dir_suffix, target] : targets) {
+    for (const FsFaultKind kind : kinds) {
+      SCOPED_TRACE(std::string(FsFaultKindName(kind)) + " on " + target);
+      const std::string fault_dir =
+          (base / ("fault_" + std::string(FsFaultKindName(kind)) + dir_suffix))
+              .string();
+      fs::create_directories(fault_dir);
+      const FleetOptions options = DirOptions(fault_dir);
 
-    // One fault on the second checkpoint-path operation of the run,
-    // bit-deterministic under the fixed seed.
-    DisarmGuard guard;
-    FsFaultRule rule;
-    rule.kind = kind;
-    rule.path_substring = fault_dir + "/ckpts/";
-    rule.nth = 2;
-    FaultyFs::Instance().Arm(0x5eed0000u + static_cast<std::uint64_t>(kind),
-                             {rule});
-    const FleetResult faulted = RunFleet(plan, log, options);
-    const FsFaultStats stats = FaultyFs::Instance().stats();
-    FaultyFs::Instance().Disarm();
-    EXPECT_EQ(stats.faults_injected, 1u)
-        << "the scheduled fault never fired (writes_seen="
-        << stats.writes_seen << ", fsyncs_seen=" << stats.fsyncs_seen
-        << ", renames_seen=" << stats.renames_seen << ")";
+      // One fault on the second matching operation of the run,
+      // bit-deterministic under the fixed seed.
+      DisarmGuard guard;
+      FsFaultRule rule;
+      rule.kind = kind;
+      rule.path_substring = fault_dir + target;
+      rule.nth = 2;
+      FaultyFs::Instance().Arm(0x5eed0000u + static_cast<std::uint64_t>(kind),
+                               {rule});
+      const FleetResult faulted = RunFleet(plan, log, options);
+      const FsFaultStats stats = FaultyFs::Instance().stats();
+      FaultyFs::Instance().Disarm();
+      EXPECT_EQ(stats.faults_injected, 1u)
+          << "the scheduled fault never fired (writes_seen="
+          << stats.writes_seen << ", fsyncs_seen=" << stats.fsyncs_seen
+          << ", renames_seen=" << stats.renames_seen << ")";
 
-    // fsck must classify whatever the fault left behind, never crash.
-    auto audit = RunFsck(FsckFor(options));
-    ASSERT_TRUE(audit.ok()) << audit.status();
+      // fsck must classify whatever the fault left behind, never crash.
+      auto audit = RunFsck(FsckFor(options));
+      ASSERT_TRUE(audit.ok()) << audit.status();
 
-    if (faulted.ExitCode() == 0) {
-      // Survived (retried, restarted, or benign): a resume pass must
-      // recover the terminal outcomes bit-identically.
-      FleetOptions resume = options;
-      resume.resume = true;
-      const FleetResult resumed = RunFleet(plan, log, resume);
-      ASSERT_EQ(resumed.ExitCode(), 0) << resumed.status;
-      ExpectBitIdentical(reference, resumed);
-    } else {
-      // Not survived: the failure must be classified, not silent.
-      ASSERT_EQ(faulted.outcomes.size(), 1u);
-      const CampaignOutcome& outcome = faulted.outcomes[0];
-      EXPECT_TRUE(outcome.state == CampaignState::kFailed ||
-                  outcome.state == CampaignState::kQuarantined)
-          << CampaignStateName(outcome.state);
-      EXPECT_FALSE(outcome.detail.empty());
+      if (faulted.ExitCode() == 0) {
+        // Survived (retried, restarted, or benign): a rerun must recover
+        // the terminal outcomes bit-identically.
+        const FleetResult resumed = RunFleet(plan, log, options);
+        ASSERT_EQ(resumed.ExitCode(), 0) << resumed.status;
+        ExpectBitIdentical(reference, resumed);
+      } else {
+        // Not survived: the failure must be classified, not silent.
+        ASSERT_EQ(faulted.outcomes.size(), 1u);
+        const CampaignOutcome& outcome = faulted.outcomes[0];
+        EXPECT_TRUE(outcome.state == CampaignState::kFailed ||
+                    outcome.state == CampaignState::kQuarantined)
+            << CampaignStateName(outcome.state);
+        EXPECT_FALSE(outcome.detail.empty());
+      }
     }
   }
+
   fs::remove_all(base);
 }
 
@@ -267,30 +282,28 @@ TEST(FsckChaosTest, CorruptFrontierCheckpointQuarantinedAndRecovered) {
 
   // Bit rot on the resume frontier: structurally the file still starts
   // with a valid header, only the whole-file checksum can tell.
-  const std::string checkpoint = run_dir + "/ckpts/c0.ckpt";
+  const std::string checkpoint = run_dir + "/ckpts/c0.t1.ckpt";
   ASSERT_TRUE(fs::exists(checkpoint));
   FlipMiddleByte(checkpoint);
 
   // fsck: detected, and unrepairable (no sibling epoch to fall back to).
   auto audit = RunFsck(FsckFor(options));
   ASSERT_TRUE(audit.ok()) << audit.status();
-  const FsckArtifact* damaged = FindArtifact(*audit, "c0.ckpt");
+  const FsckArtifact* damaged = FindArtifact(*audit, "c0.t1.ckpt");
   ASSERT_NE(damaged, nullptr);
   EXPECT_EQ(damaged->verdict, FsckVerdict::kCorrupt) << damaged->detail;
   EXPECT_FALSE(damaged->repairable);
   EXPECT_EQ(audit->ExitCode(), 1);
 
-  // Resume: the supervisor quarantines the rotten checkpoint and
+  // Rerun: the supervisor quarantines the rotten checkpoint and
   // replays the campaign from scratch — the deterministic sampling
   // streams reproduce the exact same committed rewards.
-  FleetOptions resume = options;
-  resume.resume = true;
-  const FleetResult resumed = RunFleet(plan, log, resume);
+  const FleetResult resumed = RunFleet(plan, log, options);
   ASSERT_EQ(resumed.ExitCode(), 0) << resumed.status;
   EXPECT_EQ(resumed.checkpoints_quarantined, 1u);
   ASSERT_EQ(resumed.outcomes.size(), 1u);
   EXPECT_EQ(resumed.outcomes[0].checkpoints_quarantined, 1u);
-  EXPECT_TRUE(fs::exists(run_dir + "/ckpts/corrupt/c0.ckpt"));
+  EXPECT_TRUE(fs::exists(run_dir + "/ckpts/corrupt/c0.t1.ckpt"));
   ExpectBitIdentical(reference, resumed);
 
   // A final audit is clean: the quarantined file is informational, the
@@ -299,7 +312,7 @@ TEST(FsckChaosTest, CorruptFrontierCheckpointQuarantinedAndRecovered) {
   ASSERT_TRUE(after.ok()) << after.status();
   EXPECT_EQ(after->ExitCode(), 0) << FormatFsckReport(*after);
   const FsckArtifact* quarantined =
-      FindArtifact(*after, "corrupt/c0.ckpt");
+      FindArtifact(*after, "corrupt/c0.t1.ckpt");
   ASSERT_NE(quarantined, nullptr);
   EXPECT_EQ(quarantined->kind, FsckArtifactKind::kQuarantined);
   fs::remove_all(base);
@@ -325,23 +338,21 @@ TEST(FsckChaosTest, TornFrontierCheckpointDetectedAndRecovered) {
       << "fleet finished before the shutdown - grow the plan";
 
   // A torn publish: the header landed, the integrity footer did not.
-  const std::string checkpoint = run_dir + "/ckpts/c0.ckpt";
+  const std::string checkpoint = run_dir + "/ckpts/c0.t1.ckpt";
   ASSERT_TRUE(fs::exists(checkpoint));
   TruncateFile(checkpoint, 16);
 
   auto audit = RunFsck(FsckFor(options));
   ASSERT_TRUE(audit.ok()) << audit.status();
-  const FsckArtifact* damaged = FindArtifact(*audit, "c0.ckpt");
+  const FsckArtifact* damaged = FindArtifact(*audit, "c0.t1.ckpt");
   ASSERT_NE(damaged, nullptr);
   EXPECT_EQ(damaged->verdict, FsckVerdict::kTorn) << damaged->detail;
   EXPECT_EQ(audit->ExitCode(), 1);
 
-  FleetOptions resume = options;
-  resume.resume = true;
-  const FleetResult resumed = RunFleet(plan, log, resume);
+  const FleetResult resumed = RunFleet(plan, log, options);
   ASSERT_EQ(resumed.ExitCode(), 0) << resumed.status;
   EXPECT_EQ(resumed.checkpoints_quarantined, 1u);
-  EXPECT_TRUE(fs::exists(run_dir + "/ckpts/corrupt/c0.ckpt"));
+  EXPECT_TRUE(fs::exists(run_dir + "/ckpts/corrupt/c0.t1.ckpt"));
   ExpectBitIdentical(reference, resumed);
   fs::remove_all(base);
 }
@@ -359,10 +370,9 @@ TEST(FsckChaosTest, DamagedFrontierFallsBackToOlderTokenCheckpoint) {
   const FleetResult reference = RunFleet(plan, log, DirOptions(ref_dir));
   ASSERT_EQ(reference.ExitCode(), 0) << reference.status;
 
-  // Shared-mode worker A: checkpoints go to the token-suffixed
-  // `c0.t1.ckpt`. Interrupt it mid-campaign.
+  // Worker A: checkpoints go to the token-suffixed `c0.t1.ckpt`.
+  // Interrupt it mid-campaign.
   FleetOptions a_options = DirOptions(run_dir);
-  a_options.shared = true;
   a_options.worker_id = "wA";
   a_options.lease_ttl_seconds = 0.5;
   const FleetResult interrupted =
@@ -372,8 +382,8 @@ TEST(FsckChaosTest, DamagedFrontierFallsBackToOlderTokenCheckpoint) {
   const std::string epoch1 = run_dir + "/ckpts/c0.t1.ckpt";
   ASSERT_TRUE(fs::exists(epoch1));
 
-  // Fabricate a rotten next-epoch frontier: a bit-flipped copy at the
-  // token the resuming worker will try first.
+  // Fabricate a rotten next-epoch frontier: a bit-flipped copy above
+  // every epoch so far, which the resuming worker will try first.
   const std::string epoch2 = run_dir + "/ckpts/c0.t2.ckpt";
   fs::copy_file(epoch1, epoch2);
   FlipMiddleByte(epoch2);
@@ -387,14 +397,13 @@ TEST(FsckChaosTest, DamagedFrontierFallsBackToOlderTokenCheckpoint) {
   EXPECT_TRUE(damaged->repairable) << damaged->detail;
   EXPECT_EQ(audit->ExitCode(), 2) << FormatFsckReport(*audit);
 
-  // Worker B acquires token 2, tries c0.t2.ckpt first, quarantines it,
-  // and falls back to worker A's intact epoch-1 checkpoint instead of
+  // Worker B acquires a token above both epochs (3: the floor counts
+  // checkpoint names), tries c0.t2.ckpt first, quarantines it, and
+  // falls back to worker A's intact epoch-1 checkpoint instead of
   // replaying the campaign from scratch.
   FleetOptions b_options = DirOptions(run_dir);
-  b_options.shared = true;
   b_options.worker_id = "wB";
   b_options.lease_ttl_seconds = 0.5;
-  b_options.resume = true;
   const FleetResult resumed = RunFleet(plan, log, b_options);
   ASSERT_EQ(resumed.ExitCode(), 0) << resumed.status;
   EXPECT_EQ(resumed.checkpoints_quarantined, 1u);
@@ -477,18 +486,17 @@ TEST(FsckChaosTest, JournalShortWriteTearsInteriorRecordWhichIsCounted) {
   EXPECT_GE(replay->corrupt_lines + replay->malformed_lines, 1u);
   auto audit = RunFsck(FsckFor(options));
   ASSERT_TRUE(audit.ok()) << audit.status();
-  const FsckArtifact* journal = FindArtifact(*audit, "journal.jsonl");
+  // The worker's file of the journal family, journal.<worker>.jsonl.
+  const FsckArtifact* journal = FindArtifact(*audit, ".jsonl");
   ASSERT_NE(journal, nullptr);
   EXPECT_EQ(journal->verdict, FsckVerdict::kCorrupt) << journal->detail;
   EXPECT_FALSE(journal->repairable);
   EXPECT_EQ(audit->ExitCode(), 1);
 
-  // Resume still completes — the campaign's terminal state survived —
+  // A rerun still completes — the campaign's terminal state survived —
   // and the fleet report surfaces the corruption counters instead of
   // pretending the journal was clean.
-  FleetOptions resume = options;
-  resume.resume = true;
-  const FleetResult resumed = RunFleet(plan, log, resume);
+  const FleetResult resumed = RunFleet(plan, log, options);
   ASSERT_EQ(resumed.ExitCode(), 0) << resumed.status;
   EXPECT_GE(resumed.journal_corrupt_lines + resumed.journal_malformed_lines,
             1u);

@@ -2,6 +2,10 @@
 // acquire / renew / release / seize lifecycle, driven by the injected
 // test clock (no real sleeps).
 
+#include <fcntl.h>
+#include <sys/stat.h>
+
+#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -83,8 +87,8 @@ TEST(LeaseTest, LiveSiblingLeaseIsUnavailable) {
 
   auto read = beta.Read("c0");
   ASSERT_TRUE(read.ok());
-  EXPECT_FALSE(beta.Seizable(*read));
-  EXPECT_TRUE(alpha.Seizable(*read));  // our own lease is always claimable
+  EXPECT_FALSE(beta.Seizable("c0"));
+  EXPECT_TRUE(alpha.Seizable("c0"));  // our own lease is always claimable
   std::filesystem::remove_all(dir);
 }
 
@@ -111,7 +115,7 @@ TEST(LeaseTest, ExpiredLeaseIsSeizedAndStaleOwnerIsFenced) {
   now = 109.0;  // 6s since alpha's renewal at 103 > ttl 5
   auto probe = beta.Read("c0");
   ASSERT_TRUE(probe.ok());
-  EXPECT_TRUE(beta.Seizable(*probe));
+  EXPECT_TRUE(beta.Seizable("c0"));
   auto seized = beta.Acquire("c0");
   ASSERT_TRUE(seized.ok()) << seized.status();
   EXPECT_EQ(seized->owner, "beta");
@@ -194,10 +198,81 @@ TEST(LeaseTest, ReleasedLeaseIsSeizableByAnySibling) {
 
   auto read = beta.Read("c0");
   ASSERT_TRUE(read.ok());
-  EXPECT_TRUE(beta.Seizable(*read));
+  EXPECT_TRUE(beta.Seizable("c0"));
   auto claim = beta.Acquire("c0");
   ASSERT_TRUE(claim.ok()) << claim.status();
   EXPECT_EQ(claim->token, 2u);
+  std::filesystem::remove_all(dir);
+}
+
+/// Sets a file's mtime: the damaged-lease rule reads how long ago the
+/// file was last rewritten, since its contents cannot be trusted.
+void SetMtime(const std::string& path, std::time_t unix_seconds) {
+  struct timespec times[2] = {{unix_seconds, 0}, {unix_seconds, 0}};
+  ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0) << path;
+}
+
+TEST(LeaseTest, DamagedLeaseIsSeizedOnlyAfterAnUnrewrittenTtl) {
+  const std::string dir = TempDir("poisonrec_lease_damaged");
+  LeaseManager alpha(dir, "alpha", /*ttl_seconds=*/5.0);
+  ASSERT_TRUE(alpha.Init().ok());
+  double now = 100.0;
+  alpha.SetClockForTest([&now] { return now; });
+  // A torn lease: neither its owner nor its token can be read.
+  {
+    std::ofstream out(alpha.LeasePath("c0"));
+    out << R"({"type":"lease","campaign_id":"c0","own)";
+  }
+  SetMtime(alpha.LeasePath("c0"), 100);
+  ASSERT_EQ(alpha.Read("c0").status().code(), StatusCode::kDataLoss);
+
+  // Within a TTL of its last rewrite a live owner may still be behind
+  // it (owners rewrite every ttl/3).
+  now = 104.0;
+  EXPECT_FALSE(alpha.Seizable("c0"));
+  EXPECT_EQ(alpha.Acquire("c0", /*token_floor=*/3).status().code(),
+            StatusCode::kUnavailable);
+
+  // Untouched for longer than a TTL: abandoned, and seized in a new
+  // epoch above the token floor.
+  now = 106.0;
+  EXPECT_TRUE(alpha.Seizable("c0"));
+  auto seized = alpha.Acquire("c0", /*token_floor=*/3);
+  ASSERT_TRUE(seized.ok()) << seized.status();
+  EXPECT_EQ(seized->owner, "alpha");
+  EXPECT_EQ(seized->token, 4u);
+  auto rewritten = alpha.Read("c0");
+  ASSERT_TRUE(rewritten.ok()) << rewritten.status();
+  EXPECT_EQ(rewritten->token, 4u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(LeaseTest, MissingLeaseStartsAboveTheTokenFloor) {
+  const std::string dir = TempDir("poisonrec_lease_floor");
+  LeaseManager alpha(dir, "alpha", 5.0);
+  ASSERT_TRUE(alpha.Init().ok());
+  EXPECT_TRUE(alpha.Seizable("c0"));
+
+  // The journal or a checkpoint name already carries token 2 (say, the
+  // lease dir was deleted): the new epoch must not reuse it.
+  auto lease = alpha.Acquire("c0", /*token_floor=*/2);
+  ASSERT_TRUE(lease.ok()) << lease.status();
+  EXPECT_EQ(lease->token, 3u);
+
+  // Re-acquiring our own lease keeps the epoch the floor agrees with.
+  auto again = alpha.Acquire("c0", /*token_floor=*/3);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->token, 3u);
+
+  // After a release the next epoch exceeds whichever is higher.
+  ASSERT_TRUE(alpha.Release("c0", 3).ok());
+  auto above_lease = alpha.Acquire("c0", /*token_floor=*/1);
+  ASSERT_TRUE(above_lease.ok()) << above_lease.status();
+  EXPECT_EQ(above_lease->token, 4u);
+  ASSERT_TRUE(alpha.Release("c0", 4).ok());
+  auto above_floor = alpha.Acquire("c0", /*token_floor=*/9);
+  ASSERT_TRUE(above_floor.ok()) << above_floor.status();
+  EXPECT_EQ(above_floor->token, 10u);
   std::filesystem::remove_all(dir);
 }
 

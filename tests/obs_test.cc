@@ -513,7 +513,7 @@ TEST(EventLogTest, ConcurrentAppendsNeverInterleave) {
 
 TEST(EventLogTest, CrossInstanceAppendsNeverInterleaveMidLine) {
   // Two EventLog instances with independent fds on ONE path — the
-  // in-process stand-in for two `fleet --shared` worker processes
+  // in-process stand-in for two `poisonrec fleet` worker processes
   // appending to a shared journal. The per-instance mutex cannot help
   // across instances; only the O_APPEND single-write() contract keeps
   // lines whole.

@@ -1,12 +1,14 @@
 // Orchestrator tests: plan parsing/expansion, the crash-durable journal,
 // supervisor fault classification (restart / quarantine / graceful
-// stop), and whole-fleet runs including in-process interrupt + resume
-// with bit-identical recovered rewards.
+// stop), and whole-fleet runs including interrupt + rerun with
+// bit-identical recovered rewards.
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -19,6 +21,7 @@
 #include "orch/fleet.h"
 #include "orch/journal.h"
 #include "orch/json_reader.h"
+#include "orch/lease.h"
 #include "orch/spec.h"
 #include "orch/supervisor.h"
 
@@ -30,6 +33,28 @@ std::string TempDir(const char* name) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir.string();
+}
+
+/// Folded campaigns of the journal family under `base`: the file itself
+/// or, for a fleet's base path, every worker's `<stem>.<worker><ext>`.
+/// A missing family is an error, like a missing file.
+StatusOr<std::map<std::string, CampaignReplay>> ReplayFamily(
+    const std::string& base) {
+  std::vector<std::string> files = FleetJournal::ListJournalFiles(base);
+  if (files.empty()) files.push_back(base);
+  POISONREC_ASSIGN_OR_RETURN(JournalReplayResult result,
+                             FleetJournal::Replay(files));
+  return std::move(result.campaigns);
+}
+
+/// Every line of the journal family under `base`, file by file.
+std::vector<std::string> JournalLines(const std::string& base) {
+  std::vector<std::string> lines;
+  for (const std::string& file : FleetJournal::ListJournalFiles(base)) {
+    std::ifstream in(file);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  return lines;
 }
 
 data::Dataset MakeLog() {
@@ -174,7 +199,7 @@ TEST(JournalTest, ReplayFoldsRecordsAndSkipsTornTrailingLine) {
   const std::string path = dir + "/journal.jsonl";
   {
     FleetJournal journal;
-    ASSERT_TRUE(journal.Open(path, /*truncate=*/true).ok());
+    ASSERT_TRUE(journal.Open(path).ok());
     CampaignJournalRecord r;
     r.campaign_id = "a";
     r.state = CampaignState::kPending;
@@ -203,7 +228,7 @@ TEST(JournalTest, ReplayFoldsRecordsAndSkipsTornTrailingLine) {
     std::ofstream out(path, std::ios::app);
     out << "{\"type\":\"campaign\",\"id\":\"a\",\"sta";
   }
-  auto replay = FleetJournal::ReplayFile(path);
+  auto replay = ReplayFamily(path);
   ASSERT_TRUE(replay.ok()) << replay.status();
   ASSERT_EQ(replay->size(), 2u);
   const CampaignReplay& a = replay->at("a");
@@ -218,7 +243,7 @@ TEST(JournalTest, ReplayFoldsRecordsAndSkipsTornTrailingLine) {
   EXPECT_EQ(b.detail, "stalled");
   EXPECT_EQ(b.restarts, 2u);
 
-  EXPECT_FALSE(FleetJournal::ReplayFile(dir + "/missing.jsonl").ok());
+  EXPECT_FALSE(ReplayFamily(dir + "/missing.jsonl").ok());
   std::filesystem::remove_all(dir);
 }
 
@@ -227,7 +252,7 @@ TEST(JournalTest, CorruptedMidFileRecordIsSkippedAndCounted) {
   const std::string path = dir + "/journal.jsonl";
   {
     FleetJournal journal;
-    ASSERT_TRUE(journal.Open(path, /*truncate=*/true).ok());
+    ASSERT_TRUE(journal.Open(path).ok());
     CampaignJournalRecord r;
     r.campaign_id = "a";
     r.state = CampaignState::kCheckpointed;
@@ -365,14 +390,31 @@ TEST(JournalTest, TokenAwareMergeRejectsStaleEpochsInAnyOrder) {
 
 // -- Supervisor -------------------------------------------------------------
 
+/// Supervisors fence every write through a campaign lease: acquires
+/// `id`'s lease under `<dir>/leases` and points `options` at it. The
+/// returned manager must outlive the supervisor.
+std::unique_ptr<LeaseManager> HoldLease(const std::string& dir,
+                                        const std::string& id,
+                                        SupervisorOptions* options) {
+  auto leases = std::make_unique<LeaseManager>(dir + "/leases",
+                                               "supervisor-test", 5.0);
+  EXPECT_TRUE(leases->Init().ok());
+  StatusOr<LeaseInfo> lease = leases->Acquire(id);
+  EXPECT_TRUE(lease.ok()) << lease.status();
+  options->leases = leases.get();
+  options->lease_token = lease.ok() ? lease->token : 0;
+  return leases;
+}
+
 TEST(SupervisorTest, CleanCampaignRunsToDoneAndJournalsEverySteps) {
   const std::string dir = TempDir("poisonrec_supervisor_done");
   const data::Dataset log = MakeLog();
   FleetJournal journal;
-  ASSERT_TRUE(journal.Open(dir + "/journal.jsonl", true).ok());
+  ASSERT_TRUE(journal.Open(dir + "/journal.jsonl").ok());
   SupervisorOptions options;
   options.checkpoint_dir = dir;
   options.journal = &journal;
+  const auto lease = HoldLease(dir, "clean", &options);
   CampaignSupervisor supervisor(FastSpec("clean"), &log, options);
   const CampaignOutcome outcome = supervisor.Run();
   journal.Close();
@@ -382,7 +424,7 @@ TEST(SupervisorTest, CleanCampaignRunsToDoneAndJournalsEverySteps) {
   EXPECT_EQ(outcome.step_rewards.size(), 3u);
   EXPECT_TRUE(std::filesystem::exists(supervisor.CheckpointPath()));
 
-  auto replay = FleetJournal::ReplayFile(dir + "/journal.jsonl");
+  auto replay = ReplayFamily(dir + "/journal.jsonl");
   ASSERT_TRUE(replay.ok());
   EXPECT_EQ(replay->at("clean").state, CampaignState::kDone);
   EXPECT_EQ(replay->at("clean").steps_completed, 3u);
@@ -397,6 +439,7 @@ TEST(SupervisorTest, AbortWithRestartBudgetRestartsThenCompletes) {
   SupervisorOptions options;
   options.checkpoint_dir = dir;
   options.restart_sleep = [](double) {};
+  const auto lease = HoldLease(dir, spec.id, &options);
   CampaignSupervisor supervisor(spec, &log, options);
   // Abort before Run: the first attempt observes the cancellation at its
   // first step boundary, the supervisor restarts, the second attempt
@@ -417,6 +460,7 @@ TEST(SupervisorTest, AbortWithoutRestartBudgetQuarantines) {
   SupervisorOptions options;
   options.checkpoint_dir = dir;
   options.restart_sleep = [](double) {};
+  const auto lease = HoldLease(dir, spec.id, &options);
   CampaignSupervisor supervisor(spec, &log, options);
   supervisor.Abort("stall: no heartbeat", /*allow_restart=*/true);
   const CampaignOutcome outcome = supervisor.Run();
@@ -435,6 +479,7 @@ TEST(SupervisorTest, DeadlineAbortQuarantinesWithoutBurningRestarts) {
   spec.max_restarts = 5;  // must NOT be consumed by a deadline abort
   SupervisorOptions options;
   options.checkpoint_dir = dir;
+  const auto lease = HoldLease(dir, spec.id, &options);
   CampaignSupervisor supervisor(spec, &log, options);
   supervisor.Abort("deadline exceeded", /*allow_restart=*/false);
   const CampaignOutcome outcome = supervisor.Run();
@@ -462,6 +507,7 @@ TEST(SupervisorTest, PoolExhaustionTripsTheCircuitBreaker) {
   SupervisorOptions options;
   options.checkpoint_dir = dir;
   options.restart_sleep = [](double) {};
+  const auto lease = HoldLease(dir, spec.id, &options);
   CampaignSupervisor supervisor(spec, &log, options);
   const CampaignOutcome outcome = supervisor.Run();
   EXPECT_EQ(outcome.state, CampaignState::kQuarantined);
@@ -482,6 +528,7 @@ TEST(SupervisorTest, TerminalJournalStateIsRecoveredWithoutRerunning) {
   replay.best_reward = 4.5;
   replay.step_rewards = {{1, 1.0}, {2, 3.0}, {3, 4.5}};
   options.replay = replay;
+  const auto lease = HoldLease(dir, "already-done", &options);
   CampaignSupervisor supervisor(FastSpec("already-done"), &log, options);
   const CampaignOutcome outcome = supervisor.Run();
   EXPECT_EQ(outcome.state, CampaignState::kDone);
@@ -490,6 +537,61 @@ TEST(SupervisorTest, TerminalJournalStateIsRecoveredWithoutRerunning) {
   EXPECT_DOUBLE_EQ(outcome.best_reward, 4.5);
   // Recovered, so no checkpoint was ever written.
   EXPECT_FALSE(std::filesystem::exists(supervisor.CheckpointPath()));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SupervisorTest, LegacyPlainCheckpointResumesUnderALeaseToken) {
+  const data::Dataset log = MakeLog();
+  CampaignSpec spec = FastSpec("legacy");
+  spec.steps = 6;
+
+  // Reference: six steps straight through.
+  const std::string ref_dir = TempDir("poisonrec_supervisor_legacy_ref");
+  SupervisorOptions ref_options;
+  ref_options.checkpoint_dir = ref_dir;
+  const auto ref_lease = HoldLease(ref_dir, spec.id, &ref_options);
+  const CampaignOutcome reference =
+      CampaignSupervisor(spec, &log, ref_options).Run();
+  ASSERT_EQ(reference.state, CampaignState::kDone);
+
+  // A state dir written before every fleet held leases: the first three
+  // steps published under the plain `<id>.ckpt` name, and no lease.
+  const std::string dir = TempDir("poisonrec_supervisor_legacy");
+  const std::string legacy = dir + "/legacy.ckpt";
+  {
+    CampaignSpec first_half = spec;
+    first_half.steps = 3;
+    SupervisorOptions options;
+    options.checkpoint_dir = dir;
+    const auto lease = HoldLease(dir, spec.id, &options);
+    CampaignSupervisor supervisor(first_half, &log, options);
+    ASSERT_EQ(supervisor.Run().state, CampaignState::kDone);
+    std::filesystem::rename(supervisor.CheckpointPath(), legacy);
+  }
+  std::filesystem::remove_all(dir + "/leases");
+
+  SupervisorOptions options;
+  options.checkpoint_dir = dir;
+  const auto lease = HoldLease(dir, spec.id, &options);
+  ASSERT_GE(options.lease_token, 1u);
+  CampaignSupervisor supervisor(spec, &log, options);
+  const CampaignOutcome resumed = supervisor.Run();
+  EXPECT_EQ(resumed.state, CampaignState::kDone);
+  EXPECT_EQ(resumed.steps_completed, 6u);
+  EXPECT_EQ(resumed.lease_token, options.lease_token);
+  // Resumed from the legacy file: only steps 4-6 ran, and they match
+  // the straight run, as does the best episode the checkpoint carried.
+  ASSERT_EQ(resumed.step_rewards.size(), 3u);
+  for (const auto& [step, reward] : resumed.step_rewards) {
+    EXPECT_GE(step, 4u);
+    EXPECT_DOUBLE_EQ(reward, reference.step_rewards.at(step))
+        << "step " << step;
+  }
+  EXPECT_DOUBLE_EQ(resumed.best_reward, reference.best_reward);
+  // The new epoch publishes under its own name; the legacy file stays.
+  EXPECT_TRUE(std::filesystem::exists(supervisor.CheckpointPath()));
+  EXPECT_TRUE(std::filesystem::exists(legacy));
+  std::filesystem::remove_all(ref_dir);
   std::filesystem::remove_all(dir);
 }
 
@@ -516,6 +618,29 @@ FleetOptions DirOptions(const std::string& dir) {
   return options;
 }
 
+/// Runs the fleet until its journal family holds `min_steps` committed
+/// steps in total, then shuts it down gracefully.
+FleetResult RunUntilCommitted(const FleetPlan& plan, const data::Dataset& log,
+                              const FleetOptions& options,
+                              std::uint64_t min_steps) {
+  FleetOrchestrator orchestrator(plan, &log, options);
+  FleetResult result;
+  std::thread runner([&] { result = orchestrator.Run(); });
+  for (int i = 0; i < 20000; ++i) {
+    std::uint64_t committed = 0;
+    if (auto replay = ReplayFamily(options.journal_path); replay.ok()) {
+      for (const auto& [id, entry] : *replay) {
+        committed += entry.steps_completed;
+      }
+    }
+    if (committed >= min_steps) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  orchestrator.RequestShutdown();
+  runner.join();
+  return result;
+}
+
 TEST(FleetTest, ExitCodeMapping) {
   FleetResult result;
   EXPECT_EQ(result.ExitCode(), 0);
@@ -538,6 +663,131 @@ TEST(FleetTest, InvalidPlanFailsFastWithExitCodeOne) {
   EXPECT_FALSE(result.status.ok());
   EXPECT_EQ(result.ExitCode(), 1);
   EXPECT_TRUE(result.outcomes.empty());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FleetTest, RejectsALeaseTtlThatIsNotFiniteAndPositive) {
+  const data::Dataset log = MakeLog();
+  for (const double ttl : {0.0, -1.0, std::nan(""),
+                           std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(ttl);
+    const std::string dir = TempDir("poisonrec_fleet_bad_ttl");
+    FleetOptions options = DirOptions(dir);
+    options.lease_ttl_seconds = ttl;
+    FleetOrchestrator orchestrator(SmallPlan(1), &log, options);
+    const FleetResult result = orchestrator.Run();
+    EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument)
+        << result.status;
+    EXPECT_EQ(result.ExitCode(), 1);
+    EXPECT_TRUE(result.outcomes.empty());
+    // Rejected before anything touched disk.
+    EXPECT_TRUE(std::filesystem::is_empty(dir));
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(FleetTest, RerunOverOneStateDirRecoversEveryCampaignFromTheJournal) {
+  const std::string dir = TempDir("poisonrec_fleet_rerun");
+  const data::Dataset log = MakeLog();
+  const FleetPlan plan = SmallPlan(3);
+  const FleetOptions options = DirOptions(dir);
+  FleetOrchestrator first_run(plan, &log, options);
+  const FleetResult first = first_run.Run();
+  ASSERT_EQ(first.ExitCode(), 0) << first.status;
+
+  // The same command again continues the state dir: every campaign is
+  // recovered from the journal, none re-runs.
+  FleetOrchestrator second_run(plan, &log, options);
+  const FleetResult second = second_run.Run();
+  ASSERT_EQ(second.ExitCode(), 0) << second.status;
+  EXPECT_EQ(second.done, 3u);
+  EXPECT_EQ(second.recovered, 3u);
+  ASSERT_EQ(second.outcomes.size(), first.outcomes.size());
+  for (std::size_t i = 0; i < first.outcomes.size(); ++i) {
+    const CampaignOutcome& a = first.outcomes[i];
+    const CampaignOutcome& b = second.outcomes[i];
+    EXPECT_EQ(a.id, b.id);
+    EXPECT_EQ(b.state, CampaignState::kDone) << b.id;
+    EXPECT_TRUE(b.recovered_from_journal) << b.id;
+    EXPECT_EQ(b.steps_completed, 3u) << b.id;
+    EXPECT_EQ(b.step_rewards, a.step_rewards) << b.id;
+    EXPECT_DOUBLE_EQ(b.best_reward, a.best_reward) << b.id;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FleetTest, DeletedLeaseDirDoesNotRewindTheFencingToken) {
+  const data::Dataset log = MakeLog();
+  const FleetPlan plan = SmallPlan(1, /*steps=*/30);
+  const std::string ref_dir = TempDir("poisonrec_fleet_lease_ref");
+  FleetOrchestrator reference_run(plan, &log, DirOptions(ref_dir));
+  const FleetResult reference = reference_run.Run();
+  ASSERT_EQ(reference.ExitCode(), 0) << reference.status;
+
+  // Two interrupted runs leave the campaign mid-flight at token 2.
+  const std::string dir = TempDir("poisonrec_fleet_lease_lost");
+  FleetOptions options = DirOptions(dir);
+  options.max_concurrent = 1;
+  const FleetResult first = RunUntilCommitted(plan, log, options, 2);
+  ASSERT_EQ(first.interrupted, 1u) << "fleet finished - grow the plan";
+  const FleetResult second = RunUntilCommitted(
+      plan, log, options, first.outcomes[0].steps_completed + 2);
+  ASSERT_EQ(second.interrupted, 1u) << "fleet finished - grow the plan";
+  ASSERT_EQ(second.outcomes[0].lease_token, 2u);
+
+  // Every lease is lost. The finishing run must still open an epoch
+  // above token 2, or replay would call its records stale.
+  std::filesystem::remove_all(options.checkpoint_dir + "/leases");
+  FleetOrchestrator finishing_run(plan, &log, options);
+  const FleetResult finished = finishing_run.Run();
+  ASSERT_EQ(finished.ExitCode(), 0) << finished.status;
+  EXPECT_EQ(finished.journal_stale_records, 0u);
+  EXPECT_EQ(finished.outcomes[0].lease_token, 3u);
+  EXPECT_EQ(finished.outcomes[0].step_rewards,
+            reference.outcomes[0].step_rewards);
+
+  // And a further run recovers the campaign without re-running a step:
+  // it appends nothing to the journal.
+  const std::size_t lines_before = JournalLines(options.journal_path).size();
+  FleetOrchestrator rerun(plan, &log, options);
+  const FleetResult recovered = rerun.Run();
+  ASSERT_EQ(recovered.ExitCode(), 0) << recovered.status;
+  EXPECT_TRUE(recovered.outcomes[0].recovered_from_journal);
+  EXPECT_EQ(JournalLines(options.journal_path).size(), lines_before);
+  std::filesystem::remove_all(ref_dir);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FleetTest, DamagedLeaseIsSeizedInsteadOfWedgingTheFleet) {
+  const std::string dir = TempDir("poisonrec_fleet_torn_lease");
+  const data::Dataset log = MakeLog();
+  FleetOptions options = DirOptions(dir);
+  options.lease_ttl_seconds = 0.2;
+  // A torn lease for c0, as a crash inside a non-atomic rename leaves
+  // it: no owner or token can be read from it.
+  std::filesystem::create_directories(options.checkpoint_dir + "/leases");
+  {
+    std::ofstream out(options.checkpoint_dir + "/leases/c0.lease");
+    out << R"({"type":"lease","campaign_id":"c0","own)";
+  }
+  FleetOrchestrator orchestrator(SmallPlan(2), &log, options);
+  FleetResult result;
+  std::atomic<bool> finished{false};
+  std::thread runner([&] {
+    result = orchestrator.Run();
+    finished.store(true);
+  });
+  // Bounded: a lease that is never seized would wedge Run forever.
+  for (int i = 0; i < 3000 && !finished.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const bool wedged = !finished.load();
+  if (wedged) orchestrator.RequestShutdown();
+  runner.join();
+  ASSERT_FALSE(wedged) << "c0's damaged lease was never seized";
+  ASSERT_TRUE(result.status.ok()) << result.status;
+  EXPECT_EQ(result.ExitCode(), 0);
+  EXPECT_EQ(result.done, 2u);
   std::filesystem::remove_all(dir);
 }
 
@@ -571,7 +821,7 @@ TEST(FleetTest, ConcurrentFleetCompletesAndWritesReports) {
   EXPECT_TRUE(std::filesystem::exists(options.report_csv_path));
 
   // The journal agrees with the in-memory outcomes.
-  auto replay = FleetJournal::ReplayFile(options.journal_path);
+  auto replay = ReplayFamily(options.journal_path);
   ASSERT_TRUE(replay.ok());
   for (const CampaignOutcome& outcome : result.outcomes) {
     EXPECT_EQ(replay->at(outcome.id).state, CampaignState::kDone);
@@ -594,9 +844,7 @@ TEST(FleetTest, PriorityOrdersExecutionUnderSingleWorker) {
 
   // Order of `running` records in the journal is the execution order.
   std::vector<std::string> started;
-  std::ifstream in(options.journal_path);
-  std::string line;
-  while (std::getline(in, line)) {
+  for (const std::string& line : JournalLines(options.journal_path)) {
     auto record = ParseJson(line);
     ASSERT_TRUE(record.ok());
     if (record->Find("state")->string_value == "running") {
@@ -699,9 +947,7 @@ TEST(FleetTest, GracefulShutdownThenResumeIsBitIdentical) {
   // the loop keeps the test robust to scheduling).
   FleetResult final_result = first;
   for (int round = 0; round < 5 && final_result.ExitCode() != 0; ++round) {
-    FleetOptions resume_options = options;
-    resume_options.resume = true;
-    FleetOrchestrator resumed(plan, &log, resume_options);
+    FleetOrchestrator resumed(plan, &log, options);
     final_result = resumed.Run();
     ASSERT_TRUE(final_result.status.ok()) << final_result.status;
   }
@@ -749,7 +995,7 @@ TEST(FleetTest, SubmittedHighPriorityCampaignPreemptsRunningLowPriority) {
   Status submitted = Status::InvalidArgument("submitter never ran");
   std::thread submitter([&] {
     for (int i = 0; i < 4000; ++i) {
-      auto replay = FleetJournal::ReplayFile(options.journal_path);
+      auto replay = ReplayFamily(options.journal_path);
       if (replay.ok()) {
         const auto it = replay->find("low");
         if (it != replay->end() && it->second.steps_completed >= 1) break;
@@ -790,9 +1036,7 @@ TEST(FleetTest, SubmittedHighPriorityCampaignPreemptsRunningLowPriority) {
   // campaign to start running is `high` — the victim's worker hands
   // itself over within one step boundary.
   std::vector<std::pair<std::string, std::string>> events;  // (id, state)
-  std::ifstream in(options.journal_path);
-  std::string line;
-  while (std::getline(in, line)) {
+  for (const std::string& line : JournalLines(options.journal_path)) {
     auto record = ParseJson(line);
     ASSERT_TRUE(record.ok()) << line;
     events.emplace_back(record->Find("id")->string_value,

@@ -90,7 +90,7 @@ void PublishSnapshot(const StatusDirs& dirs, const std::string& worker,
 void AppendJournal(const StatusDirs& dirs,
                    const CampaignJournalRecord& record) {
   FleetJournal journal;
-  ASSERT_TRUE(journal.Open(dirs.journal, /*truncate=*/false).ok());
+  ASSERT_TRUE(journal.Open(dirs.journal).ok());
   ASSERT_TRUE(journal.Record(record));
   journal.Close();
 }

@@ -12,9 +12,9 @@
 # fully instrumented campaign whose telemetry artifacts (--metrics-out /
 # --trace-out / --events-out) are checked by tools/validate_telemetry.py.
 # After the campaign smokes, a fleet smoke exercises the orchestrator's
-# graceful-shutdown contract (SIGTERM mid-fleet -> exit 2, --resume ->
-# exit 0, report/journal validated), a shared-fleet smoke runs two
-# --shared workers over one journal dir (SIGKILL one, the survivor
+# graceful-shutdown contract (SIGTERM mid-fleet -> exit 2, the same
+# command again -> exit 0, report/journal validated), a shared-fleet
+# smoke runs two workers over one journal dir (SIGKILL one, the survivor
 # seizes its lease and finishes; a --submit-dir drop mid-run must
 # preempt; `fleet --status` is queried mid-run (healthy, exit 0) and
 # after the SIGKILL (worker stale, exit 2), with both JSON exports
@@ -93,9 +93,10 @@ python3 tools/validate_telemetry.py \
 
 # Fleet smoke: orchestrate a small sweep, SIGTERM it mid-run (graceful
 # shutdown must checkpoint at the step boundary and journal the frontier,
-# exiting 2 = partial), then --resume to completion (exit 0) and validate
-# the consolidated report + journal. Exercises the same path as the
-# SIGKILL test in tests/fleet_recovery_test.cc but through the CLI.
+# exiting 2 = partial), then run the same command again, which continues
+# the state dir to completion (exit 0), and validate the consolidated
+# report + journal family. Exercises the same path as the SIGKILL test
+# in tests/fleet_recovery_test.cc but through the CLI.
 FLEET_DIR="${SMOKE_DIR}/fleet"
 mkdir -p "${FLEET_DIR}"
 cat > "${FLEET_DIR}/plan.json" <<'EOF'
@@ -124,10 +125,11 @@ fleet_args=(fleet "--plan=${FLEET_DIR}/plan.json"
 "${BUILD_DIR}/tools/poisonrec" "${fleet_args[@]}" &
 FLEET_PID=$!
 # Wait until at least two steps are durably journaled so the SIGTERM is
-# genuinely mid-fleet, then ask for a graceful shutdown.
+# genuinely mid-fleet, then ask for a graceful shutdown. The worker
+# appends to journal.<worker id>.jsonl.
 for _ in $(seq 1 600); do
-  committed="$(grep -c '"checkpointed"' "${FLEET_DIR}/journal.jsonl" \
-               2>/dev/null || true)"
+  committed="$(cat "${FLEET_DIR}"/journal*.jsonl 2>/dev/null \
+               | grep -c '"checkpointed"' || true)"
   if [ "${committed:-0}" -ge 2 ]; then
     break
   fi
@@ -140,7 +142,7 @@ if [ "${FLEET_RC}" -ne 2 ]; then
   echo "fleet smoke: expected exit 2 after SIGTERM, got ${FLEET_RC}" >&2
   exit 1
 fi
-"${BUILD_DIR}/tools/poisonrec" "${fleet_args[@]}" --resume
+"${BUILD_DIR}/tools/poisonrec" "${fleet_args[@]}"
 python3 tools/validate_telemetry.py \
   --fleet-report "${FLEET_DIR}/report.json" \
   --fleet-journal "${FLEET_DIR}/journal.jsonl"
@@ -163,8 +165,8 @@ python3 tools/validate_telemetry.py \
   --fleet-journal "${FLEET_DIR}/journal.jsonl" \
   --fleet-status "${FLEET_DIR}/status.json"
 
-# Shared-fleet smoke: two --shared workers over one journal/checkpoint
-# dir. Worker A is SIGKILLed mid-campaign; worker B seizes the stale
+# Shared-fleet smoke: two workers over one journal/checkpoint dir.
+# Worker A is SIGKILLed mid-campaign; worker B seizes the stale
 # lease (fencing token bump) and must finish the whole plan, exit 0.
 # While B runs, a high-priority campaign dropped into --submit-dir must
 # preempt the running low-priority one (journal gains a "preempted"
@@ -192,7 +194,7 @@ EOF
 shared_args=(fleet "--plan=${SHARED_DIR}/plan.json"
   "--journal=${SHARED_DIR}/journal.jsonl"
   "--checkpoint-dir=${SHARED_DIR}/ckpts"
-  --shared --lease-ttl=0.5 --max-concurrent=1)
+  --lease-ttl=0.5 --max-concurrent=1)
 "${BUILD_DIR}/tools/poisonrec" "${shared_args[@]}" --worker-id=wA \
   "--report-json=${SHARED_DIR}/report.wA.json" &
 WA_PID=$!
@@ -325,33 +327,36 @@ fsck_expect() {  # fsck_expect <case> <expected-exit> <verdict-grep>
 rm -rf "${FSCK_DIR}"; cp -r "${FLEET_DIR}" "${FSCK_DIR}"
 fsck_expect healthy 0 '0 unrepairable'
 
-# Bit rot: flip one interior checkpoint byte — the integrity footer CRC
-# must flag it corrupt, and with no token-suffixed sibling to fall back
-# on the damage is unrepairable.
+# Bit rot: flip one interior byte of every checkpoint epoch
+# (smoke0.t<token>.ckpt) of one campaign — the integrity footer CRC must
+# flag them corrupt, and with no intact epoch to fall back on the damage
+# is unrepairable.
 rm -rf "${FSCK_DIR}"; cp -r "${FLEET_DIR}" "${FSCK_DIR}"
-python3 - "${FSCK_DIR}/ckpts/smoke0.ckpt" <<'EOF'
+python3 - "${FSCK_DIR}"/ckpts/smoke0.t*.ckpt <<'EOF'
 import sys
-path = sys.argv[1]
-data = bytearray(open(path, "rb").read())
-data[len(data) // 2] ^= 0x10
-open(path, "wb").write(bytes(data))
+for path in sys.argv[1:]:
+    data = bytearray(open(path, "rb").read())
+    data[len(data) // 2] ^= 0x10
+    open(path, "wb").write(bytes(data))
 EOF
 fsck_expect checkpoint_bitflip 1 'corrupt'
 
-# Interrupted publish: truncate a checkpoint below its header — torn.
+# Interrupted publish: truncate every epoch of one campaign below its
+# header — torn.
 rm -rf "${FSCK_DIR}"; cp -r "${FLEET_DIR}" "${FSCK_DIR}"
-python3 - "${FSCK_DIR}/ckpts/smoke1.ckpt" <<'EOF'
+python3 - "${FSCK_DIR}"/ckpts/smoke1.t*.ckpt <<'EOF'
 import sys
-with open(sys.argv[1], "r+b") as f:
-    f.truncate(16)
+for path in sys.argv[1:]:
+    with open(path, "r+b") as f:
+        f.truncate(16)
 EOF
 fsck_expect checkpoint_truncated 1 'torn'
 
-# Crash frontier: a half-written final journal record is tolerated by
-# replay, so the damage is repairable-only (exit 2).
+# Crash frontier: a half-written final record in a worker's journal is
+# tolerated by replay, so the damage is repairable-only (exit 2).
 rm -rf "${FSCK_DIR}"; cp -r "${FLEET_DIR}" "${FSCK_DIR}"
-printf '{"type":"campaign","id":"smoke0","sta' \
-  >> "${FSCK_DIR}/journal.jsonl"
+WORKER_JOURNAL="$(ls "${FSCK_DIR}"/journal.*.jsonl | head -n 1)"
+printf '{"type":"campaign","id":"smoke0","sta' >> "${WORKER_JOURNAL}"
 fsck_expect journal_torn_tail 2 'torn_tail'
 
 # TSan leg: the fleet scheduler, watchdog, journal, and lease paths are

@@ -9,7 +9,7 @@
 //   poisonrec campaign --steps=50 --defense --defense-interval=32
 //                      --defense-bans=2 --pool-reserve=20 --pool-min-live=4
 //   poisonrec fleet    --plan=fleet.json --journal=results/fleet.jsonl
-//                      --checkpoint-dir=results/ckpts [--resume]
+//                      --checkpoint-dir=results/ckpts [--worker-id=w1]
 //   poisonrec fleet    --status [--status-json=out.json] [--watch=N]
 //                      --journal=... --checkpoint-dir=...
 //   poisonrec trace-merge wA.trace.json wB.trace.json
@@ -64,18 +64,33 @@
 //                           <checkpoint>.incidents.jsonl)
 //   --max-grad-norm=<f>     gradient clip (default 5; 0 disables)
 //
-// Fleet flags (see docs/robustness.md "Fleet orchestration"):
+// Fleet flags (see docs/robustness.md "Fleet orchestration"). Every
+// run is one lease-holding worker: it replays the journal family, skips
+// campaigns already finished and resumes unfinished ones from their
+// checkpoints, so a run always continues the state dir it is pointed
+// at (a fresh sweep needs a fresh --journal/--checkpoint-dir), and any
+// number of processes may share one plan and one state dir.
 //   --plan=<json>           fleet plan file (required; schema in
 //                           src/orch/spec.h)
-//   --journal=<path>        crash-durable JSONL journal (default
+//   --journal=<path>        journal family base path; each worker
+//                           appends to <stem>.<worker-id><ext> (default
 //                           results/fleet_journal.jsonl)
-//   --checkpoint-dir=<dir>  per-campaign checkpoints (default
+//   --checkpoint-dir=<dir>  per-campaign checkpoints and leases (default
 //                           results/fleet_checkpoints)
 //   --report-json=<path>    consolidated report (default
 //                           results/fleet_report.json; empty disables)
 //   --report-csv=<path>     CSV report (default results/fleet_report.csv)
-//   --resume                replay the journal; re-schedule only
-//                           unfinished campaigns from their checkpoints
+//   --worker-id=<id>        this worker's name in leases, journal and
+//                           status (default w<pid>-<nonce>). Keep it
+//                           stable across restarts: after a kill -9 a
+//                           restart with the same id re-acquires its
+//                           leases at once, one without waits up to one
+//                           lease TTL before seizing them
+//   --lease-ttl=<sec>       lease heartbeat TTL, finite and > 0 (default
+//                           2); a lease unrenewed this long is seized
+//   --submit-dir=<dir>      watch <dir> for late *.json campaign files;
+//                           a higher-priority one preempts a running
+//                           campaign when every worker is busy
 //   --max-concurrent=<n>    campaigns running at once (default 2)
 //   --data=<csv>            use a real log instead of the plan's
 //                           synthetic dataset
@@ -85,8 +100,9 @@
 //   --publish-status=false  disable snapshot publication
 //   SIGINT/SIGTERM checkpoint every running campaign at the next step
 //   boundary and exit. Exit codes: 0 all campaigns done, 2 partial fleet
-//   (quarantined/failed/interrupted campaigns — resumable with --resume),
-//   1 fatal orchestrator error (bad plan, journal/report I/O).
+//   (quarantined/failed/interrupted campaigns — rerun the same command
+//   to resume), 1 fatal orchestrator error (bad plan, bad --lease-ttl,
+//   journal/report I/O).
 //
 // Fleet status flags (read-only; see docs/observability.md "Fleet
 // status" — works mid-run from any process):
@@ -814,31 +830,25 @@ int CmdFleet(const Flags& flags) {
       flags.Get("report-json", "results/fleet_report.json");
   options.report_csv_path =
       flags.Get("report-csv", "results/fleet_report.csv");
-  options.resume = flags.Get("resume", "false") == "true";
   options.max_concurrent = flags.GetSize("max-concurrent", 2);
-  // Cross-process shared fleet: N `poisonrec fleet --shared` processes
-  // with the same plan/journal/checkpoint paths claim campaigns through
-  // leases (orch/lease.h) and merge their journals at report time.
-  options.shared = flags.Get("shared", "false") == "true";
+  // Processes with the same plan/journal/checkpoint paths claim
+  // campaigns through leases (orch/lease.h) and merge their journals;
+  // Run rejects a TTL that is not finite and > 0 (`abc` reads as 0).
   options.worker_id = flags.Get("worker-id", "");
-  if (const std::string ttl = flags.Get("lease-ttl", ""); !ttl.empty()) {
-    options.lease_ttl_seconds = std::atof(ttl.c_str());
-  }
+  options.lease_ttl_seconds =
+      flags.GetDouble("lease-ttl", options.lease_ttl_seconds);
   options.submit_dir = flags.Get("submit-dir", "");
   options.publish_status = flags.Get("publish-status", "true") != "false";
   options.telemetry_dir = flags.Get("telemetry-dir", "");
   options.status_publish_seconds = flags.GetDouble("status-every", 0.25);
 
   std::printf("fleet %s: %zu campaign(s), dataset %s (%zu users, %zu "
-              "items), %zu worker(s)%s%s%s%s\n",
+              "items), %zu at once, worker %s%s\n",
               plan->name.c_str(), plan->campaigns.size(),
               plan->dataset.c_str(), log.num_users(), log.num_items(),
-              options.max_concurrent, options.resume ? ", resuming" : "",
-              options.shared ? ", shared as " : "",
-              options.shared
-                  ? (options.worker_id.empty() ? "<auto>"
-                                               : options.worker_id.c_str())
-                  : "",
+              options.max_concurrent,
+              options.worker_id.empty() ? "<auto>"
+                                        : options.worker_id.c_str(),
               options.submit_dir.empty() ? "" : ", watching submissions");
 
   orch::FleetOrchestrator orchestrator(std::move(plan).value(), &log,
@@ -877,7 +887,7 @@ int CmdFleet(const Flags& flags) {
   }
   if (orchestrator.shutdown_requested()) {
     std::printf("shutdown requested: unfinished campaigns are "
-                "checkpointed; rerun with --resume to continue\n");
+                "checkpointed; rerun the same command to continue\n");
   }
   if (!metrics_out.empty()) {
     obs::MetricsRegistry::Global().WriteJson(metrics_out);

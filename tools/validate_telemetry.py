@@ -19,7 +19,7 @@ Checks (any failure exits 1 with a message naming the file and reason):
     required event types present; "step" events carry the stats schema.
   * fleet report JSON: {"type":"fleet_report"} with a summary whose state
     counts match the campaigns array, valid per-campaign states, ordered
-    step_rewards, an exit_code consistent with the counts, shared-fleet
+    step_rewards, an exit_code consistent with the counts, multi-worker
     counters (preemptions/fenced/sibling) that aggregate the per-campaign
     fields, and a journal hygiene object with zero interior corruption.
   * fleet journal JSONL: every complete line across the journal family
@@ -326,7 +326,7 @@ def check_fleet_report(path):
 
 def list_journal_files(base):
     """The journal family for a base path: the base file itself plus the
-    per-worker sibling files shared fleets append (`stem.<worker>.ext`,
+    per-worker sibling files fleet workers append (`stem.<worker>.ext`,
     e.g. journal.w812-3f.jsonl). Mirrors FleetJournal::ListJournalFiles."""
     directory = os.path.dirname(base) or "."
     name = os.path.basename(base)
@@ -408,7 +408,7 @@ def check_fleet_journal(path):
 STATUS_WORKER_HEALTH = {"live", "stale", "exited"}
 STATUS_WORKER_KEYS = [
     "worker", "health", "pid", "host", "seq", "wall_unix", "uptime_seconds",
-    "age_seconds", "publish_period_seconds", "shared", "shutdown", "snapshot",
+    "age_seconds", "publish_period_seconds", "shutdown", "snapshot",
 ]
 STATUS_CAMPAIGN_KEYS = [
     "id", "state", "owner", "token", "step", "total", "last_reward",
