@@ -24,7 +24,8 @@ class Module {
   /// Total scalar parameter count.
   std::size_t NumParameters() const;
 
-  /// Zeroes every parameter gradient.
+  /// Zeroes every parameter gradient (row-sparse ones clear only the rows
+  /// their last backward wrote; see Tensor::ZeroGrad).
   void ZeroGrad();
 
   /// Copies parameter values from `other` (must have identical topology).
@@ -47,7 +48,11 @@ class Linear : public Module {
   Tensor bias_;
 };
 
-/// Embedding table (n x dim); lookup by index list.
+/// Embedding table (n x dim); lookup by index list. While the tape reads
+/// the table only through Forward (a Rows gather), its gradient is
+/// row-sparse: backward lists the looked-up rows, and Adam moves only
+/// those (lazy Adam, see nn/optimizer.h). Reading table() into any other
+/// recorded op makes the gradient dense from then on.
 class Embedding : public Module {
  public:
   Embedding(std::size_t count, std::size_t dim, Rng* rng,

@@ -4,35 +4,9 @@
 
 namespace poisonrec::nn {
 
-Optimizer::Optimizer(std::vector<Tensor> params)
-    : params_(std::move(params)) {
-  for (const Tensor& p : params_) {
-    POISONREC_CHECK(p.requires_grad())
-        << "optimizer parameter does not require grad";
-  }
-}
-
-void Optimizer::ZeroGrad() {
-  for (Tensor& p : params_) p.ZeroGrad();
-}
-
-Sgd::Sgd(std::vector<Tensor> params, float lr, float weight_decay)
-    : Optimizer(std::move(params)), lr_(lr), weight_decay_(weight_decay) {}
-
-void Sgd::Step() {
-  for (Tensor& p : params_) {
-    if (p.grad().empty()) continue;
-    std::vector<float>& data = p.mutable_data();
-    const std::vector<float>& grad = p.grad();
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      data[i] -= lr_ * (grad[i] + weight_decay_ * data[i]);
-    }
-  }
-}
-
 Adam::Adam(std::vector<Tensor> params, float lr, float beta1, float beta2,
            float eps, float weight_decay)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
       lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
@@ -41,9 +15,15 @@ Adam::Adam(std::vector<Tensor> params, float lr, float beta1, float beta2,
   m_.resize(params_.size());
   v_.resize(params_.size());
   for (std::size_t i = 0; i < params_.size(); ++i) {
+    POISONREC_CHECK(params_[i].requires_grad())
+        << "optimizer parameter does not require grad";
     m_[i].assign(params_[i].size(), 0.0f);
     v_[i].assign(params_[i].size(), 0.0f);
   }
+}
+
+void Adam::ZeroGrad() {
+  for (Tensor& p : params_) p.ZeroGrad();
 }
 
 void Adam::Step() {
@@ -55,17 +35,25 @@ void Adam::Step() {
   for (std::size_t i = 0; i < params_.size(); ++i) {
     Tensor& p = params_[i];
     if (p.grad().empty()) continue;
-    std::vector<float>& data = p.mutable_data();
-    const std::vector<float>& grad = p.grad();
-    std::vector<float>& m = m_[i];
-    std::vector<float>& v = v_[i];
-    for (std::size_t j = 0; j < data.size(); ++j) {
-      const float g = grad[j] + weight_decay_ * data[j];
-      m[j] = beta1_ * m[j] + (1.0f - beta1_) * g;
-      v[j] = beta2_ * v[j] + (1.0f - beta2_) * g * g;
-      const float mhat = m[j] / bc1;
-      const float vhat = v[j] / bc2;
-      data[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+    float* data = p.mutable_data().data();
+    const float* grad = p.grad().data();
+    float* m = m_[i].data();
+    float* v = v_[i].data();
+    const auto update = [&](std::size_t begin, std::size_t end) {
+      for (std::size_t j = begin; j < end; ++j) {
+        const float g = grad[j] + weight_decay_ * data[j];
+        m[j] = beta1_ * m[j] + (1.0f - beta1_) * g;
+        v[j] = beta2_ * v[j] + (1.0f - beta2_) * g * g;
+        const float mhat = m[j] / bc1;
+        const float vhat = v[j] / bc2;
+        data[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+      }
+    };
+    if (p.row_sparse_grad()) {
+      const std::size_t cols = p.cols();
+      for (std::size_t r : p.grad_rows()) update(r * cols, (r + 1) * cols);
+    } else {
+      update(0, p.size());
     }
   }
 }

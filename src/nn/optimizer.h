@@ -1,6 +1,13 @@
-// First-order optimizers over Tensor parameters: SGD and Adam. Parameters
-// are registered once; Step() reads their gradient buffers and updates the
-// values in place. Callers zero gradients between steps.
+// Adam over Tensor parameters, plus global-norm gradient clipping.
+// Parameters are registered once; Step() reads their gradient buffers and
+// updates the values in place. Callers zero gradients between steps.
+//
+// A row-sparse parameter (Tensor::row_sparse_grad(): an embedding table
+// the tape reads only through Rows) gets lazy Adam, as in TF's
+// LazyAdamOptimizer: only the rows its step gathered move. An untouched
+// row keeps its value and moments and takes no weight decay; bias
+// correction still uses the global step count. Every other parameter
+// gets the dense per-element update.
 #ifndef POISONREC_NN_OPTIMIZER_H_
 #define POISONREC_NN_OPTIMIZER_H_
 
@@ -11,47 +18,20 @@
 
 namespace poisonrec::nn {
 
-/// Base optimizer interface.
-class Optimizer {
+/// Adam (Kingma & Ba, 2015) with bias correction and optional L2 weight
+/// decay folded into the gradient.
+class Adam {
  public:
-  virtual ~Optimizer() = default;
+  Adam(std::vector<Tensor> params, float lr, float beta1 = 0.9f,
+       float beta2 = 0.999f, float eps = 1e-8f, float weight_decay = 0.0f);
 
   /// Applies one update using the currently-accumulated gradients.
-  virtual void Step() = 0;
+  void Step();
 
   /// Zeroes the gradients of every registered parameter.
   void ZeroGrad();
 
   const std::vector<Tensor>& parameters() const { return params_; }
-
- protected:
-  explicit Optimizer(std::vector<Tensor> params);
-
-  std::vector<Tensor> params_;
-};
-
-/// Plain stochastic gradient descent with optional L2 weight decay.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Tensor> params, float lr, float weight_decay = 0.0f);
-
-  void Step() override;
-
-  float lr() const { return lr_; }
-  void set_lr(float lr) { lr_ = lr; }
-
- private:
-  float lr_;
-  float weight_decay_;
-};
-
-/// Adam (Kingma & Ba, 2015) with bias correction.
-class Adam : public Optimizer {
- public:
-  Adam(std::vector<Tensor> params, float lr, float beta1 = 0.9f,
-       float beta2 = 0.999f, float eps = 1e-8f, float weight_decay = 0.0f);
-
-  void Step() override;
 
   float lr() const { return lr_; }
   void set_lr(float lr) { lr_ = lr; }
@@ -69,6 +49,7 @@ class Adam : public Optimizer {
                       std::vector<std::vector<float>> v);
 
  private:
+  std::vector<Tensor> params_;
   float lr_;
   float beta1_;
   float beta2_;

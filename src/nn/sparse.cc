@@ -77,6 +77,7 @@ Tensor SparseMatMul(const CsrMatrix& a, const Tensor& x) {
     oi->EnsureGrad();
     oi->parents.push_back(x.impl());
     x.impl()->EnsureGrad();
+    x.impl()->read_densely = true;  // dx spans every row; see tensor.h
     internal::TensorImpl* xi = x.impl().get();
     internal::TensorImpl* oraw = oi.get();
     const CsrMatrix* am = &a;  // caller must keep the matrix alive

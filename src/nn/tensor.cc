@@ -30,15 +30,20 @@ bool TrackGrad(std::initializer_list<const Tensor*> inputs) {
   return false;
 }
 
-// Registers parents + backward closure on `out` when tracking is on.
+// Registers parents + backward closure on `out` when tracking is on, and
+// marks how each grad-requiring input is read: row by row for Rows'
+// table (`gather`), densely for every other op.
 void Attach(const std::shared_ptr<TensorImpl>& out,
             std::initializer_list<const Tensor*> inputs,
-            std::function<void()> backward_fn) {
+            std::function<void()> backward_fn, bool gather = false) {
   out->requires_grad = true;
   out->EnsureGrad();
   for (const Tensor* t : inputs) {
     out->parents.push_back(t->impl());
-    if (t->requires_grad()) t->impl()->EnsureGrad();
+    if (t->requires_grad()) {
+      t->impl()->EnsureGrad();
+      (gather ? t->impl()->gathered : t->impl()->read_densely) = true;
+    }
   }
   out->backward_fn = std::move(backward_fn);
 }
@@ -128,9 +133,19 @@ float Tensor::item() const {
 }
 
 void Tensor::ZeroGrad() {
-  if (defined() && !impl_->grad.empty()) {
-    std::fill(impl_->grad.begin(), impl_->grad.end(), 0.0f);
+  if (!defined() || impl_->grad.empty()) return;
+  TensorImpl& t = *impl_;
+  if (t.RowSparse() && !t.grad_written) {
+    for (std::size_t r : t.grad_rows) {
+      std::fill_n(t.grad.begin() + static_cast<std::ptrdiff_t>(r * t.cols),
+                  t.cols, 0.0f);
+    }
+  } else {
+    std::fill(t.grad.begin(), t.grad.end(), 0.0f);
   }
+  for (std::size_t r : t.grad_rows) t.row_listed[r] = false;
+  t.grad_rows.clear();
+  t.grad_written = false;
 }
 
 Tensor Tensor::DeepCopy(bool requires_grad) const {
@@ -736,14 +751,29 @@ Tensor Rows(const Tensor& table, const std::vector<std::size_t>& indices) {
   if (TrackGrad({&table})) {
     TensorImpl* ti = table.impl().get();
     TensorImpl* oi = out.get();
-    Attach(out, {&table}, [ti, oi, idx = indices, dim]() {
-      if (!ti->requires_grad) return;
-      for (std::size_t i = 0; i < idx.size(); ++i) {
-        float* dst = ti->grad.data() + idx[i] * dim;
-        const float* src = oi->grad.data() + i * dim;
-        for (std::size_t c = 0; c < dim; ++c) dst[c] += src[c];
-      }
-    });
+    Attach(
+        out, {&table},
+        [ti, oi, idx = indices, dim]() {
+          if (!ti->requires_grad) return;
+          for (std::size_t i = 0; i < idx.size(); ++i) {
+            float* dst = ti->grad.data() + idx[i] * dim;
+            const float* src = oi->grad.data() + i * dim;
+            for (std::size_t c = 0; c < dim; ++c) dst[c] += src[c];
+          }
+          // Listed here, not in the forward: callers zero gradients
+          // between the two. Only leaves are listed, so intermediate
+          // gathers never build up index lists.
+          if (!ti->RowSparse()) return;
+          if (ti->row_listed.size() != ti->rows) {
+            ti->row_listed.assign(ti->rows, false);
+          }
+          for (std::size_t r : idx) {
+            if (ti->row_listed[r]) continue;
+            ti->row_listed[r] = true;
+            ti->grad_rows.push_back(r);
+          }
+        },
+        /*gather=*/true);
   }
   return result;
 }

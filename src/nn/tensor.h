@@ -9,6 +9,13 @@
 // Tensors are row-major float matrices. A "vector" is a 1xN or Nx1 tensor.
 // Gradients are accumulated into per-node grad buffers; optimizers read
 // them and the caller zeroes them between steps.
+//
+// Row-sparse gradients: a leaf that the tape reads only through Rows (an
+// embedding table) has a gradient that is nonzero on the looked-up rows
+// alone. Rows' backward lists those rows on the leaf, ZeroGrad clears
+// just them, and Adam updates just them (lazy Adam). The mode is derived
+// from the tape, never set: once any other op takes the leaf as input,
+// its gradient is dense for good.
 #ifndef POISONREC_NN_TENSOR_H_
 #define POISONREC_NN_TENSOR_H_
 
@@ -37,10 +44,25 @@ struct TensorImpl {
   // (no ownership cycles).
   std::vector<std::shared_ptr<TensorImpl>> parents;
   std::function<void()> backward_fn;
+  // Row-sparse bookkeeping (see the file comment). `gathered` and
+  // `read_densely` are set when a recorded op takes this node as input,
+  // by Rows and by every other op respectively; neither is ever cleared.
+  bool gathered = false;
+  bool read_densely = false;
+  // Set by Tensor::mutable_grad(): a write the row list cannot see, so
+  // the next ZeroGrad clears the whole buffer.
+  bool grad_written = false;
+  // Rows Rows' backward scattered into since the last ZeroGrad, each
+  // once; `row_listed` marks them. Both keep their storage across steps.
+  std::vector<std::size_t> grad_rows;
+  std::vector<bool> row_listed;
 
   float& at(std::size_t r, std::size_t c) { return data[r * cols + c]; }
   float at(std::size_t r, std::size_t c) const { return data[r * cols + c]; }
   float& gat(std::size_t r, std::size_t c) { return grad[r * cols + c]; }
+  bool RowSparse() const {
+    return parents.empty() && gathered && !read_densely;
+  }
   void EnsureGrad() {
     if (grad.size() != data.size()) grad.assign(data.size(), 0.0f);
   }
@@ -120,10 +142,25 @@ class Tensor {
   std::vector<float>& mutable_data() { return impl_->data; }
   /// Gradient buffer (empty until backward touches this node).
   const std::vector<float>& grad() const { return impl_->grad; }
-  std::vector<float>& mutable_grad() { return impl_->grad; }
+  /// Writable gradient buffer. Writes through it may land outside
+  /// grad_rows(), so the next ZeroGrad clears the whole buffer.
+  std::vector<float>& mutable_grad() {
+    impl_->grad_written = true;
+    return impl_->grad;
+  }
 
   bool requires_grad() const { return defined() && impl_->requires_grad; }
-  /// Clears this tensor's gradient buffer (keeps allocation).
+  /// True for a leaf that recorded ops have read through Rows and never
+  /// otherwise: its tape gradient lies in grad_rows() alone.
+  bool row_sparse_grad() const { return defined() && impl_->RowSparse(); }
+  /// Rows that Rows' backward wrote since the last ZeroGrad, each listed
+  /// once, in first-write order. Only row-sparse leaves list rows.
+  const std::vector<std::size_t>& grad_rows() const {
+    return impl_->grad_rows;
+  }
+  /// Zeroes this tensor's gradient buffer (keeps allocation). A row-sparse
+  /// gradient clears only grad_rows(), unless mutable_grad() was handed
+  /// out since; either way every element is zero afterwards.
   void ZeroGrad();
 
   /// Runs backpropagation from this (scalar) tensor: seeds d(self)/d(self)
@@ -199,7 +236,8 @@ Tensor ConcatRows(const Tensor& a, const Tensor& b);
 Tensor Cols(const Tensor& a, std::size_t start, std::size_t len);
 
 /// Gather: selects rows of `table` by index -> (|indices| x cols).
-/// Backward scatter-adds into the table (this is the embedding lookup).
+/// Backward scatter-adds into the table (this is the embedding lookup)
+/// and, when the table is a row-sparse leaf, lists the rows it wrote.
 Tensor Rows(const Tensor& table, const std::vector<std::size_t>& indices);
 
 /// Row-wise dot product of equal-shaped matrices -> (m x 1).

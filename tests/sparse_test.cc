@@ -54,6 +54,17 @@ TEST(SparseMatMulTest, GradientMatchesNumerical) {
   }
 }
 
+TEST(SparseMatMulTest, GatheredInputStaysDense) {
+  // An embedding table that NGCF both gathers and propagates: its
+  // gradient spans every row, so it must not turn row-sparse.
+  CsrMatrix a(2, 2, {{0, 1, 1.0f}, {1, 0, 1.0f}});
+  Tensor x = Tensor::FromData(2, 2, {1, 2, 3, 4}, true);
+  Tensor loss = Add(Sum(Rows(x, {0})), Sum(SparseMatMul(a, x)));
+  loss.Backward();
+  EXPECT_FALSE(x.row_sparse_grad());
+  EXPECT_TRUE(x.grad_rows().empty());
+}
+
 TEST(SparseMatMulTest, AgreesWithDenseMatMulRandomized) {
   Rng rng(2);
   const std::size_t n = 6;

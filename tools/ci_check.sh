@@ -23,7 +23,8 @@
 # one storage fault per damage class offline (checkpoint bit-flip,
 # checkpoint truncation, torn journal tail) checking the verdicts and
 # exit codes `poisonrec fsck` promises, and a separate TSan build runs
-# the scheduler/journal/lease/chaos tests race-free.
+# the scheduler/journal/lease/chaos, engine and parallel-reward tests
+# race-free.
 # Override the scale knobs via the usual POISONREC_* env vars.
 set -euo pipefail
 
@@ -360,9 +361,11 @@ printf '{"type":"campaign","id":"smoke0","sta' >> "${WORKER_JOURNAL}"
 fsck_expect journal_torn_tail 2 'torn_tail'
 
 # TSan leg: the fleet scheduler, watchdog, journal, and lease paths are
-# intentionally multi-threaded control paths, and the attacker engine
-# runs on row-partitioned kernels and threaded sparse matmuls; run their
-# tests under ThreadSanitizer (incompatible with ASan, hence the
+# intentionally multi-threaded control paths, the attacker engine runs
+# on row-partitioned kernels and threaded sparse matmuls, and parallel
+# reward queries retrain neural ranker clones (NeuMF, GRU4Rec) whose
+# embedding tables keep per-tensor row-sparse gradient bookkeeping; run
+# their tests under ThreadSanitizer (incompatible with ASan, hence the
 # separate build tree).
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "${TSAN_DIR}" -S . \
@@ -371,7 +374,7 @@ cmake -B "${TSAN_DIR}" -S . \
 cmake --build "${TSAN_DIR}" -j "$(nproc)" \
   --target orch_test lease_test fleet_recovery_test fleet_shared_test \
            fsck_chaos_test fleet_status_test status_test \
-           batched_engine_test
+           batched_engine_test parallel_test
 "${TSAN_DIR}/tests/orch_test"
 "${TSAN_DIR}/tests/lease_test"
 "${TSAN_DIR}/tests/fleet_recovery_test"
@@ -380,5 +383,6 @@ cmake --build "${TSAN_DIR}" -j "$(nproc)" \
 "${TSAN_DIR}/tests/status_test"
 "${TSAN_DIR}/tests/fleet_status_test"
 "${TSAN_DIR}/tests/batched_engine_test"
+"${TSAN_DIR}/tests/parallel_test"
 
 echo "ci_check: OK"
