@@ -1,5 +1,7 @@
 #include "nn/loss.h"
 
+#include <cmath>
+
 namespace poisonrec::nn {
 
 Tensor BceWithLogits(const Tensor& logits, const Tensor& targets) {
@@ -37,14 +39,34 @@ Tensor BprLoss(const Tensor& pos, const Tensor& neg) {
 Tensor SoftmaxCrossEntropy(const Tensor& logits,
                            const std::vector<std::size_t>& targets) {
   POISONREC_CHECK_EQ(logits.rows(), targets.size());
-  Tensor logp = LogSoftmax(logits);
-  Tensor onehot = Tensor::Zeros(logits.rows(), logits.cols());
+  Tensor logp;  // saved for the backward, off the tape
+  {
+    NoGradScope no_grad;
+    logp = LogSoftmax(logits);
+  }
+  // Summed, divided by m and negated as RowSum, Mean and Scale would.
+  float picked = 0.0f;
   for (std::size_t r = 0; r < targets.size(); ++r) {
     POISONREC_CHECK_LT(targets[r], logits.cols());
-    onehot.set(r, targets[r], 1.0f);
+    picked += logp.at(r, targets[r]);
   }
-  // RowSum picks the target log-prob per row; negate the mean for NLL.
-  return Scale(Mean(RowSum(Mul(logp, onehot))), -1.0f);
+  const float m = static_cast<float>(logits.rows());
+  Tensor loss = Tensor::Full(1, 1, picked / m * -1.0f);
+  if (!internal::TrackGrad({&logits})) return loss;
+  internal::TensorImpl* li = logits.impl().get();
+  internal::TensorImpl* oi = loss.impl().get();
+  internal::Attach(loss.impl(), {&logits}, [li, oi, logp, targets, m]() {
+    // g is what Scale(-1) then Mean pass down to each target log-prob;
+    // each row then takes LogSoftmax's backward of a one-hot gradient.
+    const float g = oi->grad[0] * -1.0f * (1.0f / m);
+    for (std::size_t r = 0; r < li->rows; ++r) {
+      for (std::size_t c = 0; c < li->cols; ++c) {
+        li->gat(r, c) +=
+            (c == targets[r] ? g : 0.0f) - std::exp(logp.at(r, c)) * g;
+      }
+    }
+  });
+  return loss;
 }
 
 }  // namespace poisonrec::nn

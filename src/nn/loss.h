@@ -24,7 +24,9 @@ Tensor MaskedMseLoss(const Tensor& pred, const Tensor& target,
 Tensor BprLoss(const Tensor& pos, const Tensor& neg);
 
 /// Cross-entropy of row-wise class logits against integer targets.
-/// logits: (m x n), targets[i] in [0, n). Returns the mean NLL.
+/// logits: (m x n), targets[i] in [0, n). Returns the mean NLL as one
+/// tape node, bit-identical in value and gradient to the composed
+/// -Mean(RowSum(LogSoftmax(logits) * onehot)) on finite inputs.
 Tensor SoftmaxCrossEntropy(const Tensor& logits,
                            const std::vector<std::size_t>& targets);
 

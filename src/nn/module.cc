@@ -143,17 +143,11 @@ Tensor GruCell::InitialState(std::size_t batch) const {
 
 Tensor GruCell::Step(const Tensor& x, const Tensor& h) const {
   POISONREC_CHECK_EQ(x.cols(), input_size_);
+  // Two GEMMs and two bias adds feed the threaded kernels and the weight
+  // gradients; the gate math after them is one fused node.
   Tensor gx = Add(MatMul(x, w_x_), b_x_);  // (B x 3h)
   Tensor gh = Add(MatMul(h, w_h_), b_h_);  // (B x 3h)
-  Tensor z = Sigmoid(Add(Cols(gx, 0, hidden_size_),
-                         Cols(gh, 0, hidden_size_)));
-  Tensor r = Sigmoid(Add(Cols(gx, hidden_size_, hidden_size_),
-                         Cols(gh, hidden_size_, hidden_size_)));
-  Tensor n = Tanh(Add(Cols(gx, 2 * hidden_size_, hidden_size_),
-                      Mul(r, Cols(gh, 2 * hidden_size_, hidden_size_))));
-  // h' = (1 - z) * n + z * h
-  Tensor one_minus_z = AddScalar(Scale(z, -1.0f), 1.0f);
-  return Add(Mul(one_minus_z, n), Mul(z, h));
+  return GruGates(gx, gh, h);
 }
 
 std::vector<Tensor> GruCell::Parameters() const {

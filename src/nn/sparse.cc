@@ -71,17 +71,12 @@ Tensor SparseMatMul(const CsrMatrix& a, const Tensor& x) {
           }
         }
       });
-  if (GradEnabled() && x.requires_grad()) {
-    auto oi = out.impl();
-    oi->requires_grad = true;
-    oi->EnsureGrad();
-    oi->parents.push_back(x.impl());
-    x.impl()->EnsureGrad();
-    x.impl()->read_densely = true;  // dx spans every row; see tensor.h
+  if (internal::TrackGrad({&x})) {
     internal::TensorImpl* xi = x.impl().get();
-    internal::TensorImpl* oraw = oi.get();
+    internal::TensorImpl* oraw = out.impl().get();
     const CsrMatrix* am = &a;  // caller must keep the matrix alive
-    oi->backward_fn = [am, xi, oraw, n]() {
+    // Attach marks x read densely: dx spans every row (see tensor.h).
+    internal::Attach(out.impl(), {&x}, [am, xi, oraw, n]() {
       // dx = Aᵀ · dout over the transposed CSR: dx row c accumulates
       // its column's entries in ascending original-row order — the
       // exact order the old serial (r, p) scatter used — and each dx
@@ -99,7 +94,7 @@ Tensor SparseMatMul(const CsrMatrix& a, const Tensor& x) {
               }
             }
           });
-    };
+    });
   }
   return out;
 }

@@ -1,18 +1,23 @@
 #include "nn/tensor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <unordered_set>
 
 #include "nn/kernels.h"
 
 namespace poisonrec::nn {
 
+using internal::Attach;
 using internal::TensorImpl;
+using internal::TrackGrad;
 
 namespace {
 
 thread_local bool g_grad_enabled = true;
+
+// Source of the backward walks' stamps (see the file comment in tensor.h).
+std::atomic<std::uint64_t> g_walk_stamps{0};
 
 std::shared_ptr<TensorImpl> NewNode(std::size_t rows, std::size_t cols) {
   auto node = std::make_shared<TensorImpl>();
@@ -22,7 +27,19 @@ std::shared_ptr<TensorImpl> NewNode(std::size_t rows, std::size_t cols) {
   return node;
 }
 
-bool TrackGrad(std::initializer_list<const Tensor*> inputs) {
+// The logistic, and the sigmoid and tanh derivatives from their output y,
+// shared by the unary ops and the fused gates so both compute the same
+// products.
+inline float StableSigmoid(float x) {
+  return x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
+                   : std::exp(x) / (1.0f + std::exp(x));
+}
+inline float SigmoidDeriv(float y) { return y * (1.0f - y); }
+inline float TanhDeriv(float y) { return 1.0f - y * y; }
+
+}  // namespace
+
+bool internal::TrackGrad(std::initializer_list<const Tensor*> inputs) {
   if (!GradMode::Enabled()) return false;
   for (const Tensor* t : inputs) {
     if (t->requires_grad()) return true;
@@ -30,12 +47,9 @@ bool TrackGrad(std::initializer_list<const Tensor*> inputs) {
   return false;
 }
 
-// Registers parents + backward closure on `out` when tracking is on, and
-// marks how each grad-requiring input is read: row by row for Rows'
-// table (`gather`), densely for every other op.
-void Attach(const std::shared_ptr<TensorImpl>& out,
-            std::initializer_list<const Tensor*> inputs,
-            std::function<void()> backward_fn, bool gather = false) {
+void internal::Attach(const std::shared_ptr<TensorImpl>& out,
+                      std::initializer_list<const Tensor*> inputs,
+                      std::function<void()> backward_fn, bool gather) {
   out->requires_grad = true;
   out->EnsureGrad();
   for (const Tensor* t : inputs) {
@@ -47,8 +61,6 @@ void Attach(const std::shared_ptr<TensorImpl>& out,
   }
   out->backward_fn = std::move(backward_fn);
 }
-
-}  // namespace
 
 bool GradMode::Enabled() { return g_grad_enabled; }
 
@@ -172,21 +184,28 @@ void Tensor::Backward() {
   POISONREC_CHECK(impl_->requires_grad)
       << "Backward() on a tensor that does not require grad";
 
-  // Iterative post-order DFS to build reverse topological order.
+  impl_->EnsureGrad();
+  impl_->grad[0] += 1.0f;
+  if (impl_->parents.empty()) return;  // a leaf: nothing to propagate
+
+  // Iterative post-order DFS over the interior nodes to build reverse
+  // topological order; this walk's stamp marks the nodes it has queued.
+  const std::uint64_t stamp =
+      g_walk_stamps.fetch_add(1, std::memory_order_relaxed) + 1;
   std::vector<TensorImpl*> topo;
-  std::unordered_set<TensorImpl*> visited;
   struct Frame {
     TensorImpl* node;
     std::size_t next_parent;
   };
   std::vector<Frame> stack;
   stack.push_back({impl_.get(), 0});
-  visited.insert(impl_.get());
+  impl_->walk_stamp = stamp;
   while (!stack.empty()) {
     Frame& frame = stack.back();
     if (frame.next_parent < frame.node->parents.size()) {
       TensorImpl* parent = frame.node->parents[frame.next_parent++].get();
-      if (visited.insert(parent).second) {
+      if (!parent->parents.empty() && parent->walk_stamp != stamp) {
+        parent->walk_stamp = stamp;
         stack.push_back({parent, 0});
       }
     } else {
@@ -194,11 +213,8 @@ void Tensor::Backward() {
       stack.pop_back();
     }
   }
-
-  impl_->EnsureGrad();
-  impl_->grad[0] += 1.0f;
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    if ((*it)->backward_fn) (*it)->backward_fn();
+    (*it)->backward_fn();
   }
 }
 
@@ -419,19 +435,14 @@ Tensor AddScalar(const Tensor& a, float s) {
 
 Tensor Sigmoid(const Tensor& a) {
   return UnaryOp(
-      a,
-      [](float x) {
-        // Stable logistic.
-        return x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                         : std::exp(x) / (1.0f + std::exp(x));
-      },
-      [](float, float y) { return y * (1.0f - y); });
+      a, [](float x) { return StableSigmoid(x); },
+      [](float, float y) { return SigmoidDeriv(y); });
 }
 
 Tensor Tanh(const Tensor& a) {
   return UnaryOp(
       a, [](float x) { return std::tanh(x); },
-      [](float, float y) { return 1.0f - y * y; });
+      [](float, float y) { return TanhDeriv(y); });
 }
 
 Tensor Relu(const Tensor& a) {
@@ -469,10 +480,7 @@ Tensor Softplus(const Tensor& a) {
         return x > 0.0f ? x + std::log1p(std::exp(-x))
                         : std::log1p(std::exp(x));
       },
-      [](float x, float) {
-        return x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                         : std::exp(x) / (1.0f + std::exp(x));
-      });
+      [](float x, float) { return StableSigmoid(x); });
 }
 
 Tensor Square(const Tensor& a) {
@@ -815,12 +823,6 @@ Tensor RowDot(const Tensor& a, const Tensor& b) {
 
 namespace {
 
-// Exactly the stable logistic UnaryOp's Sigmoid uses — bit-for-bit.
-inline float StableSigmoid(float x) {
-  return x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                   : std::exp(x) / (1.0f + std::exp(x));
-}
-
 // Forward for rows [r0, r1): activates the four gate blocks of `pre`
 // into `act`, then produces c = f·c_prev + i·g and h = o·tanh(c) in the
 // same per-element order the composed Sigmoid/Tanh/Mul/Add chain used.
@@ -952,6 +954,86 @@ LstmGatesResult LstmGates(const Tensor& preact, const Tensor& c_prev) {
             });
       });
 
+  return result;
+}
+
+// ---------------------------------------------------------------------------
+// Fused GRU gates
+// ---------------------------------------------------------------------------
+
+Tensor GruGates(const Tensor& gx, const Tensor& gh, const Tensor& h) {
+  const std::size_t rows = h.rows();
+  const std::size_t hs = h.cols();
+  POISONREC_CHECK(gx.rows() == rows && gx.cols() == 3 * hs &&
+                  gh.rows() == rows && gh.cols() == 3 * hs)
+      << "GruGates shape mismatch " << gx.ShapeString() << ", "
+      << gh.ShapeString() << ", " << h.ShapeString();
+  auto out = NewNode(rows, hs);
+  TensorImpl* xi = gx.impl().get();
+  TensorImpl* hi = gh.impl().get();
+  TensorImpl* pi = h.impl().get();
+  TensorImpl* oi = out.get();
+  const bool track = TrackGrad({&gx, &gh, &h});
+  // [z | r | n] per row, saved for the backward when recording.
+  std::vector<float> act(track ? rows * 3 * hs : 0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* px = xi->data.data() + r * 3 * hs;
+    const float* ph = hi->data.data() + r * 3 * hs;
+    const float* hp = pi->data.data() + r * hs;
+    float* o = oi->data.data() + r * hs;
+    for (std::size_t j = 0; j < hs; ++j) {
+      const float z = StableSigmoid(px[j] + ph[j]);
+      const float rg = StableSigmoid(px[hs + j] + ph[hs + j]);
+      const float n = std::tanh(px[2 * hs + j] + rg * ph[2 * hs + j]);
+      o[j] = (z * -1.0f + 1.0f) * n + z * hp[j];
+      if (track) {
+        float* a = act.data() + r * 3 * hs;
+        a[j] = z;
+        a[hs + j] = rg;
+        a[2 * hs + j] = n;
+      }
+    }
+  }
+  Tensor result(out);
+  if (!track) return result;
+  Attach(
+      out, {&gx, &gh, &h},
+      [xi, hi, pi, oi, act = std::move(act), rows, hs]() {
+        for (std::size_t r = 0; r < rows; ++r) {
+          const float* a = act.data() + r * 3 * hs;
+          const float* ph = hi->data.data() + r * 3 * hs;
+          const float* hp = pi->data.data() + r * hs;
+          const float* go = oi->grad.data() + r * hs;
+          float* dx =
+              xi->requires_grad ? xi->grad.data() + r * 3 * hs : nullptr;
+          float* dh =
+              hi->requires_grad ? hi->grad.data() + r * 3 * hs : nullptr;
+          float* dp = pi->requires_grad ? pi->grad.data() + r * hs : nullptr;
+          for (std::size_t j = 0; j < hs; ++j) {
+            const float z = a[j];
+            const float rg = a[hs + j];
+            const float n = a[2 * hs + j];
+            const float g = go[j];
+            // The composed chain's gradients: z collects g * h from z * h
+            // and g * n through Scale(-1); n gets g * (1 - z); r gets its
+            // share of n's pre-activation gradient times gh_n.
+            const float dz = (g * hp[j] + (g * n) * -1.0f) * SigmoidDeriv(z);
+            const float dn = (g * (z * -1.0f + 1.0f)) * TanhDeriv(n);
+            const float dr = (dn * ph[2 * hs + j]) * SigmoidDeriv(rg);
+            if (dx != nullptr) {
+              dx[j] += dz;
+              dx[hs + j] += dr;
+              dx[2 * hs + j] += dn;
+            }
+            if (dh != nullptr) {
+              dh[j] += dz;
+              dh[hs + j] += dr;
+              dh[2 * hs + j] += dn * rg;
+            }
+            if (dp != nullptr) dp[j] += g * z;
+          }
+        }
+      });
   return result;
 }
 

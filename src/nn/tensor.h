@@ -6,6 +6,15 @@
 // every op allocates a node that remembers its parents and a backward
 // closure; Tensor::Backward() runs the tape in reverse topological order.
 //
+// The backward walk orders the interior nodes (those with parents) by an
+// iterative post-order DFS from the loss and runs their closures in
+// reverse. It marks a node visited by writing the walk's stamp into it:
+// one number per walk from a process-wide atomic counter, so no two walks
+// share a stamp, even when a graph built on one thread is walked on
+// another. Leaves have no backward, so the walk neither queues nor stamps
+// them: graphs built on different threads may share constant leaves, and
+// their concurrent walks then write nothing shared.
+//
 // Tensors are row-major float matrices. A "vector" is a 1xN or Nx1 tensor.
 // Gradients are accumulated into per-node grad buffers; optimizers read
 // them and the caller zeroes them between steps.
@@ -20,7 +29,9 @@
 #define POISONREC_NN_TENSOR_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,6 +67,8 @@ struct TensorImpl {
   // once; `row_listed` marks them. Both keep their storage across steps.
   std::vector<std::size_t> grad_rows;
   std::vector<bool> row_listed;
+  // The stamp of the last backward walk that queued this (interior) node.
+  std::uint64_t walk_stamp = 0;
 
   float& at(std::size_t r, std::size_t c) { return data[r * cols + c]; }
   float at(std::size_t r, std::size_t c) const { return data[r * cols + c]; }
@@ -183,6 +196,24 @@ class Tensor {
   std::shared_ptr<internal::TensorImpl> impl_;
 };
 
+namespace internal {
+
+// Op-authoring hooks. Every op in tensor.cc records itself with these, and
+// so do the ops defined elsewhere (SparseMatMul, SoftmaxCrossEntropy).
+
+/// True when grad mode is on and some input requires grad.
+bool TrackGrad(std::initializer_list<const Tensor*> inputs);
+
+/// Makes `out` a tape node: its parents are `inputs`, in order, and
+/// `backward_fn` accumulates out's gradient into theirs. Marks how each
+/// grad-requiring input is read: row by row for Rows' table (`gather`),
+/// densely for every other op.
+void Attach(const std::shared_ptr<TensorImpl>& out,
+            std::initializer_list<const Tensor*> inputs,
+            std::function<void()> backward_fn, bool gather = false);
+
+}  // namespace internal
+
 // -- Ops --------------------------------------------------------------------
 // All ops allocate a fresh output node; inputs are unmodified.
 
@@ -256,6 +287,20 @@ struct LstmGatesResult {
   Tensor c;
 };
 LstmGatesResult LstmGates(const Tensor& preact, const Tensor& c_prev);
+
+/// Fused GRU cell tail: from the (B x 3h) pre-activation blocks
+/// gx = x W_x + b_x and gh = h W_h + b_h (layout [z | r | n]) and the
+/// previous state h (B x h), returns the new state
+///   z = σ(gx_z + gh_z), r = σ(gx_r + gh_r), n = tanh(gx_n + r * gh_n),
+///   h' = (1 - z) * n + z * h
+/// as one tape node. Forward and backward are bit-identical to the same
+/// formulas composed from Cols, Add, Sigmoid, Tanh, Mul, Scale and
+/// AddScalar: each element gets the same products in the same
+/// association (1 - z is z * -1 + 1, the sigmoid derivative is
+/// g * (y * (1 - y))), and the parents {gx, gh, h} keep the composed
+/// graph's order of contributions to h's gradient. Under NoGradScope only
+/// the output is allocated.
+Tensor GruGates(const Tensor& gx, const Tensor& gh, const Tensor& h);
 
 // -- Utilities ----------------------------------------------------------
 

@@ -2,9 +2,12 @@
 #include "nn/loss.h"
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bit_identity.h"
 #include "nn/tensor.h"
 #include "util/random.h"
 
@@ -110,6 +113,36 @@ TEST(SoftmaxCeTest, GradientCheck) {
       logits, 1e-2f);
   for (std::size_t i = 0; i < numeric.size(); ++i) {
     EXPECT_NEAR(logits.grad()[i], numeric[i], 1e-2f);
+  }
+}
+
+TEST(SoftmaxCeTest, FusedMatchesComposedChainBitwise) {
+  // Against the same loss composed from public ops, under a non-unit
+  // upstream gradient (the loss is scaled by 1.7).
+  const std::vector<std::size_t> targets = {0, 3, 8, 1};
+  const auto run = [&targets](const Tensor& logits0, bool fused) {
+    Tensor logits = logits0.DeepCopy(/*requires_grad=*/true);
+    Tensor loss;
+    if (fused) {
+      loss = SoftmaxCrossEntropy(logits, targets);
+    } else {
+      Tensor onehot = Tensor::Zeros(logits.rows(), logits.cols());
+      for (std::size_t r = 0; r < targets.size(); ++r) {
+        onehot.set(r, targets[r], 1.0f);
+      }
+      loss = Scale(Mean(RowSum(Mul(LogSoftmax(logits), onehot))), -1.0f);
+    }
+    Scale(loss, 1.7f).Backward();
+    return std::vector<std::vector<float>>{loss.data(), logits.grad()};
+  };
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    const Tensor logits = Tensor::Randn(4, 9, 3.0f, &rng);
+    const std::vector<std::vector<float>> fused = run(logits, true);
+    const std::vector<std::vector<float>> composed = run(logits, false);
+    EXPECT_TRUE(SameBits(fused[0], composed[0])) << "loss, seed " << seed;
+    EXPECT_TRUE(SameBits(fused[1], composed[1]))
+        << "logits grad, seed " << seed;
   }
 }
 

@@ -1,11 +1,16 @@
-// Tests for nn modules: shapes, parameter plumbing, gradient flow, and
-// end-to-end gradient checks through LSTM/GRU cells.
+// Tests for nn modules: shapes, parameter plumbing, gradient flow,
+// end-to-end gradient checks through LSTM/GRU cells, and the fused GRU
+// gates' bit identity with the same formulas composed from public ops.
 #include "nn/module.h"
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bit_identity.h"
 #include "nn/optimizer.h"
 #include "nn/tensor.h"
 
@@ -185,6 +190,115 @@ TEST(GruTest, InterpolatesBetweenStateAndCandidate) {
   Tensor x = Tensor::Full(1, 2, 3.0f);
   for (int t = 0; t < 50; ++t) h = gru.Step(x, h);
   for (float v : h.data()) EXPECT_LE(std::abs(v), 1.0f + 1e-5f);
+}
+
+// The GRU gate formulas composed from public elementwise ops: the
+// reference GruGates must reproduce bit for bit.
+Tensor ComposedGruGates(const Tensor& gx, const Tensor& gh, const Tensor& h) {
+  const std::size_t hs = h.cols();
+  Tensor z = Sigmoid(Add(Cols(gx, 0, hs), Cols(gh, 0, hs)));
+  Tensor r = Sigmoid(Add(Cols(gx, hs, hs), Cols(gh, hs, hs)));
+  Tensor n = Tanh(Add(Cols(gx, 2 * hs, hs), Mul(r, Cols(gh, 2 * hs, hs))));
+  Tensor one_minus_z = AddScalar(Scale(z, -1.0f), 1.0f);
+  return Add(Mul(one_minus_z, n), Mul(z, h));
+}
+
+struct GruGatesRun {
+  std::vector<float> out, gx_grad, gh_grad, h_grad;
+};
+
+/// One gate step under the loss Sum(out * w), fused or composed, on fresh
+/// copies of the inputs.
+GruGatesRun RunGruGates(bool fused, const Tensor& gx0, const Tensor& gh0,
+                        const Tensor& h0, bool h_requires_grad,
+                        const Tensor& w) {
+  Tensor gx = gx0.DeepCopy(/*requires_grad=*/true);
+  Tensor gh = gh0.DeepCopy(/*requires_grad=*/true);
+  Tensor h = h0.DeepCopy(h_requires_grad);
+  Tensor out = fused ? GruGates(gx, gh, h) : ComposedGruGates(gx, gh, h);
+  Sum(Mul(out, w)).Backward();
+  return {out.data(), gx.grad(), gh.grad(), h.grad()};
+}
+
+TEST(GruGatesTest, BitIdenticalToComposedChain) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    const Tensor gx = Tensor::Randn(7, 15, 2.0f, &rng);
+    const Tensor gh = Tensor::Randn(7, 15, 2.0f, &rng);
+    const Tensor h = Tensor::Randn(7, 5, 1.0f, &rng);
+    const Tensor w = Tensor::Randn(7, 5, 1.0f, &rng);
+    // The second case is GRU4Rec's first step: a zero initial state that
+    // does not require grad.
+    for (const bool initial_state : {false, true}) {
+      const Tensor h0 = initial_state ? Tensor::Zeros(7, 5) : h;
+      const GruGatesRun fused =
+          RunGruGates(true, gx, gh, h0, !initial_state, w);
+      const GruGatesRun composed =
+          RunGruGates(false, gx, gh, h0, !initial_state, w);
+      const std::string where = "seed " + std::to_string(seed) +
+                                (initial_state ? ", initial state" : "");
+      EXPECT_TRUE(SameBits(fused.out, composed.out)) << where;
+      EXPECT_TRUE(SameBits(fused.gx_grad, composed.gx_grad)) << where;
+      EXPECT_TRUE(SameBits(fused.gh_grad, composed.gh_grad)) << where;
+      EXPECT_TRUE(SameBits(fused.h_grad, composed.h_grad)) << where;
+      EXPECT_EQ(fused.h_grad.empty(), initial_state) << where;
+    }
+  }
+}
+
+TEST(GruGatesTest, NoGradScopeRecordsNothing) {
+  Rng rng(21);
+  const Tensor gx = Tensor::Randn(2, 6, 1.0f, &rng, /*requires_grad=*/true);
+  const Tensor gh = Tensor::Randn(2, 6, 1.0f, &rng, /*requires_grad=*/true);
+  const Tensor h = Tensor::Randn(2, 2, 1.0f, &rng, /*requires_grad=*/true);
+  const Tensor recorded = GruGates(gx, gh, h);
+  NoGradScope no_grad;
+  const Tensor out = GruGates(gx, gh, h);
+  EXPECT_FALSE(out.requires_grad());
+  EXPECT_TRUE(out.impl()->parents.empty());
+  EXPECT_TRUE(out.grad().empty());
+  EXPECT_TRUE(SameBits(out.data(), recorded.data()));
+}
+
+// GRU4Rec's training graph in miniature: a cell unrolled over four
+// embedded items, each new state scored against embedded candidates by a
+// MatMul, like GRU4Rec's logits. Each state's gradient then collects
+// three terms (the next step's z * h, its MatMul with W_h, and the
+// scores), and the embedding and weight gradients sum over steps, so this
+// pins the tape order as well as the per-element arithmetic.
+TEST(GruGatesTest, UnrolledCellBitIdenticalToComposedChain) {
+  const std::vector<std::size_t> items = {3, 1, 4, 1};
+  const auto run = [&items](bool fused) {
+    Rng rng(31);
+    Embedding table(6, 4, &rng);
+    GruCell cell(4, 4, &rng);
+    const std::vector<Tensor> p = cell.Parameters();  // W_x, W_h, b_x, b_h
+    Tensor h = cell.InitialState(1);
+    Tensor loss;
+    for (std::size_t item : items) {
+      Tensor x = table.Forward({item});
+      if (fused) {
+        h = cell.Step(x, h);
+      } else {
+        Tensor gx = Add(MatMul(x, p[0]), p[2]);
+        Tensor gh = Add(MatMul(h, p[1]), p[3]);
+        h = ComposedGruGates(gx, gh, h);
+      }
+      Tensor scores = MatMul(h, Transpose(table.Forward({item + 1, 0, 5})));
+      Tensor step_loss = Sum(Tanh(scores));
+      loss = loss.defined() ? Add(loss, step_loss) : step_loss;
+    }
+    loss.Backward();
+    std::vector<std::vector<float>> grads = {table.table().grad()};
+    for (const Tensor& t : p) grads.push_back(t.grad());
+    return grads;
+  };
+  const std::vector<std::vector<float>> fused = run(true);
+  const std::vector<std::vector<float>> composed = run(false);
+  ASSERT_EQ(fused.size(), composed.size());
+  for (std::size_t i = 0; i < fused.size(); ++i) {
+    EXPECT_TRUE(SameBits(fused[i], composed[i])) << "gradient " << i;
+  }
 }
 
 TEST(ModuleTest, ZeroGradClears) {

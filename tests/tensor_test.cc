@@ -1,12 +1,17 @@
 // Autograd correctness: forward values and gradient checks against
-// numerical differentiation for every op.
+// numerical differentiation for every op, and the backward walk's
+// visited marks.
 #include "nn/tensor.h"
 
 #include <cmath>
 #include <functional>
+#include <latch>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bit_identity.h"
 #include "util/random.h"
 
 namespace poisonrec::nn {
@@ -350,6 +355,87 @@ TEST(TensorGrad, DeepChainStaysFinite) {
   loss.Backward();
   for (float g : x.grad()) {
     EXPECT_TRUE(std::isfinite(g));
+  }
+}
+
+// -- The backward walk ---------------------------------------------------
+
+TEST(TensorGrad, TwoLossesShareASubgraph) {
+  // Two losses read one interior subgraph (m -> s). Walking the second
+  // after the first must traverse the subgraph again: a visited mark that
+  // leaked from the first walk would skip it. Interior gradients persist
+  // across walks, so the shared nodes are cleared in between, as a
+  // training loop clears its parameters. Each walk adds to each leaf
+  // gradient element once, so the sums compare bitwise.
+  const Tensor a0 = RandomTensor(3, 4, 61, false);
+  const Tensor b0 = RandomTensor(3, 4, 62, false);
+  const auto first = [](const Tensor& s) { return Sum(Tanh(s)); };
+  const auto second = [](const Tensor& s) { return Sum(Square(s)); };
+
+  Tensor a = a0.DeepCopy(true);
+  Tensor b = b0.DeepCopy(true);
+  Tensor m = Mul(a, b);
+  Tensor s = Relu(m);
+  first(s).Backward();
+  m.ZeroGrad();
+  s.ZeroGrad();
+  second(s).Backward();
+
+  // The same two losses, each on a graph of its own.
+  Tensor a1 = a0.DeepCopy(true);
+  Tensor b1 = b0.DeepCopy(true);
+  first(Relu(Mul(a1, b1))).Backward();
+  Tensor a2 = a0.DeepCopy(true);
+  Tensor b2 = b0.DeepCopy(true);
+  second(Relu(Mul(a2, b2))).Backward();
+  std::vector<float> a_sum = a1.grad();
+  for (std::size_t i = 0; i < a_sum.size(); ++i) a_sum[i] += a2.grad()[i];
+  std::vector<float> b_sum = b1.grad();
+  for (std::size_t i = 0; i < b_sum.size(); ++i) b_sum[i] += b2.grad()[i];
+  EXPECT_TRUE(SameBits(a.grad(), a_sum));
+  EXPECT_TRUE(SameBits(b.grad(), b_sum));
+}
+
+TEST(TensorGrad, BackwardFromALeaf) {
+  // A leaf root seeds its own gradient and nothing else: the op built on
+  // it is never walked.
+  Tensor x = Tensor::FromData(1, 1, {2.0f}, /*requires_grad=*/true);
+  Tensor y = Scale(x, 3.0f);
+  x.Backward();
+  EXPECT_EQ(x.grad(), std::vector<float>{1.0f});
+  EXPECT_EQ(y.grad(), std::vector<float>{0.0f});
+  x.Backward();
+  EXPECT_EQ(x.grad(), std::vector<float>{2.0f});
+}
+
+TEST(TensorGrad, ConcurrentWalksOverSharedConstants) {
+  // Threads build their own graphs over one shared constant leaf, then
+  // walk them at once. The walk stamps only interior nodes, so the shared
+  // leaf is never written; under ThreadSanitizer (tools/ci_check.sh) a
+  // walk that stamped it would be reported as a race. The latch orders
+  // every graph's construction before every walk, and nothing orders the
+  // walks among themselves.
+  constexpr std::size_t kThreads = 4;
+  const Tensor shared = RandomTensor(4, 4, 71, /*requires_grad=*/false);
+  std::latch built(kThreads);
+  const auto walk = [&shared](std::latch* start, std::vector<float>* grad) {
+    Tensor w = RandomTensor(2, 4, 72);
+    Tensor h = Tanh(MatMul(Add(w, Rows(shared, {0, 2})), shared));
+    Tensor loss = Sum(Mul(h, MatMul(w, shared)));
+    if (start != nullptr) start->arrive_and_wait();
+    loss.Backward();
+    *grad = w.grad();
+  };
+  std::vector<float> expected;
+  walk(nullptr, &expected);
+  std::vector<std::vector<float>> grads(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back(walk, &built, &grads[t]);
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(SameBits(grads[t], expected)) << "thread " << t;
   }
 }
 

@@ -24,7 +24,7 @@
 # checkpoint truncation, torn journal tail) checking the verdicts and
 # exit codes `poisonrec fsck` promises, and a separate TSan build runs
 # the scheduler/journal/lease/chaos, engine and parallel-reward tests
-# race-free.
+# race-free, along with the autograd walk's tests.
 # Override the scale knobs via the usual POISONREC_* env vars.
 set -euo pipefail
 
@@ -362,9 +362,11 @@ fsck_expect journal_torn_tail 2 'torn_tail'
 
 # TSan leg: the fleet scheduler, watchdog, journal, and lease paths are
 # intentionally multi-threaded control paths, the attacker engine runs
-# on row-partitioned kernels and threaded sparse matmuls, and parallel
+# on row-partitioned kernels and threaded sparse matmuls, parallel
 # reward queries retrain neural ranker clones (NeuMF, GRU4Rec) whose
-# embedding tables keep per-tensor row-sparse gradient bookkeeping; run
+# embedding tables keep per-tensor row-sparse gradient bookkeeping, and
+# every backward walk stamps the nodes it visits (tensor_test walks
+# graphs that share a constant leaf on several threads at once); run
 # their tests under ThreadSanitizer (incompatible with ASan, hence the
 # separate build tree).
 TSAN_DIR="${BUILD_DIR}-tsan"
@@ -374,7 +376,7 @@ cmake -B "${TSAN_DIR}" -S . \
 cmake --build "${TSAN_DIR}" -j "$(nproc)" \
   --target orch_test lease_test fleet_recovery_test fleet_shared_test \
            fsck_chaos_test fleet_status_test status_test \
-           batched_engine_test parallel_test
+           batched_engine_test parallel_test tensor_test
 "${TSAN_DIR}/tests/orch_test"
 "${TSAN_DIR}/tests/lease_test"
 "${TSAN_DIR}/tests/fleet_recovery_test"
@@ -384,5 +386,6 @@ cmake --build "${TSAN_DIR}" -j "$(nproc)" \
 "${TSAN_DIR}/tests/fleet_status_test"
 "${TSAN_DIR}/tests/batched_engine_test"
 "${TSAN_DIR}/tests/parallel_test"
+"${TSAN_DIR}/tests/tensor_test"
 
 echo "ci_check: OK"
