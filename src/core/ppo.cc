@@ -3,15 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <limits>
-#include <sstream>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/bytes.h"
 #include "util/fsio.h"
 #include "util/logging.h"
 #include "util/parallel.h"
@@ -21,7 +18,8 @@ namespace poisonrec::core {
 
 namespace {
 
-// Attacker checkpoint framing ("PRCK", version 1). Payload layout:
+// Attacker checkpoint framing ("PRCK"; versions below). Payload layout,
+// in util/bytes.h fields:
 //   u64 steps_taken
 //   policy parameters: u64 count, then per tensor u64 rows, u64 cols,
 //     float32 payload
@@ -55,36 +53,8 @@ namespace {
 // kInvalidArgument rather than being misparsed.
 constexpr std::uint32_t kCheckpointMagic = 0x5052434bu;  // "PRCK"
 constexpr std::uint32_t kCheckpointVersion = 4;
+constexpr std::size_t kCheckpointHeaderBytes = 8;  // magic, version
 constexpr std::uint64_t kDeadSlotTag = ~0ull;
-
-void WriteU64(std::ostream& out, std::uint64_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void WriteF64(std::ostream& out, double v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void WriteFloats(std::ostream& out, const std::vector<float>& v) {
-  out.write(reinterpret_cast<const char*>(v.data()),
-            static_cast<std::streamsize>(v.size() * sizeof(float)));
-}
-
-bool ReadU64(std::istream& in, std::uint64_t* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return static_cast<bool>(in);
-}
-
-bool ReadF64(std::istream& in, double* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return static_cast<bool>(in);
-}
-
-bool ReadFloats(std::istream& in, std::vector<float>* v) {
-  in.read(reinterpret_cast<char*>(v->data()),
-          static_cast<std::streamsize>(v->size() * sizeof(float)));
-  return static_cast<bool>(in);
-}
 
 }  // namespace
 
@@ -853,88 +823,122 @@ GuardedTrainResult PoisonRecAttacker::TrainGuarded(
   return result;
 }
 
+StatusOr<std::string_view> CheckpointPayload(std::string_view file,
+                                             const std::string& path,
+                                             FileIntegrity* integrity) {
+  const auto fail = [&](FileIntegrity result, Status status) {
+    if (integrity != nullptr) *integrity = result;
+    return status;
+  };
+  ByteReader header(file);
+  const std::uint32_t magic = header.U32();
+  const std::uint32_t version = header.U32();
+  if (!header.ok()) {
+    // Zero-length or short file: the writer (or the filesystem, after a
+    // crash without the fsync path) lost the payload.
+    return fail(FileIntegrity::kTorn,
+                Status::DataLoss(path + ": shorter than the checkpoint "
+                                 "header (torn publish)"));
+  }
+  if (magic != kCheckpointMagic) {
+    return fail(FileIntegrity::kCorrupt,
+                Status::InvalidArgument(
+                    path + ": not a PoisonRec attacker checkpoint"));
+  }
+  if (version != kCheckpointVersion) {
+    std::string hint;
+    if (version < kCheckpointVersion) {
+      hint = " (version " + std::to_string(version) + " predates the v" +
+             std::to_string(kCheckpointVersion) +
+             " format's per-episode sampling streams and whole-file "
+             "checksum; re-run the campaign to produce a current "
+             "checkpoint)";
+    }
+    return fail(FileIntegrity::kCorrupt,
+                Status::InvalidArgument(
+                    path + ": unsupported attacker checkpoint version " +
+                    std::to_string(version) + hint));
+  }
+  // The header names a current checkpoint — now the integrity footer
+  // decides whether the rest of the bytes can be trusted: a length
+  // mismatch or missing footer is a torn publish, a CRC mismatch is
+  // bit rot. Both are kDataLoss (lost state), never misparsed.
+  std::size_t framed_size = 0;
+  POISONREC_RETURN_NOT_OK(
+      VerifyIntegrityFooter(file, path, &framed_size, integrity));
+  return file.substr(kCheckpointHeaderBytes,
+                     framed_size - kCheckpointHeaderBytes);
+}
+
 Status PoisonRecAttacker::SaveCheckpoint(const std::string& path) const {
   POISONREC_TRACE_SPAN("ppo/checkpoint_save");
-  const Status status = [&]() -> Status {
   // Serialize into memory first: the payload needs a whole-file CRC
   // before any byte touches disk, and the in-memory size is trivial
   // next to the fsyncs the durable publish costs anyway.
-  std::ostringstream out;
-  {
-    const std::uint32_t header[2] = {kCheckpointMagic, kCheckpointVersion};
-    out.write(reinterpret_cast<const char*>(header), sizeof(header));
-    WriteU64(out, steps_taken_);
-    // v3: the sampling stream-derivation state. Together with
-    // steps_taken this pins every future episode's Rng stream, so a
-    // resumed campaign samples exactly what the uninterrupted one would.
-    WriteU64(out, config_.seed);
+  std::string bytes;
+  ByteWriter out(&bytes);
+  out.U32(kCheckpointMagic);
+  out.U32(kCheckpointVersion);
+  out.U64(steps_taken_);
+  // v3: the sampling stream-derivation state. Together with steps_taken
+  // this pins every future episode's Rng stream, so a resumed campaign
+  // samples exactly what the uninterrupted one would.
+  out.U64(config_.seed);
 
-    const std::vector<nn::Tensor> params = policy_->Parameters();
-    WriteU64(out, params.size());
-    for (const nn::Tensor& p : params) {
-      WriteU64(out, p.rows());
-      WriteU64(out, p.cols());
-      WriteFloats(out, p.data());
-    }
-
-    WriteU64(out, optimizer_->step_count());
-    for (const std::vector<float>& m : optimizer_->first_moments()) {
-      WriteFloats(out, m);
-    }
-    for (const std::vector<float>& v : optimizer_->second_moments()) {
-      WriteFloats(out, v);
-    }
-
-    const std::string rng_state = rng_.SerializeState();
-    WriteU64(out, rng_state.size());
-    out.write(rng_state.data(),
-              static_cast<std::streamsize>(rng_state.size()));
-
-    WriteF64(out, best_episode_.reward);
-    out.put(best_episode_.reward_observed ? 1 : 0);
-    WriteU64(out, best_episode_.trajectories.size());
-    for (const SampledTrajectory& traj : best_episode_.trajectories) {
-      WriteU64(out, traj.attacker_index);
-      WriteU64(out, traj.steps.size());
-      for (const SampledStep& step : traj.steps) {
-        WriteU64(out, step.item);
-        WriteU64(out, step.path.size());
-        for (int node : step.path) {
-          const std::int32_t n32 = node;
-          out.write(reinterpret_cast<const char*>(&n32), sizeof(n32));
-        }
-        WriteU64(out, step.old_log_probs.size());
-        for (double lp : step.old_log_probs) WriteF64(out, lp);
-      }
-    }
-
-    // v2: adaptive-defender campaign state (pool + platform ban state).
-    out.put(pool_ != nullptr ? 1 : 0);
-    if (pool_ != nullptr) {
-      WriteU64(out, pool_->num_slots());
-      WriteU64(out, pool_->total_accounts());
-      WriteU64(out, pool_->next_account());
-      WriteU64(out, pool_->retired_accounts());
-      for (std::size_t a : pool_->slot_accounts()) {
-        WriteU64(out, a == AccountPool::kDeadSlot ? kDeadSlotTag
-                                                  : static_cast<std::uint64_t>(a));
-      }
-    }
-    out.put(defended_ != nullptr ? 1 : 0);
-    if (defended_ != nullptr) {
-      const std::string blob = defended_->SerializeState();
-      WriteU64(out, blob.size());
-      out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-    }
-    if (!out) return Status::IoError("serialize failed for " + path);
+  const std::vector<nn::Tensor> params = policy_->Parameters();
+  out.U64(params.size());
+  for (const nn::Tensor& p : params) {
+    out.U64(p.rows());
+    out.U64(p.cols());
+    out.Floats(p.data());
   }
+
+  out.U64(optimizer_->step_count());
+  for (const std::vector<float>& m : optimizer_->first_moments()) {
+    out.Floats(m);
+  }
+  for (const std::vector<float>& v : optimizer_->second_moments()) {
+    out.Floats(v);
+  }
+
+  out.Blob(rng_.SerializeState());
+
+  out.F64(best_episode_.reward);
+  out.U8(best_episode_.reward_observed ? 1 : 0);
+  out.U64(best_episode_.trajectories.size());
+  for (const SampledTrajectory& traj : best_episode_.trajectories) {
+    out.U64(traj.attacker_index);
+    out.U64(traj.steps.size());
+    for (const SampledStep& step : traj.steps) {
+      out.U64(step.item);
+      out.U64(step.path.size());
+      for (int node : step.path) out.I32(node);
+      out.U64(step.old_log_probs.size());
+      for (double lp : step.old_log_probs) out.F64(lp);
+    }
+  }
+
+  // v2: adaptive-defender campaign state (pool + platform ban state).
+  out.U8(pool_ != nullptr ? 1 : 0);
+  if (pool_ != nullptr) {
+    out.U64(pool_->num_slots());
+    out.U64(pool_->total_accounts());
+    out.U64(pool_->next_account());
+    out.U64(pool_->retired_accounts());
+    for (std::size_t a : pool_->slot_accounts()) {
+      out.U64(a == AccountPool::kDeadSlot ? kDeadSlotTag
+                                          : static_cast<std::uint64_t>(a));
+    }
+  }
+  out.U8(defended_ != nullptr ? 1 : 0);
+  if (defended_ != nullptr) out.Blob(defended_->SerializeState());
+
   // Durable atomic publish with the integrity footer appended: write
   // tmp, fsync, rename, fsync the parent directory — so the published
   // name can never refer to unwritten data after a power loss, and a
   // crash before the rename leaves any previous checkpoint at `path`
   // untouched. The footer's CRC lets load verify every byte.
-  return WriteFileDurableChecksummed(path, std::move(out).str());
-  }();
+  const Status status = WriteFileDurableChecksummed(path, bytes);
   EmitCheckpointEvent("save", path, status.ok());
   return status;
 }
@@ -942,48 +946,15 @@ Status PoisonRecAttacker::SaveCheckpoint(const std::string& path) const {
 Status PoisonRecAttacker::LoadCheckpoint(const std::string& path) {
   POISONREC_TRACE_SPAN("ppo/checkpoint_load");
   const Status status = [&]() -> Status {
-  StatusOr<std::string> bytes_or = ReadFileBytes(path);
-  if (!bytes_or.ok()) return Status::IoError("cannot open " + path);
-  const std::string& bytes = *bytes_or;
-  std::uint32_t header[2] = {0, 0};
-  if (bytes.size() < sizeof(header)) {
-    // Zero-length or short file: the writer (or the filesystem, after a
-    // crash without the fsync path) lost the payload.
-    return Status::DataLoss(path + " is truncated: shorter than the " +
-                            "checkpoint header");
-  }
-  std::memcpy(header, bytes.data(), sizeof(header));
-  if (header[0] != kCheckpointMagic) {
-    return Status::InvalidArgument(path +
-                                   " is not a PoisonRec attacker checkpoint");
-  }
-  if (header[1] != kCheckpointVersion) {
-    std::string hint;
-    if (header[1] < kCheckpointVersion) {
-      hint = " (version " + std::to_string(header[1]) +
-             " predates the v" + std::to_string(kCheckpointVersion) +
-             " format's per-episode sampling streams and whole-file "
-             "checksum; re-run the campaign to produce a current "
-             "checkpoint)";
-    }
-    return Status::InvalidArgument("unsupported attacker checkpoint version " +
-                                   std::to_string(header[1]) + hint);
-  }
-  // The header names a current checkpoint — now the integrity footer
-  // decides whether the rest of the bytes can be trusted: a length
-  // mismatch or missing footer is a torn publish, a CRC mismatch is
-  // bit rot. Both are kDataLoss (lost state), never misparsed.
-  std::size_t payload_size = 0;
-  POISONREC_RETURN_NOT_OK(
-      VerifyIntegrityFooter(bytes, path, &payload_size));
-  std::istringstream in(bytes.substr(0, payload_size));
-  in.seekg(sizeof(header));  // past the already-validated header
-  std::uint64_t steps = 0;
-  if (!ReadU64(in, &steps)) return Status::DataLoss("truncated checkpoint");
-  std::uint64_t stream_seed = 0;
-  if (!ReadU64(in, &stream_seed)) {
-    return Status::DataLoss("truncated checkpoint");
-  }
+  const Status truncated = Status::DataLoss("truncated checkpoint");
+  StatusOr<std::string> bytes = ReadFileBytes(path);
+  if (!bytes.ok()) return Status::IoError("cannot open " + path);
+  POISONREC_ASSIGN_OR_RETURN(const std::string_view payload,
+                             CheckpointPayload(*bytes, path));
+  ByteReader in(payload);
+  const std::uint64_t steps = in.U64();
+  const std::uint64_t stream_seed = in.U64();
+  if (!in.ok()) return truncated;
   if (stream_seed != config_.seed) {
     return Status::InvalidArgument(
         "checkpoint sampling stream seed " + std::to_string(stream_seed) +
@@ -994,8 +965,8 @@ Status PoisonRecAttacker::LoadCheckpoint(const std::string& path) {
   // Stage everything before touching live state: a truncated or
   // mismatched file must leave the attacker unchanged.
   std::vector<nn::Tensor> params = policy_->Parameters();
-  std::uint64_t count = 0;
-  if (!ReadU64(in, &count)) return Status::DataLoss("truncated checkpoint");
+  const std::uint64_t count = in.U64();
+  if (!in.ok()) return truncated;
   if (count != params.size()) {
     return Status::InvalidArgument(
         "checkpoint has " + std::to_string(count) + " tensors, policy has " +
@@ -1003,11 +974,9 @@ Status PoisonRecAttacker::LoadCheckpoint(const std::string& path) {
   }
   std::vector<std::vector<float>> staged_params(params.size());
   for (std::size_t i = 0; i < params.size(); ++i) {
-    std::uint64_t rows = 0;
-    std::uint64_t cols = 0;
-    if (!ReadU64(in, &rows) || !ReadU64(in, &cols)) {
-      return Status::DataLoss("truncated checkpoint");
-    }
+    const std::uint64_t rows = in.U64();
+    const std::uint64_t cols = in.U64();
+    if (!in.ok()) return truncated;
     if (rows != params[i].rows() || cols != params[i].cols()) {
       return Status::InvalidArgument(
           "parameter " + std::to_string(i) + " shape mismatch: checkpoint " +
@@ -1015,82 +984,51 @@ Status PoisonRecAttacker::LoadCheckpoint(const std::string& path) {
           params[i].ShapeString());
     }
     staged_params[i].resize(params[i].size());
-    if (!ReadFloats(in, &staged_params[i])) {
-      return Status::DataLoss("truncated checkpoint payload");
-    }
+    in.Floats(&staged_params[i]);
+    if (!in.ok()) return Status::DataLoss("truncated checkpoint payload");
   }
 
-  std::uint64_t adam_steps = 0;
-  if (!ReadU64(in, &adam_steps)) return Status::DataLoss("truncated checkpoint");
+  const std::uint64_t adam_steps = in.U64();
   std::vector<std::vector<float>> m(params.size());
   std::vector<std::vector<float>> v(params.size());
   for (std::size_t i = 0; i < params.size(); ++i) {
     m[i].resize(params[i].size());
-    if (!ReadFloats(in, &m[i])) return Status::DataLoss("truncated checkpoint");
+    in.Floats(&m[i]);
   }
   for (std::size_t i = 0; i < params.size(); ++i) {
     v[i].resize(params[i].size());
-    if (!ReadFloats(in, &v[i])) return Status::DataLoss("truncated checkpoint");
+    in.Floats(&v[i]);
   }
 
-  std::uint64_t rng_len = 0;
-  if (!ReadU64(in, &rng_len)) return Status::DataLoss("truncated checkpoint");
-  std::string rng_state(rng_len, '\0');
-  in.read(rng_state.data(), static_cast<std::streamsize>(rng_len));
-  if (!in) return Status::DataLoss("truncated checkpoint");
+  const std::string_view rng_state = in.Blob();
 
+  // Every count is bounded by the bytes left (a trajectory takes at
+  // least 16, a step 24), so a damaged one reads as truncation.
   Episode best;
-  std::uint64_t n_traj = 0;
-  if (!ReadF64(in, &best.reward)) return Status::DataLoss("truncated checkpoint");
-  const int observed = in.get();
-  if (observed == std::ifstream::traits_type::eof()) {
-    return Status::DataLoss("truncated checkpoint");
-  }
-  best.reward_observed = observed != 0;
-  if (!ReadU64(in, &n_traj)) return Status::DataLoss("truncated checkpoint");
-  best.trajectories.resize(n_traj);
+  best.reward = in.F64();
+  best.reward_observed = in.U8() != 0;
+  best.trajectories.resize(in.Count(16));
   for (SampledTrajectory& traj : best.trajectories) {
-    std::uint64_t attacker = 0;
-    std::uint64_t n_steps = 0;
-    if (!ReadU64(in, &attacker) || !ReadU64(in, &n_steps)) {
-      return Status::DataLoss("truncated checkpoint");
-    }
-    traj.attacker_index = attacker;
-    traj.steps.resize(n_steps);
+    traj.attacker_index = in.U64();
+    traj.steps.resize(in.Count(24));
     for (SampledStep& step : traj.steps) {
-      std::uint64_t item = 0;
-      std::uint64_t path_len = 0;
-      if (!ReadU64(in, &item) || !ReadU64(in, &path_len)) {
-        return Status::DataLoss("truncated checkpoint");
-      }
-      step.item = item;
-      step.path.resize(path_len);
-      for (int& node : step.path) {
-        std::int32_t n32 = 0;
-        in.read(reinterpret_cast<char*>(&n32), sizeof(n32));
-        node = n32;
-      }
-      std::uint64_t lp_len = 0;
-      if (!ReadU64(in, &lp_len)) return Status::DataLoss("truncated checkpoint");
-      step.old_log_probs.resize(lp_len);
-      for (double& lp : step.old_log_probs) {
-        if (!ReadF64(in, &lp)) return Status::DataLoss("truncated checkpoint");
-      }
+      step.item = in.U64();
+      step.path.resize(in.Count(sizeof(std::int32_t)));
+      for (int& node : step.path) node = in.I32();
+      step.old_log_probs.resize(in.Count(sizeof(double)));
+      for (double& lp : step.old_log_probs) lp = in.F64();
     }
   }
-  if (!in) return Status::DataLoss("truncated checkpoint");
 
   // v2 sections: account pool and defender state. Presence must match
   // this attacker's configuration — a pooled checkpoint cannot restore
   // into a pool-less attacker (or vice versa) without silently changing
   // campaign semantics.
-  const int pool_flag = in.get();
-  if (pool_flag == std::ifstream::traits_type::eof()) {
-    return Status::DataLoss("truncated checkpoint");
-  }
-  if ((pool_flag != 0) != (pool_ != nullptr)) {
+  const bool pool_flag = in.U8() != 0;
+  if (!in.ok()) return truncated;
+  if (pool_flag != (pool_ != nullptr)) {
     return Status::InvalidArgument(
-        pool_flag != 0
+        pool_flag
             ? "checkpoint carries account-pool state but this attacker has "
               "no pool configured"
             : "this attacker has an account pool but the checkpoint has no "
@@ -1099,13 +1037,12 @@ Status PoisonRecAttacker::LoadCheckpoint(const std::string& path) {
   std::vector<std::size_t> staged_slots;
   std::uint64_t pool_next = 0;
   std::uint64_t pool_retired = 0;
-  if (pool_flag != 0) {
-    std::uint64_t slots = 0;
-    std::uint64_t total = 0;
-    if (!ReadU64(in, &slots) || !ReadU64(in, &total) ||
-        !ReadU64(in, &pool_next) || !ReadU64(in, &pool_retired)) {
-      return Status::DataLoss("truncated checkpoint");
-    }
+  if (pool_flag) {
+    const std::uint64_t slots = in.U64();
+    const std::uint64_t total = in.U64();
+    pool_next = in.U64();
+    pool_retired = in.U64();
+    if (!in.ok()) return truncated;
     if (slots != pool_->num_slots() || total != pool_->total_accounts()) {
       return Status::InvalidArgument(
           "checkpoint pool shape " + std::to_string(slots) + "/" +
@@ -1120,42 +1057,36 @@ Status PoisonRecAttacker::LoadCheckpoint(const std::string& path) {
     }
     staged_slots.resize(slots);
     for (std::size_t& a : staged_slots) {
-      std::uint64_t v = 0;
-      if (!ReadU64(in, &v)) return Status::DataLoss("truncated checkpoint");
-      if (v != kDeadSlotTag && v >= total) {
+      // A failed read yields account 0, always valid: truncation is
+      // reported after the loop.
+      const std::uint64_t id = in.U64();
+      if (id != kDeadSlotTag && id >= total) {
         return Status::InvalidArgument("corrupt pool state: slot maps to "
-                                       "account " + std::to_string(v));
+                                       "account " + std::to_string(id));
       }
-      a = v == kDeadSlotTag ? AccountPool::kDeadSlot
-                            : static_cast<std::size_t>(v);
+      a = id == kDeadSlotTag ? AccountPool::kDeadSlot
+                             : static_cast<std::size_t>(id);
     }
   }
-  const int defender_flag = in.get();
-  if (defender_flag == std::ifstream::traits_type::eof()) {
-    return Status::DataLoss("truncated checkpoint");
-  }
-  if ((defender_flag != 0) != (defended_ != nullptr)) {
+  const bool defender_flag = in.U8() != 0;
+  if (!in.ok()) return truncated;
+  if (defender_flag != (defended_ != nullptr)) {
     return Status::InvalidArgument(
-        defender_flag != 0
+        defender_flag
             ? "checkpoint carries defender state; attach the "
               "DefendedEnvironment before loading"
             : "a DefendedEnvironment is attached but the checkpoint has no "
               "defender state");
   }
-  std::string defender_blob;
-  if (defender_flag != 0) {
-    std::uint64_t blob_len = 0;
-    if (!ReadU64(in, &blob_len)) return Status::DataLoss("truncated checkpoint");
-    defender_blob.resize(blob_len);
-    in.read(defender_blob.data(), static_cast<std::streamsize>(blob_len));
-    if (!in) return Status::DataLoss("truncated checkpoint");
-  }
+  const std::string_view defender_blob =
+      defender_flag ? in.Blob() : std::string_view();
+  if (!in.ok()) return truncated;
 
   // Commit: everything parsed cleanly. Fallible commits run first (the
   // RNG deserialize stages into a local, the defender restore stages
   // internally), so a bad payload still leaves the attacker untouched.
   Rng restored_rng(0);
-  POISONREC_RETURN_NOT_OK(restored_rng.DeserializeState(rng_state));
+  POISONREC_RETURN_NOT_OK(restored_rng.DeserializeState(std::string(rng_state)));
   if (defended_ != nullptr) {
     POISONREC_RETURN_NOT_OK(defended_->RestoreState(defender_blob));
   }

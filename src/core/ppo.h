@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/account_pool.h"
@@ -22,6 +23,7 @@
 #include "nn/optimizer.h"
 #include "obs/event_log.h"
 #include "util/cancel.h"
+#include "util/fsio.h"
 #include "util/guard.h"
 #include "util/retry.h"
 #include "util/status.h"
@@ -272,7 +274,10 @@ class PoisonRecAttacker {
 
   /// Restores a SaveCheckpoint file into this attacker. The attacker must
   /// have been constructed with the same configuration and environment
-  /// shape (parameter shapes are validated).
+  /// shape (parameter shapes are validated). A missing file is kIoError;
+  /// a damaged one kDataLoss, a foreign or mismatched one
+  /// kInvalidArgument (see CheckpointPayload); either leaves the
+  /// attacker unchanged.
   Status LoadCheckpoint(const std::string& path);
 
   Policy& policy() { return *policy_; }
@@ -355,6 +360,18 @@ class PoisonRecAttacker {
   /// How many of defended_->ban_events() have been streamed already.
   std::size_t ban_events_emitted_ = 0;
 };
+
+/// The checkpoint frame, the one check LoadCheckpoint and `poisonrec
+/// fsck` (orch/fsck.h) share: `file` (read from `path`) must open with
+/// the "PRCK" header at the current version and close with a verified
+/// util/fsio.h integrity footer. Returns the payload between the two.
+/// A file shorter than the header, or with a torn footer, is kDataLoss
+/// and kTorn; a foreign magic or another version is kInvalidArgument and
+/// kCorrupt; a checksum mismatch is kDataLoss and kCorrupt. `*integrity`
+/// (optional) receives the class either way; messages start "<path>: ".
+StatusOr<std::string_view> CheckpointPayload(
+    std::string_view file, const std::string& path,
+    FileIntegrity* integrity = nullptr);
 
 }  // namespace poisonrec::core
 

@@ -1,9 +1,9 @@
 #include "env/defended.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "obs/metrics.h"
+#include "util/bytes.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -47,28 +47,16 @@ std::uint64_t Mix(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-void WriteU64(std::ostream& out, std::uint64_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void WriteF64(std::ostream& out, double v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-bool ReadU64(std::istream& in, std::uint64_t* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return static_cast<bool>(in);
-}
-
-bool ReadF64(std::istream& in, double* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return static_cast<bool>(in);
-}
-
 // Defender-state framing ("PRDF", version 1) inside the blob returned by
-// SerializeState; embedded whole into attacker checkpoints.
+// SerializeState; embedded whole into attacker checkpoints. Layout, in
+// util/bytes.h fields: u32 magic, u32 version, u64 accounts, per account
+// u64 history length + u64 items, one u8 ban flag per account, u64 event
+// count + (u64 query, u64 account, u64 user, f64 suspicion) per event,
+// u64 recorded-query count + u64 ids, then u64 next sweep and the five
+// u64 DefenseStats counters.
 constexpr std::uint32_t kStateMagic = 0x50524446u;  // "PRDF"
 constexpr std::uint32_t kStateVersion = 1;
+constexpr std::size_t kBanEventBytes = 32;
 
 }  // namespace
 
@@ -250,107 +238,81 @@ DefenseStats DefendedEnvironment::stats() const {
 
 std::string DefendedEnvironment::SerializeState() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream out(std::ios::binary);
-  const std::uint32_t header[2] = {kStateMagic, kStateVersion};
-  out.write(reinterpret_cast<const char*>(header), sizeof(header));
-  WriteU64(out, history_.size());
+  std::string bytes;
+  ByteWriter out(&bytes);
+  out.U32(kStateMagic);
+  out.U32(kStateVersion);
+  out.U64(history_.size());
   for (const std::vector<data::ItemId>& h : history_) {
-    WriteU64(out, h.size());
-    for (data::ItemId item : h) WriteU64(out, item);
+    out.U64(h.size());
+    for (data::ItemId item : h) out.U64(item);
   }
-  for (char b : banned_) out.put(b);
-  WriteU64(out, events_.size());
+  for (char b : banned_) out.U8(static_cast<std::uint8_t>(b));
+  out.U64(events_.size());
   for (const BanEvent& e : events_) {
-    WriteU64(out, e.query_id);
-    WriteU64(out, e.attacker_index);
-    WriteU64(out, e.user_id);
-    WriteF64(out, e.suspicion);
+    out.U64(e.query_id);
+    out.U64(e.attacker_index);
+    out.U64(e.user_id);
+    out.F64(e.suspicion);
   }
-  WriteU64(out, recorded_queries_.size());
-  for (std::uint64_t q : recorded_queries_) WriteU64(out, q);
-  WriteU64(out, next_sweep_);
-  WriteU64(out, stats_.queries);
-  WriteU64(out, stats_.sweeps);
-  WriteU64(out, stats_.bans);
-  WriteU64(out, stats_.filtered_trajectories);
-  WriteU64(out, stats_.recorded_clicks);
-  return out.str();
+  out.U64(recorded_queries_.size());
+  for (std::uint64_t q : recorded_queries_) out.U64(q);
+  out.U64(next_sweep_);
+  out.U64(stats_.queries);
+  out.U64(stats_.sweeps);
+  out.U64(stats_.bans);
+  out.U64(stats_.filtered_trajectories);
+  out.U64(stats_.recorded_clicks);
+  return bytes;
 }
 
-Status DefendedEnvironment::RestoreState(const std::string& blob) {
-  std::istringstream in(blob, std::ios::binary);
-  std::uint32_t header[2] = {0, 0};
-  in.read(reinterpret_cast<char*>(header), sizeof(header));
-  if (!in || header[0] != kStateMagic) {
+Status DefendedEnvironment::RestoreState(std::string_view blob) {
+  ByteReader in(blob);
+  const std::uint32_t magic = in.U32();
+  const std::uint32_t version = in.U32();
+  if (!in.ok() || magic != kStateMagic) {
     return Status::InvalidArgument("not a defender state blob");
   }
-  if (header[1] != kStateVersion) {
+  if (version != kStateVersion) {
     return Status::InvalidArgument("unsupported defender state version " +
-                                   std::to_string(header[1]));
+                                   std::to_string(version));
   }
-  std::uint64_t accounts = 0;
-  if (!ReadU64(in, &accounts)) {
-    return Status::IoError("truncated defender state");
-  }
+  const std::uint64_t accounts = in.U64();
+  if (!in.ok()) return Status::IoError("truncated defender state");
   if (accounts != history_.size()) {
     return Status::InvalidArgument(
         "defender state has " + std::to_string(accounts) +
         " accounts, environment has " + std::to_string(history_.size()));
   }
 
-  // Stage, then commit: a truncated blob must leave this object unchanged.
+  // Stage, then commit: a truncated blob must leave this object
+  // unchanged. Every count is bounded by the bytes left, so a damaged
+  // one reads as truncation.
   std::vector<std::vector<data::ItemId>> history(accounts);
   for (std::vector<data::ItemId>& h : history) {
-    std::uint64_t n = 0;
-    if (!ReadU64(in, &n)) return Status::IoError("truncated defender state");
-    h.resize(n);
-    for (data::ItemId& item : h) {
-      std::uint64_t v = 0;
-      if (!ReadU64(in, &v)) return Status::IoError("truncated defender state");
-      item = static_cast<data::ItemId>(v);
-    }
+    h.resize(in.Count(sizeof(std::uint64_t)));
+    for (data::ItemId& item : h) item = static_cast<data::ItemId>(in.U64());
   }
   std::vector<char> banned(accounts);
-  for (char& b : banned) {
-    const int c = in.get();
-    if (c == std::istringstream::traits_type::eof()) {
-      return Status::IoError("truncated defender state");
-    }
-    b = static_cast<char>(c);
-  }
-  std::uint64_t n_events = 0;
-  if (!ReadU64(in, &n_events)) {
-    return Status::IoError("truncated defender state");
-  }
-  std::vector<BanEvent> events(n_events);
+  for (char& b : banned) b = static_cast<char>(in.U8());
+  std::vector<BanEvent> events(in.Count(kBanEventBytes));
   for (BanEvent& e : events) {
-    std::uint64_t attacker = 0;
-    std::uint64_t user = 0;
-    if (!ReadU64(in, &e.query_id) || !ReadU64(in, &attacker) ||
-        !ReadU64(in, &user) || !ReadF64(in, &e.suspicion)) {
-      return Status::IoError("truncated defender state");
-    }
-    e.attacker_index = attacker;
-    e.user_id = user;
-  }
-  std::uint64_t n_recorded = 0;
-  if (!ReadU64(in, &n_recorded)) {
-    return Status::IoError("truncated defender state");
+    e.query_id = in.U64();
+    e.attacker_index = in.U64();
+    e.user_id = in.U64();
+    e.suspicion = in.F64();
   }
   std::set<std::uint64_t> recorded;
-  for (std::uint64_t i = 0; i < n_recorded; ++i) {
-    std::uint64_t q = 0;
-    if (!ReadU64(in, &q)) return Status::IoError("truncated defender state");
-    recorded.insert(q);
-  }
-  std::uint64_t next_sweep = 0;
+  const std::uint64_t n_recorded = in.Count(sizeof(std::uint64_t));
+  for (std::uint64_t i = 0; i < n_recorded; ++i) recorded.insert(in.U64());
+  const std::uint64_t next_sweep = in.U64();
   DefenseStats stats;
-  if (!ReadU64(in, &next_sweep) || !ReadU64(in, &stats.queries) ||
-      !ReadU64(in, &stats.sweeps) || !ReadU64(in, &stats.bans) ||
-      !ReadU64(in, &stats.filtered_trajectories) ||
-      !ReadU64(in, &stats.recorded_clicks)) {
-    return Status::IoError("truncated defender state");
-  }
+  stats.queries = in.U64();
+  stats.sweeps = in.U64();
+  stats.bans = in.U64();
+  stats.filtered_trajectories = in.U64();
+  stats.recorded_clicks = in.U64();
+  if (!in.ok()) return Status::IoError("truncated defender state");
 
   std::lock_guard<std::mutex> lock(mu_);
   history_ = std::move(history);

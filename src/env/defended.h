@@ -38,6 +38,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "defense/detector.h"
@@ -135,8 +136,10 @@ class DefendedEnvironment {
   /// sequence of an uninterrupted run.
   std::string SerializeState() const;
   /// Restores a SerializeState blob. The decorator must wrap an
-  /// environment with the same number of attacker accounts.
-  Status RestoreState(const std::string& blob);
+  /// environment with the same number of attacker accounts. A truncated
+  /// blob, or one whose counts exceed its bytes, is kIoError and leaves
+  /// this object unchanged.
+  Status RestoreState(std::string_view blob);
 
  private:
   void Init();

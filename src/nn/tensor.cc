@@ -66,13 +66,11 @@ bool GradMode::Enabled() { return g_grad_enabled; }
 
 void GradMode::SetEnabled(bool enabled) { g_grad_enabled = enabled; }
 
-bool GradEnabled() { return GradMode::Enabled(); }
-
-NoGradGuard::NoGradGuard() : previous_(GradMode::Enabled()) {
+NoGradScope::NoGradScope() : previous_(GradMode::Enabled()) {
   GradMode::SetEnabled(false);
 }
 
-NoGradGuard::~NoGradGuard() { GradMode::SetEnabled(previous_); }
+NoGradScope::~NoGradScope() { GradMode::SetEnabled(previous_); }
 
 // ---------------------------------------------------------------------------
 // Factories

@@ -96,26 +96,18 @@ class GradMode {
   static void SetEnabled(bool enabled);
 };
 
-/// True when ops should record the autograd tape (default). Shorthand
-/// for GradMode::Enabled(); toggle with NoGradScope in inference and
-/// sampling paths to skip bookkeeping.
-bool GradEnabled();
-
 /// RAII scope that disables gradient recording on this thread and
 /// restores the previous mode on destruction (nests correctly).
-class NoGradGuard {
+class NoGradScope {
  public:
-  NoGradGuard();
-  ~NoGradGuard();
-  NoGradGuard(const NoGradGuard&) = delete;
-  NoGradGuard& operator=(const NoGradGuard&) = delete;
+  NoGradScope();
+  ~NoGradScope();
+  NoGradScope(const NoGradScope&) = delete;
+  NoGradScope& operator=(const NoGradScope&) = delete;
 
  private:
   bool previous_;
 };
-
-/// Preferred name for the inference-mode scope.
-using NoGradScope = NoGradGuard;
 
 /// Value-semantics handle to an autograd node. Copying a Tensor aliases the
 /// underlying buffer (like a shared_ptr); use DeepCopy for a detached copy.

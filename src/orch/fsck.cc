@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstring>
 #include <filesystem>
 #include <map>
 #include <sstream>
@@ -10,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/ppo.h"
 #include "orch/journal.h"
 #include "orch/lease.h"
 #include "util/fsio.h"
@@ -19,10 +19,15 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// Mirrors the checkpoint header in core/ppo.cc (kept file-local there;
-// fsck only classifies, it never parses the payload).
-constexpr std::uint32_t kCheckpointMagic = 0x5052434bu;  // "PRCK"
-constexpr std::uint32_t kCheckpointVersion = 4;
+/// `message` without the "<path>: " prefix the storage layer bakes into
+/// its errors — the table already has a path column.
+std::string WithoutPathPrefix(std::string message, const std::string& path) {
+  const std::string prefix = path + ": ";
+  if (message.compare(0, prefix.size(), prefix) == 0) {
+    message.erase(0, prefix.size());
+  }
+  return message;
+}
 
 /// `<id>.ckpt` or `<id>.t<token>.ckpt` -> campaign id.
 std::string CampaignIdFromCheckpointName(const std::string& filename) {
@@ -46,8 +51,8 @@ std::string CampaignIdFromCheckpointName(const std::string& filename) {
   return stem;
 }
 
-/// Classifies one checkpoint file the same way LoadCheckpoint would
-/// fail on it, without parsing the payload.
+/// Classifies one checkpoint file through the frame check LoadCheckpoint
+/// runs first (core::CheckpointPayload), without parsing the payload.
 FsckArtifact AuditCheckpoint(const std::string& path) {
   FsckArtifact artifact;
   artifact.kind = FsckArtifactKind::kCheckpoint;
@@ -60,43 +65,17 @@ FsckArtifact AuditCheckpoint(const std::string& path) {
     artifact.detail = "unreadable";
     return artifact;
   }
-  std::uint32_t header[2] = {0, 0};
-  if (bytes->size() < sizeof(header)) {
-    artifact.verdict = FsckVerdict::kTorn;
-    artifact.detail = "shorter than the checkpoint header (torn publish)";
-    return artifact;
-  }
-  std::memcpy(header, bytes->data(), sizeof(header));
-  if (header[0] != kCheckpointMagic) {
-    artifact.verdict = FsckVerdict::kCorrupt;
-    artifact.detail = "not a PoisonRec attacker checkpoint";
-    return artifact;
-  }
-  if (header[1] != kCheckpointVersion) {
-    artifact.verdict = FsckVerdict::kCorrupt;
-    artifact.detail =
-        "unsupported checkpoint version " + std::to_string(header[1]);
-    return artifact;
-  }
-  std::size_t payload_size = 0;
   FileIntegrity integrity = FileIntegrity::kOk;
-  const Status verified =
-      VerifyIntegrityFooter(*bytes, path, &payload_size, &integrity);
-  if (!verified.ok()) {
+  const StatusOr<std::string_view> payload =
+      core::CheckpointPayload(*bytes, path, &integrity);
+  if (!payload.ok()) {
     artifact.verdict = integrity == FileIntegrity::kTorn ? FsckVerdict::kTorn
                                                          : FsckVerdict::kCorrupt;
-    // Strip the "<path>: " prefix VerifyIntegrityFooter bakes into its
-    // message — the table already has a path column.
-    std::string message = verified.message();
-    const std::string prefix = path + ": ";
-    if (message.compare(0, prefix.size(), prefix) == 0) {
-      message.erase(0, prefix.size());
-    }
-    artifact.detail = message;
+    artifact.detail = WithoutPathPrefix(payload.status().message(), path);
     return artifact;
   }
   artifact.verdict = FsckVerdict::kOk;
-  artifact.detail = std::to_string(payload_size) + " payload bytes";
+  artifact.detail = std::to_string(payload->size()) + " payload bytes";
   return artifact;
 }
 
@@ -162,12 +141,7 @@ FsckArtifact AuditLease(const LeaseManager& manager,
   // highest token.
   artifact.verdict = FsckVerdict::kCorrupt;
   artifact.repairable = true;
-  std::string message = info.status().message();
-  const std::string prefix = path + ": ";
-  if (message.compare(0, prefix.size(), prefix) == 0) {
-    message.erase(0, prefix.size());
-  }
-  artifact.detail = message;
+  artifact.detail = WithoutPathPrefix(info.status().message(), path);
   return artifact;
 }
 

@@ -56,19 +56,13 @@ Status ReadSize(const JsonValue& obj, const char* key, std::size_t* out,
   return Status::OK();
 }
 
-Status ReadU64(const JsonValue& obj, const char* key, std::uint64_t* out,
-               const char* what) {
+/// ReadSize into a fixed-width unsigned field (seeds, cool-downs).
+template <typename T>
+Status ReadUnsigned(const JsonValue& obj, const char* key, T* out,
+                    const char* what) {
   std::size_t tmp = static_cast<std::size_t>(*out);
   POISONREC_RETURN_NOT_OK(ReadSize(obj, key, &tmp, what));
-  *out = tmp;
-  return Status::OK();
-}
-
-Status ReadU32(const JsonValue& obj, const char* key, std::uint32_t* out,
-               const char* what) {
-  std::size_t tmp = *out;
-  POISONREC_RETURN_NOT_OK(ReadSize(obj, key, &tmp, what));
-  *out = static_cast<std::uint32_t>(tmp);
+  *out = static_cast<T>(tmp);
   return Status::OK();
 }
 
@@ -112,8 +106,9 @@ Status ApplyFaultObject(const JsonValue& obj, env::FaultProfile* fault) {
       ReadDouble(obj, "failure", &fault->query_failure_rate, kWhat));
   POISONREC_RETURN_NOT_OK(
       ReadDouble(obj, "throttle", &fault->throttle_rate, kWhat));
-  POISONREC_RETURN_NOT_OK(ReadU32(obj, "throttle_cooldown",
-                                  &fault->throttle_cooldown_attempts, kWhat));
+  POISONREC_RETURN_NOT_OK(ReadUnsigned(obj, "throttle_cooldown",
+                                       &fault->throttle_cooldown_attempts,
+                                       kWhat));
   POISONREC_RETURN_NOT_OK(
       ReadDouble(obj, "drop", &fault->injection_drop_rate, kWhat));
   POISONREC_RETURN_NOT_OK(
@@ -124,7 +119,7 @@ Status ApplyFaultObject(const JsonValue& obj, env::FaultProfile* fault) {
       ReadDouble(obj, "stale", &fault->stale_reward_rate, kWhat));
   POISONREC_RETURN_NOT_OK(
       ReadDouble(obj, "nan", &fault->nan_reward_rate, kWhat));
-  POISONREC_RETURN_NOT_OK(ReadU64(obj, "seed", &fault->seed, kWhat));
+  POISONREC_RETURN_NOT_OK(ReadUnsigned(obj, "seed", &fault->seed, kWhat));
   return Status::OK();
 }
 
@@ -178,7 +173,7 @@ Status ApplyCampaignKeys(const JsonValue& obj, CampaignSpec* spec,
   POISONREC_RETURN_NOT_OK(ReadDouble(
       obj, "defense_ban_prob", &spec->defense_profile.ban_probability, what));
   POISONREC_RETURN_NOT_OK(
-      ReadU64(obj, "defense_seed", &spec->defense_profile.seed, what));
+      ReadUnsigned(obj, "defense_seed", &spec->defense_profile.seed, what));
   POISONREC_RETURN_NOT_OK(
       ReadSize(obj, "pool_reserve", &spec->pool_reserve, what));
   POISONREC_RETURN_NOT_OK(
@@ -195,7 +190,7 @@ Status ApplyCampaignKeys(const JsonValue& obj, CampaignSpec* spec,
       ReadSize(obj, "embedding_dim", &spec->embedding_dim, what));
   POISONREC_RETURN_NOT_OK(
       ReadSize(obj, "eval_users", &spec->max_eval_users, what));
-  POISONREC_RETURN_NOT_OK(ReadU64(obj, "seed", &spec->seed, what));
+  POISONREC_RETURN_NOT_OK(ReadUnsigned(obj, "seed", &spec->seed, what));
   POISONREC_RETURN_NOT_OK(
       ReadSize(obj, "retry_attempts", &spec->retry_attempts, what));
   POISONREC_RETURN_NOT_OK(ReadDouble(
@@ -347,7 +342,7 @@ StatusOr<FleetPlan> ParseFleetPlan(const JsonValue& root) {
   POISONREC_RETURN_NOT_OK(ReadString(root, "dataset", &plan.dataset, kWhat));
   POISONREC_RETURN_NOT_OK(ReadDouble(root, "scale", &plan.scale, kWhat));
   POISONREC_RETURN_NOT_OK(
-      ReadU64(root, "dataset_seed", &plan.dataset_seed, kWhat));
+      ReadUnsigned(root, "dataset_seed", &plan.dataset_seed, kWhat));
 
   CampaignSpec base;
   if (const JsonValue* defaults = root.Find("defaults")) {

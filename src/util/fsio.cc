@@ -13,6 +13,7 @@
 
 #include "obs/crc32c.h"
 #include "obs/event_log.h"
+#include "util/bytes.h"
 
 namespace poisonrec {
 
@@ -386,42 +387,15 @@ const char* FileIntegrityName(FileIntegrity integrity) {
   return "unknown";
 }
 
-namespace {
-
-void AppendU32(std::uint32_t value, std::string* out) {
-  char bytes[4];
-  std::memcpy(bytes, &value, sizeof(value));
-  out->append(bytes, sizeof(bytes));
-}
-
-void AppendU64(std::uint64_t value, std::string* out) {
-  char bytes[8];
-  std::memcpy(bytes, &value, sizeof(value));
-  out->append(bytes, sizeof(bytes));
-}
-
-std::uint32_t ReadU32(const char* bytes) {
-  std::uint32_t value;
-  std::memcpy(&value, bytes, sizeof(value));
-  return value;
-}
-
-std::uint64_t ReadU64(const char* bytes) {
-  std::uint64_t value;
-  std::memcpy(&value, bytes, sizeof(value));
-  return value;
-}
-
-}  // namespace
-
 std::string WithIntegrityFooter(std::string payload) {
   const std::uint32_t crc = obs::Crc32c(payload);
   const std::uint64_t payload_len = payload.size();
   payload.reserve(payload.size() + kIntegrityFooterBytes);
-  AppendU32(kIntegrityMagic, &payload);
-  AppendU32(kIntegrityVersion, &payload);
-  AppendU64(payload_len, &payload);
-  AppendU32(crc, &payload);
+  ByteWriter footer(&payload);
+  footer.U32(kIntegrityMagic);
+  footer.U32(kIntegrityVersion);
+  footer.U64(payload_len);
+  footer.U32(crc);
   return payload;
 }
 
@@ -437,24 +411,24 @@ Status VerifyIntegrityFooter(std::string_view bytes, const std::string& path,
     return classify(FileIntegrity::kTorn,
                     "shorter than the integrity footer (torn or unframed)");
   }
-  const char* footer =
-      bytes.data() + bytes.size() - kIntegrityFooterBytes;
-  if (ReadU32(footer) != kIntegrityMagic) {
+  ByteReader footer(bytes.substr(bytes.size() - kIntegrityFooterBytes));
+  const std::uint32_t magic = footer.U32();
+  const std::uint32_t version = footer.U32();
+  const std::uint64_t payload_len = footer.U64();
+  const std::uint32_t want = footer.U32();
+  if (magic != kIntegrityMagic) {
     return classify(FileIntegrity::kTorn,
                     "missing integrity footer (torn or unframed)");
   }
-  const std::uint32_t version = ReadU32(footer + 4);
   if (version != kIntegrityVersion) {
     return classify(FileIntegrity::kCorrupt,
                     "unsupported integrity footer version " +
                         std::to_string(version));
   }
-  const std::uint64_t payload_len = ReadU64(footer + 8);
   if (payload_len != bytes.size() - kIntegrityFooterBytes) {
     return classify(FileIntegrity::kTorn,
                     "integrity footer length mismatch (torn publish)");
   }
-  const std::uint32_t want = ReadU32(footer + 16);
   const std::uint32_t got =
       obs::Crc32c(bytes.data(), static_cast<std::size_t>(payload_len));
   if (want != got) {

@@ -2,6 +2,7 @@
 // killed and resumed from a checkpoint must continue bit-identically to
 // one that never stopped — including under injected faults.
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -12,6 +13,7 @@
 #include "core/ppo.h"
 #include "data/synthetic.h"
 #include "rec/registry.h"
+#include "util/fsio.h"
 
 namespace poisonrec::core {
 namespace {
@@ -304,6 +306,68 @@ TEST(CheckpointTest, MismatchedPolicyShapeIsRejected) {
   other_cfg.policy.embedding_dim = 16;  // different parameter shapes
   PoisonRecAttacker other(&f.environment, other_cfg);
   EXPECT_EQ(other.LoadCheckpoint(path).code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+std::uint64_t U64At(const std::string& bytes, std::size_t offset) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + offset, sizeof(v));
+  return v;
+}
+
+TEST(CheckpointTest, OversizedLengthFieldIsDataLossNotAnException) {
+  Fixture f;
+  const auto cfg = Fixture::MakeAttackerConfig();
+  PoisonRecAttacker trained(&f.environment, cfg);
+  trained.Train(2);
+  const std::string path = TempPath("poisonrec_oversized_ckpt.bin");
+  ASSERT_TRUE(trained.SaveCheckpoint(path).ok());
+  StatusOr<std::string> payload = ReadFileVerified(path);
+  ASSERT_TRUE(payload.ok());
+
+  // Walk the v4 layout (core/ppo.cc) to each length or count field.
+  std::size_t offset = 8 + 8 + 8 + 8;  // header, steps, seed, count
+  std::size_t moment_bytes = 0;
+  for (const nn::Tensor& p : trained.policy().Parameters()) {
+    offset += 16 + p.size() * sizeof(float);
+    moment_bytes += 2 * p.size() * sizeof(float);
+  }
+  offset += 8 + moment_bytes;  // Adam step count, m and v
+  const std::size_t rng_len_at = offset;
+  offset += 8 + U64At(*payload, rng_len_at) + 8 + 1;  // rng, reward, flag
+  const std::size_t n_traj_at = offset;
+  ASSERT_GT(U64At(*payload, n_traj_at), 0u);
+  offset += 8 + 8;  // n_traj, attacker index
+  ASSERT_GT(U64At(*payload, offset), 0u);  // first trajectory has steps
+  offset += 8 + 8;  // n_steps, item
+  const std::size_t path_len_at = offset;
+  offset += 8 + U64At(*payload, path_len_at) * sizeof(std::int32_t);
+  const std::size_t lp_len_at = offset;
+  ASSERT_GT(U64At(*payload, lp_len_at), 0u);
+  ASSERT_LE(U64At(*payload, lp_len_at), U64At(*payload, path_len_at));
+
+  const std::uint64_t kHuge = (1ull << 63) - 16;
+  const std::pair<const char*, std::size_t> fields[] = {
+      {"rng_len", rng_len_at},
+      {"n_traj", n_traj_at},
+      {"path_len", path_len_at},
+      {"lp_len", lp_len_at}};
+  for (const auto& [name, at] : fields) {
+    std::string damaged = *payload;
+    std::memcpy(damaged.data() + at, &kHuge, sizeof(kHuge));
+    ASSERT_TRUE(WriteFileDurable(path, WithIntegrityFooter(damaged)).ok());
+    PoisonRecAttacker victim(&f.environment, cfg);
+    victim.TrainStep();
+    const std::vector<float> before = victim.policy().Parameters()[0].data();
+    Status status;
+    EXPECT_NO_THROW(status = victim.LoadCheckpoint(path)) << name;
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << name;
+    EXPECT_NE(status.message().find("truncated checkpoint"),
+              std::string::npos)
+        << name << ": " << status.message();
+    EXPECT_EQ(victim.steps_taken(), 1u) << name;
+    EXPECT_EQ(victim.policy().Parameters()[0].data(), before) << name;
+  }
   std::remove(path.c_str());
 }
 

@@ -4,9 +4,11 @@
 // serialization, and the end-to-end acceptance campaign — a pool-less
 // attacker collapses under permanent bans while a pooled attacker
 // sustains most of the undefended damage, bit-identically across runs
-// and across a crash + checkpoint resume.
+// and across a crash + checkpoint resume. A golden digest pins the bytes
+// of a pooled, defended campaign's checkpoint and defender state.
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -14,12 +16,15 @@
 
 #include <gtest/gtest.h>
 
+#include "bit_identity.h"
 #include "core/ppo.h"
 #include "data/synthetic.h"
 #include "defense/detector.h"
 #include "env/defended.h"
 #include "env/fault.h"
+#include "nn/kernels.h"
 #include "rec/registry.h"
+#include "util/fsio.h"
 
 namespace poisonrec::core {
 namespace {
@@ -295,6 +300,64 @@ TEST(DefendedEnvironmentTest, RestoreRejectsGarbageAndWrongShape) {
   EXPECT_EQ(platform.stats().recorded_clicks, 6u);
 }
 
+std::uint64_t U64At(const std::string& bytes, std::size_t offset) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + offset, sizeof(v));
+  return v;
+}
+
+std::string WithU64At(std::string bytes, std::size_t offset,
+                      std::uint64_t v) {
+  std::memcpy(bytes.data() + offset, &v, sizeof(v));
+  return bytes;
+}
+
+constexpr std::uint64_t kHuge = (1ull << 63) - 16;
+
+TEST(DefendedEnvironmentTest, OversizedCountIsTruncationNotAnException) {
+  Fixture f;
+  env::DefendedEnvironment original(
+      &f.environment, std::make_unique<defense::ClickEntropyDetector>(),
+      EntropyProfile(3, 1));
+  const std::vector<env::Trajectory> fleet = {Repetitive(0), Repetitive(1),
+                                              Diverse(2)};
+  for (std::uint64_t q = 0; q < 5; ++q) {
+    ASSERT_TRUE(original.TryEvaluate(fleet, q).ok());
+  }
+  const std::string blob = original.SerializeState();
+
+  // Walk the PRDF layout (env/defended.cc) to each count field.
+  const std::uint64_t accounts = U64At(blob, 8);
+  const std::size_t history_at = 16;
+  std::size_t offset = history_at;
+  for (std::uint64_t a = 0; a < accounts; ++a) {
+    offset += 8 + U64At(blob, offset) * 8;
+  }
+  offset += accounts;  // ban flags
+  const std::size_t events_at = offset;
+  ASSERT_GT(U64At(blob, events_at), 0u);
+  offset += 8 + U64At(blob, events_at) * 32;
+  const std::size_t recorded_at = offset;
+  ASSERT_EQ(U64At(blob, recorded_at), 5u);
+
+  const std::pair<const char*, std::size_t> fields[] = {
+      {"history", history_at}, {"events", events_at},
+      {"recorded queries", recorded_at}};
+  for (const auto& [name, at] : fields) {
+    env::DefendedEnvironment platform(
+        &f.environment, std::make_unique<defense::ClickEntropyDetector>(),
+        EntropyProfile(3, 1));
+    ASSERT_TRUE(platform.TryEvaluate({Diverse(2)}, 0).ok());
+    Status status;
+    EXPECT_NO_THROW(status = platform.RestoreState(WithU64At(blob, at, kHuge)))
+        << name;
+    EXPECT_EQ(status.code(), StatusCode::kIoError) << name;
+    EXPECT_EQ(status.message(), "truncated defender state") << name;
+    EXPECT_EQ(platform.stats().recorded_clicks, 6u) << name;
+    EXPECT_TRUE(platform.BannedAccounts().empty()) << name;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end acceptance: the defended campaign.
 // ---------------------------------------------------------------------------
@@ -527,6 +590,98 @@ TEST(DefendedCampaignTest, CrashAndResumeReplaysTheExactBanSequence) {
     EXPECT_DOUBLE_EQ(events_full[i].suspicion, events_resumed[i].suspicion);
   }
   std::remove(path.c_str());
+}
+
+TEST(DefendedCampaignTest, OversizedDefenderBlobLengthIsDataLoss) {
+  auto cfg = Fixture::MakeAttackerConfig();
+  cfg.pool.enabled = true;
+  cfg.pool.reserve_accounts = 4;
+  CampaignFixture f(4);
+  env::FaultyEnvironment faulty(&f.environment, {});
+  env::DefendedEnvironment platform(&faulty, defense::MakeDefaultEnsemble(),
+                                    AggressiveProfile(cfg));
+  PoisonRecAttacker attacker(&f.environment, cfg);
+  attacker.AttachDefendedEnvironment(&platform, kNoSleep);
+  attacker.Train(2);
+  const std::string path = TempPath("poisonrec_oversized_blob_ckpt.bin");
+  ASSERT_TRUE(attacker.SaveCheckpoint(path).ok());
+  StatusOr<std::string> payload = ReadFileVerified(path);
+  ASSERT_TRUE(payload.ok());
+  // The defender blob closes the payload, right after its u64 length.
+  const std::string blob = platform.SerializeState();
+  const std::size_t blob_len_at = payload->size() - blob.size() - 8;
+  ASSERT_EQ(U64At(*payload, blob_len_at), blob.size());
+  ASSERT_TRUE(WriteFileDurable(path, WithIntegrityFooter(WithU64At(
+                                         *payload, blob_len_at, kHuge)))
+                  .ok());
+
+  env::DefendedEnvironment fresh(&faulty, defense::MakeDefaultEnsemble(),
+                                 AggressiveProfile(cfg));
+  PoisonRecAttacker victim(&f.environment, cfg);
+  victim.AttachDefendedEnvironment(&fresh, kNoSleep);
+  Status status;
+  EXPECT_NO_THROW(status = victim.LoadCheckpoint(path));
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(status.message(), "truncated checkpoint");
+  EXPECT_EQ(victim.steps_taken(), 0u);
+  EXPECT_EQ(fresh.stats().queries, 0u);
+  std::remove(path.c_str());
+}
+
+// The engine fixtures (batched_engine_test.cc) digest pool-less,
+// undefended checkpoints only. This one pins the v2 sections too: the
+// account pool after a remap and the defender blob after a ban, from a
+// campaign whose queries also fail transiently and are retried.
+constexpr std::uint32_t kPooledDefendedGolden = 0x030abd6b;
+
+std::uint32_t RunPooledDefendedCampaign() {
+  auto cfg = Fixture::MakeAttackerConfig();
+  cfg.pool.enabled = true;
+  cfg.pool.reserve_accounts = 4;
+  cfg.pool.min_live_attackers = 2;
+  CampaignFixture f(4);
+  env::FaultProfile faults;
+  faults.query_failure_rate = 0.3;
+  faults.seed = 19;
+  env::FaultyEnvironment faulty(&f.environment, faults);
+  env::DefendedEnvironment platform(&faulty, defense::MakeDefaultEnsemble(),
+                                    AggressiveProfile(cfg));
+  PoisonRecAttacker attacker(&f.environment, cfg);
+  attacker.AttachDefendedEnvironment(&platform, kNoSleep);
+  std::size_t retries = 0;
+  for (const TrainStepStats& s : attacker.Train(4)) retries += s.retries;
+  EXPECT_GT(retries, 0u);
+  EXPECT_FALSE(platform.ban_events().empty());
+  EXPECT_GT(attacker.account_pool()->next_account(),
+            attacker.account_pool()->num_slots());
+
+  const std::string path = TempPath("poisonrec_pooled_defended_ckpt.bin");
+  EXPECT_TRUE(attacker.SaveCheckpoint(path).ok());
+  StatusOr<std::string> bytes = ReadFileBytes(path);
+  std::remove(path.c_str());
+  EXPECT_TRUE(bytes.ok());
+  Digest digest;
+  digest.Vector(std::vector<char>(bytes->begin(), bytes->end()));
+  const std::string blob = platform.SerializeState();
+  digest.Vector(std::vector<char>(blob.begin(), blob.end()));
+  return digest.value();
+}
+
+TEST(DefendedGoldenTest, PooledDefendedCheckpointMatchesGoldenDigest) {
+  struct ThreadGuard {
+    ~ThreadGuard() { nn::SetNumThreads(0); }
+  } guard;
+  nn::SetNumThreads(1);
+  const std::uint32_t one_thread = RunPooledDefendedCampaign();
+  nn::SetNumThreads(4);
+  const std::uint32_t four_threads = RunPooledDefendedCampaign();
+  char actual[16];
+  std::snprintf(actual, sizeof(actual), "0x%08x", one_thread);
+  EXPECT_EQ(one_thread, four_threads) << "thread-count dependence";
+  EXPECT_EQ(one_thread, kPooledDefendedGolden)
+      << "checkpoint bytes moved; if intended, set kPooledDefendedGolden "
+         "to "
+      << actual;
 }
 
 }  // namespace

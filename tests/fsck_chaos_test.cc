@@ -30,11 +30,13 @@
 
 #include <gtest/gtest.h>
 
+#include "core/ppo.h"
 #include "data/synthetic.h"
 #include "orch/fleet.h"
 #include "orch/fsck.h"
 #include "orch/journal.h"
 #include "orch/spec.h"
+#include "rec/registry.h"
 #include "util/fsio.h"
 
 namespace poisonrec::orch {
@@ -501,6 +503,97 @@ TEST(FsckChaosTest, JournalShortWriteTearsInteriorRecordWhichIsCounted) {
   EXPECT_GE(resumed.journal_corrupt_lines + resumed.journal_malformed_lines,
             1u);
   fs::remove_all(base);
+}
+
+// fsck and LoadCheckpoint read one checkpoint frame: for every kind of
+// damage, the verdict fsck prints and the code the resuming supervisor
+// acts on must agree (torn is lost state, kDataLoss; corrupt is lost
+// state or a foreign file, kDataLoss or kInvalidArgument).
+TEST(FsckChaosTest, FsckVerdictAgreesWithLoadCheckpointOnDamagedCopies) {
+  const fs::path dir = fs::temp_directory_path() / "poisonrec_frame_agree";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  env::EnvironmentConfig env_cfg;
+  env_cfg.num_attackers = 4;
+  env_cfg.trajectory_length = 6;
+  env_cfg.num_target_items = 3;
+  env_cfg.num_candidate_originals = 20;
+  const env::AttackEnvironment environment(
+      MakeLog(), rec::MakeRecommender("ItemPop").value(), env_cfg);
+  core::PoisonRecConfig cfg;
+  cfg.samples_per_step = 4;
+  cfg.batch_size = 4;
+  cfg.policy.embedding_dim = 8;
+  core::PoisonRecAttacker attacker(&environment, cfg);
+  attacker.TrainStep();
+  const std::string original = (dir / "saved.ckpt").string();
+  ASSERT_TRUE(attacker.SaveCheckpoint(original).ok());
+  StatusOr<std::string> file = ReadFileBytes(original);
+  ASSERT_TRUE(file.ok());
+  StatusOr<std::string> payload = ReadFileVerified(original);
+  ASSERT_TRUE(payload.ok());
+  const std::size_t size = file->size();
+
+  const auto flipped = [&](std::size_t at) {
+    std::string bytes = *file;
+    bytes[at] ^= 0x01;
+    return bytes;
+  };
+  std::string version3 = *payload;
+  version3[4] = 3;
+  struct Case {
+    const char* name;
+    std::string bytes;
+    FsckVerdict verdict;
+  };
+  const Case cases[] = {
+      {"intact", *file, FsckVerdict::kOk},
+      {"empty", "", FsckVerdict::kTorn},
+      {"four_bytes", file->substr(0, 4), FsckVerdict::kTorn},
+      {"mid_payload", file->substr(0, size / 2), FsckVerdict::kTorn},
+      {"payload_bit", flipped(size / 2), FsckVerdict::kCorrupt},
+      {"footer_crc_bit", flipped(size - 1), FsckVerdict::kCorrupt},
+      {"magic", flipped(0), FsckVerdict::kCorrupt},
+      {"version3", WithIntegrityFooter(version3), FsckVerdict::kCorrupt},
+  };
+  for (const Case& c : cases) {
+    const std::string path = (dir / (std::string(c.name) + ".ckpt")).string();
+    ASSERT_TRUE(WriteFileDurable(path, c.bytes).ok()) << c.name;
+  }
+  fs::remove(original);
+
+  FsckOptions options;
+  options.checkpoint_dir = dir.string();
+  auto audit = RunFsck(options);
+  ASSERT_TRUE(audit.ok());
+  for (const Case& c : cases) {
+    const FsckArtifact* artifact =
+        FindArtifact(*audit, "/" + std::string(c.name) + ".ckpt");
+    ASSERT_NE(artifact, nullptr) << c.name;
+    EXPECT_EQ(artifact->verdict, c.verdict)
+        << c.name << ": " << FsckVerdictName(artifact->verdict) << " ("
+        << artifact->detail << ")";
+
+    core::PoisonRecAttacker loader(&environment, cfg);
+    const StatusCode code = loader.LoadCheckpoint(artifact->path).code();
+    switch (artifact->verdict) {
+      case FsckVerdict::kOk:
+        EXPECT_EQ(code, StatusCode::kOk) << c.name;
+        break;
+      case FsckVerdict::kTorn:
+        EXPECT_EQ(code, StatusCode::kDataLoss) << c.name;
+        break;
+      case FsckVerdict::kCorrupt:
+        EXPECT_TRUE(code == StatusCode::kDataLoss ||
+                    code == StatusCode::kInvalidArgument)
+            << c.name << ": " << StatusCodeToString(code);
+        break;
+      default:
+        ADD_FAILURE() << c.name << ": unexpected verdict "
+                      << FsckVerdictName(artifact->verdict);
+    }
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

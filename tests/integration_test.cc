@@ -8,7 +8,6 @@
 #include "attack/poisonrec_attack.h"
 #include "core/poisonrec.h"
 #include "defense/detector.h"
-#include "nn/serialize.h"
 #include "rec/metrics.h"
 
 namespace poisonrec {
@@ -86,8 +85,8 @@ TEST(IntegrationTest, TrainsAgainstEveryRanker) {
   }
 }
 
-// Attack -> persistence -> restore: the restored policy reproduces the
-// trained policy's behavior exactly.
+// Attack -> attacker checkpoint -> restore: the restored policy
+// reproduces the trained policy's behavior exactly.
 TEST(IntegrationTest, PolicyCheckpointAfterTraining) {
   env::AttackEnvironment system(SmallLog(),
                                 rec::MakeRecommender("ItemPop").value(),
@@ -102,12 +101,10 @@ TEST(IntegrationTest, PolicyCheckpointAfterTraining) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "poisonrec_integ_ckpt.bin")
           .string();
-  ASSERT_TRUE(
-      nn::SaveParameters(trained.policy().Parameters(), path).ok());
+  ASSERT_TRUE(trained.SaveCheckpoint(path).ok());
 
   core::PoisonRecAttacker restored(&system, config);
-  ASSERT_TRUE(
-      nn::LoadParameters(path, restored.policy().Parameters()).ok());
+  ASSERT_TRUE(restored.LoadCheckpoint(path).ok());
 
   Rng rng_a(5);
   Rng rng_b(5);

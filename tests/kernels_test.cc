@@ -229,7 +229,6 @@ TEST(NoGradScopeTest, NestsAndRestoresCorrectly) {
     EXPECT_FALSE(GradMode::Enabled());  // inner exit must not re-enable
   }
   EXPECT_TRUE(GradMode::Enabled());
-  EXPECT_TRUE(GradEnabled());  // shorthand stays in sync
 }
 
 }  // namespace

@@ -44,7 +44,7 @@ TEST(BceTest, GradientCheck) {
   loss.Backward();
   std::vector<float> numeric = NumericalGradient(
       [&targets](const Tensor& t) {
-        NoGradGuard guard;
+        NoGradScope no_grad;
         return BceWithLogits(t, targets).item();
       },
       logits, 1e-2f);
@@ -107,7 +107,7 @@ TEST(SoftmaxCeTest, GradientCheck) {
   loss.Backward();
   std::vector<float> numeric = NumericalGradient(
       [&targets](const Tensor& t) {
-        NoGradGuard guard;
+        NoGradScope no_grad;
         return SoftmaxCrossEntropy(t, targets).item();
       },
       logits, 1e-2f);

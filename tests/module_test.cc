@@ -122,7 +122,7 @@ TEST(LstmTest, GradientThroughThreeSteps) {
   std::vector<float> analytic = x.grad();
   std::vector<float> numeric = NumericalGradient(
       [&lstm](const Tensor& t) {
-        NoGradGuard guard;
+        NoGradScope no_grad;
         auto s = lstm.InitialState(2);
         for (int i = 0; i < 3; ++i) s = lstm.Step(t, s);
         return Sum(Square(s.h)).item();
@@ -169,7 +169,7 @@ TEST(GruTest, GradientThroughSteps) {
   loss.Backward();
   std::vector<float> numeric = NumericalGradient(
       [&gru](const Tensor& t) {
-        NoGradGuard guard;
+        NoGradScope no_grad;
         Tensor s = gru.InitialState(1);
         for (int i = 0; i < 3; ++i) s = gru.Step(t, s);
         return Sum(Square(s)).item();

@@ -45,7 +45,7 @@ TEST(SparseMatMulTest, GradientMatchesNumerical) {
   loss.Backward();
   std::vector<float> numeric = NumericalGradient(
       [&a](const Tensor& t) {
-        NoGradGuard guard;
+        NoGradScope no_grad;
         return Sum(Square(SparseMatMul(a, t))).item();
       },
       x, 1e-2f);

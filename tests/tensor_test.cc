@@ -29,7 +29,7 @@ void CheckGradient(Tensor x, const std::function<Tensor(const Tensor&)>& graph) 
   std::vector<float> analytic = x.grad();
   std::vector<float> numeric = NumericalGradient(
       [&graph](const Tensor& t) {
-        NoGradGuard guard;
+        NoGradScope no_grad;
         return graph(t).item();
       },
       x, kEps);
@@ -179,9 +179,9 @@ TEST(TensorForward, ConcatColsAndRows) {
   EXPECT_FLOAT_EQ(cr.at(2, 1), 8.0f);
 }
 
-TEST(TensorForward, NoGradGuardSkipsTape) {
+TEST(TensorForward, NoGradScopeSkipsTape) {
   Tensor a = RandomTensor(2, 2, 14);
-  NoGradGuard guard;
+  NoGradScope no_grad;
   Tensor b = Relu(a);
   EXPECT_FALSE(b.requires_grad());
 }

@@ -1,11 +1,14 @@
 // Unit tests for the util substrate: Status/StatusOr, Rng, stats, top-k,
-// CSV.
+// CSV, the byte codec.
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <numeric>
 
 #include <gtest/gtest.h>
 
+#include "util/bytes.h"
 #include "util/csv.h"
 #include "util/random.h"
 #include "util/stats.h"
@@ -270,6 +273,100 @@ TEST(CsvTest, SplitHandlesEmptyFields) {
   auto fields = SplitCsvLine("a,,c");
   ASSERT_EQ(fields.size(), 3u);
   EXPECT_EQ(fields[1], "");
+}
+
+template <typename T>
+std::string MemcpyBytes(T v) {
+  std::string bytes(sizeof(T), '\0');
+  std::memcpy(bytes.data(), &v, sizeof(T));
+  return bytes;
+}
+
+TEST(BytesTest, EveryFieldRoundTripsAsItsMemcpy) {
+  const std::vector<float> floats = {1.5f, -0.0f,
+                                     std::numeric_limits<float>::denorm_min()};
+  std::string bytes;
+  ByteWriter out(&bytes);
+  out.U8(0xa5);
+  out.U32(0xdeadbeefu);
+  out.U64(0x0123456789abcdefull);
+  out.I32(-7);
+  out.F64(-2.25);
+  out.Floats(floats);
+  out.Blob(std::string_view("blob\0bytes", 10));
+
+  std::string expected = MemcpyBytes<std::uint8_t>(0xa5) +
+                         MemcpyBytes<std::uint32_t>(0xdeadbeefu) +
+                         MemcpyBytes<std::uint64_t>(0x0123456789abcdefull) +
+                         MemcpyBytes<std::int32_t>(-7) +
+                         MemcpyBytes<double>(-2.25);
+  for (float f : floats) expected += MemcpyBytes(f);
+  expected += MemcpyBytes<std::uint64_t>(10) + std::string("blob\0bytes", 10);
+  EXPECT_EQ(bytes, expected);
+
+  ByteReader in(bytes);
+  EXPECT_EQ(in.U8(), 0xa5);
+  EXPECT_EQ(in.U32(), 0xdeadbeefu);
+  EXPECT_EQ(in.U64(), 0x0123456789abcdefull);
+  EXPECT_EQ(in.I32(), -7);
+  EXPECT_EQ(in.F64(), -2.25);
+  std::vector<float> back(floats.size());
+  in.Floats(&back);
+  EXPECT_EQ(std::memcmp(back.data(), floats.data(), sizeof(float) * 3), 0);
+  EXPECT_EQ(in.Blob(), std::string_view("blob\0bytes", 10));
+  EXPECT_TRUE(in.ok());
+  EXPECT_EQ(in.U8(), 0);  // one byte past the end
+  EXPECT_FALSE(in.ok());
+}
+
+TEST(BytesTest, ReadsPastTheEndStayFailed) {
+  std::string bytes;
+  ByteWriter(&bytes).U32(7);
+  ByteReader in(bytes);
+  EXPECT_EQ(in.U64(), 0u);  // needs 8 of the 4 bytes
+  EXPECT_FALSE(in.ok());
+  // Later reads that would fit the unread bytes still fail.
+  EXPECT_EQ(in.U32(), 0u);
+  EXPECT_EQ(in.U8(), 0u);
+  std::vector<float> floats(1, 3.0f);
+  in.Floats(&floats);
+  EXPECT_EQ(floats[0], 3.0f);
+  EXPECT_TRUE(in.Blob().empty());
+  EXPECT_FALSE(in.ok());
+}
+
+TEST(BytesTest, CountLargerThanTheBytesLeftFailsWithoutAllocating) {
+  std::string bytes;
+  ByteWriter out(&bytes);
+  out.U64(3);  // three 8-byte elements claimed, two present
+  out.F64(1.0);
+  out.F64(2.0);
+  ByteReader in(bytes);
+  std::vector<double> values;
+  values.resize(in.Count(sizeof(double)));
+  EXPECT_FALSE(in.ok());
+  EXPECT_EQ(values.capacity(), 0u);
+
+  // The largest counts and lengths cannot wrap the bound either.
+  for (const std::uint64_t huge : {std::numeric_limits<std::uint64_t>::max(),
+                                   std::uint64_t{(1ull << 63) - 16}}) {
+    std::string blob;
+    ByteWriter(&blob).U64(huge);
+    ByteReader count(blob);
+    EXPECT_EQ(count.Count(1), 0u);
+    EXPECT_FALSE(count.ok());
+    ByteReader length(blob);
+    EXPECT_TRUE(length.Blob().empty());
+    EXPECT_FALSE(length.ok());
+  }
+
+  // A count that exactly fits is fine.
+  std::string two;
+  ByteWriter(&two).U64(2);
+  two += bytes.substr(8);
+  ByteReader fits(two);
+  EXPECT_EQ(fits.Count(sizeof(double)), 2u);
+  EXPECT_TRUE(fits.ok());
 }
 
 }  // namespace

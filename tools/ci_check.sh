@@ -286,7 +286,7 @@ if [ "${WB_RC}" -ne 0 ]; then
   echo "shared smoke: surviving worker expected exit 0, got ${WB_RC}" >&2
   exit 1
 fi
-if ! cat "${SHARED_DIR}"/journal*.jsonl | grep -q '"preempted"'; then
+if ! grep -q '"preempted"' "${SHARED_DIR}"/journal*.jsonl; then
   echo "shared smoke: no 'preempted' journal record — preemption never" \
        "fired" >&2
   exit 1
@@ -317,7 +317,9 @@ fsck_expect() {  # fsck_expect <case> <expected-exit> <verdict-grep>
     printf '%s\n' "${out}" >&2
     exit 1
   fi
-  if ! printf '%s\n' "${out}" | grep -q "$3"; then
+  # A here-string, not a pipe: grep -q exits at its first match, and
+  # under pipefail the writer's SIGPIPE would fail the check.
+  if ! grep -q "$3" <<< "${out}"; then
     echo "fsck smoke ($1): no verdict matching '$3' in report" >&2
     printf '%s\n' "${out}" >&2
     exit 1
