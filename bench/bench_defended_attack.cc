@@ -72,11 +72,7 @@ void Run() {
       core::PoisonRecConfig attacker_config = MakePoisonRecConfig(
           config, core::ActionSpaceKind::kBcbtPopular,
           config.seed ^ (bans_per_sweep * 131 + reserve));
-      if (reserve > 0) {
-        attacker_config.pool.enabled = true;
-        attacker_config.pool.reserve_accounts = reserve;
-        attacker_config.pool.min_live_attackers = 2;
-      }
+      attacker_config.pool.reserve_accounts = reserve;
       core::PoisonRecAttacker attacker(environment.get(), attacker_config);
       attacker.AttachDefendedEnvironment(&platform);
       const auto stats = attacker.Train(config.training_steps);

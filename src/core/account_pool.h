@@ -20,10 +20,9 @@
 namespace poisonrec::core {
 
 struct AccountPoolConfig {
-  /// Master switch; everything below is ignored when false.
-  bool enabled = false;
-  /// Replacement accounts beyond the initial fleet. The environment must
-  /// be built with num_attackers = policy slots + reserve_accounts.
+  /// Replacement accounts beyond the initial fleet; 0 = no pool (a
+  /// banned slot dies for good). The environment must be built with
+  /// num_attackers = policy slots + reserve_accounts.
   std::size_t reserve_accounts = 0;
   /// The campaign aborts (kResourceExhausted) when fewer than this many
   /// slots are still mapped to live accounts. 0 = never abort.

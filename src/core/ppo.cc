@@ -29,7 +29,7 @@ namespace {
 //     trajectory u64 attacker_index, u64 n_steps, per step u64 item,
 //     u64 path_len + i32s, u64 logprob_len + f64s
 //   v2 appends the adaptive-defender campaign state:
-//   account pool: u8 enabled; when enabled u64 num_slots, u64
+//   account pool: u8 present; when present u64 num_slots, u64
 //     total_accounts, u64 next_account, u64 retired, then per slot a u64
 //     account id (dead slots as u64 max)
 //   defender: u8 attached; when attached u64 blob length + the
@@ -69,7 +69,7 @@ PoisonRecAttacker::PoisonRecAttacker(const env::AttackEnvironment* environment,
   // With a replacement pool, the environment's account space covers the
   // reserve; the policy keeps controlling only the initial fleet.
   num_slots_ = env_->num_attackers();
-  if (config_.pool.enabled) {
+  if (config_.pool.reserve_accounts > 0) {
     POISONREC_CHECK_GT(env_->num_attackers(), config_.pool.reserve_accounts)
         << "reserve_accounts must leave at least one policy slot";
     num_slots_ = env_->num_attackers() - config_.pool.reserve_accounts;
@@ -95,18 +95,6 @@ PoisonRecAttacker::PoisonRecAttacker(const env::AttackEnvironment* environment,
                                      config_.policy);
   optimizer_ = std::make_unique<nn::Adam>(policy_->Parameters(),
                                           config_.learning_rate);
-  if (config_.guard.incident_capacity > 0) {
-    incidents_.set_capacity(config_.guard.incident_capacity);
-  }
-  incidents_.set_sink_path(config_.guard.incident_log_path);
-}
-
-Episode PoisonRecAttacker::SampleAndEvaluate() {
-  Episode episode;
-  episode.trajectories =
-      policy_->SampleEpisode(env_->trajectory_length(), &rng_);
-  episode.reward = env_->Evaluate(MapToAccounts(episode.trajectories));
-  return episode;
 }
 
 void PoisonRecAttacker::AttachFaultyEnvironment(
@@ -168,7 +156,8 @@ void PoisonRecAttacker::SyncDefenderState(TrainStepStats* stats) {
   if (min_live > 0 && pool_->live_slots() < min_live &&
       campaign_status_.ok()) {
     // Incident post-mortem, then abort: this is a resource failure, not a
-    // numerical anomaly — it must not trip the rollback driver.
+    // numerical anomaly — it stays out of the step verdict so it cannot
+    // trip the rollback driver.
     GuardEvent event{GuardEventKind::kAccountPoolExhausted,
                      static_cast<double>(pool_->live_slots()),
                      static_cast<double>(min_live),
@@ -176,7 +165,7 @@ void PoisonRecAttacker::SyncDefenderState(TrainStepStats* stats) {
                          " accounts banned, reserve empty, " +
                          std::to_string(pool_->live_slots()) + "/" +
                          std::to_string(num_slots_) + " slots live"};
-    incidents_.Record(stats->step, event);
+    EmitGuardEvent(stats->step, event);
     campaign_status_ = Status::ResourceExhausted(
         "attacker pool exhausted at step " + std::to_string(stats->step) +
         ": " + event.detail);
@@ -304,11 +293,25 @@ void PoisonRecAttacker::RecordGuardEvent(TrainStepStats* stats,
           "poisonrec_guard_trips_total");
   guard_trips->Increment();
   GuardEvent event{kind, value, threshold, std::move(detail)};
-  incidents_.Record(stats->step, event);
+  EmitGuardEvent(stats->step, event);
   POISONREC_LOG(Warning) << "guard tripped at step " << stats->step << ": "
                          << GuardEventKindName(kind) << " (" << event.detail
                          << ")";
   stats->guard.events.push_back(std::move(event));
+}
+
+void PoisonRecAttacker::EmitGuardEvent(std::size_t step,
+                                       const GuardEvent& event) {
+  ++guard_incidents_;
+  if (event_log_ == nullptr) return;
+  obs::JsonObjectBuilder b;
+  b.Str("type", "guard")
+      .Int("step", step)
+      .Str("kind", GuardEventKindName(event.kind))
+      .Num("value", event.value)
+      .Num("threshold", event.threshold)
+      .Str("detail", event.detail);
+  event_log_->Append(std::move(b).Finish());
 }
 
 bool PoisonRecAttacker::SweepPostStep(TrainStepStats* stats) {
@@ -720,6 +723,16 @@ std::vector<TrainStepStats> PoisonRecAttacker::Train(std::size_t steps) {
   return all;
 }
 
+namespace {
+
+// TrainGuarded's rollback backoff: each rollback halves the learning
+// rate and the PPO clip epsilon, down to these floors.
+constexpr float kRollbackBackoff = 0.5f;
+constexpr float kMinRollbackLearningRate = 1e-5f;
+constexpr float kMinRollbackClipEpsilon = 0.01f;
+
+}  // namespace
+
 GuardedTrainResult PoisonRecAttacker::TrainGuarded(
     std::size_t steps, const std::string& checkpoint_path) {
   POISONREC_CHECK(config_.guard.enabled)
@@ -727,7 +740,7 @@ GuardedTrainResult PoisonRecAttacker::TrainGuarded(
   POISONREC_CHECK(!checkpoint_path.empty())
       << "TrainGuarded needs a checkpoint path for the last-good state";
   GuardedTrainResult result;
-  const std::size_t baseline_incidents = incidents_.total_recorded();
+  const std::size_t baseline_incidents = guard_incidents_;
   result.status = SaveCheckpoint(checkpoint_path);
   if (!result.status.ok()) return result;
 
@@ -747,8 +760,8 @@ GuardedTrainResult PoisonRecAttacker::TrainGuarded(
     const std::string verdict = stats.guard.Summary();
     result.stats.push_back(std::move(stats));
     if (!campaign_status_.ok()) {
-      // Resource abort (pool exhausted): not a rollbackable anomaly — the
-      // incident log already holds the post-mortem.
+      // Resource abort (pool exhausted): not a rollbackable anomaly — its
+      // guard incident is already recorded.
       result.status = campaign_status_;
       break;
     }
@@ -807,19 +820,17 @@ GuardedTrainResult PoisonRecAttacker::TrainGuarded(
     }
     // Adaptive backoff: a smaller step size and a tighter clip make the
     // retried update less likely to diverge the same way.
-    optimizer_->set_lr(std::max(
-        static_cast<float>(config_.guard.min_learning_rate),
-        optimizer_->lr() * static_cast<float>(config_.guard.lr_backoff)));
-    config_.clip_epsilon = std::max(
-        static_cast<float>(config_.guard.min_clip_epsilon),
-        config_.clip_epsilon * static_cast<float>(config_.guard.clip_backoff));
+    optimizer_->set_lr(std::max(kMinRollbackLearningRate,
+                                optimizer_->lr() * kRollbackBackoff));
+    config_.clip_epsilon = std::max(kMinRollbackClipEpsilon,
+                                    config_.clip_epsilon * kRollbackBackoff);
     POISONREC_LOG(Warning)
         << "rolled back step " << burned_step << " (" << verdict
         << "); lr now " << optimizer_->lr() << ", clip epsilon now "
         << config_.clip_epsilon << " (" << consecutive_rollbacks << "/"
         << config_.guard.max_rollbacks << " consecutive rollbacks)";
   }
-  result.incidents = incidents_.total_recorded() - baseline_incidents;
+  result.incidents = guard_incidents_ - baseline_incidents;
   return result;
 }
 

@@ -58,10 +58,10 @@ struct PoisonRecConfig {
   /// (each of the M reward queries retries independently).
   RetryPolicy retry;
   /// Replacement-account reserve for campaigns against an adaptive
-  /// defender (env::DefendedEnvironment). When enabled, the environment
-  /// must be built with num_attackers = policy slots + reserve_accounts;
-  /// the policy keeps its N slots and the pool remaps banned slots onto
-  /// fresh reserve accounts (core/account_pool.h).
+  /// defender (env::DefendedEnvironment). With reserve_accounts > 0, the
+  /// environment must be built with num_attackers = policy slots +
+  /// reserve_accounts; the policy keeps its N slots and the pool remaps
+  /// banned slots onto fresh reserve accounts (core/account_pool.h).
   AccountPoolConfig pool;
   PolicyConfig policy;
   std::uint64_t seed = 99;
@@ -127,7 +127,8 @@ struct GuardedTrainResult {
   std::vector<TrainStepStats> stats;
   /// Rollbacks performed (tripped steps whose update was discarded).
   std::size_t rollbacks = 0;
-  /// Guard incidents recorded across the campaign.
+  /// Guard incidents recorded during this call: every tripped monitor,
+  /// plus an account-pool exhaustion.
   std::size_t incidents = 0;
   /// OK when the campaign ran to completion; kFailedPrecondition when
   /// the consecutive-rollback budget was exhausted; an I/O error when
@@ -154,19 +155,17 @@ class PoisonRecAttacker {
   /// `checkpoint_path` (saved before the first step and after every
   /// clean one). When a step trips a guard, the poisoned update is
   /// discarded by restoring that checkpoint (bit-identical: parameters,
-  /// Adam moments, RNG), the learning rate and clip epsilon back off
-  /// multiplicatively, and the step index is burned so the retry samples
+  /// Adam moments, RNG), the learning rate and clip epsilon halve (down
+  /// to fixed floors), and the step index is burned so the retry samples
   /// fresh reward queries instead of deterministically replaying the
   /// same fault stream. Burning the index means a rollback consumes one
   /// step of the campaign budget — the campaign always attempts exactly
-  /// `steps` steps, so it cannot livelock. After `guard.max_rollbacks` consecutive
-  /// rollbacks the campaign aborts with kFailedPrecondition; the
-  /// incident log holds the full post-mortem either way.
+  /// `steps` steps, so it cannot livelock. After `guard.max_rollbacks`
+  /// consecutive rollbacks the campaign aborts with kFailedPrecondition;
+  /// the step verdicts and the event stream's guard records hold the
+  /// post-mortem either way.
   GuardedTrainResult TrainGuarded(std::size_t steps,
                                   const std::string& checkpoint_path);
-
-  /// Incidents recorded by the stability guardrails (util/guard.h).
-  const IncidentLog& incident_log() const { return incidents_; }
 
   // -- Supervision hooks (src/orch) -----------------------------------------
   // A campaign supervisor wires these before Train/TrainGuarded so a
@@ -211,16 +210,13 @@ class PoisonRecAttacker {
   }
 
   /// Attaches the unified campaign event stream (docs/observability.md).
-  /// Every TrainStep then appends one {"type":"step",...} record, guard
-  /// incidents mirror in as {"type":"guard",...}, defender bans as
+  /// Every TrainStep then appends one {"type":"step",...} record, each
+  /// guard incident a {"type":"guard",...} record, defender bans
   /// {"type":"ban",...}, and checkpoint saves/loads and TrainGuarded
-  /// rollbacks as {"type":"checkpoint"/"rollback",...}. Not owned;
+  /// rollbacks {"type":"checkpoint"/"rollback",...}. Not owned;
   /// nullptr detaches. The registry metrics (poisonrec_ppo_*) are
   /// updated regardless — they are process-global.
-  void SetEventLog(obs::EventLog* event_log) {
-    event_log_ = event_log;
-    incidents_.set_event_log(event_log);
-  }
+  void SetEventLog(obs::EventLog* event_log) { event_log_ = event_log; }
 
   /// Highest-reward episode observed so far.
   const Episode& best_episode() const { return best_episode_; }
@@ -229,9 +225,6 @@ class PoisonRecAttacker {
   std::vector<env::Trajectory> BestAttack() const {
     return ToEnvTrajectories(best_episode_.trajectories);
   }
-
-  /// Samples a fresh episode from the current policy and evaluates it.
-  Episode SampleAndEvaluate();
 
   /// Routes all subsequent reward queries through the fault-injecting
   /// decorator: each query retries per `config().retry`, and queries that
@@ -259,7 +252,7 @@ class PoisonRecAttacker {
   /// TrainGuarded stop stepping when this is not OK.
   const Status& campaign_status() const { return campaign_status_; }
 
-  /// The account pool (nullptr unless config().pool.enabled).
+  /// The account pool (nullptr unless config().pool.reserve_accounts > 0).
   const AccountPool* account_pool() const { return pool_.get(); }
 
   /// Trajectory slots the policy controls (N of the paper; smaller than
@@ -305,10 +298,14 @@ class PoisonRecAttacker {
   nn::Tensor PpoLoss(const std::vector<const Episode*>& batch,
                      double* loss_value, PpoDiagnostics* diagnostics);
 
-  /// Records a tripped guard into both the step verdict and the
-  /// incident ring (and its JSONL sink, when configured).
+  /// Records a tripped guard into the step verdict and, through
+  /// EmitGuardEvent, the incident count and event stream.
   void RecordGuardEvent(TrainStepStats* stats, GuardEventKind kind,
                         double value, double threshold, std::string detail);
+
+  /// Counts one guard incident and appends its {"type":"guard",...}
+  /// record (when an event log is attached).
+  void EmitGuardEvent(std::size_t step, const GuardEvent& event);
 
   /// Post-update sweep: gradients were already checked; this validates
   /// parameters and Adam moments after the step's last update epoch.
@@ -322,8 +319,8 @@ class PoisonRecAttacker {
 
   /// Pulls the defender's ban list into the pool (remapping banned slots
   /// onto reserve accounts), fills the attrition fields of `stats`, and
-  /// aborts the campaign (kResourceExhausted + incident post-mortem)
-  /// when fewer than pool.min_live_attackers slots survive.
+  /// aborts the campaign (kResourceExhausted + a guard incident) when
+  /// fewer than pool.min_live_attackers slots survive.
   void SyncDefenderState(TrainStepStats* stats);
 
   /// End-of-step telemetry fan-out: updates the process-global metrics
@@ -351,7 +348,9 @@ class PoisonRecAttacker {
   Rng rng_;
   Episode best_episode_;
   std::size_t steps_taken_ = 0;
-  IncidentLog incidents_;
+  /// Guard incidents ever recorded (not checkpointed; TrainGuarded
+  /// reports the increase over its own run).
+  std::size_t guard_incidents_ = 0;
   const CancelToken* cancel_ = nullptr;
   const std::atomic<bool>* stop_flag_ = nullptr;
   std::function<void()> heartbeat_;

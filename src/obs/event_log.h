@@ -1,7 +1,8 @@
 // Append-only structured event stream: one JSONL file unifying what the
 // campaign previously scattered across stdout and ad-hoc sinks — guard
-// incidents, defender BanEvents, fault/retry outcomes, checkpoint
-// save/load, and per-step TrainStepStats records.
+// incidents, defender BanEvents, checkpoint save/load, rollbacks, and
+// per-step TrainStepStats records. The fleet journal (orch/journal.h)
+// is an EventLog too.
 //
 // Contract:
 //   * One event per line; every line is a complete JSON object with at
@@ -43,12 +44,12 @@ class EventLog {
   EventLog& operator=(const EventLog&) = delete;
 
   /// Opens `path` for writing (truncating by default; pass
-  /// truncate=false to append, as the guard incident sink and shared
-  /// fleet journals do). False if the file cannot be opened; the log
-  /// stays closed. checksum=true splices a trailing CRC32C member into
-  /// every JSON-object line (obs/crc32c.h framing) so readers can tell
-  /// rotted records from torn ones — the fleet journal and the campaign
-  /// event stream turn this on; the default stays byte-transparent.
+  /// truncate=false to append, as the shared fleet journals do). False
+  /// if the file cannot be opened; the log stays closed. checksum=true
+  /// splices a trailing CRC32C member into every JSON-object line
+  /// (obs/crc32c.h framing) so readers can tell rotted records from torn
+  /// ones — the fleet journal turns this on; the campaign event stream
+  /// (`--events-out`) keeps the byte-transparent default.
   bool Open(const std::string& path, bool truncate = true,
             FlushPolicy flush = FlushPolicy::kEveryLine,
             bool checksum = false);

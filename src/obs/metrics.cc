@@ -82,12 +82,6 @@ std::uint64_t Counter::Value() const {
   return total;
 }
 
-void Counter::Reset() {
-  for (auto& shard : shards_) {
-    shard.value.store(0, std::memory_order_relaxed);
-  }
-}
-
 std::size_t Histogram::BucketIndex(double v) {
   if (!(v > 0.0) || !std::isfinite(v)) {
     // Negative, zero, and NaN all collapse into the underflow bucket;
@@ -162,14 +156,6 @@ double Histogram::SnapshotQuantile(const Snapshot& snapshot, double q) {
     cumulative += in_bucket;
   }
   return snapshot.max;
-}
-
-void Histogram::Reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(0.0, std::memory_order_relaxed);
-  max_.store(0.0, std::memory_order_relaxed);
 }
 
 MetricsRegistry& MetricsRegistry::Global() {
@@ -266,86 +252,14 @@ std::string MetricsRegistry::SnapshotJson() const {
   return out;
 }
 
-std::string MetricsRegistry::SnapshotText() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "poisonrec_export_wall_unix %.17g\n",
-                WallUnixSeconds());
-  out += buf;
-  std::snprintf(buf, sizeof(buf), "poisonrec_export_uptime_seconds %.17g\n",
-                UptimeSeconds());
-  out += buf;
-  for (const auto& [name, counter] : counters_) {
-    std::snprintf(buf, sizeof(buf), " %llu\n",
-                  static_cast<unsigned long long>(counter->Value()));
-    out += name;
-    out += buf;
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    std::snprintf(buf, sizeof(buf), " %.17g\n", gauge->Value());
-    out += name;
-    out += buf;
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    const Histogram::Snapshot s = histogram->TakeSnapshot();
-    std::snprintf(buf, sizeof(buf), "_count %llu\n",
-                  static_cast<unsigned long long>(s.count));
-    out += name;
-    out += buf;
-    std::snprintf(buf, sizeof(buf), "_sum %.17g\n", s.sum);
-    out += name;
-    out += buf;
-    std::snprintf(buf, sizeof(buf), "_p50 %.17g\n",
-                  Histogram::SnapshotQuantile(s, 0.50));
-    out += name;
-    out += buf;
-    std::snprintf(buf, sizeof(buf), "_p95 %.17g\n",
-                  Histogram::SnapshotQuantile(s, 0.95));
-    out += name;
-    out += buf;
-    std::snprintf(buf, sizeof(buf), "_p99 %.17g\n",
-                  Histogram::SnapshotQuantile(s, 0.99));
-    out += name;
-    out += buf;
-    for (std::size_t i = 0; i < Histogram::kNumBuckets; ++i) {
-      if (s.buckets[i] == 0) continue;
-      std::snprintf(buf, sizeof(buf), "_bucket{ge=\"%.17g\"} %llu\n",
-                    Histogram::BucketLowerBound(i),
-                    static_cast<unsigned long long>(s.buckets[i]));
-      out += name;
-      out += buf;
-    }
-  }
-  return out;
-}
-
-namespace {
-
-bool WriteWholeFile(const std::string& path, const std::string& contents) {
+bool MetricsRegistry::WriteJson(const std::string& path) const {
+  const std::string contents = SnapshotJson() + "\n";
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return false;
   const bool wrote =
       std::fwrite(contents.data(), 1, contents.size(), f) == contents.size();
   const bool closed = std::fclose(f) == 0;
   return wrote && closed;
-}
-
-}  // namespace
-
-bool MetricsRegistry::WriteJson(const std::string& path) const {
-  return WriteWholeFile(path, SnapshotJson() + "\n");
-}
-
-bool MetricsRegistry::WriteText(const std::string& path) const {
-  return WriteWholeFile(path, SnapshotText());
-}
-
-void MetricsRegistry::ResetAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, counter] : counters_) counter->Reset();
-  for (auto& [name, gauge] : gauges_) gauge->Reset();
-  for (auto& [name, histogram] : histograms_) histogram->Reset();
 }
 
 }  // namespace poisonrec::obs

@@ -16,10 +16,9 @@
 // poisonrec_defense_bans_total.
 //
 // Snapshots are exported as JSON ({"counters":{...},"gauges":{...},
-// "histograms":{...}}) or a Prometheus-like text format. Counter reads
-// during concurrent increments are linearizable per shard, not across
-// shards — a snapshot may miss increments that race with it, never
-// double-count.
+// "histograms":{...}}). Counter reads during concurrent increments are
+// linearizable per shard, not across shards — a snapshot may miss
+// increments that race with it, never double-count.
 #ifndef POISONREC_OBS_METRICS_H_
 #define POISONREC_OBS_METRICS_H_
 
@@ -62,7 +61,6 @@ class Counter {
  private:
   friend class MetricsRegistry;
   explicit Counter(std::string name) : name_(std::move(name)) {}
-  void Reset();
 
   std::string name_;
   std::array<internal::PaddedU64, kMetricShards> shards_;
@@ -79,7 +77,6 @@ class Gauge {
  private:
   friend class MetricsRegistry;
   explicit Gauge(std::string name) : name_(std::move(name)) {}
-  void Reset() { value_.store(0.0, std::memory_order_relaxed); }
 
   std::string name_;
   std::atomic<double> value_{0.0};
@@ -130,7 +127,6 @@ class Histogram {
  private:
   friend class MetricsRegistry;
   explicit Histogram(std::string name) : name_(std::move(name)) {}
-  void Reset();
 
   std::string name_;
   std::array<std::atomic<std::uint64_t>, kNumBuckets> buckets_{};
@@ -166,19 +162,8 @@ class MetricsRegistry {
   /// first touched the registry) is monotonic but only meaningful
   /// within one process.
   std::string SnapshotJson() const;
-  /// Prometheus-like lines: "<name> <value>" (histograms expand into
-  /// _count/_sum/_p50/_p95/_p99 plus per-bucket lines), preceded by
-  /// poisonrec_export_wall_unix / poisonrec_export_uptime_seconds
-  /// pseudo-metrics carrying the same timestamp contract as
-  /// SnapshotJson.
-  std::string SnapshotText() const;
-  /// Writes SnapshotJson()/SnapshotText() to `path`. False on I/O error.
+  /// Writes SnapshotJson() to `path`. False on I/O error.
   bool WriteJson(const std::string& path) const;
-  bool WriteText(const std::string& path) const;
-
-  /// Zeroes every registered metric (benches and tests; racing
-  /// increments are not lost atomically, just applied before or after).
-  void ResetAll();
 
  private:
   MetricsRegistry() = default;

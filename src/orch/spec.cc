@@ -483,8 +483,7 @@ core::PoisonRecConfig MakeAttackerConfig(const CampaignSpec& spec) {
   // TrainGuarded requires the guardrails; the supervisor depends on its
   // checkpoint-after-every-clean-step contract.
   config.guard.enabled = true;
-  if (spec.defense && spec.pool_reserve > 0) {
-    config.pool.enabled = true;
+  if (spec.defense) {
     config.pool.reserve_accounts = spec.pool_reserve;
     config.pool.min_live_attackers = spec.pool_min_live;
   }

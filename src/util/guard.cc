@@ -1,15 +1,8 @@
 #include "util/guard.h"
 
 #include <cmath>
-#include <fstream>
-
-#include "obs/json.h"
-#include "util/logging.h"
 
 namespace poisonrec {
-
-using obs::AppendJsonNumber;
-using obs::AppendJsonString;
 
 const char* GuardEventKindName(GuardEventKind kind) {
   switch (kind) {
@@ -35,11 +28,6 @@ const char* GuardEventKindName(GuardEventKind kind) {
       return "account_pool_exhausted";
   }
   return "?";
-}
-
-void GuardVerdict::Add(GuardEventKind kind, double value, double threshold,
-                       std::string detail) {
-  events.push_back(GuardEvent{kind, value, threshold, std::move(detail)});
 }
 
 std::string GuardVerdict::Summary() const {
@@ -97,92 +85,6 @@ FiniteSweep SweepFinite(const std::vector<double>& values) {
     }
   }
   return sweep;
-}
-
-IncidentLog::IncidentLog(std::size_t capacity) : capacity_(capacity) {
-  POISONREC_CHECK_GT(capacity_, 0u);
-}
-
-void IncidentLog::set_capacity(std::size_t capacity) {
-  POISONREC_CHECK_GT(capacity, 0u);
-  capacity_ = capacity;
-  while (incidents_.size() > capacity_) incidents_.pop_front();
-}
-
-void IncidentLog::set_sink_path(std::string path) {
-  if (path != sink_path_) {
-    sink_.Close();
-    sink_warned_ = false;
-  }
-  sink_path_ = std::move(path);
-}
-
-void IncidentLog::Record(std::size_t step, const GuardEvent& event) {
-  GuardIncident incident{step, event};
-  if (!sink_path_.empty()) {
-    if (!sink_.is_open() && !sink_warned_ &&
-        !sink_.Open(sink_path_, /*truncate=*/false)) {
-      sink_warned_ = true;
-      POISONREC_LOG(Warning) << "incident log sink " << sink_path_
-                             << " is not writable; keeping incidents "
-                                "in memory only";
-    }
-    if (sink_.is_open()) sink_.Append(IncidentToJson(incident));
-  }
-  if (event_log_ != nullptr) {
-    event_log_->Append(IncidentToEventJson(incident));
-  }
-  incidents_.push_back(std::move(incident));
-  ++total_recorded_;
-  while (incidents_.size() > capacity_) incidents_.pop_front();
-}
-
-void IncidentLog::Clear() {
-  incidents_.clear();
-  total_recorded_ = 0;
-}
-
-std::string IncidentToJson(const GuardIncident& incident) {
-  std::string out = "{\"step\":";
-  out += std::to_string(incident.step);
-  out += ",\"kind\":";
-  AppendJsonString(&out, GuardEventKindName(incident.event.kind));
-  out += ",\"value\":";
-  AppendJsonNumber(&out, incident.event.value);
-  out += ",\"threshold\":";
-  AppendJsonNumber(&out, incident.event.threshold);
-  out += ",\"detail\":";
-  AppendJsonString(&out, incident.event.detail);
-  out += "}";
-  return out;
-}
-
-std::string IncidentToEventJson(const GuardIncident& incident) {
-  obs::JsonObjectBuilder b;
-  b.Str("type", "guard")
-      .Int("step", incident.step)
-      .Str("kind", GuardEventKindName(incident.event.kind))
-      .Num("value", incident.event.value)
-      .Num("threshold", incident.event.threshold)
-      .Str("detail", incident.event.detail);
-  return std::move(b).Finish();
-}
-
-std::string IncidentLog::ToJsonl() const {
-  std::string out;
-  for (const GuardIncident& incident : incidents_) {
-    out += IncidentToJson(incident);
-    out += "\n";
-  }
-  return out;
-}
-
-Status IncidentLog::WriteJsonl(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  out << ToJsonl();
-  if (!out) return Status::IoError("write failed for " + path);
-  return Status::OK();
 }
 
 }  // namespace poisonrec

@@ -1,9 +1,9 @@
 // Training-stability guardrails: cheap finite-ness sweeps over float
 // buffers, per-step guard verdicts describing what tripped (NaN/Inf in
 // rewards, logits, loss, gradients, parameters, or optimizer state;
-// gradient-norm explosion; entropy collapse; PPO approx-KL divergence),
-// and a bounded incident ring-buffer that serializes to a structured
-// JSONL incident log.
+// gradient-norm explosion; entropy collapse; PPO approx-KL divergence).
+// Each tripped guard is also one {"type":"guard",...} record of the
+// campaign event stream (core::PoisonRecAttacker::SetEventLog).
 //
 // The guards exist because black-box attack training is exactly the
 // regime where degenerate updates are common: RecNum feedback is noisy
@@ -16,17 +16,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
-
-#include "obs/event_log.h"
-#include "util/status.h"
 
 namespace poisonrec {
 
 /// What a guard sweep found wrong. Names are stable (they appear in the
-/// JSONL incident log); extend at the end only.
+/// event stream's guard records); extend at the end only.
 enum class GuardEventKind : std::uint8_t {
   /// An observed episode reward was NaN/Inf (caught before the Eq. 8
   /// batch normalization could spread it into every advantage).
@@ -56,10 +52,10 @@ enum class GuardEventKind : std::uint8_t {
   kAccountPoolExhausted = 9,
 };
 
-/// Stable snake_case name for the JSONL log ("non_finite_reward", ...).
+/// Stable snake_case name for guard records ("non_finite_reward", ...).
 const char* GuardEventKindName(GuardEventKind kind);
 
-/// Thresholds and self-healing knobs of the guardrail subsystem. All
+/// Thresholds and rollback budget of the guardrail subsystem. All
 /// monitors are off unless `enabled`; individual thresholds of 0 disable
 /// just that monitor.
 struct GuardConfig {
@@ -79,16 +75,6 @@ struct GuardConfig {
   /// Consecutive rollbacks TrainGuarded tolerates before aborting the
   /// campaign with kFailedPrecondition.
   std::size_t max_rollbacks = 4;
-  /// Multiplicative backoff applied on every rollback (floored below).
-  double lr_backoff = 0.5;
-  double clip_backoff = 0.5;
-  double min_learning_rate = 1e-5;
-  double min_clip_epsilon = 0.01;
-  /// Bounded incident ring capacity (oldest incidents are evicted).
-  std::size_t incident_capacity = 256;
-  /// When non-empty, every incident is also appended to this JSONL file
-  /// as it is recorded.
-  std::string incident_log_path;
 };
 
 /// One tripped monitor: the offending value and the threshold it broke
@@ -106,8 +92,6 @@ struct GuardVerdict {
   std::vector<GuardEvent> events;
 
   bool tripped() const { return !events.empty(); }
-  void Add(GuardEventKind kind, double value, double threshold,
-           std::string detail);
   /// "clean" or "kind(detail), kind(detail), ..." for log lines.
   std::string Summary() const;
 };
@@ -130,64 +114,6 @@ struct FiniteSweep {
 FiniteSweep SweepFinite(const float* data, std::size_t n);
 FiniteSweep SweepFinite(const std::vector<float>& values);
 FiniteSweep SweepFinite(const std::vector<double>& values);
-
-/// One logged incident: the step it happened on plus the event.
-struct GuardIncident {
-  std::size_t step = 0;
-  GuardEvent event;
-};
-
-/// Bounded ring of guard incidents. Not thread-safe: the training-loop
-/// monitors all run on the driver thread. When a sink path is set, each
-/// Record also appends one JSON line to that file immediately, so a
-/// crash right after an incident still leaves it on disk.
-class IncidentLog {
- public:
-  explicit IncidentLog(std::size_t capacity = 256);
-
-  void set_capacity(std::size_t capacity);
-  /// Empty path disables the on-disk sink. The sink file is opened in
-  /// append mode (via an owned obs::EventLog with per-line flush) on the
-  /// first Record after this call.
-  void set_sink_path(std::string path);
-  /// Additionally mirrors every incident into the unified campaign event
-  /// stream as a {"type":"guard",...} record. Not owned; nullptr
-  /// detaches. Independent of the dedicated sink above.
-  void set_event_log(obs::EventLog* event_log) { event_log_ = event_log; }
-
-  void Record(std::size_t step, const GuardEvent& event);
-
-  /// Incidents still in the ring (oldest first; at most `capacity`).
-  const std::deque<GuardIncident>& incidents() const { return incidents_; }
-  /// Incidents ever recorded, including evicted ones.
-  std::size_t total_recorded() const { return total_recorded_; }
-  void Clear();
-
-  /// One JSON object per line:
-  ///   {"step":12,"kind":"non_finite_reward","value":"nan",
-  ///    "threshold":0,"detail":"episode 3"}
-  /// Non-finite values are emitted as the strings "nan"/"inf"/"-inf"
-  /// (JSON has no literals for them).
-  std::string ToJsonl() const;
-  /// Writes the current ring to `path` (truncates).
-  Status WriteJsonl(const std::string& path) const;
-
- private:
-  std::size_t capacity_;
-  std::deque<GuardIncident> incidents_;
-  std::size_t total_recorded_ = 0;
-  std::string sink_path_;
-  obs::EventLog sink_;  // lazily opened at sink_path_ (append mode)
-  bool sink_warned_ = false;
-  obs::EventLog* event_log_ = nullptr;
-};
-
-/// Serializes one incident as a single JSON line (no trailing newline).
-std::string IncidentToJson(const GuardIncident& incident);
-
-/// Same incident as a unified-event-stream record: identical fields plus
-/// a leading "type":"guard" discriminator.
-std::string IncidentToEventJson(const GuardIncident& incident);
 
 }  // namespace poisonrec
 

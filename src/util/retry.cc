@@ -6,9 +6,9 @@
 
 namespace poisonrec {
 
-bool RetryPolicy::IsRetriable(StatusCode code) const {
-  return std::find(retriable.begin(), retriable.end(), code) !=
-         retriable.end();
+bool IsRetriable(StatusCode code) {
+  return code == StatusCode::kUnavailable ||
+         code == StatusCode::kResourceExhausted;
 }
 
 RetryBackoff::RetryBackoff(const RetryPolicy& policy,

@@ -11,8 +11,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <initializer_list>
-#include <vector>
 
 #include "util/cancel.h"
 #include "util/random.h"
@@ -20,9 +18,12 @@
 
 namespace poisonrec {
 
-/// What to retry and how hard. Defaults match the fault model of
-/// env/fault.h: transient unavailability and throttling are retriable,
-/// everything else fails immediately.
+/// The codes worth retrying, matching the fault model of env/fault.h:
+/// transient unavailability (kUnavailable) and throttling
+/// (kResourceExhausted). Any other non-OK code propagates immediately.
+bool IsRetriable(StatusCode code);
+
+/// How hard to retry.
 struct RetryPolicy {
   /// Total attempts including the first call (1 = no retries).
   std::size_t max_attempts = 4;
@@ -30,9 +31,6 @@ struct RetryPolicy {
   double initial_backoff_seconds = 0.05;
   /// Backoff ceiling (decorrelated jitter is clamped here).
   double max_backoff_seconds = 2.0;
-  /// Codes worth retrying. Any other non-OK code propagates immediately.
-  std::vector<StatusCode> retriable = {StatusCode::kUnavailable,
-                                       StatusCode::kResourceExhausted};
   /// Total-elapsed-time deadline across every attempt and backoff sleep
   /// (0 = unbounded). When the next backoff would push the call past the
   /// deadline — counting real wall time and, under an injected fake
@@ -40,8 +38,6 @@ struct RetryPolicy {
   /// kDeadlineExceeded instead of sleeping. This is what keeps a retry
   /// loop from outliving the campaign deadline that contains it.
   double max_elapsed_seconds = 0.0;
-
-  bool IsRetriable(StatusCode code) const;
 };
 
 /// Observability for a single retried call.
@@ -161,7 +157,7 @@ StatusOr<T> CallWithRetry(const RetryPolicy& policy, Fn&& fn,
     local.attempts = attempt + 1;
     local.retries = attempt;
     result = fn(attempt);
-    if (result.ok() || !policy.IsRetriable(result.status().code())) break;
+    if (result.ok() || !IsRetriable(result.status().code())) break;
   }
   if (stats != nullptr) *stats = local;
   return result;

@@ -238,7 +238,6 @@ TEST(CheckpointTest, PoolConfigurationMismatchIsRejected) {
       Fixture::MakeLog(), rec::MakeRecommender("ItemPop").value(), env_cfg);
 
   auto pooled_cfg = Fixture::MakeAttackerConfig();
-  pooled_cfg.pool.enabled = true;
   pooled_cfg.pool.reserve_accounts = 2;
   PoisonRecAttacker pooled(&environment, pooled_cfg);
   pooled.TrainStep();
@@ -275,7 +274,6 @@ TEST(CheckpointTest, PooledRoundTripRestoresPoolState) {
   env::AttackEnvironment environment(
       Fixture::MakeLog(), rec::MakeRecommender("ItemPop").value(), env_cfg);
   auto cfg = Fixture::MakeAttackerConfig();
-  cfg.pool.enabled = true;
   cfg.pool.reserve_accounts = 2;
 
   PoisonRecAttacker attacker(&environment, cfg);

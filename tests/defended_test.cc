@@ -418,7 +418,6 @@ TEST(DefendedCampaignTest, PoolLessCollapsesWhilePooledSustains) {
 
   // Pooled defended campaign: same defender, 30 replacement accounts.
   auto pooled_cfg = cfg;
-  pooled_cfg.pool.enabled = true;
   pooled_cfg.pool.reserve_accounts = 30;
   pooled_cfg.pool.min_live_attackers = 2;
   CampaignFixture pooled_fixture(30);
@@ -450,7 +449,6 @@ TEST(DefendedCampaignTest, PoolLessCollapsesWhilePooledSustains) {
 
 TEST(DefendedCampaignTest, PoolExhaustionAbortsWithResourceExhausted) {
   auto cfg = Fixture::MakeAttackerConfig();
-  cfg.pool.enabled = true;
   cfg.pool.reserve_accounts = 2;
   cfg.pool.min_live_attackers = 5;  // of 6 slots: one dead slot too many
   CampaignFixture f(2);
@@ -472,7 +470,6 @@ TEST(DefendedCampaignTest, PoolExhaustionAbortsWithResourceExhausted) {
 
 TEST(DefendedCampaignTest, TrainGuardedAbortsOnExhaustionWithoutRollback) {
   auto cfg = Fixture::MakeAttackerConfig();
-  cfg.pool.enabled = true;
   cfg.pool.reserve_accounts = 1;
   cfg.pool.min_live_attackers = 6;  // abort on the very first dead slot
   cfg.guard.enabled = true;
@@ -495,7 +492,6 @@ TEST(DefendedCampaignTest, TrainGuardedAbortsOnExhaustionWithoutRollback) {
 
 TEST(DefendedCampaignTest, SameSeedRunsAreBitIdentical) {
   auto cfg = Fixture::MakeAttackerConfig();
-  cfg.pool.enabled = true;
   cfg.pool.reserve_accounts = 10;
   cfg.pool.min_live_attackers = 2;
 
@@ -536,7 +532,6 @@ TEST(DefendedCampaignTest, SameSeedRunsAreBitIdentical) {
 
 TEST(DefendedCampaignTest, CrashAndResumeReplaysTheExactBanSequence) {
   auto cfg = Fixture::MakeAttackerConfig();
-  cfg.pool.enabled = true;
   cfg.pool.reserve_accounts = 10;
   cfg.pool.min_live_attackers = 2;
 
@@ -594,7 +589,6 @@ TEST(DefendedCampaignTest, CrashAndResumeReplaysTheExactBanSequence) {
 
 TEST(DefendedCampaignTest, OversizedDefenderBlobLengthIsDataLoss) {
   auto cfg = Fixture::MakeAttackerConfig();
-  cfg.pool.enabled = true;
   cfg.pool.reserve_accounts = 4;
   CampaignFixture f(4);
   env::FaultyEnvironment faulty(&f.environment, {});
@@ -636,7 +630,6 @@ constexpr std::uint32_t kPooledDefendedGolden = 0x030abd6b;
 
 std::uint32_t RunPooledDefendedCampaign() {
   auto cfg = Fixture::MakeAttackerConfig();
-  cfg.pool.enabled = true;
   cfg.pool.reserve_accounts = 4;
   cfg.pool.min_live_attackers = 2;
   CampaignFixture f(4);

@@ -1,9 +1,9 @@
-// Training-stability guardrail tests: finite-ness sweeps and the incident
-// log (util/guard.h), the Eq. 8 degenerate-batch hardening, the monitors
-// wired into TrainStep, and the self-healing TrainGuarded rollback driver
-// (NaN rewards injected mid-campaign must be detected, logged, rolled
-// back, and healed — or the campaign must abort with a clear status).
-#include <algorithm>
+// Training-stability guardrail tests: finite-ness sweeps (util/guard.h),
+// the Eq. 8 degenerate-batch hardening, the monitors wired into TrainStep
+// and their {"type":"guard",...} event records, and the self-healing
+// TrainGuarded rollback driver (NaN rewards injected mid-campaign must be
+// detected, logged, rolled back, and healed — or the campaign must abort
+// with a clear status).
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -19,6 +19,7 @@
 #include "core/ppo.h"
 #include "data/synthetic.h"
 #include "nn/optimizer.h"
+#include "obs/event_log.h"
 #include "rec/registry.h"
 #include "util/guard.h"
 #include "util/stats.h"
@@ -40,6 +41,16 @@ std::string ReadFile(const std::string& path) {
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
+}
+
+// The {"type":"guard",...} records of an event-stream file, in order.
+std::vector<std::string> GuardLines(const std::string& path) {
+  std::vector<std::string> lines;
+  std::istringstream in(ReadFile(path));
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("{\"type\":\"guard\",", 0) == 0) lines.push_back(line);
+  }
+  return lines;
 }
 
 // -- SweepFinite --------------------------------------------------------------
@@ -69,60 +80,6 @@ TEST(SweepFiniteTest, DoubleOverloadMatchesFloat) {
   EXPECT_EQ(sweep.nan, 1u);
   EXPECT_EQ(sweep.inf, 1u);
   EXPECT_EQ(sweep.first_bad, 0u);
-}
-
-// -- IncidentLog --------------------------------------------------------------
-
-TEST(IncidentLogTest, RingIsBoundedAndTotalKeepsCounting) {
-  IncidentLog log(4);
-  for (std::size_t step = 1; step <= 10; ++step) {
-    log.Record(step, {GuardEventKind::kNonFiniteLoss, kNan, 0.0, "x"});
-  }
-  EXPECT_EQ(log.incidents().size(), 4u);
-  EXPECT_EQ(log.total_recorded(), 10u);
-  EXPECT_EQ(log.incidents().front().step, 7u);  // oldest surviving
-  EXPECT_EQ(log.incidents().back().step, 10u);
-  log.Clear();
-  EXPECT_TRUE(log.incidents().empty());
-  EXPECT_EQ(log.total_recorded(), 0u);
-}
-
-TEST(IncidentLogTest, JsonlEncodesNonFiniteValuesAsStrings) {
-  IncidentLog log;
-  log.Record(12, {GuardEventKind::kNonFiniteReward, kNan, 0.0, "episode 3"});
-  log.Record(13, {GuardEventKind::kGradNormExplosion, 512.0, 100.0, "epoch 1"});
-  const std::string jsonl = log.ToJsonl();
-  EXPECT_NE(jsonl.find("\"step\":12"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"kind\":\"non_finite_reward\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"value\":\"nan\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"detail\":\"episode 3\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"kind\":\"grad_norm_explosion\""), std::string::npos);
-  // Two lines, one object each.
-  EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 2);
-}
-
-TEST(IncidentLogTest, SinkAppendsEachIncidentImmediately) {
-  const std::string path = TempPath("poisonrec_guard_sink.jsonl");
-  std::remove(path.c_str());
-  IncidentLog log;
-  log.set_sink_path(path);
-  log.Record(1, {GuardEventKind::kNonFiniteGradient, kInf, 0.0, "g"});
-  // One line on disk already, before any explicit flush call.
-  const std::string first = ReadFile(path);
-  EXPECT_NE(first.find("non_finite_gradient"), std::string::npos);
-  log.Record(2, {GuardEventKind::kKlDivergence, 9.0, 5.0, "k"});
-  const std::string both = ReadFile(path);
-  EXPECT_EQ(std::count(both.begin(), both.end(), '\n'), 2);
-  std::remove(path.c_str());
-}
-
-TEST(IncidentLogTest, WriteJsonlDumpsTheRing) {
-  IncidentLog log;
-  log.Record(5, {GuardEventKind::kEntropyCollapse, 0.0, 1e-5, "e"});
-  const std::string path = TempPath("poisonrec_guard_dump.jsonl");
-  ASSERT_TRUE(log.WriteJsonl(path).ok());
-  EXPECT_NE(ReadFile(path).find("entropy_collapse"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 // -- Eq. 8 degenerate batches (satellite: zero-variance guards) ---------------
@@ -221,12 +178,17 @@ struct Fixture {
 TEST(GuardMonitorTest, CleanStepReportsTelemetryAndNoEvents) {
   Fixture f;
   core::PoisonRecAttacker attacker(&f.environment, Fixture::MakeAttackerConfig());
+  const std::string events = TempPath("poisonrec_guard_clean_events.jsonl");
+  obs::EventLog event_log;
+  ASSERT_TRUE(event_log.Open(events));
+  attacker.SetEventLog(&event_log);
   const core::TrainStepStats stats = attacker.TrainStep();
   EXPECT_FALSE(stats.guard.tripped());
   EXPECT_GT(stats.pre_clip_grad_norm, 0.0);
   EXPECT_GT(stats.entropy, 0.0);
   EXPECT_TRUE(std::isfinite(stats.approx_kl));
-  EXPECT_EQ(attacker.incident_log().total_recorded(), 0u);
+  EXPECT_TRUE(GuardLines(events).empty());
+  std::remove(events.c_str());
 }
 
 TEST(GuardMonitorTest, GuardOffMatchesGuardOnWhenNothingTrips) {
@@ -248,12 +210,26 @@ TEST(GuardMonitorTest, GuardOffMatchesGuardOnWhenNothingTrips) {
 TEST(GuardMonitorTest, PreStepSweepCatchesPlantedNanParameter) {
   Fixture f;
   core::PoisonRecAttacker attacker(&f.environment, Fixture::MakeAttackerConfig());
+  const std::string events = TempPath("poisonrec_guard_sweep_events.jsonl");
+  obs::EventLog event_log;
+  ASSERT_TRUE(event_log.Open(events));
+  attacker.SetEventLog(&event_log);
   attacker.TrainStep();
   attacker.policy().Parameters()[0].mutable_data()[0] = kNanF;
   const core::TrainStepStats stats = attacker.TrainStep();
   ASSERT_TRUE(stats.guard.tripped());
   EXPECT_EQ(stats.guard.events[0].kind, GuardEventKind::kNonFiniteParameter);
-  EXPECT_EQ(attacker.incident_log().total_recorded(), 1u);
+  // Exactly one incident, on disk while the log is still open; the NaN
+  // value is the string "nan" (JSON has no literal for it).
+  const std::size_t checked =
+      attacker.policy().SweepParametersFinite().checked;
+  EXPECT_EQ(GuardLines(events),
+            std::vector<std::string>{
+                "{\"type\":\"guard\",\"step\":2,\"kind\":"
+                "\"non_finite_parameter\",\"value\":\"nan\",\"threshold\":0,"
+                "\"detail\":\"1/" +
+                std::to_string(checked) + " non-finite before sampling\"}"});
+  std::remove(events.c_str());
 }
 
 TEST(GuardMonitorTest, LogitMonitorCatchesNanParamsWhenPreSweepDisabled) {
@@ -436,9 +412,11 @@ TEST(GuardRollbackTest, TrainGuardedAbortsAfterRollbackBudget) {
   Fixture f;
   auto cfg = Fixture::MakeAttackerConfig();
   cfg.guard.max_rollbacks = 2;
-  cfg.guard.incident_log_path = TempPath("poisonrec_guard_abort.jsonl");
-  std::remove(cfg.guard.incident_log_path.c_str());
   core::PoisonRecAttacker attacker(&f.environment, cfg);
+  const std::string events = TempPath("poisonrec_guard_abort.jsonl");
+  obs::EventLog event_log;
+  ASSERT_TRUE(event_log.Open(events));
+  attacker.SetEventLog(&event_log);
 
   env::FaultProfile profile;
   profile.nan_reward_rate = 1.0;  // every reward is NaN: unhealable
@@ -456,13 +434,17 @@ TEST(GuardRollbackTest, TrainGuardedAbortsAfterRollbackBudget) {
   // The backoff ran before the abort.
   EXPECT_LT(attacker.optimizer().lr(), lr_before);
   EXPECT_LT(attacker.config().clip_epsilon, 0.1f);
-  // The incident sink has the post-mortem on disk.
-  const std::string jsonl = ReadFile(cfg.guard.incident_log_path);
-  EXPECT_NE(jsonl.find("non_finite_reward"), std::string::npos);
+  // The event stream has the post-mortem on disk: one guard record per
+  // incident.
+  const std::vector<std::string> guard = GuardLines(events);
+  EXPECT_EQ(guard.size(), result.incidents);
+  ASSERT_FALSE(guard.empty());
+  EXPECT_NE(guard[0].find("\"kind\":\"non_finite_reward\""),
+            std::string::npos);
   // The rollback left the policy itself clean despite the abort.
   EXPECT_TRUE(attacker.policy().SweepParametersFinite().clean());
   std::remove(path.c_str());
-  std::remove(cfg.guard.incident_log_path.c_str());
+  std::remove(events.c_str());
 }
 
 }  // namespace

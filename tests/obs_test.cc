@@ -216,14 +216,6 @@ TEST(MetricsTest, SnapshotsCarryDerivedQuantilesAndTimestamps) {
   EXPECT_NE(json.find("\"obs_test_quantile_export\":{\"count\":100,"),
             std::string::npos);
   EXPECT_NE(json.find("\"p50\":4,\"p95\":4,\"p99\":4"), std::string::npos);
-
-  const std::string text = reg.SnapshotText();
-  EXPECT_EQ(text.rfind("poisonrec_export_wall_unix ", 0), 0u);
-  EXPECT_NE(text.find("poisonrec_export_uptime_seconds "),
-            std::string::npos);
-  EXPECT_NE(text.find("obs_test_quantile_export_p50 4"), std::string::npos);
-  EXPECT_NE(text.find("obs_test_quantile_export_p95 4"), std::string::npos);
-  EXPECT_NE(text.find("obs_test_quantile_export_p99 4"), std::string::npos);
 }
 
 TEST(MetricsTest, SnapshotJsonContainsRegisteredMetrics) {
@@ -245,9 +237,6 @@ TEST(MetricsTest, SnapshotJsonContainsRegisteredMetrics) {
   // Histogram bucket entries carry explicit bounds.
   EXPECT_NE(json.find("\"buckets\":[{\"ge\":1,\"lt\":2,\"count\":1}]"),
             std::string::npos);
-
-  const std::string text = reg.SnapshotText();
-  EXPECT_NE(text.find("obs_test_snap_counter 5"), std::string::npos);
 }
 
 TEST(MetricsTest, WriteJsonRoundTripsToFile) {

@@ -76,17 +76,6 @@ TEST(TrajectoryUtilTest, TargetClickRatio) {
   EXPECT_DOUBLE_EQ(TargetClickRatio(Episode{}, 100), 0.0);
 }
 
-TEST(PoisonRecAttackerTest, SampleAndEvaluateProducesValidEpisode) {
-  Fixture f;
-  PoisonRecAttacker attacker(&f.environment, Fixture::MakeAttackerConfig());
-  Episode ep = attacker.SampleAndEvaluate();
-  EXPECT_EQ(ep.trajectories.size(), 10u);
-  EXPECT_GE(ep.reward, 0.0);
-  for (const auto& t : ep.trajectories) {
-    EXPECT_EQ(t.steps.size(), 10u);
-  }
-}
-
 TEST(PoisonRecAttackerTest, TrainStepProducesStats) {
   Fixture f;
   PoisonRecAttacker attacker(&f.environment, Fixture::MakeAttackerConfig());

@@ -25,12 +25,11 @@ struct FakeClock {
 };
 
 TEST(RetryPolicyTest, DefaultRetriableCodes) {
-  RetryPolicy policy;
-  EXPECT_TRUE(policy.IsRetriable(StatusCode::kUnavailable));
-  EXPECT_TRUE(policy.IsRetriable(StatusCode::kResourceExhausted));
-  EXPECT_FALSE(policy.IsRetriable(StatusCode::kInvalidArgument));
-  EXPECT_FALSE(policy.IsRetriable(StatusCode::kInternal));
-  EXPECT_FALSE(policy.IsRetriable(StatusCode::kIoError));
+  EXPECT_TRUE(IsRetriable(StatusCode::kUnavailable));
+  EXPECT_TRUE(IsRetriable(StatusCode::kResourceExhausted));
+  EXPECT_FALSE(IsRetriable(StatusCode::kInvalidArgument));
+  EXPECT_FALSE(IsRetriable(StatusCode::kInternal));
+  EXPECT_FALSE(IsRetriable(StatusCode::kIoError));
 }
 
 TEST(CallWithRetryTest, SucceedsFirstTryWithoutSleeping) {

@@ -3,9 +3,10 @@
 #
 #   tools/ci_check.sh [build-dir]
 #
-# Builds with ASan/UBSan (POISONREC_SANITIZE=address;undefined), runs
-# ctest, then runs bench_fault_resilience, bench_guardrail_overhead,
-# bench_obs_overhead (gates telemetry cost at <3%/step), and
+# Builds with ASan/UBSan (POISONREC_SANITIZE=address;undefined) and
+# compiler warnings as errors, runs ctest, then runs
+# bench_fault_resilience, bench_obs_overhead (gates telemetry cost at
+# <3%/step and the guardrails' at <5%/step), and
 # bench_defended_attack at a tiny scale so their machine-readable JSON
 # lands under results/, runs a defended-campaign smoke through the CLI
 # (adaptive defender + replacement pool end to end), and finishes with a
@@ -22,9 +23,9 @@
 # journal's campaign set), an fsck smoke audits the fleet's state dir and then injects
 # one storage fault per damage class offline (checkpoint bit-flip,
 # checkpoint truncation, torn journal tail) checking the verdicts and
-# exit codes `poisonrec fsck` promises, and a separate TSan build runs
-# the scheduler/journal/lease/chaos, engine and parallel-reward tests
-# race-free, along with the autograd walk's tests.
+# exit codes `poisonrec fsck` promises, and a separate TSan build (also
+# warnings as errors) runs the scheduler/journal/lease/chaos, engine and
+# parallel-reward tests race-free, along with the autograd walk's tests.
 # Override the scale knobs via the usual POISONREC_* env vars.
 set -euo pipefail
 
@@ -33,7 +34,8 @@ BUILD_DIR="${1:-build-san}"
 
 cmake -B "${BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  "-DPOISONREC_SANITIZE=address;undefined"
+  "-DPOISONREC_SANITIZE=address;undefined" \
+  -DPOISONREC_WERROR=ON
 cmake --build "${BUILD_DIR}" -j "$(nproc)"
 
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
@@ -47,7 +49,6 @@ export POISONREC_OUT="${POISONREC_OUT:-results}"
 mkdir -p "${POISONREC_OUT}"
 
 "${BUILD_DIR}/bench/bench_fault_resilience"
-"${BUILD_DIR}/bench/bench_guardrail_overhead"
 "${BUILD_DIR}/bench/bench_obs_overhead"
 "${BUILD_DIR}/bench/bench_defended_attack"
 "${BUILD_DIR}/bench/bench_storage_integrity"
@@ -374,7 +375,8 @@ fsck_expect journal_torn_tail 2 'torn_tail'
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "${TSAN_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DPOISONREC_SANITIZE=thread
+  -DPOISONREC_SANITIZE=thread \
+  -DPOISONREC_WERROR=ON
 cmake --build "${TSAN_DIR}" -j "$(nproc)" \
   --target orch_test lease_test fleet_recovery_test fleet_shared_test \
            fsck_chaos_test fleet_status_test status_test \

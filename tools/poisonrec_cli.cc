@@ -60,9 +60,9 @@
 //   --guard-entropy-floor=<f> entropy collapse floor (default 1e-5)
 //   --guard-kl-max=<f>      approx-KL divergence threshold (default 5)
 //   --guard-rollbacks=<n>   consecutive-rollback budget (default 4)
-//   --guard-log=<path>      incident JSONL sink (default
-//                           <checkpoint>.incidents.jsonl)
 //   --max-grad-norm=<f>     gradient clip (default 5; 0 disables)
+//   Each step line prints its guard verdict; with --events-out every
+//   incident is also a {"type":"guard",...} event record.
 //
 // Fleet flags (see docs/robustness.md "Fleet orchestration"). Every
 // run is one lease-holding worker: it replays the journal family, skips
@@ -459,8 +459,7 @@ int CmdCampaign(const Flags& flags) {
   config.retry.max_attempts = flags.GetSize("retry-attempts", 4);
   config.max_grad_norm =
       static_cast<float>(flags.GetDouble("max-grad-norm", 5.0));
-  if (defended && pool_reserve > 0) {
-    config.pool.enabled = true;
+  if (defended) {
     config.pool.reserve_accounts = pool_reserve;
     config.pool.min_live_attackers = flags.GetSize("pool-min-live", 2);
   }
@@ -470,10 +469,6 @@ int CmdCampaign(const Flags& flags) {
     config.guard.entropy_floor = flags.GetDouble("guard-entropy-floor", 1e-5);
     config.guard.approx_kl_threshold = flags.GetDouble("guard-kl-max", 5.0);
     config.guard.max_rollbacks = flags.GetSize("guard-rollbacks", 4);
-    config.guard.incident_log_path = flags.Get(
-        "guard-log",
-        checkpoint.empty() ? "guard.incidents.jsonl"
-                           : checkpoint + ".incidents.jsonl");
   }
 
   core::PoisonRecAttacker attacker(environment.get(), config);
@@ -544,9 +539,8 @@ int CmdCampaign(const Flags& flags) {
       }
       std::printf("\n");
     }
-    std::printf("guardrails: %zu rollbacks, %zu incidents (%s)\n",
-                result.rollbacks, result.incidents,
-                config.guard.incident_log_path.c_str());
+    std::printf("guardrails: %zu rollbacks, %zu incidents\n",
+                result.rollbacks, result.incidents);
     if (!result.status.ok()) {
       std::fprintf(stderr, "campaign aborted: %s\n",
                    result.status.ToString().c_str());
