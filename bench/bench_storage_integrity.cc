@@ -79,8 +79,8 @@ int Run() {
            static_cast<double>(iters * buffer_bytes));
   }
 
-  // 2. Plain vs checksummed event-log appends (kOnClose flushing so the
-  // delta is the CRC splice, not fsync cadence).
+  // 2. Plain vs checksummed event-log appends: one write(2) per line,
+  // the path the fleet journal takes, so the delta is the CRC splice.
   const std::string line =
       R"({"type":"campaign","id":"c0","state":"checkpointed","step":12,)"
       R"("reward":3.25,"best_reward":4.5,"token":2,"owner":"wA"})";
@@ -89,8 +89,7 @@ int Run() {
     obs::EventLog log;
     const std::string path =
         work_dir + (checksum ? "/events_crc.jsonl" : "/events.jsonl");
-    if (!log.Open(path, /*truncate=*/true,
-                  obs::EventLog::FlushPolicy::kOnClose, checksum)) {
+    if (!log.Open(path, /*truncate=*/true, checksum)) {
       std::fprintf(stderr, "cannot open %s\n", path.c_str());
       return 1;
     }

@@ -182,13 +182,6 @@ StatusOr<double> FaultyEnvironment::TryEvaluate(
   return reward;
 }
 
-StatusOr<double> FaultyEnvironment::TryEvaluate(
-    const std::vector<Trajectory>& trajectories) const {
-  return TryEvaluate(trajectories,
-                     next_query_id_.fetch_add(1, std::memory_order_relaxed),
-                     /*attempt=*/0);
-}
-
 FaultStats FaultyEnvironment::stats() const {
   FaultStats s;
   s.attempts = attempts_.load(std::memory_order_relaxed);
@@ -200,17 +193,6 @@ FaultStats FaultyEnvironment::stats() const {
   s.stale_rewards = stale_rewards_.load(std::memory_order_relaxed);
   s.nan_rewards = nan_rewards_.load(std::memory_order_relaxed);
   return s;
-}
-
-void FaultyEnvironment::ResetStats() {
-  attempts_.store(0, std::memory_order_relaxed);
-  transient_failures_.store(0, std::memory_order_relaxed);
-  throttled_.store(0, std::memory_order_relaxed);
-  successes_.store(0, std::memory_order_relaxed);
-  dropped_clicks_.store(0, std::memory_order_relaxed);
-  banned_trajectories_.store(0, std::memory_order_relaxed);
-  stale_rewards_.store(0, std::memory_order_relaxed);
-  nan_rewards_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace poisonrec::env

@@ -104,19 +104,12 @@ class FaultyEnvironment {
                                std::uint64_t query_id,
                                std::uint32_t attempt = 0) const;
 
-  /// Convenience overload for sequential use: assigns the next internal
-  /// query id (attempt 0). Not reproducible across interleavings when
-  /// called from several threads — prefer explicit query ids there.
-  StatusOr<double> TryEvaluate(const std::vector<Trajectory>& trajectories) const;
-
   /// Counters of faults injected so far.
   FaultStats stats() const;
-  void ResetStats();
 
  private:
   const AttackEnvironment* base_;
   FaultProfile profile_;
-  mutable std::atomic<std::uint64_t> next_query_id_{0};
 
   // Stale-reward cache (runtime-only; see FaultProfile::stale_reward_rate).
   mutable std::mutex stale_mutex_;

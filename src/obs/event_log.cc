@@ -12,9 +12,6 @@ namespace poisonrec::obs {
 
 namespace {
 
-/// kOnClose batches up to this many bytes before spilling to the fd.
-constexpr std::size_t kBatchBytes = 256 * 1024;
-
 /// Process-wide append fault hook (nullptr = no faults armed).
 std::atomic<EventLog::AppendFaultHook> g_append_fault_hook{nullptr};
 
@@ -41,11 +38,9 @@ void EventLog::SetAppendFaultHook(AppendFaultHook hook) {
   g_append_fault_hook.store(hook, std::memory_order_release);
 }
 
-bool EventLog::Open(const std::string& path, bool truncate,
-                    FlushPolicy flush, bool checksum) {
+bool EventLog::Open(const std::string& path, bool truncate, bool checksum) {
   std::lock_guard<std::mutex> lock(mu_);
   if (fd_ >= 0) {
-    if (!buffer_.empty()) FlushBufferLocked();
     ::close(fd_);
     fd_ = -1;
   }
@@ -57,30 +52,16 @@ bool EventLog::Open(const std::string& path, bool truncate,
   fd_ = ::open(path.c_str(), flags, 0644);
   if (fd_ < 0) return false;
   path_ = path;
-  flush_ = flush;
   checksum_ = checksum;
-  buffer_.clear();
   lines_written_ = 0;
   return true;
-}
-
-bool EventLog::FlushBufferLocked() {
-  if (buffer_.empty()) return true;
-  const bool ok = WriteAll(fd_, buffer_.data(), buffer_.size());
-  buffer_.clear();
-  if (!ok) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  return ok;
 }
 
 bool EventLog::Append(std::string_view line) {
   // Copy the line outside the lock so the critical section is the
   // checksum splice (cheap: one CRC pass over a short line) plus one
-  // write(2) (or one buffer append under kOnClose). checksum_ and
-  // path_ are guarded by mu_, so the splice and fault-hook consult
-  // stay inside it.
+  // write(2). checksum_ and path_ are guarded by mu_, so the splice and
+  // fault-hook consult stay inside it.
   std::string record;
   record.reserve(line.size() + 1);
   record.append(line);
@@ -94,12 +75,6 @@ bool EventLog::Append(std::string_view line) {
       hook != nullptr && !hook(path_, &record)) {
     return false;
   }
-  if (flush_ == FlushPolicy::kOnClose) {
-    buffer_ += record;
-    if (buffer_.size() >= kBatchBytes && !FlushBufferLocked()) return false;
-    ++lines_written_;
-    return true;
-  }
   if (!WriteAll(fd_, record.data(), record.size())) return false;
   ++lines_written_;
   return true;
@@ -108,11 +83,8 @@ bool EventLog::Append(std::string_view line) {
 void EventLog::Close() {
   std::lock_guard<std::mutex> lock(mu_);
   if (fd_ >= 0) {
-    FlushBufferLocked();
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
+    ::close(fd_);
+    fd_ = -1;
   }
 }
 

@@ -15,12 +15,10 @@
 //     workers appending to the same journal can never interleave
 //     mid-line — a guarantee buffered stdio append ("ab" + fwrite)
 //     cannot make once a line crosses the FILE* buffer boundary.
-//   * Crash-durable by default: with FlushPolicy::kEveryLine each line
-//     is a direct write(2), so everything up to the last completed
-//     Append survives kill -9 (page cache; machine-crash durability is
-//     the checkpoint layer's job, util/fsio). kOnClose batches lines in
-//     a user-space buffer for throughput and writes on Close — only
-//     safe for single-writer streams.
+//   * Crash-durable: each line is a direct write(2), so everything up
+//     to the last completed Append survives kill -9 (page cache;
+//     machine-crash durability is the checkpoint layer's job,
+//     util/fsio).
 //
 // The producer side builds lines with obs::JsonObjectBuilder; EventLog
 // itself does not validate JSON.
@@ -36,8 +34,6 @@ namespace poisonrec::obs {
 
 class EventLog {
  public:
-  enum class FlushPolicy { kEveryLine, kOnClose };
-
   EventLog() = default;
   ~EventLog() { Close(); }
   EventLog(const EventLog&) = delete;
@@ -51,7 +47,6 @@ class EventLog {
   /// ones — the fleet journal turns this on; the campaign event stream
   /// (`--events-out`) keeps the byte-transparent default.
   bool Open(const std::string& path, bool truncate = true,
-            FlushPolicy flush = FlushPolicy::kEveryLine,
             bool checksum = false);
 
   /// Writes `line` plus a trailing '\n' as one atomic append. `line`
@@ -70,7 +65,7 @@ class EventLog {
                                    std::string* record);
   static void SetAppendFaultHook(AppendFaultHook hook);
 
-  /// Flushes and closes. Safe to call repeatedly.
+  /// Closes the file. Safe to call repeatedly.
   void Close();
 
   bool is_open() const;
@@ -78,17 +73,9 @@ class EventLog {
   const std::string& path() const { return path_; }
 
  private:
-  /// Writes buffer_ to fd_ (retrying EINTR) and clears it. Caller holds
-  /// mu_. Returns false on a write error (the log is closed so later
-  /// appends fail fast instead of silently losing suffixes).
-  bool FlushBufferLocked();
-
   mutable std::mutex mu_;
   int fd_ = -1;
-  FlushPolicy flush_ = FlushPolicy::kEveryLine;
   bool checksum_ = false;
-  /// kOnClose batching buffer (unused under kEveryLine).
-  std::string buffer_;
   std::string path_;
   std::uint64_t lines_written_ = 0;
 };

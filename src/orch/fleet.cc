@@ -14,6 +14,7 @@
 
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "orch/status.h"
 #include "util/csv.h"
 #include "util/fsio.h"
 #include "util/logging.h"
@@ -50,7 +51,7 @@ std::string OutcomeJson(const CampaignOutcome& outcome) {
       .Int("preemptions", outcome.preemptions)
       .Bool("fenced", outcome.fenced)
       .Bool("sibling", outcome.sibling_owned)
-      .Int("token", outcome.lease_token)
+      .Int("token", outcome.token)
       .Str("detail", outcome.detail)
       .Raw("step_rewards", rewards);
   return std::move(b).Finish();
@@ -77,18 +78,25 @@ CampaignOutcome OutcomeFromReplay(const std::string& id,
                                   const CampaignReplay& replay,
                                   bool sibling) {
   CampaignOutcome outcome;
+  static_cast<CampaignReplay&>(outcome) = replay;
   outcome.id = id;
-  outcome.state = replay.state;
-  outcome.steps_completed = replay.steps_completed;
-  outcome.restarts = replay.restarts;
-  outcome.best_reward = replay.best_reward;
-  outcome.step_rewards = replay.step_rewards;
-  outcome.lease_token = replay.token;
-  outcome.detail =
-      replay.detail.empty() ? "recovered from journal" : replay.detail;
+  if (outcome.detail.empty()) outcome.detail = "recovered from journal";
   outcome.recovered_from_journal = true;
   outcome.sibling_owned = sibling;
   return outcome;
+}
+
+/// The report's view of a campaign a sibling owns or finished: the
+/// merged journal is authoritative, but when this worker lost the
+/// campaign mid-run (`local.fenced`) the report must still say it was
+/// fenced out, with the local run's wall clock.
+CampaignOutcome WithLocalFencing(CampaignOutcome sibling,
+                                 const CampaignOutcome& local) {
+  if (local.fenced) {
+    sibling.fenced = true;
+    sibling.wall_seconds = local.wall_seconds;
+  }
+  return sibling;
 }
 
 double WallUnixSeconds() {
@@ -114,19 +122,6 @@ std::uint64_t TokenFloor(const std::string& checkpoint_dir,
   return checkpoints.empty()
              ? journal_token
              : std::max(journal_token, checkpoints.front().first);
-}
-
-/// Journal state a preempted campaign carries into its next run.
-CampaignReplay ReplayFromOutcome(const CampaignOutcome& outcome) {
-  CampaignReplay replay;
-  replay.state = outcome.state;
-  replay.steps_completed = outcome.steps_completed;
-  replay.restarts = outcome.restarts;
-  replay.best_reward = outcome.best_reward;
-  replay.step_rewards = outcome.step_rewards;
-  replay.token = outcome.lease_token;
-  replay.detail = outcome.detail;
-  return replay;
 }
 
 }  // namespace
@@ -158,23 +153,6 @@ void FleetOrchestrator::RequestShutdown() {
   watchdog_cv_.notify_all();
 }
 
-std::string FleetOrchestrator::WorkerJournalPath() const {
-  // Each worker appends to its own sibling file so no two processes
-  // ever share a journal fd; replay merges the whole family.
-  const std::filesystem::path base(options_.journal_path);
-  std::filesystem::path dir = base.parent_path();
-  const std::string name =
-      base.stem().string() + "." + options_.worker_id +
-      base.extension().string();
-  return dir.empty() ? name : (dir / name).string();
-}
-
-std::string FleetOrchestrator::TelemetryDir() const {
-  if (!options_.telemetry_dir.empty()) return options_.telemetry_dir;
-  return (std::filesystem::path(options_.checkpoint_dir) / "telemetry")
-      .string();
-}
-
 std::string FleetOrchestrator::WorkerStatusJson(bool shutdown) {
   std::string campaigns = "[";
   {
@@ -198,34 +176,21 @@ std::string FleetOrchestrator::WorkerStatusJson(bool shutdown) {
       }
       // Best available view, most authoritative last: journal replay,
       // then a final local outcome, then the live supervisor.
-      std::string state = CampaignStateName(CampaignState::kPending);
-      std::uint64_t step = 0;
-      std::uint64_t restarts = 0;
-      std::uint64_t token = 0;
-      double last_reward = 0.0;
-      double best_reward = 0.0;
+      static const CampaignReplay kNoHistory;
+      const CampaignReplay& view = entry->has_outcome ? entry->outcome
+                                   : entry->replay.has_value()
+                                       ? *entry->replay
+                                       : kNoHistory;
+      std::string state = CampaignStateName(view.state);
+      std::uint64_t step = view.steps_completed;
+      const std::uint64_t restarts = view.restarts;
+      std::uint64_t token = view.token;
+      double last_reward = view.step_rewards.empty()
+                               ? 0.0
+                               : view.step_rewards.rbegin()->second;
+      double best_reward = view.best_reward;
       double step_rate = 0.0;
       double running_seconds = 0.0;
-      if (entry->replay.has_value()) {
-        state = CampaignStateName(entry->replay->state);
-        step = entry->replay->steps_completed;
-        restarts = entry->replay->restarts;
-        best_reward = entry->replay->best_reward;
-        token = entry->replay->token;
-        if (!entry->replay->step_rewards.empty()) {
-          last_reward = entry->replay->step_rewards.rbegin()->second;
-        }
-      }
-      if (entry->has_outcome) {
-        state = CampaignStateName(entry->outcome.state);
-        step = entry->outcome.steps_completed;
-        restarts = entry->outcome.restarts;
-        best_reward = entry->outcome.best_reward;
-        token = entry->outcome.lease_token;
-        if (!entry->outcome.step_rewards.empty()) {
-          last_reward = entry->outcome.step_rewards.rbegin()->second;
-        }
-      }
       if (entry->slot == Slot::kRunning && entry->supervisor != nullptr) {
         state = CampaignStateName(CampaignState::kRunning);
         step = entry->supervisor->committed_steps();
@@ -280,7 +245,8 @@ void FleetOrchestrator::PublishWorkerStatus(bool shutdown) {
   if (!options_.publish_status) return;
   const std::string json = WorkerStatusJson(shutdown);
   const std::string path =
-      (std::filesystem::path(TelemetryDir()) /
+      (std::filesystem::path(
+           TelemetryDir(options_.checkpoint_dir, options_.telemetry_dir)) /
        (options_.worker_id + ".status.json"))
           .string();
   const Status wrote = WriteFileDurableChecksummed(path, json);
@@ -391,19 +357,9 @@ void FleetOrchestrator::RefreshSiblingsLocked() {
     // token-suffixed checkpoint), keeping recovery bit-identical.
     entry->replay = it->second;
     if (IsTerminal(it->second.state)) {
-      // Preserve the fenced flag (and the local run's wall clock) when
-      // this worker lost the campaign mid-run: the sibling's terminal
-      // state is authoritative, but the report must still say we were
-      // fenced out.
-      const bool was_fenced = entry->has_outcome && entry->outcome.fenced;
-      const double wall_seconds =
-          entry->has_outcome ? entry->outcome.wall_seconds : 0.0;
-      entry->outcome =
-          OutcomeFromReplay(entry->spec.id, it->second, /*sibling=*/true);
-      if (was_fenced) {
-        entry->outcome.fenced = true;
-        entry->outcome.wall_seconds = wall_seconds;
-      }
+      entry->outcome = WithLocalFencing(
+          OutcomeFromReplay(entry->spec.id, it->second, /*sibling=*/true),
+          entry->outcome);
       entry->has_outcome = true;
       entry->slot = Slot::kDone;
     }
@@ -419,13 +375,11 @@ void FleetOrchestrator::WorkerLoop() {
       for (const auto& entry : entries_) {
         if (entry->slot != Slot::kReady) continue;
         CampaignOutcome outcome;
+        static_cast<CampaignReplay&>(outcome) =
+            entry->replay.value_or(CampaignReplay());
+        // Nothing ran, so no journal record carries a token.
+        outcome.token = 0;
         outcome.id = entry->spec.id;
-        if (entry->replay.has_value()) {
-          outcome.steps_completed = entry->replay->steps_completed;
-          outcome.restarts = entry->replay->restarts;
-          outcome.best_reward = entry->replay->best_reward;
-          outcome.step_rewards = entry->replay->step_rewards;
-        }
         outcome.preemptions = entry->preemptions;
         outcome.state = outcome.steps_completed > 0
                             ? CampaignState::kCheckpointed
@@ -517,7 +471,7 @@ void FleetOrchestrator::WorkerLoop() {
         entry->slot = Slot::kSibling;
       } else if (!crashed && outcome.state == CampaignState::kPreempted) {
         entry->preemptions = outcome.preemptions;
-        entry->replay = ReplayFromOutcome(outcome);
+        entry->replay = static_cast<const CampaignReplay&>(outcome);
         entry->outcome = std::move(outcome);
         entry->has_outcome = true;
         entry->slot = Slot::kReady;
@@ -699,15 +653,15 @@ Status FleetOrchestrator::WriteJsonReport(const FleetResult& result) const {
   }
   campaigns += "]";
   obs::JsonObjectBuilder journal;
-  journal.Int("files_merged", result.journal_files_merged)
-      .Int("malformed_lines", result.journal_malformed_lines)
-      .Int("torn_tail_lines", result.journal_torn_tail_lines)
-      .Int("stale_records", result.journal_stale_records)
-      .Int("corrupt_lines", result.journal_corrupt_lines)
+  journal.Int("files_merged", result.journal.files_merged)
+      .Int("malformed_lines", result.journal.malformed_lines)
+      .Int("torn_tail_lines", result.journal.torn_tail_lines)
+      .Int("stale_records", result.journal.stale_records)
+      .Int("corrupt_lines", result.journal.corrupt_lines)
       // Interior records replay had to skip for either reason —
       // structural damage or checksum rot.
       .Int("skipped_records",
-           result.journal_malformed_lines + result.journal_corrupt_lines)
+           result.journal.malformed_lines + result.journal.corrupt_lines)
       .Int("checkpoints_quarantined", result.checkpoints_quarantined);
   obs::JsonObjectBuilder summary;
   summary.Int("campaigns", result.outcomes.size())
@@ -795,7 +749,9 @@ FleetResult FleetOrchestrator::Run() {
     // Best effort: a failed mkdir surfaces as a publish warning, not a
     // fleet failure.
     std::error_code telemetry_ec;
-    std::filesystem::create_directories(TelemetryDir(), telemetry_ec);
+    std::filesystem::create_directories(
+        TelemetryDir(options_.checkpoint_dir, options_.telemetry_dir),
+        telemetry_ec);
   }
   const std::filesystem::path journal_dir =
       std::filesystem::path(options_.journal_path).parent_path();
@@ -803,8 +759,8 @@ FleetResult FleetOrchestrator::Run() {
     std::filesystem::create_directories(journal_dir, ec);
   }
   leases_ = std::make_unique<LeaseManager>(
-      (std::filesystem::path(options_.checkpoint_dir) / "leases").string(),
-      options_.worker_id, options_.lease_ttl_seconds);
+      LeaseDir(options_.checkpoint_dir), options_.worker_id,
+      options_.lease_ttl_seconds);
   result.status = leases_->Init();
   if (!result.status.ok()) return result;
 
@@ -822,7 +778,9 @@ FleetResult FleetOrchestrator::Run() {
                         << " campaign(s) from " << replayed->files_merged
                         << " journal file(s)";
   }
-  result.status = journal_.Open(WorkerJournalPath());
+  result.status = journal_.Open(
+      FleetJournal::WorkerJournalPath(options_.journal_path,
+                                      options_.worker_id));
   if (!result.status.ok()) return result;
 
   {
@@ -874,11 +832,7 @@ FleetResult FleetOrchestrator::Run() {
   // workers and surfaces journal hygiene counters in the report.
   StatusOr<JournalReplayResult> final_replay = MergedReplay();
   if (final_replay.ok()) {
-    result.journal_files_merged = final_replay->files_merged;
-    result.journal_malformed_lines = final_replay->malformed_lines;
-    result.journal_torn_tail_lines = final_replay->torn_tail_lines;
-    result.journal_stale_records = final_replay->stale_records;
-    result.journal_corrupt_lines = final_replay->corrupt_lines;
+    result.journal = *final_replay;
   } else {
     POISONREC_LOG(Warning) << "fleet: final journal merge failed: "
                            << final_replay.status().ToString();
@@ -893,7 +847,6 @@ FleetResult FleetOrchestrator::Run() {
   for (const auto& entry : entries_) {
     CampaignOutcome outcome;
     if (entry->slot == Slot::kSibling) {
-      const bool was_fenced = entry->has_outcome && entry->outcome.fenced;
       bool filled = false;
       if (final_replay.ok()) {
         const auto it = final_replay->campaigns.find(entry->spec.id);
@@ -917,10 +870,7 @@ FleetResult FleetOrchestrator::Run() {
         outcome.sibling_owned = true;
         outcome.detail = "owned by sibling worker";
       }
-      if (was_fenced) {
-        outcome.fenced = true;
-        outcome.wall_seconds = entry->outcome.wall_seconds;
-      }
+      outcome = WithLocalFencing(std::move(outcome), entry->outcome);
     } else if (entry->has_outcome) {
       outcome = entry->outcome;
     } else {

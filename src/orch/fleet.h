@@ -70,7 +70,8 @@ struct FleetOptions {
   /// replays the merged family before scheduling.
   std::string journal_path = "results/fleet_journal.jsonl";
   /// Directory of per-campaign checkpoints, `<id>.t<token>.ckpt` (one
-  /// per lease epoch), plus the `leases/` directory.
+  /// per lease epoch), plus the `leases/`, `corrupt/` and (by default)
+  /// `telemetry/` directories.
   std::string checkpoint_dir = "results/fleet_checkpoints";
   /// Consolidated report paths; empty skips that format.
   std::string report_json_path = "results/fleet_report.json";
@@ -103,8 +104,9 @@ struct FleetOptions {
   /// carry worker identity, a wall-clock heartbeat, per-campaign
   /// progress (state/step/reward/rate) and the obs::Metrics registry.
   bool publish_status = true;
-  /// Snapshot directory; empty derives `<checkpoint_dir>/telemetry` so
-  /// every worker lands in one place without extra flags.
+  /// Snapshot directory; empty derives `<checkpoint_dir>/telemetry`
+  /// (orch/status.h TelemetryDir) so every worker lands in one place
+  /// without extra flags.
   std::string telemetry_dir;
   /// Publication cadence (rides the watchdog thread; a final snapshot
   /// with `"shutdown":true` is written when Run finishes either way).
@@ -134,17 +136,10 @@ struct FleetResult {
   std::size_t fenced = 0;
   /// Campaigns owned by sibling workers.
   std::size_t sibling_owned = 0;
-  /// Journal-merge hygiene (orch/journal.h JournalReplayResult) from
-  /// the final replay backing this report.
-  std::size_t journal_files_merged = 0;
-  std::uint64_t journal_malformed_lines = 0;
-  std::uint64_t journal_torn_tail_lines = 0;
-  std::uint64_t journal_stale_records = 0;
-  /// Interior lines whose CRC32C line checksum failed (bit rot caught
-  /// by the integrity framing; skipped like malformed lines).
-  std::uint64_t journal_corrupt_lines = 0;
-  /// Damaged checkpoints moved to `<ckpt-dir>/corrupt/` by supervisors
-  /// during resume this run (summed over outcomes).
+  /// Journal-merge hygiene from the final replay backing this report.
+  JournalHygiene journal;
+  /// Damaged checkpoints moved to QuarantineDir by supervisors during
+  /// resume this run (summed over outcomes).
   std::uint64_t checkpoints_quarantined = 0;
   double wall_seconds = 0.0;
   /// Orchestrator-level status (plan validation, journal/report I/O).
@@ -228,11 +223,6 @@ class FleetOrchestrator {
   void IngestSubmissions();
   /// Journal merge of the whole worker family.
   StatusOr<JournalReplayResult> MergedReplay() const;
-  /// The path this worker's journal records go to.
-  std::string WorkerJournalPath() const;
-  /// Resolved snapshot directory (options_.telemetry_dir or
-  /// `<checkpoint_dir>/telemetry`).
-  std::string TelemetryDir() const;
   /// Serializes this worker's status snapshot (takes sched_mu_).
   std::string WorkerStatusJson(bool shutdown);
   /// Durably publishes the snapshot to

@@ -1,9 +1,9 @@
 #include "orch/fsck.h"
 
 #include <algorithm>
-#include <cctype>
 #include <filesystem>
-#include <map>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -12,6 +12,7 @@
 #include "core/ppo.h"
 #include "orch/journal.h"
 #include "orch/lease.h"
+#include "orch/supervisor.h"
 #include "util/fsio.h"
 
 namespace poisonrec::orch {
@@ -27,28 +28,6 @@ std::string WithoutPathPrefix(std::string message, const std::string& path) {
     message.erase(0, prefix.size());
   }
   return message;
-}
-
-/// `<id>.ckpt` or `<id>.t<token>.ckpt` -> campaign id.
-std::string CampaignIdFromCheckpointName(const std::string& filename) {
-  std::string stem = filename;
-  const std::string ext = ".ckpt";
-  if (stem.size() >= ext.size() &&
-      stem.compare(stem.size() - ext.size(), ext.size(), ext) == 0) {
-    stem.resize(stem.size() - ext.size());
-  }
-  const std::size_t dot = stem.rfind(".t");
-  if (dot != std::string::npos && dot + 2 < stem.size()) {
-    bool digits = true;
-    for (std::size_t i = dot + 2; i < stem.size(); ++i) {
-      if (std::isdigit(static_cast<unsigned char>(stem[i])) == 0) {
-        digits = false;
-        break;
-      }
-    }
-    if (digits) stem.resize(dot);
-  }
-  return stem;
 }
 
 /// Classifies one checkpoint file through the frame check LoadCheckpoint
@@ -116,11 +95,11 @@ FsckArtifact AuditJournalFile(const std::string& path) {
 }
 
 FsckArtifact AuditLease(const LeaseManager& manager,
-                        const std::string& campaign_id,
-                        const std::string& path) {
+                        const std::string& campaign_id) {
   FsckArtifact artifact;
   artifact.kind = FsckArtifactKind::kLease;
-  artifact.path = path;
+  artifact.path = manager.LeasePath(campaign_id);
+  const std::string& path = artifact.path;
   StatusOr<LeaseInfo> info = manager.Read(campaign_id);
   if (info.ok()) {
     artifact.verdict = FsckVerdict::kOk;
@@ -190,11 +169,9 @@ int FsckReport::ExitCode() const {
 }
 
 StatusOr<FsckReport> RunFsck(const FsckOptions& options) {
-  if (options.journal_path.empty() && options.checkpoint_dir.empty() &&
-      options.lease_dir.empty()) {
+  if (options.journal_path.empty() && options.checkpoint_dir.empty()) {
     return Status::InvalidArgument(
-        "fsck needs at least one of journal_path / checkpoint_dir / "
-        "lease_dir");
+        "fsck needs at least one of journal_path / checkpoint_dir");
   }
   FsckReport report;
 
@@ -215,8 +192,8 @@ StatusOr<FsckReport> RunFsck(const FsckOptions& options) {
     }
   }
 
-  // -- Checkpoints (and prior quarantines) ------------------------------
-  std::string checkpoint_dir = options.checkpoint_dir;
+  // -- Checkpoints (and prior quarantines), then leases -----------------
+  const std::string& checkpoint_dir = options.checkpoint_dir;
   if (!checkpoint_dir.empty()) {
     std::error_code ec;
     if (!fs::is_directory(checkpoint_dir, ec)) {
@@ -227,40 +204,35 @@ StatusOr<FsckReport> RunFsck(const FsckOptions& options) {
       artifact.detail = "checkpoint directory does not exist";
       report.artifacts.push_back(std::move(artifact));
     } else {
-      std::vector<std::string> paths;
+      // (path, campaign id), sorted by path.
+      std::vector<std::pair<std::string, std::string>> paths;
       for (const fs::directory_entry& entry :
            fs::directory_iterator(checkpoint_dir, ec)) {
         if (!entry.is_regular_file(ec)) continue;
-        const std::string name = entry.path().filename().string();
-        if (name.size() < 5 ||
-            name.compare(name.size() - 5, 5, ".ckpt") != 0) {
-          continue;
+        const std::optional<CheckpointName> name =
+            ParseCheckpointName(entry.path().filename().string());
+        if (name.has_value()) {
+          paths.emplace_back(entry.path().string(), name->campaign_id);
         }
-        paths.push_back(entry.path().string());
       }
       std::sort(paths.begin(), paths.end());
       // First pass: verdicts. Second pass: a damaged checkpoint is
       // repairable iff an intact sibling for the same campaign exists
       // (the supervisor's quarantine-and-fall-back path).
-      std::map<std::string, bool> campaign_has_intact;
+      std::set<std::string> campaigns_with_intact;
       std::vector<FsckArtifact> checkpoints;
       checkpoints.reserve(paths.size());
-      for (const std::string& path : paths) {
-        FsckArtifact artifact = AuditCheckpoint(path);
-        const std::string id =
-            CampaignIdFromCheckpointName(fs::path(path).filename().string());
-        if (artifact.verdict == FsckVerdict::kOk) {
-          campaign_has_intact[id] = true;
+      for (const auto& [path, id] : paths) {
+        checkpoints.push_back(AuditCheckpoint(path));
+        if (checkpoints.back().verdict == FsckVerdict::kOk) {
+          campaigns_with_intact.insert(id);
         }
-        checkpoints.push_back(std::move(artifact));
       }
-      for (FsckArtifact& artifact : checkpoints) {
+      for (std::size_t i = 0; i < checkpoints.size(); ++i) {
+        FsckArtifact& artifact = checkpoints[i];
         if (IsDamage(artifact)) {
-          const std::string id = CampaignIdFromCheckpointName(
-              fs::path(artifact.path).filename().string());
-          auto it = campaign_has_intact.find(id);
           artifact.repairable =
-              it != campaign_has_intact.end() && it->second;
+              campaigns_with_intact.count(paths[i].second) > 0;
           if (artifact.repairable) {
             artifact.detail += "; intact sibling checkpoint exists";
           }
@@ -268,7 +240,7 @@ StatusOr<FsckReport> RunFsck(const FsckOptions& options) {
         report.artifacts.push_back(std::move(artifact));
       }
       // Prior quarantines: informational only.
-      const fs::path quarantine_dir = fs::path(checkpoint_dir) / "corrupt";
+      const fs::path quarantine_dir = QuarantineDir(checkpoint_dir);
       if (fs::is_directory(quarantine_dir, ec)) {
         std::vector<std::string> quarantined;
         for (const fs::directory_entry& entry :
@@ -286,32 +258,12 @@ StatusOr<FsckReport> RunFsck(const FsckOptions& options) {
         }
       }
     }
-  }
-
-  // -- Leases -----------------------------------------------------------
-  std::string lease_dir = options.lease_dir;
-  if (lease_dir.empty() && !checkpoint_dir.empty()) {
-    lease_dir = (fs::path(checkpoint_dir) / "leases").string();
-  }
-  if (!lease_dir.empty()) {
-    std::error_code ec;
-    if (fs::is_directory(lease_dir, ec)) {
-      const LeaseManager manager(lease_dir, "fsck", 1.0);
-      std::vector<std::pair<std::string, std::string>> leases;  // id, path
-      for (const fs::directory_entry& entry :
-           fs::directory_iterator(lease_dir, ec)) {
-        if (!entry.is_regular_file(ec)) continue;
-        const fs::path& p = entry.path();
-        if (p.extension() != ".lease") continue;
-        leases.emplace_back(p.stem().string(), p.string());
-      }
-      std::sort(leases.begin(), leases.end());
-      for (const auto& [id, path] : leases) {
-        report.artifacts.push_back(AuditLease(manager, id, path));
-      }
-    }
     // A missing lease dir is normal for a state dir written before
-    // every fleet held leases: silence.
+    // every fleet held leases: it lists nothing.
+    const LeaseManager manager(LeaseDir(checkpoint_dir), "fsck", 1.0);
+    for (const std::string& id : manager.List()) {
+      report.artifacts.push_back(AuditLease(manager, id));
+    }
   }
 
   for (const FsckArtifact& artifact : report.artifacts) {

@@ -45,19 +45,16 @@ struct FsckOptions {
   /// audited (orch/journal.h ListJournalFiles). Empty skips journals.
   std::string journal_path;
   /// Directory of `<id>.ckpt` / `<id>.t<token>.ckpt` checkpoints; its
-  /// `corrupt/` subdirectory (prior quarantines) is listed as
-  /// informational. Empty skips checkpoints.
+  /// QuarantineDir (prior quarantines) is listed as informational, and
+  /// the leases in its LeaseDir are audited. Empty skips both.
   std::string checkpoint_dir;
-  /// Lease directory; defaults to `<checkpoint_dir>/leases` (the fleet
-  /// layout) when empty and checkpoint_dir is set.
-  std::string lease_dir;
 };
 
 enum class FsckArtifactKind : std::uint8_t {
   kJournal = 0,
   kCheckpoint = 1,
   kLease = 2,
-  /// A previously quarantined checkpoint in `<ckpt-dir>/corrupt/`;
+  /// A previously quarantined checkpoint in QuarantineDir;
   /// reported for forensics, never counted as damage (it is already
   /// out of the resume path).
   kQuarantined = 3,

@@ -43,9 +43,7 @@ bool IsTerminal(CampaignState state) {
 Status FleetJournal::Open(const std::string& path) {
   // checksum=true: every journal line carries a CRC32C member so
   // replay can tell rotted records from torn ones (obs/crc32c.h).
-  if (!log_.Open(path, /*truncate=*/false,
-                 obs::EventLog::FlushPolicy::kEveryLine,
-                 /*checksum=*/true)) {
+  if (!log_.Open(path, /*truncate=*/false, /*checksum=*/true)) {
     return Status::IoError("cannot open fleet journal " + path);
   }
   return Status::OK();
@@ -64,6 +62,15 @@ bool FleetJournal::Record(const CampaignJournalRecord& record) {
   if (!record.owner.empty()) b.Str("owner", record.owner);
   if (!record.detail.empty()) b.Str("detail", record.detail);
   return log_.Append(std::move(b).Finish());
+}
+
+std::string FleetJournal::WorkerJournalPath(const std::string& base_path,
+                                            const std::string& worker_id) {
+  const std::filesystem::path base(base_path);
+  const std::string name =
+      base.stem().string() + "." + worker_id + base.extension().string();
+  return base.parent_path().empty() ? name
+                                    : (base.parent_path() / name).string();
 }
 
 std::vector<std::string> FleetJournal::ListJournalFiles(

@@ -105,6 +105,7 @@ struct CampaignReplay {
   double best_reward = 0.0;
   /// Highest fencing token seen for the campaign: the authoritative
   /// ownership epoch. A resuming owner must acquire a token above it.
+  /// (In a CampaignOutcome: the token its journal records carried.)
   std::uint64_t token = 0;
   std::string detail;
   /// step index -> committed mean reward, deduped (higher token wins a
@@ -112,9 +113,11 @@ struct CampaignReplay {
   std::map<std::uint64_t, double> step_rewards;
 };
 
-/// Result of merging one or more journal files.
-struct JournalReplayResult {
-  std::map<std::string, CampaignReplay> campaigns;
+/// What merging a journal family had to skip or reject, reported by
+/// the fleet report (FleetResult::journal) and the status surface
+/// (FleetStatusHygiene::journal).
+struct JournalHygiene {
+  std::size_t files_merged = 0;
   /// Malformed lines in a file's interior — real corruption, surfaced
   /// in the fleet report (a torn FINAL line per file is expected after
   /// kill -9 and counted separately).
@@ -128,7 +131,11 @@ struct JournalReplayResult {
   /// Records whose token was below the campaign's winning epoch —
   /// writes from fenced-out (seized) owners, rejected by replay.
   std::uint64_t stale_records = 0;
-  std::size_t files_merged = 0;
+};
+
+/// Result of merging one or more journal files.
+struct JournalReplayResult : JournalHygiene {
+  std::map<std::string, CampaignReplay> campaigns;
 };
 
 /// Append side. Thread-safe: concurrent Record calls serialize on the
@@ -147,6 +154,11 @@ class FleetJournal {
   bool is_open() const { return log_.is_open(); }
   const std::string& path() const { return log_.path(); }
   std::uint64_t records_written() const { return log_.lines_written(); }
+
+  /// The file worker `worker_id` appends to: `<stem>.<worker_id><ext>`
+  /// beside `base_path`, so no two processes ever share a journal fd.
+  static std::string WorkerJournalPath(const std::string& base_path,
+                                       const std::string& worker_id);
 
   /// Sibling journal files of `base_path`: every `<stem>*<ext>` in its
   /// directory (the base file plus per-worker `<stem>.<worker><ext>`

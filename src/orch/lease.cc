@@ -94,6 +94,10 @@ std::string DefaultWorkerId() {
   return id;
 }
 
+std::string LeaseDir(const std::string& checkpoint_dir) {
+  return (std::filesystem::path(checkpoint_dir) / "leases").string();
+}
+
 LeaseManager::LeaseManager(std::string dir, std::string owner_id,
                            double ttl_seconds)
     : dir_(std::move(dir)),
@@ -112,6 +116,19 @@ Status LeaseManager::Init() {
                            ec.message());
   }
   return Status::OK();
+}
+
+std::vector<std::string> LeaseManager::List() const {
+  std::vector<std::string> ids;
+  std::error_code ec;
+  for (std::filesystem::directory_iterator it(dir_, ec), end;
+       !ec && it != end; it.increment(ec)) {
+    if (!it->is_regular_file(ec)) continue;
+    if (it->path().extension() != ".lease") continue;
+    ids.push_back(it->path().stem().string());
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
 }
 
 std::string LeaseManager::LeasePath(const std::string& campaign_id) const {

@@ -4,7 +4,7 @@
 // one-worker fleet) can share one plan over one journal/checkpoint
 // directory.
 //
-// One durable JSON file per campaign (`<lease_dir>/<id>.lease`):
+// One durable JSON file per campaign (`LeaseDir(checkpoint_dir)/<id>.lease`):
 //
 //   { "type": "lease", "campaign_id": "...", "owner": "w1-8712-5f2c...",
 //     "pid": 8712, "token": 3, "renewed_unix": 1754640000.123,
@@ -77,6 +77,10 @@ struct LeaseInfo {
 /// makes ids unique across pid reuse (reboots, pid wraparound).
 std::string DefaultWorkerId();
 
+/// `<checkpoint_dir>/leases`: the one lease directory of a fleet state
+/// dir, shared by every worker, `fleet --status` and `fsck`.
+std::string LeaseDir(const std::string& checkpoint_dir);
+
 class LeaseManager {
  public:
   /// `dir` holds the lease + lock files (created by Init). `owner_id`
@@ -119,6 +123,10 @@ class LeaseManager {
   /// it). A cheap read-only probe (no flock) for scheduler polling;
   /// Acquire makes the same decision under the flock.
   bool Seizable(const std::string& campaign_id) const;
+
+  /// Campaign ids with a `<id>.lease` file in the lease directory,
+  /// sorted (a missing directory lists none). Read-only.
+  std::vector<std::string> List() const;
 
   std::string LeasePath(const std::string& campaign_id) const;
   const std::string& owner_id() const { return owner_id_; }

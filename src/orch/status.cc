@@ -160,6 +160,12 @@ const char* WorkerHealthName(WorkerHealth health) {
   return "unknown";
 }
 
+std::string TelemetryDir(const std::string& checkpoint_dir,
+                         const std::string& telemetry_dir) {
+  if (!telemetry_dir.empty()) return telemetry_dir;
+  return (std::filesystem::path(checkpoint_dir) / "telemetry").string();
+}
+
 FleetStatus CollectFleetStatus(const FleetStatusOptions& options) {
   FleetStatus status;
   const auto now_fn = options.now ? options.now : DefaultNow;
@@ -169,15 +175,7 @@ FleetStatus CollectFleetStatus(const FleetStatusOptions& options) {
   status.collected_wall_unix = now_fn();
 
   const std::string telemetry_dir =
-      !options.telemetry_dir.empty()
-          ? options.telemetry_dir
-          : (std::filesystem::path(options.checkpoint_dir) / "telemetry")
-                .string();
-  const std::string lease_dir =
-      !options.lease_dir.empty()
-          ? options.lease_dir
-          : (std::filesystem::path(options.checkpoint_dir) / "leases")
-                .string();
+      TelemetryDir(options.checkpoint_dir, options.telemetry_dir);
 
   // -- Journal family: authoritative campaign lifecycle ---------------------
   std::map<std::string, CampaignStatusRow> rows;
@@ -188,11 +186,7 @@ FleetStatus CollectFleetStatus(const FleetStatusOptions& options) {
     StatusOr<JournalReplayResult> replayed =
         FleetJournal::Replay(journal_files);
     if (replayed.ok()) {
-      status.hygiene.journal_files_merged = replayed->files_merged;
-      status.hygiene.journal_malformed_lines = replayed->malformed_lines;
-      status.hygiene.journal_torn_tail_lines = replayed->torn_tail_lines;
-      status.hygiene.journal_corrupt_lines = replayed->corrupt_lines;
-      status.hygiene.journal_stale_records = replayed->stale_records;
+      status.hygiene.journal = *replayed;
       for (const auto& [id, replay] : replayed->campaigns) {
         CampaignStatusRow& row = rows[id];
         row.id = id;
@@ -214,17 +208,10 @@ FleetStatus CollectFleetStatus(const FleetStatusOptions& options) {
   // -- Leases: current ownership + heartbeat freshness ----------------------
   bool leases_present = false;
   {
-    const LeaseManager reader(lease_dir, /*owner_id=*/"poisonrec-status",
+    const LeaseManager reader(LeaseDir(options.checkpoint_dir),
+                              /*owner_id=*/"poisonrec-status",
                               /*ttl_seconds=*/0.0);
-    std::error_code ec;
-    std::vector<std::string> ids;
-    for (std::filesystem::directory_iterator it(lease_dir, ec), end;
-         !ec && it != end; it.increment(ec)) {
-      if (!it->is_regular_file(ec)) continue;
-      if (it->path().extension() != ".lease") continue;
-      ids.push_back(it->path().stem().string());
-    }
-    std::sort(ids.begin(), ids.end());
+    const std::vector<std::string> ids = reader.List();
     leases_present = !ids.empty();
     for (const std::string& id : ids) {
       StatusOr<LeaseInfo> info = reader.Read(id);
@@ -521,11 +508,11 @@ std::string FleetStatusJson(const FleetStatus& status) {
       .Int("snapshots_invalid", status.hygiene.snapshots_invalid)
       .Int("leases_ok", status.hygiene.leases_ok)
       .Int("leases_damaged", status.hygiene.leases_damaged)
-      .Int("journal_files_merged", status.hygiene.journal_files_merged)
-      .Int("journal_malformed_lines", status.hygiene.journal_malformed_lines)
-      .Int("journal_torn_tail_lines", status.hygiene.journal_torn_tail_lines)
-      .Int("journal_corrupt_lines", status.hygiene.journal_corrupt_lines)
-      .Int("journal_stale_records", status.hygiene.journal_stale_records);
+      .Int("journal_files_merged", status.hygiene.journal.files_merged)
+      .Int("journal_malformed_lines", status.hygiene.journal.malformed_lines)
+      .Int("journal_torn_tail_lines", status.hygiene.journal.torn_tail_lines)
+      .Int("journal_corrupt_lines", status.hygiene.journal.corrupt_lines)
+      .Int("journal_stale_records", status.hygiene.journal.stale_records);
 
   obs::JsonObjectBuilder root;
   root.Str("type", "fleet_status")
@@ -614,11 +601,11 @@ std::string FormatFleetStatusTable(const FleetStatus& status) {
                 "line(s)\n",
                 h.snapshots_ok, h.snapshots_torn, h.snapshots_corrupt,
                 h.snapshots_invalid, h.leases_ok, h.leases_damaged,
-                h.journal_files_merged,
-                static_cast<unsigned long long>(h.journal_malformed_lines),
-                static_cast<unsigned long long>(h.journal_torn_tail_lines),
-                static_cast<unsigned long long>(h.journal_corrupt_lines),
-                static_cast<unsigned long long>(h.journal_stale_records));
+                h.journal.files_merged,
+                static_cast<unsigned long long>(h.journal.malformed_lines),
+                static_cast<unsigned long long>(h.journal.torn_tail_lines),
+                static_cast<unsigned long long>(h.journal.corrupt_lines),
+                static_cast<unsigned long long>(h.journal.stale_records));
   out += line;
 
   if (status.degraded()) {

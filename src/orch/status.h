@@ -111,11 +111,7 @@ struct FleetStatusHygiene {
   std::size_t snapshots_invalid = 0;
   std::size_t leases_ok = 0;
   std::size_t leases_damaged = 0;
-  std::size_t journal_files_merged = 0;
-  std::uint64_t journal_malformed_lines = 0;
-  std::uint64_t journal_torn_tail_lines = 0;
-  std::uint64_t journal_corrupt_lines = 0;
-  std::uint64_t journal_stale_records = 0;
+  JournalHygiene journal;
 };
 
 struct FleetStatus {
@@ -149,11 +145,11 @@ struct FleetStatus {
 struct FleetStatusOptions {
   /// Journal base path; the whole sibling family is merged.
   std::string journal_path = "results/fleet_journal.jsonl";
+  /// Leases are read from LeaseDir(checkpoint_dir), where every worker
+  /// of the fleet keeps them.
   std::string checkpoint_dir = "results/fleet_checkpoints";
-  /// Empty derives `<checkpoint_dir>/telemetry` (orch/fleet.h default).
+  /// Empty derives `<checkpoint_dir>/telemetry` (TelemetryDir).
   std::string telemetry_dir;
-  /// Empty derives `<checkpoint_dir>/leases` (orch/fleet.h default).
-  std::string lease_dir;
   /// Heartbeat age (seconds) past which a live-pid worker still counts
   /// stale; 0 derives max(3 x the worker's publish period, 2s).
   double stale_after_seconds = 0.0;
@@ -161,6 +157,12 @@ struct FleetStatusOptions {
   std::function<double()> now;
   std::function<bool(std::uint64_t)> pid_alive;
 };
+
+/// The worker status snapshot directory: `telemetry_dir` when set, else
+/// `<checkpoint_dir>/telemetry`. Workers publish there and
+/// CollectFleetStatus reads there.
+std::string TelemetryDir(const std::string& checkpoint_dir,
+                         const std::string& telemetry_dir);
 
 /// Collects and classifies fleet state. Missing/damaged inputs land in
 /// hygiene counters and degraded_reasons, never in a failure — the

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -51,29 +52,32 @@ obs::Counter* FleetCounter(const char* name) {
   return obs::MetricsRegistry::Global().GetCounter(name);
 }
 
-/// Parses `<id>.t<N>.ckpt` names; nullopt for anything else, the plain
-/// `<id>.ckpt` included.
-std::optional<std::uint64_t> CheckpointToken(const std::string& filename,
-                                             const std::string& id) {
-  const std::string prefix = id + ".t";
-  const std::string suffix = ".ckpt";
-  if (filename.size() <= prefix.size() + suffix.size()) return std::nullopt;
-  if (filename.compare(0, prefix.size(), prefix) != 0) return std::nullopt;
-  if (filename.compare(filename.size() - suffix.size(), suffix.size(),
-                       suffix) != 0) {
+}  // namespace
+
+std::optional<CheckpointName> ParseCheckpointName(
+    const std::string& filename) {
+  constexpr std::string_view kSuffix = ".ckpt";
+  if (filename.size() < kSuffix.size() ||
+      filename.compare(filename.size() - kSuffix.size(), kSuffix.size(),
+                       kSuffix) != 0) {
     return std::nullopt;
   }
+  CheckpointName name;
+  name.campaign_id = filename.substr(0, filename.size() - kSuffix.size());
+  const std::size_t dot = name.campaign_id.rfind(".t");
+  if (dot == std::string::npos || dot + 2 == name.campaign_id.size()) {
+    return name;
+  }
   std::uint64_t token = 0;
-  for (std::size_t i = prefix.size(); i < filename.size() - suffix.size();
-       ++i) {
-    const char c = filename[i];
-    if (c < '0' || c > '9') return std::nullopt;
+  for (std::size_t i = dot + 2; i < name.campaign_id.size(); ++i) {
+    const char c = name.campaign_id[i];
+    if (c < '0' || c > '9') return name;
     token = token * 10 + static_cast<std::uint64_t>(c - '0');
   }
-  return token;
+  name.campaign_id.resize(dot);
+  name.token = token;
+  return name;
 }
-
-}  // namespace
 
 std::vector<std::pair<std::uint64_t, std::string>> ListCheckpoints(
     const std::string& dir, const std::string& id) {
@@ -81,17 +85,22 @@ std::vector<std::pair<std::uint64_t, std::string>> ListCheckpoints(
   std::error_code ec;
   for (std::filesystem::directory_iterator it(dir, ec), end;
        !ec && it != end; it.increment(ec)) {
-    const std::string name = it->path().filename().string();
-    std::optional<std::uint64_t> token = CheckpointToken(name, id);
-    if (!token.has_value()) {
-      if (name != id + ".ckpt") continue;
-      token = 0;  // written before every fleet held leases
+    const std::string filename = it->path().filename().string();
+    const std::optional<CheckpointName> name = ParseCheckpointName(filename);
+    if (!name.has_value()) continue;
+    if (name->campaign_id == id) {
+      checkpoints.emplace_back(name->token, it->path().string());
+    } else if (filename == id + ".ckpt") {
+      checkpoints.emplace_back(0, it->path().string());
     }
-    checkpoints.emplace_back(*token, it->path().string());
   }
   std::sort(checkpoints.begin(), checkpoints.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
   return checkpoints;
+}
+
+std::string QuarantineDir(const std::string& checkpoint_dir) {
+  return (std::filesystem::path(checkpoint_dir) / "corrupt").string();
 }
 
 CampaignSupervisor::CampaignSupervisor(const CampaignSpec& spec,
@@ -130,8 +139,7 @@ std::vector<std::string> CampaignSupervisor::FindResumeCheckpoints() const {
 std::string CampaignSupervisor::QuarantineCheckpoint(
     const std::string& path) const {
   const std::filesystem::path source(path);
-  const std::filesystem::path dir =
-      std::filesystem::path(options_.checkpoint_dir) / "corrupt";
+  const std::filesystem::path dir(QuarantineDir(options_.checkpoint_dir));
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   const std::filesystem::path dest = dir / source.filename();
@@ -378,21 +386,16 @@ Status CampaignSupervisor::RunAttempt(CampaignOutcome* outcome) {
 
 CampaignOutcome CampaignSupervisor::Run() {
   CampaignOutcome outcome;
-  outcome.id = spec_.id;
-  outcome.preemptions = options_.preemptions;
-  outcome.lease_token = options_.lease_token;
   const std::uint64_t run_start = internal::NowTicks();
   start_ticks_.store(run_start, std::memory_order_release);
   heartbeat_ticks_.store(run_start, std::memory_order_release);
 
   // Journal recovery: terminal campaigns are never re-run; unfinished
-  // ones inherit their committed rewards and restart count.
+  // ones inherit their committed rewards and restart count. Every exit
+  // below sets the state and detail, and our records carry our token.
   if (options_.replay.has_value()) {
     const CampaignReplay& replay = *options_.replay;
-    outcome.steps_completed = replay.steps_completed;
-    outcome.restarts = replay.restarts;
-    outcome.best_reward = replay.best_reward;
-    outcome.step_rewards = replay.step_rewards;
+    static_cast<CampaignReplay&>(outcome) = replay;
     committed_steps_.store(replay.steps_completed,
                            std::memory_order_release);
     run_start_steps_.store(replay.steps_completed,
@@ -402,14 +405,14 @@ CampaignOutcome CampaignSupervisor::Run() {
       last_reward_.store(replay.step_rewards.rbegin()->second,
                          std::memory_order_release);
     }
-    if (IsTerminal(replay.state)) {
-      outcome.state = replay.state;
-      outcome.detail = replay.detail.empty()
-                           ? "recovered from journal"
-                           : replay.detail;
-      outcome.recovered_from_journal = true;
-      return outcome;
-    }
+  }
+  outcome.id = spec_.id;
+  outcome.token = options_.lease_token;
+  outcome.preemptions = options_.preemptions;
+  if (IsTerminal(outcome.state)) {
+    if (outcome.detail.empty()) outcome.detail = "recovered from journal";
+    outcome.recovered_from_journal = true;
+    return outcome;
   }
   if (FleetStopRaised()) {
     outcome.state = outcome.steps_completed > 0

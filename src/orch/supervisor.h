@@ -70,11 +70,28 @@ enum class SoftStopKind : int {
   kFenced = 3,
 };
 
+/// A checkpoint file name split into campaign id and fencing token:
+/// `<id>.t<N>.ckpt` is (id, N) and a plain `<id>.ckpt` (written before
+/// every fleet held leases) is (id, 0). nullopt for names that do not
+/// end in `.ckpt`. A name like `a.t5.ckpt` parses as (a, 5), although
+/// it is also campaign `a.t5`'s plain checkpoint; ListCheckpoints lists
+/// it for both.
+struct CheckpointName {
+  std::string campaign_id;
+  std::uint64_t token = 0;
+};
+std::optional<CheckpointName> ParseCheckpointName(
+    const std::string& filename);
+
 /// Checkpoints of campaign `id` in `dir`, highest fencing token first:
-/// every `<id>.t<N>.ckpt`, plus a plain `<id>.ckpt` (written before
-/// every fleet held leases) as token 0. Missing dir = empty list.
+/// every `<id>.t<N>.ckpt`, plus a plain `<id>.ckpt` as token 0. Missing
+/// dir = empty list.
 std::vector<std::pair<std::uint64_t, std::string>> ListCheckpoints(
     const std::string& dir, const std::string& id);
+
+/// `<checkpoint_dir>/corrupt`: where supervisors move damaged
+/// checkpoints, out of the resume path but kept for `poisonrec fsck`.
+std::string QuarantineDir(const std::string& checkpoint_dir);
 
 struct SupervisorOptions {
   /// Directory holding the campaign's `<id>.t<token>.ckpt` files, one
@@ -103,19 +120,14 @@ struct SupervisorOptions {
   SleepFn restart_sleep;
 };
 
-/// Final (or recovered) state of one supervised campaign.
-struct CampaignOutcome {
+/// Final (or recovered) state of one supervised campaign: the folded
+/// journal view (state, committed steps and rewards, restarts, best
+/// reward, detail, and `token`, the fencing token the outcome's journal
+/// records carried) plus what only a run knows.
+struct CampaignOutcome : CampaignReplay {
   std::string id;
-  CampaignState state = CampaignState::kFailed;
-  std::uint64_t steps_completed = 0;
-  std::uint64_t restarts = 0;
   std::uint64_t rollbacks = 0;
-  double best_reward = 0.0;
   double wall_seconds = 0.0;
-  std::string detail;
-  /// Committed (checkpoint-durable) mean reward per step, including
-  /// steps recovered from a replayed journal.
-  std::map<std::uint64_t, double> step_rewards;
   /// True when the outcome was recovered from the journal without
   /// re-running (terminal state before this process started).
   bool recovered_from_journal = false;
@@ -125,15 +137,13 @@ struct CampaignOutcome {
   /// Times the campaign was preempted (spec.max_preemptions caps this).
   std::uint64_t preemptions = 0;
   /// Damaged (torn/corrupt/incompatible) checkpoints moved to
-  /// `<checkpoint_dir>/corrupt/` during resume; each costs a fallback
-  /// to the next-older candidate (or a from-scratch replay), never a
+  /// QuarantineDir during resume; each costs a fallback to the
+  /// next-older candidate (or a from-scratch replay), never a
   /// silently-trusted load.
   std::uint64_t checkpoints_quarantined = 0;
   /// True when this worker lost the campaign lease mid-run: the outcome
   /// is NOT authoritative — the seizing sibling's journal is.
   bool fenced = false;
-  /// Fencing token the outcome's journal records carried.
-  std::uint64_t lease_token = 0;
   /// A sibling worker owned (or finished) this campaign; the outcome
   /// was reconstructed from the merged journals, not from a local run.
   /// Set by the orchestrator.
@@ -222,7 +232,7 @@ class CampaignSupervisor {
   /// frontier falls back to the previous epoch's checkpoint instead of
   /// costing the whole campaign.
   std::vector<std::string> FindResumeCheckpoints() const;
-  /// Moves a damaged checkpoint into `<checkpoint_dir>/corrupt/` so it
+  /// Moves a damaged checkpoint into QuarantineDir so it
   /// stops being a resume candidate but stays available for forensics
   /// (`poisonrec fsck` reports it). Falls back to removal when the
   /// move fails. Returns the quarantine path ("" when removed).

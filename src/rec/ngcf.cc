@@ -36,6 +36,7 @@ Ngcf::Ngcf(const Ngcf& other)
     : config_(other.config_),
       num_users_(other.num_users_),
       num_items_(other.num_items_),
+      laplacian_(other.laplacian_),
       positives_(other.positives_),
       clean_(other.clean_),
       update_seed_(other.update_seed_) {
@@ -49,7 +50,6 @@ Ngcf::Ngcf(const Ngcf& other)
     for (std::size_t i = 0; i < dst.size(); ++i) {
       dst[i].CopyDataFrom(src[i]);
     }
-    RebuildGraph();
     if (other.cached_final_.defined()) {
       cached_final_ = other.cached_final_.DeepCopy();
     }
@@ -83,7 +83,7 @@ void Ngcf::RebuildGraph() {
       triplets.push_back({v, u, norm});
     }
   }
-  laplacian_ = std::make_unique<nn::CsrMatrix>(n, n, std::move(triplets));
+  laplacian_ = std::make_shared<const nn::CsrMatrix>(n, n, std::move(triplets));
 }
 
 nn::Tensor Ngcf::Propagate() const {

@@ -65,7 +65,9 @@ class Ngcf : public Recommender {
   std::size_t num_users_ = 0;
   std::size_t num_items_ = 0;
   std::unique_ptr<Net> net_;
-  std::unique_ptr<nn::CsrMatrix> laplacian_;
+  /// Shared with clones: a CsrMatrix is immutable (its transpose is
+  /// built at construction), and RebuildGraph swaps in a new one.
+  std::shared_ptr<const nn::CsrMatrix> laplacian_;
   std::vector<std::unordered_set<data::ItemId>> positives_;
   std::vector<data::Interaction> clean_;  // replay pool for Update
   nn::Tensor cached_final_;  // plain data, no grad

@@ -326,29 +326,17 @@ Status RenameFile(const std::string& from, const std::string& to) {
   return Status::OK();
 }
 
-namespace {
-
-Status FsyncPath(const std::string& path, int open_flags, const char* what) {
-  const int fd = ::open(path.c_str(), open_flags);
-  if (fd < 0) {
-    return Status::IoError(std::string("cannot open ") + what + " " + path +
-                           " for fsync: " + std::strerror(errno));
-  }
-  const Status status = FsyncFd(fd, path);
-  ::close(fd);
-  return status;
-}
-
-}  // namespace
-
-Status FsyncFile(const std::string& path) {
-  return FsyncPath(path, O_RDONLY, "file");
-}
-
 Status FsyncParentDirectory(const std::string& path) {
   std::filesystem::path dir = std::filesystem::path(path).parent_path();
   if (dir.empty()) dir = ".";
-  return FsyncPath(dir.string(), O_RDONLY | O_DIRECTORY, "directory");
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) {
+    return Status::IoError("cannot open directory " + dir.string() +
+                           " for fsync: " + std::strerror(errno));
+  }
+  const Status status = FsyncFd(fd, dir.string());
+  ::close(fd);
+  return status;
 }
 
 Status WriteFileDurable(const std::string& path, std::string_view contents,
@@ -376,16 +364,6 @@ Status WriteFileDurable(const std::string& path, std::string_view contents,
 // ---------------------------------------------------------------------------
 // Whole-file integrity framing
 // ---------------------------------------------------------------------------
-
-const char* FileIntegrityName(FileIntegrity integrity) {
-  switch (integrity) {
-    case FileIntegrity::kOk: return "ok";
-    case FileIntegrity::kMissing: return "missing";
-    case FileIntegrity::kTorn: return "torn";
-    case FileIntegrity::kCorrupt: return "corrupt";
-  }
-  return "unknown";
-}
 
 std::string WithIntegrityFooter(std::string payload) {
   const std::uint32_t crc = obs::Crc32c(payload);

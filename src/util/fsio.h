@@ -141,10 +141,6 @@ Status FsyncFd(int fd, const std::string& path);
 /// here: a prefix of `from` is copied to `to` and `from` removed).
 Status RenameFile(const std::string& from, const std::string& to);
 
-/// fsyncs the file at `path` (opens it read-only; the data is already
-/// written). kIoError if the file cannot be opened or the sync fails.
-Status FsyncFile(const std::string& path);
-
 /// fsyncs the directory containing `path`, making a completed rename of
 /// `path` durable. A path without a directory component syncs ".".
 Status FsyncParentDirectory(const std::string& path);
@@ -179,8 +175,6 @@ enum class FileIntegrity : std::uint8_t {
   /// Footer intact but the checksum disagrees: bit rot.
   kCorrupt = 3,
 };
-
-const char* FileIntegrityName(FileIntegrity integrity);
 
 /// Appends the integrity footer to `payload`.
 std::string WithIntegrityFooter(std::string payload);

@@ -198,7 +198,7 @@ TEST(FleetRecoveryTest, Sigkill9MidFleetResumesBitIdentically) {
           << rec.id << " finished before the kill but was re-run";
     }
     if (in_flight_at_kill.count(rec.id)) {
-      EXPECT_GE(rec.lease_token, 2u)
+      EXPECT_GE(rec.token, 2u)
           << rec.id << " was not seized from the killed run's epoch";
     }
     ASSERT_EQ(ref.step_rewards.size(), rec.step_rewards.size()) << ref.id;

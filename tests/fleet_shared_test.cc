@@ -192,7 +192,7 @@ TEST(FleetSharedTest, SigkilledWorkerIsSeizedBySiblingBitIdentically) {
   // journals, not re-run.
   EXPECT_GE(b_result.recovered, 1u);
   // Both workers' journal files were merged into the final report.
-  EXPECT_GE(b_result.journal_files_merged, 2u);
+  EXPECT_GE(b_result.journal.files_merged, 2u);
 
   ExpectBitIdentical(ref_result, b_result);
   std::filesystem::remove_all(base);

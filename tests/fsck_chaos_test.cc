@@ -500,7 +500,7 @@ TEST(FsckChaosTest, JournalShortWriteTearsInteriorRecordWhichIsCounted) {
   // pretending the journal was clean.
   const FleetResult resumed = RunFleet(plan, log, options);
   ASSERT_EQ(resumed.ExitCode(), 0) << resumed.status;
-  EXPECT_GE(resumed.journal_corrupt_lines + resumed.journal_malformed_lines,
+  EXPECT_GE(resumed.journal.corrupt_lines + resumed.journal.malformed_lines,
             1u);
   fs::remove_all(base);
 }

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -578,7 +579,7 @@ TEST(SupervisorTest, LegacyPlainCheckpointResumesUnderALeaseToken) {
   const CampaignOutcome resumed = supervisor.Run();
   EXPECT_EQ(resumed.state, CampaignState::kDone);
   EXPECT_EQ(resumed.steps_completed, 6u);
-  EXPECT_EQ(resumed.lease_token, options.lease_token);
+  EXPECT_EQ(resumed.token, options.lease_token);
   // Resumed from the legacy file: only steps 4-6 ran, and they match
   // the straight run, as does the best episode the checkpoint carried.
   ASSERT_EQ(resumed.step_rewards.size(), 3u);
@@ -593,6 +594,70 @@ TEST(SupervisorTest, LegacyPlainCheckpointResumesUnderALeaseToken) {
   EXPECT_TRUE(std::filesystem::exists(legacy));
   std::filesystem::remove_all(ref_dir);
   std::filesystem::remove_all(dir);
+}
+
+// -- Checkpoint names -------------------------------------------------------
+
+TEST(CheckpointNameTest, ListCheckpointsTable) {
+  const std::string dir = TempDir("poisonrec_checkpoint_names");
+  for (const char* name :
+       {"c0.t1.ckpt", "c0.t12.ckpt", "c0.ckpt", "a.b.t3.ckpt", "a.b.ckpt",
+        "x.t5.ckpt", "x.t5.t2.ckpt", "x.tail.ckpt", "c0.t.ckpt",
+        "c0.tx.ckpt", "c0.t7.ckpt.tmp", "c0.t8", "c0.lease", "c0.t9.ckpt~"}) {
+    std::ofstream(dir + "/" + name) << "x";
+  }
+  // Expected (token, file name) lists, highest token first. `x.t5.ckpt`
+  // is both campaign x's epoch 5 and campaign x.t5's plain checkpoint.
+  const std::vector<std::pair<std::string,
+                              std::vector<std::pair<std::uint64_t,
+                                                    std::string>>>>
+      table = {
+          {"c0", {{12, "c0.t12.ckpt"}, {1, "c0.t1.ckpt"}, {0, "c0.ckpt"}}},
+          {"a.b", {{3, "a.b.t3.ckpt"}, {0, "a.b.ckpt"}}},
+          {"x", {{5, "x.t5.ckpt"}}},
+          {"x.t5", {{2, "x.t5.t2.ckpt"}, {0, "x.t5.ckpt"}}},
+          {"x.tail", {{0, "x.tail.ckpt"}}},
+          {"c0.t", {{0, "c0.t.ckpt"}}},
+          {"c0.tx", {{0, "c0.tx.ckpt"}}},
+          {"a", {}},
+          {"missing", {}},
+      };
+  for (const auto& [id, expected] : table) {
+    std::vector<std::pair<std::uint64_t, std::string>> listed;
+    for (const auto& [token, path] : ListCheckpoints(dir, id)) {
+      listed.emplace_back(token,
+                          std::filesystem::path(path).filename().string());
+    }
+    EXPECT_EQ(listed, expected) << "campaign " << id;
+  }
+  EXPECT_TRUE(ListCheckpoints(dir + "/absent", "c0").empty());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointNameTest, ParseSplitsIdAndToken) {
+  struct Case {
+    const char* name;
+    bool parses;
+    const char* id;
+    std::uint64_t token;
+  };
+  for (const Case& c : std::vector<Case>{
+           {"c0.t12.ckpt", true, "c0", 12},
+           {"c0.ckpt", true, "c0", 0},
+           {"a.b.t3.ckpt", true, "a.b", 3},
+           {"x.t5.ckpt", true, "x", 5},
+           {"x.t5.t2.ckpt", true, "x.t5", 2},
+           {"c0.t.ckpt", true, "c0.t", 0},
+           {"c0.tx.ckpt", true, "c0.tx", 0},
+           {"c0.t7.ckpt.tmp", false, "", 0},
+           {"c0.t8", false, "", 0},
+       }) {
+    const std::optional<CheckpointName> parsed = ParseCheckpointName(c.name);
+    ASSERT_EQ(parsed.has_value(), c.parses) << c.name;
+    if (!c.parses) continue;
+    EXPECT_EQ(parsed->campaign_id, c.id) << c.name;
+    EXPECT_EQ(parsed->token, c.token) << c.name;
+  }
 }
 
 // -- Fleet ------------------------------------------------------------------
@@ -733,7 +798,7 @@ TEST(FleetTest, DeletedLeaseDirDoesNotRewindTheFencingToken) {
   const FleetResult second = RunUntilCommitted(
       plan, log, options, first.outcomes[0].steps_completed + 2);
   ASSERT_EQ(second.interrupted, 1u) << "fleet finished - grow the plan";
-  ASSERT_EQ(second.outcomes[0].lease_token, 2u);
+  ASSERT_EQ(second.outcomes[0].token, 2u);
 
   // Every lease is lost. The finishing run must still open an epoch
   // above token 2, or replay would call its records stale.
@@ -741,8 +806,8 @@ TEST(FleetTest, DeletedLeaseDirDoesNotRewindTheFencingToken) {
   FleetOrchestrator finishing_run(plan, &log, options);
   const FleetResult finished = finishing_run.Run();
   ASSERT_EQ(finished.ExitCode(), 0) << finished.status;
-  EXPECT_EQ(finished.journal_stale_records, 0u);
-  EXPECT_EQ(finished.outcomes[0].lease_token, 3u);
+  EXPECT_EQ(finished.journal.stale_records, 0u);
+  EXPECT_EQ(finished.outcomes[0].token, 3u);
   EXPECT_EQ(finished.outcomes[0].step_rewards,
             reference.outcomes[0].step_rewards);
 

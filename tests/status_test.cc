@@ -52,7 +52,6 @@ FleetStatusOptions MakeOptions(const StatusDirs& dirs, double now) {
   options.journal_path = dirs.journal;
   options.checkpoint_dir = dirs.base;
   options.telemetry_dir = dirs.telemetry;
-  options.lease_dir = dirs.leases;
   options.now = [now] { return now; };
   // Default seam for these tests: every pid referenced is gone.
   options.pid_alive = [](std::uint64_t) { return false; };
@@ -201,7 +200,7 @@ TEST(StatusTest, HealthyFleetFoldsJournalLeasesAndSnapshots) {
       status.counters.at("poisonrec_fleet_status_snapshots_total"), 3.0);
   EXPECT_EQ(status.hygiene.snapshots_ok, 1u);
   EXPECT_EQ(status.hygiene.leases_ok, 1u);
-  EXPECT_EQ(status.hygiene.journal_files_merged, 1u);
+  EXPECT_EQ(status.hygiene.journal.files_merged, 1u);
 
   const std::string json = FleetStatusJson(status);
   EXPECT_NE(json.find("\"type\":\"fleet_status\""), std::string::npos);

@@ -9,7 +9,9 @@
 # <3%/step and the guardrails' at <5%/step), and
 # bench_defended_attack at a tiny scale so their machine-readable JSON
 # lands under results/, runs a defended-campaign smoke through the CLI
-# (adaptive defender + replacement pool end to end), and finishes with a
+# (adaptive defender + replacement pool end to end), checks that the CLI
+# rejects flags it does not read and that a guarded campaign resumed
+# with --resume stops at its --steps budget, and finishes with a
 # fully instrumented campaign whose telemetry artifacts (--metrics-out /
 # --trace-out / --events-out) are checked by tools/validate_telemetry.py.
 # After the campaign smokes, a fleet smoke exercises the orchestrator's
@@ -69,6 +71,36 @@ trap 'rm -rf "${SMOKE_DIR}"' EXIT
   --defense --defense-interval=4 --defense-bans=1 \
   --pool-reserve=10 --pool-min-live=2 \
   --checkpoint="${SMOKE_DIR}/defended.ckpt" --checkpoint-every=1
+
+# Strict flags: a flag the subcommand does not read, a --pool-* flag
+# without --defense and a --guard-* flag without --guard must each fail
+# with exit 2, naming the flag, before any work.
+flag_reject() {  # flag_reject <flag-to-name> <campaign args...>
+  local rc=0 err
+  err="$("${BUILD_DIR}/tools/poisonrec" campaign --steps=1 "${@:2}" \
+         2>&1 >/dev/null)" || rc=$?
+  if [ "${rc}" -ne 2 ] || ! grep -q -- "$1" <<< "${err}"; then
+    echo "flag smoke: expected exit 2 naming $1, got ${rc}: ${err}" >&2
+    exit 1
+  fi
+}
+flag_reject --stepz --stepz=99
+flag_reject --pool-reserve --pool-reserve=5
+flag_reject --guard-kl-max --guard-kl-max=3
+
+# Guarded resume: a 2-step guarded campaign resumed with --steps=3 must
+# run one more step, not three.
+guarded_args=(campaign --dataset=Steam --scale="${POISONREC_SCALE}"
+  --samples="${POISONREC_SAMPLES}" --eval-users="${POISONREC_EVAL_USERS}"
+  --guard "--checkpoint=${SMOKE_DIR}/guarded.ckpt")
+"${BUILD_DIR}/tools/poisonrec" "${guarded_args[@]}" --steps=2 >/dev/null
+resumed="$("${BUILD_DIR}/tools/poisonrec" "${guarded_args[@]}" --steps=3 \
+           --resume)"
+if ! grep -q "over 3 steps" <<< "${resumed}"; then
+  echo "guarded resume smoke: expected 'over 3 steps'" >&2
+  printf '%s\n' "${resumed}" >&2
+  exit 1
+fi
 
 # Telemetry smoke: instrumented campaign with enough adversity that every
 # pillar lights up — a moderate NaN-reward rate trips the guard on some

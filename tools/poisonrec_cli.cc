@@ -15,7 +15,12 @@
 //   poisonrec trace-merge wA.trace.json wB.trace.json
 //                      --out=results/fleet_trace.json
 //   poisonrec fsck     --journal=results/fleet.jsonl
-//                      --checkpoint-dir=results/ckpts [--lease-dir=<dir>]
+//                      --checkpoint-dir=results/ckpts
+//
+// Flags are strict: each subcommand reads the flags listed in KnownFlags
+// below (plus the global --num-threads), and a run exits 2, naming the
+// flag, on any other flag, on a --defense-* or --pool-* flag without
+// --defense, and on a --guard-* flag without --guard.
 //
 // Common flags: --dataset=<Steam|MovieLens|Phone|Clothing> --scale=<f>
 //   --data=<csv>  --seed=<n>  --attackers=<N>  --length=<T>
@@ -35,7 +40,8 @@
 //   --fault-nan      NaN reward rate (corrupted feedback channel)
 //   --fault-seed     fault stream seed
 //   --retry-attempts max attempts per reward query (default 4)
-//   --checkpoint=<path> --checkpoint-every=<n> --resume
+//   --checkpoint=<path> --checkpoint-every=<n> --resume (--steps stays
+//                    the whole budget: a resumed run takes what is left)
 //
 // Campaign adaptive-defender flags (see docs/robustness.md):
 //   --defense                run against a DefendedEnvironment: the
@@ -116,7 +122,8 @@
 //   --watch=<sec>           re-render every <sec> seconds until ^C
 //   --stale-after=<sec>     heartbeat age that marks a live-pid worker
 //                           stale (default: 3x its publish period)
-//   --journal/--checkpoint-dir/--telemetry-dir/--lease-dir as above
+//   --journal/--checkpoint-dir/--telemetry-dir as above; leases are
+//                           read from <checkpoint-dir>/leases
 //
 // trace-merge: fuse per-worker Chrome traces (`fleet --trace-out` from
 // each worker) into one timeline; each input file becomes its own
@@ -128,10 +135,9 @@
 // Fsck flags (offline storage-integrity audit, docs/robustness.md):
 //   --journal=<path>        journal family base path (default
 //                           results/fleet_journal.jsonl)
-//   --checkpoint-dir=<dir>  checkpoint directory to audit (default
+//   --checkpoint-dir=<dir>  checkpoint directory to audit, with its
+//                           leases/ and corrupt/ (default
 //                           results/fleet_checkpoints)
-//   --lease-dir=<dir>       lease directory (default
-//                           <checkpoint-dir>/leases)
 //   Exit codes: 0 everything intact, 2 damage found but all of it
 //   repairable (torn journal tails, damaged checkpoints with an intact
 //   sibling, corrupt leases), 1 unrepairable damage (interior journal
@@ -145,6 +151,7 @@
 //                           in chrome://tracing or ui.perfetto.dev)
 //   --events-out=<path>     stream the unified JSONL event log (step,
 //                           guard, ban, rollback, checkpoint events)
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -152,6 +159,7 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -214,10 +222,77 @@ class Flags {
                : static_cast<std::size_t>(
                      std::strtoull(it->second.c_str(), nullptr, 10));
   }
+  const std::map<std::string, std::string>& values() const { return values_; }
 
  private:
   std::map<std::string, std::string> values_;
 };
+
+/// The flags `command` reads, space-separated, or nullopt for an unknown
+/// command. `fleet --status` reads none of a fleet run's flags, so it
+/// has its own list. Every command also takes the global --num-threads.
+std::optional<std::string> KnownFlags(const std::string& command,
+                                      const Flags& flags) {
+  const std::string data = " data dataset scale seed";
+  const std::string environment =
+      data + " dim attackers length targets eval-users ranker";
+  if (command == "datagen") return data + " out";
+  if (command == "quality") return data + " dim epochs ranker";
+  if (command == "attack" || command == "detect") {
+    return environment + " method steps samples parallel";
+  }
+  if (command == "campaign") {
+    return environment +
+           " steps samples parallel retry-attempts max-grad-norm checkpoint"
+           " checkpoint-every resume fault-failure fault-throttle fault-drop"
+           " fault-ban fault-noise fault-stale fault-nan fault-seed defense"
+           " defense-interval defense-bans defense-threshold defense-ban-prob"
+           " defense-detector defense-seed pool-reserve pool-min-live guard"
+           " guard-grad-max guard-entropy-floor guard-kl-max guard-rollbacks"
+           " metrics-out trace-out events-out";
+  }
+  if (command == "fleet" && flags.Get("status", "false") == "true") {
+    return " status journal checkpoint-dir telemetry-dir stale-after"
+           " status-json watch";
+  }
+  if (command == "fleet") {
+    return " status plan data journal checkpoint-dir report-json report-csv"
+           " max-concurrent worker-id lease-ttl submit-dir publish-status"
+           " telemetry-dir status-every metrics-out trace-out";
+  }
+  if (command == "trace-merge") return " out";
+  if (command == "fsck") return " journal checkpoint-dir";
+  return std::nullopt;
+}
+
+/// Names the first flag `command` does not read, or a campaign
+/// --defense-*, --pool-* or --guard-* flag whose switch is off, on
+/// stderr and returns 2; returns 0 when every flag is read.
+int RejectUnreadFlags(const std::string& command, const std::string& known,
+                      const Flags& flags) {
+  const bool defended = flags.Get("defense", "false") == "true";
+  const bool guarded = flags.Get("guard", "false") == "true";
+  for (const auto& [key, value] : flags.values()) {
+    const auto prefixed = [&key](const char* prefix) {
+      return key.rfind(prefix, 0) == 0;
+    };
+    std::string error;
+    if ((" num-threads" + known + " ").find(" " + key + " ") ==
+        std::string::npos) {
+      error = "unknown flag --" + key;
+    } else if (!defended && (prefixed("defense-") || prefixed("pool-"))) {
+      error = "--" + key + " requires --defense";
+    } else if (!guarded && prefixed("guard-")) {
+      error = "--" + key + " requires --guard";
+    }
+    if (!error.empty()) {
+      std::fprintf(stderr, "poisonrec %s: %s\n", command.c_str(),
+                   error.c_str());
+      return 2;
+    }
+  }
+  return 0;
+}
 
 data::Dataset LoadOrGenerate(const Flags& flags) {
   const std::string path = flags.Get("data", "");
@@ -519,8 +594,11 @@ int CmdCampaign(const Flags& flags) {
   if (guarded) {
     POISONREC_CHECK(!checkpoint.empty())
         << "--guard requires --checkpoint=<path> for the last-good state";
-    const core::GuardedTrainResult result =
-        attacker.TrainGuarded(total_steps, checkpoint);
+    // TrainGuarded runs that many more steps; a resumed campaign still
+    // stops at --steps.
+    const core::GuardedTrainResult result = attacker.TrainGuarded(
+        total_steps - std::min(total_steps, attacker.steps_taken()),
+        checkpoint);
     for (const core::TrainStepStats& stats : result.stats) {
       std::printf("step %3zu  mean %7.1f  best %7.1f  loss %8.4f  "
                   "grad %7.3f  ent %6.3f  kl %8.5f  "
@@ -641,7 +719,6 @@ int CmdFleetStatus(const Flags& flags) {
   options.checkpoint_dir =
       flags.Get("checkpoint-dir", "results/fleet_checkpoints");
   options.telemetry_dir = flags.Get("telemetry-dir", "");
-  options.lease_dir = flags.Get("lease-dir", "");
   options.stale_after_seconds = flags.GetDouble("stale-after", 0.0);
   const std::string status_json = flags.Get("status-json", "");
   const double watch_seconds = flags.GetDouble("watch", 0.0);
@@ -900,7 +977,6 @@ int CmdFsck(const Flags& flags) {
       flags.Get("journal", "results/fleet_journal.jsonl");
   options.checkpoint_dir =
       flags.Get("checkpoint-dir", "results/fleet_checkpoints");
-  options.lease_dir = flags.Get("lease-dir", "");
   StatusOr<orch::FsckReport> report = orch::RunFsck(options);
   if (!report.ok()) {
     std::fprintf(stderr, "fsck failed: %s\n",
@@ -924,6 +1000,11 @@ int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   Flags flags(argc, argv);
+  const std::optional<std::string> known = KnownFlags(command, flags);
+  if (!known.has_value()) return Usage();
+  if (const int rc = RejectUnreadFlags(command, *known, flags); rc != 0) {
+    return rc;
+  }
   // Kernel-level GEMM threading is a process-wide knob; the same flag
   // also feeds PoisonRecConfig::num_threads for concurrent reward
   // queries (--parallel).
