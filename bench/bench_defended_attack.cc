@@ -16,7 +16,6 @@
 #include "core/ppo.h"
 #include "defense/detector.h"
 #include "env/defended.h"
-#include "env/fault.h"
 
 namespace poisonrec::bench {
 namespace {
@@ -56,25 +55,21 @@ void Run() {
       auto environment =
           MakeEnvironment(cell, data::DatasetPreset::kSteam, ranker);
 
-      env::FaultProfile faults;  // clean channel; defense is the variable
-      faults.seed = config.seed ^ 0x0fbu;
-      env::FaultyEnvironment faulty(environment.get(), faults);
-
-      env::DefenseProfile defense;
+      env::DefenseProfile defense;  // clean channel; defense is the variable
       // One sweep per training step: even short CI-scale campaigns
       // exercise the ban machinery.
       defense.detection_interval = config.samples_per_step;
       defense.bans_per_sweep = bans_per_sweep;
       defense.seed = config.seed ^ 0x0fcu;
       env::DefendedEnvironment platform(
-          &faulty, defense::MakeDefaultEnsemble(), defense);
+          environment.get(), defense::MakeDefaultEnsemble(), defense);
 
       core::PoisonRecConfig attacker_config = MakePoisonRecConfig(
           config, core::ActionSpaceKind::kBcbtPopular,
           config.seed ^ (bans_per_sweep * 131 + reserve));
       attacker_config.pool.reserve_accounts = reserve;
       core::PoisonRecAttacker attacker(environment.get(), attacker_config);
-      attacker.AttachDefendedEnvironment(&platform);
+      attacker.AttachPlatform(&platform, &platform);
       const auto stats = attacker.Train(config.training_steps);
 
       // Re-score the learned best attack on the clean channel so the

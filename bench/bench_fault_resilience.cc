@@ -49,7 +49,7 @@ void Run() {
               config, core::ActionSpaceKind::kBcbtPopular,
               config.seed ^ static_cast<std::uint64_t>(
                                 failure_rate * 1000 + drop_rate * 10)));
-      attacker.AttachFaultyEnvironment(&faulty, no_sleep);
+      attacker.AttachPlatform(&faulty, nullptr, no_sleep);
       const auto stats = attacker.Train(config.training_steps);
 
       std::size_t failed = 0;

@@ -102,7 +102,7 @@ int main() {
     config.batch_size = 6;
     config.policy.embedding_dim = 16;
     core::PoisonRecAttacker attacker(&system, config);
-    attacker.AttachFaultyEnvironment(&faulty);
+    attacker.AttachPlatform(&faulty);
     attacker.Train(8);
     const double damage =
         system.Evaluate(attacker.BestAttack()) - system.BaselineRecNum();

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 
+#include "env/defended.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -60,7 +61,10 @@ constexpr std::uint64_t kDeadSlotTag = ~0ull;
 
 PoisonRecAttacker::PoisonRecAttacker(const env::AttackEnvironment* environment,
                                      const PoisonRecConfig& config)
-    : env_(environment), config_(config), rng_(config.seed) {
+    : env_(environment),
+      platform_(environment),
+      config_(config),
+      rng_(config.seed) {
   POISONREC_CHECK(env_ != nullptr);
   POISONREC_CHECK_GE(config_.samples_per_step, config_.batch_size);
   POISONREC_CHECK_GE(config_.batch_size, 2u)
@@ -97,25 +101,16 @@ PoisonRecAttacker::PoisonRecAttacker(const env::AttackEnvironment* environment,
                                           config_.learning_rate);
 }
 
-void PoisonRecAttacker::AttachFaultyEnvironment(
-    const env::FaultyEnvironment* faulty, SleepFn retry_sleep) {
-  POISONREC_CHECK(faulty == nullptr || &faulty->base() == env_)
-      << "faulty environment must decorate the attacker's environment";
-  POISONREC_CHECK(faulty == nullptr || defended_ == nullptr)
-      << "stack the fault layer inside the DefendedEnvironment instead of "
-         "attaching both";
-  faulty_ = faulty;
-  retry_sleep_ = std::move(retry_sleep);
-}
-
-void PoisonRecAttacker::AttachDefendedEnvironment(
-    env::DefendedEnvironment* defended, SleepFn retry_sleep) {
-  POISONREC_CHECK(defended == nullptr || &defended->base() == env_)
-      << "defended environment must decorate the attacker's environment";
-  POISONREC_CHECK(defended == nullptr || faulty_ == nullptr)
-      << "stack the fault layer inside the DefendedEnvironment instead of "
-         "attaching both";
-  defended_ = defended;
+void PoisonRecAttacker::AttachPlatform(const env::RewardSource* platform,
+                                       env::DefendedEnvironment* defender,
+                                       SleepFn retry_sleep) {
+  POISONREC_CHECK(platform != nullptr && &platform->base() == env_)
+      << "the platform must be stacked over the attacker's environment";
+  POISONREC_CHECK(defender == nullptr ||
+                  static_cast<const env::RewardSource*>(defender) == platform)
+      << "the defender must be the platform itself, its outermost layer";
+  platform_ = platform;
+  defended_ = defender;
   retry_sleep_ = std::move(retry_sleep);
 }
 
@@ -515,10 +510,6 @@ void PoisonRecAttacker::RunStep(TrainStepStats* stats) {
       [this, &episodes, &query_retries, stats](std::size_t m) {
         const std::vector<env::Trajectory> trajs =
             MapToAccounts(episodes[m].trajectories);
-        if (faulty_ == nullptr && defended_ == nullptr) {
-          episodes[m].reward = env_->Evaluate(trajs);
-          return;
-        }
         // Deterministic query id: resuming from a checkpoint replays the
         // same fault stream as an uninterrupted run.
         const std::uint64_t query_id =
@@ -528,11 +519,9 @@ void PoisonRecAttacker::RunStep(TrainStepStats* stats) {
         RetryStats retry_stats;
         StatusOr<double> result = CallWithRetry<double>(
             config_.retry,
-            [this, &trajs, query_id](std::size_t attempt) -> StatusOr<double> {
-              const std::uint32_t a = static_cast<std::uint32_t>(attempt);
-              return defended_ != nullptr
-                         ? defended_->TryEvaluate(trajs, query_id, a)
-                         : faulty_->TryEvaluate(trajs, query_id, a);
+            [this, &trajs, query_id](std::size_t attempt) {
+              return platform_->TryEvaluate(
+                  trajs, query_id, static_cast<std::uint32_t>(attempt));
             },
             /*jitter_seed=*/query_id ^ config_.seed, &retry_stats,
             retry_sleep_, cancel_);

@@ -17,9 +17,7 @@
 #include "core/account_pool.h"
 #include "core/policy.h"
 #include "core/trajectory.h"
-#include "env/defended.h"
 #include "env/environment.h"
-#include "env/fault.h"
 #include "nn/optimizer.h"
 #include "obs/event_log.h"
 #include "util/cancel.h"
@@ -27,6 +25,10 @@
 #include "util/guard.h"
 #include "util/retry.h"
 #include "util/status.h"
+
+namespace poisonrec::env {
+class DefendedEnvironment;
+}  // namespace poisonrec::env
 
 namespace poisonrec::core {
 
@@ -54,8 +56,8 @@ struct PoisonRecConfig {
   /// Kernel-level GEMM threading, which the attacker's sampling and
   /// update run on, is a separate process knob: nn::SetNumThreads.
   std::size_t num_threads = 0;
-  /// Per-query retry schedule, used when a FaultyEnvironment is attached
-  /// (each of the M reward queries retries independently).
+  /// Per-query retry schedule (each of the M reward queries retries
+  /// independently; the bare environment answers every first attempt).
   RetryPolicy retry;
   /// Replacement-account reserve for campaigns against an adaptive
   /// defender (env::DefendedEnvironment). With reserve_accounts > 0, the
@@ -226,26 +228,17 @@ class PoisonRecAttacker {
     return ToEnvTrajectories(best_episode_.trajectories);
   }
 
-  /// Routes all subsequent reward queries through the fault-injecting
-  /// decorator: each query retries per `config().retry`, and queries that
-  /// still fail degrade gracefully (batch-mean imputation, excluded from
-  /// Eq. 8 statistics). `faulty->base()` must be the environment this
-  /// attacker was constructed with. `retry_sleep` overrides how backoff
-  /// waits are spent ({} = really sleep); tests pass a fake clock.
-  void AttachFaultyEnvironment(const env::FaultyEnvironment* faulty,
-                               SleepFn retry_sleep = {});
-
-  /// Routes all subsequent reward queries through the adaptive-defender
-  /// decorator (which may itself wrap a FaultyEnvironment — attach only
-  /// the outermost decorator). `defended->base()` must be the environment
-  /// this attacker was constructed with. Reward queries are evaluated
-  /// sequentially while a defender is attached (its ban state is
-  /// order-dependent), so runs stay bit-identical regardless of
-  /// `parallel_rewards`. Mutually exclusive with
-  /// AttachFaultyEnvironment. Non-const: LoadCheckpoint restores the
-  /// defender's ban/history state alongside the attacker's.
-  void AttachDefendedEnvironment(env::DefendedEnvironment* defended,
-                                 SleepFn retry_sleep = {});
+  /// Routes all later reward queries through `platform`, stacked over the
+  /// environment this attacker was built with. Each query retries per
+  /// `config().retry`; one that still fails is imputed with the batch
+  /// mean and kept out of Eq. 8. Pass a DefendedEnvironment platform again
+  /// as `defender`: its bans feed the account pool, its state is
+  /// checkpointed, and queries run one at a time (its ban state is
+  /// order-dependent) so runs are bit-identical at any thread count.
+  /// `retry_sleep` replaces real backoff sleeps; tests pass a fake clock.
+  void AttachPlatform(const env::RewardSource* platform,
+                      env::DefendedEnvironment* defender = nullptr,
+                      SleepFn retry_sleep = {});
 
   /// OK while the campaign can continue; kResourceExhausted once the
   /// account pool drained below pool.min_live_attackers. Train and
@@ -336,8 +329,8 @@ class PoisonRecAttacker {
                            bool ok) const;
 
   const env::AttackEnvironment* env_;
-  const env::FaultyEnvironment* faulty_ = nullptr;
-  env::DefendedEnvironment* defended_ = nullptr;
+  const env::RewardSource* platform_;  // env_ until AttachPlatform
+  env::DefendedEnvironment* defended_ = nullptr;  // the platform, if defended
   std::size_t num_slots_ = 0;
   std::unique_ptr<AccountPool> pool_;
   Status campaign_status_;

@@ -139,6 +139,19 @@ std::unique_ptr<Detector> MakeDefaultEnsemble() {
   return std::make_unique<EnsembleDetector>(std::move(parts));
 }
 
+StatusOr<std::unique_ptr<Detector>> MakeDetector(const std::string& name) {
+  std::unique_ptr<Detector> detector;
+  if (name == "ensemble") detector = MakeDefaultEnsemble();
+  if (name == "cold") detector = std::make_unique<ColdItemAffinityDetector>();
+  if (name == "entropy") detector = std::make_unique<ClickEntropyDetector>();
+  if (name == "fleet") detector = std::make_unique<FleetSimilarityDetector>();
+  if (detector == nullptr) {
+    return Status::InvalidArgument("unknown detector \"" + name +
+                                   "\" (want ensemble|cold|entropy|fleet)");
+  }
+  return detector;
+}
+
 double DetectionAuc(const std::vector<double>& scores,
                     const std::vector<data::UserId>& fake_users) {
   // Degenerate inputs yield the chance value instead of dividing by zero

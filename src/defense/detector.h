@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "data/dataset.h"
+#include "util/status.h"
 
 namespace poisonrec::defense {
 
@@ -74,6 +75,11 @@ class EnsembleDetector : public Detector {
 
 /// Builds the default ensemble (all three detectors above).
 std::unique_ptr<Detector> MakeDefaultEnsemble();
+
+/// Builds the detector a plan or the CLI names: "ensemble" (the default
+/// ensemble), "cold", "entropy" or "fleet". Any other name is
+/// kInvalidArgument.
+StatusOr<std::unique_ptr<Detector>> MakeDetector(const std::string& name);
 
 /// Area under the ROC curve of `scores` against the ground-truth fake
 /// user ids: 1.0 = perfect separation, 0.5 = chance. Ties contribute 0.5.

@@ -1,6 +1,7 @@
 #include "env/defended.h"
 
 #include <algorithm>
+#include <string>
 
 #include "obs/metrics.h"
 #include "util/bytes.h"
@@ -38,15 +39,6 @@ const DefenseCounters& Counters() {
   return counters;
 }
 
-// SplitMix64 finalizer (same construction as fault.cc): decorrelates the
-// structured (seed, sweep, account) tuples driving ban-probability draws.
-std::uint64_t Mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 // Defender-state framing ("PRDF", version 1) inside the blob returned by
 // SerializeState; embedded whole into attacker checkpoints. Layout, in
 // util/bytes.h fields: u32 magic, u32 version, u64 accounts, per account
@@ -60,44 +52,38 @@ constexpr std::size_t kBanEventBytes = 32;
 
 }  // namespace
 
-DefendedEnvironment::DefendedEnvironment(
-    const AttackEnvironment* base, std::unique_ptr<defense::Detector> detector,
-    const DefenseProfile& profile)
-    : base_(base), detector_(std::move(detector)), profile_(profile) {
-  Init();
+Status ValidateDefenseProfile(const DefenseProfile& profile) {
+  if (profile.detection_interval == 0) {
+    return Status::InvalidArgument("detection_interval must be >= 1, got 0");
+  }
+  if (!(profile.ban_probability >= 0.0 && profile.ban_probability <= 1.0)) {
+    return Status::InvalidArgument(
+        "ban_probability must be a probability in [0, 1], got " +
+        std::to_string(profile.ban_probability));
+  }
+  return Status::OK();
 }
 
 DefendedEnvironment::DefendedEnvironment(
-    const FaultyEnvironment* faulty, std::unique_ptr<defense::Detector> detector,
+    const RewardSource* inner, std::unique_ptr<defense::Detector> detector,
     const DefenseProfile& profile)
-    : base_(faulty == nullptr ? nullptr : &faulty->base()),
-      faulty_(faulty),
-      detector_(std::move(detector)),
-      profile_(profile) {
-  Init();
-}
-
-void DefendedEnvironment::Init() {
-  POISONREC_CHECK(base_ != nullptr);
+    : inner_(inner), detector_(std::move(detector)), profile_(profile) {
+  POISONREC_CHECK(inner_ != nullptr);
   POISONREC_CHECK(detector_ != nullptr);
-  POISONREC_CHECK_GT(profile_.detection_interval, 0u);
-  POISONREC_CHECK(profile_.ban_probability >= 0.0 &&
-                  profile_.ban_probability <= 1.0)
-      << "ban_probability must be a probability, got "
-      << profile_.ban_probability;
-  history_.resize(base_->num_attackers());
-  banned_.assign(base_->num_attackers(), 0);
+  POISONREC_CHECK_OK(ValidateDefenseProfile(profile_));
+  history_.resize(base().num_attackers());
+  banned_.assign(base().num_attackers(), 0);
   next_sweep_ = profile_.detection_interval;
 }
 
-void DefendedEnvironment::RunDueSweeps(std::uint64_t query_id) {
+void DefendedEnvironment::RunDueSweeps(std::uint64_t query_id) const {
   while (query_id >= next_sweep_) {
     Sweep(next_sweep_);
     next_sweep_ += profile_.detection_interval;
   }
 }
 
-void DefendedEnvironment::Sweep(std::uint64_t sweep_query) {
+void DefendedEnvironment::Sweep(std::uint64_t sweep_query) const {
   ++stats_.sweeps;
   Counters().sweeps->Increment();
   if (profile_.bans_per_sweep == 0) return;
@@ -105,12 +91,12 @@ void DefendedEnvironment::Sweep(std::uint64_t sweep_query) {
   // Audit log: the expanded clean log plus every *live* account's
   // accumulated submissions. Banned accounts' past clicks are already
   // expunged — exactly the "past and future clicks filtered" semantics.
-  const data::Dataset& clean = base_->dataset();
-  data::Dataset audit = clean.Clone();
+  const AttackEnvironment& base = this->base();
+  data::Dataset audit = base.dataset().Clone();
   bool any_history = false;
   for (std::size_t a = 0; a < history_.size(); ++a) {
     if (banned_[a] || history_[a].empty()) continue;
-    audit.AddSequence(base_->AttackerUserId(a), history_[a]);
+    audit.AddSequence(base.AttackerUserId(a), history_[a]);
     any_history = true;
   }
   if (!any_history) return;
@@ -123,7 +109,7 @@ void DefendedEnvironment::Sweep(std::uint64_t sweep_query) {
   std::vector<std::size_t> candidates;
   for (std::size_t a = 0; a < history_.size(); ++a) {
     if (banned_[a] || history_[a].empty()) continue;
-    if (scores[base_->AttackerUserId(a)] > profile_.suspicion_threshold) {
+    if (scores[base.AttackerUserId(a)] > profile_.suspicion_threshold) {
       candidates.push_back(a);
     }
   }
@@ -131,9 +117,10 @@ void DefendedEnvironment::Sweep(std::uint64_t sweep_query) {
   // comparator is a total order (ties by slot index), so partial_sort
   // selects and orders exactly what the old full sort did — the ban
   // sequence is unchanged.
-  const auto most_suspicious = [this, &scores](std::size_t a, std::size_t b) {
-    const double sa = scores[base_->AttackerUserId(a)];
-    const double sb = scores[base_->AttackerUserId(b)];
+  const auto most_suspicious = [&base, &scores](std::size_t a,
+                                                std::size_t b) {
+    const double sa = scores[base.AttackerUserId(a)];
+    const double sb = scores[base.AttackerUserId(b)];
     if (sa != sb) return sa > sb;
     return a < b;
   };
@@ -151,7 +138,8 @@ void DefendedEnvironment::Sweep(std::uint64_t sweep_query) {
     if (profile_.ban_probability < 1.0) {
       // Deterministic in (seed, sweep query id, account) — independent of
       // how many candidates preceded this one.
-      Rng rng(Mix(Mix(profile_.seed ^ Mix(sweep_query)) ^ Mix(a + 1)));
+      Rng rng(SplitMix64(SplitMix64(profile_.seed ^ SplitMix64(sweep_query)) ^
+                         SplitMix64(a + 1)));
       if (!rng.Bernoulli(profile_.ban_probability)) continue;
     }
     banned_[a] = 1;
@@ -159,7 +147,7 @@ void DefendedEnvironment::Sweep(std::uint64_t sweep_query) {
     BanEvent event;
     event.query_id = sweep_query;
     event.attacker_index = a;
-    event.user_id = base_->AttackerUserId(a);
+    event.user_id = base.AttackerUserId(a);
     event.suspicion = scores[event.user_id];
     events_.push_back(event);
     ++stats_.bans;
@@ -172,7 +160,7 @@ void DefendedEnvironment::Sweep(std::uint64_t sweep_query) {
 
 StatusOr<double> DefendedEnvironment::TryEvaluate(
     const std::vector<Trajectory>& trajectories, std::uint64_t query_id,
-    std::uint32_t attempt) {
+    std::uint32_t attempt) const {
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.queries;
   Counters().queries->Increment();
@@ -193,9 +181,7 @@ StatusOr<double> DefendedEnvironment::TryEvaluate(
     delivered.push_back(traj);
   }
 
-  StatusOr<double> result =
-      faulty_ != nullptr ? faulty_->TryEvaluate(delivered, query_id, attempt)
-                         : StatusOr<double>(base_->Evaluate(delivered));
+  StatusOr<double> result = inner_->TryEvaluate(delivered, query_id, attempt);
   if (!result.ok()) return result;
 
   // Record what landed, once per query id (retry attempts of the same
@@ -209,12 +195,6 @@ StatusOr<double> DefendedEnvironment::TryEvaluate(
     }
   }
   return result;
-}
-
-bool DefendedEnvironment::IsBanned(std::size_t attacker_index) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  POISONREC_CHECK_LT(attacker_index, banned_.size());
-  return banned_[attacker_index] != 0;
 }
 
 std::vector<std::size_t> DefendedEnvironment::BannedAccounts() const {

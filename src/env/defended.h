@@ -43,7 +43,6 @@
 
 #include "defense/detector.h"
 #include "env/environment.h"
-#include "env/fault.h"
 #include "util/status.h"
 
 namespace poisonrec::env {
@@ -67,6 +66,10 @@ struct DefenseProfile {
   double ban_probability = 1.0;
   std::uint64_t seed = 4321;
 };
+
+/// The range rule of DefenseProfile: detection_interval >= 1 and
+/// ban_probability in [0, 1]. kInvalidArgument names the field.
+Status ValidateDefenseProfile(const DefenseProfile& profile);
 
 /// One permanent ban, reported in the order it was executed.
 struct BanEvent {
@@ -95,22 +98,16 @@ struct DefenseStats {
 /// reproduction additionally requires queries to arrive in query-id
 /// order (see the file comment); concurrent callers serialize on an
 /// internal mutex either way because the defender state is shared.
-class DefendedEnvironment {
+class DefendedEnvironment : public RewardSource {
  public:
-  /// Defends the bare black box. `base` must outlive this decorator.
-  DefendedEnvironment(const AttackEnvironment* base,
+  /// Defends `inner`: ban-filtered trajectories are forwarded to it (a
+  /// FaultyEnvironment's transient faults and shadow bans then apply on
+  /// top). `inner` must outlive this decorator.
+  DefendedEnvironment(const RewardSource* inner,
                       std::unique_ptr<defense::Detector> detector,
                       const DefenseProfile& profile);
 
-  /// Stacked form: defends an unreliable black box. Ban-filtered
-  /// trajectories are forwarded to `faulty` (whose transient faults and
-  /// shadow bans apply on top). Both decorated objects must outlive this.
-  DefendedEnvironment(const FaultyEnvironment* faulty,
-                      std::unique_ptr<defense::Detector> detector,
-                      const DefenseProfile& profile);
-
-  const AttackEnvironment& base() const { return *base_; }
-  const DefenseProfile& profile() const { return profile_; }
+  const AttackEnvironment& base() const override { return inner_->base(); }
 
   /// One query against the defended system: runs any due detection
   /// sweeps, filters banned accounts' trajectories, forwards the rest to
@@ -120,10 +117,8 @@ class DefendedEnvironment {
   /// submissions just stop landing.
   StatusOr<double> TryEvaluate(const std::vector<Trajectory>& trajectories,
                                std::uint64_t query_id,
-                               std::uint32_t attempt = 0);
+                               std::uint32_t attempt = 0) const override;
 
-  /// Whether `attacker_index` has been permanently banned.
-  bool IsBanned(std::size_t attacker_index) const;
   /// All banned accounts, ascending.
   std::vector<std::size_t> BannedAccounts() const;
   /// Every ban in execution order.
@@ -142,27 +137,26 @@ class DefendedEnvironment {
   Status RestoreState(std::string_view blob);
 
  private:
-  void Init();
   /// Runs every sweep due at or before `query_id` (caller holds mu_).
-  void RunDueSweeps(std::uint64_t query_id);
+  void RunDueSweeps(std::uint64_t query_id) const;
   /// One detection sweep at boundary `sweep_query` (caller holds mu_).
-  void Sweep(std::uint64_t sweep_query);
+  void Sweep(std::uint64_t sweep_query) const;
 
-  const AttackEnvironment* base_;
-  const FaultyEnvironment* faulty_ = nullptr;  // optional inner layer
+  const RewardSource* inner_;
   std::unique_ptr<defense::Detector> detector_;
   DefenseProfile profile_;
 
+  // Defender state: TryEvaluate is const, so it is mutable, under mu_.
   mutable std::mutex mu_;
   /// Accumulated clicks per attacker account, in landing order.
-  std::vector<std::vector<data::ItemId>> history_;
-  std::vector<char> banned_;
-  std::vector<BanEvent> events_;
+  mutable std::vector<std::vector<data::ItemId>> history_;
+  mutable std::vector<char> banned_;
+  mutable std::vector<BanEvent> events_;
   /// Query ids whose submission already landed (dedupes retry attempts).
-  std::set<std::uint64_t> recorded_queries_;
+  mutable std::set<std::uint64_t> recorded_queries_;
   /// Next sweep boundary (a query with id >= this triggers the sweep).
-  std::uint64_t next_sweep_ = 0;
-  DefenseStats stats_;
+  mutable std::uint64_t next_sweep_ = 0;
+  mutable DefenseStats stats_;
 };
 
 }  // namespace poisonrec::env

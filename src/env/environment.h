@@ -14,6 +14,7 @@
 #include "data/dataset.h"
 #include "rec/candidates.h"
 #include "rec/recommender.h"
+#include "util/status.h"
 
 namespace poisonrec::env {
 
@@ -50,8 +51,25 @@ struct EnvironmentConfig {
   std::uint64_t seed = 42;
 };
 
+class AttackEnvironment;
+
+/// Where reward queries go: the bare black box or a decorator stacked
+/// over it (env/fault.h, env/defended.h), all answering the same query.
+class RewardSource {
+ public:
+  virtual ~RewardSource() = default;
+  /// The bare environment at the bottom of the stack.
+  virtual const AttackEnvironment& base() const = 0;
+  /// One attempt at the RecNum (Eq. 1) of `trajectories`, or a retriable
+  /// error (util/retry.h). Draws are pure functions of (query_id,
+  /// attempt), so a resumed run replays the same stream.
+  virtual StatusOr<double> TryEvaluate(
+      const std::vector<Trajectory>& trajectories, std::uint64_t query_id,
+      std::uint32_t attempt = 0) const = 0;
+};
+
 /// Black-box recommender system under attack.
-class AttackEnvironment {
+class AttackEnvironment : public RewardSource {
  public:
   /// Takes the clean log (`base` capacities = real users/items only) and
   /// an unfitted ranker; expands the id spaces with attacker users and
@@ -90,6 +108,14 @@ class AttackEnvironment {
 
   /// RecNum with no attack at all.
   double BaselineRecNum() const { return Evaluate({}); }
+
+  // -- RewardSource: the clean black box answers every attempt ----------
+  const AttackEnvironment& base() const override { return *this; }
+  StatusOr<double> TryEvaluate(const std::vector<Trajectory>& trajectories,
+                               std::uint64_t /*query_id*/,
+                               std::uint32_t /*attempt*/ = 0) const override {
+    return Evaluate(trajectories);
+  }
 
   /// RecNum for a specific (already poisoned) ranker — exposed so
   /// baselines with internal optimization loops (AppGrad) can reuse the

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "util/logging.h"
@@ -45,38 +47,44 @@ const FaultCounters& Counters() {
   return counters;
 }
 
-/// SplitMix64 finalizer: decorrelates structured (seed, id, attempt)
-/// tuples into independent-looking Rng seeds.
-std::uint64_t Mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
+/// Decorrelates structured (seed, id, attempt) tuples into
+/// independent-looking Rng seeds.
 std::uint64_t MixSeed(std::uint64_t seed, std::uint64_t query_id,
                       std::uint64_t attempt) {
-  return Mix(Mix(seed ^ Mix(query_id)) ^ Mix(attempt + 1));
-}
-
-void CheckRate(double rate, const char* name) {
-  POISONREC_CHECK(rate >= 0.0 && rate <= 1.0)
-      << name << " must be a probability, got " << rate;
+  return SplitMix64(SplitMix64(seed ^ SplitMix64(query_id)) ^
+                    SplitMix64(attempt + 1));
 }
 
 }  // namespace
+
+Status ValidateFaultProfile(const FaultProfile& profile) {
+  const std::pair<const char*, double> rates[] = {
+      {"query_failure_rate", profile.query_failure_rate},
+      {"throttle_rate", profile.throttle_rate},
+      {"injection_drop_rate", profile.injection_drop_rate},
+      {"shadow_ban_rate", profile.shadow_ban_rate},
+      {"stale_reward_rate", profile.stale_reward_rate},
+      {"nan_reward_rate", profile.nan_reward_rate}};
+  for (const auto& [name, rate] : rates) {
+    if (!(rate >= 0.0 && rate <= 1.0)) {
+      return Status::InvalidArgument(std::string(name) +
+                                     " must be a probability in [0, 1], got " +
+                                     std::to_string(rate));
+    }
+  }
+  if (!(profile.reward_noise_stddev >= 0.0)) {
+    return Status::InvalidArgument(
+        "reward_noise_stddev must be >= 0, got " +
+        std::to_string(profile.reward_noise_stddev));
+  }
+  return Status::OK();
+}
 
 FaultyEnvironment::FaultyEnvironment(const AttackEnvironment* base,
                                      const FaultProfile& profile)
     : base_(base), profile_(profile) {
   POISONREC_CHECK(base_ != nullptr);
-  CheckRate(profile_.query_failure_rate, "query_failure_rate");
-  CheckRate(profile_.throttle_rate, "throttle_rate");
-  CheckRate(profile_.injection_drop_rate, "injection_drop_rate");
-  CheckRate(profile_.shadow_ban_rate, "shadow_ban_rate");
-  CheckRate(profile_.stale_reward_rate, "stale_reward_rate");
-  CheckRate(profile_.nan_reward_rate, "nan_reward_rate");
-  POISONREC_CHECK_GE(profile_.reward_noise_stddev, 0.0);
+  POISONREC_CHECK_OK(ValidateFaultProfile(profile_));
 }
 
 StatusOr<double> FaultyEnvironment::TryEvaluate(

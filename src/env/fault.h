@@ -73,6 +73,10 @@ struct FaultProfile {
   std::uint64_t seed = 1234;
 };
 
+/// The range rule of FaultProfile: rates in [0, 1], noise stddev >= 0.
+/// kInvalidArgument names the first field that breaks it.
+Status ValidateFaultProfile(const FaultProfile& profile);
+
 /// Counters of the faults actually injected (a plain copyable snapshot).
 struct FaultStats {
   std::uint64_t attempts = 0;
@@ -88,13 +92,12 @@ struct FaultStats {
 /// Decorator exposing the unreliable view of an AttackEnvironment. Safe
 /// for concurrent TryEvaluate calls (the base environment's Evaluate is
 /// already const/thread-safe; fault state here is atomic or mutex-guarded).
-class FaultyEnvironment {
+class FaultyEnvironment : public RewardSource {
  public:
   /// The base environment must outlive this decorator.
   FaultyEnvironment(const AttackEnvironment* base, const FaultProfile& profile);
 
-  const AttackEnvironment& base() const { return *base_; }
-  const FaultProfile& profile() const { return profile_; }
+  const AttackEnvironment& base() const override { return *base_; }
 
   /// One query attempt against the unreliable system. Returns
   /// kUnavailable (transient failure), kResourceExhausted (throttled;
@@ -102,7 +105,7 @@ class FaultyEnvironment {
   /// RecNum reward. Deterministic in (profile.seed, query_id, attempt).
   StatusOr<double> TryEvaluate(const std::vector<Trajectory>& trajectories,
                                std::uint64_t query_id,
-                               std::uint32_t attempt = 0) const;
+                               std::uint32_t attempt = 0) const override;
 
   /// Counters of faults injected so far.
   FaultStats stats() const;

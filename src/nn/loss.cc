@@ -11,12 +11,6 @@ Tensor BceWithLogits(const Tensor& logits, const Tensor& targets) {
   return Mean(Sub(Softplus(logits), Mul(logits, targets)));
 }
 
-Tensor MseLoss(const Tensor& pred, const Tensor& target) {
-  POISONREC_CHECK_EQ(pred.rows(), target.rows());
-  POISONREC_CHECK_EQ(pred.cols(), target.cols());
-  return Mean(Square(Sub(pred, target)));
-}
-
 Tensor MaskedMseLoss(const Tensor& pred, const Tensor& target,
                      const Tensor& mask) {
   POISONREC_CHECK_EQ(pred.rows(), mask.rows());

@@ -14,8 +14,7 @@ namespace poisonrec::nn {
 Tensor BceWithLogits(const Tensor& logits, const Tensor& targets);
 
 /// Mean squared error between predictions and targets of equal shape,
-/// optionally masked (mask 1 = contributes; normalized by mask sum).
-Tensor MseLoss(const Tensor& pred, const Tensor& target);
+/// masked (mask 1 = contributes; normalized by mask sum).
 Tensor MaskedMseLoss(const Tensor& pred, const Tensor& target,
                      const Tensor& mask);
 

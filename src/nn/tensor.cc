@@ -461,16 +461,6 @@ Tensor Exp(const Tensor& a) {
       [](float, float y) { return y; });
 }
 
-Tensor Log(const Tensor& a) {
-  return UnaryOp(
-      a,
-      [](float x) {
-        POISONREC_CHECK_GT(x, 0.0f) << "Log of non-positive value";
-        return std::log(x);
-      },
-      [](float x, float) { return 1.0f / x; });
-}
-
 Tensor Softplus(const Tensor& a) {
   return UnaryOp(
       a,
@@ -485,43 +475,6 @@ Tensor Square(const Tensor& a) {
   return UnaryOp(
       a, [](float x) { return x * x; },
       [](float x, float) { return 2.0f * x; });
-}
-
-Tensor Softmax(const Tensor& a) {
-  auto out = NewNode(a.rows(), a.cols());
-  TensorImpl* ai = a.impl().get();
-  TensorImpl* oi = out.get();
-  for (std::size_t r = 0; r < ai->rows; ++r) {
-    float maxv = ai->at(r, 0);
-    for (std::size_t c = 1; c < ai->cols; ++c) {
-      maxv = std::max(maxv, ai->at(r, c));
-    }
-    float denom = 0.0f;
-    for (std::size_t c = 0; c < ai->cols; ++c) {
-      const float e = std::exp(ai->at(r, c) - maxv);
-      oi->at(r, c) = e;
-      denom += e;
-    }
-    for (std::size_t c = 0; c < ai->cols; ++c) oi->at(r, c) /= denom;
-  }
-  Tensor result(out);
-  if (TrackGrad({&a})) {
-    Attach(
-        out, {&a},
-        [ai, oi]() {
-          if (!ai->requires_grad) return;
-          for (std::size_t r = 0; r < oi->rows; ++r) {
-            float dot = 0.0f;
-            for (std::size_t c = 0; c < oi->cols; ++c) {
-              dot += oi->gat(r, c) * oi->at(r, c);
-            }
-            for (std::size_t c = 0; c < oi->cols; ++c) {
-              ai->gat(r, c) += oi->at(r, c) * (oi->gat(r, c) - dot);
-            }
-          }
-        });
-  }
-  return result;
 }
 
 Tensor LogSoftmax(const Tensor& a) {

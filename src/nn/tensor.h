@@ -230,15 +230,11 @@ Tensor Relu(const Tensor& a);
 /// max(x, slope*x) with slope in (0,1).
 Tensor LeakyRelu(const Tensor& a, float slope = 0.2f);
 Tensor Exp(const Tensor& a);
-/// Natural log; input must be positive.
-Tensor Log(const Tensor& a);
 /// log(1 + exp(x)), numerically stable.
 Tensor Softplus(const Tensor& a);
 /// Elementwise square.
 Tensor Square(const Tensor& a);
 
-/// Row-wise softmax.
-Tensor Softmax(const Tensor& a);
 /// Row-wise log-softmax (numerically stable).
 Tensor LogSoftmax(const Tensor& a);
 

@@ -4,10 +4,24 @@
 #include <initializer_list>
 #include <set>
 #include <string_view>
+#include <utility>
+
+#include "defense/detector.h"
+#include "rec/registry.h"
 
 namespace poisonrec::orch {
 
 namespace {
+
+/// The "fault" object's rate keys and the FaultProfile fields they set.
+constexpr std::pair<const char*, double env::FaultProfile::*> kFaultRates[] = {
+    {"failure", &env::FaultProfile::query_failure_rate},
+    {"throttle", &env::FaultProfile::throttle_rate},
+    {"drop", &env::FaultProfile::injection_drop_rate},
+    {"shadow_ban", &env::FaultProfile::shadow_ban_rate},
+    {"noise", &env::FaultProfile::reward_noise_stddev},
+    {"stale", &env::FaultProfile::stale_reward_rate},
+    {"nan", &env::FaultProfile::nan_reward_rate}};
 
 Status KeyError(const char* what, const std::string& key,
                 const std::string& detail) {
@@ -102,23 +116,12 @@ Status ApplyFaultObject(const JsonValue& obj, env::FaultProfile* fault) {
       {"failure", "throttle", "throttle_cooldown", "drop", "shadow_ban",
        "noise", "stale", "nan", "seed"},
       kWhat));
-  POISONREC_RETURN_NOT_OK(
-      ReadDouble(obj, "failure", &fault->query_failure_rate, kWhat));
-  POISONREC_RETURN_NOT_OK(
-      ReadDouble(obj, "throttle", &fault->throttle_rate, kWhat));
+  for (const auto& [key, rate] : kFaultRates) {
+    POISONREC_RETURN_NOT_OK(ReadDouble(obj, key, &(fault->*rate), kWhat));
+  }
   POISONREC_RETURN_NOT_OK(ReadUnsigned(obj, "throttle_cooldown",
                                        &fault->throttle_cooldown_attempts,
                                        kWhat));
-  POISONREC_RETURN_NOT_OK(
-      ReadDouble(obj, "drop", &fault->injection_drop_rate, kWhat));
-  POISONREC_RETURN_NOT_OK(
-      ReadDouble(obj, "shadow_ban", &fault->shadow_ban_rate, kWhat));
-  POISONREC_RETURN_NOT_OK(
-      ReadDouble(obj, "noise", &fault->reward_noise_stddev, kWhat));
-  POISONREC_RETURN_NOT_OK(
-      ReadDouble(obj, "stale", &fault->stale_reward_rate, kWhat));
-  POISONREC_RETURN_NOT_OK(
-      ReadDouble(obj, "nan", &fault->nan_reward_rate, kWhat));
   POISONREC_RETURN_NOT_OK(ReadUnsigned(obj, "seed", &fault->seed, kWhat));
   return Status::OK();
 }
@@ -434,6 +437,34 @@ Status ValidateCampaignSpec(const CampaignSpec& spec) {
       spec.num_target_items == 0) {
     return Status::InvalidArgument(
         where + "attackers, trajectory_length and targets must be >= 1");
+  }
+  // The range rules live beside the profiles; one key at a time, so the
+  // error names the key.
+  const auto key_error = [&where](const char* key, const Status& status) {
+    return Status::InvalidArgument(where + "key \"" + key +
+                                   "\": " + status.message());
+  };
+  Status valid;
+  env::FaultProfile fault;
+  for (const auto& [key, rate] : kFaultRates) {
+    fault.*rate = spec.fault.*rate;
+    valid = env::ValidateFaultProfile(fault);
+    if (!valid.ok()) return key_error(key, valid);
+  }
+  env::DefenseProfile defender;
+  defender.detection_interval = spec.defense_profile.detection_interval;
+  valid = env::ValidateDefenseProfile(defender);
+  if (!valid.ok()) return key_error("defense_interval", valid);
+  defender.ban_probability = spec.defense_profile.ban_probability;
+  valid = env::ValidateDefenseProfile(defender);
+  if (!valid.ok()) return key_error("defense_ban_prob", valid);
+  if (const auto ranker = rec::MakeRecommender(spec.ranker, rec::FitConfig());
+      !ranker.ok()) {
+    return key_error("ranker", ranker.status());
+  }
+  if (const auto detector = defense::MakeDetector(spec.detector);
+      !detector.ok()) {
+    return key_error("detector", detector.status());
   }
   if (spec.fault.stale_reward_rate > 0.0) {
     return Status::InvalidArgument(

@@ -128,9 +128,10 @@ StatusOr<FleetPlan> LoadFleetPlan(const std::string& path);
 /// orchestrator on programmatically built plans.
 Status ValidatePlan(const FleetPlan& plan);
 
-/// Per-campaign structural validation (the per-entry half of
-/// ValidatePlan); also guards FleetOrchestrator::Submit, where a
-/// campaign arrives without an enclosing plan.
+/// Per-campaign validation (the per-entry half of ValidatePlan); also
+/// guards FleetOrchestrator::Submit, where a campaign arrives without an
+/// enclosing plan. Platform values, ranker and detector are checked too,
+/// so a bad one fails the plan, naming the campaign and the key.
 Status ValidateCampaignSpec(const CampaignSpec& spec);
 
 /// Parses one standalone campaign object — the `fleet --submit-dir`

@@ -19,35 +19,6 @@ namespace poisonrec::orch {
 
 namespace {
 
-bool AnyFaults(const env::FaultProfile& fault) {
-  return fault.query_failure_rate > 0.0 || fault.throttle_rate > 0.0 ||
-         fault.injection_drop_rate > 0.0 || fault.shadow_ban_rate > 0.0 ||
-         fault.reward_noise_stddev > 0.0 || fault.stale_reward_rate > 0.0 ||
-         fault.nan_reward_rate > 0.0;
-}
-
-StatusOr<std::unique_ptr<defense::Detector>> MakeDetector(
-    const std::string& name) {
-  if (name == "cold") {
-    return std::unique_ptr<defense::Detector>(
-        std::make_unique<defense::ColdItemAffinityDetector>());
-  }
-  if (name == "entropy") {
-    return std::unique_ptr<defense::Detector>(
-        std::make_unique<defense::ClickEntropyDetector>());
-  }
-  if (name == "fleet") {
-    return std::unique_ptr<defense::Detector>(
-        std::make_unique<defense::FleetSimilarityDetector>());
-  }
-  if (name == "ensemble") {
-    return std::unique_ptr<defense::Detector>(
-        defense::MakeDefaultEnsemble());
-  }
-  return Status::InvalidArgument("unknown detector \"" + name +
-                                 "\" (want ensemble|cold|entropy|fleet)");
-}
-
 obs::Counter* FleetCounter(const char* name) {
   return obs::MetricsRegistry::Global().GetCounter(name);
 }
@@ -276,27 +247,21 @@ Status CampaignSupervisor::RunAttempt(CampaignOutcome* outcome) {
   env::AttackEnvironment environment(*dataset_, std::move(ranker).value(),
                                      MakeEnvironmentConfig(spec_));
 
-  std::optional<env::FaultyEnvironment> faulty;
-  if (AnyFaults(spec_.fault)) faulty.emplace(&environment, spec_.fault);
+  // The fault layer is always there (a zero profile is the clean
+  // platform); the defender wraps it when the spec asks for one.
+  env::FaultyEnvironment faulty(&environment, spec_.fault);
   std::unique_ptr<env::DefendedEnvironment> defended;
   if (spec_.defense) {
-    auto detector = MakeDetector(spec_.detector);
+    auto detector = defense::MakeDetector(spec_.detector);
     if (!detector.ok()) return detector.status();
-    if (faulty.has_value()) {
-      defended = std::make_unique<env::DefendedEnvironment>(
-          &*faulty, std::move(detector).value(), spec_.defense_profile);
-    } else {
-      defended = std::make_unique<env::DefendedEnvironment>(
-          &environment, std::move(detector).value(), spec_.defense_profile);
-    }
+    defended = std::make_unique<env::DefendedEnvironment>(
+        &faulty, std::move(detector).value(), spec_.defense_profile);
   }
 
   core::PoisonRecAttacker attacker(&environment, MakeAttackerConfig(spec_));
-  if (defended != nullptr) {
-    attacker.AttachDefendedEnvironment(defended.get(), options_.retry_sleep);
-  } else if (faulty.has_value()) {
-    attacker.AttachFaultyEnvironment(&*faulty, options_.retry_sleep);
-  }
+  const env::RewardSource* platform = &faulty;
+  if (defended != nullptr) platform = defended.get();
+  attacker.AttachPlatform(platform, defended.get(), options_.retry_sleep);
   // The attacker watches the supervisor's own soft-stop flag (raised by
   // shutdown, preemption, or fencing); the fleet-wide stop is mirrored
   // in from the heartbeat hook, which fires at every step entry and

@@ -14,19 +14,11 @@
 #include "obs/crc32c.h"
 #include "obs/event_log.h"
 #include "util/bytes.h"
+#include "util/random.h"
 
 namespace poisonrec {
 
 namespace {
-
-/// SplitMix64: derives deterministic bit positions / tear lengths from
-/// (seed, rule index) so a replayed schedule flips the same bit.
-std::uint64_t Mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 bool IsWriteKind(FsFaultKind kind) {
   return kind == FsFaultKind::kEnospc || kind == FsFaultKind::kEio ||
@@ -83,9 +75,11 @@ struct FaultyFs::Impl {
     return firing;
   }
 
+  /// Derives deterministic bit positions / tear lengths from (seed, rule
+  /// index) so a replayed schedule flips the same bit.
   std::uint64_t RuleNonce(const ArmedRule* rule) const {
-    return Mix64(seed ^ Mix64(static_cast<std::uint64_t>(
-                     rule - rules.data() + 1)));
+    return SplitMix64(seed ^ SplitMix64(static_cast<std::uint64_t>(
+                          rule - rules.data() + 1)));
   }
 };
 

@@ -12,6 +12,7 @@
 
 #include "core/ppo.h"
 #include "data/synthetic.h"
+#include "env/fault.h"
 #include "rec/registry.h"
 #include "util/fsio.h"
 
@@ -134,19 +135,19 @@ TEST(CheckpointTest, KillAndResumeUnderFaultsIsBitIdentical) {
 
   env::FaultyEnvironment faulty_full(&f_full.environment, profile);
   PoisonRecAttacker uninterrupted(&f_full.environment, cfg);
-  uninterrupted.AttachFaultyEnvironment(&faulty_full, no_sleep);
+  uninterrupted.AttachPlatform(&faulty_full, nullptr, no_sleep);
   const auto reference = uninterrupted.Train(6);
 
   const std::string path = TempPath("poisonrec_fault_resume_ckpt.bin");
   env::FaultyEnvironment faulty_killed(&f_killed.environment, profile);
   {
     PoisonRecAttacker first_process(&f_killed.environment, cfg);
-    first_process.AttachFaultyEnvironment(&faulty_killed, no_sleep);
+    first_process.AttachPlatform(&faulty_killed, nullptr, no_sleep);
     first_process.Train(3);
     ASSERT_TRUE(first_process.SaveCheckpoint(path).ok());
   }
   PoisonRecAttacker resumed(&f_killed.environment, cfg);
-  resumed.AttachFaultyEnvironment(&faulty_killed, no_sleep);
+  resumed.AttachPlatform(&faulty_killed, nullptr, no_sleep);
   ASSERT_TRUE(resumed.LoadCheckpoint(path).ok());
   const auto tail = resumed.Train(3);
 

@@ -6,6 +6,7 @@
 // sustains most of the undefended damage, bit-identically across runs
 // and across a crash + checkpoint resume. A golden digest pins the bytes
 // of a pooled, defended campaign's checkpoint and defender state.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -111,7 +112,41 @@ TEST(DefendedEnvironmentTest, NoSweepBeforeTheFirstIntervalBoundary) {
   // history and bans the (only) suspicious account.
   ASSERT_TRUE(platform.TryEvaluate({Repetitive(0)}, 10).ok());
   EXPECT_EQ(platform.stats().sweeps, 1u);
-  EXPECT_TRUE(platform.IsBanned(0));
+  EXPECT_EQ(platform.BannedAccounts(), std::vector<std::size_t>{0});
+}
+
+// The campaign runners always stack the defender over a fault layer. A
+// zero FaultProfile must leave the rewards, the ban sequence and the
+// defender state exactly as over the bare environment.
+TEST(DefendedEnvironmentTest, ZeroProfileFaultLayerLeavesBansAndState) {
+  Fixture f;
+  const env::FaultyEnvironment zero(&f.environment, env::FaultProfile());
+  env::DefendedEnvironment over_bare(
+      &f.environment, std::make_unique<defense::ClickEntropyDetector>(),
+      EntropyProfile(/*interval=*/4, /*bans=*/1));
+  env::DefendedEnvironment over_zero(
+      &zero, std::make_unique<defense::ClickEntropyDetector>(),
+      EntropyProfile(/*interval=*/4, /*bans=*/1));
+  const std::vector<env::Trajectory> fleet = {Repetitive(0), Repetitive(1),
+                                              Diverse(2), Diverse(3)};
+  for (std::uint64_t q = 0; q < 16; ++q) {
+    const StatusOr<double> a = over_bare.TryEvaluate(fleet, q);
+    const StatusOr<double> b = over_zero.TryEvaluate(fleet, q);
+    ASSERT_TRUE(a.ok() && b.ok()) << "query " << q;
+    EXPECT_EQ(*a, *b) << "query " << q;
+  }
+
+  const std::vector<env::BanEvent> bare_bans = over_bare.ban_events();
+  const std::vector<env::BanEvent> zero_bans = over_zero.ban_events();
+  ASSERT_FALSE(bare_bans.empty());
+  ASSERT_EQ(zero_bans.size(), bare_bans.size());
+  for (std::size_t i = 0; i < bare_bans.size(); ++i) {
+    EXPECT_EQ(zero_bans[i].query_id, bare_bans[i].query_id);
+    EXPECT_EQ(zero_bans[i].attacker_index, bare_bans[i].attacker_index);
+    EXPECT_EQ(zero_bans[i].user_id, bare_bans[i].user_id);
+    EXPECT_EQ(zero_bans[i].suspicion, bare_bans[i].suspicion);
+  }
+  EXPECT_TRUE(over_zero.SerializeState() == over_bare.SerializeState());
 }
 
 TEST(DefendedEnvironmentTest, SweepBansTopSuspicionWithAccountTieBreak) {
@@ -129,9 +164,7 @@ TEST(DefendedEnvironmentTest, SweepBansTopSuspicionWithAccountTieBreak) {
   ASSERT_TRUE(platform.TryEvaluate(fleet, 4).ok());  // triggers the sweep
 
   // Tie at suspicion 1.0 breaks toward the lower account index.
-  EXPECT_TRUE(platform.IsBanned(0));
-  EXPECT_FALSE(platform.IsBanned(1));
-  EXPECT_FALSE(platform.IsBanned(2));
+  EXPECT_EQ(platform.BannedAccounts(), std::vector<std::size_t>{0});
   const std::vector<env::BanEvent> events = platform.ban_events();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].query_id, 4u);
@@ -147,7 +180,7 @@ TEST(DefendedEnvironmentTest, BannedSubmissionsAreFilteredFromTheReward) {
       EntropyProfile(/*interval=*/2, /*bans=*/1));
   ASSERT_TRUE(platform.TryEvaluate({Repetitive(0)}, 0).ok());
   ASSERT_TRUE(platform.TryEvaluate({Repetitive(0)}, 2).ok());  // sweep: ban 0
-  ASSERT_TRUE(platform.IsBanned(0));
+  ASSERT_EQ(platform.BannedAccounts(), std::vector<std::size_t>{0});
 
   // A banned account's clicks never reach the poison log: the defended
   // reward equals the clean environment's reward for the survivors only.
@@ -398,7 +431,7 @@ TEST(DefendedCampaignTest, PoolLessCollapsesWhilePooledSustains) {
   env::DefendedEnvironment poolless_platform(
       &poolless_faulty, defense::MakeDefaultEnsemble(), AggressiveProfile(cfg));
   PoisonRecAttacker poolless(&poolless_fixture.environment, cfg);
-  poolless.AttachDefendedEnvironment(&poolless_platform, kNoSleep);
+  poolless.AttachPlatform(&poolless_platform, &poolless_platform, kNoSleep);
   const auto poolless_stats = poolless.Train(kSteps);
 
   ASSERT_EQ(poolless_stats.size(), kSteps);  // degrades, never aborts
@@ -409,9 +442,12 @@ TEST(DefendedCampaignTest, PoolLessCollapsesWhilePooledSustains) {
 
   // RecNum collapse: what the surviving fleet can still deliver through
   // the platform's ban filter is a fraction of the undefended attack.
+  const std::vector<std::size_t> bans = poolless_platform.BannedAccounts();
   std::vector<env::Trajectory> delivered;
   for (const env::Trajectory& t : poolless.BestAttack()) {
-    if (!poolless_platform.IsBanned(t.attacker_index)) delivered.push_back(t);
+    if (!std::binary_search(bans.begin(), bans.end(), t.attacker_index)) {
+      delivered.push_back(t);
+    }
   }
   const double collapsed =
       poolless_fixture.environment.Evaluate(delivered);
@@ -425,7 +461,7 @@ TEST(DefendedCampaignTest, PoolLessCollapsesWhilePooledSustains) {
   env::DefendedEnvironment pooled_platform(
       &pooled_faulty, defense::MakeDefaultEnsemble(), AggressiveProfile(cfg));
   PoisonRecAttacker pooled(&pooled_fixture.environment, pooled_cfg);
-  pooled.AttachDefendedEnvironment(&pooled_platform, kNoSleep);
+  pooled.AttachPlatform(&pooled_platform, &pooled_platform, kNoSleep);
   const auto pooled_stats = pooled.Train(kSteps);
 
   ASSERT_EQ(pooled_stats.size(), kSteps);
@@ -456,7 +492,7 @@ TEST(DefendedCampaignTest, PoolExhaustionAbortsWithResourceExhausted) {
   env::DefendedEnvironment platform(
       &faulty, defense::MakeDefaultEnsemble(), AggressiveProfile(cfg));
   PoisonRecAttacker attacker(&f.environment, cfg);
-  attacker.AttachDefendedEnvironment(&platform, kNoSleep);
+  attacker.AttachPlatform(&platform, &platform, kNoSleep);
 
   const auto stats = attacker.Train(30);
   EXPECT_LT(stats.size(), 30u) << "campaign should abort early";
@@ -478,7 +514,7 @@ TEST(DefendedCampaignTest, TrainGuardedAbortsOnExhaustionWithoutRollback) {
   env::DefendedEnvironment platform(
       &faulty, defense::MakeDefaultEnsemble(), AggressiveProfile(cfg));
   PoisonRecAttacker attacker(&f.environment, cfg);
-  attacker.AttachDefendedEnvironment(&platform, kNoSleep);
+  attacker.AttachPlatform(&platform, &platform, kNoSleep);
 
   const std::string path = TempPath("poisonrec_defended_guard_ckpt.bin");
   const GuardedTrainResult result = attacker.TrainGuarded(30, path);
@@ -505,7 +541,7 @@ TEST(DefendedCampaignTest, SameSeedRunsAreBitIdentical) {
     env::DefendedEnvironment platform(
         &faulty, defense::MakeDefaultEnsemble(), AggressiveProfile(cfg));
     PoisonRecAttacker attacker(&f.environment, cfg);
-    attacker.AttachDefendedEnvironment(&platform, kNoSleep);
+    attacker.AttachPlatform(&platform, &platform, kNoSleep);
     const auto stats = attacker.Train(8);
     return std::make_tuple(stats, platform.ban_events(),
                            attacker.best_episode().reward);
@@ -541,7 +577,7 @@ TEST(DefendedCampaignTest, CrashAndResumeReplaysTheExactBanSequence) {
   env::DefendedEnvironment platform_full(
       &faulty_full, defense::MakeDefaultEnsemble(), AggressiveProfile(cfg));
   PoisonRecAttacker uninterrupted(&f_full.environment, cfg);
-  uninterrupted.AttachDefendedEnvironment(&platform_full, kNoSleep);
+  uninterrupted.AttachPlatform(&platform_full, &platform_full, kNoSleep);
   const auto reference = uninterrupted.Train(8);
 
   // Crashed run: 4 steps, checkpoint, kill — then a brand-new process:
@@ -553,14 +589,14 @@ TEST(DefendedCampaignTest, CrashAndResumeReplaysTheExactBanSequence) {
     env::DefendedEnvironment platform_a(
         &faulty_a, defense::MakeDefaultEnsemble(), AggressiveProfile(cfg));
     PoisonRecAttacker first_process(&f_killed.environment, cfg);
-    first_process.AttachDefendedEnvironment(&platform_a, kNoSleep);
+    first_process.AttachPlatform(&platform_a, &platform_a, kNoSleep);
     first_process.Train(4);
     ASSERT_TRUE(first_process.SaveCheckpoint(path).ok());
   }
   env::DefendedEnvironment platform_b(
       &faulty_a, defense::MakeDefaultEnsemble(), AggressiveProfile(cfg));
   PoisonRecAttacker resumed(&f_killed.environment, cfg);
-  resumed.AttachDefendedEnvironment(&platform_b, kNoSleep);
+  resumed.AttachPlatform(&platform_b, &platform_b, kNoSleep);
   ASSERT_TRUE(resumed.LoadCheckpoint(path).ok());
   EXPECT_EQ(resumed.steps_taken(), 4u);
   const auto tail = resumed.Train(4);
@@ -595,7 +631,7 @@ TEST(DefendedCampaignTest, OversizedDefenderBlobLengthIsDataLoss) {
   env::DefendedEnvironment platform(&faulty, defense::MakeDefaultEnsemble(),
                                     AggressiveProfile(cfg));
   PoisonRecAttacker attacker(&f.environment, cfg);
-  attacker.AttachDefendedEnvironment(&platform, kNoSleep);
+  attacker.AttachPlatform(&platform, &platform, kNoSleep);
   attacker.Train(2);
   const std::string path = TempPath("poisonrec_oversized_blob_ckpt.bin");
   ASSERT_TRUE(attacker.SaveCheckpoint(path).ok());
@@ -612,7 +648,7 @@ TEST(DefendedCampaignTest, OversizedDefenderBlobLengthIsDataLoss) {
   env::DefendedEnvironment fresh(&faulty, defense::MakeDefaultEnsemble(),
                                  AggressiveProfile(cfg));
   PoisonRecAttacker victim(&f.environment, cfg);
-  victim.AttachDefendedEnvironment(&fresh, kNoSleep);
+  victim.AttachPlatform(&fresh, &fresh, kNoSleep);
   Status status;
   EXPECT_NO_THROW(status = victim.LoadCheckpoint(path));
   EXPECT_EQ(status.code(), StatusCode::kDataLoss);
@@ -640,7 +676,7 @@ std::uint32_t RunPooledDefendedCampaign() {
   env::DefendedEnvironment platform(&faulty, defense::MakeDefaultEnsemble(),
                                     AggressiveProfile(cfg));
   PoisonRecAttacker attacker(&f.environment, cfg);
-  attacker.AttachDefendedEnvironment(&platform, kNoSleep);
+  attacker.AttachPlatform(&platform, &platform, kNoSleep);
   std::size_t retries = 0;
   for (const TrainStepStats& s : attacker.Train(4)) retries += s.retries;
   EXPECT_GT(retries, 0u);

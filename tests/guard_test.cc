@@ -18,6 +18,7 @@
 
 #include "core/ppo.h"
 #include "data/synthetic.h"
+#include "env/fault.h"
 #include "nn/optimizer.h"
 #include "obs/event_log.h"
 #include "rec/registry.h"
@@ -382,7 +383,7 @@ TEST(GuardRollbackTest, TrainGuardedHealsNanRewardFaultsMidCampaign) {
   profile.nan_reward_rate = 0.1;
   profile.seed = 77;
   env::FaultyEnvironment faulty(&f.environment, profile);
-  attacker.AttachFaultyEnvironment(&faulty, [](double) {});
+  attacker.AttachPlatform(&faulty, nullptr, [](double) {});
 
   const std::string path = TempPath("poisonrec_guard_heal_ckpt.bin");
   const core::GuardedTrainResult result = attacker.TrainGuarded(10, path);
@@ -422,7 +423,7 @@ TEST(GuardRollbackTest, TrainGuardedAbortsAfterRollbackBudget) {
   profile.nan_reward_rate = 1.0;  // every reward is NaN: unhealable
   profile.seed = 5;
   env::FaultyEnvironment faulty(&f.environment, profile);
-  attacker.AttachFaultyEnvironment(&faulty, [](double) {});
+  attacker.AttachPlatform(&faulty, nullptr, [](double) {});
 
   const std::string path = TempPath("poisonrec_guard_abort_ckpt.bin");
   const float lr_before = attacker.optimizer().lr();

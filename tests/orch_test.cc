@@ -181,6 +181,39 @@ TEST(SpecTest, RejectsUnknownKeysAndBadPlans) {
                    .ok());
 }
 
+// A platform value the range rules beside its profile reject, or a
+// ranker or detector name their factories do not know, fails the plan
+// (and a submitted campaign) naming the campaign and the key, instead of
+// aborting or burning restarts in the worker.
+TEST(SpecTest, RejectsOutOfRangePlatformValuesAndUnknownNames) {
+  const std::pair<const char*, const char*> cases[] = {
+      {R"("fault":{"failure":1.5})", "failure"},
+      {R"("fault":{"drop":-0.1})", "drop"},
+      {R"("fault":{"noise":-1})", "noise"},
+      {R"("defense_interval":0)", "defense_interval"},
+      {R"("defense_ban_prob":2)", "defense_ban_prob"},
+      {R"("ranker":"Bogus")", "ranker"},
+      {R"("detector":"bogus")", "detector"},
+  };
+  for (const auto& [fragment, key] : cases) {
+    SCOPED_TRACE(fragment);
+    const std::string campaign =
+        std::string(R"({"id":"c0",)") + fragment + "}";
+    const StatusOr<FleetPlan> plan =
+        ParseFleetPlanText(R"({"campaigns":[)" + campaign + "]}");
+    ASSERT_FALSE(plan.ok());
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(plan.status().message().find("\"c0\""), std::string::npos)
+        << plan.status();
+    EXPECT_NE(plan.status().message().find(std::string("\"") + key + "\""),
+              std::string::npos)
+        << plan.status();
+    const StatusOr<CampaignSpec> submitted = ParseCampaignSpecText(campaign);
+    ASSERT_FALSE(submitted.ok());
+    EXPECT_EQ(submitted.status().message(), plan.status().message());
+  }
+}
+
 TEST(SpecTest, AttackerConfigIsGuardedAndSingleThreaded) {
   CampaignSpec spec = FastSpec("cfg");
   spec.retry_attempts = 6;
@@ -1142,6 +1175,12 @@ TEST(FleetTest, SubmitDirIngestsCampaignFilesDuringTheRun) {
     std::ofstream out(inbox + "/broken.json");
     out << "{not a campaign";
   }
+  {
+    // Parses, but its failure rate is not a probability: rejected at the
+    // door rather than aborting the worker that would run it.
+    std::ofstream out(inbox + "/badrate.json");
+    out << R"({"id":"badrate","fault":{"failure":1.5}})";
+  }
   const data::Dataset log = MakeLog();
   const FleetPlan plan = SmallPlan(1, /*steps=*/10);
   FleetOptions options = DirOptions(dir);
@@ -1160,6 +1199,9 @@ TEST(FleetTest, SubmitDirIngestsCampaignFilesDuringTheRun) {
     }
   }
   EXPECT_TRUE(extra_done) << "submitted campaign was not ingested and run";
+  for (const CampaignOutcome& outcome : result.outcomes) {
+    EXPECT_NE(outcome.id, "badrate") << "an invalid submission was scheduled";
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -3,6 +3,8 @@
 // Eq. 8 statistics clean, and still learn — the acceptance bar is a best
 // reward within 70% of the fault-free run on the synthetic dataset.
 #include <cmath>
+#include <filesystem>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +12,7 @@
 #include "data/synthetic.h"
 #include "env/fault.h"
 #include "rec/registry.h"
+#include "util/fsio.h"
 
 namespace poisonrec::core {
 namespace {
@@ -74,7 +77,7 @@ TEST(ResilienceTest, TrainingSurvivesFaultsAndDegradesGracefully) {
   profile.seed = 17;
   env::FaultyEnvironment faulty_env(&faulty_fixture.environment, profile);
   PoisonRecAttacker faulty(&faulty_fixture.environment, cfg);
-  faulty.AttachFaultyEnvironment(&faulty_env, kNoSleep);
+  faulty.AttachPlatform(&faulty_env, nullptr, kNoSleep);
   const auto stats = faulty.Train(kSteps);
 
   // Train completed without error for every step.
@@ -108,7 +111,7 @@ TEST(ResilienceTest, FailedQueriesAreImputedAndExcludedFromStats) {
   profile.seed = 23;
   env::FaultyEnvironment faulty_env(&f.environment, profile);
   PoisonRecAttacker attacker(&f.environment, cfg);
-  attacker.AttachFaultyEnvironment(&faulty_env, kNoSleep);
+  attacker.AttachPlatform(&faulty_env, nullptr, kNoSleep);
 
   bool saw_failure = false;
   for (int s = 0; s < 6; ++s) {
@@ -140,7 +143,7 @@ TEST(ResilienceTest, RetriesRecoverTransientFailures) {
   profile.seed = 29;
   env::FaultyEnvironment faulty_env(&f.environment, profile);
   PoisonRecAttacker attacker(&f.environment, cfg);
-  attacker.AttachFaultyEnvironment(&faulty_env, kNoSleep);
+  attacker.AttachPlatform(&faulty_env, nullptr, kNoSleep);
 
   std::size_t total_retries = 0;
   std::size_t total_failures = 0;
@@ -170,13 +173,13 @@ TEST(ResilienceTest, ParallelAndSequentialFaultyTrainingMatch) {
 
   env::FaultyEnvironment faulty_seq(&f_seq.environment, profile);
   PoisonRecAttacker sequential(&f_seq.environment, cfg);
-  sequential.AttachFaultyEnvironment(&faulty_seq, kNoSleep);
+  sequential.AttachPlatform(&faulty_seq, nullptr, kNoSleep);
 
   cfg.parallel_rewards = true;
   cfg.num_threads = 4;
   env::FaultyEnvironment faulty_par(&f_par.environment, profile);
   PoisonRecAttacker parallel(&f_par.environment, cfg);
-  parallel.AttachFaultyEnvironment(&faulty_par, kNoSleep);
+  parallel.AttachPlatform(&faulty_par, nullptr, kNoSleep);
 
   for (int step = 0; step < 3; ++step) {
     auto a = sequential.TrainStep();
@@ -188,6 +191,55 @@ TEST(ResilienceTest, ParallelAndSequentialFaultyTrainingMatch) {
   }
 }
 
+// A zero FaultProfile is the clean platform: an attacker that queries
+// through one trains exactly as one with nothing attached. The campaign
+// runners rely on this to stack the fault layer unconditionally.
+TEST(ResilienceTest, ZeroProfileFaultLayerTrainsLikeTheBareEnvironment) {
+  Fixture f;
+  const PoisonRecConfig cfg = Fixture::MakeAttackerConfig();
+  PoisonRecAttacker bare(&f.environment, cfg);
+  const env::FaultyEnvironment zero(&f.environment, env::FaultProfile());
+  PoisonRecAttacker stacked(&f.environment, cfg);
+  stacked.AttachPlatform(&zero, nullptr, kNoSleep);
+
+  for (int step = 0; step < 3; ++step) {
+    SCOPED_TRACE(step);
+    const TrainStepStats a = bare.TrainStep();
+    const TrainStepStats b = stacked.TrainStep();
+    EXPECT_EQ(a.step, b.step);
+    EXPECT_EQ(a.mean_reward, b.mean_reward);
+    EXPECT_EQ(a.max_reward, b.max_reward);
+    EXPECT_EQ(a.min_reward, b.min_reward);
+    EXPECT_EQ(a.best_reward_so_far, b.best_reward_so_far);
+    EXPECT_EQ(a.loss, b.loss);
+    EXPECT_EQ(a.target_click_ratio, b.target_click_ratio);
+    EXPECT_EQ(a.failed_queries, b.failed_queries);
+    EXPECT_EQ(a.retries, b.retries);
+    EXPECT_EQ(a.imputed_rewards, b.imputed_rewards);
+    EXPECT_EQ(a.pre_clip_grad_norm, b.pre_clip_grad_norm);
+    EXPECT_EQ(a.entropy, b.entropy);
+    EXPECT_EQ(a.approx_kl, b.approx_kl);
+    EXPECT_EQ(a.guard.tripped(), b.guard.tripped());
+    EXPECT_EQ(a.effective_attackers, b.effective_attackers);
+  }
+
+  const std::filesystem::path dir = std::filesystem::temp_directory_path();
+  const std::string bare_path =
+      (dir / "poisonrec_zero_fault_bare.ckpt").string();
+  const std::string stacked_path =
+      (dir / "poisonrec_zero_fault_stacked.ckpt").string();
+  ASSERT_TRUE(bare.SaveCheckpoint(bare_path).ok());
+  ASSERT_TRUE(stacked.SaveCheckpoint(stacked_path).ok());
+  const StatusOr<std::string> bare_bytes = ReadFileBytes(bare_path);
+  const StatusOr<std::string> stacked_bytes = ReadFileBytes(stacked_path);
+  ASSERT_TRUE(bare_bytes.ok() && stacked_bytes.ok());
+  EXPECT_TRUE(*bare_bytes == *stacked_bytes)
+      << "checkpoints differ: " << bare_bytes->size() << " vs "
+      << stacked_bytes->size() << " bytes";
+  std::filesystem::remove(bare_path);
+  std::filesystem::remove(stacked_path);
+}
+
 TEST(ResilienceTest, TotalBlackoutSkipsUpdatesButDoesNotCrash) {
   Fixture f;
   auto cfg = Fixture::MakeAttackerConfig();
@@ -197,7 +249,7 @@ TEST(ResilienceTest, TotalBlackoutSkipsUpdatesButDoesNotCrash) {
   profile.query_failure_rate = 1.0;  // nothing ever succeeds
   env::FaultyEnvironment faulty_env(&f.environment, profile);
   PoisonRecAttacker attacker(&f.environment, cfg);
-  attacker.AttachFaultyEnvironment(&faulty_env, kNoSleep);
+  attacker.AttachPlatform(&faulty_env, nullptr, kNoSleep);
 
   TrainStepStats stats = attacker.TrainStep();
   EXPECT_EQ(stats.failed_queries, cfg.samples_per_step);

@@ -10,13 +10,15 @@
 # bench_defended_attack at a tiny scale so their machine-readable JSON
 # lands under results/, runs a defended-campaign smoke through the CLI
 # (adaptive defender + replacement pool end to end), checks that the CLI
-# rejects flags it does not read and that a guarded campaign resumed
+# rejects flags it does not read, positional arguments and out-of-range
+# rates, and that a guarded campaign resumed
 # with --resume stops at its --steps budget, and finishes with a
 # fully instrumented campaign whose telemetry artifacts (--metrics-out /
 # --trace-out / --events-out) are checked by tools/validate_telemetry.py.
 # After the campaign smokes, a fleet smoke exercises the orchestrator's
 # graceful-shutdown contract (SIGTERM mid-fleet -> exit 2, the same
-# command again -> exit 0, report/journal validated), a shared-fleet
+# command again -> exit 0, report/journal validated, nonzero rewards), a
+# plan with an out-of-range rate must exit 1 untouched, a shared-fleet
 # smoke runs two workers over one journal dir (SIGKILL one, the survivor
 # seizes its lease and finishes; a --submit-dir drop mid-run must
 # preempt; `fleet --status` is queried mid-run (healthy, exit 0) and
@@ -73,8 +75,9 @@ trap 'rm -rf "${SMOKE_DIR}"' EXIT
   --checkpoint="${SMOKE_DIR}/defended.ckpt" --checkpoint-every=1
 
 # Strict flags: a flag the subcommand does not read, a --pool-* flag
-# without --defense and a --guard-* flag without --guard must each fail
-# with exit 2, naming the flag, before any work.
+# without --defense, a --guard-* flag without --guard, a positional
+# argument and a fault rate outside [0, 1] must each fail with exit 2,
+# naming the flag or argument, before any work.
 flag_reject() {  # flag_reject <flag-to-name> <campaign args...>
   local rc=0 err
   err="$("${BUILD_DIR}/tools/poisonrec" campaign --steps=1 "${@:2}" \
@@ -87,6 +90,8 @@ flag_reject() {  # flag_reject <flag-to-name> <campaign args...>
 flag_reject --stepz --stepz=99
 flag_reject --pool-reserve --pool-reserve=5
 flag_reject --guard-kl-max --guard-kl-max=3
+flag_reject -scale=0.02 -scale=0.02
+flag_reject --fault-failure --fault-failure=1.5
 
 # Guarded resume: a 2-step guarded campaign resumed with --steps=3 must
 # run one more step, not three.
@@ -139,14 +144,14 @@ cat > "${FLEET_DIR}/plan.json" <<'EOF'
   "dataset": "Steam",
   "scale": 0.05,
   "defaults": {
-    "steps": 14, "samples_per_step": 4, "attackers": 8,
-    "trajectory_length": 8, "targets": 4, "embedding_dim": 8,
+    "steps": 14, "samples_per_step": 4, "attackers": 20,
+    "trajectory_length": 20, "targets": 8, "embedding_dim": 8,
     "eval_users": 50
   },
   "campaigns": [
-    {"id": "smoke0", "seed": 31},
+    {"id": "smoke0", "seed": 35},
     {"id": "smoke1", "seed": 32, "fault_preset": "flaky"},
-    {"id": "smoke2", "seed": 33, "priority": 1}
+    {"id": "smoke2", "seed": 39, "priority": 1}
   ]
 }
 EOF
@@ -180,6 +185,32 @@ fi
 python3 tools/validate_telemetry.py \
   --fleet-report "${FLEET_DIR}/report.json" \
   --fleet-journal "${FLEET_DIR}/journal.jsonl"
+# This plan's shape (20 attackers x 20 clicks, 8 targets) and seeds give
+# every campaign a nonzero step reward, so the checks above compare
+# real rewards, not zeros.
+python3 - "${FLEET_DIR}/report.json" <<'EOF'
+import json, sys
+flat = [c["id"] for c in json.load(open(sys.argv[1]))["campaigns"]
+        if not any(reward for _, reward in c["step_rewards"])]
+if flat: sys.exit("fleet smoke: all-zero step rewards in " + ", ".join(flat))
+EOF
+
+# Bad plan: a rate outside [0, 1] fails the parse, so the fleet exits 1
+# before it starts a campaign or takes a lease.
+BAD_DIR="${SMOKE_DIR}/bad-plan"
+mkdir -p "${BAD_DIR}"
+echo '{"campaigns": [{"id": "c0", "fault": {"failure": 1.5}}]}' \
+  > "${BAD_DIR}/plan.json"
+BAD_RC=0
+"${BUILD_DIR}/tools/poisonrec" fleet "--plan=${BAD_DIR}/plan.json" \
+  "--journal=${BAD_DIR}/journal.jsonl" "--checkpoint-dir=${BAD_DIR}/ckpts" \
+  "--report-json=${BAD_DIR}/r.json" "--report-csv=${BAD_DIR}/r.csv" \
+  2>/dev/null || BAD_RC=$?
+if [ "${BAD_RC}" -ne 1 ] || [ -n "$(find "${BAD_DIR}" -name '*.lease')" ]
+then
+  echo "bad-plan smoke: expected exit 1 and no lease, got ${BAD_RC}" >&2
+  exit 1
+fi
 
 # Post-run status: every campaign done, every worker snapshot carries a
 # clean-shutdown marker, so the read-only status surface must exit 0 and

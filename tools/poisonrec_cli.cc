@@ -20,7 +20,9 @@
 // Flags are strict: each subcommand reads the flags listed in KnownFlags
 // below (plus the global --num-threads), and a run exits 2, naming the
 // flag, on any other flag, on a --defense-* or --pool-* flag without
-// --defense, and on a --guard-* flag without --guard.
+// --defense, on a --guard-* flag without --guard, and on a fault or
+// defense value outside its profile's range; it exits 2 naming any
+// argument that is not a --flag (only trace-merge takes file names).
 //
 // Common flags: --dataset=<Steam|MovieLens|Phone|Clothing> --scale=<f>
 //   --data=<csv>  --seed=<n>  --attackers=<N>  --length=<T>
@@ -162,6 +164,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <filesystem>
@@ -197,7 +200,10 @@ class Flags {
   Flags(int argc, char** argv) {
     for (int i = 2; i < argc; ++i) {
       std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) continue;
+      if (arg.rfind("--", 0) != 0) {
+        positionals_.push_back(std::move(arg));
+        continue;
+      }
       const std::size_t eq = arg.find('=');
       if (eq == std::string::npos) {
         values_[arg.substr(2)] = "true";
@@ -223,9 +229,12 @@ class Flags {
                      std::strtoull(it->second.c_str(), nullptr, 10));
   }
   const std::map<std::string, std::string>& values() const { return values_; }
+  /// The arguments that are not --flags, in order.
+  const std::vector<std::string>& positionals() const { return positionals_; }
 
  private:
   std::map<std::string, std::string> values_;
+  std::vector<std::string> positionals_;
 };
 
 /// The flags `command` reads, space-separated, or nullopt for an unknown
@@ -265,11 +274,17 @@ std::optional<std::string> KnownFlags(const std::string& command,
   return std::nullopt;
 }
 
-/// Names the first flag `command` does not read, or a campaign
-/// --defense-*, --pool-* or --guard-* flag whose switch is off, on
-/// stderr and returns 2; returns 0 when every flag is read.
+/// Names the first argument `command` does not read — a positional one
+/// (only trace-merge takes any), a flag it does not know, or a campaign
+/// --defense-*, --pool-* or --guard-* flag whose switch is off — on
+/// stderr and returns 2; returns 0 when every argument is read.
 int RejectUnreadFlags(const std::string& command, const std::string& known,
                       const Flags& flags) {
+  if (command != "trace-merge" && !flags.positionals().empty()) {
+    std::fprintf(stderr, "poisonrec %s: unexpected argument '%s'\n",
+                 command.c_str(), flags.positionals().front().c_str());
+    return 2;
+  }
   const bool defended = flags.Get("defense", "false") == "true";
   const bool guarded = flags.Get("guard", "false") == "true";
   for (const auto& [key, value] : flags.values()) {
@@ -409,14 +424,6 @@ int CmdDetect(const Flags& flags) {
   return 0;
 }
 
-std::unique_ptr<defense::Detector> BuildDetector(const std::string& name) {
-  if (name == "cold") return std::make_unique<defense::ColdItemAffinityDetector>();
-  if (name == "entropy") return std::make_unique<defense::ClickEntropyDetector>();
-  if (name == "fleet") return std::make_unique<defense::FleetSimilarityDetector>();
-  POISONREC_CHECK(name == "ensemble") << "unknown detector '" << name << "'";
-  return defense::MakeDefaultEnsemble();
-}
-
 /// End-of-campaign telemetry fan-out: summary table on stdout plus the
 /// optional snapshot files. Called on every CmdCampaign exit path so an
 /// aborted campaign still leaves its telemetry behind (that is exactly
@@ -474,8 +481,51 @@ void FinalizeTelemetry(const std::string& metrics_out,
   }
 }
 
+/// The fault flags and the FaultProfile rates they set.
+constexpr std::pair<const char*, double env::FaultProfile::*> kFaultFlags[] = {
+    {"fault-failure", &env::FaultProfile::query_failure_rate},
+    {"fault-throttle", &env::FaultProfile::throttle_rate},
+    {"fault-drop", &env::FaultProfile::injection_drop_rate},
+    {"fault-ban", &env::FaultProfile::shadow_ban_rate},
+    {"fault-noise", &env::FaultProfile::reward_noise_stddev},
+    {"fault-stale", &env::FaultProfile::stale_reward_rate},
+    {"fault-nan", &env::FaultProfile::nan_reward_rate}};
+
 int CmdCampaign(const Flags& flags) {
   const bool defended = flags.Get("defense", "false") == "true";
+  // Each platform value meets its profile's range rule as it lands, so
+  // the error names the flag before the ranker is pretrained.
+  const auto bad_flag = [](const char* flag, const Status& status) {
+    std::fprintf(stderr, "poisonrec campaign: --%s: %s\n", flag,
+                 status.message().c_str());
+    return 2;
+  };
+  env::FaultProfile profile;
+  for (const auto& [flag, rate] : kFaultFlags) {
+    profile.*rate = flags.GetDouble(flag, 0.0);
+    const Status valid = env::ValidateFaultProfile(profile);
+    if (!valid.ok()) return bad_flag(flag, valid);
+  }
+  profile.seed = flags.GetSize("fault-seed", 1234);
+  env::DefenseProfile defense_profile;
+  std::unique_ptr<defense::Detector> detector;
+  if (defended) {
+    defense_profile.detection_interval = flags.GetSize("defense-interval", 64);
+    Status valid = env::ValidateDefenseProfile(defense_profile);
+    if (!valid.ok()) return bad_flag("defense-interval", valid);
+    defense_profile.bans_per_sweep = flags.GetSize("defense-bans", 2);
+    defense_profile.suspicion_threshold =
+        flags.GetDouble("defense-threshold", 0.0);
+    defense_profile.ban_probability = flags.GetDouble("defense-ban-prob", 1.0);
+    valid = env::ValidateDefenseProfile(defense_profile);
+    if (!valid.ok()) return bad_flag("defense-ban-prob", valid);
+    defense_profile.seed = flags.GetSize("defense-seed", 4321);
+    auto made =
+        defense::MakeDetector(flags.Get("defense-detector", "ensemble"));
+    if (!made.ok()) return bad_flag("defense-detector", made.status());
+    detector = std::move(made).value();
+  }
+
   const std::string metrics_out = flags.Get("metrics-out", "");
   const std::string trace_out = flags.Get("trace-out", "");
   const std::string events_out = flags.Get("events-out", "");
@@ -492,33 +542,18 @@ int CmdCampaign(const Flags& flags) {
               environment->pretrained_ranker().Name().c_str(),
               environment->BaselineRecNum());
 
-  env::FaultProfile profile;
-  profile.query_failure_rate = flags.GetDouble("fault-failure", 0.0);
-  profile.throttle_rate = flags.GetDouble("fault-throttle", 0.0);
-  profile.injection_drop_rate = flags.GetDouble("fault-drop", 0.0);
-  profile.shadow_ban_rate = flags.GetDouble("fault-ban", 0.0);
-  profile.reward_noise_stddev = flags.GetDouble("fault-noise", 0.0);
-  profile.stale_reward_rate = flags.GetDouble("fault-stale", 0.0);
-  profile.nan_reward_rate = flags.GetDouble("fault-nan", 0.0);
-  profile.seed = flags.GetSize("fault-seed", 1234);
+  // The fault layer is always there (a zero profile is the clean
+  // platform); the defender wraps it when asked.
   env::FaultyEnvironment faulty(environment.get(), profile);
-
-  std::unique_ptr<env::DefendedEnvironment> platform;
+  std::unique_ptr<env::DefendedEnvironment> defender;
   if (defended) {
-    env::DefenseProfile defense;
-    defense.detection_interval = flags.GetSize("defense-interval", 64);
-    defense.bans_per_sweep = flags.GetSize("defense-bans", 2);
-    defense.suspicion_threshold = flags.GetDouble("defense-threshold", 0.0);
-    defense.ban_probability = flags.GetDouble("defense-ban-prob", 1.0);
-    defense.seed = flags.GetSize("defense-seed", 4321);
-    platform = std::make_unique<env::DefendedEnvironment>(
-        &faulty, BuildDetector(flags.Get("defense-detector", "ensemble")),
-        defense);
+    defender = std::make_unique<env::DefendedEnvironment>(
+        &faulty, std::move(detector), defense_profile);
     std::printf("defender: %s detector, sweep every %zu queries, "
                 "%zu bans/sweep; attacker pool reserve %zu\n",
                 flags.Get("defense-detector", "ensemble").c_str(),
-                defense.detection_interval, defense.bans_per_sweep,
-                pool_reserve);
+                defense_profile.detection_interval,
+                defense_profile.bans_per_sweep, pool_reserve);
   }
 
   const std::string checkpoint = flags.Get("checkpoint", "");
@@ -547,11 +582,9 @@ int CmdCampaign(const Flags& flags) {
   }
 
   core::PoisonRecAttacker attacker(environment.get(), config);
-  if (platform != nullptr) {
-    attacker.AttachDefendedEnvironment(platform.get());
-  } else {
-    attacker.AttachFaultyEnvironment(&faulty);
-  }
+  const env::RewardSource* platform = &faulty;
+  if (defender != nullptr) platform = defender.get();
+  attacker.AttachPlatform(platform, defender.get());
   if (event_log.is_open()) {
     attacker.SetEventLog(&event_log);
     obs::JsonObjectBuilder b;
@@ -662,13 +695,13 @@ int CmdCampaign(const Flags& flags) {
               fault_stats.throttled, fault_stats.dropped_clicks,
               fault_stats.banned_trajectories, fault_stats.stale_rewards,
               fault_stats.nan_rewards);
-  if (platform != nullptr) {
-    const env::DefenseStats d = platform->stats();
+  if (defender != nullptr) {
+    const env::DefenseStats d = defender->stats();
     std::printf("defender: %zu queries audited, %zu sweeps, %zu bans, "
                 "%zu filtered trajectories, %zu clicks on record\n",
                 d.queries, d.sweeps, d.bans, d.filtered_trajectories,
                 d.recorded_clicks);
-    for (const env::BanEvent& ban : platform->ban_events()) {
+    for (const env::BanEvent& ban : defender->ban_events()) {
       std::printf("  ban @query %zu: account %zu (user %zu), "
                   "suspicion %.4f\n",
                   static_cast<std::size_t>(ban.query_id), ban.attacker_index,
@@ -788,13 +821,8 @@ void SerializeJsonValue(const orch::JsonValue& value, std::string* out) {
 /// with a process lane per input (pid = input index + 1, named after
 /// the file), preserving tids and span args. Timestamps stay relative
 /// to each file's own export epoch.
-int CmdTraceMerge(int argc, char** argv, const Flags& flags) {
-  std::vector<std::string> inputs;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0) continue;
-    inputs.push_back(arg);
-  }
+int CmdTraceMerge(const Flags& flags) {
+  const std::vector<std::string>& inputs = flags.positionals();
   if (inputs.empty()) {
     std::fprintf(stderr,
                  "usage: poisonrec trace-merge <trace.json> [more ...] "
@@ -1015,7 +1043,7 @@ int Main(int argc, char** argv) {
   if (command == "detect") return CmdDetect(flags);
   if (command == "campaign") return CmdCampaign(flags);
   if (command == "fleet") return CmdFleet(flags);
-  if (command == "trace-merge") return CmdTraceMerge(argc, argv, flags);
+  if (command == "trace-merge") return CmdTraceMerge(flags);
   if (command == "fsck") return CmdFsck(flags);
   return Usage();
 }
