@@ -316,11 +316,12 @@ std::vector<DecisionBatch> Policy::RecomputeLogProbs(
   std::vector<nn::Tensor> hs = HiddenStates(attacker_ids, sequences, T);
   std::vector<DecisionBatch> batches;
 
-  nn::Tensor feats;  // [item embeddings; node embeddings] for tree gathers
-  const bool use_tree = tree_ != nullptr;
-  if (use_tree) {
-    feats = nn::ConcatRows(item_emb_.table(), node_emb_);
-  }
+  // [item embeddings; node embeddings], the rows the tree decisions
+  // read. This node is where a leaf's item-row gradient joins the same
+  // item's LSTM-input gradient; scattering straight into the two tables
+  // would interleave those sums and move the golden digests.
+  nn::Tensor feats;
+  if (tree_ != nullptr) feats = nn::ConcatRows(item_emb_.table(), node_emb_);
 
   for (std::size_t t = 0; t < T; ++t) {
     nn::Tensor dht = dnn_.Forward(hs[t]);  // (rows x dim)
@@ -379,36 +380,30 @@ std::vector<DecisionBatch> Policy::RecomputeLogProbs(
       case ActionSpaceKind::kBcbtPopular:
       case ActionSpaceKind::kBcbtRandom:
       case ActionSpaceKind::kCbtUnbiased: {
-        // Group decisions by depth so each group is one batched gather.
-        std::size_t max_decisions = 0;
-        for (std::size_t r = 0; r < rows; ++r) {
-          max_decisions = std::max(
-              max_decisions, trajectories[r]->steps[t].path.size() - 1);
-        }
-        for (std::size_t d = 0; d < max_decisions; ++d) {
-          std::vector<std::size_t> row_idx;
-          std::vector<std::size_t> chosen_rows;
-          std::vector<std::size_t> other_rows;
+        // Bucket the decisions by depth in one pass over the rows, rows
+        // ascending within a depth; each depth is one fused node.
+        struct Depth {
+          std::vector<std::size_t> row_idx, chosen_rows, other_rows;
           DecisionBatch batch;
-          for (std::size_t r = 0; r < rows; ++r) {
-            const SampledStep& step = trajectories[r]->steps[t];
-            if (step.path.size() < d + 2) continue;
+        };
+        std::vector<Depth> depths;
+        for (std::size_t r = 0; r < rows; ++r) {
+          const SampledStep& step = trajectories[r]->steps[t];
+          for (std::size_t d = 0; d + 1 < step.path.size(); ++d) {
+            if (depths.size() == d) depths.emplace_back();
+            Depth& depth = depths[d];
             const int chosen = step.path[d + 1];
-            const int other = tree_->Sibling(chosen);
-            row_idx.push_back(r);
-            chosen_rows.push_back(NodeFeatureRow(chosen));
-            other_rows.push_back(NodeFeatureRow(other));
-            batch.old_log_probs.push_back(step.old_log_probs[d]);
-            batch.traj_index.push_back(r);
+            depth.row_idx.push_back(r);
+            depth.chosen_rows.push_back(NodeFeatureRow(chosen));
+            depth.other_rows.push_back(NodeFeatureRow(tree_->Sibling(chosen)));
+            depth.batch.old_log_probs.push_back(step.old_log_probs[d]);
+            depth.batch.traj_index.push_back(r);
           }
-          if (row_idx.empty()) continue;
-          nn::Tensor q = nn::Rows(dht, row_idx);
-          nn::Tensor ch = nn::Rows(feats, chosen_rows);
-          nn::Tensor ot = nn::Rows(feats, other_rows);
-          nn::Tensor diff = nn::Sub(nn::RowDot(q, ot), nn::RowDot(q, ch));
-          // log sigmoid(o_ch - o_ot) = -softplus(o_ot - o_ch)
-          batch.new_log_probs = nn::Scale(nn::Softplus(diff), -1.0f);
-          batches.push_back(std::move(batch));
+        }
+        for (Depth& depth : depths) {
+          depth.batch.new_log_probs = nn::TreeDecisionLogProb(
+              dht, depth.row_idx, feats, depth.chosen_rows, depth.other_rows);
+          batches.push_back(std::move(depth.batch));
         }
         break;
       }

@@ -42,7 +42,7 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, Rng* rng) {
 }
 
 Tensor Linear::Forward(const Tensor& x) const {
-  return Add(MatMul(x, weight_), bias_);
+  return Affine(x, weight_, bias_);
 }
 
 std::vector<Tensor> Linear::Parameters() const { return {weight_, bias_}; }
@@ -111,10 +111,9 @@ LstmCell::State LstmCell::InitialState(std::size_t batch) const {
 
 LstmCell::State LstmCell::Step(const Tensor& x, const State& state) const {
   POISONREC_CHECK_EQ(x.cols(), input_size_);
-  // Pre-activations stay composed (two GEMMs + bias feed the threaded
-  // kernels and the weight gradients); the eight elementwise gate ops
-  // that used to follow are fused into one pass over the (B x 4h) block.
-  Tensor gates = Add(Add(MatMul(x, w_x_), MatMul(state.h, w_h_)), bias_);
+  // One affine node for the pre-activations (two GEMMs and the bias),
+  // one fused pass for the eight elementwise gate ops over (B x 4h).
+  Tensor gates = Affine(x, w_x_, state.h, w_h_, bias_);
   LstmGatesResult next = LstmGates(gates, state.c);
   return {next.h, next.c};
 }
@@ -143,10 +142,10 @@ Tensor GruCell::InitialState(std::size_t batch) const {
 
 Tensor GruCell::Step(const Tensor& x, const Tensor& h) const {
   POISONREC_CHECK_EQ(x.cols(), input_size_);
-  // Two GEMMs and two bias adds feed the threaded kernels and the weight
-  // gradients; the gate math after them is one fused node.
-  Tensor gx = Add(MatMul(x, w_x_), b_x_);  // (B x 3h)
-  Tensor gh = Add(MatMul(h, w_h_), b_h_);  // (B x 3h)
+  // Two affine nodes for the pre-activations, one fused node for the
+  // gate math after them.
+  Tensor gx = Affine(x, w_x_, b_x_);  // (B x 3h)
+  Tensor gh = Affine(h, w_h_, b_h_);  // (B x 3h)
   return GruGates(gx, gh, h);
 }
 

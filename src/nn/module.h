@@ -118,9 +118,8 @@ class LstmCell : public Module {
 };
 
 /// Single GRU cell (update z, reset r, candidate n). Weights: W_x
-/// (in x 3h), W_h (h x 3h), biases b_x, b_h (1 x 3h). A step records five
-/// tape nodes: two MatMuls, two bias Adds and one GruGates node (see
-/// nn/tensor.h).
+/// (in x 3h), W_h (h x 3h), biases b_x, b_h (1 x 3h). A step records three
+/// tape nodes: two Affine nodes and one GruGates node (see nn/tensor.h).
 class GruCell : public Module {
  public:
   GruCell(std::size_t input_size, std::size_t hidden_size, Rng* rng);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <utility>
 
 #include "nn/kernels.h"
 
@@ -36,6 +37,46 @@ inline float StableSigmoid(float x) {
 }
 inline float SigmoidDeriv(float y) { return y * (1.0f - y); }
 inline float TanhDeriv(float y) { return 1.0f - y * y; }
+inline float SoftplusOf(float x) {
+  return x > 0.0f ? x + std::log1p(std::exp(-x)) : std::log1p(std::exp(x));
+}
+
+// Row loops of the fused nodes. Their operands are distinct buffers, so
+// __restrict lets each loop vectorize; every element still gets the
+// composed ops' operations in the composed order.
+//
+// dst += src, elementwise (Add's forward and its bias gradient).
+inline void AddRow(const float* __restrict src, float* __restrict dst,
+                   std::size_t n) {
+  for (std::size_t c = 0; c < n; ++c) dst[c] += src[c];
+}
+// dst += 0 + s·src: a RowDot gradient, started at 0, scattered by Rows.
+inline void ScatterScaledRow(float s, const float* __restrict src,
+                             float* __restrict dst, std::size_t n) {
+  for (std::size_t c = 0; c < n; ++c) dst[c] += 0.0f + s * src[c];
+}
+// dst += (0 + sa·a) + sb·b: two RowDot gradients into one gathered row.
+inline void ScatterScaledRows(float sa, const float* __restrict a, float sb,
+                              const float* __restrict b,
+                              float* __restrict dst, std::size_t n) {
+  for (std::size_t c = 0; c < n; ++c) dst[c] += (0.0f + sa * a[c]) + sb * b[c];
+}
+
+// After a gather's backward has scattered into `table`, lists the rows
+// it wrote when the table is a row-sparse leaf (see tensor.h). Listed in
+// the backward, not the forward: callers zero gradients between the two.
+// Only leaves are listed, so intermediate gathers never build up lists.
+void ListGradRows(TensorImpl* table, const std::vector<std::size_t>& rows) {
+  if (!table->RowSparse()) return;
+  if (table->row_listed.size() != table->rows) {
+    table->row_listed.assign(table->rows, false);
+  }
+  for (std::size_t r : rows) {
+    if (table->row_listed[r]) continue;
+    table->row_listed[r] = true;
+    table->grad_rows.push_back(r);
+  }
+}
 
 }  // namespace
 
@@ -463,11 +504,7 @@ Tensor Exp(const Tensor& a) {
 
 Tensor Softplus(const Tensor& a) {
   return UnaryOp(
-      a,
-      [](float x) {
-        return x > 0.0f ? x + std::log1p(std::exp(-x))
-                        : std::log1p(std::exp(x));
-      },
+      a, [](float x) { return SoftplusOf(x); },
       [](float x, float) { return StableSigmoid(x); });
 }
 
@@ -719,18 +756,7 @@ Tensor Rows(const Tensor& table, const std::vector<std::size_t>& indices) {
             const float* src = oi->grad.data() + i * dim;
             for (std::size_t c = 0; c < dim; ++c) dst[c] += src[c];
           }
-          // Listed here, not in the forward: callers zero gradients
-          // between the two. Only leaves are listed, so intermediate
-          // gathers never build up index lists.
-          if (!ti->RowSparse()) return;
-          if (ti->row_listed.size() != ti->rows) {
-            ti->row_listed.assign(ti->rows, false);
-          }
-          for (std::size_t r : idx) {
-            if (ti->row_listed[r]) continue;
-            ti->row_listed[r] = true;
-            ti->grad_rows.push_back(r);
-          }
+          ListGradRows(ti, idx);
         },
         /*gather=*/true);
   }
@@ -985,6 +1011,169 @@ Tensor GruGates(const Tensor& gx, const Tensor& gh, const Tensor& h) {
           }
         }
       });
+  return result;
+}
+
+// ---------------------------------------------------------------------------
+// Fused affine map
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// Both Affine forms; x2 and w2 are null in the one-pair form.
+Tensor AffineOp(const Tensor& x1, const Tensor& w1, const Tensor* x2,
+                const Tensor* w2, const Tensor& b) {
+  const std::size_t m = x1.rows();
+  const std::size_t n = w1.cols();
+  // (x, W) per product, pair 1 first.
+  std::vector<std::pair<TensorImpl*, TensorImpl*>> pairs = {
+      {x1.impl().get(), w1.impl().get()}};
+  if (x2 != nullptr) pairs.emplace_back(x2->impl().get(), w2->impl().get());
+  for (const auto& [x, w] : pairs) {
+    POISONREC_CHECK(x->rows == m && x->cols == w->rows && w->cols == n)
+        << "Affine shape mismatch (" << x->rows << "x" << x->cols << ") * ("
+        << w->rows << "x" << w->cols << ")";
+  }
+  POISONREC_CHECK(b.rows() == 1 && b.cols() == n)
+      << "Affine bias must be (1x" << n << "), got " << b.ShapeString();
+  auto out = NewNode(m, n);
+  float* o = out->data.data();
+  kernels::GemmNN(m, x1.cols(), n, x1.data().data(), w1.data().data(), o);
+  if (x2 != nullptr) {
+    std::vector<float> second(m * n, 0.0f);
+    kernels::GemmNN(m, x2->cols(), n, x2->data().data(), w2->data().data(),
+                    second.data());
+    AddRow(second.data(), o, m * n);
+  }
+  for (std::size_t r = 0; r < m; ++r) AddRow(b.data().data(), o + r * n, n);
+  Tensor result(out);
+  const bool track = x2 == nullptr ? TrackGrad({&x1, &w1, &b})
+                                   : TrackGrad({&x1, &w1, x2, w2, &b});
+  if (!track) return result;
+  TensorImpl* bi = b.impl().get();
+  TensorImpl* oi = out.get();
+  auto backward = [pairs = std::move(pairs), bi, oi, m, n]() {
+    const float* g = oi->grad.data();
+    if (bi->requires_grad) {
+      for (std::size_t r = 0; r < m; ++r) AddRow(g + r * n, bi->grad.data(), n);
+    }
+    // Pair 2 before pair 1, the order the composed Adds handed them on.
+    for (auto it = pairs.rbegin(); it != pairs.rend(); ++it) {
+      const auto [x, w] = *it;
+      if (x->requires_grad) {
+        kernels::GemmNT(m, n, x->cols, g, w->data.data(), x->grad.data());
+      }
+      if (w->requires_grad) {
+        kernels::GemmTN(x->cols, m, n, x->data.data(), g, w->grad.data());
+      }
+    }
+  };
+  if (x2 == nullptr) {
+    Attach(out, {&x1, &w1, &b}, std::move(backward));
+  } else {
+    Attach(out, {&x1, &w1, x2, w2, &b}, std::move(backward));
+  }
+  return result;
+}
+
+}  // namespace
+
+Tensor Affine(const Tensor& x1, const Tensor& w1, const Tensor& b) {
+  return AffineOp(x1, w1, nullptr, nullptr, b);
+}
+
+Tensor Affine(const Tensor& x1, const Tensor& w1, const Tensor& x2,
+              const Tensor& w2, const Tensor& b) {
+  return AffineOp(x1, w1, &x2, &w2, b);
+}
+
+// ---------------------------------------------------------------------------
+// Fused BCBT decision batch
+// ---------------------------------------------------------------------------
+
+Tensor TreeDecisionLogProb(const Tensor& dht,
+                           const std::vector<std::size_t>& row_idx,
+                           const Tensor& feats,
+                           const std::vector<std::size_t>& chosen_rows,
+                           const std::vector<std::size_t>& other_rows) {
+  const std::size_t count = row_idx.size();
+  const std::size_t dim = dht.cols();
+  POISONREC_CHECK(feats.cols() == dim && chosen_rows.size() == count &&
+                  other_rows.size() == count)
+      << "TreeDecisionLogProb shape mismatch " << dht.ShapeString() << ", "
+      << feats.ShapeString() << ", " << count << "/" << chosen_rows.size()
+      << "/" << other_rows.size() << " rows";
+  for (std::size_t k = 0; k < count; ++k) {
+    POISONREC_CHECK_LT(row_idx[k], dht.rows());
+    POISONREC_CHECK_LT(chosen_rows[k], feats.rows());
+    POISONREC_CHECK_LT(other_rows[k], feats.rows());
+  }
+  auto out = NewNode(count, 1);
+  TensorImpl* di = dht.impl().get();
+  TensorImpl* fi = feats.impl().get();
+  TensorImpl* oi = out.get();
+  const bool track = TrackGrad({&dht, &feats});
+  // x = q·ot − q·ch per decision, saved for the softplus derivative.
+  std::vector<float> x(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    const float* q = di->data.data() + row_idx[k] * dim;
+    const float* ch = fi->data.data() + chosen_rows[k] * dim;
+    const float* ot = fi->data.data() + other_rows[k] * dim;
+    // Two RowDots, each summed from 0 with c ascending.
+    float dot_ot = 0.0f;
+    float dot_ch = 0.0f;
+    for (std::size_t c = 0; c < dim; ++c) {
+      dot_ot += q[c] * ot[c];
+      dot_ch += q[c] * ch[c];
+    }
+    x[k] = dot_ot - dot_ch;
+    oi->data[k] = SoftplusOf(x[k]) * -1.0f;
+  }
+  Tensor result(out);
+  if (!track) return result;
+  Attach(
+      out, {&dht, &feats},
+      [di, fi, oi, x = std::move(x), rows = row_idx, chosen = chosen_rows,
+       other = other_rows, dim]() {
+        const std::size_t count = rows.size();
+        // The composed chain's scalar gradients, each intermediate
+        // started at 0: Scale(-1), Softplus, then Sub's two sides, g_a
+        // for q·ot and g_b for q·ch.
+        std::vector<float> g_a(count);
+        std::vector<float> g_b(count);
+        for (std::size_t k = 0; k < count; ++k) {
+          const float g_s = 0.0f + oi->grad[k] * -1.0f;
+          const float g_x = 0.0f + g_s * StableSigmoid(x[k]);
+          g_a[k] = 0.0f + g_x;
+          g_b[k] = 0.0f - g_x;
+        }
+        const float* q = di->data.data();
+        const float* f = fi->data.data();
+        if (fi->requires_grad) {
+          // Rows(feats, chosen) ran before Rows(feats, other).
+          float* dst = fi->grad.data();
+          for (std::size_t k = 0; k < count; ++k) {
+            ScatterScaledRow(g_b[k], q + rows[k] * dim,
+                             dst + chosen[k] * dim, dim);
+          }
+          for (std::size_t k = 0; k < count; ++k) {
+            ScatterScaledRow(g_a[k], q + rows[k] * dim,
+                             dst + other[k] * dim, dim);
+          }
+          ListGradRows(fi, chosen);
+          ListGradRows(fi, other);
+        }
+        if (di->requires_grad) {
+          // q's gradient: RowDot(q, ch)'s term first, then RowDot(q, ot)'s.
+          float* dst = di->grad.data();
+          for (std::size_t k = 0; k < count; ++k) {
+            ScatterScaledRows(g_b[k], f + chosen[k] * dim, g_a[k],
+                              f + other[k] * dim, dst + rows[k] * dim, dim);
+          }
+          ListGradRows(di, rows);
+        }
+      },
+      /*gather=*/true);
   return result;
 }
 

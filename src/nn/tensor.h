@@ -290,6 +290,42 @@ LstmGatesResult LstmGates(const Tensor& preact, const Tensor& c_prev);
 /// the output is allocated.
 Tensor GruGates(const Tensor& gx, const Tensor& gh, const Tensor& h);
 
+/// Affine map as one tape node: x1 W1 + b, or (x1 W1 + x2 W2) + b, with
+/// b (1 x n) broadcast across rows. Linear and the GRU pre-activations
+/// use the one-pair form, the LSTM pre-activation the two-pair form.
+/// Each product is summed into a zeroed buffer by the same GEMM as
+/// MatMul's, the products are added elementwise, then the bias row; the
+/// backward runs the composed reverse order (bias, then pair 2, then
+/// pair 1) with MatMul's GEMM calls, and the parents {x1, W1, [x2, W2,]
+/// b} keep the walk reaching x1's subgraph before x2's. So with a leaf
+/// bias, as in every module, the one-pair form is bit-identical to
+/// Add(MatMul(x1, W1), b) in any graph. The two-pair form matches
+/// Add(Add(MatMul(x1, W1), MatMul(x2, W2)), b) when the walk has already
+/// queued x2's subgraph on reaching this node, as in the policy's
+/// recompute, where every LSTM state is scored before the next step
+/// reads it; otherwise pair 1's gradient lands before x2's subgraph runs
+/// instead of after it, which reorders the sums into a weight shared
+/// across steps.
+Tensor Affine(const Tensor& x1, const Tensor& w1, const Tensor& b);
+Tensor Affine(const Tensor& x1, const Tensor& w1, const Tensor& x2,
+              const Tensor& w2, const Tensor& b);
+
+/// One batch of BCBT sibling decisions (paper §III-E) as one tape node:
+/// for each k, with q = dht[row_idx[k]], ch = feats[chosen_rows[k]] and
+/// ot = feats[other_rows[k]],
+///   lp[k] = log σ(q·ch − q·ot) = −softplus(q·ot − q·ch)   -> (K x 1).
+/// Bit-identical to the composed chain Rows/RowDot/Sub/Softplus/Scale(-1)
+/// it replaces: the same float expressions forward, and a backward that
+/// replays that chain's reverse order, scattering every chosen-row
+/// gradient into feats before any other-row gradient (k ascending each),
+/// then q's gradient into dht. Parents {dht, feats}, both read by row
+/// gathers, so row-sparse leaves list the rows written.
+Tensor TreeDecisionLogProb(const Tensor& dht,
+                           const std::vector<std::size_t>& row_idx,
+                           const Tensor& feats,
+                           const std::vector<std::size_t>& chosen_rows,
+                           const std::vector<std::size_t>& other_rows);
+
 // -- Utilities ----------------------------------------------------------
 
 /// Numerical gradient of f at `x` via central differences (testing aid).

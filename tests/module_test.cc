@@ -301,6 +301,49 @@ TEST(GruGatesTest, UnrolledCellBitIdenticalToComposedChain) {
   }
 }
 
+// The policy's recompute graph in miniature: an LSTM unrolled over
+// embedded items, each new state scored into a loss folded in step
+// order, as PpoLoss folds the decisions. The walk then queues h_{t-1}'s
+// subgraph through step t-1's score before step t's affine node reaches
+// it, which is what makes the one-node pre-activation (parents
+// {x, W_x, h, W_h, b}) add each step's weight gradients in the composed
+// chain's order. (With a loss on the last state alone, W_x's gradient
+// sums the steps in the other order; see Affine in nn/tensor.h.)
+TEST(LstmTest, UnrolledCellBitIdenticalToComposedChain) {
+  const std::vector<std::size_t> items = {3, 1, 4, 1, 5};
+  const auto run = [&items](bool fused) {
+    Rng rng(41);
+    Embedding table(6, 4, &rng);
+    LstmCell cell(4, 4, &rng);
+    const std::vector<Tensor> p = cell.Parameters();  // W_x, W_h, bias
+    LstmCell::State state = cell.InitialState(2);
+    Tensor loss;
+    for (std::size_t item : items) {
+      Tensor x = table.Forward({item, (item + 2) % 6});
+      if (fused) {
+        state = cell.Step(x, state);
+      } else {
+        const LstmGatesResult next = LstmGates(
+            Add(Add(MatMul(x, p[0]), MatMul(state.h, p[1])), p[2]), state.c);
+        state = {next.h, next.c};
+      }
+      Tensor scores = MatMul(state.h, Transpose(table.Forward({item, 0})));
+      Tensor step_loss = Sum(Tanh(scores));
+      loss = loss.defined() ? Add(loss, step_loss) : step_loss;
+    }
+    loss.Backward();
+    std::vector<std::vector<float>> grads = {table.table().grad()};
+    for (const Tensor& t : p) grads.push_back(t.grad());
+    return grads;
+  };
+  const std::vector<std::vector<float>> fused = run(true);
+  const std::vector<std::vector<float>> composed = run(false);
+  ASSERT_EQ(fused.size(), composed.size());
+  for (std::size_t i = 0; i < fused.size(); ++i) {
+    EXPECT_TRUE(SameBits(fused[i], composed[i])) << "gradient " << i;
+  }
+}
+
 TEST(ModuleTest, ZeroGradClears) {
   Rng rng(14);
   Linear layer(2, 2, &rng);

@@ -1,6 +1,7 @@
 // Autograd correctness: forward values and gradient checks against
-// numerical differentiation for every op, and the backward walk's
-// visited marks.
+// numerical differentiation for every op, the backward walk's visited
+// marks, and the fused Affine and TreeDecisionLogProb nodes bit for bit
+// against the composed chains they replace.
 #include "nn/tensor.h"
 
 #include <cmath>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "bit_identity.h"
+#include "nn/kernels.h"
 #include "util/random.h"
 
 namespace poisonrec::nn {
@@ -410,6 +412,196 @@ TEST(TensorGrad, ConcurrentWalksOverSharedConstants) {
   for (std::thread& t : threads) t.join();
   for (std::size_t t = 0; t < kThreads; ++t) {
     EXPECT_TRUE(SameBits(grads[t], expected)) << "thread " << t;
+  }
+}
+
+// -- Fused nodes against their composed chains ----------------------------
+
+// Restores the default kernel thread budget when a test ends.
+struct ThreadGuard {
+  ~ThreadGuard() { SetNumThreads(0); }
+};
+
+struct AffineRun {
+  std::vector<float> out, x1_grad, w1_grad, x2_grad, w2_grad, b_grad;
+};
+
+/// One affine map under the loss Sum(out * w), fused or composed, on
+/// fresh copies of the inputs; x2 is empty in the one-pair form.
+AffineRun RunAffine(bool fused, const Tensor& x10, const Tensor& w10,
+                    const Tensor& x20, bool x2_requires_grad,
+                    const Tensor& w20, const Tensor& b0, const Tensor& w) {
+  Tensor x1 = x10.DeepCopy(/*requires_grad=*/true);
+  Tensor w1 = w10.DeepCopy(/*requires_grad=*/true);
+  Tensor b = b0.DeepCopy(/*requires_grad=*/true);
+  Tensor x2;
+  Tensor w2;
+  Tensor out;
+  if (!x20.defined()) {
+    out = fused ? Affine(x1, w1, b) : Add(MatMul(x1, w1), b);
+  } else {
+    x2 = x20.DeepCopy(x2_requires_grad);
+    w2 = w20.DeepCopy(/*requires_grad=*/true);
+    out = fused ? Affine(x1, w1, x2, w2, b)
+                : Add(Add(MatMul(x1, w1), MatMul(x2, w2)), b);
+  }
+  Sum(Mul(out, w)).Backward();
+  AffineRun run{out.data(), x1.grad(), w1.grad(), {}, {}, b.grad()};
+  if (x2.defined()) {
+    run.x2_grad = x2.grad();
+    run.w2_grad = w2.grad();
+  }
+  return run;
+}
+
+TEST(AffineTest, BitIdenticalToComposedChain) {
+  ThreadGuard guard;
+  // 40x24x48 runs the threaded GEMMs, 40x16x48 the single-threaded path.
+  const std::size_t m = 40, k1 = 24, k2 = 16, n = 48;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SetNumThreads(threads);
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      Rng rng(seed);
+      const Tensor x1 = Tensor::Randn(m, k1, 1.0f, &rng);
+      const Tensor w1 = Tensor::Randn(k1, n, 0.5f, &rng);
+      const Tensor x2 = Tensor::Randn(m, k2, 1.0f, &rng);
+      const Tensor w2 = Tensor::Randn(k2, n, 0.5f, &rng);
+      const Tensor b = Tensor::Randn(1, n, 1.0f, &rng);
+      const Tensor w = Tensor::Randn(m, n, 1.0f, &rng);
+      // One pair (Linear, the GRU pre-activations); two pairs (the LSTM),
+      // once with x2 the zero initial state that does not require grad.
+      const struct {
+        const char* form;
+        Tensor x2;
+        bool x2_grad;
+      } cases[] = {{"one pair", Tensor(), false},
+                   {"two pairs", x2, true},
+                   {"two pairs, initial state", Tensor::Zeros(m, k2), false}};
+      for (const auto& c : cases) {
+        const AffineRun fused = RunAffine(true, x1, w1, c.x2, c.x2_grad, w2,
+                                          b, w);
+        const AffineRun composed = RunAffine(false, x1, w1, c.x2, c.x2_grad,
+                                             w2, b, w);
+        const std::string where = std::string(c.form) + ", seed " +
+                                  std::to_string(seed) + ", " +
+                                  std::to_string(threads) + " threads";
+        EXPECT_TRUE(SameBits(fused.out, composed.out)) << where;
+        EXPECT_TRUE(SameBits(fused.x1_grad, composed.x1_grad)) << where;
+        EXPECT_TRUE(SameBits(fused.w1_grad, composed.w1_grad)) << where;
+        EXPECT_TRUE(SameBits(fused.x2_grad, composed.x2_grad)) << where;
+        EXPECT_TRUE(SameBits(fused.w2_grad, composed.w2_grad)) << where;
+        EXPECT_TRUE(SameBits(fused.b_grad, composed.b_grad)) << where;
+        EXPECT_EQ(fused.x2_grad.empty(), !c.x2_grad) << where;
+      }
+    }
+  }
+}
+
+struct DecisionRun {
+  std::vector<float> lp, dht_grad, feats_grad;
+  std::vector<std::size_t> dht_rows, feats_rows;
+};
+
+/// One decision batch under the loss Sum(lp * w), fused or composed as
+/// Policy::RecomputeLogProbs used to record it. With `interior`, dht and
+/// feats are interior nodes (as in the policy), else row-sparse leaves.
+DecisionRun RunDecisions(bool fused, bool interior, const Tensor& dht0,
+                         const std::vector<std::size_t>& row_idx,
+                         const Tensor& feats0,
+                         const std::vector<std::size_t>& chosen,
+                         const std::vector<std::size_t>& other,
+                         const Tensor& w) {
+  Tensor dht_leaf = dht0.DeepCopy(/*requires_grad=*/true);
+  Tensor feats_leaf = feats0.DeepCopy(/*requires_grad=*/true);
+  const Tensor dht = interior ? Scale(dht_leaf, 1.0f) : dht_leaf;
+  const Tensor feats = interior ? Scale(feats_leaf, 1.0f) : feats_leaf;
+  Tensor lp;
+  if (fused) {
+    lp = TreeDecisionLogProb(dht, row_idx, feats, chosen, other);
+  } else {
+    const Tensor q = Rows(dht, row_idx);
+    const Tensor ch = Rows(feats, chosen);
+    const Tensor ot = Rows(feats, other);
+    lp = Scale(Softplus(Sub(RowDot(q, ot), RowDot(q, ch))), -1.0f);
+  }
+  Sum(Mul(lp, w)).Backward();
+  return {lp.data(), dht_leaf.grad(), feats_leaf.grad(),
+          dht_leaf.grad_rows(), feats_leaf.grad_rows()};
+}
+
+TEST(TreeDecisionLogProbTest, BitIdenticalToComposedChain) {
+  ThreadGuard guard;
+  const std::size_t count = 12, dim = 16, dht_rows = 5, feat_rows = 6;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SetNumThreads(threads);
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      Rng rng(seed);
+      const Tensor dht = Tensor::Randn(dht_rows, dim, 1.0f, &rng);
+      const Tensor feats = Tensor::Randn(feat_rows, dim, 1.0f, &rng);
+      const Tensor w = Tensor::Randn(count, 1, 1.0f, &rng);
+      std::vector<std::size_t> row_idx(count), chosen(count), other(count);
+      for (std::size_t k = 0; k < count; ++k) {
+        row_idx[k] = rng.Index(dht_rows);
+        chosen[k] = rng.Index(feat_rows);
+        other[k] = (chosen[k] + 1 + rng.Index(feat_rows - 1)) % feat_rows;
+      }
+      // dht row 1 is gathered twice, and feature row 2 is the chosen row
+      // of two decisions and the other row of two more, so its gradient
+      // sums depend on the scatter order.
+      row_idx[3] = row_idx[8] = 1;
+      chosen[0] = chosen[6] = 2;
+      other[4] = other[9] = 2;
+      chosen[4] = chosen[9] = 3;
+      other[0] = other[6] = 4;
+      for (const bool interior : {false, true}) {
+        const DecisionRun fused = RunDecisions(true, interior, dht, row_idx,
+                                               feats, chosen, other, w);
+        const DecisionRun composed = RunDecisions(false, interior, dht,
+                                                  row_idx, feats, chosen,
+                                                  other, w);
+        const std::string where = "seed " + std::to_string(seed) + ", " +
+                                  std::to_string(threads) + " threads" +
+                                  (interior ? ", interior" : ", leaves");
+        EXPECT_TRUE(SameBits(fused.lp, composed.lp)) << where;
+        EXPECT_TRUE(SameBits(fused.dht_grad, composed.dht_grad)) << where;
+        EXPECT_TRUE(SameBits(fused.feats_grad, composed.feats_grad))
+            << where;
+        EXPECT_EQ(fused.dht_rows, composed.dht_rows) << where;
+        EXPECT_EQ(fused.feats_rows, composed.feats_rows) << where;
+      }
+    }
+  }
+}
+
+TEST(TreeDecisionLogProbTest, GradientsMatchNumerical) {
+  const std::vector<std::size_t> row_idx = {0, 2, 2, 1};
+  const std::vector<std::size_t> chosen = {0, 3, 1, 2};
+  const std::vector<std::size_t> other = {1, 2, 0, 3};
+  const Tensor feats = RandomTensor(4, 3, 81, false);
+  CheckGradient(RandomTensor(3, 3, 82), [&](const Tensor& dht) {
+    return Sum(TreeDecisionLogProb(dht, row_idx, feats, chosen, other));
+  });
+  const Tensor dht = RandomTensor(3, 3, 83, false);
+  CheckGradient(RandomTensor(4, 3, 84), [&](const Tensor& f) {
+    return Sum(TreeDecisionLogProb(dht, row_idx, f, chosen, other));
+  });
+}
+
+TEST(FusedNodesTest, NoGradScopeRecordsNothing) {
+  const Tensor x = RandomTensor(3, 4, 91);
+  const Tensor w = RandomTensor(4, 2, 92);
+  const Tensor b = RandomTensor(1, 2, 93);
+  const Tensor recorded_affine = Affine(x, w, x, w, b);
+  const Tensor recorded_tree = TreeDecisionLogProb(x, {0, 2}, x, {1, 0},
+                                                   {2, 1});
+  NoGradScope no_grad;
+  for (const auto& [out, recorded] :
+       {std::pair{Affine(x, w, x, w, b), recorded_affine},
+        std::pair{TreeDecisionLogProb(x, {0, 2}, x, {1, 0}, {2, 1}),
+                  recorded_tree}}) {
+    EXPECT_FALSE(out.requires_grad());
+    EXPECT_TRUE(out.impl()->parents.empty());
+    EXPECT_TRUE(SameBits(out.data(), recorded.data()));
   }
 }
 

@@ -5,13 +5,15 @@
 #
 # Builds with ASan/UBSan (POISONREC_SANITIZE=address;undefined) and
 # compiler warnings as errors, runs ctest, then runs
-# bench_fault_resilience, bench_obs_overhead (gates telemetry cost at
+# bench_fault_resilience (which fails when a nonzero failure rate forced
+# no retry), bench_obs_overhead (gates telemetry cost at
 # <3%/step and the guardrails' at <5%/step), and
 # bench_defended_attack at a tiny scale so their machine-readable JSON
 # lands under results/, runs a defended-campaign smoke through the CLI
 # (adaptive defender + replacement pool end to end), checks that the CLI
-# rejects flags it does not read, positional arguments and out-of-range
-# rates, and that a guarded campaign resumed
+# rejects flags it does not read, positional arguments, out-of-range
+# rates, unparsable numbers and unknown rankers, and that a guarded
+# campaign resumed
 # with --resume stops at its --steps budget, and finishes with a
 # fully instrumented campaign whose telemetry artifacts (--metrics-out /
 # --trace-out / --events-out) are checked by tools/validate_telemetry.py.
@@ -76,8 +78,9 @@ trap 'rm -rf "${SMOKE_DIR}"' EXIT
 
 # Strict flags: a flag the subcommand does not read, a --pool-* flag
 # without --defense, a --guard-* flag without --guard, a positional
-# argument and a fault rate outside [0, 1] must each fail with exit 2,
-# naming the flag or argument, before any work.
+# argument, a fault rate outside [0, 1], a numeric value that does not
+# parse (named with its value) and an unknown ranker must each fail with
+# exit 2, naming the flag or argument, before any work.
 flag_reject() {  # flag_reject <flag-to-name> <campaign args...>
   local rc=0 err
   err="$("${BUILD_DIR}/tools/poisonrec" campaign --steps=1 "${@:2}" \
@@ -92,6 +95,9 @@ flag_reject --pool-reserve --pool-reserve=5
 flag_reject --guard-kl-max --guard-kl-max=3
 flag_reject -scale=0.02 -scale=0.02
 flag_reject --fault-failure --fault-failure=1.5
+flag_reject "--steps: 'abc'" --steps=abc
+flag_reject "--fault-failure: 'abc'" --fault-failure=abc
+flag_reject --ranker --ranker=Bogus
 
 # Guarded resume: a 2-step guarded campaign resumed with --steps=3 must
 # run one more step, not three.

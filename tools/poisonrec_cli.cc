@@ -20,9 +20,11 @@
 // Flags are strict: each subcommand reads the flags listed in KnownFlags
 // below (plus the global --num-threads), and a run exits 2, naming the
 // flag, on any other flag, on a --defense-* or --pool-* flag without
-// --defense, on a --guard-* flag without --guard, and on a fault or
-// defense value outside its profile's range; it exits 2 naming any
-// argument that is not a --flag (only trace-merge takes file names).
+// --defense, on a --guard-* flag without --guard, on a numeric value
+// that does not parse in full (a count takes digits only), on a
+// --ranker the registry does not know, and on a fault or defense value
+// outside its profile's range; it exits 2 naming any argument that is
+// not a --flag (only trace-merge takes file names).
 //
 // Common flags: --dataset=<Steam|MovieLens|Phone|Clothing> --scale=<f>
 //   --data=<csv>  --seed=<n>  --attackers=<N>  --length=<T>
@@ -155,6 +157,8 @@
 //                           guard, ban, rollback, checkpoint events)
 #include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -190,10 +194,32 @@
 #include "orch/spec.h"
 #include "orch/status.h"
 #include "rec/metrics.h"
+#include "rec/registry.h"
 #include "util/fsio.h"
 
 namespace poisonrec::cli {
 namespace {
+
+/// A count: decimal digits only (no sign or space) that fit a size_t.
+std::optional<std::size_t> ParseCount(const std::string& text) {
+  if (text.empty() || std::isdigit(static_cast<unsigned char>(text[0])) == 0) {
+    return std::nullopt;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+  if (errno == ERANGE || *end != '\0') return std::nullopt;
+  return static_cast<std::size_t>(value);
+}
+
+/// A real: a whole value strtod reads, in range.
+std::optional<double> ParseReal(const std::string& text) {
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || errno == ERANGE || *end != '\0') return std::nullopt;
+  return value;
+}
 
 class Flags {
  public:
@@ -217,16 +243,20 @@ class Flags {
     auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
+  // Numeric values were checked by RejectBadFlags before any work.
   double GetDouble(const std::string& key, double fallback) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    if (it == values_.end()) return fallback;
+    const std::optional<double> value = ParseReal(it->second);
+    POISONREC_CHECK(value.has_value()) << "--" << key << " is not a number";
+    return *value;
   }
   std::size_t GetSize(const std::string& key, std::size_t fallback) const {
     auto it = values_.find(key);
-    return it == values_.end()
-               ? fallback
-               : static_cast<std::size_t>(
-                     std::strtoull(it->second.c_str(), nullptr, 10));
+    if (it == values_.end()) return fallback;
+    const std::optional<std::size_t> value = ParseCount(it->second);
+    POISONREC_CHECK(value.has_value()) << "--" << key << " is not a count";
+    return *value;
   }
   const std::map<std::string, std::string>& values() const { return values_; }
   /// The arguments that are not --flags, in order.
@@ -274,12 +304,26 @@ std::optional<std::string> KnownFlags(const std::string& command,
   return std::nullopt;
 }
 
-/// Names the first argument `command` does not read — a positional one
-/// (only trace-merge takes any), a flag it does not know, or a campaign
-/// --defense-*, --pool-* or --guard-* flag whose switch is off — on
-/// stderr and returns 2; returns 0 when every argument is read.
-int RejectUnreadFlags(const std::string& command, const std::string& known,
-                      const Flags& flags) {
+/// The flags read as counts (GetSize) and as reals (GetDouble).
+constexpr const char* kCountFlags =
+    " seed dim attackers length targets eval-users steps samples epochs"
+    " num-threads retry-attempts checkpoint-every fault-seed"
+    " defense-interval defense-bans defense-seed pool-reserve pool-min-live"
+    " guard-rollbacks max-concurrent ";
+constexpr const char* kRealFlags =
+    " scale max-grad-norm fault-failure fault-throttle fault-drop fault-ban"
+    " fault-noise fault-stale fault-nan defense-threshold defense-ban-prob"
+    " guard-grad-max guard-entropy-floor guard-kl-max lease-ttl stale-after"
+    " status-every watch ";
+
+/// Names the first argument `command` cannot take — a positional one
+/// (only trace-merge takes any), a flag it does not know, a campaign
+/// --defense-*, --pool-* or --guard-* flag whose switch is off, a count
+/// or real that does not parse in full, or a --ranker the registry does
+/// not know — on stderr and returns 2; returns 0 when every argument is
+/// good. Runs before any work.
+int RejectBadFlags(const std::string& command, const std::string& known,
+                   const Flags& flags) {
   if (command != "trace-merge" && !flags.positionals().empty()) {
     std::fprintf(stderr, "poisonrec %s: unexpected argument '%s'\n",
                  command.c_str(), flags.positionals().front().c_str());
@@ -291,14 +335,23 @@ int RejectUnreadFlags(const std::string& command, const std::string& known,
     const auto prefixed = [&key](const char* prefix) {
       return key.rfind(prefix, 0) == 0;
     };
+    const auto listed = [&key](const std::string& list) {
+      return list.find(" " + key + " ") != std::string::npos;
+    };
     std::string error;
-    if ((" num-threads" + known + " ").find(" " + key + " ") ==
-        std::string::npos) {
+    if (!listed(" num-threads" + known + " ")) {
       error = "unknown flag --" + key;
     } else if (!defended && (prefixed("defense-") || prefixed("pool-"))) {
       error = "--" + key + " requires --defense";
     } else if (!guarded && prefixed("guard-")) {
       error = "--" + key + " requires --guard";
+    } else if (listed(kCountFlags) && !ParseCount(value).has_value()) {
+      error = "--" + key + ": '" + value + "' is not a count";
+    } else if (listed(kRealFlags) && !ParseReal(value).has_value()) {
+      error = "--" + key + ": '" + value + "' is not a number";
+    } else if (key == "ranker") {
+      const auto ranker = rec::MakeRecommender(value);
+      if (!ranker.ok()) error = "--ranker: " + ranker.status().message();
     }
     if (!error.empty()) {
       std::fprintf(stderr, "poisonrec %s: %s\n", command.c_str(),
@@ -932,7 +985,7 @@ int CmdFleet(const Flags& flags) {
   options.max_concurrent = flags.GetSize("max-concurrent", 2);
   // Processes with the same plan/journal/checkpoint paths claim
   // campaigns through leases (orch/lease.h) and merge their journals;
-  // Run rejects a TTL that is not finite and > 0 (`abc` reads as 0).
+  // Run rejects a TTL that is not finite and > 0.
   options.worker_id = flags.Get("worker-id", "");
   options.lease_ttl_seconds =
       flags.GetDouble("lease-ttl", options.lease_ttl_seconds);
@@ -1030,7 +1083,7 @@ int Main(int argc, char** argv) {
   Flags flags(argc, argv);
   const std::optional<std::string> known = KnownFlags(command, flags);
   if (!known.has_value()) return Usage();
-  if (const int rc = RejectUnreadFlags(command, *known, flags); rc != 0) {
+  if (const int rc = RejectBadFlags(command, *known, flags); rc != 0) {
     return rc;
   }
   // Kernel-level GEMM threading is a process-wide knob; the same flag
