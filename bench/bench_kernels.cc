@@ -1,9 +1,14 @@
-// GEMM kernel microbenchmark: the seed scalar triple loop (the MatMul
-// the repo shipped with) versus the cache-blocked kernels of
-// nn/kernels.h, single-threaded and threaded, over the matrix shapes
-// the system actually runs: the LSTM gate products and DNN head of the
-// policy (src/nn/module.cc), the batched PPO recompute, the AutoRec
-// encoder, plus the canonical 256x256x256 acceptance shape.
+// GEMM kernel microbenchmark: the seed scalar loops (the MatMul the
+// repo shipped with, and its transposed forms) versus the register-tiled
+// kernels of nn/kernels.h, single-threaded and threaded, over the
+// matrix shapes the system actually runs:
+//   - the policy's LSTM gate products and DNN head, the batched PPO
+//     recompute, the AutoRec encoder and the canonical 256x256x256
+//     acceptance shape (GemmNN, sized from the bench config);
+//   - the products campbench's workloads issue, in all three variants:
+//     NeuMF's 63-row training products and 100-row scoring product at
+//     |e|=16, the attacker's 1600-row (M·N = 8×200) LSTM and head
+//     products, and GRU4Rec's 1-row cell products.
 //
 // Timing protocol: min over POISONREC_REPEATS repetitions (default 5)
 // of the mean time across enough inner iterations to fill ~10ms, so
@@ -26,25 +31,65 @@
 namespace poisonrec::bench {
 namespace {
 
+enum class Variant { kNN, kTN, kNT };
+
 struct Shape {
   std::string label;
+  Variant variant;
   std::size_t m, k, n;
 };
 
 // The seed kernel: the naive i-k-j loop with the dense zero-skip branch
-// that MatMul used before the kernel layer existed. Baseline for the
-// speedup column.
-void SeedGemm(std::size_t m, std::size_t k, std::size_t n, const float* a,
-              const float* b, float* c) {
+// that MatMul used before the kernel layer existed, and the same loop
+// over a transposed operand for the two backward products. Baseline for
+// the speedup column.
+void SeedGemm(Variant variant, std::size_t m, std::size_t k, std::size_t n,
+              const float* a, const float* b, float* c) {
+  if (variant == Variant::kNT) {  // C[i][j] += dot(A row i, B row j)
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        float acc = 0.0f;
+        for (std::size_t kk = 0; kk < k; ++kk) {
+          acc += a[i * k + kk] * b[j * k + kk];
+        }
+        c[i * n + j] += acc;
+      }
+    }
+    return;
+  }
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t kk = 0; kk < k; ++kk) {
-      const float av = a[i * k + kk];
+      const float av = variant == Variant::kTN ? a[kk * m + i] : a[i * k + kk];
       if (av == 0.0f) continue;
       const float* brow = b + kk * n;
       float* crow = c + i * n;
       for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
   }
+}
+
+void Kernel(Variant variant, std::size_t m, std::size_t k, std::size_t n,
+            const float* a, const float* b, float* c) {
+  switch (variant) {
+    case Variant::kNN:
+      return nn::kernels::GemmNN(m, k, n, a, b, c);
+    case Variant::kTN:
+      return nn::kernels::GemmTN(m, k, n, a, b, c);
+    case Variant::kNT:
+      return nn::kernels::GemmNT(m, k, n, a, b, c);
+  }
+}
+
+const char* VariantName(Variant variant) {
+  switch (variant) {
+    case Variant::kNN:
+      return "NN";
+    case Variant::kTN:
+      return "TN";
+    case Variant::kNT:
+      return "NT";
+  }
+  return "?";
 }
 
 std::size_t EnvSize(const char* name, std::size_t fallback) {
@@ -89,56 +134,82 @@ int Main() {
       // LSTM cell gate products as the attacker issues them: the N
       // attacker rows of one episode (SampleEpisode) and the M·N-row
       // stack that TrainStep samples and recomputes.
-      {"lstm_batch", config.num_attackers, dim, 4 * dim},
-      {"lstm_batch_step",
+      {"lstm_batch", Variant::kNN, config.num_attackers, dim, 4 * dim},
+      {"lstm_batch_step", Variant::kNN,
        config.samples_per_step * config.num_attackers, dim, 4 * dim},
       // DNN head: hidden → item logits over the candidate set.
-      {"dnn_head", config.num_attackers, dim, 2 * config.candidate_originals},
+      {"dnn_head", Variant::kNN, config.num_attackers, dim,
+       2 * config.candidate_originals},
       // PPO recompute: all M·T decisions of a step in one product.
-      {"ppo_recompute", config.samples_per_step * config.trajectory_length,
-       dim, 4 * dim},
+      {"ppo_recompute", Variant::kNN,
+       config.samples_per_step * config.trajectory_length, dim, 4 * dim},
       // AutoRec-style encoder on a mid-size catalog.
-      {"autorec_encode", 500, dim, 500},
+      {"autorec_encode", Variant::kNN, 500, dim, 500},
       // Canonical acceptance shape.
-      {"gemm_256", 256, 256, 256},
+      {"gemm_256", Variant::kNN, 256, 256, 256},
+      // NeuMF retrain (neumf-seq): 63-row batches through the MLP tower
+      // (32 → 16 → 8) and the 24-wide fuse layer, and the 100-candidate
+      // scoring forward.
+      {"neumf_mlp1", Variant::kNN, 63, 32, 16},
+      {"neumf_mlp1_dx", Variant::kNT, 63, 16, 32},
+      {"neumf_mlp1_dw", Variant::kTN, 32, 63, 16},
+      {"neumf_mlp2", Variant::kNN, 63, 16, 8},
+      {"neumf_mlp2_dx", Variant::kNT, 63, 8, 16},
+      {"neumf_fuse_dx", Variant::kNT, 63, 1, 24},
+      {"neumf_fuse_dw", Variant::kTN, 24, 63, 1},
+      {"neumf_score", Variant::kNN, 100, 32, 16},
+      // Attacker update at N=200 (itempop-n200): the 1600-row LSTM
+      // pre-activation and its dX, and the head's dX.
+      {"attacker_lstm", Variant::kNN, 1600, 16, 64},
+      {"attacker_lstm_dx", Variant::kNT, 1600, 64, 16},
+      {"attacker_head_dx", Variant::kNT, 1600, 16, 16},
+      // GRU4Rec retrain (gru4rec-par): one session row through the cell.
+      {"gru4rec_cell", Variant::kNN, 1, 16, 48},
+      {"gru4rec_cell_dx", Variant::kNT, 1, 48, 16},
   };
 
-  PrintTableHeader({"shape", "mkn", "seed_ms", "kernel_ms",
-                    "kern_mt_ms", "speedup_1t", "speedup_mt"});
+  PrintTableHeader({"shape", "var", "mkn", "seed_us", "kernel_us",
+                    "kern_mt_us", "gflops_1t", "speedup_1t", "speedup_mt"});
   std::vector<std::vector<std::string>> rows;
-  rows.push_back({"shape", "m", "k", "n", "threads", "seed_ms", "kernel_ms",
-                  "kernel_mt_ms", "gflops_mt", "speedup_1t", "speedup_mt"});
+  rows.push_back({"shape", "variant", "m", "k", "n", "threads", "seed_ms",
+                  "kernel_ms", "kernel_mt_ms", "gflops_1t", "gflops_mt",
+                  "speedup_1t", "speedup_mt"});
 
   Rng rng(config.seed);
   for (const Shape& s : shapes) {
+    // A and B hold m·k and k·n floats in every variant; only the layout
+    // the kernel reads them in differs.
     std::vector<float> a(s.m * s.k);
     std::vector<float> b(s.k * s.n);
     std::vector<float> c(s.m * s.n, 0.0f);
     for (float& v : a) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
     for (float& v : b) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
 
-    const double seed_s = MinSeconds(
-        repeats, [&] { SeedGemm(s.m, s.k, s.n, a.data(), b.data(), c.data()); });
+    const auto run = [&](auto gemm) {
+      return MinSeconds(repeats, [&] {
+        gemm(s.variant, s.m, s.k, s.n, a.data(), b.data(), c.data());
+      });
+    };
+    const double seed_s = run(SeedGemm);
     nn::SetNumThreads(1);
-    const double one_s = MinSeconds(repeats, [&] {
-      nn::kernels::GemmNN(s.m, s.k, s.n, a.data(), b.data(), c.data());
-    });
+    const double one_s = run(Kernel);
     nn::SetNumThreads(threads);
-    const double mt_s = MinSeconds(repeats, [&] {
-      nn::kernels::GemmNN(s.m, s.k, s.n, a.data(), b.data(), c.data());
-    });
+    const double mt_s = run(Kernel);
     nn::SetNumThreads(0);
 
     const double flops = 2.0 * static_cast<double>(s.m * s.k * s.n);
     const std::string mkn = std::to_string(s.m) + "x" + std::to_string(s.k) +
                             "x" + std::to_string(s.n);
-    PrintTableRow({s.label, mkn, Fmt(seed_s * 1e3, "%.4f"),
-                   Fmt(one_s * 1e3, "%.4f"), Fmt(mt_s * 1e3, "%.4f"),
+    PrintTableRow({s.label, VariantName(s.variant), mkn,
+                   Fmt(seed_s * 1e6, "%.3f"), Fmt(one_s * 1e6, "%.3f"),
+                   Fmt(mt_s * 1e6, "%.3f"), Fmt(flops / one_s * 1e-9, "%.2f"),
                    Fmt(seed_s / one_s, "%.2f"), Fmt(seed_s / mt_s, "%.2f")});
-    rows.push_back({s.label, std::to_string(s.m), std::to_string(s.k),
-                    std::to_string(s.n), std::to_string(threads),
-                    Fmt(seed_s * 1e3, "%.5f"), Fmt(one_s * 1e3, "%.5f"),
-                    Fmt(mt_s * 1e3, "%.5f"), Fmt(flops / mt_s * 1e-9, "%.3f"),
+    rows.push_back({s.label, VariantName(s.variant), std::to_string(s.m),
+                    std::to_string(s.k), std::to_string(s.n),
+                    std::to_string(threads), Fmt(seed_s * 1e3, "%.5f"),
+                    Fmt(one_s * 1e3, "%.5f"), Fmt(mt_s * 1e3, "%.5f"),
+                    Fmt(flops / one_s * 1e-9, "%.3f"),
+                    Fmt(flops / mt_s * 1e-9, "%.3f"),
                     Fmt(seed_s / one_s, "%.3f"), Fmt(seed_s / mt_s, "%.3f")});
   }
 

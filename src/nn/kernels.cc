@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <thread>
 
 #include "obs/metrics.h"
@@ -16,8 +17,9 @@ namespace {
 std::atomic<std::size_t> g_num_threads{0};
 
 // Shared-dimension block: a kBlockK×n panel of B (256 floats wide at
-// n=64) stays resident in L1/L2 while every row of the current range
-// streams through it.
+// n=64) stays resident in L1/L2 while every row tile of the current
+// range streams through it. C is stored between blocks, which rounds
+// nothing: each element's chain simply resumes in the next block.
 constexpr std::size_t kBlockK = 64;
 
 // Below this many multiply-accumulates a GEMM runs single-threaded; the
@@ -25,116 +27,216 @@ constexpr std::size_t kBlockK = 64;
 // (e.g. the 1×d policy step).
 constexpr std::size_t kParallelMinWork = std::size_t{1} << 15;
 
-// Below this many multiply-accumulates a GEMM takes the lean unblocked
-// path: no row partitioner, no lambda indirection, no k-blocking. At
-// these sizes every operand fits in L1 anyway, and the fixed overhead
-// of the blocked dispatch is a measurable fraction of the whole call
-// (the 1×16×64 policy step runs in ~200ns). The k loop still visits kk
-// in ascending order for every output element — the same accumulation
-// order the blocked path produces — so the dispatch never changes a
-// bit. Threshold measured with bench_kernels on the small policy
-// shapes; anything under the threading cutoff gains nothing from
-// blocking (k ≤ 64 is a single block there regardless).
-constexpr std::size_t kSmallGemmWork = kParallelMinWork;
+// Four floats in one register: GCC's vector extension, which lowers to
+// SSE2 on x86-64 and to scalar code where the target has no 4-float
+// vectors. Every operation below is lane-wise (a scalar operand is
+// broadcast), so each lane computes exactly the scalar expression it
+// stands for and the kernels' results do not depend on the vector width.
+using F4 = float __attribute__((vector_size(16)));
 
-// axpy: crow += av * brow. Elementwise — each c[j] receives exactly one
-// add per call, with no cross-element reduction — so the compiler is
-// free to vectorize at any width without changing a single bit. The
-// __restrict qualifiers license that vectorization without runtime
-// alias checks (kernel outputs never alias their inputs).
-inline void AxpyRow(float av, const float* __restrict brow,
-                    float* __restrict crow, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+inline F4 Load(const float* p) {
+  F4 v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
 }
 
-// Four consecutive shared-dimension steps fused over one pass of crow:
-// each element receives the same four in-order adds the four single
-// AxpyRow calls would issue, but crow streams through registers once
-// instead of four times. The per-element operation sequence is
-// unchanged, so this is bit-identical to the unfused loop — it only
-// cuts the dominant cost of skinny GEMMs (k ~ 16–64), the repeated
-// load/store of the output row.
-inline void Axpy4Row(float a0, float a1, float a2, float a3,
-                     const float* __restrict b0, const float* __restrict b1,
-                     const float* __restrict b2, const float* __restrict b3,
-                     float* __restrict crow, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) {
-    float t = crow[j] + a0 * b0[j];
-    t = t + a1 * b1[j];
-    t = t + a2 * b2[j];
-    crow[j] = t + a3 * b3[j];
+inline void Store(float* p, F4 v) { std::memcpy(p, &v, sizeof(v)); }
+
+// The tiles below hold their accumulators in arrays indexed by constant
+// loops. `#pragma GCC unroll` fully unrolls those loops so the arrays
+// live in registers; GCC 12 at -O2 leaves them rolled otherwise, with
+// the accumulators on the stack.
+
+// ---- NN and TN: C[i][j] = C[i][j] + A(i,kk)·B[kk][j], kk ascending ----
+
+// A(i, kk): row-major m×k for NN; for TN, A is stored k×m and read
+// transposed.
+template <bool kTransA>
+inline float AAt(const float* a, std::size_t m, std::size_t k, std::size_t i,
+                 std::size_t kk) {
+  return kTransA ? a[kk * m + i] : a[i * k + kk];
+}
+
+// Rows [i, i+R) × columns [j, j+4V) over steps [k0, k1): R·V vector
+// accumulators, each lane one output's chain.
+template <bool kTransA, int R, int V>
+inline void TileNN(std::size_t i, std::size_t j, std::size_t k0,
+                   std::size_t k1, std::size_t m, std::size_t k,
+                   std::size_t n, const float* a, const float* b, float* c) {
+  F4 acc[R][V];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) acc[r][v] = Load(c + (i + r) * n + j + 4 * v);
+  }
+  for (std::size_t kk = k0; kk < k1; ++kk) {
+    const float* brow = b + kk * n + j;
+    F4 bv[V];
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) bv[v] = Load(brow + 4 * v);
+    // TN's R values of A are contiguous: one load, then per-lane reads.
+    F4 at = {};
+    if constexpr (kTransA && R == 4) at = Load(a + kk * m + i);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const float av =
+          kTransA && R == 4 ? at[r] : AAt<kTransA>(a, m, k, i + r, kk);
+#pragma GCC unroll 8
+      for (int v = 0; v < V; ++v) acc[r][v] = acc[r][v] + av * bv[v];
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) Store(c + (i + r) * n + j + 4 * v, acc[r][v]);
   }
 }
 
-// Runs steps [k0, k1) of the shared dimension for one output row, in
-// ascending order, four at a time where possible. `a_at(kk)` supplies
-// the A operand for step kk (contiguous for NN, strided for TN).
-template <typename AFn>
-inline void AxpyRange(std::size_t k0, std::size_t k1, const AFn& a_at,
-                      const float* b, std::size_t n, float* crow) {
-  std::size_t kk = k0;
-  for (; kk + 4 <= k1; kk += 4) {
-    Axpy4Row(a_at(kk), a_at(kk + 1), a_at(kk + 2), a_at(kk + 3),
-             b + kk * n, b + (kk + 1) * n, b + (kk + 2) * n,
-             b + (kk + 3) * n, crow, n);
+// One column j of rows [i, i+R): R scalar chains.
+template <bool kTransA, int R>
+inline void ColumnNN(std::size_t i, std::size_t j, std::size_t k0,
+                     std::size_t k1, std::size_t m, std::size_t k,
+                     std::size_t n, const float* a, const float* b, float* c) {
+  float acc[R];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) acc[r] = c[(i + r) * n + j];
+  for (std::size_t kk = k0; kk < k1; ++kk) {
+    const float bv = b[kk * n + j];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      acc[r] = acc[r] + AAt<kTransA>(a, m, k, i + r, kk) * bv;
+    }
   }
-  for (; kk < k1; ++kk) AxpyRow(a_at(kk), b + kk * n, crow, n);
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) c[(i + r) * n + j] = acc[r];
 }
 
-// The *Rows workers compute rows [i0, i1) of C. Each kernel's
-// accumulation order for a given output element is a pure function of
-// that element's indices (never of the row range), which is what makes
-// row-partitioned execution bit-identical to single-threaded.
+// Columns [j, n) of rows [i, i+R): tiles of V vectors, then one of each
+// narrower width, then single columns.
+template <bool kTransA, int R, int V>
+inline void ColumnTilesNN(std::size_t i, std::size_t j, std::size_t k0,
+                          std::size_t k1, std::size_t m, std::size_t k,
+                          std::size_t n, const float* a, const float* b,
+                          float* c) {
+  for (; j + 4 * V <= n; j += 4 * V) {
+    TileNN<kTransA, R, V>(i, j, k0, k1, m, k, n, a, b, c);
+  }
+  if constexpr (V > 1) {
+    ColumnTilesNN<kTransA, R, V / 2>(i, j, k0, k1, m, k, n, a, b, c);
+  } else {
+    for (; j < n; ++j) ColumnNN<kTransA, R>(i, j, k0, k1, m, k, n, a, b, c);
+  }
+}
 
-void GemmNNRows(std::size_t i0, std::size_t i1, std::size_t k, std::size_t n,
-                const float* a, const float* b, float* c) {
+// Rows [i0, i1) of C: 4×8 tiles, and 1×16 tiles for the last m mod 4
+// rows (a single row needs the wider tile for enough independent
+// chains).
+template <bool kTransA>
+void GemmRows(std::size_t i0, std::size_t i1, std::size_t m, std::size_t k,
+              std::size_t n, const float* a, const float* b, float* c) {
   for (std::size_t k0 = 0; k0 < k; k0 += kBlockK) {
     const std::size_t k1 = std::min(k, k0 + kBlockK);
-    for (std::size_t i = i0; i < i1; ++i) {
-      const float* arow = a + i * k;
-      float* crow = c + i * n;
-      AxpyRange(k0, k1, [arow](std::size_t kk) { return arow[kk]; }, b, n,
-                crow);
+    std::size_t i = i0;
+    for (; i + 4 <= i1; i += 4) {
+      ColumnTilesNN<kTransA, 4, 2>(i, 0, k0, k1, m, k, n, a, b, c);
+    }
+    for (; i < i1; ++i) {
+      ColumnTilesNN<kTransA, 1, 4>(i, 0, k0, k1, m, k, n, a, b, c);
     }
   }
 }
 
-void GemmTNRows(std::size_t i0, std::size_t i1, std::size_t m, std::size_t k,
-                std::size_t n, const float* a, const float* b, float* c) {
-  // A stored (k×m): column i of A is the strided sequence a[p*m + i].
-  for (std::size_t p0 = 0; p0 < k; p0 += kBlockK) {
-    const std::size_t p1 = std::min(k, p0 + kBlockK);
-    for (std::size_t i = i0; i < i1; ++i) {
-      float* crow = c + i * n;
-      AxpyRange(p0, p1, [a, m, i](std::size_t p) { return a[p * m + i]; }, b,
-                n, crow);
+// ---- NT: C[i][j] += dot(A row i, B row j) in four lanes plus a tail ----
+
+// The order contract for one output in scalar form, for the columns no
+// tile covers: lane l sums kk ≡ l (mod 4) below k4, the tail sums
+// kk ≥ k4, each from +0.
+inline void DotNT(const float* arow, const float* brow, std::size_t k,
+                  std::size_t k4, float* cij) {
+  float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
+  for (std::size_t kk = 0; kk < k4; kk += 4) {
+    s0 = s0 + arow[kk] * brow[kk];
+    s1 = s1 + arow[kk + 1] * brow[kk + 1];
+    s2 = s2 + arow[kk + 2] * brow[kk + 2];
+    s3 = s3 + arow[kk + 3] * brow[kk + 3];
+  }
+  float tail = 0.0f;
+  for (std::size_t kk = k4; kk < k; ++kk) tail = tail + arow[kk] * brow[kk];
+  *cij = *cij + (((s0 + s1) + (s2 + s3)) + tail);
+}
+
+// Rows [i, i+R) × columns [j, j+Q), Q a multiple of 4: one vector
+// accumulator per output, lane l holding that output's s_l. A 4×4
+// transpose per four columns turns lanes into outputs, and the combine
+// runs four outputs per vector op.
+template <int R, int Q>
+inline void TileNT(std::size_t i, std::size_t j, std::size_t k,
+                   std::size_t k4, std::size_t n, const float* a,
+                   const float* b, float* c) {
+  F4 acc[R][Q] = {};  // +0 in every lane
+  for (std::size_t kk = 0; kk < k4; kk += 4) {
+    F4 av[R];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) av[r] = Load(a + (i + r) * k + kk);
+#pragma GCC unroll 8
+    for (int q = 0; q < Q; ++q) {
+      const F4 bv = Load(b + (j + q) * k + kk);
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) acc[r][q] = acc[r][q] + av[r] * bv;
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    const float* arow = a + (i + r) * k;
+#pragma GCC unroll 2
+    for (int g = 0; g < Q; g += 4) {
+      const F4* x = acc[r] + g;
+      const F4 s0 = {x[0][0], x[1][0], x[2][0], x[3][0]};
+      const F4 s1 = {x[0][1], x[1][1], x[2][1], x[3][1]};
+      const F4 s2 = {x[0][2], x[1][2], x[2][2], x[3][2]};
+      const F4 s3 = {x[0][3], x[1][3], x[2][3], x[3][3]};
+      F4 tail = {};
+      for (std::size_t kk = k4; kk < k; ++kk) {
+        const float* bk = b + (j + g) * k + kk;
+        const F4 bv = {bk[0], bk[k], bk[2 * k], bk[3 * k]};
+        tail = tail + arow[kk] * bv;
+      }
+      float* cij = c + (i + r) * n + j + g;
+      Store(cij, Load(cij) + (((s0 + s1) + (s2 + s3)) + tail));
     }
   }
 }
 
+// Columns [j, n) of rows [i, i+R): tiles of Q columns, one of 4 if Q is
+// wider, then the scalar dot per remaining output.
+template <int R, int Q>
+inline void ColumnTilesNT(std::size_t i, std::size_t k, std::size_t k4,
+                          std::size_t n, const float* a, const float* b,
+                          float* c) {
+  std::size_t j = 0;
+  for (; j + Q <= n; j += Q) TileNT<R, Q>(i, j, k, k4, n, a, b, c);
+  if constexpr (Q > 4) {
+    if (j + 4 <= n) {
+      TileNT<R, 4>(i, j, k, k4, n, a, b, c);
+      j += 4;
+    }
+  }
+  for (; j < n; ++j) {
+#pragma GCC unroll 2
+    for (int r = 0; r < R; ++r) {
+      DotNT(a + (i + r) * k, b + j * k, k, k4, c + (i + r) * n + j);
+    }
+  }
+}
+
+// Rows [i0, i1) of C: 2×4 tiles (8 independent chains), and 1×8 tiles
+// for an odd last row.
 void GemmNTRows(std::size_t i0, std::size_t i1, std::size_t k, std::size_t n,
                 const float* a, const float* b, float* c) {
-  // B stored (n×k): C[i][j] is a contiguous dot of A row i with B row j.
-  // Four partial sums for instruction-level parallelism; the combine
-  // order is fixed, so results are identical for every row partition.
-  for (std::size_t i = i0; i < i1; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float* brow = b + j * k;
-      float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-      std::size_t kk = 0;
-      for (; kk + 4 <= k; kk += 4) {
-        s0 += arow[kk] * brow[kk];
-        s1 += arow[kk + 1] * brow[kk + 1];
-        s2 += arow[kk + 2] * brow[kk + 2];
-        s3 += arow[kk + 3] * brow[kk + 3];
-      }
-      float tail = 0.0f;
-      for (; kk < k; ++kk) tail += arow[kk] * brow[kk];
-      crow[j] += ((s0 + s1) + (s2 + s3)) + tail;
-    }
-  }
+  const std::size_t k4 = k - k % 4;
+  std::size_t i = i0;
+  for (; i + 2 <= i1; i += 2) ColumnTilesNT<2, 4>(i, k, k4, n, a, b, c);
+  if (i < i1) ColumnTilesNT<1, 8>(i, k, k4, n, a, b, c);
 }
 
 // Row-partitions [0, m) across the kernel thread budget and runs
@@ -198,19 +300,8 @@ void GemmNN(std::size_t m, std::size_t k, std::size_t n, const float* a,
       obs::MetricsRegistry::Global().GetCounter(
           "poisonrec_gemm_nn_calls_total");
   CountGemm(calls, m, k, n);
-  if (m * k * n < kSmallGemmWork) {
-    // Lean path: straight i-kk loops, same per-element accumulation
-    // order as the blocked kernel (kk ascending), zero dispatch cost.
-    for (std::size_t i = 0; i < m; ++i) {
-      const float* arow = a + i * k;
-      float* crow = c + i * n;
-      AxpyRange(0, k, [arow](std::size_t kk) { return arow[kk]; }, b, n,
-                crow);
-    }
-    return;
-  }
   ForEachRowBlock(m, m * k * n, [&](std::size_t i0, std::size_t i1) {
-    GemmNNRows(i0, i1, k, n, a, b, c);
+    GemmRows<false>(i0, i1, m, k, n, a, b, c);
   });
 }
 
@@ -220,16 +311,8 @@ void GemmTN(std::size_t m, std::size_t k, std::size_t n, const float* a,
       obs::MetricsRegistry::Global().GetCounter(
           "poisonrec_gemm_tn_calls_total");
   CountGemm(calls, m, k, n);
-  if (m * k * n < kSmallGemmWork) {
-    for (std::size_t i = 0; i < m; ++i) {
-      float* crow = c + i * n;
-      AxpyRange(0, k, [a, m, i](std::size_t p) { return a[p * m + i]; }, b, n,
-                crow);
-    }
-    return;
-  }
   ForEachRowBlock(m, m * k * n, [&](std::size_t i0, std::size_t i1) {
-    GemmTNRows(i0, i1, m, k, n, a, b, c);
+    GemmRows<true>(i0, i1, m, k, n, a, b, c);
   });
 }
 
@@ -239,10 +322,6 @@ void GemmNT(std::size_t m, std::size_t k, std::size_t n, const float* a,
       obs::MetricsRegistry::Global().GetCounter(
           "poisonrec_gemm_nt_calls_total");
   CountGemm(calls, m, k, n);
-  if (m * k * n < kSmallGemmWork) {
-    GemmNTRows(0, m, k, n, a, b, c);  // already unblocked per-row dots
-    return;
-  }
   ForEachRowBlock(m, m * k * n, [&](std::size_t i0, std::size_t i1) {
     GemmNTRows(i0, i1, k, n, a, b, c);
   });

@@ -11,9 +11,26 @@
 // All kernels ACCUMULATE into C (C += ...), matching what the backward
 // pass needs; zero-fill C first for a plain product.
 //
+// Order contract. Every operation is a float operation rounded to
+// float (the build forbids FMA contraction, -ffp-contract=off), and each
+// output element's sequence of operations depends only on (m, k, n) and
+// the element's indices:
+//
+//   NN, TN  c = c + a·b for kk = 0, 1, …, k−1, where a·b is
+//           A(i,kk)·B(kk,j).
+//   NT      with k4 = k − k mod 4, lane l ∈ {0,1,2,3} starts at +0 and
+//           sums s_l = s_l + A[i][kk]·B[j][kk] over kk < k4, kk ≡ l
+//           (mod 4), in ascending kk; a tail starts at +0 and sums the
+//           same products over kk ≥ k4 in ascending kk; then
+//           c = c + (((s0 + s1) + (s2 + s3)) + tail).
+//
+// How the kernels tile rows and columns, and the SIMD width they run
+// at, never changes a bit: tests/kernels_test.cc checks the kernels
+// against a scalar statement of this contract with bitwise equality.
+//
 // Determinism contract: kernels are row-partitioned across the
 // persistent pool in util/parallel. Each output row is owned by exactly
-// one thread and the per-row accumulation order is independent of the
+// one thread, and by the order contract its values do not depend on the
 // partitioning, so results are bit-identical for every thread count.
 #ifndef POISONREC_NN_KERNELS_H_
 #define POISONREC_NN_KERNELS_H_

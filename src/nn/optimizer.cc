@@ -26,6 +26,27 @@ void Adam::ZeroGrad() {
   for (Tensor& p : params_) p.ZeroGrad();
 }
 
+namespace {
+
+// One Adam update of elements [0, n). The pointers never alias, which
+// __restrict tells GCC; with -fno-math-errno on this file (see
+// CMakeLists.txt) sqrtf needs no errno branch, so the loop vectorizes.
+// SIMD square root and division are correctly rounded like their scalar
+// forms, so every element gets the same bits at any vector width.
+void AdamRange(float* __restrict data, const float* __restrict grad,
+               float* __restrict m, float* __restrict v, std::size_t n,
+               float lr, float beta1, float beta2, float eps,
+               float weight_decay, float bc1, float bc2) {
+  for (std::size_t j = 0; j < n; ++j) {
+    const float g = grad[j] + weight_decay * data[j];
+    m[j] = beta1 * m[j] + (1.0f - beta1) * g;
+    v[j] = beta2 * v[j] + (1.0f - beta2) * g * g;
+    data[j] -= lr * (m[j] / bc1) / (std::sqrt(v[j] / bc2) + eps);
+  }
+}
+
+}  // namespace
+
 void Adam::Step() {
   ++step_count_;
   const float bc1 =
@@ -40,14 +61,9 @@ void Adam::Step() {
     float* m = m_[i].data();
     float* v = v_[i].data();
     const auto update = [&](std::size_t begin, std::size_t end) {
-      for (std::size_t j = begin; j < end; ++j) {
-        const float g = grad[j] + weight_decay_ * data[j];
-        m[j] = beta1_ * m[j] + (1.0f - beta1_) * g;
-        v[j] = beta2_ * v[j] + (1.0f - beta2_) * g * g;
-        const float mhat = m[j] / bc1;
-        const float vhat = v[j] / bc2;
-        data[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-      }
+      AdamRange(data + begin, grad + begin, m + begin, v + begin,
+                end - begin, lr_, beta1_, beta2_, eps_, weight_decay_, bc1,
+                bc2);
     };
     if (p.row_sparse_grad()) {
       const std::size_t cols = p.cols();

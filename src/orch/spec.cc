@@ -6,6 +6,7 @@
 #include <string_view>
 #include <utility>
 
+#include "data/synthetic.h"
 #include "defense/detector.h"
 #include "rec/registry.h"
 
@@ -406,6 +407,10 @@ Status ValidatePlan(const FleetPlan& plan) {
   }
   if (plan.scale <= 0.0) {
     return Status::InvalidArgument("plan scale must be > 0");
+  }
+  if (const auto preset = data::ParseDatasetPreset(plan.dataset);
+      !preset.ok()) {
+    return KeyError("plan", "dataset", preset.status().message());
   }
   std::set<std::string> ids;
   for (const CampaignSpec& spec : plan.campaigns) {

@@ -119,7 +119,7 @@ StatusOr<env::FaultProfile> FaultPresetProfile(const std::string& name);
 
 /// Parses + validates a plan document (see the schema above): defaults
 /// are applied, the sweep block is expanded into campaigns, ids are
-/// checked unique, unknown keys are rejected.
+/// checked unique, unknown keys and dataset presets are rejected.
 StatusOr<FleetPlan> ParseFleetPlan(const JsonValue& root);
 StatusOr<FleetPlan> ParseFleetPlanText(std::string_view json_text);
 StatusOr<FleetPlan> LoadFleetPlan(const std::string& path);

@@ -1,12 +1,15 @@
 // Tests for the dense GEMM kernel layer (nn/kernels.h) and the
 // GradMode/NoGradScope inference switch: kernel-vs-reference
-// equivalence over randomized shapes, bit-identical threaded vs
-// single-threaded execution, and tape-free no-grad outputs.
+// equivalence over randomized shapes, the kernels' order contract bit
+// for bit, bit-identical threaded vs single-threaded execution, and
+// tape-free no-grad outputs.
 #include "nn/kernels.h"
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
+#include "bit_identity.h"
 #include "gtest/gtest.h"
 #include "nn/tensor.h"
 #include "util/random.h"
@@ -131,6 +134,137 @@ TEST(KernelsTest, GemmNTMatchesReferenceOverRandomShapes) {
     GemmNT(m, k, n, a.data(), b.data(), got.data());
     RefGemmNT(m, k, n, a, b, &want);
     ExpectNear(got, want, 1e-4f);
+  }
+}
+
+// The order contract of nn/kernels.h, one output element at a time, in
+// plain scalar float arithmetic.
+enum class Variant { kNN, kTN, kNT };
+
+const char* VariantName(Variant variant) {
+  switch (variant) {
+    case Variant::kNN:
+      return "NN";
+    case Variant::kTN:
+      return "TN";
+    case Variant::kNT:
+      return "NT";
+  }
+  return "?";
+}
+
+void SpecGemm(Variant variant, std::size_t m, std::size_t k, std::size_t n,
+              const std::vector<float>& a, const std::vector<float>& b,
+              std::vector<float>* c) {
+  // A(i, kk) and B(kk, j) in each variant's storage.
+  const auto a_at = [&](std::size_t i, std::size_t kk) {
+    return variant == Variant::kTN ? a[kk * m + i] : a[i * k + kk];
+  };
+  const auto b_at = [&](std::size_t kk, std::size_t j) {
+    return variant == Variant::kNT ? b[j * k + kk] : b[kk * n + j];
+  };
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      float& cij = (*c)[i * n + j];
+      if (variant != Variant::kNT) {
+        for (std::size_t kk = 0; kk < k; ++kk) {
+          cij = cij + a_at(i, kk) * b_at(kk, j);
+        }
+        continue;
+      }
+      const std::size_t k4 = k - k % 4;
+      float s[4] = {0.0f, 0.0f, 0.0f, 0.0f};
+      for (std::size_t kk = 0; kk < k4; ++kk) {
+        s[kk % 4] = s[kk % 4] + a_at(i, kk) * b_at(kk, j);
+      }
+      float tail = 0.0f;
+      for (std::size_t kk = k4; kk < k; ++kk) {
+        tail = tail + a_at(i, kk) * b_at(kk, j);
+      }
+      cij = cij + (((s[0] + s[1]) + (s[2] + s[3])) + tail);
+    }
+  }
+}
+
+// Operands that make a moved operation visible: exponents spread over
+// 2^±8 so that reordered sums round differently, and exact zeros of
+// both signs (the lanes and the tail start at +0, which turns a -0
+// product into +0).
+std::vector<float> SpreadOperands(std::size_t size, Rng* rng) {
+  std::vector<float> values(size);
+  for (float& v : values) {
+    const std::size_t kind = rng->Index(16);
+    if (kind == 0) {
+      v = 0.0f;
+    } else if (kind == 1) {
+      v = -0.0f;
+    } else {
+      const float mantissa = static_cast<float>(rng->Uniform(-1.0, 1.0));
+      v = std::ldexp(mantissa, static_cast<int>(rng->Index(17)) - 8);
+    }
+  }
+  return values;
+}
+
+void RunKernel(Variant variant, std::size_t m, std::size_t k, std::size_t n,
+               const std::vector<float>& a, const std::vector<float>& b,
+               std::vector<float>* c) {
+  switch (variant) {
+    case Variant::kNN:
+      GemmNN(m, k, n, a.data(), b.data(), c->data());
+      return;
+    case Variant::kTN:
+      GemmTN(m, k, n, a.data(), b.data(), c->data());
+      return;
+    case Variant::kNT:
+      GemmNT(m, k, n, a.data(), b.data(), c->data());
+      return;
+  }
+}
+
+// One (variant, shape) case: the kernel, run into a copy of a C that
+// already holds values (and signed zeros), must match the spec bit for
+// bit.
+::testing::AssertionResult MatchesSpec(Variant variant, std::size_t m,
+                                       std::size_t k, std::size_t n,
+                                       Rng* rng) {
+  const std::vector<float> a = SpreadOperands(m * k, rng);
+  const std::vector<float> b = SpreadOperands(k * n, rng);
+  std::vector<float> want = SpreadOperands(m * n, rng);
+  std::vector<float> got = want;
+  SpecGemm(variant, m, k, n, a, b, &want);
+  RunKernel(variant, m, k, n, a, b, &got);
+  ::testing::AssertionResult same = SameBits(got, want);
+  if (!same) {
+    same << " (Gemm" << VariantName(variant) << " " << m << "x" << k << "x"
+         << n << ")";
+  }
+  return same;
+}
+
+// Every tile, every remainder and the threaded row split run: all small
+// shapes exhaustively, then random ones up to ~130 on a side (above the
+// threading threshold), at one and four threads.
+TEST(KernelsTest, EveryVariantFollowsTheOrderContractBitForBit) {
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    ThreadBudgetOverride budget(threads);
+    Rng rng(77 + threads);
+    for (const Variant variant : {Variant::kNN, Variant::kTN, Variant::kNT}) {
+      for (std::size_t m = 1; m <= 9; ++m) {
+        for (std::size_t k = 1; k <= 13; ++k) {
+          for (std::size_t n = 1; n <= 13; ++n) {
+            ASSERT_TRUE(MatchesSpec(variant, m, k, n, &rng));
+          }
+        }
+      }
+      for (int trial = 0; trial < 40; ++trial) {
+        const std::size_t m = rng.Index(130) + 1;
+        const std::size_t k = rng.Index(150) + 1;
+        const std::size_t n = rng.Index(90) + 1;
+        ASSERT_TRUE(MatchesSpec(variant, m, k, n, &rng));
+      }
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bit_identity.h"
 #include "nn/module.h"
 #include "nn/tensor.h"
 #include "util/random.h"
@@ -122,6 +123,60 @@ TEST(AdamTest, TableAlsoReadDenselyKeepsDenseUpdate) {
   for (std::size_t j = 0; j < before.size(); ++j) {
     EXPECT_EQ(table.data()[j], FirstAdamStep(before[j], grad[j]))
         << "element " << j;
+  }
+}
+
+// Adam's scalar loop over elements [begin, end), written out as
+// optimizer.h's update states it: the vectorized step must match it bit
+// for bit.
+void ReferenceAdamRange(std::vector<float>* data, const std::vector<float>& grad,
+                        std::vector<float>* m, std::vector<float>* v,
+                        std::size_t begin, std::size_t end, std::size_t step) {
+  const float bc1 = 1.0f - std::pow(kBeta1, static_cast<float>(step));
+  const float bc2 = 1.0f - std::pow(kBeta2, static_cast<float>(step));
+  for (std::size_t j = begin; j < end; ++j) {
+    const float g = grad[j] + kDecay * (*data)[j];
+    (*m)[j] = kBeta1 * (*m)[j] + (1.0f - kBeta1) * g;
+    (*v)[j] = kBeta2 * (*v)[j] + (1.0f - kBeta2) * g * g;
+    (*data)[j] -= kLr * ((*m)[j] / bc1) / (std::sqrt((*v)[j] / bc2) + kEps);
+  }
+}
+
+// Several steps with weight decay on a dense parameter whose size is
+// not a multiple of the vector width, and on a row-sparse table whose
+// gathered rows change every step.
+TEST(AdamTest, StepMatchesTheScalarLoopBitForBit) {
+  Rng rng(13);
+  Tensor dense = Tensor::Rand(3, 7, -1.0f, 1.0f, &rng, /*requires_grad=*/true);
+  Embedding emb(9, 5, &rng);
+  Tensor table = emb.table();
+  Adam opt({dense, table}, kLr, kBeta1, kBeta2, kEps, kDecay);
+  std::vector<float> dense_want = dense.data();
+  std::vector<float> table_want = table.data();
+  std::vector<float> dense_m(dense.size(), 0.0f), dense_v(dense.size(), 0.0f);
+  std::vector<float> table_m(table.size(), 0.0f), table_v(table.size(), 0.0f);
+  const std::vector<std::vector<std::size_t>> gathers = {
+      {1, 4, 1}, {0, 8}, {4, 2, 7, 2}, {1}, {3, 4, 5, 6}};
+  for (std::size_t step = 1; step <= gathers.size(); ++step) {
+    SCOPED_TRACE(step);
+    opt.ZeroGrad();
+    Tensor loss = Add(Sum(Square(MatMul(dense, Tensor::Ones(7, 2)))),
+                      Sum(Square(emb.Forward(gathers[step - 1]))));
+    loss.Backward();
+    ASSERT_TRUE(table.row_sparse_grad());
+    ReferenceAdamRange(&dense_want, dense.grad(), &dense_m, &dense_v, 0,
+                       dense.size(), step);
+    for (std::size_t r : table.grad_rows()) {
+      ReferenceAdamRange(&table_want, table.grad(), &table_m, &table_v,
+                         r * 5, (r + 1) * 5, step);
+    }
+    opt.Step();
+    EXPECT_TRUE(SameBits(dense.data(), dense_want));
+    EXPECT_TRUE(SameBits(opt.first_moments()[0], dense_m));
+    EXPECT_TRUE(SameBits(opt.second_moments()[0], dense_v));
+    EXPECT_TRUE(SameBits(table.data(), table_want));
+    EXPECT_TRUE(SameBits(opt.first_moments()[1], table_m));
+    EXPECT_TRUE(SameBits(opt.second_moments()[1], table_v));
   }
 }
 

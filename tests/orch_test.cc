@@ -214,6 +214,19 @@ TEST(SpecTest, RejectsOutOfRangePlatformValuesAndUnknownNames) {
   }
 }
 
+// An unknown dataset preset fails the plan naming the key, before any
+// worker generates the log.
+TEST(SpecTest, RejectsUnknownDataset) {
+  const StatusOr<FleetPlan> plan = ParseFleetPlanText(
+      R"({"dataset":"Bogus","campaigns":[{"id":"c0"}]})");
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(plan.status().message().find("\"dataset\""), std::string::npos)
+      << plan.status();
+  EXPECT_NE(plan.status().message().find("Bogus"), std::string::npos)
+      << plan.status();
+}
+
 TEST(SpecTest, AttackerConfigIsGuardedAndSingleThreaded) {
   CampaignSpec spec = FastSpec("cfg");
   spec.retry_attempts = 6;

@@ -12,8 +12,8 @@
 # lands under results/, runs a defended-campaign smoke through the CLI
 # (adaptive defender + replacement pool end to end), checks that the CLI
 # rejects flags it does not read, positional arguments, out-of-range
-# rates, unparsable numbers and unknown rankers, and that a guarded
-# campaign resumed
+# rates, unparsable numbers and unknown rankers, attack methods and
+# dataset presets, and that a guarded campaign resumed
 # with --resume stops at its --steps budget, and finishes with a
 # fully instrumented campaign whose telemetry artifacts (--metrics-out /
 # --trace-out / --events-out) are checked by tools/validate_telemetry.py.
@@ -32,6 +32,9 @@
 # exit codes `poisonrec fsck` promises, and a separate TSan build (also
 # warnings as errors) runs the scheduler/journal/lease/chaos, engine and
 # parallel-reward tests race-free, along with the autograd walk's tests.
+# A last build for the host's own ISA (-march=native, FMA included) runs
+# the kernel, optimizer and golden-fixture tests, which must hold bit for
+# bit there too.
 # Override the scale knobs via the usual POISONREC_* env vars.
 set -euo pipefail
 
@@ -79,25 +82,31 @@ trap 'rm -rf "${SMOKE_DIR}"' EXIT
 # Strict flags: a flag the subcommand does not read, a --pool-* flag
 # without --defense, a --guard-* flag without --guard, a positional
 # argument, a fault rate outside [0, 1], a numeric value that does not
-# parse (named with its value) and an unknown ranker must each fail with
-# exit 2, naming the flag or argument, before any work.
-flag_reject() {  # flag_reject <flag-to-name> <campaign args...>
+# parse (named with its value), an unknown ranker, attack method or
+# dataset preset must each fail with exit 2, naming the flag or
+# argument, before any work.
+flag_reject() {  # flag_reject <flag-to-name> <subcommand> <args...>
   local rc=0 err
-  err="$("${BUILD_DIR}/tools/poisonrec" campaign --steps=1 "${@:2}" \
-         2>&1 >/dev/null)" || rc=$?
+  err="$("${BUILD_DIR}/tools/poisonrec" "${@:2}" 2>&1 >/dev/null)" || rc=$?
   if [ "${rc}" -ne 2 ] || ! grep -q -- "$1" <<< "${err}"; then
     echo "flag smoke: expected exit 2 naming $1, got ${rc}: ${err}" >&2
     exit 1
   fi
 }
-flag_reject --stepz --stepz=99
-flag_reject --pool-reserve --pool-reserve=5
-flag_reject --guard-kl-max --guard-kl-max=3
-flag_reject -scale=0.02 -scale=0.02
-flag_reject --fault-failure --fault-failure=1.5
-flag_reject "--steps: 'abc'" --steps=abc
-flag_reject "--fault-failure: 'abc'" --fault-failure=abc
-flag_reject --ranker --ranker=Bogus
+flag_reject --stepz campaign --steps=1 --stepz=99
+flag_reject --pool-reserve campaign --steps=1 --pool-reserve=5
+flag_reject --guard-kl-max campaign --steps=1 --guard-kl-max=3
+flag_reject -scale=0.02 campaign --steps=1 -scale=0.02
+flag_reject --fault-failure campaign --steps=1 --fault-failure=1.5
+flag_reject "--steps: 'abc'" campaign --steps=abc
+flag_reject "--fault-failure: 'abc'" campaign --steps=1 --fault-failure=abc
+flag_reject --ranker campaign --steps=1 --ranker=Bogus
+flag_reject "--method: unknown method 'bogus'" attack --steps=1 --method=bogus
+flag_reject "--method: unknown method 'bogus'" detect --method=bogus
+flag_reject "--dataset: unknown dataset preset 'Bogus'" datagen \
+  --dataset=Bogus "--out=${SMOKE_DIR}/bogus.csv"
+flag_reject "--dataset: unknown dataset preset 'Bogus'" campaign --steps=1 \
+  --dataset=Bogus
 
 # Guarded resume: a 2-step guarded campaign resumed with --steps=3 must
 # run one more step, not three.
@@ -460,5 +469,26 @@ cmake --build "${TSAN_DIR}" -j "$(nproc)" \
 "${TSAN_DIR}/tests/batched_engine_test"
 "${TSAN_DIR}/tests/parallel_test"
 "${TSAN_DIR}/tests/tensor_test"
+
+# Native leg: GCC and Clang contract a + b·c into one fused multiply-add
+# wherever the target has FMA. -ffp-contract=off (src/ and tests/
+# CMakeLists) keeps every float operation rounded as written, so a build
+# for this host's full ISA (FMA, and autovectorization at AVX2/AVX-512
+# width where the host has it) must pass the kernels' order-contract
+# test, the bitwise Adam test and the golden fixtures unregenerated.
+echo "native leg: host ISA flags:" \
+  "$(grep -o -w -E 'sse4_2|avx|avx2|fma|avx512f' /proc/cpuinfo 2>/dev/null \
+     | sort -u | tr '\n' ' ')"
+NATIVE_DIR="${BUILD_DIR}-native"
+NATIVE_TESTS=(kernels_test optimizer_test module_test batched_engine_test
+  ranker_golden_test defended_test)
+cmake -B "${NATIVE_DIR}" -S . \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS=-march=native \
+  -DPOISONREC_WERROR=ON
+cmake --build "${NATIVE_DIR}" -j "$(nproc)" --target "${NATIVE_TESTS[@]}"
+for test in "${NATIVE_TESTS[@]}"; do
+  "${NATIVE_DIR}/tests/${test}"
+done
 
 echo "ci_check: OK"

@@ -22,9 +22,10 @@
 // flag, on any other flag, on a --defense-* or --pool-* flag without
 // --defense, on a --guard-* flag without --guard, on a numeric value
 // that does not parse in full (a count takes digits only), on a
-// --ranker the registry does not know, and on a fault or defense value
-// outside its profile's range; it exits 2 naming any argument that is
-// not a --flag (only trace-merge takes file names).
+// --ranker the registry does not know, a --method BuildMethod does not
+// know or a --dataset preset that does not exist, and on a fault or
+// defense value outside its profile's range; it exits 2 naming any
+// argument that is not a --flag (only trace-merge takes file names).
 //
 // Common flags: --dataset=<Steam|MovieLens|Phone|Clothing> --scale=<f>
 //   --data=<csv>  --seed=<n>  --attackers=<N>  --length=<T>
@@ -316,12 +317,53 @@ constexpr const char* kRealFlags =
     " guard-grad-max guard-entropy-floor guard-kl-max lease-ttl stale-after"
     " status-every watch ";
 
+using MethodPtr = std::unique_ptr<attack::AttackMethod>;
+using MethodFactory = MethodPtr (*)(const Flags&);
+
+template <typename Method>
+MethodPtr MakeWithDefaults(const Flags&) {
+  return std::make_unique<Method>();
+}
+
+MethodPtr MakeAppGrad(const Flags& flags) {
+  attack::AppGradConfig config;
+  config.iterations = flags.GetSize("steps", 25);
+  return std::make_unique<attack::AppGradAttack>(config);
+}
+
+MethodPtr MakePoisonRec(const Flags& flags) {
+  core::PoisonRecConfig config;
+  config.samples_per_step = flags.GetSize("samples", 8);
+  config.batch_size = config.samples_per_step;
+  config.policy.embedding_dim = flags.GetSize("dim", 16);
+  config.parallel_rewards = flags.Get("parallel", "false") == "true";
+  config.num_threads = flags.GetSize("num-threads", 0);
+  return std::make_unique<attack::PoisonRecAttack>(
+      config, flags.GetSize("steps", 25));
+}
+
+/// The attack methods --method names: BuildMethod makes one, and
+/// RejectBadFlags checks the name here.
+const std::map<std::string, MethodFactory>& Methods() {
+  static const std::map<std::string, MethodFactory> methods = {
+      {"random", MakeWithDefaults<attack::RandomAttack>},
+      {"popular", MakeWithDefaults<attack::PopularAttack>},
+      {"middle", MakeWithDefaults<attack::MiddleAttack>},
+      {"poweritem", MakeWithDefaults<attack::PowerItemAttack>},
+      {"conslop", MakeWithDefaults<attack::ConsLopAttack>},
+      {"appgrad", MakeAppGrad},
+      {"poisonrec", MakePoisonRec},
+  };
+  return methods;
+}
+
 /// Names the first argument `command` cannot take — a positional one
 /// (only trace-merge takes any), a flag it does not know, a campaign
 /// --defense-*, --pool-* or --guard-* flag whose switch is off, a count
-/// or real that does not parse in full, or a --ranker the registry does
-/// not know — on stderr and returns 2; returns 0 when every argument is
-/// good. Runs before any work.
+/// or real that does not parse in full, a --ranker the registry does not
+/// know, a --method not in Methods() or an unknown --dataset preset — on
+/// stderr and returns 2; returns 0 when every argument is good. Runs
+/// before any work.
 int RejectBadFlags(const std::string& command, const std::string& known,
                    const Flags& flags) {
   if (command != "trace-merge" && !flags.positionals().empty()) {
@@ -352,6 +394,13 @@ int RejectBadFlags(const std::string& command, const std::string& known,
     } else if (key == "ranker") {
       const auto ranker = rec::MakeRecommender(value);
       if (!ranker.ok()) error = "--ranker: " + ranker.status().message();
+    } else if (key == "method" && Methods().count(value) == 0) {
+      error = "--method: unknown method '" + value + "' (want";
+      for (const auto& [name, factory] : Methods()) error += " " + name;
+      error += ")";
+    } else if (key == "dataset") {
+      const auto preset = data::ParseDatasetPreset(value);
+      if (!preset.ok()) error = "--dataset: " + preset.status().message();
     }
     if (!error.empty()) {
       std::fprintf(stderr, "poisonrec %s: %s\n", command.c_str(),
@@ -393,28 +442,8 @@ std::unique_ptr<env::AttackEnvironment> BuildEnvironment(
 }
 
 std::unique_ptr<attack::AttackMethod> BuildMethod(const Flags& flags) {
-  const std::string name = flags.Get("method", "poisonrec");
-  if (name == "random") return std::make_unique<attack::RandomAttack>();
-  if (name == "popular") return std::make_unique<attack::PopularAttack>();
-  if (name == "middle") return std::make_unique<attack::MiddleAttack>();
-  if (name == "poweritem") {
-    return std::make_unique<attack::PowerItemAttack>();
-  }
-  if (name == "conslop") return std::make_unique<attack::ConsLopAttack>();
-  if (name == "appgrad") {
-    attack::AppGradConfig config;
-    config.iterations = flags.GetSize("steps", 25);
-    return std::make_unique<attack::AppGradAttack>(config);
-  }
-  POISONREC_CHECK(name == "poisonrec") << "unknown method '" << name << "'";
-  core::PoisonRecConfig config;
-  config.samples_per_step = flags.GetSize("samples", 8);
-  config.batch_size = config.samples_per_step;
-  config.policy.embedding_dim = flags.GetSize("dim", 16);
-  config.parallel_rewards = flags.Get("parallel", "false") == "true";
-  config.num_threads = flags.GetSize("num-threads", 0);
-  return std::make_unique<attack::PoisonRecAttack>(
-      config, flags.GetSize("steps", 25));
+  // RejectBadFlags has checked the name against Methods().
+  return Methods().at(flags.Get("method", "poisonrec"))(flags);
 }
 
 int CmdDatagen(const Flags& flags) {
