@@ -1,22 +1,33 @@
 // GEMM kernel microbenchmark: the seed scalar loops (the MatMul the
 // repo shipped with, and its transposed forms) versus the register-tiled
-// kernels of nn/kernels.h, single-threaded and threaded, over the
-// matrix shapes the system actually runs:
+// kernels of nn/kernels.h at each lane width this CPU runs (4, and 8
+// with AVX2), single-threaded and threaded, over the matrix shapes the
+// system actually runs:
 //   - the policy's LSTM gate products and DNN head, the batched PPO
 //     recompute, the AutoRec encoder and the canonical 256x256x256
 //     acceptance shape (GemmNN, sized from the bench config);
 //   - the products campbench's workloads issue, in all three variants:
 //     NeuMF's 63-row training products and 100-row scoring product at
 //     |e|=16, the attacker's 1600-row (M·N = 8×200) LSTM and head
-//     products, and GRU4Rec's 1-row cell products.
+//     products, and GRU4Rec's 1-row cell products;
+//   - a size ladder per variant (the attacker's k·n = 1024 products at
+//     8 to 4096 rows), which places the threading threshold
+//     kernels::kParallelMinWork. Its rungs are split across the threads
+//     at every size, below the threshold too, so the ladder measures
+//     what a split would cost wherever the constant sits.
+//
+// The workload products are split only from kParallelMinWork on, as
+// the library runs them; below it their threaded columns read
+// "unsplit", since a threaded call would run on one thread.
 //
 // Timing protocol: min over POISONREC_REPEATS repetitions (default 5)
 // of the mean time across enough inner iterations to fill ~10ms, so
 // small shapes are not measured at clock resolution. Emits a table and
-// machine-readable JSON (results/kernel_timing.json).
+// machine-readable JSON (results/kernel_timing.json), one row per shape,
+// lane width and threaded count; kernel_ms is the one-thread time.
 //
 //   POISONREC_REPEATS  min-of-N repetitions (default 5; CI smoke uses 2)
-//   POISONREC_THREADS  threaded-kernel thread count (default 4)
+//   POISONREC_THREADS  comma list of threaded counts (default 2,4)
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -37,6 +48,7 @@ struct Shape {
   std::string label;
   Variant variant;
   std::size_t m, k, n;
+  bool ladder = false;  // split at every size
 };
 
 // The seed kernel: the naive i-k-j loop with the dense zero-skip branch
@@ -68,15 +80,22 @@ void SeedGemm(Variant variant, std::size_t m, std::size_t k, std::size_t n,
   }
 }
 
-void Kernel(Variant variant, std::size_t m, std::size_t k, std::size_t n,
-            const float* a, const float* b, float* c) {
+// The tiled kernel at a given lane width, through the kernels'
+// test-and-bench entry point (dispatch would always pick the widest),
+// split across the thread budget from `min_work` multiply-accumulates on.
+void Kernel(Variant variant, std::size_t lanes, std::size_t min_work,
+            std::size_t m, std::size_t k, std::size_t n, const float* a,
+            const float* b, float* c) {
   switch (variant) {
     case Variant::kNN:
-      return nn::kernels::GemmNN(m, k, n, a, b, c);
+      return nn::kernels::internal::GemmNNAt(lanes, m, k, n, a, b, c,
+                                             min_work);
     case Variant::kTN:
-      return nn::kernels::GemmTN(m, k, n, a, b, c);
+      return nn::kernels::internal::GemmTNAt(lanes, m, k, n, a, b, c,
+                                             min_work);
     case Variant::kNT:
-      return nn::kernels::GemmNT(m, k, n, a, b, c);
+      return nn::kernels::internal::GemmNTAt(lanes, m, k, n, a, b, c,
+                                             min_work);
   }
 }
 
@@ -96,6 +115,19 @@ std::size_t EnvSize(const char* name, std::size_t fallback) {
   const char* v = std::getenv(name);
   return v == nullptr ? fallback
                       : static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+}
+
+// A comma list of counts, e.g. "2,4".
+std::vector<std::size_t> EnvSizes(const char* name,
+                                  std::vector<std::size_t> fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr) return fallback;
+  std::vector<std::size_t> sizes;
+  for (char* end = nullptr;; v = end + 1) {
+    sizes.push_back(static_cast<std::size_t>(std::strtoull(v, &end, 10)));
+    if (*end != ',') break;
+  }
+  return sizes;
 }
 
 // Min-of-N of the per-call time of fn(), with enough inner iterations
@@ -127,10 +159,16 @@ std::string Fmt(double v, const char* format) {
 int Main() {
   const BenchConfig config = LoadBenchConfig();
   const std::size_t repeats = EnvSize("POISONREC_REPEATS", 5);
-  const std::size_t threads = EnvSize("POISONREC_THREADS", 4);
+  const std::vector<std::size_t> thread_counts =
+      EnvSizes("POISONREC_THREADS", {2, 4});
+  std::vector<std::size_t> lane_widths;
+  for (const std::size_t lanes : {4, 8}) {
+    if (nn::kernels::internal::CanRunLanes(lanes)) lane_widths.push_back(lanes);
+  }
+  std::printf("dispatch: %zu-lane GEMM rows\n", nn::kernels::GemmLanes());
 
   const std::size_t dim = config.embedding_dim;
-  const std::vector<Shape> shapes = {
+  std::vector<Shape> shapes = {
       // LSTM cell gate products as the attacker issues them: the N
       // attacker rows of one episode (SampleEpisode) and the M·N-row
       // stack that TrainStep samples and recomputes.
@@ -167,13 +205,21 @@ int Main() {
       {"gru4rec_cell", Variant::kNN, 1, 16, 48},
       {"gru4rec_cell_dx", Variant::kNT, 1, 48, 16},
   };
+  // The threading ladder: work m·1024 from 2^13 to 2^22, always split.
+  for (std::size_t m = 8; m <= 4096; m *= 2) {
+    const std::string rows = std::to_string(m);
+    shapes.push_back({"ladder_nn_" + rows, Variant::kNN, m, 16, 64, true});
+    shapes.push_back({"ladder_tn_" + rows, Variant::kTN, 64, m, 16, true});
+    shapes.push_back({"ladder_nt_" + rows, Variant::kNT, m, 64, 16, true});
+  }
 
-  PrintTableHeader({"shape", "var", "mkn", "seed_us", "kernel_us",
-                    "kern_mt_us", "gflops_1t", "speedup_1t", "speedup_mt"});
+  PrintTableHeader({"shape", "var", "mkn", "lanes", "threads", "seed_us",
+                    "kernel_us", "kern_mt_us", "gflops_1t", "speedup_1t",
+                    "speedup_mt"});
   std::vector<std::vector<std::string>> rows;
-  rows.push_back({"shape", "variant", "m", "k", "n", "threads", "seed_ms",
-                  "kernel_ms", "kernel_mt_ms", "gflops_1t", "gflops_mt",
-                  "speedup_1t", "speedup_mt"});
+  rows.push_back({"shape", "variant", "m", "k", "n", "lanes", "threads",
+                  "seed_ms", "kernel_ms", "kernel_mt_ms", "gflops_1t",
+                  "gflops_mt", "speedup_1t", "speedup_mt"});
 
   Rng rng(config.seed);
   for (const Shape& s : shapes) {
@@ -185,32 +231,56 @@ int Main() {
     for (float& v : a) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
     for (float& v : b) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
 
-    const auto run = [&](auto gemm) {
+    const auto time = [&](const auto& gemm) {
       return MinSeconds(repeats, [&] {
-        gemm(s.variant, s.m, s.k, s.n, a.data(), b.data(), c.data());
+        gemm(s.m, s.k, s.n, a.data(), b.data(), c.data());
       });
     };
-    const double seed_s = run(SeedGemm);
-    nn::SetNumThreads(1);
-    const double one_s = run(Kernel);
-    nn::SetNumThreads(threads);
-    const double mt_s = run(Kernel);
-    nn::SetNumThreads(0);
-
+    const double seed_s =
+        time([&](std::size_t m, std::size_t k, std::size_t n, const float* pa,
+                 const float* pb, float* pc) {
+          SeedGemm(s.variant, m, k, n, pa, pb, pc);
+        });
     const double flops = 2.0 * static_cast<double>(s.m * s.k * s.n);
     const std::string mkn = std::to_string(s.m) + "x" + std::to_string(s.k) +
                             "x" + std::to_string(s.n);
-    PrintTableRow({s.label, VariantName(s.variant), mkn,
-                   Fmt(seed_s * 1e6, "%.3f"), Fmt(one_s * 1e6, "%.3f"),
-                   Fmt(mt_s * 1e6, "%.3f"), Fmt(flops / one_s * 1e-9, "%.2f"),
-                   Fmt(seed_s / one_s, "%.2f"), Fmt(seed_s / mt_s, "%.2f")});
-    rows.push_back({s.label, VariantName(s.variant), std::to_string(s.m),
-                    std::to_string(s.k), std::to_string(s.n),
-                    std::to_string(threads), Fmt(seed_s * 1e3, "%.5f"),
-                    Fmt(one_s * 1e3, "%.5f"), Fmt(mt_s * 1e3, "%.5f"),
-                    Fmt(flops / one_s * 1e-9, "%.3f"),
-                    Fmt(flops / mt_s * 1e-9, "%.3f"),
-                    Fmt(seed_s / one_s, "%.3f"), Fmt(seed_s / mt_s, "%.3f")});
+    const std::size_t min_work = s.ladder ? 0 : nn::kernels::kParallelMinWork;
+    const bool split = s.m * s.k * s.n >= min_work;
+    for (const std::size_t lanes : lane_widths) {
+      const auto tiled = [&](std::size_t m, std::size_t k, std::size_t n,
+                             const float* pa, const float* pb, float* pc) {
+        Kernel(s.variant, lanes, min_work, m, k, n, pa, pb, pc);
+      };
+      nn::SetNumThreads(1);
+      const double one_s = time(tiled);
+      for (const std::size_t threads : thread_counts) {
+        // An unsplit product would run the threaded call on one thread:
+        // its threaded columns say so instead of repeating one_s.
+        double mt_s = one_s;
+        if (split) {
+          nn::SetNumThreads(threads);
+          mt_s = time(tiled);
+          nn::SetNumThreads(0);
+        }
+        const auto mt = [&](double v, const char* format) {
+          return split ? Fmt(v, format) : std::string("unsplit");
+        };
+        PrintTableRow({s.label, VariantName(s.variant), mkn,
+                       std::to_string(lanes), std::to_string(threads),
+                       Fmt(seed_s * 1e6, "%.3f"), Fmt(one_s * 1e6, "%.3f"),
+                       mt(mt_s * 1e6, "%.3f"),
+                       Fmt(flops / one_s * 1e-9, "%.2f"),
+                       Fmt(seed_s / one_s, "%.2f"),
+                       mt(seed_s / mt_s, "%.2f")});
+        rows.push_back(
+            {s.label, VariantName(s.variant), std::to_string(s.m),
+             std::to_string(s.k), std::to_string(s.n), std::to_string(lanes),
+             std::to_string(threads), Fmt(seed_s * 1e3, "%.5f"),
+             Fmt(one_s * 1e3, "%.5f"), mt(mt_s * 1e3, "%.5f"),
+             Fmt(flops / one_s * 1e-9, "%.3f"), mt(flops / mt_s * 1e-9, "%.3f"),
+             Fmt(seed_s / one_s, "%.3f"), mt(seed_s / mt_s, "%.3f")});
+      }
+    }
   }
 
   WriteCsvOutput(config, "kernel_timing.csv", rows);

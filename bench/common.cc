@@ -60,7 +60,7 @@ BenchConfig LoadBenchConfig() {
   config.datasets = SplitList(GetEnvOr("POISONREC_DATASETS", ""));
   config.max_eval_users =
       GetEnvSize("POISONREC_EVAL_USERS", config.max_eval_users);
-  config.out_dir = GetEnvOr("POISONREC_OUT", ".");
+  config.out_dir = GetEnvOr("POISONREC_OUT", POISONREC_RESULTS_DIR);
   return config;
 }
 

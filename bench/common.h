@@ -8,7 +8,8 @@
 //   POISONREC_RANKERS   comma list of rankers (default: all 8)
 //   POISONREC_DATASETS  comma list of datasets (default varies per bench)
 //   POISONREC_EVAL_USERS users sampled for RecNum (default 200; 0 = all)
-//   POISONREC_OUT       directory for CSV outputs (default ".")
+//   POISONREC_OUT       directory for CSV/JSON outputs (default: the
+//                       source tree's results/, set at build time)
 //
 // Absolute RecNum values scale with the dataset; the *shape* of each
 // result (who wins, convergence ordering, crossovers) is the
@@ -41,7 +42,7 @@ struct BenchConfig {
   std::size_t max_eval_users = 200;
   std::vector<std::string> rankers;
   std::vector<std::string> datasets;
-  std::string out_dir = ".";
+  std::string out_dir;  // LoadBenchConfig: POISONREC_OUT or results/
   std::uint64_t seed = 2020;
 };
 

@@ -7,6 +7,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/logging.h"
 #include "util/parallel.h"
 
 namespace poisonrec::nn {
@@ -22,25 +23,38 @@ std::atomic<std::size_t> g_num_threads{0};
 // nothing: each element's chain simply resumes in the next block.
 constexpr std::size_t kBlockK = 64;
 
-// Below this many multiply-accumulates a GEMM runs single-threaded; the
-// pool handoff costs more than it saves on the tiny per-step matmuls
-// (e.g. the 1×d policy step).
-constexpr std::size_t kParallelMinWork = std::size_t{1} << 15;
+// Below this much work a ParallelRows call runs inline. It is the
+// threshold the GEMMs had before theirs was measured; that measurement
+// timed the GEMM tiles only, and the fused LSTM gates make several libm
+// calls per element.
+constexpr std::size_t kParallelRowsMinWork = std::size_t{1} << 15;
 
-// Four floats in one register: GCC's vector extension, which lowers to
-// SSE2 on x86-64 and to scalar code where the target has no 4-float
-// vectors. Every operation below is lane-wise (a scalar operand is
-// broadcast), so each lane computes exactly the scalar expression it
-// stands for and the kernels' results do not depend on the vector width.
-using F4 = float __attribute__((vector_size(16)));
+// W floats in one register: GCC's vector extension, which lowers to
+// SSE2 (W = 4) or AVX (W = 8) on x86-64 and to scalar code where the
+// target has no such vectors. Every operation below is lane-wise (a
+// scalar operand is broadcast), so each lane computes exactly the scalar
+// expression it stands for and the kernels' results do not depend on W.
+// The attribute needs a dependent typedef; an alias template drops it.
+template <int W>
+struct VecOf {
+  typedef float type __attribute__((vector_size(4 * W)));
+};
+template <int W>
+using Vec = typename VecOf<W>::type;
+using F4 = Vec<4>;
 
-inline F4 Load(const float* p) {
-  F4 v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
+// Loads go through an out-parameter and stores read a const reference:
+// passing or returning a 32-byte vector by value from a function not
+// built for AVX changes the ABI, and GCC warns about it (-Wpsabi).
+template <int W>
+inline void Load(const float* p, Vec<W>* v) {
+  std::memcpy(v, p, sizeof(*v));
 }
 
-inline void Store(float* p, F4 v) { std::memcpy(p, &v, sizeof(v)); }
+template <int W>
+inline void Store(float* p, const Vec<W>& v) {
+  std::memcpy(p, &v, sizeof(v));
+}
 
 // The tiles below hold their accumulators in arrays indexed by constant
 // loops. `#pragma GCC unroll` fully unrolls those loops so the arrays
@@ -57,26 +71,28 @@ inline float AAt(const float* a, std::size_t m, std::size_t k, std::size_t i,
   return kTransA ? a[kk * m + i] : a[i * k + kk];
 }
 
-// Rows [i, i+R) × columns [j, j+4V) over steps [k0, k1): R·V vector
+// Rows [i, i+R) × columns [j, j+W·V) over steps [k0, k1): R·V vector
 // accumulators, each lane one output's chain.
-template <bool kTransA, int R, int V>
+template <bool kTransA, int W, int R, int V>
 inline void TileNN(std::size_t i, std::size_t j, std::size_t k0,
                    std::size_t k1, std::size_t m, std::size_t k,
                    std::size_t n, const float* a, const float* b, float* c) {
-  F4 acc[R][V];
+  Vec<W> acc[R][V];
 #pragma GCC unroll 4
   for (int r = 0; r < R; ++r) {
 #pragma GCC unroll 8
-    for (int v = 0; v < V; ++v) acc[r][v] = Load(c + (i + r) * n + j + 4 * v);
+    for (int v = 0; v < V; ++v) {
+      Load<W>(c + (i + r) * n + j + W * v, &acc[r][v]);
+    }
   }
   for (std::size_t kk = k0; kk < k1; ++kk) {
     const float* brow = b + kk * n + j;
-    F4 bv[V];
+    Vec<W> bv[V];
 #pragma GCC unroll 8
-    for (int v = 0; v < V; ++v) bv[v] = Load(brow + 4 * v);
+    for (int v = 0; v < V; ++v) Load<W>(brow + W * v, &bv[v]);
     // TN's R values of A are contiguous: one load, then per-lane reads.
     F4 at = {};
-    if constexpr (kTransA && R == 4) at = Load(a + kk * m + i);
+    if constexpr (kTransA && R == 4) Load<4>(a + kk * m + i, &at);
 #pragma GCC unroll 4
     for (int r = 0; r < R; ++r) {
       const float av =
@@ -88,7 +104,9 @@ inline void TileNN(std::size_t i, std::size_t j, std::size_t k0,
 #pragma GCC unroll 4
   for (int r = 0; r < R; ++r) {
 #pragma GCC unroll 8
-    for (int v = 0; v < V; ++v) Store(c + (i + r) * n + j + 4 * v, acc[r][v]);
+    for (int v = 0; v < V; ++v) {
+      Store<W>(c + (i + r) * n + j + W * v, acc[r][v]);
+    }
   }
 }
 
@@ -112,36 +130,39 @@ inline void ColumnNN(std::size_t i, std::size_t j, std::size_t k0,
 }
 
 // Columns [j, n) of rows [i, i+R): tiles of V vectors, then one of each
-// narrower width, then single columns.
-template <bool kTransA, int R, int V>
+// narrower vector count, then (at W = 8) one 4-lane tile, then single
+// columns.
+template <bool kTransA, int W, int R, int V>
 inline void ColumnTilesNN(std::size_t i, std::size_t j, std::size_t k0,
                           std::size_t k1, std::size_t m, std::size_t k,
                           std::size_t n, const float* a, const float* b,
                           float* c) {
-  for (; j + 4 * V <= n; j += 4 * V) {
-    TileNN<kTransA, R, V>(i, j, k0, k1, m, k, n, a, b, c);
+  for (; j + W * V <= n; j += W * V) {
+    TileNN<kTransA, W, R, V>(i, j, k0, k1, m, k, n, a, b, c);
   }
   if constexpr (V > 1) {
-    ColumnTilesNN<kTransA, R, V / 2>(i, j, k0, k1, m, k, n, a, b, c);
+    ColumnTilesNN<kTransA, W, R, V / 2>(i, j, k0, k1, m, k, n, a, b, c);
+  } else if constexpr (W > 4) {
+    ColumnTilesNN<kTransA, 4, R, 1>(i, j, k0, k1, m, k, n, a, b, c);
   } else {
     for (; j < n; ++j) ColumnNN<kTransA, R>(i, j, k0, k1, m, k, n, a, b, c);
   }
 }
 
-// Rows [i0, i1) of C: 4×8 tiles, and 1×16 tiles for the last m mod 4
+// Rows [i0, i1) of C: 4×2W tiles, and 1×4W tiles for the last m mod 4
 // rows (a single row needs the wider tile for enough independent
 // chains).
-template <bool kTransA>
+template <bool kTransA, int W>
 void GemmRows(std::size_t i0, std::size_t i1, std::size_t m, std::size_t k,
               std::size_t n, const float* a, const float* b, float* c) {
   for (std::size_t k0 = 0; k0 < k; k0 += kBlockK) {
     const std::size_t k1 = std::min(k, k0 + kBlockK);
     std::size_t i = i0;
     for (; i + 4 <= i1; i += 4) {
-      ColumnTilesNN<kTransA, 4, 2>(i, 0, k0, k1, m, k, n, a, b, c);
+      ColumnTilesNN<kTransA, W, 4, 2>(i, 0, k0, k1, m, k, n, a, b, c);
     }
     for (; i < i1; ++i) {
-      ColumnTilesNN<kTransA, 1, 4>(i, 0, k0, k1, m, k, n, a, b, c);
+      ColumnTilesNN<kTransA, W, 1, 4>(i, 0, k0, k1, m, k, n, a, b, c);
     }
   }
 }
@@ -165,22 +186,51 @@ inline void DotNT(const float* arow, const float* brow, std::size_t k,
   *cij = *cij + (((s0 + s1) + (s2 + s3)) + tail);
 }
 
-// Rows [i, i+R) × columns [j, j+Q), Q a multiple of 4: one vector
-// accumulator per output, lane l holding that output's s_l. A 4×4
-// transpose per four columns turns lanes into outputs, and the combine
-// runs four outputs per vector op.
-template <int R, int Q>
+// An NT register holds the four lanes of P = W/4 adjacent outputs side
+// by side. LoadQuads fills it with P runs of four floats, the g-th read
+// from p + g·stride: rows j … j+P−1 of B (stride k), or one run of A
+// broadcast into every quarter (stride 0).
+template <int W>
+inline void LoadQuads(const float* p, std::size_t stride, Vec<W>* v) {
+  if constexpr (W == 4) {
+    Load<4>(p, v);
+  } else {
+    static_assert(W == 8);
+    F4 lo, hi;
+    Load<4>(p, &lo);
+    Load<4>(p + stride, &hi);
+    *v = __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7);
+  }
+}
+
+// Lane l of four adjacent outputs, from the registers x[0 … 4/P − 1]
+// that hold them: at W = 4 (x0[l], x1[l], x2[l], x3[l]), at W = 8
+// (x0[l], x0[4+l], x1[l], x1[4+l]).
+template <int W>
+inline void LaneOfFour(const Vec<W>* x, int l, F4* s) {
+  constexpr int P = W / 4;
+  *s = F4{x[0 / P][(0 % P) * 4 + l], x[1 / P][(1 % P) * 4 + l],
+          x[2 / P][(2 % P) * 4 + l], x[3 / P][(3 % P) * 4 + l]};
+}
+
+// Rows [i, i+R) × columns [j, j+Q), Q a multiple of 4: Q/P registers
+// per row, lane 4p+l of register q holding output j+P·q+p's s_l. Per
+// four columns the combine regroups lanes into outputs and runs four
+// outputs per 4-lane vector op.
+template <int W, int R, int Q>
 inline void TileNT(std::size_t i, std::size_t j, std::size_t k,
                    std::size_t k4, std::size_t n, const float* a,
                    const float* b, float* c) {
-  F4 acc[R][Q] = {};  // +0 in every lane
+  constexpr int P = W / 4;
+  Vec<W> acc[R][Q / P] = {};  // +0 in every lane
   for (std::size_t kk = 0; kk < k4; kk += 4) {
-    F4 av[R];
+    Vec<W> av[R];
 #pragma GCC unroll 4
-    for (int r = 0; r < R; ++r) av[r] = Load(a + (i + r) * k + kk);
+    for (int r = 0; r < R; ++r) LoadQuads<W>(a + (i + r) * k + kk, 0, &av[r]);
 #pragma GCC unroll 8
-    for (int q = 0; q < Q; ++q) {
-      const F4 bv = Load(b + (j + q) * k + kk);
+    for (int q = 0; q < Q / P; ++q) {
+      Vec<W> bv;
+      LoadQuads<W>(b + (j + P * q) * k + kk, k, &bv);
 #pragma GCC unroll 4
       for (int r = 0; r < R; ++r) acc[r][q] = acc[r][q] + av[r] * bv;
     }
@@ -190,11 +240,12 @@ inline void TileNT(std::size_t i, std::size_t j, std::size_t k,
     const float* arow = a + (i + r) * k;
 #pragma GCC unroll 2
     for (int g = 0; g < Q; g += 4) {
-      const F4* x = acc[r] + g;
-      const F4 s0 = {x[0][0], x[1][0], x[2][0], x[3][0]};
-      const F4 s1 = {x[0][1], x[1][1], x[2][1], x[3][1]};
-      const F4 s2 = {x[0][2], x[1][2], x[2][2], x[3][2]};
-      const F4 s3 = {x[0][3], x[1][3], x[2][3], x[3][3]};
+      const Vec<W>* x = acc[r] + g / P;
+      F4 s0, s1, s2, s3;
+      LaneOfFour<W>(x, 0, &s0);
+      LaneOfFour<W>(x, 1, &s1);
+      LaneOfFour<W>(x, 2, &s2);
+      LaneOfFour<W>(x, 3, &s3);
       F4 tail = {};
       for (std::size_t kk = k4; kk < k; ++kk) {
         const float* bk = b + (j + g) * k + kk;
@@ -202,22 +253,24 @@ inline void TileNT(std::size_t i, std::size_t j, std::size_t k,
         tail = tail + arow[kk] * bv;
       }
       float* cij = c + (i + r) * n + j + g;
-      Store(cij, Load(cij) + (((s0 + s1) + (s2 + s3)) + tail));
+      F4 cv;
+      Load<4>(cij, &cv);
+      Store<4>(cij, cv + (((s0 + s1) + (s2 + s3)) + tail));
     }
   }
 }
 
-// Columns [j, n) of rows [i, i+R): tiles of Q columns, one of 4 if Q is
+// Columns [0, n) of rows [i, i+R): tiles of Q columns, one of 4 if Q is
 // wider, then the scalar dot per remaining output.
-template <int R, int Q>
+template <int W, int R, int Q>
 inline void ColumnTilesNT(std::size_t i, std::size_t k, std::size_t k4,
                           std::size_t n, const float* a, const float* b,
                           float* c) {
   std::size_t j = 0;
-  for (; j + Q <= n; j += Q) TileNT<R, Q>(i, j, k, k4, n, a, b, c);
+  for (; j + Q <= n; j += Q) TileNT<W, R, Q>(i, j, k, k4, n, a, b, c);
   if constexpr (Q > 4) {
     if (j + 4 <= n) {
-      TileNT<R, 4>(i, j, k, k4, n, a, b, c);
+      TileNT<W, R, 4>(i, j, k, k4, n, a, b, c);
       j += 4;
     }
   }
@@ -229,23 +282,103 @@ inline void ColumnTilesNT(std::size_t i, std::size_t k, std::size_t k4,
   }
 }
 
-// Rows [i0, i1) of C: 2×4 tiles (8 independent chains), and 1×8 tiles
-// for an odd last row.
-void GemmNTRows(std::size_t i0, std::size_t i1, std::size_t k, std::size_t n,
-                const float* a, const float* b, float* c) {
+// Rows [i0, i1) of C: 2×W tiles (8 registers at W = 8, 8 chains at
+// W = 4), and 1×8 tiles for an odd last row. m is unused; it keeps the
+// row functions' signatures alike.
+template <int W>
+void GemmNTRows(std::size_t i0, std::size_t i1, std::size_t /*m*/,
+                std::size_t k, std::size_t n, const float* a, const float* b,
+                float* c) {
   const std::size_t k4 = k - k % 4;
   std::size_t i = i0;
-  for (; i + 2 <= i1; i += 2) ColumnTilesNT<2, 4>(i, k, k4, n, a, b, c);
-  if (i < i1) ColumnTilesNT<1, 8>(i, k, k4, n, a, b, c);
+  for (; i + 2 <= i1; i += 2) ColumnTilesNT<W, 2, W>(i, k, k4, n, a, b, c);
+  if (i < i1) ColumnTilesNT<W, 1, 8>(i, k, k4, n, a, b, c);
+}
+
+// ---- Row functions per lane width, and the one choice between them ----
+
+using RowsFn = void (*)(std::size_t i0, std::size_t i1, std::size_t m,
+                        std::size_t k, std::size_t n, const float* a,
+                        const float* b, float* c);
+
+enum Variant { kNN, kTN, kNT };
+
+struct RowKernels {
+  std::size_t lanes;
+  RowsFn rows[3];  // indexed by Variant
+};
+
+constexpr RowKernels kRows4 = {
+    4, {GemmRows<false, 4>, GemmRows<true, 4>, GemmNTRows<4>}};
+
+#if defined(__x86_64__)
+// The 8-lane instances exist only inside these AVX2 functions: flatten
+// inlines the tiles into them, so their 32-byte vectors are built for
+// AVX2. The target never names "fma": the order contract rounds every
+// product before its add.
+[[gnu::target("avx2"), gnu::flatten]] void GemmNNRows8(
+    std::size_t i0, std::size_t i1, std::size_t m, std::size_t k,
+    std::size_t n, const float* a, const float* b, float* c) {
+  GemmRows<false, 8>(i0, i1, m, k, n, a, b, c);
+}
+
+[[gnu::target("avx2"), gnu::flatten]] void GemmTNRows8(
+    std::size_t i0, std::size_t i1, std::size_t m, std::size_t k,
+    std::size_t n, const float* a, const float* b, float* c) {
+  GemmRows<true, 8>(i0, i1, m, k, n, a, b, c);
+}
+
+[[gnu::target("avx2"), gnu::flatten]] void GemmNTRows8(
+    std::size_t i0, std::size_t i1, std::size_t m, std::size_t k,
+    std::size_t n, const float* a, const float* b, float* c) {
+  GemmNTRows<8>(i0, i1, m, k, n, a, b, c);
+}
+
+constexpr RowKernels kRows8 = {8, {GemmNNRows8, GemmTNRows8, GemmNTRows8}};
+#endif
+
+bool CpuHasAvx2() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2") != 0;
+#else
+  return false;
+#endif
+}
+
+const RowKernels& RowsAt(std::size_t lanes) {
+  POISONREC_CHECK(kernels::internal::CanRunLanes(lanes))
+      << lanes << "-lane GEMM rows cannot run on this CPU";
+#if defined(__x86_64__)
+  if (lanes == 8) return kRows8;
+#endif
+  return kRows4;
+}
+
+// The process-wide choice: made once, on first use (so a GEMM issued
+// from a static initializer is still dispatched), and published as a
+// gauge. It cannot move a bit, since every width keeps the order
+// contract; it only decides how fast the rows run.
+const RowKernels& DispatchedRows() {
+  static const RowKernels& rows = []() -> const RowKernels& {
+    const RowKernels& chosen = RowsAt(CpuHasAvx2() ? 8 : 4);
+    obs::MetricsRegistry::Global()
+        .GetGauge("poisonrec_gemm_lanes")
+        ->Set(static_cast<double>(chosen.lanes));
+    return chosen;
+  }();
+  return rows;
 }
 
 // Row-partitions [0, m) across the kernel thread budget and runs
-// `rows(i0, i1)` for each block. Rows are handed out in blocks of
-// roughly m / (threads * 4) so the atomic index counter stays cold
-// while load still balances when rows have uneven cost.
-template <typename RowsFn>
-void ForEachRowBlock(std::size_t m, std::size_t work, const RowsFn& rows) {
-  if (work < kParallelMinWork) {  // skip even the thread-budget lookup
+// `rows(i0, i1)` for each block; below `min_work` it runs rows(0, m)
+// inline. Rows are handed out in blocks of roughly m / (threads * 4) so
+// the atomic index counter stays cold while load still balances when
+// rows have uneven cost.
+template <typename Fn>
+void ForEachRowBlock(std::size_t m, std::size_t work, std::size_t min_work,
+                     const Fn& rows) {
+  if (work < min_work) {  // skip even the thread-budget lookup
     rows(0, m);
     return;
   }
@@ -267,15 +400,29 @@ void ForEachRowBlock(std::size_t m, std::size_t work, const RowsFn& rows) {
   });
 }
 
-// Call/flop accounting shared by the three variants. The counters are
-// sharded (obs::Counter), so the two relaxed adds here stay off any
-// contended cache line even when every pool worker issues GEMMs.
-inline void CountGemm(obs::Counter* calls, std::size_t m, std::size_t k,
-                      std::size_t n) {
+// One GEMM at the given width: call/flop accounting, then the variant's
+// rows across the thread budget from `min_work` multiply-accumulates on.
+// The counters are sharded (obs::Counter), so the relaxed adds here stay
+// off any contended cache line even when every pool worker issues GEMMs.
+void Gemm(const RowKernels& width, Variant variant, std::size_t m,
+          std::size_t k, std::size_t n, const float* a, const float* b,
+          float* c, std::size_t min_work) {
+  static obs::Counter* const calls[3] = {
+      obs::MetricsRegistry::Global().GetCounter(
+          "poisonrec_gemm_nn_calls_total"),
+      obs::MetricsRegistry::Global().GetCounter(
+          "poisonrec_gemm_tn_calls_total"),
+      obs::MetricsRegistry::Global().GetCounter(
+          "poisonrec_gemm_nt_calls_total")};
   static obs::Counter* const flops =
       obs::MetricsRegistry::Global().GetCounter("poisonrec_gemm_flops_total");
-  calls->Increment();
+  calls[variant]->Increment();
   flops->Increment(static_cast<std::uint64_t>(2) * m * k * n);
+  const RowsFn rows = width.rows[variant];
+  ForEachRowBlock(m, m * k * n, min_work,
+                  [&](std::size_t i0, std::size_t i1) {
+                    rows(i0, i1, m, k, n, a, b, c);
+                  });
 }
 
 }  // namespace
@@ -296,41 +443,51 @@ namespace kernels {
 
 void GemmNN(std::size_t m, std::size_t k, std::size_t n, const float* a,
             const float* b, float* c) {
-  static obs::Counter* const calls =
-      obs::MetricsRegistry::Global().GetCounter(
-          "poisonrec_gemm_nn_calls_total");
-  CountGemm(calls, m, k, n);
-  ForEachRowBlock(m, m * k * n, [&](std::size_t i0, std::size_t i1) {
-    GemmRows<false>(i0, i1, m, k, n, a, b, c);
-  });
+  Gemm(DispatchedRows(), kNN, m, k, n, a, b, c, kParallelMinWork);
 }
 
 void GemmTN(std::size_t m, std::size_t k, std::size_t n, const float* a,
             const float* b, float* c) {
-  static obs::Counter* const calls =
-      obs::MetricsRegistry::Global().GetCounter(
-          "poisonrec_gemm_tn_calls_total");
-  CountGemm(calls, m, k, n);
-  ForEachRowBlock(m, m * k * n, [&](std::size_t i0, std::size_t i1) {
-    GemmRows<true>(i0, i1, m, k, n, a, b, c);
-  });
+  Gemm(DispatchedRows(), kTN, m, k, n, a, b, c, kParallelMinWork);
 }
 
 void GemmNT(std::size_t m, std::size_t k, std::size_t n, const float* a,
             const float* b, float* c) {
-  static obs::Counter* const calls =
-      obs::MetricsRegistry::Global().GetCounter(
-          "poisonrec_gemm_nt_calls_total");
-  CountGemm(calls, m, k, n);
-  ForEachRowBlock(m, m * k * n, [&](std::size_t i0, std::size_t i1) {
-    GemmNTRows(i0, i1, k, n, a, b, c);
-  });
+  Gemm(DispatchedRows(), kNT, m, k, n, a, b, c, kParallelMinWork);
 }
+
+std::size_t GemmLanes() { return DispatchedRows().lanes; }
 
 void ParallelRows(std::size_t m, std::size_t work,
                   const std::function<void(std::size_t, std::size_t)>& rows) {
-  ForEachRowBlock(m, work, rows);
+  ForEachRowBlock(m, work, kParallelRowsMinWork, rows);
 }
+
+namespace internal {
+
+bool CanRunLanes(std::size_t lanes) {
+  return lanes == 4 || (lanes == 8 && CpuHasAvx2());
+}
+
+void GemmNNAt(std::size_t lanes, std::size_t m, std::size_t k, std::size_t n,
+              const float* a, const float* b, float* c,
+              std::size_t min_work) {
+  Gemm(RowsAt(lanes), kNN, m, k, n, a, b, c, min_work);
+}
+
+void GemmTNAt(std::size_t lanes, std::size_t m, std::size_t k, std::size_t n,
+              const float* a, const float* b, float* c,
+              std::size_t min_work) {
+  Gemm(RowsAt(lanes), kTN, m, k, n, a, b, c, min_work);
+}
+
+void GemmNTAt(std::size_t lanes, std::size_t m, std::size_t k, std::size_t n,
+              const float* a, const float* b, float* c,
+              std::size_t min_work) {
+  Gemm(RowsAt(lanes), kNT, m, k, n, a, b, c, min_work);
+}
+
+}  // namespace internal
 
 }  // namespace kernels
 

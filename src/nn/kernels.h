@@ -25,8 +25,24 @@
 //           c = c + (((s0 + s1) + (s2 + s3)) + tail).
 //
 // How the kernels tile rows and columns, and the SIMD width they run
-// at, never changes a bit: tests/kernels_test.cc checks the kernels
-// against a scalar statement of this contract with bitwise equality.
+// at, never changes a bit: tests/kernels_test.cc checks the kernels, at
+// every lane width, against a scalar statement of this contract with
+// bitwise equality.
+//
+// Lane widths. The tiles are one source templated on W float lanes per
+// register: W = 4 (SSE2 on x86-64, scalar code elsewhere) and, on
+// x86-64 only, W = 8 in functions built for AVX2. NN and TN hold 4 rows
+// × 2 vectors of C across each 64-step k block (4×8 or 4×16) and 1 × 4
+// vectors for the last m mod 4 rows; each lane is one output's chain,
+// so the width cannot reorder it. NT keeps four lanes per output: at
+// W = 8 one register holds two adjacent outputs' lanes (s0…s3 of column
+// j, then of column j+1), A's four values are broadcast into both
+// halves, and the combine regroups the lanes of four outputs before
+// running the contract's sum four outputs at a time.
+//
+// Dispatch. One process-wide choice, made on the first GEMM: 8 lanes
+// when the CPU reports AVX2, 4 otherwise. It takes no option and shows
+// in the `poisonrec_gemm_lanes` gauge (GemmLanes()).
 //
 // Determinism contract: kernels are row-partitioned across the
 // persistent pool in util/parallel. Each output row is owned by exactly
@@ -50,6 +66,14 @@ std::size_t GetNumThreads();
 
 namespace kernels {
 
+/// Below this many multiply-accumulates (m·k·n) a GEMM runs on the
+/// calling thread: the smallest rung of bench_kernels' size ladder at
+/// which both 2 and 4 threads beat one thread (median time below the
+/// one-thread time in every variant) at the 8 lanes an AVX2 CPU
+/// dispatches to (results/kernel_ladder_runs.csv, docs/performance.md).
+/// Below it the pool handoff costs about as much as the split saves.
+inline constexpr std::size_t kParallelMinWork = std::size_t{1} << 21;
+
 /// C(m×n) += A(m×k) · B(k×n). All matrices row-major and dense.
 void GemmNN(std::size_t m, std::size_t k, std::size_t n, const float* a,
             const float* b, float* c);
@@ -64,16 +88,41 @@ void GemmTN(std::size_t m, std::size_t k, std::size_t n, const float* a,
 void GemmNT(std::size_t m, std::size_t k, std::size_t n, const float* a,
             const float* b, float* c);
 
+/// The lane width the GEMMs dispatched to in this process: 8 or 4.
+std::size_t GemmLanes();
+
 /// Row-partitions [0, m) across the kernel thread budget and invokes
 /// `rows(i0, i1)` for each block — the same partitioner the dense GEMMs
 /// use, exported so fused elementwise ops and sparse kernels share the
 /// row-ownership determinism contract: every row is owned by exactly
 /// one thread, so any per-row computation that never reduces across
 /// rows is bit-identical at every thread count. `work` is the total
-/// multiply-accumulate (or equivalent) count; below the same threshold
-/// the GEMMs use, the call runs inline as rows(0, m).
+/// element (or multiply-accumulate) count; below 2^15 the call runs
+/// inline as rows(0, m).
 void ParallelRows(std::size_t m, std::size_t work,
                   const std::function<void(std::size_t, std::size_t)>& rows);
+
+namespace internal {
+
+/// Tests and bench_kernels only: the GEMMs at a chosen lane width
+/// instead of the dispatched one, so both widths' rows run on a CPU that
+/// dispatches to one. Counted like the public calls, and threaded like
+/// them from `min_work` multiply-accumulates on; bench_kernels' size
+/// ladder passes 0 to time the row split at every size, below the
+/// threshold too. CanRunLanes(lanes) must hold: 4 always, 8 on an
+/// x86-64 CPU with AVX2.
+bool CanRunLanes(std::size_t lanes);
+void GemmNNAt(std::size_t lanes, std::size_t m, std::size_t k, std::size_t n,
+              const float* a, const float* b, float* c,
+              std::size_t min_work = kParallelMinWork);
+void GemmTNAt(std::size_t lanes, std::size_t m, std::size_t k, std::size_t n,
+              const float* a, const float* b, float* c,
+              std::size_t min_work = kParallelMinWork);
+void GemmNTAt(std::size_t lanes, std::size_t m, std::size_t k, std::size_t n,
+              const float* a, const float* b, float* c,
+              std::size_t min_work = kParallelMinWork);
+
+}  // namespace internal
 
 }  // namespace kernels
 

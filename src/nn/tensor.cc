@@ -30,10 +30,12 @@ std::shared_ptr<TensorImpl> NewNode(std::size_t rows, std::size_t cols) {
 
 // The logistic, and the sigmoid and tanh derivatives from their output y,
 // shared by the unary ops and the fused gates so both compute the same
-// products.
+// products. For x < 0 it is exp(x) / (1 + exp(x)) with one exp call:
+// errno semantics keep GCC from merging two calls written out.
 inline float StableSigmoid(float x) {
-  return x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                   : std::exp(x) / (1.0f + std::exp(x));
+  if (x >= 0.0f) return 1.0f / (1.0f + std::exp(-x));
+  const float e = std::exp(x);
+  return e / (1.0f + e);
 }
 inline float SigmoidDeriv(float y) { return y * (1.0f - y); }
 inline float TanhDeriv(float y) { return 1.0f - y * y; }
@@ -803,15 +805,19 @@ namespace {
 // Forward for rows [r0, r1): activates the four gate blocks of `pre`
 // into `act`, then produces c = f·c_prev + i·g and h = o·tanh(c) in the
 // same per-element order the composed Sigmoid/Tanh/Mul/Add chain used.
+// When `tanh_c` is not null (a tape is recorded), tanh(c) is kept there
+// for h's backward.
 void LstmGatesRows(std::size_t r0, std::size_t r1, std::size_t h,
                    const TensorImpl* pre, const TensorImpl* cprev,
-                   TensorImpl* act, TensorImpl* cnew, TensorImpl* hnew) {
+                   TensorImpl* act, TensorImpl* cnew, TensorImpl* hnew,
+                   float* tanh_c) {
   for (std::size_t r = r0; r < r1; ++r) {
     const float* p = pre->data.data() + r * 4 * h;
     float* a = act->data.data() + r * 4 * h;
     const float* cp = cprev->data.data() + r * h;
     float* cn = cnew->data.data() + r * h;
     float* hn = hnew->data.data() + r * h;
+    float* tc = tanh_c != nullptr ? tanh_c + r * h : nullptr;
     for (std::size_t j = 0; j < h; ++j) {
       const float ig = StableSigmoid(p[j]);
       const float fg = StableSigmoid(p[h + j]);
@@ -822,8 +828,10 @@ void LstmGatesRows(std::size_t r0, std::size_t r1, std::size_t h,
       a[2 * h + j] = gg;
       a[3 * h + j] = og;
       const float c = fg * cp[j] + ig * gg;
+      const float t = std::tanh(c);
       cn[j] = c;
-      hn[j] = og * std::tanh(c);
+      hn[j] = og * t;
+      if (tc != nullptr) tc[j] = t;
     }
   }
 }
@@ -844,17 +852,22 @@ LstmGatesResult LstmGates(const Tensor& preact, const Tensor& c_prev) {
   TensorImpl* acti = act.get();
   TensorImpl* cni = cnew.get();
   TensorImpl* hni = hnew.get();
+  const bool track = TrackGrad({&preact, &c_prev});
+  // tanh(c) per element, for h's backward; only when a tape is recorded.
+  std::vector<float> tanh_c(track ? rows * h : 0);
+  float* tci = track ? tanh_c.data() : nullptr;
 
   kernels::ParallelRows(rows, rows * 4 * h,
                         [&](std::size_t r0, std::size_t r1) {
-                          LstmGatesRows(r0, r1, h, pi, ci, acti, cni, hni);
+                          LstmGatesRows(r0, r1, h, pi, ci, acti, cni, hni,
+                                        tci);
                         });
 
   Tensor act_t(act);
   Tensor cnew_t(cnew);
   Tensor hnew_t(hnew);
   LstmGatesResult result{hnew_t, cnew_t};
-  if (!TrackGrad({&preact, &c_prev})) return result;
+  if (!track) return result;
 
   // Three tape nodes so reverse topological order visits h -> c -> act
   // and every cross-term (h's grad into c, c's grad into the gates)
@@ -910,20 +923,20 @@ LstmGatesResult LstmGates(const Tensor& preact, const Tensor& c_prev) {
             });
       });
 
-  // h = o·tanh(c) with parents {act, c}.
+  // h = o·tanh(c) with parents {act, c}; tanh(c) is the forward's.
   Attach(
       hnew, {&act_t, &cnew_t},
-      [acti, cni, hni, rows, h]() {
+      [acti, cni, hni, rows, h, tanh_c = std::move(tanh_c)]() {
         kernels::ParallelRows(
             rows, rows * h, [&](std::size_t r0, std::size_t r1) {
               for (std::size_t r = r0; r < r1; ++r) {
                 const float* a = acti->data.data() + r * 4 * h;
-                const float* cn = cni->data.data() + r * h;
+                const float* tc = tanh_c.data() + r * h;
                 const float* gh = hni->grad.data() + r * h;
                 float* ga = acti->grad.data() + r * 4 * h;
                 float* gc = cni->grad.data() + r * h;
                 for (std::size_t j = 0; j < h; ++j) {
-                  const float t = std::tanh(cn[j]);
+                  const float t = tc[j];
                   ga[3 * h + j] += gh[j] * t;               // d o
                   gc[j] += gh[j] * a[3 * h + j] * (1.0f - t * t);
                 }

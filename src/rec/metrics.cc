@@ -20,6 +20,11 @@ RankingQuality EvaluateRanking(
     // Negatives: unseen items for this user.
     std::unordered_set<data::ItemId> seen;
     for (data::ItemId item : full.Sequence(ev.user)) seen.insert(item);
+    // When the user's items and the held-out one cover the catalog there
+    // is no negative to draw: skip the event before drawing anything, so
+    // every other event draws the negatives it always drew.
+    const std::size_t covered = seen.size() + (seen.count(ev.item) > 0 ? 0 : 1);
+    if (protocol.num_negatives > 0 && covered >= full.num_items()) continue;
     std::vector<data::ItemId> candidates = {ev.item};
     while (candidates.size() < protocol.num_negatives + 1) {
       const data::ItemId j = rng.Index(full.num_items());

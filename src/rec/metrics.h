@@ -30,7 +30,9 @@ struct EvalProtocol {
 
 /// Evaluates `ranker` (already fitted on the training split) on held-out
 /// interactions. `full` is the unsplit log (used to exclude every seen
-/// item from the negative draws).
+/// item from the negative draws). An event whose user has seen every
+/// item has no negative to draw; it is skipped and not counted in
+/// `num_evaluated`.
 RankingQuality EvaluateRanking(const Recommender& ranker,
                                const data::Dataset& full,
                                const std::vector<data::Interaction>& heldout,

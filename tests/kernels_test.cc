@@ -1,17 +1,20 @@
 // Tests for the dense GEMM kernel layer (nn/kernels.h) and the
 // GradMode/NoGradScope inference switch: kernel-vs-reference
 // equivalence over randomized shapes, the kernels' order contract bit
-// for bit, bit-identical threaded vs single-threaded execution, and
-// tape-free no-grad outputs.
+// for bit at every lane width, bit-identical threaded vs
+// single-threaded execution, the width dispatch, and tape-free no-grad
+// outputs.
 #include "nn/kernels.h"
 
 #include <cmath>
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "bit_identity.h"
 #include "gtest/gtest.h"
 #include "nn/tensor.h"
+#include "obs/metrics.h"
 #include "util/random.h"
 
 namespace poisonrec::nn {
@@ -206,18 +209,24 @@ std::vector<float> SpreadOperands(std::size_t size, Rng* rng) {
   return values;
 }
 
-void RunKernel(Variant variant, std::size_t m, std::size_t k, std::size_t n,
-               const std::vector<float>& a, const std::vector<float>& b,
-               std::vector<float>* c) {
+// One variant's rows at a given lane width, through the kernels'
+// test-only entry point: dispatch runs only the widest width the CPU
+// has, so it alone would leave the other untested.
+void RunKernel(Variant variant, std::size_t lanes, std::size_t m,
+               std::size_t k, std::size_t n, const std::vector<float>& a,
+               const std::vector<float>& b, std::vector<float>* c) {
   switch (variant) {
     case Variant::kNN:
-      GemmNN(m, k, n, a.data(), b.data(), c->data());
+      kernels::internal::GemmNNAt(lanes, m, k, n, a.data(), b.data(),
+                                  c->data());
       return;
     case Variant::kTN:
-      GemmTN(m, k, n, a.data(), b.data(), c->data());
+      kernels::internal::GemmTNAt(lanes, m, k, n, a.data(), b.data(),
+                                  c->data());
       return;
     case Variant::kNT:
-      GemmNT(m, k, n, a.data(), b.data(), c->data());
+      kernels::internal::GemmNTAt(lanes, m, k, n, a.data(), b.data(),
+                                  c->data());
       return;
   }
 }
@@ -225,27 +234,40 @@ void RunKernel(Variant variant, std::size_t m, std::size_t k, std::size_t n,
 // One (variant, shape) case: the kernel, run into a copy of a C that
 // already holds values (and signed zeros), must match the spec bit for
 // bit.
-::testing::AssertionResult MatchesSpec(Variant variant, std::size_t m,
-                                       std::size_t k, std::size_t n,
-                                       Rng* rng) {
+::testing::AssertionResult MatchesSpec(Variant variant, std::size_t lanes,
+                                       std::size_t m, std::size_t k,
+                                       std::size_t n, Rng* rng) {
   const std::vector<float> a = SpreadOperands(m * k, rng);
   const std::vector<float> b = SpreadOperands(k * n, rng);
   std::vector<float> want = SpreadOperands(m * n, rng);
   std::vector<float> got = want;
   SpecGemm(variant, m, k, n, a, b, &want);
-  RunKernel(variant, m, k, n, a, b, &got);
+  RunKernel(variant, lanes, m, k, n, a, b, &got);
   ::testing::AssertionResult same = SameBits(got, want);
   if (!same) {
     same << " (Gemm" << VariantName(variant) << " " << m << "x" << k << "x"
-         << n << ")";
+         << n << ", " << lanes << " lanes)";
   }
   return same;
 }
 
+// The kernel tests that run both lane widths; the 8-lane half skips on
+// a CPU without AVX2.
+class LaneWidthTest : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  void SetUp() override {
+    if (!kernels::internal::CanRunLanes(GetParam())) {
+      GTEST_SKIP() << GetParam() << "-lane rows need AVX2";
+    }
+  }
+};
+
 // Every tile, every remainder and the threaded row split run: all small
-// shapes exhaustively, then random ones up to ~130 on a side (above the
-// threading threshold), at one and four threads.
-TEST(KernelsTest, EveryVariantFollowsTheOrderContractBitForBit) {
+// shapes exhaustively (n up to 40 covers the widest tile, 32 columns,
+// and every remainder after it), then random ones up to 300×300×240,
+// many above the threading threshold, at one and four threads.
+TEST_P(LaneWidthTest, EveryVariantFollowsTheOrderContractBitForBit) {
+  const std::size_t lanes = GetParam();
   for (const std::size_t threads : {1, 4}) {
     SCOPED_TRACE(threads);
     ThreadBudgetOverride budget(threads);
@@ -253,53 +275,82 @@ TEST(KernelsTest, EveryVariantFollowsTheOrderContractBitForBit) {
     for (const Variant variant : {Variant::kNN, Variant::kTN, Variant::kNT}) {
       for (std::size_t m = 1; m <= 9; ++m) {
         for (std::size_t k = 1; k <= 13; ++k) {
-          for (std::size_t n = 1; n <= 13; ++n) {
-            ASSERT_TRUE(MatchesSpec(variant, m, k, n, &rng));
+          for (std::size_t n = 1; n <= 40; ++n) {
+            ASSERT_TRUE(MatchesSpec(variant, lanes, m, k, n, &rng));
           }
         }
       }
+      std::size_t split = 0;
       for (int trial = 0; trial < 40; ++trial) {
-        const std::size_t m = rng.Index(130) + 1;
-        const std::size_t k = rng.Index(150) + 1;
-        const std::size_t n = rng.Index(90) + 1;
-        ASSERT_TRUE(MatchesSpec(variant, m, k, n, &rng));
+        const std::size_t m = rng.Index(300) + 1;
+        const std::size_t k = rng.Index(300) + 1;
+        const std::size_t n = rng.Index(240) + 1;
+        if (m * k * n >= kernels::kParallelMinWork) ++split;
+        ASSERT_TRUE(MatchesSpec(variant, lanes, m, k, n, &rng));
       }
+      EXPECT_GE(split, 12u) << "too few random shapes reach the row split";
     }
   }
 }
 
 // The determinism contract: threaded kernels must be bit-identical to
-// single-threaded, not merely close. Shapes are chosen above the
-// parallel threshold (m·k·n >= 2^15) with row counts that do not divide
-// evenly into blocks.
-TEST(KernelsTest, ThreadedGemmIsBitIdenticalToSingleThreaded) {
+// single-threaded, not merely close. The shape is above the threading
+// threshold, with a row count that does not divide evenly into blocks.
+TEST_P(LaneWidthTest, ThreadedGemmIsBitIdenticalToSingleThreaded) {
+  const std::size_t lanes = GetParam();
   Rng rng(44);
-  const std::size_t m = 97, k = 53, n = 71;
-  ASSERT_GE(m * k * n, std::size_t{1} << 15);
+  const std::size_t m = 197, k = 83, n = 131;
+  ASSERT_GE(m * k * n, kernels::kParallelMinWork);
   const std::vector<float> a = RandomMatrix(m, k, &rng);
   const std::vector<float> bnn = RandomMatrix(k, n, &rng);
   const std::vector<float> btn = RandomMatrix(k, m, &rng);  // A for TN
   const std::vector<float> bnt = RandomMatrix(n, k, &rng);  // B for NT
+  const auto run = [&](std::vector<float>* nn, std::vector<float>* tn,
+                       std::vector<float>* nt) {
+    kernels::internal::GemmNNAt(lanes, m, k, n, a.data(), bnn.data(),
+                                nn->data());
+    kernels::internal::GemmTNAt(lanes, m, k, n, btn.data(), bnn.data(),
+                                tn->data());
+    kernels::internal::GemmNTAt(lanes, m, k, n, a.data(), bnt.data(),
+                                nt->data());
+  };
 
   std::vector<float> single_nn(m * n, 0.0f), single_tn(m * n, 0.0f),
       single_nt(m * n, 0.0f);
   {
     ThreadBudgetOverride one_thread(1);
-    GemmNN(m, k, n, a.data(), bnn.data(), single_nn.data());
-    GemmTN(m, k, n, btn.data(), bnn.data(), single_tn.data());
-    GemmNT(m, k, n, a.data(), bnt.data(), single_nt.data());
+    run(&single_nn, &single_tn, &single_nt);
   }
   for (std::size_t threads : {2, 4, 7}) {
     ThreadBudgetOverride many(threads);
     std::vector<float> got_nn(m * n, 0.0f), got_tn(m * n, 0.0f),
         got_nt(m * n, 0.0f);
-    GemmNN(m, k, n, a.data(), bnn.data(), got_nn.data());
-    GemmTN(m, k, n, btn.data(), bnn.data(), got_tn.data());
-    GemmNT(m, k, n, a.data(), bnt.data(), got_nt.data());
+    run(&got_nn, &got_tn, &got_nt);
     EXPECT_EQ(got_nn, single_nn) << "GemmNN, " << threads << " threads";
     EXPECT_EQ(got_tn, single_tn) << "GemmTN, " << threads << " threads";
     EXPECT_EQ(got_nt, single_nt) << "GemmNT, " << threads << " threads";
   }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, LaneWidthTest, ::testing::Values(4, 8),
+                         [](const auto& info) {
+                           return "Lanes" + std::to_string(info.param);
+                         });
+
+// Dispatch runs the widest width this CPU has, the same for every call,
+// and publishes it in the registry.
+TEST(KernelsTest, DispatchRunsTheWidestLanesAndPublishesThem) {
+  const std::size_t lanes = kernels::GemmLanes();
+  EXPECT_EQ(lanes, kernels::internal::CanRunLanes(8) ? 8u : 4u);
+  EXPECT_TRUE(kernels::internal::CanRunLanes(4));
+  const float one = 1.0f;
+  float c = 0.0f;
+  GemmNN(1, 1, 1, &one, &one, &c);
+  EXPECT_EQ(obs::MetricsRegistry::Global()
+                .GetGauge("poisonrec_gemm_lanes")
+                ->Value(),
+            static_cast<double>(lanes));
+  EXPECT_EQ(kernels::GemmLanes(), lanes);
 }
 
 TEST(KernelsTest, MatMulForwardAndBackwardUseKernelsCorrectly) {

@@ -81,6 +81,48 @@ TEST(MetricsTest, ConstantScorerGetsNoCredit) {
   EXPECT_DOUBLE_EQ(q.hit_rate, 0.0);
 }
 
+// A held-out user who has seen every item leaves no negative to draw:
+// the call returns, the event is skipped, and the other events draw the
+// same negatives as without it.
+TEST(MetricsTest, UserWhoHasSeenEveryItemIsSkipped) {
+  data::Dataset d(4, 12);
+  for (data::UserId u = 0; u < 3; ++u) d.AddSequence(u, {u + 1, u + 4, 2});
+  std::vector<data::ItemId> everything;
+  for (data::ItemId i = 0; i < 12; ++i) everything.push_back(11 - i);
+  d.AddSequence(3, everything);
+  const std::vector<data::Interaction> ordinary = {
+      {0, 2, 2}, {1, 2, 2}, {2, 2, 2}};
+  const std::vector<data::Interaction> with_full_user = {
+      {0, 2, 2}, {3, 0, 11}, {1, 2, 2}, {2, 2, 2}};
+  EvalProtocol protocol;
+  protocol.top_k = 3;
+  protocol.num_negatives = 5;
+  LowIdFirst scorer;
+  const RankingQuality want = EvaluateRanking(scorer, d, ordinary, protocol);
+  const RankingQuality got =
+      EvaluateRanking(scorer, d, with_full_user, protocol);
+  EXPECT_EQ(got.num_evaluated, 3u);
+  EXPECT_EQ(got.hit_rate, want.hit_rate);
+  EXPECT_EQ(got.ndcg, want.ndcg);
+}
+
+// An ordinary log's quality, pinned to the values it had before events
+// without a negative were skipped: no other event's draws may move.
+TEST(MetricsTest, OrdinaryLogQualityIsPinned) {
+  data::SyntheticConfig cfg;
+  cfg.num_users = 60;
+  cfg.num_items = 90;
+  cfg.num_interactions = 900;
+  cfg.seed = 3;
+  data::Dataset full = data::GenerateSynthetic(cfg);
+  auto split = data::SplitLeaveOneOut(full);
+  LowIdFirst scorer;
+  const RankingQuality q = EvaluateRanking(scorer, full, split.test);
+  EXPECT_EQ(q.num_evaluated, 60u);
+  EXPECT_EQ(q.hit_rate, 16.0 / 60.0);
+  EXPECT_EQ(q.ndcg, 0.12903397039048853);
+}
+
 // Testbed sanity: every algorithm, fitted on a structured log, must beat
 // the random floor on held-out next items — the precondition for the
 // attack experiments to be meaningful.

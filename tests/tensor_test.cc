@@ -5,8 +5,11 @@
 #include "nn/tensor.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <latch>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -167,6 +170,45 @@ TEST(TensorForward, NoGradScopeSkipsTape) {
   NoGradScope no_grad;
   Tensor b = Relu(a);
   EXPECT_FALSE(b.requires_grad());
+}
+
+// The logistic calls exp once for x < 0; exp of the same float returns
+// the same bits, so it must equal the two-call form exp(x) / (1 + exp(x))
+// bit for bit (x ≥ 0 keeps 1 / (1 + exp(-x))). NaN takes the x < 0 form.
+TEST(TensorForward, SigmoidMatchesTheTwoExpForm) {
+  std::vector<float> xs = {0.0f,
+                           -0.0f,
+                           std::numeric_limits<float>::denorm_min(),
+                           -std::numeric_limits<float>::denorm_min(),
+                           1e-40f,
+                           -1e-40f,
+                           1e-3f,
+                           -1e-3f,
+                           10.0f,
+                           -10.0f,
+                           88.0f,
+                           -88.0f,
+                           100.0f,
+                           -100.0f,
+                           std::numeric_limits<float>::infinity(),
+                           -std::numeric_limits<float>::infinity(),
+                           std::numeric_limits<float>::quiet_NaN()};
+  // A dense sweep of negative floats: 2^16 of them, every 2^15-th bit
+  // pattern from -0 down to -inf (plus NaN payloads past it).
+  for (std::uint32_t bits = 0x80000000u; bits >= 0x80000000u;
+       bits += 1u << 15) {
+    float x;
+    std::memcpy(&x, &bits, sizeof(x));
+    xs.push_back(x);
+  }
+  std::vector<float> want(xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const float x = xs[i];
+    want[i] = x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
+                        : std::exp(x) / (1.0f + std::exp(x));
+  }
+  const Tensor y = Sigmoid(Tensor::FromData(1, xs.size(), xs));
+  EXPECT_TRUE(SameBits(y.data(), want));
 }
 
 // -- Gradient checks --------------------------------------------------------
@@ -456,8 +498,12 @@ AffineRun RunAffine(bool fused, const Tensor& x10, const Tensor& w10,
 
 TEST(AffineTest, BitIdenticalToComposedChain) {
   ThreadGuard guard;
-  // 40x24x48 runs the threaded GEMMs, 40x16x48 the single-threaded path.
-  const std::size_t m = 40, k1 = 24, k2 = 16, n = 48;
+  // At 4 threads pair 1's GEMMs (2048x24x48: the forward, and its
+  // backward's NT and TN) split rows; pair 2's (2048x16x48) stay on the
+  // calling thread.
+  const std::size_t m = 2048, k1 = 24, k2 = 16, n = 48;
+  ASSERT_GE(m * k1 * n, kernels::kParallelMinWork);
+  ASSERT_LT(m * k2 * n, kernels::kParallelMinWork);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     SetNumThreads(threads);
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {

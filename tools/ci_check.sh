@@ -31,7 +31,8 @@
 # checkpoint truncation, torn journal tail) checking the verdicts and
 # exit codes `poisonrec fsck` promises, and a separate TSan build (also
 # warnings as errors) runs the scheduler/journal/lease/chaos, engine and
-# parallel-reward tests race-free, along with the autograd walk's tests.
+# parallel-reward tests race-free, along with the autograd walk's and
+# the GEMM kernels' tests.
 # A last build for the host's own ISA (-march=native, FMA included) runs
 # the kernel, optimizer and golden-fixture tests, which must hold bit for
 # bit there too.
@@ -78,6 +79,12 @@ trap 'rm -rf "${SMOKE_DIR}"' EXIT
   --defense --defense-interval=4 --defense-bans=1 \
   --pool-reserve=10 --pool-min-live=2 \
   --checkpoint="${SMOKE_DIR}/defended.ckpt" --checkpoint-every=1
+
+# Ranking-quality smoke on a catalog so small that held-out users have
+# seen every item (MovieLens at 0.01: 37 items): the evaluation skips
+# those events and must end.
+timeout 60 "${BUILD_DIR}/tools/poisonrec" quality \
+  --dataset=movielens --scale=0.01 --epochs=1 >/dev/null
 
 # Strict flags: a flag the subcommand does not read, a --pool-* flag
 # without --defense, a --guard-* flag without --guard, a positional
@@ -449,7 +456,10 @@ fsck_expect journal_torn_tail 2 'torn_tail'
 # every backward walk stamps the nodes it visits (tensor_test walks
 # graphs that share a constant leaf on several threads at once); run
 # their tests under ThreadSanitizer (incompatible with ASan, hence the
-# separate build tree).
+# separate build tree). The engine's golden cases are too small to split
+# a GEMM's rows (kernels::kParallelMinWork); tensor_test's affine case
+# does, and kernels_test, whose threaded cases split every variant at
+# both lane widths, runs here too.
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "${TSAN_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -458,7 +468,7 @@ cmake -B "${TSAN_DIR}" -S . \
 cmake --build "${TSAN_DIR}" -j "$(nproc)" \
   --target orch_test lease_test fleet_recovery_test fleet_shared_test \
            fsck_chaos_test fleet_status_test status_test \
-           batched_engine_test parallel_test tensor_test
+           batched_engine_test parallel_test tensor_test kernels_test
 "${TSAN_DIR}/tests/orch_test"
 "${TSAN_DIR}/tests/lease_test"
 "${TSAN_DIR}/tests/fleet_recovery_test"
@@ -469,6 +479,7 @@ cmake --build "${TSAN_DIR}" -j "$(nproc)" \
 "${TSAN_DIR}/tests/batched_engine_test"
 "${TSAN_DIR}/tests/parallel_test"
 "${TSAN_DIR}/tests/tensor_test"
+"${TSAN_DIR}/tests/kernels_test"
 
 # Native leg: GCC and Clang contract a + b·c into one fused multiply-add
 # wherever the target has FMA. -ffp-contract=off (src/ and tests/
