@@ -943,6 +943,17 @@ Status PoisonRecAttacker::SaveCheckpoint(const std::string& path) const {
   return status;
 }
 
+StatusOr<std::uint64_t> CheckpointSteps(const std::string& path) {
+  StatusOr<std::string> bytes = ReadFileBytes(path);
+  if (!bytes.ok()) return Status::IoError("cannot open " + path);
+  POISONREC_ASSIGN_OR_RETURN(const std::string_view payload,
+                             CheckpointPayload(*bytes, path));
+  ByteReader in(payload);
+  const std::uint64_t steps = in.U64();  // the payload's first field
+  if (!in.ok()) return Status::DataLoss("truncated checkpoint");
+  return steps;
+}
+
 Status PoisonRecAttacker::LoadCheckpoint(const std::string& path) {
   POISONREC_TRACE_SPAN("ppo/checkpoint_load");
   const Status status = [&]() -> Status {

@@ -365,6 +365,12 @@ StatusOr<std::string_view> CheckpointPayload(
     std::string_view file, const std::string& path,
     FileIntegrity* integrity = nullptr);
 
+/// The steps taken that the checkpoint at `path` records, after the
+/// CheckpointPayload frame check, without loading it into an attacker.
+/// A missing file is kIoError; a damaged or foreign one fails as
+/// CheckpointPayload does.
+StatusOr<std::uint64_t> CheckpointSteps(const std::string& path);
+
 }  // namespace poisonrec::core
 
 #endif  // POISONREC_CORE_PPO_H_

@@ -1,7 +1,6 @@
 #include "env/environment.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "util/logging.h"
 #include "util/random.h"
@@ -75,16 +74,26 @@ data::Dataset AttackEnvironment::BuildPoisonLog(
   return poison;
 }
 
+const std::vector<std::vector<data::ItemId>>&
+AttackEnvironment::CandidateLists() const {
+  std::call_once(candidate_lists_once_, [this] {
+    candidate_lists_.reserve(eval_users_.size());
+    for (data::UserId u : eval_users_) {
+      candidate_lists_.push_back(candidates_->Candidates(u));
+    }
+  });
+  return candidate_lists_;
+}
+
 double AttackEnvironment::RecNum(const rec::Recommender& ranker) const {
-  const std::unordered_set<data::ItemId> targets(target_items_.begin(),
-                                                 target_items_.end());
+  const std::vector<std::vector<data::ItemId>>& lists = CandidateLists();
   double rec_num = 0.0;
-  for (data::UserId u : eval_users_) {
-    const std::vector<data::ItemId> cands = candidates_->Candidates(u);
+  for (std::size_t i = 0; i < eval_users_.size(); ++i) {
     const std::vector<data::ItemId> top =
-        ranker.RecommendTopK(u, cands, config_.top_k);
+        ranker.RecommendTopK(eval_users_[i], lists[i], config_.top_k);
     for (data::ItemId item : top) {
-      if (targets.count(item) > 0) rec_num += 1.0;
+      // The target items are the ids past the original catalogue.
+      if (item >= num_original_items_) rec_num += 1.0;
     }
   }
   return rec_num;

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "data/dataset.h"
@@ -127,6 +128,12 @@ class AttackEnvironment : public RewardSource {
   data::Dataset BuildPoisonLog(
       const std::vector<Trajectory>& trajectories) const;
 
+  /// Each evaluation user's candidate list, in eval_users_ order. A list
+  /// depends on the user alone, so the first RecNum call builds them all
+  /// (once, whichever thread gets there first) and every query reuses
+  /// them; a campaign that never queries never pays for them.
+  const std::vector<std::vector<data::ItemId>>& CandidateLists() const;
+
   EnvironmentConfig config_;
   std::size_t num_original_items_;
   std::size_t num_real_users_;
@@ -135,6 +142,8 @@ class AttackEnvironment : public RewardSource {
   std::unique_ptr<rec::Recommender> ranker_;
   std::unique_ptr<rec::CandidateGenerator> candidates_;
   std::vector<data::UserId> eval_users_;
+  mutable std::once_flag candidate_lists_once_;
+  mutable std::vector<std::vector<data::ItemId>> candidate_lists_;
 };
 
 }  // namespace poisonrec::env

@@ -282,13 +282,41 @@ inline void ColumnTilesNT(std::size_t i, std::size_t k, std::size_t k4,
   }
 }
 
+// Rows [i0, i1) with 0 < k < 4, where every lane is empty: each output is
+// c + (+0 + tail), the tail summed from +0 in ascending kk, which is
+// DotNT's expression. The tiles would spend the product zeroing and
+// combining empty lanes; with K a constant this column loop vectorizes.
+template <std::size_t K>
+inline void ShortNTRows(std::size_t i0, std::size_t i1, std::size_t n,
+                        const float* __restrict a,
+                        const float* __restrict b, float* __restrict c) {
+  for (std::size_t i = i0; i < i1; ++i) {
+    const float* arow = a + i * K;
+    float* crow = c + i * n;
+    for (std::size_t j = 0; j < n; ++j) {
+      float tail = 0.0f;
+#pragma GCC unroll 4
+      for (std::size_t kk = 0; kk < K; ++kk) {
+        tail = tail + arow[kk] * b[j * K + kk];
+      }
+      crow[j] = crow[j] + (0.0f + tail);
+    }
+  }
+}
+
 // Rows [i0, i1) of C: 2×W tiles (8 registers at W = 8, 8 chains at
-// W = 4), and 1×8 tiles for an odd last row. m is unused; it keeps the
-// row functions' signatures alike.
+// W = 4), and 1×8 tiles for an odd last row; ShortNTRows for k < 4. m
+// is unused; it keeps the row functions' signatures alike.
 template <int W>
 void GemmNTRows(std::size_t i0, std::size_t i1, std::size_t /*m*/,
                 std::size_t k, std::size_t n, const float* a, const float* b,
                 float* c) {
+  switch (k) {
+    case 1: return ShortNTRows<1>(i0, i1, n, a, b, c);
+    case 2: return ShortNTRows<2>(i0, i1, n, a, b, c);
+    case 3: return ShortNTRows<3>(i0, i1, n, a, b, c);
+    default: break;
+  }
   const std::size_t k4 = k - k % 4;
   std::size_t i = i0;
   for (; i + 2 <= i1; i += 2) ColumnTilesNT<W, 2, W>(i, k, k4, n, a, b, c);

@@ -38,7 +38,9 @@
 // W = 8 one register holds two adjacent outputs' lanes (s0…s3 of column
 // j, then of column j+1), A's four values are broadcast into both
 // halves, and the combine regroups the lanes of four outputs before
-// running the contract's sum four outputs at a time.
+// running the contract's sum four outputs at a time. An NT product with
+// k < 4 fills no lane: each output is c + (+0 + tail), one column loop
+// per row that the compiler vectorizes.
 //
 // Dispatch. One process-wide choice, made on the first GEMM: 8 lanes
 // when the CPU reports AVX2, 4 otherwise. It takes no option and shows

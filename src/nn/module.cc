@@ -11,6 +11,11 @@ float GlorotBound(std::size_t fan_in, std::size_t fan_out) {
   return std::sqrt(6.0f / static_cast<float>(fan_in + fan_out));
 }
 
+// A module copy's parameter (see Module).
+Tensor CopyOf(const Tensor& param) {
+  return param.DeepCopy(param.requires_grad());
+}
+
 }  // namespace
 
 std::size_t Module::NumParameters() const {
@@ -41,6 +46,9 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, Rng* rng) {
   bias_ = Tensor::Zeros(1, out_features, /*requires_grad=*/true);
 }
 
+Linear::Linear(const Linear& other)
+    : weight_(CopyOf(other.weight_)), bias_(CopyOf(other.bias_)) {}
+
 Tensor Linear::Forward(const Tensor& x) const {
   return Affine(x, weight_, bias_);
 }
@@ -53,6 +61,9 @@ Embedding::Embedding(std::size_t count, std::size_t dim, Rng* rng,
                      float stddev) {
   table_ = Tensor::Randn(count, dim, stddev, rng, /*requires_grad=*/true);
 }
+
+Embedding::Embedding(const Embedding& other)
+    : table_(CopyOf(other.table_)) {}
 
 Tensor Embedding::Forward(const std::vector<std::size_t>& ids) const {
   return Rows(table_, ids);
@@ -104,6 +115,13 @@ LstmCell::LstmCell(std::size_t input_size, std::size_t hidden_size, Rng* rng)
   }
 }
 
+LstmCell::LstmCell(const LstmCell& other)
+    : input_size_(other.input_size_),
+      hidden_size_(other.hidden_size_),
+      w_x_(CopyOf(other.w_x_)),
+      w_h_(CopyOf(other.w_h_)),
+      bias_(CopyOf(other.bias_)) {}
+
 LstmCell::State LstmCell::InitialState(std::size_t batch) const {
   return {Tensor::Zeros(batch, hidden_size_),
           Tensor::Zeros(batch, hidden_size_)};
@@ -136,18 +154,13 @@ GruCell::GruCell(std::size_t input_size, std::size_t hidden_size, Rng* rng)
   b_h_ = Tensor::Zeros(1, 3 * hidden_size, /*requires_grad=*/true);
 }
 
-Tensor GruCell::InitialState(std::size_t batch) const {
-  return Tensor::Zeros(batch, hidden_size_);
-}
-
-Tensor GruCell::Step(const Tensor& x, const Tensor& h) const {
-  POISONREC_CHECK_EQ(x.cols(), input_size_);
-  // Two affine nodes for the pre-activations, one fused node for the
-  // gate math after them.
-  Tensor gx = Affine(x, w_x_, b_x_);  // (B x 3h)
-  Tensor gh = Affine(h, w_h_, b_h_);  // (B x 3h)
-  return GruGates(gx, gh, h);
-}
+GruCell::GruCell(const GruCell& other)
+    : input_size_(other.input_size_),
+      hidden_size_(other.hidden_size_),
+      w_x_(CopyOf(other.w_x_)),
+      w_h_(CopyOf(other.w_h_)),
+      b_x_(CopyOf(other.b_x_)),
+      b_h_(CopyOf(other.b_h_)) {}
 
 std::vector<Tensor> GruCell::Parameters() const {
   return {w_x_, w_h_, b_x_, b_h_};

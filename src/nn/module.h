@@ -13,7 +13,10 @@
 
 namespace poisonrec::nn {
 
-/// Base class for parameterized modules.
+/// Base class for parameterized modules. Copying a module copies its
+/// parameters: the copy owns new leaves with the same values and
+/// requires_grad, so training one never moves the other. (Tensor copies
+/// alias; a module's do not.)
 class Module {
  public:
   virtual ~Module() = default;
@@ -36,6 +39,8 @@ class Module {
 class Linear : public Module {
  public:
   Linear(std::size_t in_features, std::size_t out_features, Rng* rng);
+  Linear(const Linear& other);
+  Linear(Linear&&) = default;
 
   Tensor Forward(const Tensor& x) const;
   std::vector<Tensor> Parameters() const override;
@@ -57,6 +62,8 @@ class Embedding : public Module {
  public:
   Embedding(std::size_t count, std::size_t dim, Rng* rng,
             float stddev = 0.1f);
+  Embedding(const Embedding& other);
+  Embedding(Embedding&&) = default;
 
   /// Rows of the table for the given ids -> (|ids| x dim).
   Tensor Forward(const std::vector<std::size_t>& ids) const;
@@ -92,6 +99,8 @@ class Mlp : public Module {
 class LstmCell : public Module {
  public:
   LstmCell(std::size_t input_size, std::size_t hidden_size, Rng* rng);
+  LstmCell(const LstmCell& other);
+  LstmCell(LstmCell&&) = default;
 
   struct State {
     Tensor h;  // (batch x hidden)
@@ -118,21 +127,23 @@ class LstmCell : public Module {
 };
 
 /// Single GRU cell (update z, reset r, candidate n). Weights: W_x
-/// (in x 3h), W_h (h x 3h), biases b_x, b_h (1 x 3h). A step records three
-/// tape nodes: two Affine nodes and one GruGates node (see nn/tensor.h).
+/// (in x 3h), W_h (h x 3h), biases b_x, b_h (1 x 3h). The cell runs inside
+/// nn::GruSessionLoss (a whole session's training loss as one tape node)
+/// and nn::GruEncode (its forward, no tape); see nn/tensor.h.
 class GruCell : public Module {
  public:
   GruCell(std::size_t input_size, std::size_t hidden_size, Rng* rng);
-
-  Tensor InitialState(std::size_t batch) const;
-
-  /// One step: h' = (1-z)*n + z*h.
-  Tensor Step(const Tensor& x, const Tensor& h) const;
+  GruCell(const GruCell& other);
+  GruCell(GruCell&&) = default;
 
   std::vector<Tensor> Parameters() const override;
 
   std::size_t hidden_size() const { return hidden_size_; }
   std::size_t input_size() const { return input_size_; }
+  const Tensor& w_x() const { return w_x_; }
+  const Tensor& w_h() const { return w_h_; }
+  const Tensor& b_x() const { return b_x_; }
+  const Tensor& b_h() const { return b_h_; }
 
  private:
   std::size_t input_size_;

@@ -43,6 +43,18 @@ inline float SoftplusOf(float x) {
   return x > 0.0f ? x + std::log1p(std::exp(-x)) : std::log1p(std::exp(x));
 }
 
+// Log-softmax of one row of n logits, as LogSoftmax and the GRU
+// session's step losses compute it: the max, the sum of exp(x - max) in
+// column order, then x - (max + log(sum)).
+void LogSoftmaxRow(const float* x, std::size_t n, float* out) {
+  float maxv = x[0];
+  for (std::size_t c = 1; c < n; ++c) maxv = std::max(maxv, x[c]);
+  float denom = 0.0f;
+  for (std::size_t c = 0; c < n; ++c) denom += std::exp(x[c] - maxv);
+  const float lse = maxv + std::log(denom);
+  for (std::size_t c = 0; c < n; ++c) out[c] = x[c] - lse;
+}
+
 // Row loops of the fused nodes. Their operands are distinct buffers, so
 // __restrict lets each loop vectorize; every element still gets the
 // composed ops' operations in the composed order.
@@ -68,16 +80,21 @@ inline void ScatterScaledRows(float sa, const float* __restrict a, float sb,
 // it wrote when the table is a row-sparse leaf (see tensor.h). Listed in
 // the backward, not the forward: callers zero gradients between the two.
 // Only leaves are listed, so intermediate gathers never build up lists.
-void ListGradRows(TensorImpl* table, const std::vector<std::size_t>& rows) {
+void ListGradRows(TensorImpl* table, const std::size_t* rows,
+                  std::size_t count) {
   if (!table->RowSparse()) return;
   if (table->row_listed.size() != table->rows) {
     table->row_listed.assign(table->rows, false);
   }
-  for (std::size_t r : rows) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t r = rows[i];
     if (table->row_listed[r]) continue;
     table->row_listed[r] = true;
     table->grad_rows.push_back(r);
   }
+}
+void ListGradRows(TensorImpl* table, const std::vector<std::size_t>& rows) {
+  ListGradRows(table, rows.data(), rows.size());
 }
 
 }  // namespace
@@ -92,14 +109,18 @@ bool internal::TrackGrad(std::initializer_list<const Tensor*> inputs) {
 
 void internal::Attach(const std::shared_ptr<TensorImpl>& out,
                       std::initializer_list<const Tensor*> inputs,
-                      std::function<void()> backward_fn, bool gather) {
+                      std::function<void()> backward_fn,
+                      std::initializer_list<const Tensor*> gathered) {
   out->requires_grad = true;
   out->EnsureGrad();
-  for (const Tensor* t : inputs) {
-    out->parents.push_back(t->impl());
-    if (t->requires_grad()) {
-      t->impl()->EnsureGrad();
-      (gather ? t->impl()->gathered : t->impl()->read_densely) = true;
+  out->parents.reserve(inputs.size() + gathered.size());
+  for (const bool gather : {false, true}) {
+    for (const Tensor* t : gather ? gathered : inputs) {
+      out->parents.push_back(t->impl());
+      if (t->requires_grad()) {
+        t->impl()->EnsureGrad();
+        (gather ? t->impl()->gathered : t->impl()->read_densely) = true;
+      }
     }
   }
   out->backward_fn = std::move(backward_fn);
@@ -521,18 +542,8 @@ Tensor LogSoftmax(const Tensor& a) {
   TensorImpl* ai = a.impl().get();
   TensorImpl* oi = out.get();
   for (std::size_t r = 0; r < ai->rows; ++r) {
-    float maxv = ai->at(r, 0);
-    for (std::size_t c = 1; c < ai->cols; ++c) {
-      maxv = std::max(maxv, ai->at(r, c));
-    }
-    float denom = 0.0f;
-    for (std::size_t c = 0; c < ai->cols; ++c) {
-      denom += std::exp(ai->at(r, c) - maxv);
-    }
-    const float lse = maxv + std::log(denom);
-    for (std::size_t c = 0; c < ai->cols; ++c) {
-      oi->at(r, c) = ai->at(r, c) - lse;
-    }
+    LogSoftmaxRow(ai->data.data() + r * ai->cols, ai->cols,
+                  oi->data.data() + r * ai->cols);
   }
   Tensor result(out);
   if (TrackGrad({&a})) {
@@ -750,7 +761,7 @@ Tensor Rows(const Tensor& table, const std::vector<std::size_t>& indices) {
     TensorImpl* ti = table.impl().get();
     TensorImpl* oi = out.get();
     Attach(
-        out, {&table},
+        out, {},
         [ti, oi, idx = indices, dim]() {
           if (!ti->requires_grad) return;
           for (std::size_t i = 0; i < idx.size(); ++i) {
@@ -760,7 +771,7 @@ Tensor Rows(const Tensor& table, const std::vector<std::size_t>& indices) {
           }
           ListGradRows(ti, idx);
         },
-        /*gather=*/true);
+        /*gathered=*/{&table});
   }
   return result;
 }
@@ -948,83 +959,250 @@ LstmGatesResult LstmGates(const Tensor& preact, const Tensor& c_prev) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused GRU gates
+// GRU4Rec session
 // ---------------------------------------------------------------------------
 
-Tensor GruGates(const Tensor& gx, const Tensor& gh, const Tensor& h) {
-  const std::size_t rows = h.rows();
-  const std::size_t hs = h.cols();
-  POISONREC_CHECK(gx.rows() == rows && gx.cols() == 3 * hs &&
-                  gh.rows() == rows && gh.cols() == 3 * hs)
-      << "GruGates shape mismatch " << gx.ShapeString() << ", "
-      << gh.ShapeString() << ", " << h.ShapeString();
-  auto out = NewNode(rows, hs);
-  TensorImpl* xi = gx.impl().get();
-  TensorImpl* hi = gh.impl().get();
-  TensorImpl* pi = h.impl().get();
-  TensorImpl* oi = out.get();
-  const bool track = TrackGrad({&gx, &gh, &h});
-  // [z | r | n] per row, saved for the backward when recording.
-  std::vector<float> act(track ? rows * 3 * hs : 0);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* px = xi->data.data() + r * 3 * hs;
-    const float* ph = hi->data.data() + r * 3 * hs;
-    const float* hp = pi->data.data() + r * hs;
-    float* o = oi->data.data() + r * hs;
-    for (std::size_t j = 0; j < hs; ++j) {
-      const float z = StableSigmoid(px[j] + ph[j]);
-      const float rg = StableSigmoid(px[hs + j] + ph[hs + j]);
-      const float n = std::tanh(px[2 * hs + j] + rg * ph[2 * hs + j]);
-      o[j] = (z * -1.0f + 1.0f) * n + z * hp[j];
-      if (track) {
-        float* a = act.data() + r * 3 * hs;
-        a[j] = z;
-        a[hs + j] = rg;
-        a[2 * hs + j] = n;
-      }
-    }
+namespace {
+
+// The GRU's parameters as raw rows: W_x (d x 3h), b_x (1 x 3h), W_h
+// (h x 3h), b_h (1 x 3h).
+struct GruWeights {
+  std::size_t d;
+  std::size_t hs;
+  const float* w_x;
+  const float* b_x;
+  const float* w_h;
+  const float* b_h;
+};
+
+GruWeights CheckGru(const Tensor& table, const Tensor& w_x, const Tensor& b_x,
+                    const Tensor& w_h, const Tensor& b_h,
+                    const std::vector<std::size_t>& inputs) {
+  const std::size_t d = table.cols();
+  const std::size_t hs = w_h.rows();
+  POISONREC_CHECK(w_x.rows() == d && w_x.cols() == 3 * hs &&
+                  w_h.cols() == 3 * hs && b_x.rows() == 1 &&
+                  b_x.cols() == 3 * hs && b_h.rows() == 1 &&
+                  b_h.cols() == 3 * hs)
+      << "GRU shape mismatch: table " << table.ShapeString() << ", W_x "
+      << w_x.ShapeString() << ", b_x " << b_x.ShapeString() << ", W_h "
+      << w_h.ShapeString() << ", b_h " << b_h.ShapeString();
+  for (std::size_t id : inputs) POISONREC_CHECK_LT(id, table.rows());
+  return {d,
+          hs,
+          w_x.data().data(),
+          b_x.data().data(),
+          w_h.data().data(),
+          b_h.data().data()};
+}
+
+// One step of the recurrence from the input row x and the state h_prev:
+// gx and gh as Affine computes them (a zeroed row, GemmNN, then the bias
+// row), then
+//   z = σ(gx_z + gh_z), r = σ(gx_r + gh_r), n = tanh(gx_n + r * gh_n),
+//   h = (1 - z) * n + z * h_prev,
+// with 1 - z as z * -1 + 1, the association of the composed Scale and
+// AddScalar. Writes gx, gh, h and act = [z | r | n]; h must not alias
+// h_prev.
+void GruStep(const GruWeights& w, const float* x, const float* h_prev,
+             float* gx, float* gh, float* h, float* act) {
+  const std::size_t hs = w.hs;
+  std::fill_n(gx, 3 * hs, 0.0f);
+  kernels::GemmNN(1, w.d, 3 * hs, x, w.w_x, gx);
+  AddRow(w.b_x, gx, 3 * hs);
+  std::fill_n(gh, 3 * hs, 0.0f);
+  kernels::GemmNN(1, hs, 3 * hs, h_prev, w.w_h, gh);
+  AddRow(w.b_h, gh, 3 * hs);
+  for (std::size_t j = 0; j < hs; ++j) {
+    const float z = StableSigmoid(gx[j] + gh[j]);
+    const float r = StableSigmoid(gx[hs + j] + gh[hs + j]);
+    const float n = std::tanh(gx[2 * hs + j] + r * gh[2 * hs + j]);
+    h[j] = (z * -1.0f + 1.0f) * n + z * h_prev[j];
+    act[j] = z;
+    act[hs + j] = r;
+    act[2 * hs + j] = n;
   }
+}
+
+}  // namespace
+
+Tensor GruSessionLoss(const Tensor& table, const Tensor& w_x,
+                      const Tensor& b_x, const Tensor& w_h,
+                      const Tensor& b_h,
+                      const std::vector<std::size_t>& inputs,
+                      const std::vector<std::size_t>& candidates) {
+  const GruWeights w = CheckGru(table, w_x, b_x, w_h, b_h, inputs);
+  const std::size_t d = w.d;
+  const std::size_t hs = w.hs;
+  const std::size_t steps = inputs.size();
+  POISONREC_CHECK(steps > 0 && !candidates.empty() &&
+                  candidates.size() % steps == 0)
+      << "GruSessionLoss needs one candidate row per input, got "
+      << candidates.size() << " ids for " << steps << " inputs";
+  POISONREC_CHECK_EQ(d, hs) << "the logits dot h with item rows";
+  for (std::size_t id : candidates) POISONREC_CHECK_LT(id, table.rows());
+  const std::size_t nc = candidates.size() / steps;
+
+  // What the backward reads, per step: x_t, h_t (after h_{-1} = 0), gh_t,
+  // [z | r | n]_t, the transposed candidate rows (d x C) and the
+  // log-softmax row.
+  std::vector<float> xs(steps * d);
+  std::vector<float> states((steps + 1) * hs, 0.0f);
+  std::vector<float> gh(steps * 3 * hs);
+  std::vector<float> act(steps * 3 * hs);
+  std::vector<float> cand_t(steps * d * nc);
+  std::vector<float> logp(steps * nc);
+  std::vector<float> gx(3 * hs);
+  std::vector<float> logits(nc);
+  const float* tab = table.data().data();
+  float loss = 0.0f;
+  for (std::size_t t = 0; t < steps; ++t) {
+    float* x = xs.data() + t * d;
+    std::copy_n(tab + inputs[t] * d, d, x);
+    const float* h_prev = states.data() + t * hs;
+    float* h = states.data() + (t + 1) * hs;
+    GruStep(w, x, h_prev, gx.data(), gh.data() + t * 3 * hs, h,
+            act.data() + t * 3 * hs);
+    // MatMul(h_t, Transpose(Rows(table, candidates_t))).
+    float* ct = cand_t.data() + t * d * nc;
+    const std::size_t* cands = candidates.data() + t * nc;
+    for (std::size_t i = 0; i < nc; ++i) {
+      for (std::size_t c = 0; c < d; ++c) ct[c * nc + i] = tab[cands[i] * d + c];
+    }
+    std::fill(logits.begin(), logits.end(), 0.0f);
+    kernels::GemmNN(1, d, nc, h, ct, logits.data());
+    // SoftmaxCrossEntropy(logits, {0}): one row, so m = 1.
+    float* lp = logp.data() + t * nc;
+    LogSoftmaxRow(logits.data(), nc, lp);
+    const float step_loss = (0.0f + lp[0]) / 1.0f * -1.0f;
+    loss = t == 0 ? step_loss : loss + step_loss;
+  }
+  const float inv_steps = 1.0f / static_cast<float>(steps);
+  auto out = NewNode(1, 1);
+  out->data[0] = loss * inv_steps;
   Tensor result(out);
-  if (!track) return result;
+  if (!TrackGrad({&table, &w_x, &b_x, &w_h, &b_h})) return result;
+
+  TensorImpl* ti = table.impl().get();
+  TensorImpl* wxi = w_x.impl().get();
+  TensorImpl* bxi = b_x.impl().get();
+  TensorImpl* whi = w_h.impl().get();
+  TensorImpl* bhi = b_h.impl().get();
+  TensorImpl* oi = out.get();
+  // The composed graph's reverse walk, step T-1 first (see tensor.h).
   Attach(
-      out, {&gx, &gh, &h},
-      [xi, hi, pi, oi, act = std::move(act), rows, hs]() {
-        for (std::size_t r = 0; r < rows; ++r) {
-          const float* a = act.data() + r * 3 * hs;
-          const float* ph = hi->data.data() + r * 3 * hs;
-          const float* hp = pi->data.data() + r * hs;
-          const float* go = oi->grad.data() + r * hs;
-          float* dx =
-              xi->requires_grad ? xi->grad.data() + r * 3 * hs : nullptr;
-          float* dh =
-              hi->requires_grad ? hi->grad.data() + r * 3 * hs : nullptr;
-          float* dp = pi->requires_grad ? pi->grad.data() + r * hs : nullptr;
+      out, {&w_x, &b_x, &w_h, &b_h},
+      [ti, wxi, bxi, whi, bhi, oi, d, hs, nc, steps, inv_steps,
+       inputs = inputs, candidates = candidates, xs = std::move(xs),
+       states = std::move(states), gh = std::move(gh), act = std::move(act),
+       cand_t = std::move(cand_t), logp = std::move(logp)]() {
+        // What Scale(1/T) and the Adds hand every step loss, then what
+        // SoftmaxCrossEntropy's backward hands its target (m = 1).
+        const float g_step = 0.0f + oi->grad[0] * inv_steps;
+        const float g_ce = g_step * -1.0f;
+        std::vector<float> g_logits(nc);
+        std::vector<float> g_cand_t(d * nc);
+        std::vector<float> g_gx(3 * hs);
+        std::vector<float> g_gh(3 * hs);
+        std::vector<float> g_x(d);
+        // h_t's gradient, and h_{t-1}'s as step t adds to it.
+        std::vector<float> g_h(hs, 0.0f);
+        std::vector<float> g_h_prev(hs);
+        for (std::size_t t = steps; t-- > 0;) {
+          const float* h_prev = states.data() + t * hs;
+          const float* h = states.data() + (t + 1) * hs;
+          const float* ct = cand_t.data() + t * d * nc;
+          const float* lp = logp.data() + t * nc;
+          const std::size_t* cands = candidates.data() + t * nc;
+          for (std::size_t c = 0; c < nc; ++c) {
+            g_logits[c] =
+                0.0f + ((c == 0 ? g_ce : 0.0f) - std::exp(lp[c]) * g_ce);
+          }
+          // MatMul's backward: h_t, then the transposed rows.
+          kernels::GemmNT(1, nc, d, g_logits.data(), ct, g_h.data());
+          if (ti->requires_grad) {
+            std::fill(g_cand_t.begin(), g_cand_t.end(), 0.0f);
+            kernels::GemmTN(d, 1, nc, h, g_logits.data(), g_cand_t.data());
+            // Transpose's backward into a zeroed block, then Rows'
+            // scatter in the row's order.
+            for (std::size_t i = 0; i < nc; ++i) {
+              float* dst = ti->grad.data() + cands[i] * d;
+              for (std::size_t c = 0; c < d; ++c) {
+                dst[c] += 0.0f + g_cand_t[c * nc + i];
+              }
+            }
+            ListGradRows(ti, cands, nc);
+          }
+          // The gates' backward, each gradient into a zeroed row.
+          const float* a = act.data() + t * 3 * hs;
+          const float* gh_t = gh.data() + t * 3 * hs;
           for (std::size_t j = 0; j < hs; ++j) {
             const float z = a[j];
-            const float rg = a[hs + j];
+            const float r = a[hs + j];
             const float n = a[2 * hs + j];
-            const float g = go[j];
-            // The composed chain's gradients: z collects g * h from z * h
-            // and g * n through Scale(-1); n gets g * (1 - z); r gets its
-            // share of n's pre-activation gradient times gh_n.
-            const float dz = (g * hp[j] + (g * n) * -1.0f) * SigmoidDeriv(z);
+            const float g = g_h[j];
+            const float dz =
+                (g * h_prev[j] + (g * n) * -1.0f) * SigmoidDeriv(z);
             const float dn = (g * (z * -1.0f + 1.0f)) * TanhDeriv(n);
-            const float dr = (dn * ph[2 * hs + j]) * SigmoidDeriv(rg);
-            if (dx != nullptr) {
-              dx[j] += dz;
-              dx[hs + j] += dr;
-              dx[2 * hs + j] += dn;
-            }
-            if (dh != nullptr) {
-              dh[j] += dz;
-              dh[hs + j] += dr;
-              dh[2 * hs + j] += dn * rg;
-            }
-            if (dp != nullptr) dp[j] += g * z;
+            const float dr = (dn * gh_t[2 * hs + j]) * SigmoidDeriv(r);
+            g_gx[j] = 0.0f + dz;
+            g_gx[hs + j] = 0.0f + dr;
+            g_gx[2 * hs + j] = 0.0f + dn;
+            g_gh[j] = 0.0f + dz;
+            g_gh[hs + j] = 0.0f + dr;
+            g_gh[2 * hs + j] = 0.0f + dn * r;
+            g_h_prev[j] = 0.0f + g * z;
           }
+          // Affine(h_{t-1}, W_h, b_h); W_h's product runs on the zero
+          // state too, where it can turn a -0 into +0.
+          if (bhi->requires_grad) AddRow(g_gh.data(), bhi->grad.data(), 3 * hs);
+          if (t > 0) {
+            kernels::GemmNT(1, 3 * hs, hs, g_gh.data(), whi->data.data(),
+                            g_h_prev.data());
+          }
+          if (whi->requires_grad) {
+            kernels::GemmTN(hs, 1, 3 * hs, h_prev, g_gh.data(),
+                            whi->grad.data());
+          }
+          // Affine(x_t, W_x, b_x), then Rows' scatter of x_t's row.
+          const float* x = xs.data() + t * d;
+          if (bxi->requires_grad) AddRow(g_gx.data(), bxi->grad.data(), 3 * hs);
+          if (ti->requires_grad) {
+            std::fill(g_x.begin(), g_x.end(), 0.0f);
+            kernels::GemmNT(1, 3 * hs, d, g_gx.data(), wxi->data.data(),
+                            g_x.data());
+          }
+          if (wxi->requires_grad) {
+            kernels::GemmTN(d, 1, 3 * hs, x, g_gx.data(), wxi->grad.data());
+          }
+          if (ti->requires_grad) {
+            AddRow(g_x.data(), ti->grad.data() + inputs[t] * d, d);
+            ListGradRows(ti, &inputs[t], 1);
+          }
+          g_h.swap(g_h_prev);
         }
-      });
+      },
+      /*gathered=*/{&table});
   return result;
+}
+
+Tensor GruEncode(const Tensor& table, const Tensor& w_x, const Tensor& b_x,
+                 const Tensor& w_h, const Tensor& b_h,
+                 const std::vector<std::size_t>& inputs) {
+  const GruWeights w = CheckGru(table, w_x, b_x, w_h, b_h, inputs);
+  const std::size_t hs = w.hs;
+  std::vector<float> gx(3 * hs);
+  std::vector<float> gh(3 * hs);
+  std::vector<float> act(3 * hs);
+  std::vector<float> h(hs, 0.0f);
+  std::vector<float> next(hs);
+  const float* tab = table.data().data();
+  for (std::size_t id : inputs) {
+    GruStep(w, tab + id * w.d, h.data(), gx.data(), gh.data(), next.data(),
+            act.data());
+    h.swap(next);
+  }
+  return Tensor::FromData(1, hs, std::move(h));
 }
 
 // ---------------------------------------------------------------------------
@@ -1145,7 +1323,7 @@ Tensor TreeDecisionLogProb(const Tensor& dht,
   Tensor result(out);
   if (!track) return result;
   Attach(
-      out, {&dht, &feats},
+      out, {},
       [di, fi, oi, x = std::move(x), rows = row_idx, chosen = chosen_rows,
        other = other_rows, dim]() {
         const std::size_t count = rows.size();
@@ -1186,7 +1364,7 @@ Tensor TreeDecisionLogProb(const Tensor& dht,
           ListGradRows(di, rows);
         }
       },
-      /*gather=*/true);
+      /*gathered=*/{&dht, &feats});
   return result;
 }
 

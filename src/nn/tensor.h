@@ -57,7 +57,8 @@ struct TensorImpl {
   std::function<void()> backward_fn;
   // Row-sparse bookkeeping (see the file comment). `gathered` and
   // `read_densely` are set when a recorded op takes this node as input,
-  // by Rows and by every other op respectively; neither is ever cleared.
+  // read by row gathers (Rows, and the fused ops that gather) or densely
+  // respectively; neither is ever cleared.
   bool gathered = false;
   bool read_densely = false;
   // Set by Tensor::mutable_grad(): a write the row list cannot see, so
@@ -196,13 +197,15 @@ namespace internal {
 /// True when grad mode is on and some input requires grad.
 bool TrackGrad(std::initializer_list<const Tensor*> inputs);
 
-/// Makes `out` a tape node: its parents are `inputs`, in order, and
-/// `backward_fn` accumulates out's gradient into theirs. Marks how each
-/// grad-requiring input is read: row by row for Rows' table (`gather`),
-/// densely for every other op.
+/// Makes `out` a tape node: its parents are `inputs`, then `gathered`, in
+/// order, and `backward_fn` accumulates out's gradient into theirs. Marks
+/// how each grad-requiring parent is read: `gathered` ones row by row, as
+/// Rows reads its table, `inputs` densely. A tensor in both lists is
+/// marked both ways, so it is read densely.
 void Attach(const std::shared_ptr<TensorImpl>& out,
             std::initializer_list<const Tensor*> inputs,
-            std::function<void()> backward_fn, bool gather = false);
+            std::function<void()> backward_fn,
+            std::initializer_list<const Tensor*> gathered = {});
 
 }  // namespace internal
 
@@ -276,23 +279,47 @@ struct LstmGatesResult {
 };
 LstmGatesResult LstmGates(const Tensor& preact, const Tensor& c_prev);
 
-/// Fused GRU cell tail: from the (B x 3h) pre-activation blocks
-/// gx = x W_x + b_x and gh = h W_h + b_h (layout [z | r | n]) and the
-/// previous state h (B x h), returns the new state
+/// GRU4Rec's training loss over one session as one tape node. Runs a GRU
+/// cell (update z, reset r, candidate n; weights W_x (d x 3h), b_x, W_h
+/// (h x 3h), b_h (1 x 3h), h = d) over the embedded `inputs` x_0 …
+/// x_{T-1} from a zero state:
+///   gx = x_t W_x + b_x, gh = h_{t-1} W_h + b_h,
 ///   z = σ(gx_z + gh_z), r = σ(gx_r + gh_r), n = tanh(gx_n + r * gh_n),
-///   h' = (1 - z) * n + z * h
-/// as one tape node. Forward and backward are bit-identical to the same
-/// formulas composed from Cols, Add, Sigmoid, Tanh, Mul, Scale and
-/// AddScalar: each element gets the same products in the same
-/// association (1 - z is z * -1 + 1, the sigmoid derivative is
-/// g * (y * (1 - y))), and the parents {gx, gh, h} keep the composed
-/// graph's order of contributions to h's gradient. Under NoGradScope only
-/// the output is allocated.
-Tensor GruGates(const Tensor& gx, const Tensor& gh, const Tensor& h);
+///   h_t = (1 - z) * n + z * h_{t-1},
+/// scores h_t against row t of `candidates` (T rows of C ids, the
+/// positive first) and returns the 1x1 loss
+///   Scale(((l_0 + l_1) + …), 1/T),
+///   l_t = SoftmaxCrossEntropy(MatMul(h_t, Transpose(Rows(table, cands_t))), {0}).
+/// Bit-identical, value and every gradient, to that graph composed from
+/// Rows, Affine, the gate formulas (Cols, Add, Sigmoid, Tanh, Mul, Scale,
+/// AddScalar), Transpose, MatMul, SoftmaxCrossEntropy, Add and Scale, and
+/// it issues the same GEMM calls. The forward computes each value as those
+/// ops do and saves the per-step state; the backward replays the composed
+/// graph's reverse walk, for t = T-1 … 0: the step loss's gradient, the
+/// logits row, MatMul (h_t's gradient, then the transposed rows'),
+/// Transpose, the candidate rows' scatter into the table in the row's
+/// order, the gates (g·z into h_{t-1}'s gradient), Affine(h_{t-1}) (b_h,
+/// h_{t-1}, W_h; W_h's product also at t = 0, on the zero state), then
+/// Affine(x_t) (b_x, x_t, W_x) and x_t's scatter. So h_t's gradient sums
+/// step t+1's gate term, step t+1's W_h term, then step t's logits term.
+/// Parents {W_x, b_x, W_h, b_h}, read densely, then the table, read by
+/// row gathers: a row-sparse table lists its rows in the gathers' order.
+Tensor GruSessionLoss(const Tensor& table, const Tensor& w_x,
+                      const Tensor& b_x, const Tensor& w_h,
+                      const Tensor& b_h,
+                      const std::vector<std::size_t>& inputs,
+                      const std::vector<std::size_t>& candidates);
+
+/// The state GruSessionLoss's forward reaches after `inputs` (the zero
+/// state when there are none), computed by the same step routine, as a
+/// (1 x h) leaf. Records no tape, in any grad mode, and marks no input.
+Tensor GruEncode(const Tensor& table, const Tensor& w_x, const Tensor& b_x,
+                 const Tensor& w_h, const Tensor& b_h,
+                 const std::vector<std::size_t>& inputs);
 
 /// Affine map as one tape node: x1 W1 + b, or (x1 W1 + x2 W2) + b, with
-/// b (1 x n) broadcast across rows. Linear and the GRU pre-activations
-/// use the one-pair form, the LSTM pre-activation the two-pair form.
+/// b (1 x n) broadcast across rows. Linear uses the one-pair form, the
+/// LSTM pre-activation the two-pair form.
 /// Each product is summed into a zeroed buffer by the same GEMM as
 /// MatMul's, the products are added elementwise, then the bias row; the
 /// backward runs the composed reverse order (bias, then pair 2, then

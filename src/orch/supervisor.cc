@@ -305,6 +305,21 @@ Status CampaignSupervisor::RunAttempt(CampaignOutcome* outcome) {
   static obs::Counter* const checkpoints_quarantined_total =
       FleetCounter("poisonrec_fleet_checkpoints_quarantined_total");
   for (const std::string& resume_from : FindResumeCheckpoints()) {
+    // With a journal record of the campaign, the journal says which
+    // steps are committed. A checkpoint past them holds a step whose
+    // reward was never journaled: its owner died between publishing the
+    // checkpoint and journaling the step. Resuming from it would skip
+    // that step for good; an older checkpoint, or the replay from
+    // scratch, runs it again with the same deterministic result.
+    const StatusOr<std::uint64_t> steps = core::CheckpointSteps(resume_from);
+    if (options_.replay.has_value() && steps.ok() &&
+        *steps > outcome->steps_completed) {
+      POISONREC_LOG(Warning)
+          << "campaign " << spec_.id << ": not resuming from "
+          << resume_from << ": it holds step " << *steps << ", past the "
+          << outcome->steps_completed << " the journal committed";
+      continue;
+    }
     const Status loaded = attacker.LoadCheckpoint(resume_from);
     if (loaded.ok()) {
       heartbeat_ticks_.store(internal::NowTicks(),

@@ -104,7 +104,8 @@ struct SupervisorOptions {
   /// into the supervisor's own soft-stop flag from the heartbeat hook.
   const std::atomic<bool>* fleet_stop = nullptr;
   /// Replayed journal state (terminal campaigns are not re-run;
-  /// unfinished ones resume from their checkpoint).
+  /// unfinished ones resume from their newest checkpoint that the
+  /// journal's committed steps cover).
   std::optional<CampaignReplay> replay;
   /// Campaign lease manager (required; not owned). `lease_token` must
   /// hold the token Acquire returned.

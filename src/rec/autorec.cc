@@ -23,19 +23,11 @@ AutoRec::AutoRec(const FitConfig& config) : config_(config) {}
 AutoRec::AutoRec(const AutoRec& other)
     : config_(other.config_),
       num_items_(other.num_items_),
+      net_(other.net_ != nullptr ? std::make_unique<Net>(*other.net_)
+                                 : nullptr),
       positives_(other.positives_),
       clean_users_(other.clean_users_),
-      update_seed_(other.update_seed_) {
-  if (other.net_ != nullptr) {
-    Rng rng(0x715bead5ull);
-    net_ = std::make_unique<Net>(num_items_, config_.embedding_dim, &rng);
-    std::vector<nn::Tensor> dst = net_->Parameters();
-    std::vector<nn::Tensor> src = other.net_->Parameters();
-    for (std::size_t i = 0; i < dst.size(); ++i) {
-      dst[i].CopyDataFrom(src[i]);
-    }
-  }
-}
+      update_seed_(other.update_seed_) {}
 
 nn::Tensor AutoRec::Reconstruct(const nn::Tensor& inputs) const {
   nn::Tensor hidden = nn::Sigmoid(net_->encoder.Forward(inputs));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "util/logging.h"
 
@@ -23,19 +22,11 @@ Gru4Rec::Gru4Rec(const FitConfig& config) : config_(config) {}
 Gru4Rec::Gru4Rec(const Gru4Rec& other)
     : config_(other.config_),
       num_items_(other.num_items_),
+      net_(other.net_ != nullptr ? std::make_unique<Net>(*other.net_)
+                                 : nullptr),
       history_(other.history_),
       clean_sequences_(other.clean_sequences_),
-      update_seed_(other.update_seed_) {
-  if (other.net_ != nullptr) {
-    Rng rng(0x6a09e667ull);
-    net_ = std::make_unique<Net>(num_items_, config_.embedding_dim, &rng);
-    std::vector<nn::Tensor> dst = net_->Parameters();
-    std::vector<nn::Tensor> src = other.net_->Parameters();
-    for (std::size_t i = 0; i < dst.size(); ++i) {
-      dst[i].CopyDataFrom(src[i]);
-    }
-  }
-}
+      update_seed_(other.update_seed_) {}
 
 const nn::Tensor& Gru4Rec::ItemEmbeddings() const {
   POISONREC_CHECK(net_ != nullptr) << "GRU4Rec not fitted";
@@ -43,16 +34,15 @@ const nn::Tensor& Gru4Rec::ItemEmbeddings() const {
 }
 
 nn::Tensor Gru4Rec::Encode(const std::vector<data::ItemId>& sequence) const {
-  nn::Tensor h = net_->gru.InitialState(1);
   const std::size_t start =
       sequence.size() > config_.max_sequence_length
           ? sequence.size() - config_.max_sequence_length
           : 0;
-  for (std::size_t p = start; p < sequence.size(); ++p) {
-    nn::Tensor x = net_->items.Forward({sequence[p]});
-    h = net_->gru.Step(x, h);
-  }
-  return h;
+  const std::vector<std::size_t> inputs(
+      sequence.begin() + static_cast<std::ptrdiff_t>(start), sequence.end());
+  const nn::GruCell& gru = net_->gru;
+  return nn::GruEncode(net_->items.table(), gru.w_x(), gru.b_x(), gru.w_h(),
+                       gru.b_h(), inputs);
 }
 
 void Gru4Rec::TrainEpochs(
@@ -66,6 +56,9 @@ void Gru4Rec::TrainEpochs(
   }
   const std::size_t n_neg = std::max<std::size_t>(
       4, config_.negatives_per_positive * 4);
+  const nn::GruCell& gru = net_->gru;
+  std::vector<std::size_t> inputs;
+  std::vector<std::size_t> cands;  // one row per step: positive, negatives
 
   for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
     rng->Shuffle(&order);
@@ -75,26 +68,20 @@ void Gru4Rec::TrainEpochs(
           full.size() > config_.max_sequence_length
               ? full.size() - config_.max_sequence_length
               : 0;
-      nn::Tensor h = net_->gru.InitialState(1);
-      nn::Tensor loss;  // accumulated across steps
-      std::size_t steps = 0;
+      inputs.clear();
+      cands.clear();
       for (std::size_t p = start; p + 1 < full.size(); ++p) {
-        nn::Tensor x = net_->items.Forward({full[p]});
-        h = net_->gru.Step(x, h);
+        inputs.push_back(full[p]);
         // Sampled softmax: positive first, then negatives.
-        std::vector<std::size_t> cands;
         cands.push_back(full[p + 1]);
         for (std::size_t n = 0; n < n_neg; ++n) {
           cands.push_back(rng->Index(num_items_));
         }
-        nn::Tensor cand_emb = net_->items.Forward(cands);
-        nn::Tensor logits = nn::MatMul(h, nn::Transpose(cand_emb));
-        nn::Tensor step_loss = nn::SoftmaxCrossEntropy(logits, {0});
-        loss = steps == 0 ? step_loss : nn::Add(loss, step_loss);
-        ++steps;
       }
-      if (steps == 0) continue;
-      loss = nn::Scale(loss, 1.0f / static_cast<float>(steps));
+      if (inputs.empty()) continue;
+      nn::Tensor loss =
+          nn::GruSessionLoss(net_->items.table(), gru.w_x(), gru.b_x(),
+                             gru.w_h(), gru.b_h(), inputs, cands);
       optimizer.ZeroGrad();
       loss.Backward();
       optimizer.Step();
@@ -150,11 +137,9 @@ std::vector<double> Gru4Rec::Score(
     data::UserId user, const std::vector<data::ItemId>& candidates) const {
   POISONREC_CHECK(net_ != nullptr) << "Score before Fit";
   nn::NoGradScope no_grad;
-  std::vector<data::ItemId> seq;
-  if (user < history_.size()) seq = history_[user];
-  nn::Tensor h = Encode(seq);
-  std::vector<std::size_t> cands(candidates.begin(), candidates.end());
-  nn::Tensor cand_emb = net_->items.Forward(cands);
+  static const std::vector<data::ItemId> kNoHistory;
+  nn::Tensor h = Encode(user < history_.size() ? history_[user] : kNoHistory);
+  nn::Tensor cand_emb = net_->items.Forward(candidates);
   nn::Tensor logits = nn::MatMul(h, nn::Transpose(cand_emb));
   std::vector<double> scores(candidates.size());
   for (std::size_t i = 0; i < candidates.size(); ++i) {

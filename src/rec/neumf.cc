@@ -8,10 +8,6 @@
 
 namespace poisonrec::rec {
 
-namespace {
-constexpr std::uint64_t kCloneRngSeed = 0xabcdef12345ull;
-}  // namespace
-
 NeuMf::Net::Net(std::size_t num_users, std::size_t num_items,
                 std::size_t dim, Rng* rng)
     : gmf_user(num_users, dim, rng),
@@ -41,21 +37,11 @@ NeuMf::NeuMf(const NeuMf& other)
     : config_(other.config_),
       num_users_(other.num_users_),
       num_items_(other.num_items_),
+      net_(other.net_ != nullptr ? std::make_unique<Net>(*other.net_)
+                                 : nullptr),
       positives_(other.positives_),
       clean_(other.clean_),
-      update_seed_(other.update_seed_) {
-  if (other.net_ != nullptr) {
-    Rng rng(kCloneRngSeed);
-    net_ = std::make_unique<Net>(num_users_, num_items_,
-                                 config_.embedding_dim, &rng);
-    std::vector<nn::Tensor> dst = net_->Parameters();
-    std::vector<nn::Tensor> src = other.net_->Parameters();
-    POISONREC_CHECK_EQ(dst.size(), src.size());
-    for (std::size_t i = 0; i < dst.size(); ++i) {
-      dst[i].CopyDataFrom(src[i]);
-    }
-  }
-}
+      update_seed_(other.update_seed_) {}
 
 const nn::Tensor& NeuMf::ItemEmbeddings() const {
   POISONREC_CHECK(net_ != nullptr) << "NeuMF not fitted";

@@ -36,23 +36,14 @@ Ngcf::Ngcf(const Ngcf& other)
     : config_(other.config_),
       num_users_(other.num_users_),
       num_items_(other.num_items_),
+      net_(other.net_ != nullptr ? std::make_unique<Net>(*other.net_)
+                                 : nullptr),
       laplacian_(other.laplacian_),
       positives_(other.positives_),
       clean_(other.clean_),
       update_seed_(other.update_seed_) {
-  if (other.net_ != nullptr) {
-    Rng rng(0x3c6ef372ull);
-    net_ = std::make_unique<Net>(num_users_ + num_items_,
-                                 config_.embedding_dim, config_.num_layers,
-                                 &rng);
-    std::vector<nn::Tensor> dst = net_->Parameters();
-    std::vector<nn::Tensor> src = other.net_->Parameters();
-    for (std::size_t i = 0; i < dst.size(); ++i) {
-      dst[i].CopyDataFrom(src[i]);
-    }
-    if (other.cached_final_.defined()) {
-      cached_final_ = other.cached_final_.DeepCopy();
-    }
+  if (other.cached_final_.defined()) {
+    cached_final_ = other.cached_final_.DeepCopy();
   }
 }
 

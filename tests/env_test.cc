@@ -3,6 +3,9 @@
 #include "env/environment.h"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
+#include <thread>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
@@ -231,6 +234,98 @@ TEST(EnvironmentTest, RecNumForExternallyPoisonedRanker) {
   for (int c = 0; c < 50; ++c) poison.Add(40, 30);
   poisoned->Update(poison);
   EXPECT_GT(env.RecNum(*poisoned), env.BaselineRecNum());
+}
+
+// RecNum counted from lists drawn afresh: each real user with history gets
+// `gen`'s candidates, as RecNum did before it kept the lists.
+double RecNumFromFreshLists(const AttackEnvironment& env,
+                            const rec::CandidateGenerator& gen,
+                            const rec::Recommender& ranker,
+                            std::size_t num_real_users) {
+  const std::vector<data::ItemId>& targets = env.target_items();
+  double rec_num = 0.0;
+  for (data::UserId u = 0; u < num_real_users; ++u) {
+    if (env.dataset().Sequence(u).empty()) continue;
+    for (data::ItemId item :
+         ranker.RecommendTopK(u, gen.Candidates(u), env.config().top_k)) {
+      if (std::find(targets.begin(), targets.end(), item) != targets.end()) {
+        rec_num += 1.0;
+      }
+    }
+  }
+  return rec_num;
+}
+
+// ItemPop after a few target clicks: item 30 is about as popular as the
+// log's items, so whether it reaches a user's top 5 depends on the list.
+std::unique_ptr<rec::Recommender> MildlyPoisoned(
+    const AttackEnvironment& env) {
+  std::unique_ptr<rec::Recommender> poisoned = env.pretrained_ranker().Clone();
+  data::Dataset poison(44, 33);
+  for (int c = 0; c < 14; ++c) poison.Add(40, 30);
+  for (int c = 0; c < 6; ++c) poison.Add(41, 31);
+  poisoned->Update(poison);
+  return poisoned;
+}
+
+TEST(EnvironmentTest, RecNumOverKeptListsEqualsFreshCandidates) {
+  for (const bool personalized : {false, true}) {
+    EnvironmentConfig cfg = SmallConfig();
+    cfg.personalized_candidates = personalized;
+    const data::Dataset log = SmallLog();
+    AttackEnvironment env(log, rec::MakeRecommender("ItemPop").value(), cfg);
+    std::unique_ptr<rec::CandidateGenerator> gen;
+    if (personalized) {
+      gen = std::make_unique<rec::PersonalizedCandidateGenerator>(
+          env.dataset(), env.num_original_items(), env.target_items(),
+          cfg.num_candidate_originals);
+    } else {
+      gen = std::make_unique<rec::RandomCandidateGenerator>(
+          env.num_original_items(), env.target_items(),
+          cfg.num_candidate_originals, cfg.seed);
+    }
+    const std::unique_ptr<rec::Recommender> poisoned = MildlyPoisoned(env);
+    const double expected =
+        RecNumFromFreshLists(env, *gen, *poisoned, log.num_users());
+    EXPECT_GT(expected, 0.0) << "personalized " << personalized;
+    // The first call builds the lists, the later ones reuse them.
+    EXPECT_EQ(env.RecNum(*poisoned), expected) << "personalized "
+                                               << personalized;
+    EXPECT_EQ(env.RecNum(env.pretrained_ranker()),
+              RecNumFromFreshLists(env, *gen, env.pretrained_ranker(),
+                                   log.num_users()));
+    EXPECT_EQ(env.RecNum(*poisoned), expected) << "personalized "
+                                               << personalized;
+  }
+}
+
+TEST(EnvironmentTest, ConcurrentFirstRecNumCallsAgree) {
+  const data::Dataset log = SmallLog();
+  AttackEnvironment env(log, rec::MakeRecommender("ItemPop").value(),
+                        SmallConfig());
+  const std::unique_ptr<rec::Recommender> poisoned = MildlyPoisoned(env);
+  const double expected = RecNumFromFreshLists(
+      env,
+      rec::RandomCandidateGenerator(env.num_original_items(),
+                                    env.target_items(),
+                                    SmallConfig().num_candidate_originals,
+                                    SmallConfig().seed),
+      *poisoned, log.num_users());
+  // Four threads make the environment's first RecNum calls at once.
+  constexpr int kThreads = 4;
+  std::atomic<int> ready{0};
+  std::vector<double> got(kThreads, -1.0);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      got[i] = env.RecNum(*poisoned);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int i = 0; i < kThreads; ++i) EXPECT_EQ(got[i], expected) << i;
 }
 
 TEST(EnvironmentTest, WorksAcrossAllRankers) {

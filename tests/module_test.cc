@@ -1,6 +1,7 @@
 // Tests for nn modules: shapes, parameter plumbing, gradient flow,
-// end-to-end gradient checks through LSTM/GRU cells, and the fused GRU
-// gates' bit identity with the same formulas composed from public ops.
+// end-to-end gradient checks through LSTM cells and GRU4Rec's session
+// node, and the session node's and GRU encoder's bit identity with the
+// same graph composed from public ops.
 #include "nn/module.h"
 
 #include <cmath>
@@ -11,8 +12,11 @@
 #include <gtest/gtest.h>
 
 #include "bit_identity.h"
+#include "nn/kernels.h"
+#include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "nn/tensor.h"
+#include "obs/metrics.h"
 
 namespace poisonrec::nn {
 namespace {
@@ -147,53 +151,8 @@ TEST(LstmTest, ForgetBiasInitializedToOne) {
   }
 }
 
-TEST(GruTest, StepShapes) {
-  Rng rng(11);
-  GruCell gru(4, 5, &rng);
-  Tensor h = gru.InitialState(3);
-  EXPECT_EQ(h.rows(), 3u);
-  EXPECT_EQ(h.cols(), 5u);
-  Tensor x = Tensor::Ones(3, 4);
-  Tensor h2 = gru.Step(x, h);
-  EXPECT_EQ(h2.rows(), 3u);
-  EXPECT_EQ(h2.cols(), 5u);
-}
-
-TEST(GruTest, GradientThroughSteps) {
-  Rng rng(12);
-  GruCell gru(3, 3, &rng);
-  Tensor x = Tensor::Randn(1, 3, 0.5f, &rng, true);
-  Tensor h = gru.InitialState(1);
-  for (int t = 0; t < 3; ++t) h = gru.Step(x, h);
-  Tensor loss = Sum(Square(h));
-  loss.Backward();
-  std::vector<float> numeric = NumericalGradient(
-      [&gru](const Tensor& t) {
-        NoGradScope no_grad;
-        Tensor s = gru.InitialState(1);
-        for (int i = 0; i < 3; ++i) s = gru.Step(t, s);
-        return Sum(Square(s)).item();
-      },
-      x, 1e-2f);
-  for (std::size_t i = 0; i < numeric.size(); ++i) {
-    EXPECT_NEAR(x.grad()[i], numeric[i],
-                0.02f + 0.05f * std::abs(numeric[i]));
-  }
-}
-
-TEST(GruTest, InterpolatesBetweenStateAndCandidate) {
-  // h' = (1-z) n + z h is a convex combination, so |h'| stays bounded by
-  // max(|h|, 1) since |n| < 1.
-  Rng rng(13);
-  GruCell gru(2, 4, &rng);
-  Tensor h = gru.InitialState(1);
-  Tensor x = Tensor::Full(1, 2, 3.0f);
-  for (int t = 0; t < 50; ++t) h = gru.Step(x, h);
-  for (float v : h.data()) EXPECT_LE(std::abs(v), 1.0f + 1e-5f);
-}
-
-// The GRU gate formulas composed from public elementwise ops: the
-// reference GruGates must reproduce bit for bit.
+// The GRU gate formulas composed from public elementwise ops: the test
+// oracle for the gates inside GruSessionLoss and GruEncode.
 Tensor ComposedGruGates(const Tensor& gx, const Tensor& gh, const Tensor& h) {
   const std::size_t hs = h.cols();
   Tensor z = Sigmoid(Add(Cols(gx, 0, hs), Cols(gh, 0, hs)));
@@ -203,102 +162,260 @@ Tensor ComposedGruGates(const Tensor& gx, const Tensor& gh, const Tensor& h) {
   return Add(Mul(one_minus_z, n), Mul(z, h));
 }
 
-struct GruGatesRun {
-  std::vector<float> out, gx_grad, gh_grad, h_grad;
+// GRU4Rec's embedding table and GRU weights, as leaves that require grad.
+struct GruLeaves {
+  Tensor table, w_x, b_x, w_h, b_h;
+
+  static GruLeaves Random(std::size_t items, std::size_t dim,
+                          std::uint64_t seed) {
+    Rng rng(seed);
+    return {Tensor::Randn(items, dim, 0.5f, &rng, true),
+            Tensor::Randn(dim, 3 * dim, 0.4f, &rng, true),
+            Tensor::Randn(1, 3 * dim, 0.3f, &rng, true),
+            Tensor::Randn(dim, 3 * dim, 0.4f, &rng, true),
+            Tensor::Randn(1, 3 * dim, 0.3f, &rng, true)};
+  }
+  GruLeaves Copy() const {
+    return {table.DeepCopy(true), w_x.DeepCopy(true), b_x.DeepCopy(true),
+            w_h.DeepCopy(true), b_h.DeepCopy(true)};
+  }
 };
 
-/// One gate step under the loss Sum(out * w), fused or composed, on fresh
-/// copies of the inputs.
-GruGatesRun RunGruGates(bool fused, const Tensor& gx0, const Tensor& gh0,
-                        const Tensor& h0, bool h_requires_grad,
-                        const Tensor& w) {
-  Tensor gx = gx0.DeepCopy(/*requires_grad=*/true);
-  Tensor gh = gh0.DeepCopy(/*requires_grad=*/true);
-  Tensor h = h0.DeepCopy(h_requires_grad);
-  Tensor out = fused ? GruGates(gx, gh, h) : ComposedGruGates(gx, gh, h);
-  Sum(Mul(out, w)).Backward();
-  return {out.data(), gx.grad(), gh.grad(), h.grad()};
+// GRU4Rec's per-click training graph for one session, composed from
+// public ops: the oracle GruSessionLoss must match bit for bit.
+Tensor ComposedSessionLoss(const GruLeaves& l,
+                           const std::vector<std::size_t>& inputs,
+                           const std::vector<std::size_t>& cands) {
+  const std::size_t steps = inputs.size();
+  const std::size_t nc = cands.size() / steps;
+  Tensor h = Tensor::Zeros(1, l.w_h.rows());
+  Tensor loss;
+  for (std::size_t t = 0; t < steps; ++t) {
+    Tensor x = Rows(l.table, {inputs[t]});
+    Tensor gx = Affine(x, l.w_x, l.b_x);
+    Tensor gh = Affine(h, l.w_h, l.b_h);
+    h = ComposedGruGates(gx, gh, h);
+    const std::vector<std::size_t> row(
+        cands.begin() + static_cast<std::ptrdiff_t>(t * nc),
+        cands.begin() + static_cast<std::ptrdiff_t>((t + 1) * nc));
+    Tensor logits = MatMul(h, Transpose(Rows(l.table, row)));
+    Tensor step_loss = SoftmaxCrossEntropy(logits, {0});
+    loss = t == 0 ? step_loss : Add(loss, step_loss);
+  }
+  return Scale(loss, 1.0f / static_cast<float>(steps));
 }
 
-TEST(GruGatesTest, BitIdenticalToComposedChain) {
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    Rng rng(seed);
-    const Tensor gx = Tensor::Randn(7, 15, 2.0f, &rng);
-    const Tensor gh = Tensor::Randn(7, 15, 2.0f, &rng);
-    const Tensor h = Tensor::Randn(7, 5, 1.0f, &rng);
-    const Tensor w = Tensor::Randn(7, 5, 1.0f, &rng);
-    // The second case is GRU4Rec's first step: a zero initial state that
-    // does not require grad.
-    for (const bool initial_state : {false, true}) {
-      const Tensor h0 = initial_state ? Tensor::Zeros(7, 5) : h;
-      const GruGatesRun fused =
-          RunGruGates(true, gx, gh, h0, !initial_state, w);
-      const GruGatesRun composed =
-          RunGruGates(false, gx, gh, h0, !initial_state, w);
-      const std::string where = "seed " + std::to_string(seed) +
-                                (initial_state ? ", initial state" : "");
-      EXPECT_TRUE(SameBits(fused.out, composed.out)) << where;
-      EXPECT_TRUE(SameBits(fused.gx_grad, composed.gx_grad)) << where;
-      EXPECT_TRUE(SameBits(fused.gh_grad, composed.gh_grad)) << where;
-      EXPECT_TRUE(SameBits(fused.h_grad, composed.h_grad)) << where;
-      EXPECT_EQ(fused.h_grad.empty(), initial_state) << where;
+// The GRU forward composed from public ops: GruEncode's oracle.
+Tensor ComposedEncode(const GruLeaves& l,
+                      const std::vector<std::size_t>& inputs) {
+  Tensor h = Tensor::Zeros(1, l.w_h.rows());
+  for (std::size_t id : inputs) {
+    h = ComposedGruGates(Affine(Rows(l.table, {id}), l.w_x, l.b_x),
+                         Affine(h, l.w_h, l.b_h), h);
+  }
+  return h;
+}
+
+// The GEMM counters: NN, TN and NT calls, then flops.
+std::vector<std::uint64_t> GemmCounters() {
+  std::vector<std::uint64_t> counts;
+  for (const char* name :
+       {"poisonrec_gemm_nn_calls_total", "poisonrec_gemm_tn_calls_total",
+        "poisonrec_gemm_nt_calls_total", "poisonrec_gemm_flops_total"}) {
+    counts.push_back(obs::MetricsRegistry::Global().GetCounter(name)->Value());
+  }
+  return counts;
+}
+
+std::vector<std::uint64_t> CounterDelta(const std::vector<std::uint64_t>& a,
+                                        const std::vector<std::uint64_t>& b) {
+  std::vector<std::uint64_t> delta(a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) delta[i] = b[i] - a[i];
+  return delta;
+}
+
+// One session: T input ids and T candidate rows of 9 ids (GRU4Rec's
+// positive and 8 negatives). The first row's positive is the first input,
+// and every row repeats its first negative.
+struct Session {
+  std::vector<std::size_t> inputs;
+  std::vector<std::size_t> cands;
+};
+
+Session RandomSession(std::size_t steps, std::size_t items, Rng* rng) {
+  constexpr std::size_t kCands = 9;
+  Session s;
+  for (std::size_t t = 0; t <= steps; ++t) s.inputs.push_back(rng->Index(items));
+  for (std::size_t t = 0; t < steps; ++t) {
+    s.cands.push_back(t == 0 ? s.inputs[0] : s.inputs[t + 1]);
+    for (std::size_t n = 1; n < kCands; ++n) {
+      s.cands.push_back(n == 2 ? s.cands.back() : rng->Index(items));
     }
   }
+  s.inputs.pop_back();
+  return s;
 }
 
-TEST(GruGatesTest, NoGradScopeRecordsNothing) {
-  Rng rng(21);
-  const Tensor gx = Tensor::Randn(2, 6, 1.0f, &rng, /*requires_grad=*/true);
-  const Tensor gh = Tensor::Randn(2, 6, 1.0f, &rng, /*requires_grad=*/true);
-  const Tensor h = Tensor::Randn(2, 2, 1.0f, &rng, /*requires_grad=*/true);
-  const Tensor recorded = GruGates(gx, gh, h);
-  NoGradScope no_grad;
-  const Tensor out = GruGates(gx, gh, h);
-  EXPECT_FALSE(out.requires_grad());
-  EXPECT_TRUE(out.impl()->parents.empty());
-  EXPECT_TRUE(out.grad().empty());
-  EXPECT_TRUE(SameBits(out.data(), recorded.data()));
-}
+struct SessionRun {
+  std::vector<std::vector<float>> losses;
+  std::vector<std::vector<float>> grads;  // table, W_x, b_x, W_h, b_h
+  std::vector<std::size_t> grad_rows;
+  bool row_sparse = false;
+  std::vector<std::uint64_t> gemm;
+};
 
-// GRU4Rec's training graph in miniature: a cell unrolled over four
-// embedded items, each new state scored against embedded candidates by a
-// MatMul, like GRU4Rec's logits. Each state's gradient then collects
-// three terms (the next step's z * h, its MatMul with W_h, and the
-// scores), and the embedding and weight gradients sum over steps, so this
-// pins the tape order as well as the per-element arithmetic.
-TEST(GruGatesTest, UnrolledCellBitIdenticalToComposedChain) {
-  const std::vector<std::size_t> items = {3, 1, 4, 1};
-  const auto run = [&items](bool fused) {
-    Rng rng(31);
-    Embedding table(6, 4, &rng);
-    GruCell cell(4, 4, &rng);
-    const std::vector<Tensor> p = cell.Parameters();  // W_x, W_h, b_x, b_h
-    Tensor h = cell.InitialState(1);
-    Tensor loss;
-    for (std::size_t item : items) {
-      Tensor x = table.Forward({item});
-      if (fused) {
-        h = cell.Step(x, h);
-      } else {
-        Tensor gx = Add(MatMul(x, p[0]), p[2]);
-        Tensor gh = Add(MatMul(h, p[1]), p[3]);
-        h = ComposedGruGates(gx, gh, h);
-      }
-      Tensor scores = MatMul(h, Transpose(table.Forward({item + 1, 0, 5})));
-      Tensor step_loss = Sum(Tanh(scores));
-      loss = loss.defined() ? Add(loss, step_loss) : step_loss;
-    }
+// Forward and backward of each session in turn on fresh copies of the
+// leaves, the gradients summing across sessions.
+SessionRun RunSessions(bool fused, const GruLeaves& leaves,
+                       const std::vector<Session>& sessions) {
+  const GruLeaves l = leaves.Copy();
+  SessionRun run;
+  const std::vector<std::uint64_t> before = GemmCounters();
+  for (const Session& s : sessions) {
+    Tensor loss = fused ? GruSessionLoss(l.table, l.w_x, l.b_x, l.w_h, l.b_h,
+                                         s.inputs, s.cands)
+                        : ComposedSessionLoss(l, s.inputs, s.cands);
     loss.Backward();
-    std::vector<std::vector<float>> grads = {table.table().grad()};
-    for (const Tensor& t : p) grads.push_back(t.grad());
-    return grads;
-  };
-  const std::vector<std::vector<float>> fused = run(true);
-  const std::vector<std::vector<float>> composed = run(false);
-  ASSERT_EQ(fused.size(), composed.size());
-  for (std::size_t i = 0; i < fused.size(); ++i) {
-    EXPECT_TRUE(SameBits(fused[i], composed[i])) << "gradient " << i;
+    run.losses.push_back(loss.data());
   }
+  run.gemm = CounterDelta(before, GemmCounters());
+  for (const Tensor* t : {&l.table, &l.w_x, &l.b_x, &l.w_h, &l.b_h}) {
+    run.grads.push_back(t->grad());
+  }
+  run.grad_rows = l.table.grad_rows();
+  run.row_sparse = l.table.row_sparse_grad();
+  return run;
+}
+
+TEST(GruSessionLossTest, BitIdenticalToComposedGraph) {
+  struct KernelThreads {
+    ~KernelThreads() { SetNumThreads(0); }
+  } restore;
+  const char* const kGrads[] = {"table", "W_x", "b_x", "W_h", "b_h"};
+  for (const std::size_t threads : {1, 4}) {
+    SetNumThreads(threads);
+    for (const std::size_t dim : {16, 5}) {
+      for (const std::size_t steps : {1, 2, 7, 29}) {
+        const std::string where = std::to_string(threads) + " threads, d " +
+                                  std::to_string(dim) + ", T " +
+                                  std::to_string(steps);
+        Rng rng(steps * 100 + dim);
+        const GruLeaves leaves = GruLeaves::Random(12, dim, rng.Fork());
+        // Two sessions, so the second backward adds to nonzero gradients.
+        const std::vector<Session> sessions = {
+            RandomSession(steps, 12, &rng), RandomSession(steps, 12, &rng)};
+        const SessionRun fused = RunSessions(true, leaves, sessions);
+        const SessionRun composed = RunSessions(false, leaves, sessions);
+        for (std::size_t i = 0; i < sessions.size(); ++i) {
+          EXPECT_TRUE(SameBits(fused.losses[i], composed.losses[i]))
+              << where << ", loss " << i;
+        }
+        for (std::size_t i = 0; i < fused.grads.size(); ++i) {
+          EXPECT_TRUE(SameBits(fused.grads[i], composed.grads[i]))
+              << where << ", " << kGrads[i] << " gradient";
+        }
+        EXPECT_TRUE(fused.row_sparse) << where;
+        EXPECT_TRUE(composed.row_sparse) << where;
+        EXPECT_EQ(fused.grad_rows, composed.grad_rows) << where;
+        EXPECT_EQ(fused.gemm, composed.gemm) << where;
+      }
+    }
+  }
+}
+
+TEST(GruSessionLossTest, GradientMatchesNumerical) {
+  const GruLeaves l = GruLeaves::Random(6, 3, 12);
+  const Session s = {{1, 4, 2, 4}, {2, 0, 5, 4, 1, 3, 3, 0, 2, 0, 5, 1}};
+  const auto loss_of = [&]() {
+    return GruSessionLoss(l.table, l.w_x, l.b_x, l.w_h, l.b_h, s.inputs,
+                          s.cands);
+  };
+  loss_of().Backward();
+  for (const Tensor* param : {&l.table, &l.w_x, &l.b_x, &l.w_h, &l.b_h}) {
+    const std::vector<float> numeric = NumericalGradient(
+        [&](const Tensor&) {
+          NoGradScope no_grad;
+          return loss_of().item();
+        },
+        *param, 1e-2f);
+    for (std::size_t i = 0; i < numeric.size(); ++i) {
+      EXPECT_NEAR(param->grad()[i], numeric[i],
+                  0.02f + 0.05f * std::abs(numeric[i]))
+          << param->ShapeString() << " element " << i;
+    }
+  }
+}
+
+TEST(GruSessionLossTest, MarksTheTableGatheredAndKeepsADenseMark) {
+  const Session s = {{3, 1, 4}, {1, 5, 5, 4, 1, 0, 2, 2, 3}};
+  {
+    const GruLeaves l = GruLeaves::Random(6, 4, 13);
+    GruSessionLoss(l.table, l.w_x, l.b_x, l.w_h, l.b_h, s.inputs, s.cands)
+        .Backward();
+    EXPECT_TRUE(l.table.row_sparse_grad());
+    for (const Tensor* w : {&l.w_x, &l.b_x, &l.w_h, &l.b_h}) {
+      EXPECT_TRUE(w->impl()->read_densely);
+      EXPECT_FALSE(w->impl()->gathered);
+    }
+  }
+  {
+    // A table some other op read densely stays dense.
+    const GruLeaves l = GruLeaves::Random(6, 4, 13);
+    Sum(l.table);
+    GruSessionLoss(l.table, l.w_x, l.b_x, l.w_h, l.b_h, s.inputs, s.cands)
+        .Backward();
+    EXPECT_FALSE(l.table.row_sparse_grad());
+  }
+  {
+    const GruLeaves l = GruLeaves::Random(6, 4, 13);
+    NoGradScope no_grad;
+    const Tensor loss =
+        GruSessionLoss(l.table, l.w_x, l.b_x, l.w_h, l.b_h, s.inputs, s.cands);
+    EXPECT_FALSE(loss.requires_grad());
+    EXPECT_TRUE(loss.impl()->parents.empty());
+    EXPECT_FALSE(l.table.impl()->gathered);
+    EXPECT_FALSE(l.w_x.impl()->read_densely);
+  }
+}
+
+TEST(GruEncodeTest, BitIdenticalToComposedForwardAndRecordsNoTape) {
+  for (const std::size_t steps : {0, 1, 2, 7, 29}) {
+    Rng rng(steps + 7);
+    const GruLeaves l = GruLeaves::Random(12, 16, rng.Fork());
+    const Session s = RandomSession(steps, 12, &rng);
+    const std::vector<std::uint64_t> before = GemmCounters();
+    const Tensor composed = ComposedEncode(l, s.inputs);
+    const std::vector<std::uint64_t> mid = GemmCounters();
+    // Grad mode is on, and every input requires grad.
+    const Tensor encoded =
+        GruEncode(l.table, l.w_x, l.b_x, l.w_h, l.b_h, s.inputs);
+    const std::string where = "T " + std::to_string(steps);
+    EXPECT_TRUE(SameBits(encoded.data(), composed.data())) << where;
+    EXPECT_EQ(CounterDelta(mid, GemmCounters()), CounterDelta(before, mid))
+        << where;
+    EXPECT_FALSE(encoded.requires_grad()) << where;
+    EXPECT_TRUE(encoded.impl()->parents.empty()) << where;
+    EXPECT_TRUE(encoded.grad().empty()) << where;
+    const GruLeaves fresh = l.Copy();
+    GruEncode(fresh.table, fresh.w_x, fresh.b_x, fresh.w_h, fresh.b_h,
+              s.inputs);
+    EXPECT_FALSE(fresh.table.impl()->gathered) << where;
+    EXPECT_FALSE(fresh.table.impl()->read_densely) << where;
+    EXPECT_FALSE(fresh.w_h.impl()->read_densely) << where;
+  }
+}
+
+TEST(GruEncodeTest, StateStaysWithinTheUnitBound) {
+  // h' = (1-z) n + z h is a convex combination, so |h'| stays bounded by
+  // max(|h|, 1) since |n| < 1.
+  Rng rng(13);
+  GruCell gru(2, 4, &rng);
+  const Tensor table = Tensor::Full(1, 2, 3.0f);
+  const Tensor h = GruEncode(table, gru.w_x(), gru.b_x(), gru.w_h(),
+                             gru.b_h(), std::vector<std::size_t>(50, 0));
+  EXPECT_EQ(h.rows(), 1u);
+  EXPECT_EQ(h.cols(), 4u);
+  for (float v : h.data()) EXPECT_LE(std::abs(v), 1.0f + 1e-5f);
 }
 
 // The policy's recompute graph in miniature: an LSTM unrolled over

@@ -869,6 +869,56 @@ TEST(FleetTest, DeletedLeaseDirDoesNotRewindTheFencingToken) {
   std::filesystem::remove_all(dir);
 }
 
+// A worker that dies after publishing a step's checkpoint but before
+// journaling the step leaves the checkpoint one step past the journal.
+// Resuming from it would never run or record that step again, so the
+// next run must resume from a point the journal covers and replay it.
+TEST(FleetTest, CheckpointPastTheJournalIsNotResumedFrom) {
+  const data::Dataset log = MakeLog();
+  const FleetPlan plan = SmallPlan(1, /*steps=*/30);
+  const std::string ref_dir = TempDir("poisonrec_fleet_unjournaled_ref");
+  FleetOrchestrator reference_run(plan, &log, DirOptions(ref_dir));
+  const FleetResult reference = reference_run.Run();
+  ASSERT_EQ(reference.ExitCode(), 0) << reference.status;
+
+  const std::string dir = TempDir("poisonrec_fleet_unjournaled");
+  FleetOptions options = DirOptions(dir);
+  const FleetResult first = RunUntilCommitted(plan, log, options, 3);
+  ASSERT_EQ(first.interrupted, 1u) << "fleet finished - grow the plan";
+  const std::uint64_t last = first.outcomes[0].steps_completed;
+  ASSERT_GE(last, 3u);
+
+  // Drop every journal record of the last step; its checkpoint stays.
+  const std::string marker = "\"step\":" + std::to_string(last) + ",";
+  std::size_t dropped = 0;
+  for (const std::string& file :
+       FleetJournal::ListJournalFiles(options.journal_path)) {
+    std::vector<std::string> kept;
+    {
+      std::ifstream in(file);
+      for (std::string line; std::getline(in, line);) {
+        if (line.find(marker) == std::string::npos) {
+          kept.push_back(line);
+        } else {
+          ++dropped;
+        }
+      }
+    }
+    std::ofstream out(file, std::ios::trunc);
+    for (const std::string& line : kept) out << line << "\n";
+  }
+  ASSERT_GT(dropped, 0u);
+
+  FleetOrchestrator finishing_run(plan, &log, options);
+  const FleetResult finished = finishing_run.Run();
+  ASSERT_EQ(finished.ExitCode(), 0) << finished.status;
+  EXPECT_EQ(finished.outcomes[0].step_rewards,
+            reference.outcomes[0].step_rewards);
+  EXPECT_EQ(finished.outcomes[0].steps_completed, 30u);
+  std::filesystem::remove_all(ref_dir);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(FleetTest, DamagedLeaseIsSeizedInsteadOfWedgingTheFleet) {
   const std::string dir = TempDir("poisonrec_fleet_torn_lease");
   const data::Dataset log = MakeLog();
@@ -1227,7 +1277,9 @@ TEST(FleetTest, ShutdownDoesNotWaitOutAnHourLongWatchdogPoll) {
   // Run for an hour after shutdown; the condition-variable wait must
   // return within the campaign's next step boundary instead.
   options.watchdog_poll_seconds = 3600.0;
-  FleetOrchestrator orchestrator(SmallPlan(2, /*steps=*/8), &log, options);
+  // Enough steps that the shutdown request lands mid-run: a fleet that
+  // finishes first interrupts nothing.
+  FleetOrchestrator orchestrator(SmallPlan(2, /*steps=*/64), &log, options);
   const auto start = std::chrono::steady_clock::now();
   std::thread stopper([&orchestrator] {
     std::this_thread::sleep_for(std::chrono::milliseconds(40));

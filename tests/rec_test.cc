@@ -6,13 +6,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
+#include "bit_identity.h"
 #include "data/synthetic.h"
 #include "rec/bpr.h"
 #include "rec/covisitation.h"
+#include "rec/gru4rec.h"
 #include "rec/itempop.h"
+#include "rec/neumf.h"
+#include "rec/ngcf.h"
 #include "rec/pmf.h"
 #include "util/random.h"
 
@@ -108,6 +113,64 @@ TEST_P(AllRecommendersTest, UpdateOnCloneLeavesOriginalUntouched) {
   auto after_original = rec->Score(7, cands);
   for (std::size_t i = 0; i < before.size(); ++i) {
     EXPECT_DOUBLE_EQ(before[i], after_original[i]) << GetParam();
+  }
+}
+
+// Scores of every item for the first ten users, flattened.
+std::vector<double> AllScores(const Recommender& ranker) {
+  std::vector<data::ItemId> items(30);
+  for (data::ItemId i = 0; i < items.size(); ++i) items[i] = i;
+  std::vector<double> scores;
+  for (data::UserId u = 0; u < 10; ++u) {
+    for (double s : ranker.Score(u, items)) scores.push_back(s);
+  }
+  return scores;
+}
+
+bool SameScoreBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// The embedding table a neural ranker exposes (AutoRec exposes none).
+const nn::Tensor* ExposedTable(const Recommender& ranker) {
+  if (const auto* r = dynamic_cast<const NeuMf*>(&ranker)) {
+    return &r->ItemEmbeddings();
+  }
+  if (const auto* r = dynamic_cast<const Gru4Rec*>(&ranker)) {
+    return &r->ItemEmbeddings();
+  }
+  if (const auto* r = dynamic_cast<const Ngcf*>(&ranker)) {
+    return &r->NodeEmbeddings();
+  }
+  return nullptr;
+}
+
+// A neural ranker's clone copies the fitted parameters bit for bit into
+// buffers of its own: it scores exactly as its source, and training it
+// leaves the source's scores unchanged.
+TEST(NeuralCloneTest, CopiesParametersIntoBuffersOfItsOwn) {
+  for (const char* name : {"NeuMF", "AutoRec", "GRU4Rec", "NGCF"}) {
+    auto ranker = MakeRecommender(name, FastConfig()).value();
+    ranker->Fit(TestLog());
+    const std::vector<double> before = AllScores(*ranker);
+    std::unique_ptr<Recommender> clone = ranker->Clone();
+    EXPECT_TRUE(SameScoreBits(AllScores(*clone), before)) << name;
+    if (const nn::Tensor* table = ExposedTable(*ranker)) {
+      const nn::Tensor* copy = ExposedTable(*clone);
+      ASSERT_NE(copy, nullptr) << name;
+      EXPECT_TRUE(SameBits(copy->data(), table->data())) << name;
+      EXPECT_NE(copy->data().data(), table->data().data()) << name;
+      EXPECT_NE(copy->grad().data(), table->grad().data()) << name;
+      EXPECT_TRUE(copy->requires_grad()) << name;
+    }
+    data::Dataset poison(72, 30);
+    for (data::UserId u = 60; u < 64; ++u) {
+      for (int c = 0; c < 10; ++c) poison.Add(u, 29);
+    }
+    clone->Update(poison);
+    EXPECT_FALSE(SameScoreBits(AllScores(*clone), before)) << name;
+    EXPECT_TRUE(SameScoreBits(AllScores(*ranker), before)) << name;
   }
 }
 

@@ -30,12 +30,13 @@
 # one storage fault per damage class offline (checkpoint bit-flip,
 # checkpoint truncation, torn journal tail) checking the verdicts and
 # exit codes `poisonrec fsck` promises, and a separate TSan build (also
-# warnings as errors) runs the scheduler/journal/lease/chaos, engine and
-# parallel-reward tests race-free, along with the autograd walk's and
-# the GEMM kernels' tests.
+# warnings as errors) runs the scheduler/journal/lease/chaos, engine,
+# parallel-reward and environment tests race-free, along with the
+# autograd walk's and the GEMM kernels' tests.
 # A last build for the host's own ISA (-march=native, FMA included) runs
-# the kernel, optimizer and golden-fixture tests, which must hold bit for
-# bit there too.
+# the kernel, optimizer, module (GRU4Rec's session node against its
+# composed graph) and golden-fixture tests, which must hold bit for bit
+# there too.
 # Override the scale knobs via the usual POISONREC_* env vars.
 set -euo pipefail
 
@@ -451,12 +452,14 @@ fsck_expect journal_torn_tail 2 'torn_tail'
 # TSan leg: the fleet scheduler, watchdog, journal, and lease paths are
 # intentionally multi-threaded control paths, the attacker engine runs
 # on row-partitioned kernels and threaded sparse matmuls, parallel
-# reward queries retrain neural ranker clones (NeuMF, GRU4Rec) whose
-# embedding tables keep per-tensor row-sparse gradient bookkeeping, and
-# every backward walk stamps the nodes it visits (tensor_test walks
-# graphs that share a constant leaf on several threads at once); run
-# their tests under ThreadSanitizer (incompatible with ASan, hence the
-# separate build tree). The engine's golden cases are too small to split
+# reward queries retrain neural ranker clones (NeuMF, and GRU4Rec through
+# its one-node-per-session loss) whose embedding tables keep per-tensor
+# row-sparse gradient bookkeeping, the environment builds its RecNum
+# candidate lists on whichever query gets there first (env_test races
+# four first calls), and every backward walk stamps the nodes it visits
+# (tensor_test walks graphs that share a constant leaf on several threads
+# at once); run their tests under ThreadSanitizer (incompatible with
+# ASan, hence the separate build tree). The engine's golden cases are too small to split
 # a GEMM's rows (kernels::kParallelMinWork); tensor_test's affine case
 # does, and kernels_test, whose threaded cases split every variant at
 # both lane widths, runs here too.
@@ -468,7 +471,8 @@ cmake -B "${TSAN_DIR}" -S . \
 cmake --build "${TSAN_DIR}" -j "$(nproc)" \
   --target orch_test lease_test fleet_recovery_test fleet_shared_test \
            fsck_chaos_test fleet_status_test status_test \
-           batched_engine_test parallel_test tensor_test kernels_test
+           batched_engine_test parallel_test tensor_test kernels_test \
+           env_test
 "${TSAN_DIR}/tests/orch_test"
 "${TSAN_DIR}/tests/lease_test"
 "${TSAN_DIR}/tests/fleet_recovery_test"
@@ -480,6 +484,7 @@ cmake --build "${TSAN_DIR}" -j "$(nproc)" \
 "${TSAN_DIR}/tests/parallel_test"
 "${TSAN_DIR}/tests/tensor_test"
 "${TSAN_DIR}/tests/kernels_test"
+"${TSAN_DIR}/tests/env_test"
 
 # Native leg: GCC and Clang contract a + b·c into one fused multiply-add
 # wherever the target has FMA. -ffp-contract=off (src/ and tests/
