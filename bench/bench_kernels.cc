@@ -14,7 +14,12 @@
 //     8 to 4096 rows), which places the threading threshold
 //     kernels::kParallelMinWork. Its rungs are split across the threads
 //     at every size, below the threshold too, so the ladder measures
-//     what a split would cost wherever the constant sits.
+//     what a split would cost wherever the constant sits;
+//   - kernels::Tanh at each lane width against a std::tanh loop, on the
+//     attacker's 1600×16 gate block and a GRU4Rec row of 16;
+//   - a second ladder for kernels::kParallelRowsMinWork, split at every
+//     size the same way: the LSTM gates' forward and backward and
+//     SparseMatMul's forward, from 2^10 (2^12) to 2^20 elements of work.
 //
 // The workload products are split only from kParallelMinWork on, as
 // the library runs them; below it their threaded columns read
@@ -24,18 +29,23 @@
 // of the mean time across enough inner iterations to fill ~10ms, so
 // small shapes are not measured at clock resolution. Emits a table and
 // machine-readable JSON (results/kernel_timing.json), one row per shape,
-// lane width and threaded count; kernel_ms is the one-thread time.
+// lane width and threaded count; kernel_ms is the one-thread time, and
+// seed_ms the seed loop's (for tanh, std::tanh's).
 //
 //   POISONREC_REPEATS  min-of-N repetitions (default 5; CI smoke uses 2)
 //   POISONREC_THREADS  comma list of threaded counts (default 2,4)
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench/common.h"
 #include "nn/kernels.h"
+#include "nn/sparse.h"
+#include "nn/tensor.h"
 #include "util/random.h"
 #include "util/timer.h"
 
@@ -281,6 +291,101 @@ int Main() {
              Fmt(seed_s / one_s, "%.3f"), mt(seed_s / mt_s, "%.3f")});
       }
     }
+  }
+
+  // tanh: kernels::Tanh at each lane width against a std::tanh loop
+  // (seed_ms), one thread, on the attacker's 1600×16 gate block and one
+  // GRU4Rec row of 16, from N(0, 0.3) and N(0, 1) inputs. Rows are
+  // variant "tanh" with k = 1, so m·k·n counts elements.
+  for (const auto& [label, m, n] :
+       {std::tuple<const char*, std::size_t, std::size_t>{"tanh_lstm", 1600,
+                                                          16},
+        {"tanh_gru_row", 1, 16}}) {
+    for (const double sd : {0.3, 1.0}) {
+      std::vector<float> x(m * n);
+      for (float& v : x) v = static_cast<float>(rng.Normal(0.0, sd));
+      std::vector<float> y(m * n);
+      const std::string shape = std::string(label) + "_sd" + Fmt(sd, "%.1f");
+      const double seed_s = MinSeconds(repeats, [&] {
+        for (std::size_t i = 0; i < x.size(); ++i) y[i] = std::tanh(x[i]);
+      });
+      for (const std::size_t lanes : lane_widths) {
+        const double one_s = MinSeconds(repeats, [&] {
+          nn::kernels::internal::TanhAt(lanes, x.data(), y.data(), x.size());
+        });
+        const double ns = one_s * 1e9 / static_cast<double>(x.size());
+        PrintTableRow({shape, "tanh", std::to_string(m) + "x1x" +
+                                          std::to_string(n),
+                       std::to_string(lanes), "1", Fmt(seed_s * 1e6, "%.3f"),
+                       Fmt(one_s * 1e6, "%.3f"), "unsplit",
+                       Fmt(ns, "%.2f") + "ns/el", Fmt(seed_s / one_s, "%.2f"),
+                       "unsplit"});
+        rows.push_back({shape, "tanh", std::to_string(m), "1",
+                        std::to_string(n), std::to_string(lanes), "1",
+                        Fmt(seed_s * 1e3, "%.5f"), Fmt(one_s * 1e3, "%.5f"),
+                        "unsplit", "-", "-", Fmt(seed_s / one_s, "%.3f"),
+                        "unsplit"});
+      }
+    }
+  }
+
+  // The ParallelRows ladder, which places kernels::kParallelRowsMinWork:
+  // the LSTM gates' forward (no tape) and backward at h = 16, m rows
+  // (m×4×16: each call's work is 64m elements, the c and h backward
+  // nodes' 16m), and SparseMatMul's forward over 16 entries per row into
+  // 16 columns (m×16×16, work 256m). Split at every size (min_work 0),
+  // at the dispatched width; the seed and speedup columns do not apply.
+  const std::string lanes_now = std::to_string(nn::kernels::GemmLanes());
+  const auto rung = [&](const std::string& label, const char* variant,
+                        std::size_t m, std::size_t k, std::size_t n,
+                        const auto& fn) {
+    nn::SetNumThreads(1);
+    const double one_s = MinSeconds(repeats, fn);
+    for (const std::size_t threads : thread_counts) {
+      nn::SetNumThreads(threads);
+      const double mt_s = MinSeconds(repeats, fn);
+      nn::SetNumThreads(0);
+      const std::string mkn = std::to_string(m) + "x" + std::to_string(k) +
+                              "x" + std::to_string(n);
+      PrintTableRow({label, variant, mkn, lanes_now, std::to_string(threads),
+                     "-", Fmt(one_s * 1e6, "%.3f"), Fmt(mt_s * 1e6, "%.3f"),
+                     "-", "-", "-"});
+      rows.push_back({label, variant, std::to_string(m), std::to_string(k),
+                      std::to_string(n), lanes_now, std::to_string(threads),
+                      "-", Fmt(one_s * 1e3, "%.5f"), Fmt(mt_s * 1e3, "%.5f"),
+                      "-", "-", "-", "-"});
+    }
+  };
+  constexpr std::size_t kHidden = 16;
+  for (std::size_t m = 16; m <= 16384; m *= 2) {
+    const std::string rows_label = std::to_string(m);
+    nn::Tensor preact = nn::Tensor::Randn(m, 4 * kHidden, 1.0f, &rng, true);
+    nn::Tensor c_prev = nn::Tensor::Randn(m, kHidden, 1.0f, &rng, true);
+    rung("ladder_lstm_fwd_" + rows_label, "LSTMF", m, 4, kHidden, [&] {
+      nn::NoGradScope no_grad;
+      nn::internal::LstmGatesAt(preact, c_prev, 0);
+    });
+    nn::Tensor loss =
+        nn::Sum(nn::internal::LstmGatesAt(preact, c_prev, 0).h);
+    rung("ladder_lstm_bwd_" + rows_label, "LSTMB", m, 4, kHidden,
+         [&] { loss.Backward(); });
+  }
+  for (std::size_t m = 16; m <= 4096; m *= 2) {
+    constexpr std::size_t kPerRow = 16;
+    std::vector<nn::CsrMatrix::Triplet> triplets;
+    for (std::size_t r = 0; r < m; ++r) {
+      for (std::size_t e = 0; e < kPerRow; ++e) {
+        triplets.push_back({r, (r * kPerRow + e * 7) % m,
+                            static_cast<float>(rng.Uniform(-1.0, 1.0))});
+      }
+    }
+    const nn::CsrMatrix a(m, m, std::move(triplets));
+    const nn::Tensor x = nn::Tensor::Randn(m, kHidden, 1.0f, &rng);
+    rung("ladder_spmm_" + std::to_string(m), "SPMM", m, kPerRow, kHidden,
+         [&] {
+           nn::NoGradScope no_grad;
+           nn::internal::SparseMatMulAt(a, x, 0);
+         });
   }
 
   WriteCsvOutput(config, "kernel_timing.csv", rows);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <thread>
 
@@ -23,24 +24,23 @@ std::atomic<std::size_t> g_num_threads{0};
 // nothing: each element's chain simply resumes in the next block.
 constexpr std::size_t kBlockK = 64;
 
-// Below this much work a ParallelRows call runs inline. It is the
-// threshold the GEMMs had before theirs was measured; that measurement
-// timed the GEMM tiles only, and the fused LSTM gates make several libm
-// calls per element.
-constexpr std::size_t kParallelRowsMinWork = std::size_t{1} << 15;
-
 // W floats in one register: GCC's vector extension, which lowers to
 // SSE2 (W = 4) or AVX (W = 8) on x86-64 and to scalar code where the
 // target has no such vectors. Every operation below is lane-wise (a
 // scalar operand is broadcast), so each lane computes exactly the scalar
 // expression it stands for and the kernels' results do not depend on W.
 // The attribute needs a dependent typedef; an alias template drops it.
-template <int W>
+// The tanh below also runs on int32 and uint32 lanes.
+template <typename T, int W>
 struct VecOf {
-  typedef float type __attribute__((vector_size(4 * W)));
+  typedef T type __attribute__((vector_size(sizeof(T) * W)));
 };
 template <int W>
-using Vec = typename VecOf<W>::type;
+using Vec = typename VecOf<float, W>::type;
+template <int W>
+using IVec = typename VecOf<std::int32_t, W>::type;
+template <int W>
+using UVec = typename VecOf<std::uint32_t, W>::type;
 using F4 = Vec<4>;
 
 // Loads go through an out-parameter and stores read a const reference:
@@ -323,21 +323,157 @@ void GemmNTRows(std::size_t i0, std::size_t i1, std::size_t /*m*/,
   if (i < i1) ColumnTilesNT<W, 1, 8>(i, k, k4, n, a, b, c);
 }
 
+// ---- tanh: glibc's __tanhf and __expm1f, every branch in every lane ----
+//
+// A transcription of glibc 2.36's sysdeps/ieee754/flt-32 s_tanhf.c and
+// s_expm1f.c (fdlibm's single-precision routines; libm has no other
+// variant of either and no FMA in them). Each lane evaluates every
+// branch with the C source's float operations in its order, and picks
+// its result by mask, so it rounds exactly as the scalar call does.
+
+// expm1f(a) on the arguments __tanhf passes it: a in (−2, −2^-54] or
+// [2, 44), or +0 in a lane whose tanh takes no expm1f. Those never reach
+// expm1f's overflow, −1 or k = 1 branches, which are left out. Its
+// branches here, by |a| and by k:
+//   |a| < 2^-25          a
+//   |a| ≤ ln2/2: k = 0   x − (x·e − hxs)
+//   k = −1               0.5·(x − e) − 0.5                 (|a| < 1.5 ln2)
+//   k ≤ −2 or k > 56     2^k·(1 − (e − x)) − 1
+//   2 ≤ k ≤ 22           2^k·((1 − 2^-k) − (e − x))
+//   23 ≤ k ≤ 56          2^k·((x − (e + 2^-k)) + 1)
+// with x = hi − lo the reduced argument and e the correction (the second
+// e of the source from k = −1 on).
+template <int W>
+inline void Expm1Lanes(const Vec<W>& a_in, Vec<W>* out) {
+  using V = Vec<W>;
+  using I = IVec<W>;
+  using U = UVec<W>;
+  const V zero = {};
+  const V one = zero + 1.0f;
+  const I hx = reinterpret_cast<I>(a_in) & 0x7fffffff;
+  const I positive = reinterpret_cast<I>(a_in) >= 0;
+  // The |a| < 2^-25 lanes return a; the rest of the routine runs on +0
+  // there, which keeps their products out of the subnormals.
+  const I tiny = hx < 0x33000000;
+  const V a = tiny ? zero : a_in;
+  // Argument reduction. Every lane's a is in (−2, 44), so k's float →
+  // int conversion stays in range.
+  const V half = positive ? zero + 0.5f : zero - 0.5f;
+  const I k_round = __builtin_convertvector(a * 1.4426950216e+00f + half, I);
+  const I k_one = positive ? I{} + 1 : I{} - 1;
+  I k = hx < 0x3f851592 ? k_one : k_round;
+  k = hx > 0x3eb17218 ? k : I{};
+  // t·ln2_hi is exact; at k = 0 this leaves x = a and c = 0, and at
+  // k = ±1 it is the source's a ∓ ln2_hi, ±ln2_lo.
+  const V t = __builtin_convertvector(k, V);
+  const V hi = a - t * 6.9313812256e-01f;
+  const V lo = t * 9.0580006145e-06f;
+  const V x = hi - lo;
+  const V c = (hi - x) - lo;
+  // The primary range.
+  const V hfx = 0.5f * x;
+  const V hxs = x * hfx;
+  const V r1 =
+      one +
+      hxs * (-3.3333335072e-02f +
+             hxs * (1.5873016091e-03f +
+                    hxs * (-7.9365076090e-05f +
+                           hxs * (4.0082177293e-06f +
+                                  hxs * -2.0109921195e-07f))));
+  const V t3 = 3.0f - r1 * hfx;
+  V e = hxs * ((r1 - t3) / (6.0f - x * t3));
+  const V r_k0 = x - (x * e - hxs);
+  e = x * (e - c) - c;
+  e = e - hxs;
+  const V r_km1 = 0.5f * (x - e) - 0.5f;
+  // 2^-k from its exponent field, in unsigned lanes (k may be negative
+  // there); 1 − 2^-k is exact for k ≤ 24.
+  const U k_bits = reinterpret_cast<U>(k);
+  const U two_minus_k = (0x7fu - k_bits) << 23;
+  const V p = reinterpret_cast<V>(two_minus_k);
+  const I mid = (k >= 2) & (k <= 22);
+  const I high = (k >= 23) & (k <= 56);
+  const V y_mid = (mid ? one - p : one) - (e - x);
+  const V y_high = (x - (e + p)) + one;
+  const V y0 = high ? y_high : y_mid;
+  const U y_bits = reinterpret_cast<U>(y0) + (k_bits << 23);
+  const V y = reinterpret_cast<V>(y_bits);
+  V r = (mid | high) ? y : y - one;
+  r = k == -1 ? r_km1 : r;
+  r = k == 0 ? r_k0 : r;
+  *out = tiny ? a_in : r;
+}
+
+// tanhf of W floats from `in` into `out` (which may equal in). Its
+// branches, by |x|:
+//   ±0                   x
+//   |x| < 2^-55          x·(1 + x)
+//   |x| < 1              ±(−t / (t + 2)),   t = expm1f(−2|x|)
+//   1 ≤ |x| < 22         ±(1 − 2 / (t + 2)), t = expm1f(2|x|)
+//   |x| ≥ 22             ±(1 − 10^-30)
+//   inf or NaN           1/x + 1, or 1/x − 1 if the sign bit is set
+template <int W>
+inline void TanhLanes(const float* in, float* out) {
+  using V = Vec<W>;
+  using I = IVec<W>;
+  const V zero = {};
+  const V one = zero + 1.0f;
+  const V two = zero + 2.0f;
+  V x;
+  Load<W>(in, &x);
+  const I jx = reinterpret_cast<I>(x);
+  const I ix = jx & 0x7fffffff;
+  const V abs_x = reinterpret_cast<V>(ix);
+  const I ge1 = ix >= 0x3f800000;
+  const I calls_expm1 = (ix >= 0x24000000) & (ix < 0x41b00000);
+  V a = (ge1 ? two : -two) * abs_x;
+  a = calls_expm1 ? a : zero;
+  V t;
+  Expm1Lanes<W>(a, &t);
+  // One division per lane: 2/(t + 2) or −t/(t + 2).
+  const V q = (ge1 ? two : -t) / (t + two);
+  V z = ge1 ? one - q : q;
+  z = ix < 0x41b00000 ? z : zero + (1.0f - 1.0e-30f);
+  z = jx >= 0 ? z : -z;
+  z = ix < 0x24000000 ? x * (one + x) : z;
+  z = ix == 0 ? x : z;
+  // Only the inf and NaN lanes divide by x.
+  const I special = ix >= 0x7f800000;
+  const V inv = one / (special ? x : one);
+  z = special ? (jx >= 0 ? inv + one : inv - one) : z;
+  Store<W>(out, z);
+}
+
+// y = tanh(x) over n floats: full vectors, then the last n mod W through
+// a zero-padded one.
+template <int W>
+void TanhRow(const float* x, float* y, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + W <= n; i += W) TanhLanes<W>(x + i, y + i);
+  if (i == n) return;
+  float tail[W] = {};
+  std::copy(x + i, x + n, tail);
+  TanhLanes<W>(tail, tail);
+  std::copy(tail, tail + (n - i), y + i);
+}
+
 // ---- Row functions per lane width, and the one choice between them ----
 
 using RowsFn = void (*)(std::size_t i0, std::size_t i1, std::size_t m,
                         std::size_t k, std::size_t n, const float* a,
                         const float* b, float* c);
+using TanhFn = void (*)(const float* x, float* y, std::size_t n);
 
 enum Variant { kNN, kTN, kNT };
 
 struct RowKernels {
   std::size_t lanes;
   RowsFn rows[3];  // indexed by Variant
+  TanhFn tanh;
 };
 
 constexpr RowKernels kRows4 = {
-    4, {GemmRows<false, 4>, GemmRows<true, 4>, GemmNTRows<4>}};
+    4, {GemmRows<false, 4>, GemmRows<true, 4>, GemmNTRows<4>}, TanhRow<4>};
 
 #if defined(__x86_64__)
 // The 8-lane instances exist only inside these AVX2 functions: flatten
@@ -362,7 +498,13 @@ constexpr RowKernels kRows4 = {
   GemmNTRows<8>(i0, i1, m, k, n, a, b, c);
 }
 
-constexpr RowKernels kRows8 = {8, {GemmNNRows8, GemmTNRows8, GemmNTRows8}};
+[[gnu::target("avx2"), gnu::flatten]] void TanhRow8(const float* x, float* y,
+                                                     std::size_t n) {
+  TanhRow<8>(x, y, n);
+}
+
+constexpr RowKernels kRows8 = {
+    8, {GemmNNRows8, GemmTNRows8, GemmNTRows8}, TanhRow8};
 #endif
 
 bool CpuHasAvx2() {
@@ -486,9 +628,14 @@ void GemmNT(std::size_t m, std::size_t k, std::size_t n, const float* a,
 
 std::size_t GemmLanes() { return DispatchedRows().lanes; }
 
+void Tanh(const float* x, float* y, std::size_t n) {
+  DispatchedRows().tanh(x, y, n);
+}
+
 void ParallelRows(std::size_t m, std::size_t work,
-                  const std::function<void(std::size_t, std::size_t)>& rows) {
-  ForEachRowBlock(m, work, kParallelRowsMinWork, rows);
+                  const std::function<void(std::size_t, std::size_t)>& rows,
+                  std::size_t min_work) {
+  ForEachRowBlock(m, work, min_work, rows);
 }
 
 namespace internal {
@@ -513,6 +660,10 @@ void GemmNTAt(std::size_t lanes, std::size_t m, std::size_t k, std::size_t n,
               const float* a, const float* b, float* c,
               std::size_t min_work) {
   Gemm(RowsAt(lanes), kNT, m, k, n, a, b, c, min_work);
+}
+
+void TanhAt(std::size_t lanes, const float* x, float* y, std::size_t n) {
+  RowsAt(lanes).tanh(x, y, n);
 }
 
 }  // namespace internal

@@ -1,8 +1,9 @@
 // Dense GEMM kernel layer beneath the tensor API (the torch-style
 // split: tensor.cc owns autograd bookkeeping, kernels.cc owns the
-// floating-point loops). All three transpose variants used by MatMul
-// and its backward pass are explicit, so callers never re-derive
-// transposed access patterns inline:
+// floating-point loops), and the lane-wise tanh the gates run. All
+// three transpose variants used by MatMul and its backward pass are
+// explicit, so callers never re-derive transposed access patterns
+// inline:
 //
 //   forward   C  = A · B      -> GemmNN
 //   backward  dA = dC · Bᵀ    -> GemmNT
@@ -42,9 +43,10 @@
 // k < 4 fills no lane: each output is c + (+0 + tail), one column loop
 // per row that the compiler vectorizes.
 //
-// Dispatch. One process-wide choice, made on the first GEMM: 8 lanes
-// when the CPU reports AVX2, 4 otherwise. It takes no option and shows
-// in the `poisonrec_gemm_lanes` gauge (GemmLanes()).
+// Dispatch. One process-wide choice, made on the first GEMM or Tanh
+// call: 8 lanes when the CPU reports AVX2, 4 otherwise, for the GEMMs
+// and Tanh alike. It takes no option and shows in the
+// `poisonrec_gemm_lanes` gauge (GemmLanes()).
 //
 // Determinism contract: kernels are row-partitioned across the
 // persistent pool in util/parallel. Each output row is owned by exactly
@@ -90,8 +92,26 @@ void GemmTN(std::size_t m, std::size_t k, std::size_t n, const float* a,
 void GemmNT(std::size_t m, std::size_t k, std::size_t n, const float* a,
             const float* b, float* c);
 
-/// The lane width the GEMMs dispatched to in this process: 8 or 4.
+/// The lane width the GEMMs and Tanh dispatched to in this process: 8
+/// or 4.
 std::size_t GemmLanes();
+
+/// y[i] = tanhf(x[i]) for i < n, lane-wise at the dispatched width. It
+/// transcribes glibc 2.36's tanhf (and the expm1f it calls) so that each
+/// lane runs the scalar routine's float operations in their order, and
+/// returns its bits for every float, NaNs included (kernels.cc lists the
+/// branches). y may equal x; otherwise the two must not overlap.
+void Tanh(const float* x, float* y, std::size_t n);
+
+/// Below this much work a ParallelRows call runs on the calling thread:
+/// the smallest rung of bench_kernels' second ladder at which both 2
+/// and 4 threads beat one thread (median time below the one-thread
+/// time) for the LSTM gates' forward, their backward and SparseMatMul,
+/// in each of two rounds of pinned runs
+/// (results/parallel_rows_ladder_runs.csv, docs/performance.md). The
+/// forward alone wins from 2^12; the backward, which makes no libm
+/// call, decides.
+inline constexpr std::size_t kParallelRowsMinWork = std::size_t{1} << 17;
 
 /// Row-partitions [0, m) across the kernel thread budget and invokes
 /// `rows(i0, i1)` for each block — the same partitioner the dense GEMMs
@@ -99,10 +119,12 @@ std::size_t GemmLanes();
 /// row-ownership determinism contract: every row is owned by exactly
 /// one thread, so any per-row computation that never reduces across
 /// rows is bit-identical at every thread count. `work` is the total
-/// element (or multiply-accumulate) count; below 2^15 the call runs
-/// inline as rows(0, m).
+/// element (or multiply-accumulate) count; below `min_work` the call
+/// runs inline as rows(0, m). Only tests and bench_kernels pass a
+/// `min_work` of their own (its ladder passes 0 to split at every size).
 void ParallelRows(std::size_t m, std::size_t work,
-                  const std::function<void(std::size_t, std::size_t)>& rows);
+                  const std::function<void(std::size_t, std::size_t)>& rows,
+                  std::size_t min_work = kParallelRowsMinWork);
 
 namespace internal {
 
@@ -123,6 +145,9 @@ void GemmTNAt(std::size_t lanes, std::size_t m, std::size_t k, std::size_t n,
 void GemmNTAt(std::size_t lanes, std::size_t m, std::size_t k, std::size_t n,
               const float* a, const float* b, float* c,
               std::size_t min_work = kParallelMinWork);
+
+/// Tests and bench_kernels only: Tanh at a chosen lane width.
+void TanhAt(std::size_t lanes, const float* x, float* y, std::size_t n);
 
 }  // namespace internal
 

@@ -50,6 +50,11 @@ CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols,
 }
 
 Tensor SparseMatMul(const CsrMatrix& a, const Tensor& x) {
+  return internal::SparseMatMulAt(a, x, kernels::kParallelRowsMinWork);
+}
+
+Tensor internal::SparseMatMulAt(const CsrMatrix& a, const Tensor& x,
+                                std::size_t min_work) {
   POISONREC_CHECK_EQ(a.cols(), x.rows());
   const std::size_t n = x.cols();
   Tensor out = Tensor::Zeros(a.rows(), n);
@@ -60,7 +65,8 @@ Tensor SparseMatMul(const CsrMatrix& a, const Tensor& x) {
   float* od = out.mutable_data().data();
   const float* xd = x.data().data();
   kernels::ParallelRows(
-      a.rows(), a.nnz() * n, [&](std::size_t r0, std::size_t r1) {
+      a.rows(), a.nnz() * n,
+      [&](std::size_t r0, std::size_t r1) {
         for (std::size_t r = r0; r < r1; ++r) {
           float* orow = od + r * n;
           for (std::size_t p = a.row_offsets()[r]; p < a.row_offsets()[r + 1];
@@ -70,19 +76,21 @@ Tensor SparseMatMul(const CsrMatrix& a, const Tensor& x) {
             for (std::size_t c = 0; c < n; ++c) orow[c] += v * xrow[c];
           }
         }
-      });
+      },
+      min_work);
   if (internal::TrackGrad({&x})) {
     internal::TensorImpl* xi = x.impl().get();
     internal::TensorImpl* oraw = out.impl().get();
     const CsrMatrix* am = &a;  // caller must keep the matrix alive
     // Attach marks x read densely: dx spans every row (see tensor.h).
-    internal::Attach(out.impl(), {&x}, [am, xi, oraw, n]() {
+    internal::Attach(out.impl(), {&x}, [am, xi, oraw, n, min_work]() {
       // dx = Aᵀ · dout over the transposed CSR: dx row c accumulates
       // its column's entries in ascending original-row order — the
       // exact order the old serial (r, p) scatter used — and each dx
       // row is owned by one thread.
       kernels::ParallelRows(
-          am->cols(), am->nnz() * n, [&](std::size_t c0, std::size_t c1) {
+          am->cols(), am->nnz() * n,
+          [&](std::size_t c0, std::size_t c1) {
             for (std::size_t c = c0; c < c1; ++c) {
               float* xgrow = xi->grad.data() + c * n;
               for (std::size_t p = am->t_row_offsets()[c];
@@ -93,7 +101,8 @@ Tensor SparseMatMul(const CsrMatrix& a, const Tensor& x) {
                 for (std::size_t j = 0; j < n; ++j) xgrow[j] += v * grow[j];
               }
             }
-          });
+          },
+          min_work);
     });
   }
   return out;

@@ -64,6 +64,16 @@ class CsrMatrix {
 /// are actually sparse must come through here as CsrMatrix.
 Tensor SparseMatMul(const CsrMatrix& a, const Tensor& x);
 
+namespace internal {
+
+/// Tests and bench_kernels only: SparseMatMul with its row splits
+/// (forward and backward) from `min_work` multiply-accumulates on
+/// instead of kernels::kParallelRowsMinWork.
+Tensor SparseMatMulAt(const CsrMatrix& a, const Tensor& x,
+                      std::size_t min_work);
+
+}  // namespace internal
+
 }  // namespace poisonrec::nn
 
 #endif  // POISONREC_NN_SPARSE_H_

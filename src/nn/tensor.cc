@@ -457,16 +457,15 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
 
 namespace {
 
-// Shared scaffolding for elementwise unary ops:
-// out = fwd(x), dx += dout * dfn(x, y).
-template <typename Fwd, typename Dfn>
-Tensor UnaryOp(const Tensor& a, Fwd fwd, Dfn dfn) {
+// Shared scaffolding for elementwise unary ops: out = fwd(x) for the
+// whole tensor in one row call fwd(x, out, size), and
+// dx += dout * dfn(x, y).
+template <typename RowFwd, typename Dfn>
+Tensor UnaryRowOp(const Tensor& a, RowFwd fwd, Dfn dfn) {
   auto out = NewNode(a.rows(), a.cols());
   TensorImpl* ai = a.impl().get();
   TensorImpl* oi = out.get();
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    out->data[i] = fwd(a.data()[i]);
-  }
+  fwd(a.data().data(), out->data.data(), a.size());
   Tensor result(out);
   if (TrackGrad({&a})) {
     Attach(
@@ -479,6 +478,17 @@ Tensor UnaryOp(const Tensor& a, Fwd fwd, Dfn dfn) {
         });
   }
   return result;
+}
+
+// UnaryRowOp with out = fwd(x) element by element.
+template <typename Fwd, typename Dfn>
+Tensor UnaryOp(const Tensor& a, Fwd fwd, Dfn dfn) {
+  return UnaryRowOp(
+      a,
+      [fwd](const float* x, float* y, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) y[i] = fwd(x[i]);
+      },
+      dfn);
 }
 
 }  // namespace
@@ -502,9 +512,8 @@ Tensor Sigmoid(const Tensor& a) {
 }
 
 Tensor Tanh(const Tensor& a) {
-  return UnaryOp(
-      a, [](float x) { return std::tanh(x); },
-      [](float, float y) { return TanhDeriv(y); });
+  return UnaryRowOp(a, kernels::Tanh,
+                    [](float, float y) { return TanhDeriv(y); });
 }
 
 Tensor Relu(const Tensor& a) {
@@ -814,10 +823,11 @@ Tensor RowDot(const Tensor& a, const Tensor& b) {
 namespace {
 
 // Forward for rows [r0, r1): activates the four gate blocks of `pre`
-// into `act`, then produces c = f·c_prev + i·g and h = o·tanh(c) in the
-// same per-element order the composed Sigmoid/Tanh/Mul/Add chain used.
-// When `tanh_c` is not null (a tape is recorded), tanh(c) is kept there
-// for h's backward.
+// into `act`, then produces c = f·c_prev + i·g and h = o·tanh(c) with
+// the same per-element values the composed Sigmoid/Tanh/Mul/Add chain
+// computed. Each row's g block and c run through kernels::Tanh as one
+// call. When `tanh_c` is not null (a tape is recorded), tanh(c) is kept
+// there for h's backward; otherwise it passes through h's row.
 void LstmGatesRows(std::size_t r0, std::size_t r1, std::size_t h,
                    const TensorImpl* pre, const TensorImpl* cprev,
                    TensorImpl* act, TensorImpl* cnew, TensorImpl* hnew,
@@ -828,28 +838,32 @@ void LstmGatesRows(std::size_t r0, std::size_t r1, std::size_t h,
     const float* cp = cprev->data.data() + r * h;
     float* cn = cnew->data.data() + r * h;
     float* hn = hnew->data.data() + r * h;
-    float* tc = tanh_c != nullptr ? tanh_c + r * h : nullptr;
+    float* t = tanh_c != nullptr ? tanh_c + r * h : hn;
+    kernels::Tanh(p + 2 * h, a + 2 * h, h);
     for (std::size_t j = 0; j < h; ++j) {
       const float ig = StableSigmoid(p[j]);
       const float fg = StableSigmoid(p[h + j]);
-      const float gg = std::tanh(p[2 * h + j]);
       const float og = StableSigmoid(p[3 * h + j]);
       a[j] = ig;
       a[h + j] = fg;
-      a[2 * h + j] = gg;
       a[3 * h + j] = og;
-      const float c = fg * cp[j] + ig * gg;
-      const float t = std::tanh(c);
-      cn[j] = c;
-      hn[j] = og * t;
-      if (tc != nullptr) tc[j] = t;
+      cn[j] = fg * cp[j] + ig * a[2 * h + j];
     }
+    kernels::Tanh(cn, t, h);
+    for (std::size_t j = 0; j < h; ++j) hn[j] = a[3 * h + j] * t[j];
   }
 }
 
 }  // namespace
 
 LstmGatesResult LstmGates(const Tensor& preact, const Tensor& c_prev) {
+  return internal::LstmGatesAt(preact, c_prev, kernels::kParallelRowsMinWork);
+}
+
+namespace internal {
+
+LstmGatesResult LstmGatesAt(const Tensor& preact, const Tensor& c_prev,
+                            std::size_t min_work) {
   POISONREC_CHECK_EQ(preact.rows(), c_prev.rows());
   POISONREC_CHECK_EQ(preact.cols(), 4 * c_prev.cols());
   const std::size_t rows = preact.rows();
@@ -868,11 +882,12 @@ LstmGatesResult LstmGates(const Tensor& preact, const Tensor& c_prev) {
   std::vector<float> tanh_c(track ? rows * h : 0);
   float* tci = track ? tanh_c.data() : nullptr;
 
-  kernels::ParallelRows(rows, rows * 4 * h,
-                        [&](std::size_t r0, std::size_t r1) {
-                          LstmGatesRows(r0, r1, h, pi, ci, acti, cni, hni,
-                                        tci);
-                        });
+  kernels::ParallelRows(
+      rows, rows * 4 * h,
+      [&](std::size_t r0, std::size_t r1) {
+        LstmGatesRows(r0, r1, h, pi, ci, acti, cni, hni, tci);
+      },
+      min_work);
 
   Tensor act_t(act);
   Tensor cnew_t(cnew);
@@ -890,10 +905,11 @@ LstmGatesResult LstmGates(const Tensor& preact, const Tensor& c_prev) {
   // act = [σ(i) | σ(f) | tanh(g) | σ(o)] with parent `preact`.
   Attach(
       act, {&preact},
-      [pi, acti, rows, h]() {
+      [pi, acti, rows, h, min_work]() {
         if (!pi->requires_grad) return;
         kernels::ParallelRows(
-            rows, rows * 4 * h, [&](std::size_t r0, std::size_t r1) {
+            rows, rows * 4 * h,
+            [&](std::size_t r0, std::size_t r1) {
               for (std::size_t r = r0; r < r1; ++r) {
                 const float* a = acti->data.data() + r * 4 * h;
                 const float* ga = acti->grad.data() + r * 4 * h;
@@ -907,15 +923,17 @@ LstmGatesResult LstmGates(const Tensor& preact, const Tensor& c_prev) {
                       ga[3 * h + j] * a[3 * h + j] * (1.0f - a[3 * h + j]);
                 }
               }
-            });
+            },
+            min_work);
       });
 
   // c = f·c_prev + i·g with parents {act, c_prev}.
   Attach(
       cnew, {&act_t, &c_prev},
-      [ci, acti, cni, rows, h]() {
+      [ci, acti, cni, rows, h, min_work]() {
         kernels::ParallelRows(
-            rows, rows * h, [&](std::size_t r0, std::size_t r1) {
+            rows, rows * h,
+            [&](std::size_t r0, std::size_t r1) {
               for (std::size_t r = r0; r < r1; ++r) {
                 const float* a = acti->data.data() + r * 4 * h;
                 const float* gc = cni->grad.data() + r * h;
@@ -931,15 +949,17 @@ LstmGatesResult LstmGates(const Tensor& preact, const Tensor& c_prev) {
                   if (gcp != nullptr) gcp[j] += g * a[h + j];  // dc_prev
                 }
               }
-            });
+            },
+            min_work);
       });
 
   // h = o·tanh(c) with parents {act, c}; tanh(c) is the forward's.
   Attach(
       hnew, {&act_t, &cnew_t},
-      [acti, cni, hni, rows, h, tanh_c = std::move(tanh_c)]() {
+      [acti, cni, hni, rows, h, min_work, tanh_c = std::move(tanh_c)]() {
         kernels::ParallelRows(
-            rows, rows * h, [&](std::size_t r0, std::size_t r1) {
+            rows, rows * h,
+            [&](std::size_t r0, std::size_t r1) {
               for (std::size_t r = r0; r < r1; ++r) {
                 const float* a = acti->data.data() + r * 4 * h;
                 const float* tc = tanh_c.data() + r * h;
@@ -952,11 +972,14 @@ LstmGatesResult LstmGates(const Tensor& preact, const Tensor& c_prev) {
                   gc[j] += gh[j] * a[3 * h + j] * (1.0f - t * t);
                 }
               }
-            });
+            },
+            min_work);
       });
 
   return result;
 }
+
+}  // namespace internal
 
 // ---------------------------------------------------------------------------
 // GRU4Rec session
@@ -996,14 +1019,32 @@ GruWeights CheckGru(const Tensor& table, const Tensor& w_x, const Tensor& b_x,
           b_h.data().data()};
 }
 
+// Where GruSessionLoss keeps its forward's rows, in one buffer: per step
+// x_t (from offset 0), h_t after h_{-1} = 0, gh_t, [z | r | n]_t, the
+// transposed candidate rows (d x C) and the log-softmax row, all of which
+// the backward reads; then the forward's own gx and logits rows.
+struct GruSavedLayout {
+  GruSavedLayout(std::size_t steps, std::size_t d, std::size_t hs,
+                 std::size_t nc)
+      : states(steps * d),
+        gh(states + (steps + 1) * hs),
+        act(gh + steps * 3 * hs),
+        cand_t(act + steps * 3 * hs),
+        logp(cand_t + steps * d * nc),
+        gx(logp + steps * nc),
+        logits(gx + 3 * hs),
+        size(logits + nc) {}
+  std::size_t states, gh, act, cand_t, logp, gx, logits, size;
+};
+
 // One step of the recurrence from the input row x and the state h_prev:
 // gx and gh as Affine computes them (a zeroed row, GemmNN, then the bias
 // row), then
 //   z = σ(gx_z + gh_z), r = σ(gx_r + gh_r), n = tanh(gx_n + r * gh_n),
 //   h = (1 - z) * n + z * h_prev,
 // with 1 - z as z * -1 + 1, the association of the composed Scale and
-// AddScalar. Writes gx, gh, h and act = [z | r | n]; h must not alias
-// h_prev.
+// AddScalar, and n's tanh as one kernels::Tanh call over the row. Writes
+// gx, gh, h and act = [z | r | n]; h must not alias h_prev.
 void GruStep(const GruWeights& w, const float* x, const float* h_prev,
              float* gx, float* gh, float* h, float* act) {
   const std::size_t hs = w.hs;
@@ -1014,13 +1055,15 @@ void GruStep(const GruWeights& w, const float* x, const float* h_prev,
   kernels::GemmNN(1, hs, 3 * hs, h_prev, w.w_h, gh);
   AddRow(w.b_h, gh, 3 * hs);
   for (std::size_t j = 0; j < hs; ++j) {
-    const float z = StableSigmoid(gx[j] + gh[j]);
     const float r = StableSigmoid(gx[hs + j] + gh[hs + j]);
-    const float n = std::tanh(gx[2 * hs + j] + r * gh[2 * hs + j]);
-    h[j] = (z * -1.0f + 1.0f) * n + z * h_prev[j];
-    act[j] = z;
+    act[j] = StableSigmoid(gx[j] + gh[j]);
     act[hs + j] = r;
-    act[2 * hs + j] = n;
+    act[2 * hs + j] = gx[2 * hs + j] + r * gh[2 * hs + j];
+  }
+  kernels::Tanh(act + 2 * hs, act + 2 * hs, hs);
+  for (std::size_t j = 0; j < hs; ++j) {
+    const float z = act[j];
+    h[j] = (z * -1.0f + 1.0f) * act[2 * hs + j] + z * h_prev[j];
   }
 }
 
@@ -1043,37 +1086,35 @@ Tensor GruSessionLoss(const Tensor& table, const Tensor& w_x,
   for (std::size_t id : candidates) POISONREC_CHECK_LT(id, table.rows());
   const std::size_t nc = candidates.size() / steps;
 
-  // What the backward reads, per step: x_t, h_t (after h_{-1} = 0), gh_t,
-  // [z | r | n]_t, the transposed candidate rows (d x C) and the
-  // log-softmax row.
-  std::vector<float> xs(steps * d);
-  std::vector<float> states((steps + 1) * hs, 0.0f);
-  std::vector<float> gh(steps * 3 * hs);
-  std::vector<float> act(steps * 3 * hs);
-  std::vector<float> cand_t(steps * d * nc);
-  std::vector<float> logp(steps * nc);
-  std::vector<float> gx(3 * hs);
-  std::vector<float> logits(nc);
+  const GruSavedLayout at(steps, d, hs, nc);
+  std::vector<float> saved(at.size, 0.0f);
+  float* const xs = saved.data();
+  float* const states = xs + at.states;
+  float* const gh = xs + at.gh;
+  float* const act = xs + at.act;
+  float* const cand_t = xs + at.cand_t;
+  float* const logp = xs + at.logp;
+  float* const gx = xs + at.gx;
+  float* const logits = xs + at.logits;
   const float* tab = table.data().data();
   float loss = 0.0f;
   for (std::size_t t = 0; t < steps; ++t) {
-    float* x = xs.data() + t * d;
+    float* x = xs + t * d;
     std::copy_n(tab + inputs[t] * d, d, x);
-    const float* h_prev = states.data() + t * hs;
-    float* h = states.data() + (t + 1) * hs;
-    GruStep(w, x, h_prev, gx.data(), gh.data() + t * 3 * hs, h,
-            act.data() + t * 3 * hs);
+    const float* h_prev = states + t * hs;
+    float* h = states + (t + 1) * hs;
+    GruStep(w, x, h_prev, gx, gh + t * 3 * hs, h, act + t * 3 * hs);
     // MatMul(h_t, Transpose(Rows(table, candidates_t))).
-    float* ct = cand_t.data() + t * d * nc;
+    float* ct = cand_t + t * d * nc;
     const std::size_t* cands = candidates.data() + t * nc;
     for (std::size_t i = 0; i < nc; ++i) {
       for (std::size_t c = 0; c < d; ++c) ct[c * nc + i] = tab[cands[i] * d + c];
     }
-    std::fill(logits.begin(), logits.end(), 0.0f);
-    kernels::GemmNN(1, d, nc, h, ct, logits.data());
+    std::fill_n(logits, nc, 0.0f);
+    kernels::GemmNN(1, d, nc, h, ct, logits);
     // SoftmaxCrossEntropy(logits, {0}): one row, so m = 1.
-    float* lp = logp.data() + t * nc;
-    LogSoftmaxRow(logits.data(), nc, lp);
+    float* lp = logp + t * nc;
+    LogSoftmaxRow(logits, nc, lp);
     const float step_loss = (0.0f + lp[0]) / 1.0f * -1.0f;
     loss = t == 0 ? step_loss : loss + step_loss;
   }
@@ -1093,36 +1134,45 @@ Tensor GruSessionLoss(const Tensor& table, const Tensor& w_x,
   Attach(
       out, {&w_x, &b_x, &w_h, &b_h},
       [ti, wxi, bxi, whi, bhi, oi, d, hs, nc, steps, inv_steps,
-       inputs = inputs, candidates = candidates, xs = std::move(xs),
-       states = std::move(states), gh = std::move(gh), act = std::move(act),
-       cand_t = std::move(cand_t), logp = std::move(logp)]() {
+       inputs = inputs, candidates = candidates, saved = std::move(saved),
+       at]() {
+        const float* xs = saved.data();
+        const float* states = xs + at.states;
+        const float* gh = xs + at.gh;
+        const float* act = xs + at.act;
+        const float* cand_t = xs + at.cand_t;
+        const float* logp = xs + at.logp;
         // What Scale(1/T) and the Adds hand every step loss, then what
         // SoftmaxCrossEntropy's backward hands its target (m = 1).
         const float g_step = 0.0f + oi->grad[0] * inv_steps;
         const float g_ce = g_step * -1.0f;
-        std::vector<float> g_logits(nc);
-        std::vector<float> g_cand_t(d * nc);
-        std::vector<float> g_gx(3 * hs);
-        std::vector<float> g_gh(3 * hs);
-        std::vector<float> g_x(d);
-        // h_t's gradient, and h_{t-1}'s as step t adds to it.
-        std::vector<float> g_h(hs, 0.0f);
-        std::vector<float> g_h_prev(hs);
+        // The scratch rows, in one buffer: the logits, the transposed
+        // candidate rows, gx, gh, x_t, h_t's gradient (zero at t = T-1)
+        // and h_{t-1}'s as step t adds to it.
+        std::vector<float> scratch(nc + d * nc + 2 * 3 * hs + d + 2 * hs,
+                                   0.0f);
+        float* const g_logits = scratch.data();
+        float* const g_cand_t = g_logits + nc;
+        float* const g_gx = g_cand_t + d * nc;
+        float* const g_gh = g_gx + 3 * hs;
+        float* const g_x = g_gh + 3 * hs;
+        float* g_h = g_x + d;
+        float* g_h_prev = g_h + hs;
         for (std::size_t t = steps; t-- > 0;) {
-          const float* h_prev = states.data() + t * hs;
-          const float* h = states.data() + (t + 1) * hs;
-          const float* ct = cand_t.data() + t * d * nc;
-          const float* lp = logp.data() + t * nc;
+          const float* h_prev = states + t * hs;
+          const float* h = states + (t + 1) * hs;
+          const float* ct = cand_t + t * d * nc;
+          const float* lp = logp + t * nc;
           const std::size_t* cands = candidates.data() + t * nc;
           for (std::size_t c = 0; c < nc; ++c) {
             g_logits[c] =
                 0.0f + ((c == 0 ? g_ce : 0.0f) - std::exp(lp[c]) * g_ce);
           }
           // MatMul's backward: h_t, then the transposed rows.
-          kernels::GemmNT(1, nc, d, g_logits.data(), ct, g_h.data());
+          kernels::GemmNT(1, nc, d, g_logits, ct, g_h);
           if (ti->requires_grad) {
-            std::fill(g_cand_t.begin(), g_cand_t.end(), 0.0f);
-            kernels::GemmTN(d, 1, nc, h, g_logits.data(), g_cand_t.data());
+            std::fill_n(g_cand_t, d * nc, 0.0f);
+            kernels::GemmTN(d, 1, nc, h, g_logits, g_cand_t);
             // Transpose's backward into a zeroed block, then Rows'
             // scatter in the row's order.
             for (std::size_t i = 0; i < nc; ++i) {
@@ -1134,8 +1184,8 @@ Tensor GruSessionLoss(const Tensor& table, const Tensor& w_x,
             ListGradRows(ti, cands, nc);
           }
           // The gates' backward, each gradient into a zeroed row.
-          const float* a = act.data() + t * 3 * hs;
-          const float* gh_t = gh.data() + t * 3 * hs;
+          const float* a = act + t * 3 * hs;
+          const float* gh_t = gh + t * 3 * hs;
           for (std::size_t j = 0; j < hs; ++j) {
             const float z = a[j];
             const float r = a[hs + j];
@@ -1155,31 +1205,28 @@ Tensor GruSessionLoss(const Tensor& table, const Tensor& w_x,
           }
           // Affine(h_{t-1}, W_h, b_h); W_h's product runs on the zero
           // state too, where it can turn a -0 into +0.
-          if (bhi->requires_grad) AddRow(g_gh.data(), bhi->grad.data(), 3 * hs);
+          if (bhi->requires_grad) AddRow(g_gh, bhi->grad.data(), 3 * hs);
           if (t > 0) {
-            kernels::GemmNT(1, 3 * hs, hs, g_gh.data(), whi->data.data(),
-                            g_h_prev.data());
+            kernels::GemmNT(1, 3 * hs, hs, g_gh, whi->data.data(), g_h_prev);
           }
           if (whi->requires_grad) {
-            kernels::GemmTN(hs, 1, 3 * hs, h_prev, g_gh.data(),
-                            whi->grad.data());
+            kernels::GemmTN(hs, 1, 3 * hs, h_prev, g_gh, whi->grad.data());
           }
           // Affine(x_t, W_x, b_x), then Rows' scatter of x_t's row.
-          const float* x = xs.data() + t * d;
-          if (bxi->requires_grad) AddRow(g_gx.data(), bxi->grad.data(), 3 * hs);
+          const float* x = xs + t * d;
+          if (bxi->requires_grad) AddRow(g_gx, bxi->grad.data(), 3 * hs);
           if (ti->requires_grad) {
-            std::fill(g_x.begin(), g_x.end(), 0.0f);
-            kernels::GemmNT(1, 3 * hs, d, g_gx.data(), wxi->data.data(),
-                            g_x.data());
+            std::fill_n(g_x, d, 0.0f);
+            kernels::GemmNT(1, 3 * hs, d, g_gx, wxi->data.data(), g_x);
           }
           if (wxi->requires_grad) {
-            kernels::GemmTN(d, 1, 3 * hs, x, g_gx.data(), wxi->grad.data());
+            kernels::GemmTN(d, 1, 3 * hs, x, g_gx, wxi->grad.data());
           }
           if (ti->requires_grad) {
-            AddRow(g_x.data(), ti->grad.data() + inputs[t] * d, d);
+            AddRow(g_x, ti->grad.data() + inputs[t] * d, d);
             ListGradRows(ti, &inputs[t], 1);
           }
-          g_h.swap(g_h_prev);
+          std::swap(g_h, g_h_prev);
         }
       },
       /*gathered=*/{&table});
@@ -1191,18 +1238,19 @@ Tensor GruEncode(const Tensor& table, const Tensor& w_x, const Tensor& b_x,
                  const std::vector<std::size_t>& inputs) {
   const GruWeights w = CheckGru(table, w_x, b_x, w_h, b_h, inputs);
   const std::size_t hs = w.hs;
-  std::vector<float> gx(3 * hs);
-  std::vector<float> gh(3 * hs);
-  std::vector<float> act(3 * hs);
-  std::vector<float> h(hs, 0.0f);
-  std::vector<float> next(hs);
+  // gx, gh, act, and the state before and after a step.
+  std::vector<float> rows(3 * 3 * hs + 2 * hs, 0.0f);
+  float* const gx = rows.data();
+  float* const gh = gx + 3 * hs;
+  float* const act = gh + 3 * hs;
+  float* h = act + 3 * hs;
+  float* next = h + hs;
   const float* tab = table.data().data();
   for (std::size_t id : inputs) {
-    GruStep(w, tab + id * w.d, h.data(), gx.data(), gh.data(), next.data(),
-            act.data());
-    h.swap(next);
+    GruStep(w, tab + id * w.d, h, gx, gh, next, act);
+    std::swap(h, next);
   }
-  return Tensor::FromData(1, hs, std::move(h));
+  return Tensor::FromData(1, hs, std::vector<float>(h, h + hs));
 }
 
 // ---------------------------------------------------------------------------

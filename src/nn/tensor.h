@@ -228,6 +228,7 @@ Tensor Scale(const Tensor& a, float s);
 Tensor AddScalar(const Tensor& a, float s);
 
 Tensor Sigmoid(const Tensor& a);
+/// Elementwise tanh, by kernels::Tanh (the bits of glibc's tanhf).
 Tensor Tanh(const Tensor& a);
 Tensor Relu(const Tensor& a);
 /// max(x, slope*x) with slope in (0,1).
@@ -278,6 +279,16 @@ struct LstmGatesResult {
   Tensor c;
 };
 LstmGatesResult LstmGates(const Tensor& preact, const Tensor& c_prev);
+
+namespace internal {
+
+/// Tests and bench_kernels only: LstmGates with its row splits (forward
+/// and backward) from `min_work` elements on instead of
+/// kernels::kParallelRowsMinWork.
+LstmGatesResult LstmGatesAt(const Tensor& preact, const Tensor& c_prev,
+                            std::size_t min_work);
+
+}  // namespace internal
 
 /// GRU4Rec's training loss over one session as one tape node. Runs a GRU
 /// cell (update z, reset r, candidate n; weights W_x (d x 3h), b_x, W_h

@@ -2,13 +2,19 @@
 // GradMode/NoGradScope inference switch: kernel-vs-reference
 // equivalence over randomized shapes, the kernels' order contract bit
 // for bit at every lane width, bit-identical threaded vs
-// single-threaded execution, the width dispatch, and tape-free no-grad
-// outputs.
+// single-threaded execution, the lane-wise tanh against libm's tanhf
+// bit for bit, the width dispatch, and tape-free no-grad outputs.
 #include "nn/kernels.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bit_identity.h"
@@ -329,6 +335,161 @@ TEST_P(LaneWidthTest, ThreadedGemmIsBitIdenticalToSingleThreaded) {
     EXPECT_EQ(got_nn, single_nn) << "GemmNN, " << threads << " threads";
     EXPECT_EQ(got_tn, single_tn) << "GemmTN, " << threads << " threads";
     EXPECT_EQ(got_nt, single_nt) << "GemmNT, " << threads << " threads";
+  }
+}
+
+// ---- Tanh against libm's tanhf ----
+
+float FromBits(std::uint32_t u) {
+  float f;
+  std::memcpy(&f, &u, sizeof(f));
+  return f;
+}
+
+std::uint32_t ToBits(float f) {
+  std::uint32_t u;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+std::string Hex(std::uint32_t u) {
+  std::ostringstream out;
+  out << "0x" << std::hex << u;
+  return out.str();
+}
+
+// Inputs whose Tanh bits differ from std::tanh's: the count, and the
+// first such input's bits in *first.
+std::uint64_t TanhMismatches(std::size_t lanes, const std::vector<float>& x,
+                             std::uint32_t* first) {
+  std::vector<float> got(x.size());
+  kernels::internal::TanhAt(lanes, x.data(), got.data(), x.size());
+  std::uint64_t differing = 0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (ToBits(got[i]) != ToBits(std::tanh(x[i])) && differing++ == 0) {
+      *first = ToBits(x[i]);
+    }
+  }
+  return differing;
+}
+
+::testing::AssertionResult TanhMatchesLibm(std::size_t lanes,
+                                           const std::vector<float>& x) {
+  std::uint32_t first = 0;
+  const std::uint64_t differing = TanhMismatches(lanes, x, &first);
+  if (differing == 0) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << differing << " of " << x.size() << " inputs differ; first x = "
+         << Hex(first) << ": libm " << Hex(ToBits(std::tanh(FromBits(first))))
+         << " (" << lanes << " lanes)";
+}
+
+// Every 97th float (97 is odd, so every exponent, sign and low mantissa
+// bit turns up), ±2^12 ulps around each branch threshold of tanhf and of
+// the expm1f it calls, the special values, every length up to two
+// vectors and a tail, and in place.
+TEST_P(LaneWidthTest, TanhMatchesLibmBitForBit) {
+  const std::size_t lanes = GetParam();
+  std::vector<float> x;
+  x.reserve(std::size_t{1} << 16);
+  for (std::uint64_t u = 0; u < (std::uint64_t{1} << 32); u += 97) {
+    x.push_back(FromBits(static_cast<std::uint32_t>(u)));
+    if (x.size() == x.capacity()) {
+      ASSERT_TRUE(TanhMatchesLibm(lanes, x));
+      x.clear();
+    }
+  }
+  ASSERT_TRUE(TanhMatchesLibm(lanes, x));
+
+  // |x| at each threshold: tanhf's 0, 2^-55, 1, 22 and inf; expm1f's on
+  // a = ±2|x|, halved: |a| = 2^-25, ln2/2, 1.5 ln2 and 27 ln2, and the
+  // a at which k = round(a/ln2) goes from −2 to −3, 22 to 23 and 56 to
+  // 57.
+  const double ln2 = std::log(2.0);
+  const float thresholds[] = {0.0f,
+                              FromBits(0x24000000),
+                              1.0f,
+                              22.0f,
+                              std::numeric_limits<float>::infinity(),
+                              FromBits(0x33000000) / 2.0f,
+                              FromBits(0x3eb17218) / 2.0f,
+                              FromBits(0x3f851592) / 2.0f,
+                              FromBits(0x4195b844) / 2.0f,
+                              static_cast<float>(2.5 * ln2 / 2.0),
+                              static_cast<float>(22.5 * ln2 / 2.0),
+                              static_cast<float>(56.5 * ln2 / 2.0)};
+  x.clear();
+  for (const float threshold : thresholds) {
+    const std::int64_t center = ToBits(threshold);
+    for (std::int64_t u = std::max<std::int64_t>(0, center - 4096);
+         u <= center + 4096; ++u) {
+      const auto bits = static_cast<std::uint32_t>(u);
+      x.push_back(FromBits(bits));
+      x.push_back(FromBits(bits | 0x80000000u));
+    }
+  }
+  EXPECT_TRUE(TanhMatchesLibm(lanes, x));
+
+  // ±0, ±inf, quiet and signalling NaNs of both signs, the extremes.
+  x.clear();
+  for (const std::uint32_t bits :
+       {0x00000000u, 0x7f800000u, 0x7fc00000u, 0x7fc12345u, 0x7fffffffu,
+        0x7f800001u, 0x7fa00000u, 0x7fbfffffu, 0x7f7fffffu, 0x00800000u,
+        0x00000001u, 0x007fffffu}) {
+    x.push_back(FromBits(bits));
+    x.push_back(FromBits(bits | 0x80000000u));
+  }
+  EXPECT_TRUE(TanhMatchesLibm(lanes, x));
+
+  // Every length to 2W + 1, out of place and in place; nothing past n is
+  // written.
+  Rng rng(97);
+  const float sentinel = 123.0f;
+  for (std::size_t n = 0; n <= 2 * lanes + 1; ++n) {
+    SCOPED_TRACE(n);
+    std::vector<float> in(n + 1, sentinel);
+    for (std::size_t i = 0; i < n; ++i) {
+      in[i] = static_cast<float>(rng.Normal(0.0, 2.0));
+    }
+    std::vector<float> want(n + 1, sentinel);
+    for (std::size_t i = 0; i < n; ++i) want[i] = std::tanh(in[i]);
+    std::vector<float> out(n + 1, sentinel);
+    kernels::internal::TanhAt(lanes, in.data(), out.data(), n);
+    EXPECT_TRUE(SameBits(out, want));
+    kernels::internal::TanhAt(lanes, in.data(), in.data(), n);
+    EXPECT_TRUE(SameBits(in, want));
+  }
+}
+
+// All 2^32 floats, on four threads: about 20 s for both widths in a
+// RelWithDebInfo build. tools/ci_check.sh runs it in its -march=native
+// leg.
+TEST_P(LaneWidthTest, DISABLED_TanhMatchesLibmOnEveryFloat) {
+  const std::size_t lanes = GetParam();
+  constexpr std::uint64_t kThreads = 4;
+  constexpr std::uint64_t kChunk = std::uint64_t{1} << 16;
+  std::vector<std::uint64_t> differing(kThreads, 0);
+  std::vector<std::uint32_t> first(kThreads, 0);
+  std::vector<std::thread> workers;
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      std::vector<float> x(kChunk);
+      for (std::uint64_t base = t * kChunk; base < (std::uint64_t{1} << 32);
+           base += kThreads * kChunk) {
+        for (std::uint64_t i = 0; i < kChunk; ++i) {
+          x[i] = FromBits(static_cast<std::uint32_t>(base + i));
+        }
+        std::uint32_t bad = 0;
+        const std::uint64_t d = TanhMismatches(lanes, x, &bad);
+        if (d != 0 && differing[t] == 0) first[t] = bad;
+        differing[t] += d;
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(differing[t], 0u)
+        << "thread " << t << "'s first mismatch: x = " << Hex(first[t]);
   }
 }
 

@@ -36,7 +36,7 @@
 # A last build for the host's own ISA (-march=native, FMA included) runs
 # the kernel, optimizer, module (GRU4Rec's session node against its
 # composed graph) and golden-fixture tests, which must hold bit for bit
-# there too.
+# there too, and the lane-wise tanh against libm on every float.
 # Override the scale knobs via the usual POISONREC_* env vars.
 set -euo pipefail
 
@@ -462,7 +462,8 @@ fsck_expect journal_torn_tail 2 'torn_tail'
 # ASan, hence the separate build tree). The engine's golden cases are too small to split
 # a GEMM's rows (kernels::kParallelMinWork); tensor_test's affine case
 # does, and kernels_test, whose threaded cases split every variant at
-# both lane widths, runs here too.
+# both lane widths, runs here too. batched_engine_test's
+# LstmGatesTest splits the LSTM gates' rows (kernels::kParallelRowsMinWork).
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "${TSAN_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -506,5 +507,9 @@ cmake --build "${NATIVE_DIR}" -j "$(nproc)" --target "${NATIVE_TESTS[@]}"
 for test in "${NATIVE_TESTS[@]}"; do
   "${NATIVE_DIR}/tests/${test}"
 done
+# kernels::Tanh against libm's tanhf on all 2^32 floats at both lane
+# widths (about 20 s on four threads).
+"${NATIVE_DIR}/tests/kernels_test" --gtest_also_run_disabled_tests \
+  --gtest_filter='*TanhMatchesLibmOnEveryFloat*'
 
 echo "ci_check: OK"
