@@ -17,6 +17,10 @@
 //     what a split would cost wherever the constant sits;
 //   - kernels::Tanh at each lane width against a std::tanh loop, on the
 //     attacker's 1600×16 gate block and a GRU4Rec row of 16;
+//   - kernels::Exp, Sigmoid, Softplus and log1pf at each lane width and
+//     (for those that call expf) each of libm's expf forms this CPU
+//     runs, against scalar loops of the libm calls, on the attacker's
+//     gate blocks row by row and on one BCBT decision batch;
 //   - a second ladder for kernels::kParallelRowsMinWork, split at every
 //     size the same way: the LSTM gates' forward and backward and
 //     SparseMatMul's forward, from 2^10 (2^12) to 2^20 elements of work.
@@ -30,7 +34,7 @@
 // small shapes are not measured at clock resolution. Emits a table and
 // machine-readable JSON (results/kernel_timing.json), one row per shape,
 // lane width and threaded count; kernel_ms is the one-thread time, and
-// seed_ms the seed loop's (for tanh, std::tanh's).
+// seed_ms the seed loop's (for the libm kernels, the scalar calls').
 //
 //   POISONREC_REPEATS  min-of-N repetitions (default 5; CI smoke uses 2)
 //   POISONREC_THREADS  comma list of threaded counts (default 2,4)
@@ -166,6 +170,27 @@ std::string Fmt(double v, const char* format) {
   return buf;
 }
 
+// The scalar loops the libm kernels replaced: one libm call (two for
+// softplus) and the logistic's division per element.
+float ScalarSigmoid(float x) {
+  const float e = std::exp(x >= 0.0f ? -x : x);
+  return (x >= 0.0f ? 1.0f : e) / (1.0f + e);
+}
+
+float ScalarSoftplus(float x) {
+  const float l = std::log1p(std::exp(x > 0.0f ? -x : x));
+  return x > 0.0f ? x + l : l;
+}
+
+// A libm kernel at a lane width and expf form, and its scalar loop.
+struct LibmKernel {
+  const char* name;
+  bool calls_expf;
+  void (*at)(std::size_t lanes, const float* x, float* y, std::size_t n,
+             bool fma);
+  float (*scalar)(float x);
+};
+
 int Main() {
   const BenchConfig config = LoadBenchConfig();
   const std::size_t repeats = EnvSize("POISONREC_REPEATS", 5);
@@ -175,7 +200,8 @@ int Main() {
   for (const std::size_t lanes : {4, 8}) {
     if (nn::kernels::internal::CanRunLanes(lanes)) lane_widths.push_back(lanes);
   }
-  std::printf("dispatch: %zu-lane GEMM rows\n", nn::kernels::GemmLanes());
+  std::printf("dispatch: %zu-lane rows, expf's %s form\n",
+              nn::kernels::GemmLanes(), nn::kernels::ExpFma() ? "FMA" : "SSE2");
 
   const std::size_t dim = config.embedding_dim;
   std::vector<Shape> shapes = {
@@ -325,6 +351,67 @@ int Main() {
                         Fmt(seed_s * 1e3, "%.5f"), Fmt(one_s * 1e3, "%.5f"),
                         "unsplit", "-", "-", Fmt(seed_s / one_s, "%.3f"),
                         "unsplit"});
+      }
+    }
+  }
+
+  // The libm kernels, one thread, on uniform [−3, 3] inputs: the
+  // attacker's gate blocks at N = 200 (M·N = 1600 rows) as LstmGatesRows
+  // calls them, one call per row of 2·16 (i|f) and of 16 (o); one call
+  // over a decision batch of 1600 (TreeDecisionLogProb's); and one
+  // GRU4Rec step's 9 logits (a positive and 8 negatives, LogSoftmaxRow's
+  // exp). Rows are variant "<routine>/<expf form>" with k = 1, so m·k·n
+  // counts elements.
+  const LibmKernel libm_kernels[] = {
+      {"exp", true, nn::kernels::internal::ExpAt,
+       [](float x) { return std::exp(x); }},
+      {"log1p", false,
+       [](std::size_t lanes, const float* x, float* y, std::size_t n, bool) {
+         nn::kernels::internal::Log1pAt(lanes, x, y, n);
+       },
+       [](float x) { return std::log1p(x); }},
+      {"sigmoid", true, nn::kernels::internal::SigmoidAt, ScalarSigmoid},
+      {"softplus", true, nn::kernels::internal::SoftplusAt, ScalarSoftplus},
+  };
+  for (const auto& [label, m, n] :
+       {std::tuple<const char*, std::size_t, std::size_t>{"lstm_if", 1600, 32},
+        {"lstm_o", 1600, 16},
+        {"decision_batch", 1, 1600},
+        {"gru_logits", 1, 9}}) {
+    std::vector<float> x(m * n);
+    for (float& v : x) v = static_cast<float>(rng.Uniform(-3.0, 3.0));
+    std::vector<float> y(m * n);
+    for (const LibmKernel& f : libm_kernels) {
+      const double seed_s = MinSeconds(repeats, [&] {
+        for (std::size_t i = 0; i < x.size(); ++i) y[i] = f.scalar(x[i]);
+      });
+      for (const std::size_t lanes : lane_widths) {
+        for (const bool fma : {false, true}) {
+          if (fma && !(f.calls_expf &&
+                       nn::kernels::internal::CanRunLanes(lanes, true))) {
+            continue;
+          }
+          const double one_s = MinSeconds(repeats, [&] {
+            for (std::size_t r = 0; r < m; ++r) {
+              f.at(lanes, x.data() + r * n, y.data() + r * n, n, fma);
+            }
+          });
+          const std::string variant =
+              std::string(f.name) +
+              (f.calls_expf ? (fma ? "/fma" : "/sse2") : "");
+          const double ns = one_s * 1e9 / static_cast<double>(x.size());
+          PrintTableRow({label, variant,
+                         std::to_string(m) + "x1x" + std::to_string(n),
+                         std::to_string(lanes), "1",
+                         Fmt(seed_s * 1e6, "%.3f"), Fmt(one_s * 1e6, "%.3f"),
+                         "unsplit", Fmt(ns, "%.2f") + "ns/el",
+                         Fmt(seed_s / one_s, "%.2f"), "unsplit"});
+          rows.push_back({label, variant, std::to_string(m), "1",
+                          std::to_string(n), std::to_string(lanes), "1",
+                          Fmt(seed_s * 1e3, "%.5f"), Fmt(one_s * 1e3, "%.5f"),
+                          "unsplit", "-", "-", Fmt(seed_s / one_s, "%.3f"),
+                          "unsplit"});
+        }
       }
     }
   }

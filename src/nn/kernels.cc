@@ -2,9 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <thread>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -30,7 +36,8 @@ constexpr std::size_t kBlockK = 64;
 // scalar operand is broadcast), so each lane computes exactly the scalar
 // expression it stands for and the kernels' results do not depend on W.
 // The attribute needs a dependent typedef; an alias template drops it.
-// The tanh below also runs on int32 and uint32 lanes.
+// The libm routines below also run on int32 and uint32 lanes, and expf
+// on W double and uint64 lanes (two or four registers' worth).
 template <typename T, int W>
 struct VecOf {
   typedef T type __attribute__((vector_size(sizeof(T) * W)));
@@ -41,6 +48,10 @@ template <int W>
 using IVec = typename VecOf<std::int32_t, W>::type;
 template <int W>
 using UVec = typename VecOf<std::uint32_t, W>::type;
+template <int W>
+using DVec = typename VecOf<double, W>::type;
+template <int W>
+using U64Vec = typename VecOf<std::uint64_t, W>::type;
 using F4 = Vec<4>;
 
 // Loads go through an out-parameter and stores read a const reference:
@@ -323,13 +334,21 @@ void GemmNTRows(std::size_t i0, std::size_t i1, std::size_t /*m*/,
   if (i < i1) ColumnTilesNT<W, 1, 8>(i, k, k4, n, a, b, c);
 }
 
-// ---- tanh: glibc's __tanhf and __expm1f, every branch in every lane ----
+// ---- The libm routines, lane by lane ----
 //
-// A transcription of glibc 2.36's sysdeps/ieee754/flt-32 s_tanhf.c and
-// s_expm1f.c (fdlibm's single-precision routines; libm has no other
-// variant of either and no FMA in them). Each lane evaluates every
-// branch with the C source's float operations in its order, and picks
-// its result by mask, so it rounds exactly as the scalar call does.
+// Each routine below maps W floats to W floats (reading all of x before
+// it writes *y) and transcribes one of glibc 2.36's scalar routines:
+// every lane evaluates every branch with the C source's operations in
+// its order and picks its result by mask, so it rounds exactly as the
+// scalar call does.
+template <int W>
+using LaneFn = void (*)(const Vec<W>& x, Vec<W>* y);
+
+// ---- tanh: glibc's __tanhf and __expm1f ----
+//
+// sysdeps/ieee754/flt-32 s_tanhf.c and s_expm1f.c (fdlibm's
+// single-precision routines; libm has no other variant of either and no
+// FMA in them).
 
 // expm1f(a) on the arguments __tanhf passes it: a in (−2, −2^-54] or
 // [2, 44), or +0 in a lane whose tanh takes no expm1f. Those never reach
@@ -404,8 +423,7 @@ inline void Expm1Lanes(const Vec<W>& a_in, Vec<W>* out) {
   *out = tiny ? a_in : r;
 }
 
-// tanhf of W floats from `in` into `out` (which may equal in). Its
-// branches, by |x|:
+// tanhf. Its branches, by |x|:
 //   ±0                   x
 //   |x| < 2^-55          x·(1 + x)
 //   |x| < 1              ±(−t / (t + 2)),   t = expm1f(−2|x|)
@@ -413,14 +431,12 @@ inline void Expm1Lanes(const Vec<W>& a_in, Vec<W>* out) {
 //   |x| ≥ 22             ±(1 − 10^-30)
 //   inf or NaN           1/x + 1, or 1/x − 1 if the sign bit is set
 template <int W>
-inline void TanhLanes(const float* in, float* out) {
+inline void TanhLanes(const Vec<W>& x, Vec<W>* out) {
   using V = Vec<W>;
   using I = IVec<W>;
   const V zero = {};
   const V one = zero + 1.0f;
   const V two = zero + 2.0f;
-  V x;
-  Load<W>(in, &x);
   const I jx = reinterpret_cast<I>(x);
   const I ix = jx & 0x7fffffff;
   const V abs_x = reinterpret_cast<V>(ix);
@@ -440,46 +456,352 @@ inline void TanhLanes(const float* in, float* out) {
   // Only the inf and NaN lanes divide by x.
   const I special = ix >= 0x7f800000;
   const V inv = one / (special ? x : one);
-  z = special ? (jx >= 0 ? inv + one : inv - one) : z;
-  Store<W>(out, z);
+  *out = special ? (jx >= 0 ? inv + one : inv - one) : z;
 }
 
-// y = tanh(x) over n floats: full vectors, then the last n mod W through
-// a zero-padded one.
+// ---- expf: glibc's __expf_sse2 and __expf_fma ----
+//
+// sysdeps/ieee754/flt-32/e_expf.c and the __exp2f_data it reads. libm
+// builds that source twice, as __expf_sse2 and (with -mfma -mavx2) as
+// __expf_fma, and an ifunc picks one when libm loads: the FMA one on a
+// CPU with FMA and AVX2, unless GLIBC_TUNABLES masks them. The compiler
+// fused four of the routine's multiply-adds in __expf_fma (see objdump
+// of libm.a's e_expf-fma.o), so the two round differently:
+//   kd = InvLn2N·x + SHIFT    fma(InvLn2N, x, SHIFT)
+//   r = InvLn2N·x − kd        fma(InvLn2N, x, −kd), so InvLn2N·x is
+//                             never rounded
+//   z = C0·r + C1, y = C2·r + 1 and y = z·r² + y, one fma each
+// with x widened to double. __expf_sse2 rounds every product. kFma picks
+// the fused form, whose instances exist only inside functions built for
+// FMA; the build never contracts a·b + c by itself (-ffp-contract=off).
+
+// __exp2f_data.tab: bits(2^(i/32)) − (i << 47), for i < 32.
+constexpr std::uint64_t kExp2fTable[32] = {
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f,
+    0x3fef9301d0125b51, 0x3fef72b83c7d517b, 0x3fef54873168b9aa,
+    0x3fef387a6e756238, 0x3fef1e9df51fdee1, 0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429,
+    0x3feea47eb03a5585, 0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187, 0x3feea589994cce13, 0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c,
+    0x3fef3720dcef9069, 0x3fef5818dcfba487, 0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da, 0x3fefd0765b6e4540};
+// __exp2f_data.invln2_scaled (32/ln2), .shift and .poly_scaled.
+constexpr double kInvLn2N = 0x1.71547652b82fep+5;
+constexpr double kShift = 0x1.8p+52;
+constexpr double kExpC0 = 0x1.c6af84b912394p-20;
+constexpr double kExpC1 = 0x1.ebfce50fac4f3p-13;
+constexpr double kExpC2 = 0x1.62e42ff0c52d6p-6;
+
+// The double-precision part runs four lanes at a time: one AVX register,
+// or two SSE2 ones.
+using D4 = DVec<4>;
+
+#if defined(__x86_64__)
+#pragma GCC push_options
+#pragma GCC target("avx2,fma")
+// out = fma(a, b, c) in each lane. Built for FMA, so only the FMA form's
+// functions can inline it.
+inline void FusedMulAdd(const D4& a, const D4& b, const D4& c, D4* out) {
+  *out = _mm256_fmadd_pd(a, b, c);
+}
+#pragma GCC pop_options
+
+#pragma GCC push_options
+#pragma GCC target("avx2")
+// out[l] = kExp2fTable[i[l]], one AVX2 gather (i < 32). Only functions
+// built for AVX2 can inline it.
+inline void GatherExp2fTable(const U64Vec<4>& i, U64Vec<4>* out) {
+  *out = reinterpret_cast<U64Vec<4>>(_mm256_i64gather_epi64(
+      reinterpret_cast<const long long*>(kExp2fTable),
+      reinterpret_cast<__m256i>(i), 8));
+}
+#pragma GCC pop_options
+#else
+inline void FusedMulAdd(const D4& a, const D4& b, const D4& c, D4* out) {
+  for (int l = 0; l < 4; ++l) (*out)[l] = __builtin_fma(a[l], b[l], c[l]);
+}
+
+inline void GatherExp2fTable(const U64Vec<4>& i, U64Vec<4>* out) {
+  for (int l = 0; l < 4; ++l) (*out)[l] = kExp2fTable[i[l]];
+}
+#endif
+
+// a·b + c: fused in the FMA form, two roundings in the SSE2 form.
+template <bool kFma>
+inline void MulAdd(const D4& a, const D4& b, const D4& c, D4* out) {
+  if constexpr (kFma) {
+    FusedMulAdd(a, b, c, out);
+  } else {
+    *out = a * b + c;
+  }
+}
+
+// expf's main path for four floats x, in double: kd = round(32x/ln2)
+// against the 0x1.8p52 shift, whose low bits are k; r = 32x/ln2 − k;
+// s = 2^(k/32) as tab[k mod 32] + (k << 47); then y·s with y = C0·r³ +
+// C1·r² + C2·r + 1 evaluated as z = C0·r + C1, y = C2·r + 1,
+// y = z·r² + y; rounded to float. kGather reads the table with one AVX2
+// gather instead of four loads, in functions built for AVX2.
+template <bool kFma, bool kGather>
+inline void ExpMainPath(const F4& x, F4* out) {
+  const D4 zero = {};
+  const D4 xd = __builtin_convertvector(x, D4);
+  const D4 inv_ln2_n = zero + kInvLn2N;
+  const D4 shift = zero + kShift;
+  D4 kd, r, z, y, y_r2;
+  MulAdd<kFma>(inv_ln2_n, xd, shift, &kd);
+  const U64Vec<4> ki = reinterpret_cast<U64Vec<4>>(kd);
+  kd = kd - shift;
+  // InvLn2N·x − kd, written as the sum with −kd that it is.
+  MulAdd<kFma>(inv_ln2_n, xd, -kd, &r);
+  U64Vec<4> t;
+  if constexpr (kGather) {
+    GatherExp2fTable(ki % 32, &t);
+  } else {
+#pragma GCC unroll 4
+    for (int l = 0; l < 4; ++l) t[l] = kExp2fTable[ki[l] % 32];
+  }
+  const D4 s = reinterpret_cast<D4>(t + (ki << 47));
+  MulAdd<kFma>(r, zero + kExpC0, zero + kExpC1, &z);
+  const D4 r2 = r * r;
+  MulAdd<kFma>(r, zero + kExpC2, zero + 1.0, &y);
+  MulAdd<kFma>(z, r2, y, &y_r2);
+  *out = __builtin_convertvector(y_r2 * s, F4);
+}
+
+// expf: the main path in every lane, four at a time; the lanes the
+// |x| ≥ 88 branch returns early pick by mask:
+//   x = −inf               +0
+//   x = +inf or NaN        x + x
+//   x > 0x1.62e42ep6       +inf (__math_oflowf)
+//   x < −0x1.9fe368p6      +0 (__math_uflowf)
+//   x < −0x1.9d1d9ep6      0x1p-149 (__math_may_uflowf, which glibc's
+//                          build calls to set errno)
+template <bool kFma, int W>
+inline void ExpLanes(const Vec<W>& x, Vec<W>* out) {
+  using V = Vec<W>;
+  using I = IVec<W>;
+  // Every 8-lane function and every FMA-form one is built for AVX2.
+  constexpr bool kGather = kFma || W == 8;
+  V e;
+  if constexpr (W == 4) {
+    ExpMainPath<kFma, kGather>(x, &e);
+  } else {
+    static_assert(W == 8);
+    F4 lo, hi;
+    ExpMainPath<kFma, kGather>(__builtin_shufflevector(x, x, 0, 1, 2, 3),
+                               &lo);
+    ExpMainPath<kFma, kGather>(__builtin_shufflevector(x, x, 4, 5, 6, 7),
+                               &hi);
+    e = __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7);
+  }
+  const V zero = {};
+  const I hx = reinterpret_cast<I>(x);
+  e = x < -0x1.9d1d9ep6f ? zero + 0x1p-149f : e;
+  e = x < -0x1.9fe368p6f ? zero : e;
+  e = x > 0x1.62e42ep6f ? zero + std::numeric_limits<float>::infinity() : e;
+  e = ((hx >> 20) & 0x7ff) >= 0x7f8 ? x + x : e;
+  *out = hx == static_cast<std::int32_t>(0xff800000u) ? zero : e;
+}
+
+// ---- log1pf: glibc's __log1pf ----
+//
+// sysdeps/ieee754/flt-32/s_log1pf.c (fdlibm's; libm exports it as a
+// plain symbol, and libm.a has no other variant and no FMA in it). Its
+// branches, by the bits hx of x:
+//   x ≤ −1 (or −inf, or a NaN with the sign bit)
+//                          −2^25/0 = −inf at −1, (x − x)/(x − x) below
+//   |x| < 2^-54            x
+//   |x| < 2^-29            x − x·x·0.5
+//   x in [−0.2929, 0.41422)    k = 0, f = x
+//   +inf or NaN            x + x
+//   otherwise              u = 1 + x (u = x from 2^53 on, with c = 0),
+//                          k = u's exponent, c = (1 − (u − x))/u for
+//                          k > 0 and (x − (u − 1))/u else; u's mantissa
+//                          m scaled into [√2/2, √2), k + 1 from m ≥
+//                          0x3504f7; f = u − 1
+// and then, with hfsq = 0.5·f·f, R = hfsq·(1 − (2/3)·f) when u is a
+// power of two (|f| < 2^-20) and s = f/(2 + f), R = s²·(Lp1 + s²·(…Lp7))
+// otherwise, the k = 0 and k ≠ 0 results of each. The x ≤ −1 lanes
+// divide in the lane that would divide c by u.
 template <int W>
-void TanhRow(const float* x, float* y, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + W <= n; i += W) TanhLanes<W>(x + i, y + i);
-  if (i == n) return;
-  float tail[W] = {};
-  std::copy(x + i, x + n, tail);
-  TanhLanes<W>(tail, tail);
-  std::copy(tail, tail + (n - i), y + i);
+inline void Log1pLanes(const Vec<W>& x, Vec<W>* out) {
+  using V = Vec<W>;
+  using I = IVec<W>;
+  constexpr float kLn2Hi = 6.9313812256e-01f;
+  constexpr float kLn2Lo = 9.0580006145e-06f;
+  const V zero = {};
+  const V one = zero + 1.0f;
+  const I hx = reinterpret_cast<I>(x);
+  const I ax = hx & 0x7fffffff;
+  const I below_one = (hx < 0x3ed413d7) & (ax >= 0x3f800000);
+  const I near_zero =
+      (hx < 0x3ed413d7) &
+      ((hx > 0) | (hx <= static_cast<std::int32_t>(0xbe95f61fu)));
+  // k ≠ 0: 2^k·u from 1 + x, or from x itself from 2^53 on.
+  const I big = hx >= 0x5a000000;
+  const V u_in = big ? x : one + x;
+  const I hu_in = reinterpret_cast<I>(u_in);
+  I k = (hu_in >> 23) - 127;
+  const V c_num = k > 0 ? one - (u_in - x) : x - (u_in - one);
+  const V x_minus_x = x - x;
+  const V q = (below_one ? (x == -1.0f ? zero - 3.355443200e+07f : x_minus_x)
+                         : c_num) /
+              (below_one ? (x == -1.0f ? zero : x_minus_x) : u_in);
+  const V c = big ? zero : q;
+  const I m = hu_in & 0x007fffff;
+  const I upper = m >= 0x3504f7;
+  const V u = reinterpret_cast<V>(m | (upper ? I{} + 0x3f000000
+                                             : I{} + 0x3f800000));
+  k = upper ? k + 1 : k;
+  const I hu = upper ? (0x00800000 - m) >> 2 : m;
+  k = near_zero ? I{} : k;
+  const V f = near_zero ? x : u - 1.0f;
+  const I pow2 = near_zero ? I{} : hu == 0;  // |f| < 2^-20
+  const V hfsq = 0.5f * f * f;
+  const V kf = __builtin_convertvector(k, V);
+  const V k_hi = kf * kLn2Hi;
+  const V c_lo = c + kf * kLn2Lo;
+  // u a power of two.
+  const V r_pow2 = hfsq * (1.0f - 6.6666668653e-01f * f);
+  V y_pow2 = k == 0 ? f - r_pow2 : k_hi - ((r_pow2 - c_lo) - f);
+  y_pow2 = f == zero ? (k == 0 ? zero : k_hi + c_lo) : y_pow2;
+  // The general case.
+  const V s = f / (2.0f + f);
+  const V z = s * s;
+  const V r =
+      z * (6.6666668653e-01f +
+           z * (4.0000000596e-01f +
+                z * (2.8571429849e-01f +
+                     z * (2.2222198546e-01f +
+                          z * (1.8183572590e-01f +
+                               z * (1.5313838422e-01f +
+                                    z * 1.4798198640e-01f))))));
+  const V s_r = s * (hfsq + r);
+  V y = k == 0 ? f - (hfsq - s_r) : k_hi - ((hfsq - (s_r + c_lo)) - f);
+  y = pow2 ? y_pow2 : y;
+  y = ax < 0x31000000 ? (ax < 0x24800000 ? x : x - x * x * 0.5f) : y;
+  y = below_one ? q : y;
+  *out = hx >= 0x7f800000 ? x + x : y;
 }
 
-// ---- Row functions per lane width, and the one choice between them ----
+// ---- The logistic and softplus, as scalar code computes them ----
+
+// e = expf(x ≥ 0 ? −x : x), σ = (x ≥ 0 ? 1 : e)/(1 + e): 1/(1 + e^−x)
+// with no overflow. A NaN lane takes expf(x), where a scalar x ≥ 0 test
+// sends it.
+template <bool kFma, int W>
+inline void SigmoidLanes(const Vec<W>& x, Vec<W>* out) {
+  using V = Vec<W>;
+  const V one = V{} + 1.0f;
+  const IVec<W> nonneg = x >= 0.0f;
+  V e;
+  ExpLanes<kFma, W>(nonneg ? -x : x, &e);
+  *out = (nonneg ? one : e) / (one + e);
+}
+
+// l = log1pf(expf(x > 0 ? −x : x)), softplus = x > 0 ? x + l : l.
+template <bool kFma, int W>
+inline void SoftplusLanes(const Vec<W>& x, Vec<W>* out) {
+  using V = Vec<W>;
+  const IVec<W> positive = x > 0.0f;
+  V e, l;
+  ExpLanes<kFma, W>(positive ? -x : x, &e);
+  Log1pLanes<W>(e, &l);
+  *out = positive ? x + l : l;
+}
+
+// y = f(x) over n floats. A row of W or more runs as full vectors, the
+// last of them ending at n: where W does not divide n it overlaps the one
+// before it, whose floats it writes again with the same values. It is
+// read before anything is stored, so an in-place call still sees its
+// inputs. A shorter row moves lane by lane into a zero-padded vector.
+template <int W, LaneFn<W> kF>
+void MapRow(const float* x, float* y, std::size_t n) {
+  Vec<W> in = {}, out;
+  if (n < W) {
+#pragma GCC unroll 8
+    for (std::size_t l = 0; l < W; ++l) {
+      if (l < n) in[l] = x[l];
+    }
+    kF(in, &out);
+#pragma GCC unroll 8
+    for (std::size_t l = 0; l < W; ++l) {
+      if (l < n) y[l] = out[l];
+    }
+    return;
+  }
+  Vec<W> last;
+  Load<W>(x + n - W, &last);
+  for (std::size_t i = 0; i + W < n; i += W) {
+    Load<W>(x + i, &in);
+    kF(in, &out);
+    Store<W>(y + i, out);
+  }
+  kF(last, &out);
+  Store<W>(y + n - W, out);
+}
+
+// ---- Row functions per lane width and expf form, and the one choice ----
 
 using RowsFn = void (*)(std::size_t i0, std::size_t i1, std::size_t m,
                         std::size_t k, std::size_t n, const float* a,
                         const float* b, float* c);
-using TanhFn = void (*)(const float* x, float* y, std::size_t n);
+using MapFn = void (*)(const float* x, float* y, std::size_t n);
 
 enum Variant { kNN, kTN, kNT };
 
+// One lane width's kernels, with those that call expf in one form.
 struct RowKernels {
   std::size_t lanes;
+  bool fma;  // __expf_fma's form, not __expf_sse2's
   RowsFn rows[3];  // indexed by Variant
-  TanhFn tanh;
+  MapFn tanh, log1p, exp, sigmoid, softplus;
 };
 
-constexpr RowKernels kRows4 = {
-    4, {GemmRows<false, 4>, GemmRows<true, 4>, GemmNTRows<4>}, TanhRow<4>};
+#if defined(__x86_64__)
+// The FMA form at either width exists only inside these functions:
+// flatten inlines everything into them, FusedMulAdd included.
+template <int W, LaneFn<W> kF>
+[[gnu::target("avx2,fma"), gnu::flatten]] void MapRowFma(const float* x,
+                                                          float* y,
+                                                          std::size_t n) {
+  MapRow<W, kF>(x, y, n);
+}
+#else
+template <int W, LaneFn<W> kF>
+void MapRowFma(const float* x, float* y, std::size_t n) {
+  MapRow<W, kF>(x, y, n);
+}
+#endif
+
+constexpr RowKernels kRows4 = {4,
+                               false,
+                               {GemmRows<false, 4>, GemmRows<true, 4>,
+                                GemmNTRows<4>},
+                               MapRow<4, TanhLanes<4>>,
+                               MapRow<4, Log1pLanes<4>>,
+                               MapRow<4, ExpLanes<false, 4>>,
+                               MapRow<4, SigmoidLanes<false, 4>>,
+                               MapRow<4, SoftplusLanes<false, 4>>};
+constexpr RowKernels kRows4Fma = {4,
+                                  true,
+                                  {GemmRows<false, 4>, GemmRows<true, 4>,
+                                   GemmNTRows<4>},
+                                  MapRow<4, TanhLanes<4>>,
+                                  MapRow<4, Log1pLanes<4>>,
+                                  MapRowFma<4, ExpLanes<true, 4>>,
+                                  MapRowFma<4, SigmoidLanes<true, 4>>,
+                                  MapRowFma<4, SoftplusLanes<true, 4>>};
 
 #if defined(__x86_64__)
 // The 8-lane instances exist only inside these AVX2 functions: flatten
 // inlines the tiles into them, so their 32-byte vectors are built for
-// AVX2. The target never names "fma": the order contract rounds every
-// product before its add.
+// AVX2. The GEMMs' target never names "fma": the order contract rounds
+// every product before its add.
 [[gnu::target("avx2"), gnu::flatten]] void GemmNNRows8(
     std::size_t i0, std::size_t i1, std::size_t m, std::size_t k,
     std::size_t n, const float* a, const float* b, float* c) {
@@ -498,13 +820,28 @@ constexpr RowKernels kRows4 = {
   GemmNTRows<8>(i0, i1, m, k, n, a, b, c);
 }
 
-[[gnu::target("avx2"), gnu::flatten]] void TanhRow8(const float* x, float* y,
-                                                     std::size_t n) {
-  TanhRow<8>(x, y, n);
+template <LaneFn<8> kF>
+[[gnu::target("avx2"), gnu::flatten]] void MapRow8(const float* x, float* y,
+                                                   std::size_t n) {
+  MapRow<8, kF>(x, y, n);
 }
 
-constexpr RowKernels kRows8 = {
-    8, {GemmNNRows8, GemmTNRows8, GemmNTRows8}, TanhRow8};
+constexpr RowKernels kRows8 = {8,
+                               false,
+                               {GemmNNRows8, GemmTNRows8, GemmNTRows8},
+                               MapRow8<TanhLanes<8>>,
+                               MapRow8<Log1pLanes<8>>,
+                               MapRow8<ExpLanes<false, 8>>,
+                               MapRow8<SigmoidLanes<false, 8>>,
+                               MapRow8<SoftplusLanes<false, 8>>};
+constexpr RowKernels kRows8Fma = {8,
+                                  true,
+                                  {GemmNNRows8, GemmTNRows8, GemmNTRows8},
+                                  MapRow8<TanhLanes<8>>,
+                                  MapRow8<Log1pLanes<8>>,
+                                  MapRowFma<8, ExpLanes<true, 8>>,
+                                  MapRowFma<8, SigmoidLanes<true, 8>>,
+                                  MapRowFma<8, SoftplusLanes<true, 8>>};
 #endif
 
 bool CpuHasAvx2() {
@@ -516,25 +853,53 @@ bool CpuHasAvx2() {
 #endif
 }
 
-const RowKernels& RowsAt(std::size_t lanes) {
-  POISONREC_CHECK(kernels::internal::CanRunLanes(lanes))
-      << lanes << "-lane GEMM rows cannot run on this CPU";
+// Whether this CPU runs the FMA form: AVX2 and FMA on x86-64, anywhere
+// else through __builtin_fma.
+bool CpuRunsFmaForm() {
 #if defined(__x86_64__)
-  if (lanes == 8) return kRows8;
+  return CpuHasAvx2() && __builtin_cpu_supports("fma") != 0;
+#else
+  return true;
 #endif
-  return kRows4;
+}
+
+// The expf form this process's libm resolved. __expf_fma and
+// __expf_sse2 differ on 0x1.04845ep+5 (bits 0x4202422f): the first
+// returns 0x56fc9f1c, the second 0x56fc9f1b. (Over all 2^32 floats they
+// differ there and at 0xc27c65d9 only.) The volatile keeps the compiler
+// from folding the call. The CPU's feature bits cannot stand in for the
+// call: GLIBC_TUNABLES can mask FMA from libm's choice.
+bool LibmExpfIsFma() {
+  volatile float probe = 0x1.04845ep+5f;
+  const float e = ::expf(probe);
+  std::uint32_t bits;
+  std::memcpy(&bits, &e, sizeof(bits));
+  return bits == 0x56fc9f1cu;
+}
+
+const RowKernels& RowsAt(std::size_t lanes, bool fma) {
+  POISONREC_CHECK(kernels::internal::CanRunLanes(lanes, fma))
+      << lanes << "-lane kernels" << (fma ? " with expf's FMA form" : "")
+      << " cannot run on this CPU";
+#if defined(__x86_64__)
+  if (lanes == 8) return fma ? kRows8Fma : kRows8;
+#endif
+  return fma ? kRows4Fma : kRows4;
 }
 
 // The process-wide choice: made once, on first use (so a GEMM issued
-// from a static initializer is still dispatched), and published as a
-// gauge. It cannot move a bit, since every width keeps the order
-// contract; it only decides how fast the rows run.
+// from a static initializer is still dispatched), and published as two
+// gauges. The width cannot move a bit, since every width keeps the order
+// contract and every lane its routine's operations; it only decides how
+// fast the rows run. The expf form is libm's own.
 const RowKernels& DispatchedRows() {
   static const RowKernels& rows = []() -> const RowKernels& {
-    const RowKernels& chosen = RowsAt(CpuHasAvx2() ? 8 : 4);
-    obs::MetricsRegistry::Global()
-        .GetGauge("poisonrec_gemm_lanes")
+    const RowKernels& chosen =
+        RowsAt(CpuHasAvx2() ? 8 : 4, LibmExpfIsFma());
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+    registry.GetGauge("poisonrec_gemm_lanes")
         ->Set(static_cast<double>(chosen.lanes));
+    registry.GetGauge("poisonrec_expf_fma")->Set(chosen.fma ? 1.0 : 0.0);
     return chosen;
   }();
   return rows;
@@ -628,8 +993,22 @@ void GemmNT(std::size_t m, std::size_t k, std::size_t n, const float* a,
 
 std::size_t GemmLanes() { return DispatchedRows().lanes; }
 
+bool ExpFma() { return DispatchedRows().fma; }
+
 void Tanh(const float* x, float* y, std::size_t n) {
   DispatchedRows().tanh(x, y, n);
+}
+
+void Exp(const float* x, float* y, std::size_t n) {
+  DispatchedRows().exp(x, y, n);
+}
+
+void Sigmoid(const float* x, float* y, std::size_t n) {
+  DispatchedRows().sigmoid(x, y, n);
+}
+
+void Softplus(const float* x, float* y, std::size_t n) {
+  DispatchedRows().softplus(x, y, n);
 }
 
 void ParallelRows(std::size_t m, std::size_t work,
@@ -640,30 +1019,50 @@ void ParallelRows(std::size_t m, std::size_t work,
 
 namespace internal {
 
-bool CanRunLanes(std::size_t lanes) {
-  return lanes == 4 || (lanes == 8 && CpuHasAvx2());
+bool CanRunLanes(std::size_t lanes, bool fma) {
+  return (lanes == 4 || (lanes == 8 && CpuHasAvx2())) &&
+         (!fma || CpuRunsFmaForm());
 }
 
 void GemmNNAt(std::size_t lanes, std::size_t m, std::size_t k, std::size_t n,
               const float* a, const float* b, float* c,
               std::size_t min_work) {
-  Gemm(RowsAt(lanes), kNN, m, k, n, a, b, c, min_work);
+  Gemm(RowsAt(lanes, false), kNN, m, k, n, a, b, c, min_work);
 }
 
 void GemmTNAt(std::size_t lanes, std::size_t m, std::size_t k, std::size_t n,
               const float* a, const float* b, float* c,
               std::size_t min_work) {
-  Gemm(RowsAt(lanes), kTN, m, k, n, a, b, c, min_work);
+  Gemm(RowsAt(lanes, false), kTN, m, k, n, a, b, c, min_work);
 }
 
 void GemmNTAt(std::size_t lanes, std::size_t m, std::size_t k, std::size_t n,
               const float* a, const float* b, float* c,
               std::size_t min_work) {
-  Gemm(RowsAt(lanes), kNT, m, k, n, a, b, c, min_work);
+  Gemm(RowsAt(lanes, false), kNT, m, k, n, a, b, c, min_work);
 }
 
 void TanhAt(std::size_t lanes, const float* x, float* y, std::size_t n) {
-  RowsAt(lanes).tanh(x, y, n);
+  RowsAt(lanes, false).tanh(x, y, n);
+}
+
+void Log1pAt(std::size_t lanes, const float* x, float* y, std::size_t n) {
+  RowsAt(lanes, false).log1p(x, y, n);
+}
+
+void ExpAt(std::size_t lanes, const float* x, float* y, std::size_t n,
+           bool fma) {
+  RowsAt(lanes, fma).exp(x, y, n);
+}
+
+void SigmoidAt(std::size_t lanes, const float* x, float* y, std::size_t n,
+               bool fma) {
+  RowsAt(lanes, fma).sigmoid(x, y, n);
+}
+
+void SoftplusAt(std::size_t lanes, const float* x, float* y, std::size_t n,
+                bool fma) {
+  RowsAt(lanes, fma).softplus(x, y, n);
 }
 
 }  // namespace internal

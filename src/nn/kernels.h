@@ -1,9 +1,9 @@
 // Dense GEMM kernel layer beneath the tensor API (the torch-style
 // split: tensor.cc owns autograd bookkeeping, kernels.cc owns the
-// floating-point loops), and the lane-wise tanh the gates run. All
-// three transpose variants used by MatMul and its backward pass are
-// explicit, so callers never re-derive transposed access patterns
-// inline:
+// floating-point loops), and the lane-wise tanh, exp, sigmoid and
+// softplus the gates and the decision node run. All three transpose
+// variants used by MatMul and its backward pass are explicit, so
+// callers never re-derive transposed access patterns inline:
 //
 //   forward   C  = A · B      -> GemmNN
 //   backward  dA = dC · Bᵀ    -> GemmNT
@@ -43,10 +43,11 @@
 // k < 4 fills no lane: each output is c + (+0 + tail), one column loop
 // per row that the compiler vectorizes.
 //
-// Dispatch. One process-wide choice, made on the first GEMM or Tanh
-// call: 8 lanes when the CPU reports AVX2, 4 otherwise, for the GEMMs
-// and Tanh alike. It takes no option and shows in the
-// `poisonrec_gemm_lanes` gauge (GemmLanes()).
+// Dispatch. One process-wide choice, made on the first kernel call: 8
+// lanes when the CPU reports AVX2, 4 otherwise, for every kernel alike,
+// and the form of glibc's expf that libm resolved in this process
+// (ExpFma()) for Exp, Sigmoid and Softplus. It takes no option and shows
+// in the `poisonrec_gemm_lanes` and `poisonrec_expf_fma` gauges.
 //
 // Determinism contract: kernels are row-partitioned across the
 // persistent pool in util/parallel. Each output row is owned by exactly
@@ -92,16 +93,33 @@ void GemmTN(std::size_t m, std::size_t k, std::size_t n, const float* a,
 void GemmNT(std::size_t m, std::size_t k, std::size_t n, const float* a,
             const float* b, float* c);
 
-/// The lane width the GEMMs and Tanh dispatched to in this process: 8
-/// or 4.
+/// The lane width every kernel dispatched to in this process: 8 or 4.
 std::size_t GemmLanes();
 
-/// y[i] = tanhf(x[i]) for i < n, lane-wise at the dispatched width. It
-/// transcribes glibc 2.36's tanhf (and the expm1f it calls) so that each
-/// lane runs the scalar routine's float operations in their order, and
-/// returns its bits for every float, NaNs included (kernels.cc lists the
+/// Whether Exp, Sigmoid and Softplus run the operations of glibc's
+/// __expf_fma (true) or of __expf_sse2. glibc picks one of the two when
+/// it loads libm, and they round differently; the kernels follow the
+/// pick, found once by calling expf on an input where the two differ.
+bool ExpFma();
+
+/// The lane-wise libm routines below run at the dispatched width, each
+/// lane with the scalar routine's operations in their order, and return
+/// its bits for every float, NaNs included (kernels.cc lists the
 /// branches). y may equal x; otherwise the two must not overlap.
+///
+/// y[i] = tanhf(x[i]), from glibc 2.36's tanhf and the expm1f it calls.
 void Tanh(const float* x, float* y, std::size_t n);
+
+/// y[i] = expf(x[i]), from glibc 2.36's expf in the form ExpFma() names.
+void Exp(const float* x, float* y, std::size_t n);
+
+/// The logistic: with e = expf(x ≥ 0 ? −x : x), y = (x ≥ 0 ? 1 : e) /
+/// (1 + e), which is 1/(1 + e^−x) without overflow.
+void Sigmoid(const float* x, float* y, std::size_t n);
+
+/// log(1 + e^x): with l = log1pf(expf(x > 0 ? −x : x)), y = x > 0 ?
+/// x + l : l; log1pf is glibc 2.36's (fdlibm's).
+void Softplus(const float* x, float* y, std::size_t n);
 
 /// Below this much work a ParallelRows call runs on the calling thread:
 /// the smallest rung of bench_kernels' second ladder at which both 2
@@ -134,8 +152,9 @@ namespace internal {
 /// them from `min_work` multiply-accumulates on; bench_kernels' size
 /// ladder passes 0 to time the row split at every size, below the
 /// threshold too. CanRunLanes(lanes) must hold: 4 always, 8 on an
-/// x86-64 CPU with AVX2.
-bool CanRunLanes(std::size_t lanes);
+/// x86-64 CPU with AVX2. With `fma`, it also asks for the FMA form of
+/// expf, which an x86-64 CPU runs when it has AVX2 and FMA.
+bool CanRunLanes(std::size_t lanes, bool fma = false);
 void GemmNNAt(std::size_t lanes, std::size_t m, std::size_t k, std::size_t n,
               const float* a, const float* b, float* c,
               std::size_t min_work = kParallelMinWork);
@@ -146,8 +165,18 @@ void GemmNTAt(std::size_t lanes, std::size_t m, std::size_t k, std::size_t n,
               const float* a, const float* b, float* c,
               std::size_t min_work = kParallelMinWork);
 
-/// Tests and bench_kernels only: Tanh at a chosen lane width.
+/// Tests and bench_kernels only: the libm kernels at a chosen lane
+/// width, those that call expf also in a chosen form (by default the
+/// one ExpFma() names, which libm's own results follow), and log1pf on
+/// its own. CanRunLanes(lanes, fma) must hold.
 void TanhAt(std::size_t lanes, const float* x, float* y, std::size_t n);
+void Log1pAt(std::size_t lanes, const float* x, float* y, std::size_t n);
+void ExpAt(std::size_t lanes, const float* x, float* y, std::size_t n,
+           bool fma = ExpFma());
+void SigmoidAt(std::size_t lanes, const float* x, float* y, std::size_t n,
+               bool fma = ExpFma());
+void SoftplusAt(std::size_t lanes, const float* x, float* y, std::size_t n,
+                bool fma = ExpFma());
 
 }  // namespace internal
 

@@ -1,6 +1,8 @@
 #include "nn/loss.h"
 
-#include <cmath>
+#include <vector>
+
+#include "nn/kernels.h"
 
 namespace poisonrec::nn {
 
@@ -53,10 +55,12 @@ Tensor SoftmaxCrossEntropy(const Tensor& logits,
     // g is what Scale(-1) then Mean pass down to each target log-prob;
     // each row then takes LogSoftmax's backward of a one-hot gradient.
     const float g = oi->grad[0] * -1.0f * (1.0f / m);
+    std::vector<float> p(logp.size());
+    kernels::Exp(logp.data().data(), p.data(), p.size());
     for (std::size_t r = 0; r < li->rows; ++r) {
       for (std::size_t c = 0; c < li->cols; ++c) {
         li->gat(r, c) +=
-            (c == targets[r] ? g : 0.0f) - std::exp(logp.at(r, c)) * g;
+            (c == targets[r] ? g : 0.0f) - p[r * li->cols + c] * g;
       }
     }
   });

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <type_traits>
 #include <utility>
 
 #include "nn/kernels.h"
@@ -28,29 +29,21 @@ std::shared_ptr<TensorImpl> NewNode(std::size_t rows, std::size_t cols) {
   return node;
 }
 
-// The logistic, and the sigmoid and tanh derivatives from their output y,
-// shared by the unary ops and the fused gates so both compute the same
-// products. For x < 0 it is exp(x) / (1 + exp(x)) with one exp call:
-// errno semantics keep GCC from merging two calls written out.
-inline float StableSigmoid(float x) {
-  if (x >= 0.0f) return 1.0f / (1.0f + std::exp(-x));
-  const float e = std::exp(x);
-  return e / (1.0f + e);
-}
+// The sigmoid and tanh derivatives from their output y, shared by the
+// unary ops and the fused gates so both compute the same products.
 inline float SigmoidDeriv(float y) { return y * (1.0f - y); }
 inline float TanhDeriv(float y) { return 1.0f - y * y; }
-inline float SoftplusOf(float x) {
-  return x > 0.0f ? x + std::log1p(std::exp(-x)) : std::log1p(std::exp(x));
-}
 
 // Log-softmax of one row of n logits, as LogSoftmax and the GRU
 // session's step losses compute it: the max, the sum of exp(x - max) in
-// column order, then x - (max + log(sum)).
+// column order (the exps in `out` first), then x - (max + log(sum)).
 void LogSoftmaxRow(const float* x, std::size_t n, float* out) {
   float maxv = x[0];
   for (std::size_t c = 1; c < n; ++c) maxv = std::max(maxv, x[c]);
+  for (std::size_t c = 0; c < n; ++c) out[c] = x[c] - maxv;
+  kernels::Exp(out, out, n);
   float denom = 0.0f;
-  for (std::size_t c = 0; c < n; ++c) denom += std::exp(x[c] - maxv);
+  for (std::size_t c = 0; c < n; ++c) denom += out[c];
   const float lse = maxv + std::log(denom);
   for (std::size_t c = 0; c < n; ++c) out[c] = x[c] - lse;
 }
@@ -459,7 +452,8 @@ namespace {
 
 // Shared scaffolding for elementwise unary ops: out = fwd(x) for the
 // whole tensor in one row call fwd(x, out, size), and
-// dx += dout * dfn(x, y).
+// dx += dout * dfn(x, y), or dx += dout * d with d = dfn(x) from one
+// row call dfn(x, d, size).
 template <typename RowFwd, typename Dfn>
 Tensor UnaryRowOp(const Tensor& a, RowFwd fwd, Dfn dfn) {
   auto out = NewNode(a.rows(), a.cols());
@@ -472,8 +466,18 @@ Tensor UnaryRowOp(const Tensor& a, RowFwd fwd, Dfn dfn) {
         out, {&a},
         [ai, oi, dfn]() {
           if (!ai->requires_grad) return;
-          for (std::size_t i = 0; i < ai->grad.size(); ++i) {
-            ai->grad[i] += oi->grad[i] * dfn(ai->data[i], oi->data[i]);
+          const std::size_t n = ai->grad.size();
+          if constexpr (std::is_invocable_v<Dfn, const float*, float*,
+                                            std::size_t>) {
+            std::vector<float> d(n);
+            dfn(ai->data.data(), d.data(), n);
+            for (std::size_t i = 0; i < n; ++i) {
+              ai->grad[i] += oi->grad[i] * d[i];
+            }
+          } else {
+            for (std::size_t i = 0; i < n; ++i) {
+              ai->grad[i] += oi->grad[i] * dfn(ai->data[i], oi->data[i]);
+            }
           }
         });
   }
@@ -506,9 +510,8 @@ Tensor AddScalar(const Tensor& a, float s) {
 }
 
 Tensor Sigmoid(const Tensor& a) {
-  return UnaryOp(
-      a, [](float x) { return StableSigmoid(x); },
-      [](float, float y) { return SigmoidDeriv(y); });
+  return UnaryRowOp(a, kernels::Sigmoid,
+                    [](float, float y) { return SigmoidDeriv(y); });
 }
 
 Tensor Tanh(const Tensor& a) {
@@ -529,15 +532,11 @@ Tensor LeakyRelu(const Tensor& a, float slope) {
 }
 
 Tensor Exp(const Tensor& a) {
-  return UnaryOp(
-      a, [](float x) { return std::exp(x); },
-      [](float, float y) { return y; });
+  return UnaryRowOp(a, kernels::Exp, [](float, float y) { return y; });
 }
 
 Tensor Softplus(const Tensor& a) {
-  return UnaryOp(
-      a, [](float x) { return SoftplusOf(x); },
-      [](float x, float) { return StableSigmoid(x); });
+  return UnaryRowOp(a, kernels::Softplus, kernels::Sigmoid);
 }
 
 Tensor Square(const Tensor& a) {
@@ -560,12 +559,13 @@ Tensor LogSoftmax(const Tensor& a) {
         out, {&a},
         [ai, oi]() {
           if (!ai->requires_grad) return;
+          std::vector<float> p(oi->data.size());
+          kernels::Exp(oi->data.data(), p.data(), p.size());
           for (std::size_t r = 0; r < oi->rows; ++r) {
             float gsum = 0.0f;
             for (std::size_t c = 0; c < oi->cols; ++c) gsum += oi->gat(r, c);
             for (std::size_t c = 0; c < oi->cols; ++c) {
-              ai->gat(r, c) +=
-                  oi->gat(r, c) - std::exp(oi->at(r, c)) * gsum;
+              ai->gat(r, c) += oi->gat(r, c) - p[r * oi->cols + c] * gsum;
             }
           }
         });
@@ -825,9 +825,10 @@ namespace {
 // Forward for rows [r0, r1): activates the four gate blocks of `pre`
 // into `act`, then produces c = f·c_prev + i·g and h = o·tanh(c) with
 // the same per-element values the composed Sigmoid/Tanh/Mul/Add chain
-// computed. Each row's g block and c run through kernels::Tanh as one
-// call. When `tanh_c` is not null (a tape is recorded), tanh(c) is kept
-// there for h's backward; otherwise it passes through h's row.
+// computed. Per row, one kernels::Sigmoid call covers the i|f blocks and
+// one the o block, and one kernels::Tanh call each the g block and c.
+// When `tanh_c` is not null (a tape is recorded), tanh(c) is kept there
+// for h's backward; otherwise it passes through h's row.
 void LstmGatesRows(std::size_t r0, std::size_t r1, std::size_t h,
                    const TensorImpl* pre, const TensorImpl* cprev,
                    TensorImpl* act, TensorImpl* cnew, TensorImpl* hnew,
@@ -839,15 +840,11 @@ void LstmGatesRows(std::size_t r0, std::size_t r1, std::size_t h,
     float* cn = cnew->data.data() + r * h;
     float* hn = hnew->data.data() + r * h;
     float* t = tanh_c != nullptr ? tanh_c + r * h : hn;
+    kernels::Sigmoid(p, a, 2 * h);
     kernels::Tanh(p + 2 * h, a + 2 * h, h);
+    kernels::Sigmoid(p + 3 * h, a + 3 * h, h);
     for (std::size_t j = 0; j < h; ++j) {
-      const float ig = StableSigmoid(p[j]);
-      const float fg = StableSigmoid(p[h + j]);
-      const float og = StableSigmoid(p[3 * h + j]);
-      a[j] = ig;
-      a[h + j] = fg;
-      a[3 * h + j] = og;
-      cn[j] = fg * cp[j] + ig * a[2 * h + j];
+      cn[j] = a[h + j] * cp[j] + a[j] * a[2 * h + j];
     }
     kernels::Tanh(cn, t, h);
     for (std::size_t j = 0; j < h; ++j) hn[j] = a[3 * h + j] * t[j];
@@ -1043,8 +1040,9 @@ struct GruSavedLayout {
 //   z = σ(gx_z + gh_z), r = σ(gx_r + gh_r), n = tanh(gx_n + r * gh_n),
 //   h = (1 - z) * n + z * h_prev,
 // with 1 - z as z * -1 + 1, the association of the composed Scale and
-// AddScalar, and n's tanh as one kernels::Tanh call over the row. Writes
-// gx, gh, h and act = [z | r | n]; h must not alias h_prev.
+// AddScalar, z and r as one kernels::Sigmoid call over their sums and
+// n's tanh as one kernels::Tanh call. Writes gx, gh, h and
+// act = [z | r | n]; h must not alias h_prev.
 void GruStep(const GruWeights& w, const float* x, const float* h_prev,
              float* gx, float* gh, float* h, float* act) {
   const std::size_t hs = w.hs;
@@ -1054,11 +1052,10 @@ void GruStep(const GruWeights& w, const float* x, const float* h_prev,
   std::fill_n(gh, 3 * hs, 0.0f);
   kernels::GemmNN(1, hs, 3 * hs, h_prev, w.w_h, gh);
   AddRow(w.b_h, gh, 3 * hs);
+  for (std::size_t j = 0; j < 2 * hs; ++j) act[j] = gx[j] + gh[j];
+  kernels::Sigmoid(act, act, 2 * hs);
   for (std::size_t j = 0; j < hs; ++j) {
-    const float r = StableSigmoid(gx[hs + j] + gh[hs + j]);
-    act[j] = StableSigmoid(gx[j] + gh[j]);
-    act[hs + j] = r;
-    act[2 * hs + j] = gx[2 * hs + j] + r * gh[2 * hs + j];
+    act[2 * hs + j] = gx[2 * hs + j] + act[hs + j] * gh[2 * hs + j];
   }
   kernels::Tanh(act + 2 * hs, act + 2 * hs, hs);
   for (std::size_t j = 0; j < hs; ++j) {
@@ -1164,9 +1161,10 @@ Tensor GruSessionLoss(const Tensor& table, const Tensor& w_x,
           const float* ct = cand_t + t * d * nc;
           const float* lp = logp + t * nc;
           const std::size_t* cands = candidates.data() + t * nc;
+          kernels::Exp(lp, g_logits, nc);
           for (std::size_t c = 0; c < nc; ++c) {
             g_logits[c] =
-                0.0f + ((c == 0 ? g_ce : 0.0f) - std::exp(lp[c]) * g_ce);
+                0.0f + ((c == 0 ? g_ce : 0.0f) - g_logits[c] * g_ce);
           }
           // MatMul's backward: h_t, then the transposed rows.
           kernels::GemmNT(1, nc, d, g_logits, ct, g_h);
@@ -1366,8 +1364,9 @@ Tensor TreeDecisionLogProb(const Tensor& dht,
       dot_ch += q[c] * ch[c];
     }
     x[k] = dot_ot - dot_ch;
-    oi->data[k] = SoftplusOf(x[k]) * -1.0f;
   }
+  kernels::Softplus(x.data(), oi->data.data(), count);
+  for (std::size_t k = 0; k < count; ++k) oi->data[k] = oi->data[k] * -1.0f;
   Tensor result(out);
   if (!track) return result;
   Attach(
@@ -1376,13 +1375,15 @@ Tensor TreeDecisionLogProb(const Tensor& dht,
        other = other_rows, dim]() {
         const std::size_t count = rows.size();
         // The composed chain's scalar gradients, each intermediate
-        // started at 0: Scale(-1), Softplus, then Sub's two sides, g_a
-        // for q·ot and g_b for q·ch.
+        // started at 0: Scale(-1), Softplus (its derivative σ(x) goes
+        // into g_a first), then Sub's two sides, g_a for q·ot and g_b
+        // for q·ch.
         std::vector<float> g_a(count);
         std::vector<float> g_b(count);
+        kernels::Sigmoid(x.data(), g_a.data(), count);
         for (std::size_t k = 0; k < count; ++k) {
           const float g_s = 0.0f + oi->grad[k] * -1.0f;
-          const float g_x = 0.0f + g_s * StableSigmoid(x[k]);
+          const float g_x = 0.0f + g_s * g_a[k];
           g_a[k] = 0.0f + g_x;
           g_b[k] = 0.0f - g_x;
         }

@@ -29,10 +29,10 @@ void Bpr::SgdEpochs(const std::vector<data::Interaction>& interactions,
       float* qj = factors_.ItemRow(j);
       float x = 0.0f;
       for (std::size_t k = 0; k < dim; ++k) x += pu[k] * (qi[k] - qj[k]);
-      // d/dx of -log sigmoid(x) is -sigmoid(-x).
-      const float g = x >= 0.0f
-                          ? std::exp(-x) / (1.0f + std::exp(-x))
-                          : 1.0f / (1.0f + std::exp(x));
+      // d/dx of -log sigmoid(x) is -sigmoid(-x), from one exp call:
+      // errno keeps the compiler from merging two.
+      const float e = std::exp(x >= 0.0f ? -x : x);
+      const float g = x >= 0.0f ? e / (1.0f + e) : 1.0f / (1.0f + e);
       for (std::size_t k = 0; k < dim; ++k) {
         const float pu_k = pu[k];
         pu[k] += lr * (g * (qi[k] - qj[k]) - reg * pu[k]);

@@ -2,14 +2,16 @@
 // GradMode/NoGradScope inference switch: kernel-vs-reference
 // equivalence over randomized shapes, the kernels' order contract bit
 // for bit at every lane width, bit-identical threaded vs
-// single-threaded execution, the lane-wise tanh against libm's tanhf
-// bit for bit, the width dispatch, and tape-free no-grad outputs.
+// single-threaded execution, the lane-wise tanh, exp, log1p, sigmoid and
+// softplus against libm bit for bit, the width and expf-form dispatch,
+// and tape-free no-grad outputs.
 #include "nn/kernels.h"
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <sstream>
@@ -338,7 +340,7 @@ TEST_P(LaneWidthTest, ThreadedGemmIsBitIdenticalToSingleThreaded) {
   }
 }
 
-// ---- Tanh against libm's tanhf ----
+// ---- The libm kernels against libm ----
 
 float FromBits(std::uint32_t u) {
   float f;
@@ -358,69 +360,93 @@ std::string Hex(std::uint32_t u) {
   return out.str();
 }
 
-// Inputs whose Tanh bits differ from std::tanh's: the count, and the
-// first such input's bits in *first.
-std::uint64_t TanhMismatches(std::size_t lanes, const std::vector<float>& x,
-                             std::uint32_t* first) {
+// The scalar forms the kernels must return the bits of: libm's routines,
+// and the logistic and softplus as src/nn computed them one element at a
+// time before the kernels, from std::exp and std::log1p.
+float ScalarSigmoid(float x) {
+  const float e = std::exp(x >= 0.0f ? -x : x);
+  return (x >= 0.0f ? 1.0f : e) / (1.0f + e);
+}
+
+float ScalarSoftplus(float x) {
+  const float l = std::log1p(std::exp(x > 0.0f ? -x : x));
+  return x > 0.0f ? x + l : l;
+}
+
+// A kernel at a chosen lane width (expf's form: the one libm resolved),
+// and the scalar function it stands for.
+struct LibmCase {
+  void (*kernel)(std::size_t lanes, const float* x, float* y, std::size_t n);
+  float (*scalar)(float x);
+};
+
+const LibmCase kTanh = {kernels::internal::TanhAt,
+                        [](float x) { return std::tanh(x); }};
+const LibmCase kExp = {[](std::size_t lanes, const float* x, float* y,
+                          std::size_t n) {
+                         kernels::internal::ExpAt(lanes, x, y, n);
+                       },
+                       [](float x) { return std::exp(x); }};
+const LibmCase kLog1p = {kernels::internal::Log1pAt,
+                         [](float x) { return std::log1p(x); }};
+const LibmCase kSigmoid = {[](std::size_t lanes, const float* x, float* y,
+                              std::size_t n) {
+                             kernels::internal::SigmoidAt(lanes, x, y, n);
+                           },
+                           ScalarSigmoid};
+const LibmCase kSoftplus = {[](std::size_t lanes, const float* x, float* y,
+                               std::size_t n) {
+                              kernels::internal::SoftplusAt(lanes, x, y, n);
+                            },
+                            ScalarSoftplus};
+
+// Inputs whose kernel bits differ from the scalar function's: the count,
+// and the first such input's bits in *first.
+std::uint64_t Mismatches(const LibmCase& f, std::size_t lanes,
+                         const std::vector<float>& x, std::uint32_t* first) {
   std::vector<float> got(x.size());
-  kernels::internal::TanhAt(lanes, x.data(), got.data(), x.size());
+  f.kernel(lanes, x.data(), got.data(), x.size());
   std::uint64_t differing = 0;
   for (std::size_t i = 0; i < x.size(); ++i) {
-    if (ToBits(got[i]) != ToBits(std::tanh(x[i])) && differing++ == 0) {
+    if (ToBits(got[i]) != ToBits(f.scalar(x[i])) && differing++ == 0) {
       *first = ToBits(x[i]);
     }
   }
   return differing;
 }
 
-::testing::AssertionResult TanhMatchesLibm(std::size_t lanes,
-                                           const std::vector<float>& x) {
+::testing::AssertionResult MatchesLibm(const LibmCase& f, std::size_t lanes,
+                                       const std::vector<float>& x) {
   std::uint32_t first = 0;
-  const std::uint64_t differing = TanhMismatches(lanes, x, &first);
+  const std::uint64_t differing = Mismatches(f, lanes, x, &first);
   if (differing == 0) return ::testing::AssertionSuccess();
   return ::testing::AssertionFailure()
          << differing << " of " << x.size() << " inputs differ; first x = "
-         << Hex(first) << ": libm " << Hex(ToBits(std::tanh(FromBits(first))))
-         << " (" << lanes << " lanes)";
+         << Hex(first) << ": libm " << Hex(ToBits(f.scalar(FromBits(first))))
+         << " (" << lanes << " lanes, expf form "
+         << (kernels::ExpFma() ? "FMA" : "SSE2") << ")";
 }
 
 // Every 97th float (97 is odd, so every exponent, sign and low mantissa
-// bit turns up), ±2^12 ulps around each branch threshold of tanhf and of
-// the expm1f it calls, the special values, every length up to two
-// vectors and a tail, and in place.
-TEST_P(LaneWidthTest, TanhMatchesLibmBitForBit) {
-  const std::size_t lanes = GetParam();
+// bit turns up); ±2^12 ulps around each threshold, both signs; the
+// special values; every length up to two vectors and a tail, and in
+// place.
+void ExpectMatchesLibm(const LibmCase& f, std::size_t lanes,
+                       const std::vector<float>& thresholds) {
   std::vector<float> x;
   x.reserve(std::size_t{1} << 16);
   for (std::uint64_t u = 0; u < (std::uint64_t{1} << 32); u += 97) {
     x.push_back(FromBits(static_cast<std::uint32_t>(u)));
     if (x.size() == x.capacity()) {
-      ASSERT_TRUE(TanhMatchesLibm(lanes, x));
+      ASSERT_TRUE(MatchesLibm(f, lanes, x));
       x.clear();
     }
   }
-  ASSERT_TRUE(TanhMatchesLibm(lanes, x));
+  ASSERT_TRUE(MatchesLibm(f, lanes, x));
 
-  // |x| at each threshold: tanhf's 0, 2^-55, 1, 22 and inf; expm1f's on
-  // a = ±2|x|, halved: |a| = 2^-25, ln2/2, 1.5 ln2 and 27 ln2, and the
-  // a at which k = round(a/ln2) goes from −2 to −3, 22 to 23 and 56 to
-  // 57.
-  const double ln2 = std::log(2.0);
-  const float thresholds[] = {0.0f,
-                              FromBits(0x24000000),
-                              1.0f,
-                              22.0f,
-                              std::numeric_limits<float>::infinity(),
-                              FromBits(0x33000000) / 2.0f,
-                              FromBits(0x3eb17218) / 2.0f,
-                              FromBits(0x3f851592) / 2.0f,
-                              FromBits(0x4195b844) / 2.0f,
-                              static_cast<float>(2.5 * ln2 / 2.0),
-                              static_cast<float>(22.5 * ln2 / 2.0),
-                              static_cast<float>(56.5 * ln2 / 2.0)};
   x.clear();
   for (const float threshold : thresholds) {
-    const std::int64_t center = ToBits(threshold);
+    const std::int64_t center = ToBits(threshold) & 0x7fffffffu;
     for (std::int64_t u = std::max<std::int64_t>(0, center - 4096);
          u <= center + 4096; ++u) {
       const auto bits = static_cast<std::uint32_t>(u);
@@ -428,18 +454,19 @@ TEST_P(LaneWidthTest, TanhMatchesLibmBitForBit) {
       x.push_back(FromBits(bits | 0x80000000u));
     }
   }
-  EXPECT_TRUE(TanhMatchesLibm(lanes, x));
+  EXPECT_TRUE(MatchesLibm(f, lanes, x));
 
-  // ±0, ±inf, quiet and signalling NaNs of both signs, the extremes.
+  // ±0, ±inf, quiet and signalling NaNs of both signs, the extremes, and
+  // the two floats where glibc's two expf forms differ.
   x.clear();
   for (const std::uint32_t bits :
        {0x00000000u, 0x7f800000u, 0x7fc00000u, 0x7fc12345u, 0x7fffffffu,
         0x7f800001u, 0x7fa00000u, 0x7fbfffffu, 0x7f7fffffu, 0x00800000u,
-        0x00000001u, 0x007fffffu}) {
+        0x00000001u, 0x007fffffu, 0x4202422fu, 0x427c65d9u}) {
     x.push_back(FromBits(bits));
     x.push_back(FromBits(bits | 0x80000000u));
   }
-  EXPECT_TRUE(TanhMatchesLibm(lanes, x));
+  EXPECT_TRUE(MatchesLibm(f, lanes, x));
 
   // Every length to 2W + 1, out of place and in place; nothing past n is
   // written.
@@ -452,20 +479,17 @@ TEST_P(LaneWidthTest, TanhMatchesLibmBitForBit) {
       in[i] = static_cast<float>(rng.Normal(0.0, 2.0));
     }
     std::vector<float> want(n + 1, sentinel);
-    for (std::size_t i = 0; i < n; ++i) want[i] = std::tanh(in[i]);
+    for (std::size_t i = 0; i < n; ++i) want[i] = f.scalar(in[i]);
     std::vector<float> out(n + 1, sentinel);
-    kernels::internal::TanhAt(lanes, in.data(), out.data(), n);
+    f.kernel(lanes, in.data(), out.data(), n);
     EXPECT_TRUE(SameBits(out, want));
-    kernels::internal::TanhAt(lanes, in.data(), in.data(), n);
+    f.kernel(lanes, in.data(), in.data(), n);
     EXPECT_TRUE(SameBits(in, want));
   }
 }
 
-// All 2^32 floats, on four threads: about 20 s for both widths in a
-// RelWithDebInfo build. tools/ci_check.sh runs it in its -march=native
-// leg.
-TEST_P(LaneWidthTest, DISABLED_TanhMatchesLibmOnEveryFloat) {
-  const std::size_t lanes = GetParam();
+// All 2^32 floats, on four threads.
+void ExpectMatchesLibmOnEveryFloat(const LibmCase& f, std::size_t lanes) {
   constexpr std::uint64_t kThreads = 4;
   constexpr std::uint64_t kChunk = std::uint64_t{1} << 16;
   std::vector<std::uint64_t> differing(kThreads, 0);
@@ -480,7 +504,7 @@ TEST_P(LaneWidthTest, DISABLED_TanhMatchesLibmOnEveryFloat) {
           x[i] = FromBits(static_cast<std::uint32_t>(base + i));
         }
         std::uint32_t bad = 0;
-        const std::uint64_t d = TanhMismatches(lanes, x, &bad);
+        const std::uint64_t d = Mismatches(f, lanes, x, &bad);
         if (d != 0 && differing[t] == 0) first[t] = bad;
         differing[t] += d;
       }
@@ -493,25 +517,146 @@ TEST_P(LaneWidthTest, DISABLED_TanhMatchesLibmOnEveryFloat) {
   }
 }
 
+// The |x| at each threshold of expf: its |x| ≥ 88 branch, overflow,
+// underflow to 0 and to 0x1p-149, and the two floats where its forms
+// differ.
+std::vector<float> ExpThresholds() {
+  return {88.0f, 0x1.62e42ep6f, 0x1.9fe368p6f, 0x1.9d1d9ep6f,
+          FromBits(0x4202422f), FromBits(0x427c65d9)};
+}
+
+// The |x| at each threshold of log1pf: its k = 0 range (0x3ed413d7 and
+// 0xbe95f61f), 2^-29, 2^-54, −1 and 2^53 (0x5a000000); where 1 + x
+// crosses the mantissa split 0x3504f7 in three binades, and x itself
+// from 2^53 on; and where 1 + x or x is a power of two (|f| < 2^-20).
+std::vector<float> Log1pThresholds() {
+  return {FromBits(0x3ed413d7),
+          FromBits(0x3e95f61f),
+          FromBits(0x31000000),
+          FromBits(0x24800000),
+          1.0f,
+          FromBits(0x5a000000),
+          FromBits(0x3fb504f7) - 1.0f,
+          FromBits(0x403504f7) - 1.0f,
+          FromBits(0x3f3504f7) - 1.0f,
+          FromBits(0x5a3504f7),
+          3.0f,
+          0.5f,
+          0.75f,
+          FromBits(0x5b000000)};
+}
+
+// The composites call expf at −|x|, so its thresholds; softplus also
+// calls log1pf at e = expf(−|x|), so the |x| = −log e at which e crosses
+// log1pf's thresholds in (0, 1]: 2^-54, 2^-29, 0x3ed413d7, and the
+// mantissa split of 1 + e.
+std::vector<float> SoftplusThresholds() {
+  std::vector<float> t = ExpThresholds();
+  for (const double e : {0x1p-54, 0x1p-29,
+                         static_cast<double>(FromBits(0x3ed413d7)),
+                         static_cast<double>(FromBits(0x3fb504f7)) - 1.0}) {
+    t.push_back(static_cast<float>(-std::log(e)));
+  }
+  return t;
+}
+
+TEST_P(LaneWidthTest, TanhMatchesLibmBitForBit) {
+  // |x| at each threshold: tanhf's 0, 2^-55, 1, 22 and inf; expm1f's on
+  // a = ±2|x|, halved: |a| = 2^-25, ln2/2, 1.5 ln2 and 27 ln2, and the
+  // a at which k = round(a/ln2) goes from −2 to −3, 22 to 23 and 56 to
+  // 57.
+  const double ln2 = std::log(2.0);
+  ExpectMatchesLibm(kTanh, GetParam(),
+                    {0.0f, FromBits(0x24000000), 1.0f, 22.0f,
+                     std::numeric_limits<float>::infinity(),
+                     FromBits(0x33000000) / 2.0f, FromBits(0x3eb17218) / 2.0f,
+                     FromBits(0x3f851592) / 2.0f, FromBits(0x4195b844) / 2.0f,
+                     static_cast<float>(2.5 * ln2 / 2.0),
+                     static_cast<float>(22.5 * ln2 / 2.0),
+                     static_cast<float>(56.5 * ln2 / 2.0)});
+}
+
+TEST_P(LaneWidthTest, ExpMatchLibmBitForBit) {
+  ExpectMatchesLibm(kExp, GetParam(), ExpThresholds());
+}
+
+TEST_P(LaneWidthTest, Log1pMatchLibmBitForBit) {
+  ExpectMatchesLibm(kLog1p, GetParam(), Log1pThresholds());
+}
+
+TEST_P(LaneWidthTest, SigmoidMatchLibmBitForBit) {
+  ExpectMatchesLibm(kSigmoid, GetParam(), ExpThresholds());
+}
+
+TEST_P(LaneWidthTest, SoftplusMatchLibmBitForBit) {
+  ExpectMatchesLibm(kSoftplus, GetParam(), SoftplusThresholds());
+}
+
+// The sweeps of all 2^32 floats. tools/ci_check.sh runs them in its
+// -march=native leg, those that call expf under both of libm's forms.
+TEST_P(LaneWidthTest, DISABLED_TanhMatchesLibmOnEveryFloat) {
+  ExpectMatchesLibmOnEveryFloat(kTanh, GetParam());
+}
+
+TEST_P(LaneWidthTest, DISABLED_ExpMatchLibmOnEveryFloat) {
+  ExpectMatchesLibmOnEveryFloat(kExp, GetParam());
+}
+
+TEST_P(LaneWidthTest, DISABLED_Log1pMatchLibmOnEveryFloat) {
+  ExpectMatchesLibmOnEveryFloat(kLog1p, GetParam());
+}
+
+TEST_P(LaneWidthTest, DISABLED_SigmoidMatchLibmOnEveryFloat) {
+  ExpectMatchesLibmOnEveryFloat(kSigmoid, GetParam());
+}
+
+TEST_P(LaneWidthTest, DISABLED_SoftplusMatchLibmOnEveryFloat) {
+  ExpectMatchesLibmOnEveryFloat(kSoftplus, GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(Kernels, LaneWidthTest, ::testing::Values(4, 8),
                          [](const auto& info) {
                            return "Lanes" + std::to_string(info.param);
                          });
 
-// Dispatch runs the widest width this CPU has, the same for every call,
-// and publishes it in the registry.
+// Dispatch runs the widest width this CPU has and the expf form libm
+// resolved, the same for every call, and publishes both in the registry.
 TEST(KernelsTest, DispatchRunsTheWidestLanesAndPublishesThem) {
   const std::size_t lanes = kernels::GemmLanes();
   EXPECT_EQ(lanes, kernels::internal::CanRunLanes(8) ? 8u : 4u);
   EXPECT_TRUE(kernels::internal::CanRunLanes(4));
+  const bool fma = kernels::ExpFma();
+  EXPECT_TRUE(kernels::internal::CanRunLanes(lanes, fma));
   const float one = 1.0f;
   float c = 0.0f;
   GemmNN(1, 1, 1, &one, &one, &c);
-  EXPECT_EQ(obs::MetricsRegistry::Global()
-                .GetGauge("poisonrec_gemm_lanes")
-                ->Value(),
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  EXPECT_EQ(registry.GetGauge("poisonrec_gemm_lanes")->Value(),
             static_cast<double>(lanes));
+  EXPECT_EQ(registry.GetGauge("poisonrec_expf_fma")->Value(),
+            fma ? 1.0 : 0.0);
   EXPECT_EQ(kernels::GemmLanes(), lanes);
+  EXPECT_EQ(kernels::ExpFma(), fma);
+}
+
+// The form is libm's own: std::exp returns the chosen form's bits at
+// 0x4202422f, where the forms differ. Where GLIBC_TUNABLES masks FMA from
+// glibc's ifunc (tests/CMakeLists.txt runs the libm cases so) it is the
+// SSE2 form, so that run cannot check the FMA form a second time; with
+// no tunables it is the FMA form exactly on a CPU with FMA and AVX2, as
+// glibc 2.36 picks.
+TEST(KernelsTest, ExpFormFollowsLibm) {
+  volatile float probe = FromBits(0x4202422f);
+  EXPECT_EQ(ToBits(std::exp(probe)),
+            kernels::ExpFma() ? 0x56fc9f1cu : 0x56fc9f1bu);
+  const char* tunables = std::getenv("GLIBC_TUNABLES");
+  if (tunables == nullptr) {
+    EXPECT_EQ(kernels::ExpFma(), kernels::internal::CanRunLanes(4, true));
+  } else if (std::string(tunables).find("glibc.cpu.hwcaps=-FMA") !=
+             std::string::npos) {
+    EXPECT_FALSE(kernels::ExpFma())
+        << "GLIBC_TUNABLES=" << tunables << " left libm on __expf_fma";
+  }
 }
 
 TEST(KernelsTest, MatMulForwardAndBackwardUseKernelsCorrectly) {
