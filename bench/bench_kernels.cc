@@ -23,7 +23,24 @@
 //     gate blocks row by row and on one BCBT decision batch;
 //   - a second ladder for kernels::kParallelRowsMinWork, split at every
 //     size the same way: the LSTM gates' forward and backward and
-//     SparseMatMul's forward, from 2^10 (2^12) to 2^20 elements of work.
+//     SparseMatMul's forward, from 2^10 (2^12) to 2^20 elements of work;
+//   - NeuMF's products with 0, 1, 8 and 80 subnormal entries in B, where
+//     a dead hidden unit's weights would be, in the float rows and the
+//     exact-product rows at each lane width ("sub<count>_<shape>" rows,
+//     variant "<NN|TN|NT>/<float|exact>": seed_ms is the float rows'
+//     time, so speedup_1t is the float rows' time over this form's).
+//     NT's A has the zero columns ReLU's backward leaves where dead units
+//     meet B's subnormals;
+//   - the subnormal scan against the clean product at 1 to 8 rows, which
+//     places kernels::kSubnormalScanMinRows ("scan_<B shape>" rows,
+//     variant "scan/<m>": seed_ms is the scan's time over B, kernel_ms the
+//     m-row float product's, speedup_1t the scan's share of it);
+//   - on x86-64, the host's cost of the instructions behind the exact
+//     form: a float multiply with a subnormal input, one with normal
+//     inputs and a subnormal result, a float add with a subnormal input
+//     (and of two), the float → double and double → float conversions of
+//     subnormals, and a double multiply ("insn_*" rows: kernel_ms is the
+//     time per instruction, the table prints it in ns).
 //
 // The workload products are split only from kParallelMinWork on, as
 // the library runs them; below it their threaded columns read
@@ -40,11 +57,17 @@
 //   POISONREC_THREADS  comma list of threaded counts (default 2,4)
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <tuple>
 #include <vector>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 #include "bench/common.h"
 #include "nn/kernels.h"
@@ -94,22 +117,26 @@ void SeedGemm(Variant variant, std::size_t m, std::size_t k, std::size_t n,
   }
 }
 
+using nn::kernels::internal::Products;
+
 // The tiled kernel at a given lane width, through the kernels'
 // test-and-bench entry point (dispatch would always pick the widest),
-// split across the thread budget from `min_work` multiply-accumulates on.
+// split across the thread budget from `min_work` multiply-accumulates on,
+// in the products' form the library would choose or in a forced one.
 void Kernel(Variant variant, std::size_t lanes, std::size_t min_work,
             std::size_t m, std::size_t k, std::size_t n, const float* a,
-            const float* b, float* c) {
+            const float* b, float* c,
+            Products products = Products::kChosen) {
   switch (variant) {
     case Variant::kNN:
       return nn::kernels::internal::GemmNNAt(lanes, m, k, n, a, b, c,
-                                             min_work);
+                                             min_work, products);
     case Variant::kTN:
       return nn::kernels::internal::GemmTNAt(lanes, m, k, n, a, b, c,
-                                             min_work);
+                                             min_work, products);
     case Variant::kNT:
       return nn::kernels::internal::GemmNTAt(lanes, m, k, n, a, b, c,
-                                             min_work);
+                                             min_work, products);
   }
 }
 
@@ -181,6 +208,38 @@ float ScalarSoftplus(float x) {
   const float l = std::log1p(std::exp(x > 0.0f ? -x : x));
   return x > 0.0f ? x + l : l;
 }
+
+// A subnormal of either sign, its mantissa uniform over [1, 2^23).
+float Subnormal(Rng* rng) {
+  std::uint32_t bits = static_cast<std::uint32_t>(rng->Index(0x7fffff)) + 1;
+  if (rng->Index(2) == 1) bits |= 0x80000000u;
+  float f;
+  std::memcpy(&f, &bits, sizeof(f));
+  return f;
+}
+
+#if defined(__x86_64__)
+// Nanoseconds per instruction of op(x, y), from 8 independent copies per
+// iteration: the empty asm hides x's value, so the compiler cannot hoist
+// op out of the loop, and consumes each result.
+template <typename In, typename Op>
+double NsPerInstruction(std::size_t repeats, In x, In y, const Op& op) {
+  constexpr int kIterations = 1024;
+  constexpr int kCopies = 8;
+  const double seconds = MinSeconds(repeats, [&] {
+    for (int it = 0; it < kIterations; ++it) {
+#pragma GCC unroll 8
+      for (int c = 0; c < kCopies; ++c) {
+        In xc = x;
+        asm volatile("" : "+x"(xc));
+        const auto out = op(xc, y);
+        asm volatile("" : : "x"(out));
+      }
+    }
+  });
+  return seconds * 1e9 / (kIterations * kCopies);
+}
+#endif
 
 // A libm kernel at a lane width and expf form, and its scalar loop.
 struct LibmKernel {
@@ -474,6 +533,163 @@ int Main() {
            nn::internal::SparseMatMulAt(a, x, 0);
          });
   }
+
+  // NeuMF's products with subnormal entries in B where a dead hidden
+  // unit's weights would be: NN's and TN's B (k×n) fill column j by
+  // column, NT's B (n×k) fills column kk by column, and in the two NT
+  // products behind a ReLU the dead units' columns of A (dH) are zero.
+  // One thread; both forms at each width, forced, on the same operands.
+  struct SubnormalShape {
+    const char* label;
+    Variant variant;
+    std::size_t m, k, n;
+    bool relu_a;  // NT: A's columns that meet a subnormal B column are 0
+  };
+  for (const SubnormalShape& s : {
+           SubnormalShape{"neumf_mlp1", Variant::kNN, 63, 32, 16, false},
+           {"neumf_mlp2", Variant::kNN, 63, 16, 8, false},
+           {"neumf_score", Variant::kNN, 100, 32, 16, false},
+           {"neumf_mlp1_dx", Variant::kNT, 63, 16, 32, true},
+           {"neumf_mlp2_dx", Variant::kNT, 63, 8, 16, true},
+           {"neumf_fuse_dx", Variant::kNT, 63, 1, 24, false},
+           {"neumf_mlp1_dw", Variant::kTN, 32, 63, 16, false}}) {
+    for (const std::size_t count : {0, 1, 8, 80}) {
+      std::vector<float> a(s.m * s.k);
+      std::vector<float> b(s.k * s.n);
+      for (float& v : a) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
+      for (float& v : b) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
+      for (std::size_t p = 0; p < std::min(count, b.size()); ++p) {
+        if (s.variant == Variant::kNT) {
+          const std::size_t kk = p / s.n, j = p % s.n;
+          b[j * s.k + kk] = Subnormal(&rng);
+          if (s.relu_a) {
+            for (std::size_t i = 0; i < s.m; ++i) a[i * s.k + kk] = 0.0f;
+          }
+        } else {
+          b[(p % s.k) * s.n + p / s.k] = Subnormal(&rng);
+        }
+      }
+      std::vector<float> c(s.m * s.n, 0.0f);
+      const std::string label =
+          "sub" + std::to_string(count) + "_" + s.label;
+      const double flops = 2.0 * static_cast<double>(s.m * s.k * s.n);
+      for (const std::size_t lanes : lane_widths) {
+        nn::SetNumThreads(1);
+        const auto time = [&](Products products) {
+          return MinSeconds(repeats, [&] {
+            Kernel(s.variant, lanes, nn::kernels::kParallelMinWork, s.m, s.k,
+                   s.n, a.data(), b.data(), c.data(), products);
+          });
+        };
+        const double float_s = time(Products::kFloat);
+        const double exact_s = time(Products::kExact);
+        nn::SetNumThreads(0);
+        for (const auto& [form, one_s] :
+             {std::pair<const char*, double>{"float", float_s},
+              {"exact", exact_s}}) {
+          const std::string variant =
+              std::string(VariantName(s.variant)) + "/" + form;
+          PrintTableRow({label, variant,
+                         std::to_string(s.m) + "x" + std::to_string(s.k) +
+                             "x" + std::to_string(s.n),
+                         std::to_string(lanes), "1",
+                         Fmt(float_s * 1e6, "%.3f"), Fmt(one_s * 1e6, "%.3f"),
+                         "unsplit", Fmt(flops / one_s * 1e-9, "%.2f"),
+                         Fmt(float_s / one_s, "%.2f"), "unsplit"});
+          rows.push_back({label, variant, std::to_string(s.m),
+                          std::to_string(s.k), std::to_string(s.n),
+                          std::to_string(lanes), "1",
+                          Fmt(float_s * 1e3, "%.5f"), Fmt(one_s * 1e3, "%.5f"),
+                          "unsplit", Fmt(flops / one_s * 1e-9, "%.3f"), "-",
+                          Fmt(float_s / one_s, "%.3f"), "unsplit"});
+        }
+      }
+    }
+  }
+
+  // The subnormal scan over a clean B against the m-row float product
+  // that would pay for it, for GRU4Rec's cell (B 16×48), NeuMF's first
+  // MLP layer (32×16) and the attacker's LSTM (16×64), all NN.
+  for (const auto& [label, k, n] :
+       {std::tuple<const char*, std::size_t, std::size_t>{"scan_gru4rec_cell",
+                                                          16, 48},
+        {"scan_neumf_mlp1", 32, 16},
+        {"scan_attacker_lstm", 16, 64}}) {
+    std::vector<float> b(k * n);
+    for (float& v : b) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
+    for (const std::size_t lanes : lane_widths) {
+      nn::SetNumThreads(1);
+      bool found = false;
+      const double scan_s = MinSeconds(repeats, [&] {
+        found |= nn::kernels::internal::HasSubnormalAt(lanes, b.data(),
+                                                        b.size());
+      });
+      if (found) std::printf("scan: a clean B read as subnormal\n");
+      for (const std::size_t m : {1, 2, 3, 4, 8}) {
+        std::vector<float> a(m * k);
+        for (float& v : a) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
+        std::vector<float> c(m * n, 0.0f);
+        const double one_s = MinSeconds(repeats, [&] {
+          Kernel(Variant::kNN, lanes, nn::kernels::kParallelMinWork, m, k, n,
+                 a.data(), b.data(), c.data(), Products::kFloat);
+        });
+        const std::string variant = "scan/" + std::to_string(m);
+        PrintTableRow({label, variant,
+                       std::to_string(m) + "x" + std::to_string(k) + "x" +
+                           std::to_string(n),
+                       std::to_string(lanes), "1", Fmt(scan_s * 1e6, "%.3f"),
+                       Fmt(one_s * 1e6, "%.3f"), "unsplit", "-",
+                       Fmt(scan_s / one_s, "%.3f"), "unsplit"});
+        rows.push_back({label, variant, std::to_string(m), std::to_string(k),
+                        std::to_string(n), std::to_string(lanes), "1",
+                        Fmt(scan_s * 1e3, "%.6f"), Fmt(one_s * 1e3, "%.6f"),
+                        "unsplit", "-", "-", Fmt(scan_s / one_s, "%.4f"),
+                        "unsplit"});
+      }
+      nn::SetNumThreads(0);
+    }
+  }
+
+#if defined(__x86_64__)
+  // The host's cost per instruction, 4-lane SSE forms (the VEX forms
+  // behave alike): each row's operands keep the class it names.
+  {
+    const __m128 sub = _mm_set1_ps(0x1.8p-130f);
+    const __m128 one = _mm_set1_ps(1.0f);
+    const __m128 big = _mm_set1_ps(0x1p30f);
+    const __m128 tiny = _mm_set1_ps(0x1p-70f);
+    const __m128 normal = _mm_set1_ps(1.5f);
+    const __m128d tiny_d = _mm_set1_pd(0x1p-140);
+    const __m128d normal_d = _mm_set1_pd(1.5);
+    const auto mul = [](__m128 x, __m128 y) { return _mm_mul_ps(x, y); };
+    const auto add = [](__m128 x, __m128 y) { return _mm_add_ps(x, y); };
+    const auto to_d = [](__m128 x, __m128) { return _mm_cvtps_pd(x); };
+    const auto to_f = [](__m128d x, __m128d) { return _mm_cvtpd_ps(x); };
+    const auto mul_d = [](__m128d x, __m128d y) { return _mm_mul_pd(x, y); };
+    const std::pair<const char*, double> costs[] = {
+        {"insn_mulps_normal", NsPerInstruction(repeats, normal, normal, mul)},
+        {"insn_mulps_subnormal_input",
+         NsPerInstruction(repeats, sub, big, mul)},
+        {"insn_mulps_subnormal_result",
+         NsPerInstruction(repeats, tiny, tiny, mul)},
+        {"insn_addps_subnormal_input",
+         NsPerInstruction(repeats, sub, one, add)},
+        {"insn_addps_subnormal_both", NsPerInstruction(repeats, sub, sub, add)},
+        {"insn_cvtps2pd_subnormal", NsPerInstruction(repeats, sub, sub, to_d)},
+        {"insn_cvtpd2ps_to_subnormal",
+         NsPerInstruction(repeats, tiny_d, tiny_d, to_f)},
+        {"insn_mulpd", NsPerInstruction(repeats, normal_d, normal_d, mul_d)},
+    };
+    for (const auto& [label, ns] : costs) {
+      PrintTableRow({label, "insn", "1x1x1", "4", "1", "-",
+                     Fmt(ns * 1e-3, "%.5f"), "unsplit",
+                     Fmt(ns, "%.2f") + "ns/op", "-", "unsplit"});
+      rows.push_back({label, "insn", "1", "1", "1", "4", "1", "-",
+                      Fmt(ns * 1e-6, "%.8f"), "unsplit", "-", "-", "-",
+                      "unsplit"});
+    }
+  }
+#endif
 
   WriteCsvOutput(config, "kernel_timing.csv", rows);
   WriteJsonOutput(config, "kernel_timing.json", rows);

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <limits>
 #include <thread>
+#include <type_traits>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -67,6 +68,115 @@ inline void Store(float* p, const Vec<W>& v) {
   std::memcpy(p, &v, sizeof(v));
 }
 
+// The double-precision parts run four lanes at a time: one AVX register,
+// or two SSE2 ones. Eight lanes of doubles are held as two such halves:
+// one 64-byte vector spills.
+using D4 = DVec<4>;
+
+// ---- Products: the float multiply, or the exact product rounded once ----
+//
+// A float product a·b has at most 48 significant bits and an exponent in
+// [−298, 256], both inside double's normal range, so double(a)·double(b)
+// is exact, and its conversion to float rounds it once, under the same
+// MXCSR rounding mode as the float multiply: the same bits for every a
+// and b, signed zeros, subnormal results, underflow to zero, overflow to
+// inf and NaNs included. The float multiply takes a microcode assist
+// (about 31 ns on a Xeon) whenever an input or its result is subnormal;
+// the widening, the double multiply and the narrowing take none
+// (docs/performance.md). The row templates take one of two tags, and
+// Gemm runs the ExactProducts rows when B holds a subnormal.
+//
+// GCC rewrites a scalar float(double(a)·double(b)) as a float multiply
+// (legal, since double has more than 2·24 + 2 bits, and exactly what the
+// exact form must avoid); it keeps vector conversions, so every exact
+// product below is one. tools/ci_check.sh fails if an ExactProducts
+// function holds a float multiply.
+struct FloatProducts {};
+struct ExactProducts {};
+
+template <typename Prod>
+inline constexpr bool kExact = std::is_same_v<Prod, ExactProducts>;
+
+#if defined(__x86_64__)
+// The exact products at x86-64's widths, in intrinsics: GCC 12 moves a
+// generic vector of 4 doubles through memory on SSE2, and widens 4
+// floats in two halves even where one AVX instruction does it.
+//
+// p = a·b in 4 lanes, each side widened in two halves of two doubles.
+inline void ExactMul(const F4& a, const F4& b, F4* p) {
+  const __m128d lo = _mm_mul_pd(_mm_cvtps_pd(a), _mm_cvtps_pd(b));
+  const __m128d hi = _mm_mul_pd(_mm_cvtps_pd(_mm_movehl_ps(a, a)),
+                                _mm_cvtps_pd(_mm_movehl_ps(b, b)));
+  *p = _mm_movelh_ps(_mm_cvtpd_ps(lo), _mm_cvtpd_ps(hi));
+}
+
+// p = a·b in 4 lanes, a in every lane.
+inline void ExactMul(float a, const F4& b, F4* p) {
+  const __m128d ad = _mm_set1_pd(a);
+  const __m128d lo = _mm_mul_pd(ad, _mm_cvtps_pd(b));
+  const __m128d hi = _mm_mul_pd(ad, _mm_cvtps_pd(_mm_movehl_ps(b, b)));
+  *p = _mm_movelh_ps(_mm_cvtpd_ps(lo), _mm_cvtpd_ps(hi));
+}
+
+#pragma GCC push_options
+#pragma GCC target("avx2")
+// The same in 8 lanes, as two halves of 4 doubles. Built for AVX2, so
+// only the 8-lane functions can inline them.
+inline void ExactMul(const Vec<8>& a, const Vec<8>& b, Vec<8>* p) {
+  const __m256d lo =
+      _mm256_mul_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(a)),
+                    _mm256_cvtps_pd(_mm256_castps256_ps128(b)));
+  const __m256d hi =
+      _mm256_mul_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(a, 1)),
+                    _mm256_cvtps_pd(_mm256_extractf128_ps(b, 1)));
+  *p = _mm256_insertf128_ps(_mm256_castps128_ps256(_mm256_cvtpd_ps(lo)),
+                            _mm256_cvtpd_ps(hi), 1);
+}
+
+inline void ExactMul(float a, const Vec<8>& b, Vec<8>* p) {
+  const __m256d ad = _mm256_set1_pd(a);
+  const __m256d lo =
+      _mm256_mul_pd(ad, _mm256_cvtps_pd(_mm256_castps256_ps128(b)));
+  const __m256d hi =
+      _mm256_mul_pd(ad, _mm256_cvtps_pd(_mm256_extractf128_ps(b, 1)));
+  *p = _mm256_insertf128_ps(_mm256_castps128_ps256(_mm256_cvtpd_ps(lo)),
+                            _mm256_cvtpd_ps(hi), 1);
+}
+#pragma GCC pop_options
+#else
+// Elsewhere the vector extension's conversions (only W = 4 runs there).
+inline void ExactMul(const F4& a, const F4& b, F4* p) {
+  *p = __builtin_convertvector(
+      __builtin_convertvector(a, D4) * __builtin_convertvector(b, D4), F4);
+}
+
+inline void ExactMul(float a, const F4& b, F4* p) {
+  *p = __builtin_convertvector(
+      static_cast<double>(a) * __builtin_convertvector(b, D4), F4);
+}
+#endif
+
+// p = a·b lane by lane; a is a vector, or a float in every lane.
+template <typename Prod, int W, typename A>
+inline void Mul(const A& a, const Vec<W>& b, Vec<W>* p) {
+  if constexpr (kExact<Prod>) {
+    ExactMul(a, b, p);
+  } else {
+    *p = a * b;
+  }
+}
+
+// a·b for one pair: the exact form in one lane of two.
+template <typename Prod>
+inline float Mul(float a, float b) {
+  if constexpr (!kExact<Prod>) {
+    return a * b;
+  } else {
+    const DVec<2> ad = {static_cast<double>(a), static_cast<double>(a)};
+    return __builtin_convertvector(ad * static_cast<double>(b), Vec<2>)[0];
+  }
+}
+
 // The tiles below hold their accumulators in arrays indexed by constant
 // loops. `#pragma GCC unroll` fully unrolls those loops so the arrays
 // live in registers; GCC 12 at -O2 leaves them rolled otherwise, with
@@ -83,8 +193,9 @@ inline float AAt(const float* a, std::size_t m, std::size_t k, std::size_t i,
 }
 
 // Rows [i, i+R) × columns [j, j+W·V) over steps [k0, k1): R·V vector
-// accumulators, each lane one output's chain.
-template <bool kTransA, int W, int R, int V>
+// accumulators, each lane one output's chain. Prod, here and below, is
+// the products' form: FloatProducts or ExactProducts.
+template <bool kTransA, int W, int R, int V, typename Prod>
 inline void TileNN(std::size_t i, std::size_t j, std::size_t k0,
                    std::size_t k1, std::size_t m, std::size_t k,
                    std::size_t n, const float* a, const float* b, float* c) {
@@ -109,7 +220,11 @@ inline void TileNN(std::size_t i, std::size_t j, std::size_t k0,
       const float av =
           kTransA && R == 4 ? at[r] : AAt<kTransA>(a, m, k, i + r, kk);
 #pragma GCC unroll 8
-      for (int v = 0; v < V; ++v) acc[r][v] = acc[r][v] + av * bv[v];
+      for (int v = 0; v < V; ++v) {
+        Vec<W> product;
+        Mul<Prod, W>(av, bv[v], &product);
+        acc[r][v] = acc[r][v] + product;
+      }
     }
   }
 #pragma GCC unroll 4
@@ -121,8 +236,9 @@ inline void TileNN(std::size_t i, std::size_t j, std::size_t k0,
   }
 }
 
-// One column j of rows [i, i+R): R scalar chains.
-template <bool kTransA, int R>
+// One column j of rows [i, i+R): R scalar chains. The exact form takes
+// the 4 rows' products as one vector.
+template <bool kTransA, int R, typename Prod>
 inline void ColumnNN(std::size_t i, std::size_t j, std::size_t k0,
                      std::size_t k1, std::size_t m, std::size_t k,
                      std::size_t n, const float* a, const float* b, float* c) {
@@ -131,9 +247,20 @@ inline void ColumnNN(std::size_t i, std::size_t j, std::size_t k0,
   for (int r = 0; r < R; ++r) acc[r] = c[(i + r) * n + j];
   for (std::size_t kk = k0; kk < k1; ++kk) {
     const float bv = b[kk * n + j];
+    if constexpr (kExact<Prod> && R == 4) {
+      const F4 av = {AAt<kTransA>(a, m, k, i, kk),
+                     AAt<kTransA>(a, m, k, i + 1, kk),
+                     AAt<kTransA>(a, m, k, i + 2, kk),
+                     AAt<kTransA>(a, m, k, i + 3, kk)};
+      F4 product;
+      Mul<Prod, 4>(bv, av, &product);
 #pragma GCC unroll 4
-    for (int r = 0; r < R; ++r) {
-      acc[r] = acc[r] + AAt<kTransA>(a, m, k, i + r, kk) * bv;
+      for (int r = 0; r < R; ++r) acc[r] = acc[r] + product[r];
+    } else {
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) {
+        acc[r] = acc[r] + Mul<Prod>(AAt<kTransA>(a, m, k, i + r, kk), bv);
+      }
     }
   }
 #pragma GCC unroll 4
@@ -143,37 +270,39 @@ inline void ColumnNN(std::size_t i, std::size_t j, std::size_t k0,
 // Columns [j, n) of rows [i, i+R): tiles of V vectors, then one of each
 // narrower vector count, then (at W = 8) one 4-lane tile, then single
 // columns.
-template <bool kTransA, int W, int R, int V>
+template <bool kTransA, int W, int R, int V, typename Prod>
 inline void ColumnTilesNN(std::size_t i, std::size_t j, std::size_t k0,
                           std::size_t k1, std::size_t m, std::size_t k,
                           std::size_t n, const float* a, const float* b,
                           float* c) {
   for (; j + W * V <= n; j += W * V) {
-    TileNN<kTransA, W, R, V>(i, j, k0, k1, m, k, n, a, b, c);
+    TileNN<kTransA, W, R, V, Prod>(i, j, k0, k1, m, k, n, a, b, c);
   }
   if constexpr (V > 1) {
-    ColumnTilesNN<kTransA, W, R, V / 2>(i, j, k0, k1, m, k, n, a, b, c);
+    ColumnTilesNN<kTransA, W, R, V / 2, Prod>(i, j, k0, k1, m, k, n, a, b, c);
   } else if constexpr (W > 4) {
-    ColumnTilesNN<kTransA, 4, R, 1>(i, j, k0, k1, m, k, n, a, b, c);
+    ColumnTilesNN<kTransA, 4, R, 1, Prod>(i, j, k0, k1, m, k, n, a, b, c);
   } else {
-    for (; j < n; ++j) ColumnNN<kTransA, R>(i, j, k0, k1, m, k, n, a, b, c);
+    for (; j < n; ++j) {
+      ColumnNN<kTransA, R, Prod>(i, j, k0, k1, m, k, n, a, b, c);
+    }
   }
 }
 
 // Rows [i0, i1) of C: 4×2W tiles, and 1×4W tiles for the last m mod 4
 // rows (a single row needs the wider tile for enough independent
 // chains).
-template <bool kTransA, int W>
+template <bool kTransA, int W, typename Prod>
 void GemmRows(std::size_t i0, std::size_t i1, std::size_t m, std::size_t k,
               std::size_t n, const float* a, const float* b, float* c) {
   for (std::size_t k0 = 0; k0 < k; k0 += kBlockK) {
     const std::size_t k1 = std::min(k, k0 + kBlockK);
     std::size_t i = i0;
     for (; i + 4 <= i1; i += 4) {
-      ColumnTilesNN<kTransA, W, 4, 2>(i, 0, k0, k1, m, k, n, a, b, c);
+      ColumnTilesNN<kTransA, W, 4, 2, Prod>(i, 0, k0, k1, m, k, n, a, b, c);
     }
     for (; i < i1; ++i) {
-      ColumnTilesNN<kTransA, W, 1, 4>(i, 0, k0, k1, m, k, n, a, b, c);
+      ColumnTilesNN<kTransA, W, 1, 4, Prod>(i, 0, k0, k1, m, k, n, a, b, c);
     }
   }
 }
@@ -183,17 +312,20 @@ void GemmRows(std::size_t i0, std::size_t i1, std::size_t m, std::size_t k,
 // The order contract for one output in scalar form, for the columns no
 // tile covers: lane l sums kk ≡ l (mod 4) below k4, the tail sums
 // kk ≥ k4, each from +0.
+template <typename Prod>
 inline void DotNT(const float* arow, const float* brow, std::size_t k,
                   std::size_t k4, float* cij) {
   float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
   for (std::size_t kk = 0; kk < k4; kk += 4) {
-    s0 = s0 + arow[kk] * brow[kk];
-    s1 = s1 + arow[kk + 1] * brow[kk + 1];
-    s2 = s2 + arow[kk + 2] * brow[kk + 2];
-    s3 = s3 + arow[kk + 3] * brow[kk + 3];
+    s0 = s0 + Mul<Prod>(arow[kk], brow[kk]);
+    s1 = s1 + Mul<Prod>(arow[kk + 1], brow[kk + 1]);
+    s2 = s2 + Mul<Prod>(arow[kk + 2], brow[kk + 2]);
+    s3 = s3 + Mul<Prod>(arow[kk + 3], brow[kk + 3]);
   }
   float tail = 0.0f;
-  for (std::size_t kk = k4; kk < k; ++kk) tail = tail + arow[kk] * brow[kk];
+  for (std::size_t kk = k4; kk < k; ++kk) {
+    tail = tail + Mul<Prod>(arow[kk], brow[kk]);
+  }
   *cij = *cij + (((s0 + s1) + (s2 + s3)) + tail);
 }
 
@@ -228,7 +360,7 @@ inline void LaneOfFour(const Vec<W>* x, int l, F4* s) {
 // per row, lane 4p+l of register q holding output j+P·q+p's s_l. Per
 // four columns the combine regroups lanes into outputs and runs four
 // outputs per 4-lane vector op.
-template <int W, int R, int Q>
+template <int W, int R, int Q, typename Prod>
 inline void TileNT(std::size_t i, std::size_t j, std::size_t k,
                    std::size_t k4, std::size_t n, const float* a,
                    const float* b, float* c) {
@@ -243,7 +375,11 @@ inline void TileNT(std::size_t i, std::size_t j, std::size_t k,
       Vec<W> bv;
       LoadQuads<W>(b + (j + P * q) * k + kk, k, &bv);
 #pragma GCC unroll 4
-      for (int r = 0; r < R; ++r) acc[r][q] = acc[r][q] + av[r] * bv;
+      for (int r = 0; r < R; ++r) {
+        Vec<W> product;
+        Mul<Prod, W>(av[r], bv, &product);
+        acc[r][q] = acc[r][q] + product;
+      }
     }
   }
 #pragma GCC unroll 4
@@ -261,7 +397,9 @@ inline void TileNT(std::size_t i, std::size_t j, std::size_t k,
       for (std::size_t kk = k4; kk < k; ++kk) {
         const float* bk = b + (j + g) * k + kk;
         const F4 bv = {bk[0], bk[k], bk[2 * k], bk[3 * k]};
-        tail = tail + arow[kk] * bv;
+        F4 product;
+        Mul<Prod, 4>(arow[kk], bv, &product);
+        tail = tail + product;
       }
       float* cij = c + (i + r) * n + j + g;
       F4 cv;
@@ -273,22 +411,22 @@ inline void TileNT(std::size_t i, std::size_t j, std::size_t k,
 
 // Columns [0, n) of rows [i, i+R): tiles of Q columns, one of 4 if Q is
 // wider, then the scalar dot per remaining output.
-template <int W, int R, int Q>
+template <int W, int R, int Q, typename Prod>
 inline void ColumnTilesNT(std::size_t i, std::size_t k, std::size_t k4,
                           std::size_t n, const float* a, const float* b,
                           float* c) {
   std::size_t j = 0;
-  for (; j + Q <= n; j += Q) TileNT<W, R, Q>(i, j, k, k4, n, a, b, c);
+  for (; j + Q <= n; j += Q) TileNT<W, R, Q, Prod>(i, j, k, k4, n, a, b, c);
   if constexpr (Q > 4) {
     if (j + 4 <= n) {
-      TileNT<W, R, 4>(i, j, k, k4, n, a, b, c);
+      TileNT<W, R, 4, Prod>(i, j, k, k4, n, a, b, c);
       j += 4;
     }
   }
   for (; j < n; ++j) {
 #pragma GCC unroll 2
     for (int r = 0; r < R; ++r) {
-      DotNT(a + (i + r) * k, b + j * k, k, k4, c + (i + r) * n + j);
+      DotNT<Prod>(a + (i + r) * k, b + j * k, k, k4, c + (i + r) * n + j);
     }
   }
 }
@@ -297,18 +435,43 @@ inline void ColumnTilesNT(std::size_t i, std::size_t k, std::size_t k4,
 // c + (+0 + tail), the tail summed from +0 in ascending kk, which is
 // DotNT's expression. The tiles would spend the product zeroing and
 // combining empty lanes; with K a constant this column loop vectorizes.
-template <std::size_t K>
+// The compiler leaves the exact products' loop scalar, so that form runs
+// W columns at a time by hand, each kk's B values gathered from their
+// K-strided rows into one vector.
+template <std::size_t K, int W, typename Prod>
 inline void ShortNTRows(std::size_t i0, std::size_t i1, std::size_t n,
                         const float* __restrict a,
                         const float* __restrict b, float* __restrict c) {
   for (std::size_t i = i0; i < i1; ++i) {
     const float* arow = a + i * K;
     float* crow = c + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
+    std::size_t j = 0;
+    if constexpr (kExact<Prod>) {
+      for (; j + W <= n; j += W) {
+        Vec<W> tail = {};
+#pragma GCC unroll 4
+        for (std::size_t kk = 0; kk < K; ++kk) {
+          Vec<W> bv;
+          if constexpr (K == 1) {
+            Load<W>(b + j, &bv);
+          } else {
+#pragma GCC unroll 8
+            for (int l = 0; l < W; ++l) bv[l] = b[(j + l) * K + kk];
+          }
+          Vec<W> product;
+          Mul<Prod, W>(arow[kk], bv, &product);
+          tail = tail + product;
+        }
+        Vec<W> cv;
+        Load<W>(crow + j, &cv);
+        Store<W>(crow + j, cv + (0.0f + tail));
+      }
+    }
+    for (; j < n; ++j) {
       float tail = 0.0f;
 #pragma GCC unroll 4
       for (std::size_t kk = 0; kk < K; ++kk) {
-        tail = tail + arow[kk] * b[j * K + kk];
+        tail = tail + Mul<Prod>(arow[kk], b[j * K + kk]);
       }
       crow[j] = crow[j] + (0.0f + tail);
     }
@@ -318,20 +481,60 @@ inline void ShortNTRows(std::size_t i0, std::size_t i1, std::size_t n,
 // Rows [i0, i1) of C: 2×W tiles (8 registers at W = 8, 8 chains at
 // W = 4), and 1×8 tiles for an odd last row; ShortNTRows for k < 4. m
 // is unused; it keeps the row functions' signatures alike.
-template <int W>
+template <int W, typename Prod>
 void GemmNTRows(std::size_t i0, std::size_t i1, std::size_t /*m*/,
                 std::size_t k, std::size_t n, const float* a, const float* b,
                 float* c) {
   switch (k) {
-    case 1: return ShortNTRows<1>(i0, i1, n, a, b, c);
-    case 2: return ShortNTRows<2>(i0, i1, n, a, b, c);
-    case 3: return ShortNTRows<3>(i0, i1, n, a, b, c);
+    case 1: return ShortNTRows<1, W, Prod>(i0, i1, n, a, b, c);
+    case 2: return ShortNTRows<2, W, Prod>(i0, i1, n, a, b, c);
+    case 3: return ShortNTRows<3, W, Prod>(i0, i1, n, a, b, c);
     default: break;
   }
   const std::size_t k4 = k - k % 4;
   std::size_t i = i0;
-  for (; i + 2 <= i1; i += 2) ColumnTilesNT<W, 2, W>(i, k, k4, n, a, b, c);
-  if (i < i1) ColumnTilesNT<W, 1, 8>(i, k, k4, n, a, b, c);
+  for (; i + 2 <= i1; i += 2) {
+    ColumnTilesNT<W, 2, W, Prod>(i, k, k4, n, a, b, c);
+  }
+  if (i < i1) ColumnTilesNT<W, 1, 8, Prod>(i, k, k4, n, a, b, c);
+}
+
+// Whether any of x's n floats is subnormal (exponent bits 0, mantissa
+// not): |x|'s bits minus 1, unsigned, below 0x7fffff, which is the signed
+// test (|x|'s bits + 0x7fffffff) < 0x807fffff that SSE2 has. One pass, W
+// lanes at a time, with no early exit (a clean B, the common case, is
+// read through anyway).
+template <int W>
+bool HasSubnormal(const float* x, std::size_t n) {
+  using U = UVec<W>;
+  using I = IVec<W>;
+  I found = {};
+  std::size_t i = 0;
+#pragma GCC unroll 4
+  for (; i + W <= n; i += W) {
+    U bits;
+    std::memcpy(&bits, x + i, sizeof(bits));
+    found |= reinterpret_cast<I>((bits & 0x7fffffffu) + 0x7fffffffu) <
+             static_cast<std::int32_t>(0x807fffffu);
+  }
+  // Fold the lanes in halves: fewer instructions than reading each lane,
+  // which the small B of GRU4Rec's outer products notices.
+  IVec<4> folded;
+  if constexpr (W == 8) {
+    folded = __builtin_shufflevector(found, found, 0, 1, 2, 3) |
+             __builtin_shufflevector(found, found, 4, 5, 6, 7);
+  } else {
+    folded = found;
+  }
+  folded |= __builtin_shufflevector(folded, folded, 2, 3, 0, 1);
+  folded |= __builtin_shufflevector(folded, folded, 1, 0, 3, 2);
+  bool any = folded[0] != 0;
+  for (; i < n; ++i) {
+    std::uint32_t bits;
+    std::memcpy(&bits, x + i, sizeof(bits));
+    any |= (bits & 0x7fffffffu) - 1u < 0x7fffffu;
+  }
+  return any;
 }
 
 // ---- The libm routines, lane by lane ----
@@ -494,10 +697,6 @@ constexpr double kShift = 0x1.8p+52;
 constexpr double kExpC0 = 0x1.c6af84b912394p-20;
 constexpr double kExpC1 = 0x1.ebfce50fac4f3p-13;
 constexpr double kExpC2 = 0x1.62e42ff0c52d6p-6;
-
-// The double-precision part runs four lanes at a time: one AVX register,
-// or two SSE2 ones.
-using D4 = DVec<4>;
 
 #if defined(__x86_64__)
 #pragma GCC push_options
@@ -751,6 +950,7 @@ using RowsFn = void (*)(std::size_t i0, std::size_t i1, std::size_t m,
                         std::size_t k, std::size_t n, const float* a,
                         const float* b, float* c);
 using MapFn = void (*)(const float* x, float* y, std::size_t n);
+using ScanFn = bool (*)(const float* x, std::size_t n);
 
 enum Variant { kNN, kTN, kNT };
 
@@ -758,7 +958,9 @@ enum Variant { kNN, kTN, kNT };
 struct RowKernels {
   std::size_t lanes;
   bool fma;  // __expf_fma's form, not __expf_sse2's
-  RowsFn rows[3];  // indexed by Variant
+  RowsFn rows[3];        // float products, indexed by Variant
+  RowsFn exact_rows[3];  // exact products, for a B that holds a subnormal
+  ScanFn has_subnormal;
   MapFn tanh, log1p, exp, sigmoid, softplus;
 };
 
@@ -780,8 +982,13 @@ void MapRowFma(const float* x, float* y, std::size_t n) {
 
 constexpr RowKernels kRows4 = {4,
                                false,
-                               {GemmRows<false, 4>, GemmRows<true, 4>,
-                                GemmNTRows<4>},
+                               {GemmRows<false, 4, FloatProducts>,
+                                GemmRows<true, 4, FloatProducts>,
+                                GemmNTRows<4, FloatProducts>},
+                               {GemmRows<false, 4, ExactProducts>,
+                                GemmRows<true, 4, ExactProducts>,
+                                GemmNTRows<4, ExactProducts>},
+                               HasSubnormal<4>,
                                MapRow<4, TanhLanes<4>>,
                                MapRow<4, Log1pLanes<4>>,
                                MapRow<4, ExpLanes<false, 4>>,
@@ -789,8 +996,13 @@ constexpr RowKernels kRows4 = {4,
                                MapRow<4, SoftplusLanes<false, 4>>};
 constexpr RowKernels kRows4Fma = {4,
                                   true,
-                                  {GemmRows<false, 4>, GemmRows<true, 4>,
-                                   GemmNTRows<4>},
+                                  {GemmRows<false, 4, FloatProducts>,
+                                   GemmRows<true, 4, FloatProducts>,
+                                   GemmNTRows<4, FloatProducts>},
+                                  {GemmRows<false, 4, ExactProducts>,
+                                   GemmRows<true, 4, ExactProducts>,
+                                   GemmNTRows<4, ExactProducts>},
+                                  HasSubnormal<4>,
                                   MapRow<4, TanhLanes<4>>,
                                   MapRow<4, Log1pLanes<4>>,
                                   MapRowFma<4, ExpLanes<true, 4>>,
@@ -802,22 +1014,30 @@ constexpr RowKernels kRows4Fma = {4,
 // inlines the tiles into them, so their 32-byte vectors are built for
 // AVX2. The GEMMs' target never names "fma": the order contract rounds
 // every product before its add.
+template <typename Prod>
 [[gnu::target("avx2"), gnu::flatten]] void GemmNNRows8(
     std::size_t i0, std::size_t i1, std::size_t m, std::size_t k,
     std::size_t n, const float* a, const float* b, float* c) {
-  GemmRows<false, 8>(i0, i1, m, k, n, a, b, c);
+  GemmRows<false, 8, Prod>(i0, i1, m, k, n, a, b, c);
 }
 
+template <typename Prod>
 [[gnu::target("avx2"), gnu::flatten]] void GemmTNRows8(
     std::size_t i0, std::size_t i1, std::size_t m, std::size_t k,
     std::size_t n, const float* a, const float* b, float* c) {
-  GemmRows<true, 8>(i0, i1, m, k, n, a, b, c);
+  GemmRows<true, 8, Prod>(i0, i1, m, k, n, a, b, c);
 }
 
+template <typename Prod>
 [[gnu::target("avx2"), gnu::flatten]] void GemmNTRows8(
     std::size_t i0, std::size_t i1, std::size_t m, std::size_t k,
     std::size_t n, const float* a, const float* b, float* c) {
-  GemmNTRows<8>(i0, i1, m, k, n, a, b, c);
+  GemmNTRows<8, Prod>(i0, i1, m, k, n, a, b, c);
+}
+
+[[gnu::target("avx2"), gnu::flatten]] bool HasSubnormal8(const float* x,
+                                                         std::size_t n) {
+  return HasSubnormal<8>(x, n);
 }
 
 template <LaneFn<8> kF>
@@ -828,7 +1048,13 @@ template <LaneFn<8> kF>
 
 constexpr RowKernels kRows8 = {8,
                                false,
-                               {GemmNNRows8, GemmTNRows8, GemmNTRows8},
+                               {GemmNNRows8<FloatProducts>,
+                                GemmTNRows8<FloatProducts>,
+                                GemmNTRows8<FloatProducts>},
+                               {GemmNNRows8<ExactProducts>,
+                                GemmTNRows8<ExactProducts>,
+                                GemmNTRows8<ExactProducts>},
+                               HasSubnormal8,
                                MapRow8<TanhLanes<8>>,
                                MapRow8<Log1pLanes<8>>,
                                MapRow8<ExpLanes<false, 8>>,
@@ -836,7 +1062,13 @@ constexpr RowKernels kRows8 = {8,
                                MapRow8<SoftplusLanes<false, 8>>};
 constexpr RowKernels kRows8Fma = {8,
                                   true,
-                                  {GemmNNRows8, GemmTNRows8, GemmNTRows8},
+                                  {GemmNNRows8<FloatProducts>,
+                                   GemmTNRows8<FloatProducts>,
+                                   GemmNTRows8<FloatProducts>},
+                                  {GemmNNRows8<ExactProducts>,
+                                   GemmTNRows8<ExactProducts>,
+                                   GemmNTRows8<ExactProducts>},
+                                  HasSubnormal8,
                                   MapRow8<TanhLanes<8>>,
                                   MapRow8<Log1pLanes<8>>,
                                   MapRowFma<8, ExpLanes<true, 8>>,
@@ -935,13 +1167,30 @@ void ForEachRowBlock(std::size_t m, std::size_t work, std::size_t min_work,
   });
 }
 
+using kernels::internal::Products;
+
+// Whether a product whose B holds a subnormal runs faster in the exact
+// form: NN and TN do, and NT only below k = 4 (ShortNTRows). NT's tiles
+// cost about 3 times their float form in the exact one, and in NeuMF's
+// NT products (dX through a ReLU layer, whose backward zeroes the
+// columns of dH that meet most of B's subnormals) the float form pays
+// few assists; bench_kernels' sub*_neumf_*_dx rows measure both
+// (docs/performance.md).
+bool ExactPays(Variant variant, std::size_t k) {
+  return variant != kNT || k < 4;
+}
+
 // One GEMM at the given width: call/flop accounting, then the variant's
 // rows across the thread budget from `min_work` multiply-accumulates on.
-// The counters are sharded (obs::Counter), so the relaxed adds here stay
-// off any contended cache line even when every pool worker issues GEMMs.
+// From kSubnormalScanMinRows rows on, where ExactPays, a B that holds a
+// subnormal takes the exact-product rows, which return the same bits
+// without the float multiply's assists; other products never scan. The
+// counters are sharded (obs::Counter), so the relaxed adds here stay off
+// any contended cache line even when every pool worker issues GEMMs.
 void Gemm(const RowKernels& width, Variant variant, std::size_t m,
           std::size_t k, std::size_t n, const float* a, const float* b,
-          float* c, std::size_t min_work) {
+          float* c, std::size_t min_work,
+          Products products = Products::kChosen) {
   static obs::Counter* const calls[3] = {
       obs::MetricsRegistry::Global().GetCounter(
           "poisonrec_gemm_nn_calls_total"),
@@ -953,7 +1202,18 @@ void Gemm(const RowKernels& width, Variant variant, std::size_t m,
       obs::MetricsRegistry::Global().GetCounter("poisonrec_gemm_flops_total");
   calls[variant]->Increment();
   flops->Increment(static_cast<std::uint64_t>(2) * m * k * n);
-  const RowsFn rows = width.rows[variant];
+  RowsFn rows = width.rows[variant];
+  if (m >= kernels::kSubnormalScanMinRows && products == Products::kChosen) {
+    if (ExactPays(variant, k) && width.has_subnormal(b, k * n)) {
+      static obs::Counter* const subnormal_calls =
+          obs::MetricsRegistry::Global().GetCounter(
+              "poisonrec_gemm_subnormal_calls_total");
+      subnormal_calls->Increment();
+      rows = width.exact_rows[variant];
+    }
+  } else if (products == Products::kExact) {
+    rows = width.exact_rows[variant];
+  }
   ForEachRowBlock(m, m * k * n, min_work,
                   [&](std::size_t i0, std::size_t i1) {
                     rows(i0, i1, m, k, n, a, b, c);
@@ -1025,21 +1285,25 @@ bool CanRunLanes(std::size_t lanes, bool fma) {
 }
 
 void GemmNNAt(std::size_t lanes, std::size_t m, std::size_t k, std::size_t n,
-              const float* a, const float* b, float* c,
-              std::size_t min_work) {
-  Gemm(RowsAt(lanes, false), kNN, m, k, n, a, b, c, min_work);
+              const float* a, const float* b, float* c, std::size_t min_work,
+              Products products) {
+  Gemm(RowsAt(lanes, false), kNN, m, k, n, a, b, c, min_work, products);
 }
 
 void GemmTNAt(std::size_t lanes, std::size_t m, std::size_t k, std::size_t n,
-              const float* a, const float* b, float* c,
-              std::size_t min_work) {
-  Gemm(RowsAt(lanes, false), kTN, m, k, n, a, b, c, min_work);
+              const float* a, const float* b, float* c, std::size_t min_work,
+              Products products) {
+  Gemm(RowsAt(lanes, false), kTN, m, k, n, a, b, c, min_work, products);
 }
 
 void GemmNTAt(std::size_t lanes, std::size_t m, std::size_t k, std::size_t n,
-              const float* a, const float* b, float* c,
-              std::size_t min_work) {
-  Gemm(RowsAt(lanes, false), kNT, m, k, n, a, b, c, min_work);
+              const float* a, const float* b, float* c, std::size_t min_work,
+              Products products) {
+  Gemm(RowsAt(lanes, false), kNT, m, k, n, a, b, c, min_work, products);
+}
+
+bool HasSubnormalAt(std::size_t lanes, const float* x, std::size_t n) {
+  return RowsAt(lanes, false).has_subnormal(x, n);
 }
 
 void TanhAt(std::size_t lanes, const float* x, float* y, std::size_t n) {

@@ -25,6 +25,11 @@
 //           same products over kk ≥ k4 in ascending kk; then
 //           c = c + (((s0 + s1) + (s2 + s3)) + tail).
 //
+// A product a·b may be computed exactly in double and rounded once to
+// float, float(double(a)·double(b)), which gives the float product's
+// bits: its at most 48 significant bits and its exponent fit double's
+// normal range. The kernels do so when B holds a subnormal (below).
+//
 // How the kernels tile rows and columns, and the SIMD width they run
 // at, never changes a bit: tests/kernels_test.cc checks the kernels, at
 // every lane width, against a scalar statement of this contract with
@@ -48,6 +53,19 @@
 // and the form of glibc's expf that libm resolved in this process
 // (ExpFma()) for Exp, Sigmoid and Softplus. It takes no option and shows
 // in the `poisonrec_gemm_lanes` and `poisonrec_expf_fma` gauges.
+//
+// Subnormal operands. A float multiply whose input or result is
+// subnormal takes a microcode assist on x86-64 (about 30 ns), about a
+// thousand times the 8-lane tiles' cost per product. An NN or TN GEMM with
+// at least kSubnormalScanMinRows rows, and an NT one with k < 4, scans B
+// once on the calling thread and, if B holds a subnormal, runs the same
+// tiles with every product in the exact form above (the
+// `poisonrec_gemm_subnormal_calls_total` counter counts these calls).
+// Its bits are the float rows' bits, so the choice only decides how fast
+// the rows run. On a clean B the exact form costs about 5 times the float
+// rows, so it never runs there; NT's tiles with k ≥ 4 keep the float
+// form, which costs less in the products that reach them
+// (docs/performance.md).
 //
 // Determinism contract: kernels are row-partitioned across the
 // persistent pool in util/parallel. Each output row is owned by exactly
@@ -78,6 +96,17 @@ namespace kernels {
 /// dispatches to (results/kernel_ladder_runs.csv, docs/performance.md).
 /// Below it the pool handoff costs about as much as the split saves.
 inline constexpr std::size_t kParallelMinWork = std::size_t{1} << 21;
+
+/// From this many rows of C on, a GEMM scans B for a subnormal and runs
+/// its exact-product rows if it finds one. B's k·n floats are each
+/// multiplied m times, so the scan's share of a clean product falls as
+/// 1/m: bench_kernels' `scan_*` rows put it at 0.71–0.92 of the product
+/// at 1 row, 0.38 at 4 rows and 0.21–0.23 at 8 (pinned medians at the 8
+/// lanes an AVX2 CPU dispatches to). Below 4 rows run GRU4Rec's cell and
+/// logit products, about 4.8M per gru4rec-par run, which never hold a
+/// subnormal; a 4-row product with one subnormal in B already pays 4
+/// assists, more than its whole clean time (docs/performance.md).
+inline constexpr std::size_t kSubnormalScanMinRows = 4;
 
 /// C(m×n) += A(m×k) · B(k×n). All matrices row-major and dense.
 void GemmNN(std::size_t m, std::size_t k, std::size_t n, const float* a,
@@ -146,6 +175,12 @@ void ParallelRows(std::size_t m, std::size_t work,
 
 namespace internal {
 
+/// Which products a Gemm*At call's rows compute: the form the public
+/// GEMMs choose (exact when they scan B and find a subnormal, which the
+/// subnormal counter counts), or one form whatever the operands,
+/// uncounted.
+enum class Products { kChosen, kFloat, kExact };
+
 /// Tests and bench_kernels only: the GEMMs at a chosen lane width
 /// instead of the dispatched one, so both widths' rows run on a CPU that
 /// dispatches to one. Counted like the public calls, and threaded like
@@ -157,13 +192,20 @@ namespace internal {
 bool CanRunLanes(std::size_t lanes, bool fma = false);
 void GemmNNAt(std::size_t lanes, std::size_t m, std::size_t k, std::size_t n,
               const float* a, const float* b, float* c,
-              std::size_t min_work = kParallelMinWork);
+              std::size_t min_work = kParallelMinWork,
+              Products products = Products::kChosen);
 void GemmTNAt(std::size_t lanes, std::size_t m, std::size_t k, std::size_t n,
               const float* a, const float* b, float* c,
-              std::size_t min_work = kParallelMinWork);
+              std::size_t min_work = kParallelMinWork,
+              Products products = Products::kChosen);
 void GemmNTAt(std::size_t lanes, std::size_t m, std::size_t k, std::size_t n,
               const float* a, const float* b, float* c,
-              std::size_t min_work = kParallelMinWork);
+              std::size_t min_work = kParallelMinWork,
+              Products products = Products::kChosen);
+
+/// Tests and bench_kernels only: the scan that routes a GEMM's B, at a
+/// chosen lane width: whether any of x's n floats is subnormal.
+bool HasSubnormalAt(std::size_t lanes, const float* x, std::size_t n);
 
 /// Tests and bench_kernels only: the libm kernels at a chosen lane
 /// width, those that call expf also in a chosen form (by default the

@@ -307,20 +307,28 @@ void FleetOrchestrator::IngestSubmissions() {
   std::sort(files.begin(), files.end());
   for (const std::filesystem::path& file : files) {
     const std::string name = file.filename().string();
-    if (!ingested_submissions_.insert(name).second) continue;
+    if (ingested_submissions_.count(name) != 0) continue;
     std::ifstream in(file);
     std::stringstream buffer;
     buffer << in.rdbuf();
-    if (!in && buffer.str().empty()) {
-      POISONREC_LOG(Warning) << "fleet: cannot read submission " << file;
-      continue;
-    }
     StatusOr<CampaignSpec> spec = ParseCampaignSpecText(buffer.str());
     if (!spec.ok()) {
-      POISONREC_LOG(Warning) << "fleet: rejected submission " << file << ": "
-                             << spec.status().ToString();
+      // A file caught mid-write (or not readable yet) parses as cut-off
+      // JSON: retry it on later polls, and warn once per size and
+      // modification time it shows.
+      const SubmissionStamp stamp = {std::filesystem::file_size(file, ec),
+                                     std::filesystem::last_write_time(file, ec)};
+      const auto [seen, first] = unparsed_submissions_.try_emplace(name, stamp);
+      if (first || seen->second != stamp) {
+        seen->second = stamp;
+        POISONREC_LOG(Warning) << "fleet: cannot parse submission " << file
+                               << " (retried while it changes): "
+                               << spec.status().ToString();
+      }
       continue;
     }
+    ingested_submissions_.insert(name);
+    unparsed_submissions_.erase(name);
     const Status submitted = Submit(std::move(spec).value());
     if (!submitted.ok() &&
         submitted.code() != StatusCode::kAlreadyExists) {

@@ -47,11 +47,15 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
+#include <filesystem>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/dataset.h"
@@ -219,7 +223,9 @@ class FleetOrchestrator {
   /// kSibling entries (terminal ones become kDone). Caller holds
   /// sched_mu_.
   void RefreshSiblingsLocked();
-  /// Scan submit_dir for new `*.json` campaign files.
+  /// Scan submit_dir for new `*.json` campaign files. A file is taken
+  /// once it parses; one that does not (a drop caught mid-write) is read
+  /// again on every poll.
   void IngestSubmissions();
   /// Journal merge of the whole worker family.
   StatusOr<JournalReplayResult> MergedReplay() const;
@@ -249,7 +255,12 @@ class FleetOrchestrator {
   std::mutex watchdog_mu_;
   std::condition_variable watchdog_cv_;
   bool watchdog_stop_ = false;
+  /// Submission files that parsed (each is submitted once), and the
+  /// (size, mtime) last warned about for each file that did not yet.
+  using SubmissionStamp =
+      std::pair<std::uintmax_t, std::filesystem::file_time_type>;
   std::set<std::string> ingested_submissions_;
+  std::map<std::string, SubmissionStamp> unparsed_submissions_;
 
   /// Status publication state (watchdog thread + Run tail only).
   std::uint64_t status_seq_ = 0;

@@ -1,10 +1,12 @@
 // Tests for the dense GEMM kernel layer (nn/kernels.h) and the
 // GradMode/NoGradScope inference switch: kernel-vs-reference
 // equivalence over randomized shapes, the kernels' order contract bit
-// for bit at every lane width, bit-identical threaded vs
-// single-threaded execution, the lane-wise tanh, exp, log1p, sigmoid and
-// softplus against libm bit for bit, the width and expf-form dispatch,
-// and tape-free no-grad outputs.
+// for bit at every lane width (with subnormal operands, which send a
+// GEMM to its exact-product rows, too), the exact products against the
+// float ones on special values, which GEMMs take the exact rows,
+// bit-identical threaded vs single-threaded execution, the lane-wise
+// tanh, exp, log1p, sigmoid and softplus against libm bit for bit, the
+// width and expf-form dispatch, and tape-free no-grad outputs.
 #include "nn/kernels.h"
 
 #include <algorithm>
@@ -17,6 +19,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bit_identity.h"
@@ -217,24 +220,69 @@ std::vector<float> SpreadOperands(std::size_t size, Rng* rng) {
   return values;
 }
 
+float FromBits(std::uint32_t u) {
+  float f;
+  std::memcpy(&f, &u, sizeof(f));
+  return f;
+}
+
+std::uint32_t ToBits(float f) {
+  std::uint32_t u;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+// A subnormal of either sign, its mantissa uniform over [1, 2^23).
+float Subnormal(Rng* rng) {
+  const auto mantissa = static_cast<std::uint32_t>(rng->Index(0x7fffff)) + 1;
+  return FromBits(mantissa | (rng->Index(2) == 0 ? 0u : 0x80000000u));
+}
+
+// SpreadOperands' values, and in one place in four a value whose
+// products leave the normal range: a subnormal of either sign (a float
+// multiply with it takes an assist), or a normal below 2^-55, whose
+// product with another such underflows to a subnormal or to zero. One
+// entry, at a random place, is always subnormal, so a GEMM whose B this
+// fills takes the exact-product rows from kSubnormalScanMinRows rows on.
+std::vector<float> SubnormalOperands(std::size_t size, Rng* rng) {
+  std::vector<float> values = SpreadOperands(size, rng);
+  for (float& v : values) {
+    const std::size_t kind = rng->Index(8);
+    if (kind == 0) {
+      v = Subnormal(rng);
+    } else if (kind == 1) {
+      const float mantissa = static_cast<float>(rng->Uniform(0.5, 1.0));
+      v = std::ldexp(rng->Index(2) == 0 ? mantissa : -mantissa,
+                     -55 - static_cast<int>(rng->Index(40)));
+    }
+  }
+  values[rng->Index(size)] = Subnormal(rng);
+  return values;
+}
+
+using Operands = std::vector<float> (*)(std::size_t size, Rng* rng);
+
 // One variant's rows at a given lane width, through the kernels'
 // test-only entry point: dispatch runs only the widest width the CPU
 // has, so it alone would leave the other untested.
 void RunKernel(Variant variant, std::size_t lanes, std::size_t m,
                std::size_t k, std::size_t n, const std::vector<float>& a,
-               const std::vector<float>& b, std::vector<float>* c) {
+               const std::vector<float>& b, std::vector<float>* c,
+               kernels::internal::Products products =
+                   kernels::internal::Products::kChosen) {
+  const std::size_t min_work = kernels::kParallelMinWork;
   switch (variant) {
     case Variant::kNN:
       kernels::internal::GemmNNAt(lanes, m, k, n, a.data(), b.data(),
-                                  c->data());
+                                  c->data(), min_work, products);
       return;
     case Variant::kTN:
       kernels::internal::GemmTNAt(lanes, m, k, n, a.data(), b.data(),
-                                  c->data());
+                                  c->data(), min_work, products);
       return;
     case Variant::kNT:
       kernels::internal::GemmNTAt(lanes, m, k, n, a.data(), b.data(),
-                                  c->data());
+                                  c->data(), min_work, products);
       return;
   }
 }
@@ -244,10 +292,11 @@ void RunKernel(Variant variant, std::size_t lanes, std::size_t m,
 // bit.
 ::testing::AssertionResult MatchesSpec(Variant variant, std::size_t lanes,
                                        std::size_t m, std::size_t k,
-                                       std::size_t n, Rng* rng) {
-  const std::vector<float> a = SpreadOperands(m * k, rng);
-  const std::vector<float> b = SpreadOperands(k * n, rng);
-  std::vector<float> want = SpreadOperands(m * n, rng);
+                                       std::size_t n, Operands operands,
+                                       Rng* rng) {
+  const std::vector<float> a = operands(m * k, rng);
+  const std::vector<float> b = operands(k * n, rng);
+  std::vector<float> want = operands(m * n, rng);
   std::vector<float> got = want;
   SpecGemm(variant, m, k, n, a, b, &want);
   RunKernel(variant, lanes, m, k, n, a, b, &got);
@@ -273,32 +322,118 @@ class LaneWidthTest : public ::testing::TestWithParam<std::size_t> {
 // Every tile, every remainder and the threaded row split run: all small
 // shapes exhaustively (n up to 40 covers the widest tile, 32 columns,
 // and every remainder after it), then random ones up to 300×300×240,
-// many above the threading threshold, at one and four threads.
+// many above the threading threshold, at one and four threads. Then the
+// same again with subnormal operands, whose B sends every product from
+// kSubnormalScanMinRows rows on to the exact-product rows (fewer rows
+// run the float rows on them).
 TEST_P(LaneWidthTest, EveryVariantFollowsTheOrderContractBitForBit) {
   const std::size_t lanes = GetParam();
-  for (const std::size_t threads : {1, 4}) {
-    SCOPED_TRACE(threads);
-    ThreadBudgetOverride budget(threads);
-    Rng rng(77 + threads);
-    for (const Variant variant : {Variant::kNN, Variant::kTN, Variant::kNT}) {
-      for (std::size_t m = 1; m <= 9; ++m) {
-        for (std::size_t k = 1; k <= 13; ++k) {
-          for (std::size_t n = 1; n <= 40; ++n) {
-            ASSERT_TRUE(MatchesSpec(variant, lanes, m, k, n, &rng));
+  for (const Operands operands : {SpreadOperands, SubnormalOperands}) {
+    SCOPED_TRACE(operands == SpreadOperands ? "spread operands"
+                                            : "subnormal operands");
+    for (const std::size_t threads : {1, 4}) {
+      SCOPED_TRACE(threads);
+      ThreadBudgetOverride budget(threads);
+      Rng rng((operands == SpreadOperands ? 77 : 177) + threads);
+      for (const Variant variant :
+           {Variant::kNN, Variant::kTN, Variant::kNT}) {
+        for (std::size_t m = 1; m <= 9; ++m) {
+          for (std::size_t k = 1; k <= 13; ++k) {
+            for (std::size_t n = 1; n <= 40; ++n) {
+              ASSERT_TRUE(
+                  MatchesSpec(variant, lanes, m, k, n, operands, &rng));
+            }
+          }
+        }
+        std::size_t split = 0;
+        for (int trial = 0; trial < 40; ++trial) {
+          const std::size_t m = rng.Index(300) + 1;
+          const std::size_t k = rng.Index(300) + 1;
+          const std::size_t n = rng.Index(240) + 1;
+          if (m * k * n >= kernels::kParallelMinWork) ++split;
+          ASSERT_TRUE(MatchesSpec(variant, lanes, m, k, n, operands, &rng));
+        }
+        EXPECT_GE(split, 12u) << "too few random shapes reach the row split";
+      }
+    }
+  }
+}
+
+// SubnormalOperands' values, and in about one place in 16 ±inf, a NaN,
+// or a normal from 2^100 up, whose product with another such overflows
+// to inf.
+std::vector<float> ExtremeOperands(std::size_t size, Rng* rng) {
+  std::vector<float> values = SubnormalOperands(size, rng);
+  for (float& v : values) {
+    const std::size_t kind = rng->Index(64);
+    if (kind == 0) {
+      v = std::numeric_limits<float>::infinity();
+    } else if (kind == 1) {
+      v = -std::numeric_limits<float>::infinity();
+    } else if (kind == 2) {
+      v = std::numeric_limits<float>::quiet_NaN();
+    } else if (kind < 7) {
+      const float mantissa = static_cast<float>(rng->Uniform(0.5, 1.0));
+      v = std::ldexp(rng->Index(2) == 0 ? mantissa : -mantissa,
+                     100 + static_cast<int>(rng->Index(28)));
+    }
+  }
+  return values;
+}
+
+// The same bits, except that a NaN need only meet a NaN: which of two
+// NaN operands a sum or product returns follows the operands' order,
+// which the compiler may swap in either form.
+::testing::AssertionResult SameBitsOrBothNaN(const std::vector<float>& got,
+                                             const std::vector<float>& want) {
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (ToBits(got[i]) == ToBits(want[i]) ||
+        (std::isnan(got[i]) && std::isnan(want[i]))) {
+      continue;
+    }
+    return ::testing::AssertionFailure()
+           << "element " << i << ": " << std::hex << ToBits(got[i]) << " vs "
+           << ToBits(want[i]);
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// The exact-product rows against the float rows on the same operands,
+// every small shape of every variant: ±0, ±inf, NaNs, products that
+// overflow, subnormal inputs, and products that round to a subnormal or
+// to zero. The outputs must cover each of those results.
+TEST_P(LaneWidthTest, ExactProductRowsMatchFloatRowsBitForBit) {
+  using kernels::internal::Products;
+  const std::size_t lanes = GetParam();
+  Rng rng(91);
+  std::size_t zeros = 0, subnormals = 0, infs = 0, nans = 0;
+  for (const Variant variant : {Variant::kNN, Variant::kTN, Variant::kNT}) {
+    for (std::size_t m = 1; m <= 9; ++m) {
+      for (std::size_t k = 1; k <= 13; ++k) {
+        for (std::size_t n = 1; n <= 40; ++n) {
+          const std::vector<float> a = ExtremeOperands(m * k, &rng);
+          const std::vector<float> b = ExtremeOperands(k * n, &rng);
+          std::vector<float> floats = SubnormalOperands(m * n, &rng);
+          std::vector<float> exact = floats;
+          RunKernel(variant, lanes, m, k, n, a, b, &floats, Products::kFloat);
+          RunKernel(variant, lanes, m, k, n, a, b, &exact, Products::kExact);
+          ASSERT_TRUE(SameBitsOrBothNaN(exact, floats))
+              << " (Gemm" << VariantName(variant) << " " << m << "x" << k
+              << "x" << n << ", " << lanes << " lanes)";
+          for (const float v : exact) {
+            zeros += v == 0.0f;
+            subnormals += std::fpclassify(v) == FP_SUBNORMAL;
+            infs += std::isinf(v);
+            nans += std::isnan(v);
           }
         }
       }
-      std::size_t split = 0;
-      for (int trial = 0; trial < 40; ++trial) {
-        const std::size_t m = rng.Index(300) + 1;
-        const std::size_t k = rng.Index(300) + 1;
-        const std::size_t n = rng.Index(240) + 1;
-        if (m * k * n >= kernels::kParallelMinWork) ++split;
-        ASSERT_TRUE(MatchesSpec(variant, lanes, m, k, n, &rng));
-      }
-      EXPECT_GE(split, 12u) << "too few random shapes reach the row split";
     }
   }
+  EXPECT_GT(zeros, 0u);
+  EXPECT_GT(subnormals, 0u);
+  EXPECT_GT(infs, 0u);
+  EXPECT_GT(nans, 0u);
 }
 
 // The determinism contract: threaded kernels must be bit-identical to
@@ -341,18 +476,6 @@ TEST_P(LaneWidthTest, ThreadedGemmIsBitIdenticalToSingleThreaded) {
 }
 
 // ---- The libm kernels against libm ----
-
-float FromBits(std::uint32_t u) {
-  float f;
-  std::memcpy(&f, &u, sizeof(f));
-  return f;
-}
-
-std::uint32_t ToBits(float f) {
-  std::uint32_t u;
-  std::memcpy(&u, &f, sizeof(u));
-  return u;
-}
 
 std::string Hex(std::uint32_t u) {
   std::ostringstream out;
@@ -618,6 +741,59 @@ INSTANTIATE_TEST_SUITE_P(Kernels, LaneWidthTest, ::testing::Values(4, 8),
                          [](const auto& info) {
                            return "Lanes" + std::to_string(info.param);
                          });
+
+// The public GEMMs scan B from kSubnormalScanMinRows rows on: a B that
+// holds one subnormal sends a 4-row product, and any wider one, to the
+// exact-product rows, which the counter counts once per call; the same B
+// at 1 to 3 rows runs the float rows unscanned, and a clean B never
+// moves the counter. NT takes the exact rows only below k = 4, so at
+// k = 6 its subnormal B never moves the counter either. Every call
+// matches the order contract.
+TEST(KernelsTest, SubnormalBRoutesFromFourRows) {
+  ASSERT_EQ(kernels::kSubnormalScanMinRows, 4u);
+  const obs::Counter* const routed =
+      obs::MetricsRegistry::Global().GetCounter(
+          "poisonrec_gemm_subnormal_calls_total");
+  Rng rng(5);
+  const std::size_t n = 10;
+  for (const auto& [variant, k] :
+       {std::pair<Variant, std::size_t>{Variant::kNN, 6},
+        {Variant::kTN, 6},
+        {Variant::kNT, 3},
+        {Variant::kNT, 6}}) {
+    const bool exact_pays = variant != Variant::kNT || k < 4;
+    const std::vector<float> clean = SpreadOperands(k * n, &rng);
+    std::vector<float> dirty = clean;
+    dirty[rng.Index(k * n)] = Subnormal(&rng);
+    for (std::size_t m = 1; m <= 8; ++m) {
+      for (const bool subnormal : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "Gemm" << VariantName(variant) << " " << m << "x" << k
+                     << "x" << n << (subnormal ? ", subnormal B" : ""));
+        const std::vector<float>& b = subnormal ? dirty : clean;
+        const std::vector<float> a = SpreadOperands(m * k, &rng);
+        std::vector<float> want = SpreadOperands(m * n, &rng);
+        std::vector<float> got = want;
+        SpecGemm(variant, m, k, n, a, b, &want);
+        const std::uint64_t before = routed->Value();
+        switch (variant) {
+          case Variant::kNN:
+            GemmNN(m, k, n, a.data(), b.data(), got.data());
+            break;
+          case Variant::kTN:
+            GemmTN(m, k, n, a.data(), b.data(), got.data());
+            break;
+          case Variant::kNT:
+            GemmNT(m, k, n, a.data(), b.data(), got.data());
+            break;
+        }
+        EXPECT_EQ(routed->Value() - before,
+                  subnormal && m >= 4 && exact_pays ? 1u : 0u);
+        EXPECT_TRUE(SameBits(got, want));
+      }
+    }
+  }
+}
 
 // Dispatch runs the widest width this CPU has and the expf form libm
 // resolved, the same for every call, and publishes both in the registry.

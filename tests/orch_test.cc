@@ -1268,6 +1268,55 @@ TEST(FleetTest, SubmitDirIngestsCampaignFilesDuringTheRun) {
   std::filesystem::remove_all(dir);
 }
 
+// A campaign file caught half-written parses as cut-off JSON; the
+// watchdog must read it again on later polls and run it once it is
+// complete, rather than reject it for good.
+TEST(FleetTest, SubmissionCaughtMidWriteIsIngestedWhenComplete) {
+  const std::string dir = TempDir("poisonrec_fleet_midwrite");
+  const std::string inbox = dir + "/inbox";
+  std::filesystem::create_directories(inbox);
+  const data::Dataset log = MakeLog();
+  // Far more steps than the test waits for: the fleet is still running
+  // when the file is complete, and is shut down once "late" is done. Its
+  // one worker runs "late" by preemption, at its higher priority.
+  const FleetPlan plan = SmallPlan(1, /*steps=*/100000);
+  FleetOptions options = DirOptions(dir);
+  options.max_concurrent = 1;
+  options.watchdog_poll_seconds = 0.005;
+  options.submit_dir = inbox;
+  FleetOrchestrator orchestrator(plan, &log, options);
+  FleetResult result;
+  std::thread runner([&] { result = orchestrator.Run(); });
+  const std::string spec =
+      R"({"id":"late","priority":10,"steps":2,"samples_per_step":4,)"
+      R"("attackers":5,"trajectory_length":5,"targets":2,)"
+      R"("embedding_dim":8,"eval_users":48,"seed":9})";
+  std::thread writer([&] {
+    std::ofstream out(inbox + "/late.json");
+    out << spec.substr(0, spec.size() / 2) << std::flush;
+    // About 20 watchdog polls read the half-written file.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    out << spec.substr(spec.size() / 2) << std::flush;
+  });
+  writer.join();
+  bool late_done = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!late_done && std::chrono::steady_clock::now() < deadline) {
+    if (auto replay = ReplayFamily(options.journal_path); replay.ok()) {
+      const auto late = replay->find("late");
+      late_done = late != replay->end() &&
+                  late->second.state == CampaignState::kDone;
+    }
+    if (!late_done) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  orchestrator.RequestShutdown();
+  runner.join();
+  ASSERT_TRUE(result.status.ok()) << result.status;
+  EXPECT_TRUE(late_done) << "the completed submission never ran";
+  std::filesystem::remove_all(dir);
+}
+
 TEST(FleetTest, ShutdownDoesNotWaitOutAnHourLongWatchdogPoll) {
   const std::string dir = TempDir("poisonrec_fleet_watchdog_cv");
   const data::Dataset log = MakeLog();

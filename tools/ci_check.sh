@@ -4,7 +4,9 @@
 #   tools/ci_check.sh [build-dir]
 #
 # Builds with ASan/UBSan (POISONREC_SANITIZE=address;undefined) and
-# compiler warnings as errors, runs ctest, then runs
+# compiler warnings as errors, checks that the GEMMs' exact-product rows
+# hold no float multiply (tools/check_exact_products.py, here and in the
+# -march=native build below), runs ctest, then runs
 # bench_fault_resilience (which fails when a nonzero failure rate forced
 # no retry), bench_obs_overhead (gates telemetry cost at
 # <3%/step and the guardrails' at <5%/step), and
@@ -49,6 +51,11 @@ cmake -B "${BUILD_DIR}" -S . \
   "-DPOISONREC_SANITIZE=address;undefined" \
   -DPOISONREC_WERROR=ON
 cmake --build "${BUILD_DIR}" -j "$(nproc)"
+
+# The GEMMs' exact-product rows must hold no float multiply: GCC may
+# rewrite float(double(a)·double(b)) as one, which returns the same bits
+# (so no test sees it) and takes the subnormal assists back.
+python3 tools/check_exact_products.py "${BUILD_DIR}/src/nn/libpoisonrec_nn.a"
 
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
 
@@ -505,6 +512,7 @@ cmake -B "${NATIVE_DIR}" -S . \
   -DCMAKE_CXX_FLAGS=-march=native \
   -DPOISONREC_WERROR=ON
 cmake --build "${NATIVE_DIR}" -j "$(nproc)" --target "${NATIVE_TESTS[@]}"
+python3 tools/check_exact_products.py "${NATIVE_DIR}/src/nn/libpoisonrec_nn.a"
 for test in "${NATIVE_TESTS[@]}"; do
   "${NATIVE_DIR}/tests/${test}"
 done
