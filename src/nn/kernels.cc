@@ -1271,6 +1271,27 @@ void Softplus(const float* x, float* y, std::size_t n) {
   DispatchedRows().softplus(x, y, n);
 }
 
+void ReluBackward(const float* x, const float* g, float slope, float* dx,
+                  std::size_t n) {
+  // A vector select: GCC keeps the scalar one as a branch per element,
+  // because g·slope may trap and -ftrapping-math forbids computing it for
+  // a lane that does not use it. The last n mod 4 lanes run zero-padded.
+  const auto row = [slope](const float* xs, const float* gs, float* ds,
+                           std::size_t len) {
+    F4 xv = {}, gv = {}, dv = {};
+    std::memcpy(&xv, xs, len * sizeof(float));
+    std::memcpy(&gv, gs, len * sizeof(float));
+    std::memcpy(&dv, ds, len * sizeof(float));
+    const F4 zero = {};
+    const IVec<4> live = xv > zero;
+    dv += live ? gv : (live ? zero : gv) * slope;
+    std::memcpy(ds, &dv, len * sizeof(float));
+  };
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) row(x + i, g + i, dx + i, 4);
+  if (i < n) row(x + i, g + i, dx + i, n - i);
+}
+
 void ParallelRows(std::size_t m, std::size_t work,
                   const std::function<void(std::size_t, std::size_t)>& rows,
                   std::size_t min_work) {

@@ -150,6 +150,14 @@ void Sigmoid(const float* x, float* y, std::size_t n);
 /// x + l : l; log1pf is glibc 2.36's (fdlibm's).
 void Softplus(const float* x, float* y, std::size_t n);
 
+/// dx[i] += x[i] > 0 ? g[i] : g[i]·slope: the backward of ReLU (slope 0)
+/// and of LeakyRelu, with the bits of dx += g·(x > 0 ? 1 : slope), since
+/// g·1 is g. It selects without a branch per element, and multiplies only
+/// a dead lane's g, so a subnormal g in a live lane takes no multiply
+/// assist. dx must not overlap x or g.
+void ReluBackward(const float* x, const float* g, float slope, float* dx,
+                  std::size_t n);
+
 /// Below this much work a ParallelRows call runs on the calling thread:
 /// the smallest rung of bench_kernels' second ladder at which both 2
 /// and 4 threads beat one thread (median time below the one-thread

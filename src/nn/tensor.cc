@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <type_traits>
 #include <utility>
 
@@ -34,6 +35,9 @@ std::shared_ptr<TensorImpl> NewNode(std::size_t rows, std::size_t cols) {
 inline float SigmoidDeriv(float y) { return y * (1.0f - y); }
 inline float TanhDeriv(float y) { return 1.0f - y * y; }
 
+// ReLU's forward, as Relu and NeuMF's tower compute it.
+inline float ReluOf(float x) { return x > 0.0f ? x : 0.0f; }
+
 // Log-softmax of one row of n logits, as LogSoftmax and the GRU
 // session's step losses compute it: the max, the sum of exp(x - max) in
 // column order (the exps in `out` first), then x - (max + log(sum)).
@@ -56,6 +60,11 @@ void LogSoftmaxRow(const float* x, std::size_t n, float* out) {
 inline void AddRow(const float* __restrict src, float* __restrict dst,
                    std::size_t n) {
   for (std::size_t c = 0; c < n; ++c) dst[c] += src[c];
+}
+// dst = a·b, elementwise (Mul's forward).
+inline void MulRow(const float* __restrict a, const float* __restrict b,
+                   float* __restrict dst, std::size_t n) {
+  for (std::size_t c = 0; c < n; ++c) dst[c] = a[c] * b[c];
 }
 // dst += 0 + s·src: a RowDot gradient, started at 0, scattered by Rows.
 inline void ScatterScaledRow(float s, const float* __restrict src,
@@ -100,23 +109,35 @@ bool internal::TrackGrad(std::initializer_list<const Tensor*> inputs) {
   return false;
 }
 
+namespace {
+
+// Attach over any two lists of parents; NeuMfLoss's depend on its tower.
+template <typename Inputs, typename Gathered>
+void AttachParents(const std::shared_ptr<TensorImpl>& out,
+                   const Inputs& inputs, std::function<void()> backward_fn,
+                   const Gathered& gathered) {
+  out->requires_grad = true;
+  out->EnsureGrad();
+  out->parents.reserve(inputs.size() + gathered.size());
+  const auto add = [&out](const Tensor* t, bool gather) {
+    out->parents.push_back(t->impl());
+    if (t->requires_grad()) {
+      t->impl()->EnsureGrad();
+      (gather ? t->impl()->gathered : t->impl()->read_densely) = true;
+    }
+  };
+  for (const Tensor* t : inputs) add(t, false);
+  for (const Tensor* t : gathered) add(t, true);
+  out->backward_fn = std::move(backward_fn);
+}
+
+}  // namespace
+
 void internal::Attach(const std::shared_ptr<TensorImpl>& out,
                       std::initializer_list<const Tensor*> inputs,
                       std::function<void()> backward_fn,
                       std::initializer_list<const Tensor*> gathered) {
-  out->requires_grad = true;
-  out->EnsureGrad();
-  out->parents.reserve(inputs.size() + gathered.size());
-  for (const bool gather : {false, true}) {
-    for (const Tensor* t : gather ? gathered : inputs) {
-      out->parents.push_back(t->impl());
-      if (t->requires_grad()) {
-        t->impl()->EnsureGrad();
-        (gather ? t->impl()->gathered : t->impl()->read_densely) = true;
-      }
-    }
-  }
-  out->backward_fn = std::move(backward_fn);
+  AttachParents(out, inputs, std::move(backward_fn), gathered);
 }
 
 bool GradMode::Enabled() { return g_grad_enabled; }
@@ -453,7 +474,8 @@ namespace {
 // Shared scaffolding for elementwise unary ops: out = fwd(x) for the
 // whole tensor in one row call fwd(x, out, size), and
 // dx += dout * dfn(x, y), or dx += dout * d with d = dfn(x) from one
-// row call dfn(x, d, size).
+// row call dfn(x, d, size), or the whole backward as one row call
+// dfn(x, dout, dx, size).
 template <typename RowFwd, typename Dfn>
 Tensor UnaryRowOp(const Tensor& a, RowFwd fwd, Dfn dfn) {
   auto out = NewNode(a.rows(), a.cols());
@@ -467,8 +489,11 @@ Tensor UnaryRowOp(const Tensor& a, RowFwd fwd, Dfn dfn) {
         [ai, oi, dfn]() {
           if (!ai->requires_grad) return;
           const std::size_t n = ai->grad.size();
-          if constexpr (std::is_invocable_v<Dfn, const float*, float*,
-                                            std::size_t>) {
+          if constexpr (std::is_invocable_v<Dfn, const float*, const float*,
+                                            float*, std::size_t>) {
+            dfn(ai->data.data(), oi->grad.data(), ai->grad.data(), n);
+          } else if constexpr (std::is_invocable_v<Dfn, const float*, float*,
+                                                   std::size_t>) {
             std::vector<float> d(n);
             dfn(ai->data.data(), d.data(), n);
             for (std::size_t i = 0; i < n; ++i) {
@@ -521,14 +546,18 @@ Tensor Tanh(const Tensor& a) {
 
 Tensor Relu(const Tensor& a) {
   return UnaryOp(
-      a, [](float x) { return x > 0.0f ? x : 0.0f; },
-      [](float x, float) { return x > 0.0f ? 1.0f : 0.0f; });
+      a, [](float x) { return ReluOf(x); },
+      [](const float* x, const float* g, float* dx, std::size_t n) {
+        kernels::ReluBackward(x, g, 0.0f, dx, n);
+      });
 }
 
 Tensor LeakyRelu(const Tensor& a, float slope) {
   return UnaryOp(
       a, [slope](float x) { return x > 0.0f ? x : slope * x; },
-      [slope](float x, float) { return x > 0.0f ? 1.0f : slope; });
+      [slope](const float* x, const float* g, float* dx, std::size_t n) {
+        kernels::ReluBackward(x, g, slope, dx, n);
+      });
 }
 
 Tensor Exp(const Tensor& a) {
@@ -1249,6 +1278,332 @@ Tensor GruEncode(const Tensor& table, const Tensor& w_x, const Tensor& b_x,
     std::swap(h, next);
   }
   return Tensor::FromData(1, hs, std::vector<float>(h, h + hs));
+}
+
+// ---------------------------------------------------------------------------
+// NeuMF batch
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// Checks NeuMF's shapes against each other and every id against the
+// tables that gather it, as Rows, Mul, ConcatCols and Affine would.
+void CheckNeuMf(const NeuMfParams& p, const std::vector<std::size_t>& users,
+                const std::vector<std::size_t>& items) {
+  POISONREC_CHECK(p.gmf_item.cols() == p.gmf_user.cols() &&
+                  p.mlp_item.cols() == p.mlp_user.cols() &&
+                  !p.tower.empty() && users.size() == items.size())
+      << "NeuMF shape mismatch: GMF tables " << p.gmf_user.ShapeString()
+      << ", " << p.gmf_item.ShapeString() << ", MLP tables "
+      << p.mlp_user.ShapeString() << ", " << p.mlp_item.ShapeString() << ", "
+      << p.tower.size() << " tower layers, " << users.size() << " users, "
+      << items.size() << " items";
+  // Each layer's W takes the previous width; returns the layer's own.
+  const auto check = [](const NeuMfParams::Layer& layer, std::size_t in) {
+    POISONREC_CHECK(layer.w.rows() == in && layer.b.rows() == 1 &&
+                    layer.b.cols() == layer.w.cols())
+        << "NeuMF layer shape mismatch: input width " << in << ", W "
+        << layer.w.ShapeString() << ", b " << layer.b.ShapeString();
+    return layer.w.cols();
+  };
+  std::size_t width = 2 * p.mlp_user.cols();
+  for (const NeuMfParams::Layer& layer : p.tower) width = check(layer, width);
+  POISONREC_CHECK_EQ(check(p.fuse, p.gmf_user.cols() + width), 1u)
+      << "NeuMF scores one logit per row";
+  for (std::size_t i = 0; i < users.size(); ++i) {
+    POISONREC_CHECK_LT(users[i], p.gmf_user.rows());
+    POISONREC_CHECK_LT(items[i], p.gmf_item.rows());
+    POISONREC_CHECK_LT(users[i], p.mlp_user.rows());
+    POISONREC_CHECK_LT(items[i], p.mlp_item.rows());
+  }
+}
+
+// Where NeuMF's forward keeps its rows, in one zeroed buffer of blocks of
+// B rows: the tower's input x_0 = [P_m[u] | Q_m[v]] from offset 0, each
+// layer's output after its input (a hidden layer's after its ReLU, the
+// last one's before), [gmf | x_L] and the logits; for NeuMfLoss's
+// backward also the GMF rows, P_g[u] then Q_g[v].
+struct NeuMfLayout {
+  NeuMfLayout(const NeuMfParams& p, std::size_t rows, bool with_gmf_rows)
+      : keep_gmf_rows(with_gmf_rows) {
+    std::size_t width = 2 * p.mlp_user.cols();
+    for (const NeuMfParams::Layer& layer : p.tower) width += layer.w.cols();
+    cat2 = rows * width;
+    logits = cat2 + rows * p.fuse.w.rows();
+    gmf_rows = logits + rows;
+    size = gmf_rows + (keep_gmf_rows ? rows * 2 * p.gmf_user.cols() : 0);
+  }
+  bool keep_gmf_rows;
+  std::size_t cat2, logits, gmf_rows, size;
+};
+
+// NeuMF's forward over the rows (users[i], items[i]) into the zeroed
+// buffer `rows`, laid out by `at`: each value as the composed graph's ops
+// compute it (see NeuMfLoss in tensor.h). An Affine layer sums its
+// product into a zeroed block by MatMul's GemmNN call, then adds the bias
+// row, and ReLU keeps x when x > 0, else +0.
+void NeuMfForward(const NeuMfParams& p, const std::vector<std::size_t>& users,
+                  const std::vector<std::size_t>& items,
+                  const NeuMfLayout& at, float* rows) {
+  const std::size_t batch = users.size();
+  const std::size_t dg = p.gmf_user.cols();
+  const std::size_t dm = p.mlp_user.cols();
+  const std::size_t n_last = p.tower.back().w.cols();
+  const std::size_t w2 = dg + n_last;
+  float* const cat2 = rows + at.cat2;
+  float* const gmf_rows = rows + at.gmf_rows;
+  for (std::size_t i = 0; i < batch; ++i) {
+    const float* pu = p.gmf_user.data().data() + users[i] * dg;
+    const float* qv = p.gmf_item.data().data() + items[i] * dg;
+    MulRow(pu, qv, cat2 + i * w2, dg);
+    if (at.keep_gmf_rows) {
+      std::memcpy(gmf_rows + i * dg, pu, dg * sizeof(float));
+      std::memcpy(gmf_rows + (batch + i) * dg, qv, dg * sizeof(float));
+    }
+    float* x0 = rows + i * 2 * dm;
+    std::memcpy(x0, p.mlp_user.data().data() + users[i] * dm,
+                dm * sizeof(float));
+    std::memcpy(x0 + dm, p.mlp_item.data().data() + items[i] * dm,
+                dm * sizeof(float));
+  }
+  std::size_t x_at = 0;
+  std::size_t in = 2 * dm;
+  for (std::size_t l = 0; l < p.tower.size(); ++l) {
+    const NeuMfParams::Layer& layer = p.tower[l];
+    const std::size_t n = layer.w.cols();
+    float* a = rows + x_at + batch * in;
+    kernels::GemmNN(batch, in, n, rows + x_at, layer.w.data().data(), a);
+    for (std::size_t r = 0; r < batch; ++r) {
+      AddRow(layer.b.data().data(), a + r * n, n);
+    }
+    if (l + 1 < p.tower.size()) {
+      for (std::size_t j = 0; j < batch * n; ++j) a[j] = ReluOf(a[j]);
+    } else {
+      for (std::size_t r = 0; r < batch; ++r) {
+        for (std::size_t c = 0; c < n; ++c) {
+          cat2[r * w2 + dg + c] = ReluOf(a[r * n + c]);
+        }
+      }
+    }
+    x_at += batch * in;
+    in = n;
+  }
+  float* const logits = rows + at.logits;
+  kernels::GemmNN(batch, w2, 1, cat2, p.fuse.w.data().data(), logits);
+  for (std::size_t r = 0; r < batch; ++r) {
+    AddRow(p.fuse.b.data().data(), logits + r, 1);
+  }
+}
+
+}  // namespace
+
+Tensor NeuMfLoss(const NeuMfParams& p, const std::vector<std::size_t>& users,
+                 const std::vector<std::size_t>& items,
+                 const std::vector<float>& targets) {
+  CheckNeuMf(p, users, items);
+  const std::size_t batch = users.size();
+  POISONREC_CHECK(batch > 0 && targets.size() == batch)
+      << "NeuMfLoss needs one target per row, got " << targets.size()
+      << " for " << batch << " rows";
+  const NeuMfLayout at(p, batch, /*with_gmf_rows=*/true);
+  std::vector<float> saved(at.size, 0.0f);
+  NeuMfForward(p, users, items, at, saved.data());
+  // BceWithLogits: Mean(Sub(Softplus(logits), Mul(logits, targets))).
+  const float* logits = saved.data() + at.logits;
+  std::vector<float> softplus(batch);
+  kernels::Softplus(logits, softplus.data(), batch);
+  float acc = 0.0f;
+  for (std::size_t i = 0; i < batch; ++i) {
+    acc += softplus[i] - logits[i] * targets[i];
+  }
+  auto out = NewNode(1, 1);
+  out->data[0] = acc / static_cast<float>(batch);
+  Tensor result(out);
+  if (!GradMode::Enabled()) return result;
+  std::vector<const Tensor*> dense;
+  for (const NeuMfParams::Layer& layer : p.tower) {
+    dense.push_back(&layer.w);
+    dense.push_back(&layer.b);
+  }
+  dense.push_back(&p.fuse.w);
+  dense.push_back(&p.fuse.b);
+  const std::vector<const Tensor*> gathered = {&p.gmf_user, &p.gmf_item,
+                                               &p.mlp_user, &p.mlp_item};
+  const auto requires_grad = [](const Tensor* t) {
+    return t->requires_grad();
+  };
+  if (std::none_of(dense.begin(), dense.end(), requires_grad) &&
+      std::none_of(gathered.begin(), gathered.end(), requires_grad)) {
+    return result;
+  }
+
+  // Per layer: W, b, its input's offset in `saved`, and whether the
+  // composed graph's input node requires grad (the layer's NT product
+  // and the ReLU before it run only then). The tower's output x_L, and
+  // [gmf | x_L], require grad when anything beneath them does.
+  struct TowerLayer {
+    TensorImpl* w;
+    TensorImpl* b;
+    std::size_t x;
+    bool x_grad;
+  };
+  std::vector<TowerLayer> tower;
+  bool x_grad = p.mlp_user.requires_grad() || p.mlp_item.requires_grad();
+  std::size_t x_at = 0;
+  for (const NeuMfParams::Layer& layer : p.tower) {
+    tower.push_back({layer.w.impl().get(), layer.b.impl().get(), x_at, x_grad});
+    x_at += batch * layer.w.rows();
+    x_grad = x_grad || layer.w.requires_grad() || layer.b.requires_grad();
+  }
+  const bool mlp_grad = x_grad;
+  const bool cat2_grad = mlp_grad || p.gmf_user.requires_grad() ||
+                         p.gmf_item.requires_grad();
+  const std::size_t dg = p.gmf_user.cols();
+  const std::size_t dm = p.mlp_user.cols();
+  const float inv = 1.0f / static_cast<float>(batch);
+  TensorImpl* gui = p.gmf_user.impl().get();
+  TensorImpl* gii = p.gmf_item.impl().get();
+  TensorImpl* mui = p.mlp_user.impl().get();
+  TensorImpl* mii = p.mlp_item.impl().get();
+  TensorImpl* wfi = p.fuse.w.impl().get();
+  TensorImpl* bfi = p.fuse.b.impl().get();
+  TensorImpl* oi = out.get();
+  // The composed graph's reverse walk (see tensor.h).
+  AttachParents(
+      out, dense,
+      [gui, gii, mui, mii, wfi, bfi, oi, tower = std::move(tower), mlp_grad,
+       cat2_grad, batch, dg, dm, inv, users = users, items = items,
+       targets = targets, saved = std::move(saved), at]() {
+        const float* s = saved.data();
+        const float* cat2 = s + at.cat2;
+        const float* logits = s + at.logits;
+        const std::size_t w2 = wfi->rows;
+        // Every intermediate gradient, in one zeroed buffer: the logits',
+        // [gmf | x_L]'s, then per layer its output's and its input's.
+        std::size_t size = batch * (1 + w2);
+        for (const TowerLayer& layer : tower) {
+          size += batch * (layer.w->cols + layer.w->rows);
+        }
+        std::vector<float> grads(size, 0.0f);
+        float* next = grads.data();
+        const auto take = [&next](std::size_t n) {
+          float* block = next;
+          next += n;
+          return block;
+        };
+        // Mean, Sub, Mul(logits, targets), then Softplus (σ of each logit
+        // first, in place).
+        const float g_sub = 0.0f + oi->grad[0] * inv;
+        const float g_sp = 0.0f + g_sub;
+        const float g_lt = 0.0f - g_sub;
+        float* g_logits = take(batch);
+        kernels::Sigmoid(logits, g_logits, batch);
+        for (std::size_t i = 0; i < batch; ++i) {
+          g_logits[i] = (0.0f + g_lt * targets[i]) + g_sp * g_logits[i];
+        }
+        // The fuse Affine: b_f, [gmf | x_L], W_f.
+        if (bfi->requires_grad) {
+          for (std::size_t i = 0; i < batch; ++i) {
+            AddRow(g_logits + i, bfi->grad.data(), 1);
+          }
+        }
+        float* g_cat2 = take(batch * w2);
+        if (cat2_grad) {
+          kernels::GemmNT(batch, 1, w2, g_logits, wfi->data.data(), g_cat2);
+        }
+        if (wfi->requires_grad) {
+          kernels::GemmTN(w2, batch, 1, cat2, g_logits, wfi->grad.data());
+        }
+        // The tower from the last layer: its ReLU, whose output x_L lies
+        // in [gmf | x_L] (ConcatCols' 0 + g folds into the ReLU's), then
+        // its Affine (b, x, W), and the next ReLU on its input's gradient.
+        // A ReLU's x > 0 test reads its output, which is > 0 exactly
+        // where its input is.
+        const std::size_t n_last = tower.back().w->cols;
+        float* g_out = take(batch * n_last);
+        if (mlp_grad) {
+          for (std::size_t r = 0; r < batch; ++r) {
+            kernels::ReluBackward(cat2 + r * w2 + dg, g_cat2 + r * w2 + dg,
+                                  0.0f, g_out + r * n_last, n_last);
+          }
+        }
+        const float* g_x0 = nullptr;
+        for (std::size_t l = tower.size(); l-- > 0;) {
+          const TowerLayer& layer = tower[l];
+          const std::size_t n = layer.w->cols;
+          const std::size_t in = layer.w->rows;
+          const float* x = s + layer.x;
+          if (layer.b->requires_grad) {
+            for (std::size_t r = 0; r < batch; ++r) {
+              AddRow(g_out + r * n, layer.b->grad.data(), n);
+            }
+          }
+          float* g_x = take(batch * in);
+          if (layer.x_grad) {
+            kernels::GemmNT(batch, n, in, g_out, layer.w->data.data(), g_x);
+          }
+          if (layer.w->requires_grad) {
+            kernels::GemmTN(in, batch, n, x, g_out, layer.w->grad.data());
+          }
+          if (l == 0) {
+            g_x0 = g_x;
+          } else {
+            g_out = take(batch * in);
+            if (layer.x_grad) {
+              kernels::ReluBackward(x, g_x, 0.0f, g_out, batch * in);
+            }
+          }
+        }
+        // ConcatCols(P_m rows, Q_m rows), then Rows' scatters: Q_m's,
+        // then P_m's, each in row order.
+        for (const bool user_side : {false, true}) {
+          TensorImpl* table = user_side ? mui : mii;
+          if (!table->requires_grad) continue;
+          const std::vector<std::size_t>& ids = user_side ? users : items;
+          const float* g = g_x0 + (user_side ? 0 : dm);
+          for (std::size_t i = 0; i < batch; ++i) {
+            const float* src = g + i * 2 * dm;
+            float* dst = table->grad.data() + ids[i] * dm;
+            for (std::size_t c = 0; c < dm; ++c) dst[c] += 0.0f + src[c];
+          }
+          ListGradRows(table, ids);
+        }
+        // Mul(P_g rows, Q_g rows) on gmf's gradient g = 0 + its part of
+        // [gmf | x_L]'s: each side takes 0 + g·(the other side); then
+        // Rows' scatters, Q_g's, then P_g's.
+        const float* pu_rows = s + at.gmf_rows;
+        const float* qv_rows = pu_rows + batch * dg;
+        for (const bool user_side : {false, true}) {
+          TensorImpl* table = user_side ? gui : gii;
+          if (!table->requires_grad) continue;
+          const std::vector<std::size_t>& ids = user_side ? users : items;
+          const float* other = user_side ? qv_rows : pu_rows;
+          for (std::size_t i = 0; i < batch; ++i) {
+            const float* g = g_cat2 + i * w2;
+            const float* o = other + i * dg;
+            float* dst = table->grad.data() + ids[i] * dg;
+            for (std::size_t c = 0; c < dg; ++c) {
+              dst[c] += 0.0f + (0.0f + g[c]) * o[c];
+            }
+          }
+          ListGradRows(table, ids);
+        }
+      },
+      gathered);
+  return result;
+}
+
+Tensor NeuMfLogits(const NeuMfParams& p, const std::vector<std::size_t>& users,
+                   const std::vector<std::size_t>& items) {
+  CheckNeuMf(p, users, items);
+  const NeuMfLayout at(p, users.size(), /*with_gmf_rows=*/false);
+  std::vector<float> rows(at.size, 0.0f);
+  NeuMfForward(p, users, items, at, rows.data());
+  const auto logits = rows.begin() + static_cast<std::ptrdiff_t>(at.logits);
+  return Tensor::FromData(
+      users.size(), 1,
+      std::vector<float>(logits,
+                         logits + static_cast<std::ptrdiff_t>(users.size())));
 }
 
 // ---------------------------------------------------------------------------

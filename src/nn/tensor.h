@@ -328,6 +328,50 @@ Tensor GruEncode(const Tensor& table, const Tensor& w_x, const Tensor& b_x,
                  const Tensor& w_h, const Tensor& b_h,
                  const std::vector<std::size_t>& inputs);
 
+/// NeuMF's parameters (He et al., WWW'17), aliased: the GMF tables P_g,
+/// Q_g (users x d_g, items x d_g), the MLP tables P_m, Q_m (d_m wide), the
+/// tower's layers (W_1 is (2 d_m x n_1)), each followed by a ReLU, and the
+/// fuse layer, W_f ((d_g + n_L) x 1) and b_f (1 x 1).
+struct NeuMfParams {
+  struct Layer {
+    Tensor w;
+    Tensor b;
+  };
+  Tensor gmf_user, gmf_item, mlp_user, mlp_item;
+  std::vector<Layer> tower;
+  Layer fuse;
+};
+
+/// NeuMF's training loss over one batch as one tape node. For the rows
+/// (u, v) = (users[i], items[i]) it computes
+///   gmf = P_g[u] * Q_g[v], x_0 = [P_m[u] | Q_m[v]],
+///   x_l = relu(x_{l-1} W_l + b_l) for l = 1 … L,
+///   logit = [gmf | x_L] W_f + b_f,
+/// and returns the 1x1 loss Mean(Sub(Softplus(logits), Mul(logits, t))),
+/// t = `targets`. Bit-identical, value and every gradient, to that graph
+/// composed from Rows, Mul, ConcatCols, Affine, Relu and BceWithLogits,
+/// and it issues the same GEMM calls. The forward computes each value as
+/// those ops do and saves the rows the backward reads; the backward
+/// replays the composed graph's reverse walk: Mean, Sub, Mul(logits, t),
+/// Softplus (so a logit's gradient is (0 + (0 − g)·t) + (0 + g)·σ(logit),
+/// g = 0 + Mean's share), the fuse Affine (b_f, [gmf | x_L], W_f), each
+/// layer from the last (its ReLU, then b_l, x_{l-1}, W_l), then Rows'
+/// scatters in row order into Q_m, P_m, Q_g and P_g. Each intermediate
+/// gradient starts at +0, as the composed nodes' buffers do. Parents: the
+/// tower's and the fuse layer's weights and biases, read densely, then the
+/// four tables, read by row gathers, so a row-sparse table lists its rows
+/// in the batch's order.
+Tensor NeuMfLoss(const NeuMfParams& net, const std::vector<std::size_t>& users,
+                 const std::vector<std::size_t>& items,
+                 const std::vector<float>& targets);
+
+/// The logits NeuMfLoss's forward computes for the rows (users[i],
+/// items[i]), by the same routine, as a (B x 1) leaf. Records no tape, in
+/// any grad mode, and marks no input.
+Tensor NeuMfLogits(const NeuMfParams& net,
+                   const std::vector<std::size_t>& users,
+                   const std::vector<std::size_t>& items);
+
 /// Affine map as one tape node: x1 W1 + b, or (x1 W1 + x2 W2) + b, with
 /// b (1 x n) broadcast across rows. Linear uses the one-pair form, the
 /// LSTM pre-activation the two-pair form.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "util/logging.h"
 
@@ -31,6 +30,15 @@ std::vector<nn::Tensor> NeuMf::Net::Parameters() const {
   return params;
 }
 
+nn::NeuMfParams NeuMf::Net::Params() const {
+  nn::NeuMfParams p{gmf_user.table(), gmf_item.table(), mlp_user.table(),
+                    mlp_item.table(), {}, {fuse.weight(), fuse.bias()}};
+  for (const nn::Linear& layer : mlp.layers()) {
+    p.tower.push_back({layer.weight(), layer.bias()});
+  }
+  return p;
+}
+
 NeuMf::NeuMf(const FitConfig& config) : config_(config) {}
 
 NeuMf::NeuMf(const NeuMf& other)
@@ -48,36 +56,28 @@ const nn::Tensor& NeuMf::ItemEmbeddings() const {
   return net_->gmf_item.table();
 }
 
-nn::Tensor NeuMf::ForwardLogits(const std::vector<std::size_t>& users,
-                                const std::vector<std::size_t>& items) const {
-  nn::Tensor eu_g = net_->gmf_user.Forward(users);
-  nn::Tensor ei_g = net_->gmf_item.Forward(items);
-  nn::Tensor gmf = nn::Mul(eu_g, ei_g);  // (B x dim)
-  nn::Tensor eu_m = net_->mlp_user.Forward(users);
-  nn::Tensor ei_m = net_->mlp_item.Forward(items);
-  nn::Tensor mlp_out = net_->mlp.Forward(nn::ConcatCols(eu_m, ei_m));
-  mlp_out = nn::Relu(mlp_out);
-  return net_->fuse.Forward(nn::ConcatCols(gmf, mlp_out));  // (B x 1)
-}
-
 void NeuMf::TrainEpochs(const std::vector<data::Interaction>& interactions,
                         std::size_t epochs, Rng* rng) {
   nn::Adam optimizer(net_->Parameters(), config_.learning_rate, 0.9f, 0.999f,
                      1e-8f, config_.weight_decay);
+  const nn::NeuMfParams params = net_->Params();
   std::vector<std::size_t> order(interactions.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   const std::size_t batch_positives = std::max<std::size_t>(
       1, config_.batch_size / (1 + config_.negatives_per_positive));
 
+  std::vector<std::size_t> users;
+  std::vector<std::size_t> items;
+  std::vector<float> labels;
   for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
     rng->Shuffle(&order);
     for (std::size_t start = 0; start < order.size();
          start += batch_positives) {
       const std::size_t end =
           std::min(order.size(), start + batch_positives);
-      std::vector<std::size_t> users;
-      std::vector<std::size_t> items;
-      std::vector<float> labels;
+      users.clear();
+      items.clear();
+      labels.clear();
       for (std::size_t idx = start; idx < end; ++idx) {
         const data::Interaction& ev = interactions[order[idx]];
         users.push_back(ev.user);
@@ -90,11 +90,7 @@ void NeuMf::TrainEpochs(const std::vector<data::Interaction>& interactions,
           labels.push_back(0.0f);
         }
       }
-      nn::Tensor logits = ForwardLogits(users, items);
-      const std::size_t n_examples = labels.size();
-      nn::Tensor targets =
-          nn::Tensor::FromData(n_examples, 1, std::move(labels));
-      nn::Tensor loss = nn::BceWithLogits(logits, targets);
+      nn::Tensor loss = nn::NeuMfLoss(params, users, items, labels);
       optimizer.ZeroGrad();
       loss.Backward();
       optimizer.Step();
@@ -128,15 +124,10 @@ void NeuMf::Update(const data::Dataset& poison) {
 std::vector<double> NeuMf::Score(
     data::UserId user, const std::vector<data::ItemId>& candidates) const {
   POISONREC_CHECK(net_ != nullptr) << "Score before Fit";
-  nn::NoGradScope no_grad;
-  std::vector<std::size_t> users(candidates.size(), user);
-  std::vector<std::size_t> items(candidates.begin(), candidates.end());
-  nn::Tensor logits = ForwardLogits(users, items);
-  std::vector<double> scores(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    scores[i] = logits.at(i, 0);
-  }
-  return scores;
+  const std::vector<std::size_t> users(candidates.size(), user);
+  const std::vector<std::size_t> items(candidates.begin(), candidates.end());
+  const nn::Tensor logits = nn::NeuMfLogits(net_->Params(), users, items);
+  return std::vector<double>(logits.data().begin(), logits.data().end());
 }
 
 std::unique_ptr<Recommender> NeuMf::Clone() const {

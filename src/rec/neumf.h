@@ -37,6 +37,10 @@ class NeuMf : public Recommender {
     Net(std::size_t num_users, std::size_t num_items, std::size_t dim,
         Rng* rng);
     std::vector<nn::Tensor> Parameters() const;
+    /// The parameters as NeuMfLoss and NeuMfLogits take them: every
+    /// Mlp layer is followed by a ReLU (Mlp's between layers, plus the
+    /// one after the last).
+    nn::NeuMfParams Params() const;
 
     nn::Embedding gmf_user;
     nn::Embedding gmf_item;
@@ -45,10 +49,6 @@ class NeuMf : public Recommender {
     nn::Mlp mlp;       // (2*dim) -> dim -> dim/2
     nn::Linear fuse;   // (dim + dim/2) -> 1
   };
-
-  /// Batch of (user, item) pair logits -> (batch x 1).
-  nn::Tensor ForwardLogits(const std::vector<std::size_t>& users,
-                           const std::vector<std::size_t>& items) const;
 
   void TrainEpochs(const std::vector<data::Interaction>& interactions,
                    std::size_t epochs, Rng* rng);

@@ -1,11 +1,13 @@
 // Tests for nn modules: shapes, parameter plumbing, gradient flow,
-// end-to-end gradient checks through LSTM cells and GRU4Rec's session
-// node, and the session node's and GRU encoder's bit identity with the
-// same graph composed from public ops.
+// end-to-end gradient checks through LSTM cells, GRU4Rec's session node
+// and NeuMF's batch node, and those nodes' and their tape-free forwards'
+// bit identity with the same graphs composed from public ops.
 #include "nn/module.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -416,6 +418,264 @@ TEST(GruEncodeTest, StateStaysWithinTheUnitBound) {
   EXPECT_EQ(h.rows(), 1u);
   EXPECT_EQ(h.cols(), 4u);
   for (float v : h.data()) EXPECT_LE(std::abs(v), 1.0f + 1e-5f);
+}
+
+// NeuMF's modules as rec::NeuMf builds them: four d-column tables, the
+// tower 2d -> d -> max(1, d/2) and the fuse layer.
+struct NeuMfNet {
+  static constexpr std::size_t kUsers = 7;
+  static constexpr std::size_t kItems = 11;
+
+  NeuMfNet(std::size_t dim, Rng* rng)
+      : gmf_user(kUsers, dim, rng),
+        gmf_item(kItems, dim, rng),
+        mlp_user(kUsers, dim, rng),
+        mlp_item(kItems, dim, rng),
+        mlp({2 * dim, dim, std::max<std::size_t>(1, dim / 2)}, rng),
+        fuse(dim + std::max<std::size_t>(1, dim / 2), 1, rng) {}
+
+  NeuMfParams Params() const {
+    NeuMfParams p{gmf_user.table(), gmf_item.table(), mlp_user.table(),
+                  mlp_item.table(), {}, {fuse.weight(), fuse.bias()}};
+    for (const Linear& layer : mlp.layers()) {
+      p.tower.push_back({layer.weight(), layer.bias()});
+    }
+    return p;
+  }
+  // The tables, each tower layer's W and b, then the fuse layer's.
+  std::vector<Tensor> Parameters() const {
+    std::vector<Tensor> params = {gmf_user.table(), gmf_item.table(),
+                                  mlp_user.table(), mlp_item.table()};
+    for (const Tensor& p : mlp.Parameters()) params.push_back(p);
+    for (const Tensor& p : fuse.Parameters()) params.push_back(p);
+    return params;
+  }
+
+  Embedding gmf_user, gmf_item, mlp_user, mlp_item;
+  Mlp mlp;
+  Linear fuse;
+};
+
+// NeuMF's logits composed from public ops, the graph rec::NeuMf trained
+// and scored with before NeuMfLoss: the oracle NeuMfLoss and NeuMfLogits
+// must match bit for bit.
+Tensor ComposedNeuMfLogits(const NeuMfNet& net,
+                           const std::vector<std::size_t>& users,
+                           const std::vector<std::size_t>& items) {
+  Tensor gmf = Mul(net.gmf_user.Forward(users), net.gmf_item.Forward(items));
+  Tensor mlp = Relu(net.mlp.Forward(
+      ConcatCols(net.mlp_user.Forward(users), net.mlp_item.Forward(items))));
+  return net.fuse.Forward(ConcatCols(gmf, mlp));
+}
+
+// One training batch as rec::NeuMf draws it: each positive row followed
+// by two negatives of the same user, so every user's gradient row sums
+// three or more terms. Users come from a pool of 7, and the second
+// positive's first negative is the first positive's item.
+struct NeuMfBatch {
+  std::vector<std::size_t> users;
+  std::vector<std::size_t> items;
+  std::vector<float> targets;
+};
+
+NeuMfBatch RandomNeuMfBatch(std::size_t positives, Rng* rng) {
+  NeuMfBatch b;
+  for (std::size_t k = 0; k < positives; ++k) {
+    const std::size_t user = rng->Index(NeuMfNet::kUsers);
+    for (std::size_t n = 0; n < 3; ++n) {
+      b.users.push_back(user);
+      b.items.push_back(k == 1 && n == 1 ? b.items[0]
+                                         : rng->Index(NeuMfNet::kItems));
+      b.targets.push_back(n == 0 ? 1.0f : 0.0f);
+    }
+  }
+  return b;
+}
+
+struct NeuMfRun {
+  std::vector<std::vector<float>> losses;
+  std::vector<std::vector<float>> grads;  // NeuMfNet::Parameters() order
+  std::vector<std::vector<std::size_t>> grad_rows;  // the four tables
+  std::vector<bool> row_sparse;
+  std::vector<std::uint64_t> gemm;
+};
+
+// Forward and backward of each batch in turn on a copy of the net, with
+// no ZeroGrad between, so the second backward adds to nonzero gradients.
+NeuMfRun RunNeuMf(bool fused, const NeuMfNet& net,
+                  const std::vector<NeuMfBatch>& batches) {
+  const NeuMfNet copy = net;
+  NeuMfRun run;
+  const std::vector<std::uint64_t> before = GemmCounters();
+  for (const NeuMfBatch& b : batches) {
+    Tensor loss =
+        fused ? NeuMfLoss(copy.Params(), b.users, b.items, b.targets)
+              : BceWithLogits(
+                    ComposedNeuMfLogits(copy, b.users, b.items),
+                    Tensor::FromData(b.targets.size(), 1, b.targets));
+    loss.Backward();
+    run.losses.push_back(loss.data());
+  }
+  run.gemm = CounterDelta(before, GemmCounters());
+  const std::vector<Tensor> params = copy.Parameters();
+  for (const Tensor& p : params) run.grads.push_back(p.grad());
+  for (std::size_t t = 0; t < 4; ++t) {
+    run.grad_rows.push_back(params[t].grad_rows());
+    run.row_sparse.push_back(params[t].row_sparse_grad());
+  }
+  return run;
+}
+
+TEST(NeuMfLossTest, BitIdenticalToComposedGraph) {
+  struct KernelThreads {
+    ~KernelThreads() { SetNumThreads(0); }
+  } restore;
+  const char* const kGrads[] = {"P_g", "Q_g", "P_m", "Q_m", "W_1",
+                                "b_1", "W_2", "b_2", "W_f", "b_f"};
+  for (const std::size_t threads : {1, 4}) {
+    SetNumThreads(threads);
+    for (const std::size_t dim : {16, 5}) {
+      for (const std::size_t positives : {21, 1}) {
+        const std::string where = std::to_string(threads) + " threads, d " +
+                                  std::to_string(dim) + ", " +
+                                  std::to_string(3 * positives) + " rows";
+        Rng rng(dim * 100 + positives);
+        NeuMfNet net(dim, &rng);
+        // User 0's GMF row is zero, so its GMF products are +0 or -0;
+        // W_1's first column is zero, so that pre-activation is exactly
+        // +0 on every row and its ReLU passes no gradient.
+        std::vector<float>& pu = net.gmf_user.mutable_table().mutable_data();
+        std::fill_n(pu.begin(), dim, 0.0f);
+        Tensor w1 = net.mlp.layers()[0].weight();
+        for (std::size_t r = 0; r < 2 * dim; ++r) w1.set(r, 0, 0.0f);
+        std::vector<NeuMfBatch> batches = {RandomNeuMfBatch(positives, &rng),
+                                           RandomNeuMfBatch(positives, &rng)};
+        batches[0].users[0] = 0;
+        const NeuMfRun fused = RunNeuMf(true, net, batches);
+        const NeuMfRun composed = RunNeuMf(false, net, batches);
+        for (std::size_t i = 0; i < batches.size(); ++i) {
+          EXPECT_TRUE(SameBits(fused.losses[i], composed.losses[i]))
+              << where << ", loss " << i;
+        }
+        ASSERT_EQ(fused.grads.size(), std::size(kGrads));
+        for (std::size_t i = 0; i < fused.grads.size(); ++i) {
+          EXPECT_TRUE(SameBits(fused.grads[i], composed.grads[i]))
+              << where << ", " << kGrads[i] << " gradient";
+        }
+        for (std::size_t t = 0; t < 4; ++t) {
+          EXPECT_TRUE(fused.row_sparse[t]) << where << ", " << kGrads[t];
+          EXPECT_TRUE(composed.row_sparse[t]) << where << ", " << kGrads[t];
+          EXPECT_EQ(fused.grad_rows[t], composed.grad_rows[t])
+              << where << ", " << kGrads[t];
+        }
+        EXPECT_EQ(fused.gemm, composed.gemm) << where;
+      }
+    }
+  }
+}
+
+TEST(NeuMfLossTest, GradientMatchesNumerical) {
+  Rng rng(17);
+  const NeuMfNet net(3, &rng);
+  // Nonzero biases: with zero ones, a row whose hidden units are all dead
+  // has a pre-activation of exactly 0, ReLU's kink, where a central
+  // difference is half the one-sided slope.
+  for (const Linear& layer : net.mlp.layers()) {
+    Tensor bias = layer.bias();
+    std::fill(bias.mutable_data().begin(), bias.mutable_data().end(), 0.1f);
+  }
+  const NeuMfBatch b = RandomNeuMfBatch(3, &rng);
+  const auto loss_of = [&]() {
+    return NeuMfLoss(net.Params(), b.users, b.items, b.targets);
+  };
+  loss_of().Backward();
+  for (const Tensor& param : net.Parameters()) {
+    const std::vector<float> numeric = NumericalGradient(
+        [&](const Tensor&) {
+          NoGradScope no_grad;
+          return loss_of().item();
+        },
+        param, 1e-3f);
+    for (std::size_t i = 0; i < numeric.size(); ++i) {
+      EXPECT_NEAR(param.grad()[i], numeric[i],
+                  0.02f + 0.05f * std::abs(numeric[i]))
+          << param.ShapeString() << " element " << i;
+    }
+  }
+}
+
+TEST(NeuMfLossTest, MarksTablesGatheredAndWeightsDense) {
+  Rng rng(18);
+  const NeuMfNet seed_net(4, &rng);
+  const NeuMfBatch b = RandomNeuMfBatch(2, &rng);
+  {
+    const NeuMfNet net = seed_net;
+    NeuMfLoss(net.Params(), b.users, b.items, b.targets).Backward();
+    const std::vector<Tensor> params = net.Parameters();
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      EXPECT_EQ(params[i].row_sparse_grad(), i < 4) << "parameter " << i;
+      EXPECT_EQ(params[i].impl()->gathered, i < 4) << "parameter " << i;
+      EXPECT_EQ(params[i].impl()->read_densely, i >= 4) << "parameter " << i;
+    }
+  }
+  {
+    // A table some other op read densely stays dense.
+    const NeuMfNet net = seed_net;
+    Sum(net.mlp_item.table());
+    NeuMfLoss(net.Params(), b.users, b.items, b.targets).Backward();
+    EXPECT_FALSE(net.mlp_item.table().row_sparse_grad());
+    EXPECT_TRUE(net.gmf_item.table().row_sparse_grad());
+  }
+  {
+    const NeuMfNet net = seed_net;
+    NoGradScope no_grad;
+    const Tensor loss = NeuMfLoss(net.Params(), b.users, b.items, b.targets);
+    EXPECT_FALSE(loss.requires_grad());
+    EXPECT_TRUE(loss.impl()->parents.empty());
+    for (const Tensor& p : net.Parameters()) {
+      EXPECT_FALSE(p.impl()->gathered);
+      EXPECT_FALSE(p.impl()->read_densely);
+    }
+  }
+}
+
+TEST(NeuMfLogitsTest, BitIdenticalToComposedForwardAndRecordsNoTape) {
+  for (const std::size_t dim : {16, 5}) {
+    for (const std::size_t rows : {100, 3}) {
+      const std::string where =
+          "d " + std::to_string(dim) + ", " + std::to_string(rows) + " rows";
+      Rng rng(dim + rows);
+      const NeuMfNet net(dim, &rng);
+      // One user against `rows` items, as NeuMf::Score asks.
+      const std::vector<std::size_t> users(rows, rng.Index(NeuMfNet::kUsers));
+      std::vector<std::size_t> items;
+      for (std::size_t i = 0; i < rows; ++i) {
+        items.push_back(rng.Index(NeuMfNet::kItems));
+      }
+      const std::vector<std::uint64_t> before = GemmCounters();
+      Tensor composed;
+      {
+        NoGradScope no_grad;
+        composed = ComposedNeuMfLogits(net, users, items);
+      }
+      const std::vector<std::uint64_t> mid = GemmCounters();
+      // Grad mode is on, and every parameter requires grad.
+      const NeuMfNet fresh = net;
+      const Tensor logits = NeuMfLogits(fresh.Params(), users, items);
+      EXPECT_TRUE(SameBits(logits.data(), composed.data())) << where;
+      EXPECT_EQ(logits.rows(), rows) << where;
+      EXPECT_EQ(logits.cols(), 1u) << where;
+      EXPECT_EQ(CounterDelta(mid, GemmCounters()), CounterDelta(before, mid))
+          << where;
+      EXPECT_FALSE(logits.requires_grad()) << where;
+      EXPECT_TRUE(logits.impl()->parents.empty()) << where;
+      EXPECT_TRUE(logits.grad().empty()) << where;
+      for (const Tensor& p : fresh.Parameters()) {
+        EXPECT_FALSE(p.impl()->gathered) << where;
+        EXPECT_FALSE(p.impl()->read_densely) << where;
+      }
+    }
+  }
 }
 
 // The policy's recompute graph in miniature: an LSTM unrolled over

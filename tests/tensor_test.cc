@@ -284,6 +284,48 @@ TEST(TensorGrad, LeakyReluGrad) {
                 [](const Tensor& x) { return Sum(LeakyRelu(x, 0.2f)); });
 }
 
+// Every (x, g, starting gradient) triple over special values, through
+// `op`'s backward with g handed in as the output's gradient, against
+// start + g·(x > 0 ? 1 : slope), the scalar formula the select replaces.
+void CheckReluBackwardBits(const std::function<Tensor(const Tensor&)>& op,
+                           float slope) {
+  const float sub = std::numeric_limits<float>::denorm_min() * 3.0f;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> specials = {0.0f, -0.0f, sub, -sub, 1.0f,
+                                       -1.0f, inf,  -inf, nan};
+  std::vector<float> xs, gs, starts, want;
+  for (const float start : {0.0f, -0.0f, 0.375f}) {
+    for (const float x : specials) {
+      for (const float g : specials) {
+        xs.push_back(x);
+        gs.push_back(g);
+        starts.push_back(start);
+        want.push_back(start + g * (x > 0.0f ? 1.0f : slope));
+      }
+    }
+  }
+  // Odd lengths too, so the zero-padded last lanes run.
+  for (const std::size_t n : {xs.size(), std::size_t{7}, std::size_t{1}}) {
+    Tensor x = Tensor::FromData(1, n, {xs.begin(), xs.begin() + n}, true);
+    x.mutable_grad().assign(starts.begin(), starts.begin() + n);
+    Tensor y = op(x);
+    y.mutable_grad().assign(gs.begin(), gs.begin() + n);
+    y.impl()->backward_fn();
+    EXPECT_TRUE(SameBits(x.grad(), {want.begin(), want.begin() + n}))
+        << n << " elements";
+  }
+}
+
+TEST(TensorGrad, ReluBackwardMatchesTheScalarFormulaBitForBit) {
+  CheckReluBackwardBits([](const Tensor& x) { return Relu(x); }, 0.0f);
+}
+
+TEST(TensorGrad, LeakyReluBackwardMatchesTheScalarFormulaBitForBit) {
+  CheckReluBackwardBits([](const Tensor& x) { return LeakyRelu(x, 0.2f); },
+                        0.2f);
+}
+
 TEST(TensorGrad, SquareScale) {
   CheckGradient(RandomTensor(2, 2, 39), [](const Tensor& x) {
     return Mean(Scale(Square(x), 3.0f));
