@@ -7,6 +7,14 @@
 #include "util/logging.h"
 
 namespace poisonrec::rec {
+namespace {
+
+/// Users (autoencoder rows) per mini-batch.
+constexpr std::size_t kBatchUsers = 8;
+/// A user's sampled 0-target items: this many per positive, plus one.
+constexpr std::size_t kNegativesPerPositive = 2;
+
+}  // namespace
 
 AutoRec::Net::Net(std::size_t num_items, std::size_t hidden, Rng* rng)
     : encoder(num_items, hidden, rng), decoder(hidden, num_items, rng) {}
@@ -19,15 +27,6 @@ std::vector<nn::Tensor> AutoRec::Net::Parameters() const {
 }
 
 AutoRec::AutoRec(const FitConfig& config) : config_(config) {}
-
-AutoRec::AutoRec(const AutoRec& other)
-    : config_(other.config_),
-      num_items_(other.num_items_),
-      net_(other.net_ != nullptr ? std::make_unique<Net>(*other.net_)
-                                 : nullptr),
-      positives_(other.positives_),
-      clean_users_(other.clean_users_),
-      update_seed_(other.update_seed_) {}
 
 nn::Tensor AutoRec::Reconstruct(const nn::Tensor& inputs) const {
   nn::Tensor hidden = nn::Sigmoid(net_->encoder.Forward(inputs));
@@ -44,14 +43,13 @@ std::vector<float> AutoRec::UserVector(data::UserId user) const {
 
 void AutoRec::TrainEpochs(const std::vector<data::UserId>& users,
                           std::size_t epochs, Rng* rng) {
-  nn::Adam optimizer(net_->Parameters(), config_.learning_rate, 0.9f, 0.999f,
-                     1e-8f, config_.weight_decay);
+  nn::Adam optimizer(net_->Parameters(), kLearningRate, 0.9f, 0.999f, 1e-8f,
+                     kWeightDecay);
   std::vector<data::UserId> order = users;
-  const std::size_t batch = std::max<std::size_t>(1, config_.batch_size / 8);
   for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
     rng->Shuffle(&order);
-    for (std::size_t start = 0; start < order.size(); start += batch) {
-      const std::size_t end = std::min(order.size(), start + batch);
+    for (std::size_t start = 0; start < order.size(); start += kBatchUsers) {
+      const std::size_t end = std::min(order.size(), start + kBatchUsers);
       const std::size_t rows = end - start;
       std::vector<float> input(rows * num_items_, 0.0f);
       std::vector<float> mask(rows * num_items_, 0.0f);
@@ -64,10 +62,8 @@ void AutoRec::TrainEpochs(const std::vector<data::UserId>& users,
         }
         // Sampled zero-targets keep the reconstruction from collapsing to
         // all-ones.
-        const std::size_t n_neg =
-            std::min<std::size_t>(num_items_,
-                                  pos.size() * config_.negatives_per_positive +
-                                      1);
+        const std::size_t n_neg = std::min<std::size_t>(
+            num_items_, pos.size() * kNegativesPerPositive + 1);
         for (std::size_t n = 0; n < n_neg; ++n) {
           const data::ItemId j = SampleNegative(num_items_, pos, rng);
           mask[r * num_items_ + j] = 1.0f;
@@ -89,35 +85,28 @@ void AutoRec::TrainEpochs(const std::vector<data::UserId>& users,
 void AutoRec::Fit(const data::Dataset& dataset) {
   Rng rng(config_.seed);
   num_items_ = dataset.num_items();
-  net_ = std::make_unique<Net>(num_items_, config_.embedding_dim, &rng);
+  net_.emplace(num_items_, config_.embedding_dim, &rng);
   positives_ = BuildPositiveSets(dataset);
-  std::vector<data::UserId> active = dataset.UsersWithMinLength(1);
-  clean_users_ = active;
-  TrainEpochs(active, config_.epochs, &rng);
+  clean_users_ = std::make_shared<const std::vector<data::UserId>>(
+      dataset.UsersWithMinLength(1));
+  TrainEpochs(*clean_users_, config_.epochs, &rng);
   update_seed_ = rng.Fork();
 }
 
 void AutoRec::Update(const data::Dataset& poison) {
-  POISONREC_CHECK(net_ != nullptr) << "Update before Fit";
+  POISONREC_CHECK(net_.has_value()) << "Update before Fit";
   POISONREC_CHECK_EQ(poison.num_items(), num_items_);
   Rng rng(update_seed_ ^ 0x2545f4914f6cdd1dull);
   MergePositiveSets(poison, &positives_);
-  std::vector<data::UserId> active = poison.UsersWithMinLength(1);
-  // Replay: mix in clean users so the decoder does not collapse onto the
-  // poison vectors (see FitConfig::update_replay_ratio).
-  if (!clean_users_.empty()) {
-    const std::size_t extra = static_cast<std::size_t>(
-        config_.update_replay_ratio * static_cast<double>(active.size()));
-    for (std::size_t i = 0; i < extra; ++i) {
-      active.push_back(clean_users_[rng.Index(clean_users_.size())]);
-    }
-  }
-  TrainEpochs(active, config_.update_epochs, &rng);
+  // Replayed clean users keep the decoder from collapsing onto the poison
+  // vectors.
+  TrainEpochs(MixWithReplay(poison.UsersWithMinLength(1), *clean_users_, &rng),
+              config_.update_epochs, &rng);
 }
 
 std::vector<double> AutoRec::Score(
     data::UserId user, const std::vector<data::ItemId>& candidates) const {
-  POISONREC_CHECK(net_ != nullptr) << "Score before Fit";
+  POISONREC_CHECK(net_.has_value()) << "Score before Fit";
   nn::NoGradScope no_grad;
   nn::Tensor x = nn::Tensor::FromData(1, num_items_, UserVector(user));
   nn::Tensor recon = Reconstruct(x);
@@ -131,7 +120,7 @@ std::vector<double> AutoRec::Score(
 }
 
 std::unique_ptr<Recommender> AutoRec::Clone() const {
-  return std::unique_ptr<Recommender>(new AutoRec(*this));
+  return std::make_unique<AutoRec>(*this);
 }
 
 }  // namespace poisonrec::rec

@@ -7,6 +7,7 @@
 #define POISONREC_REC_AUTOREC_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "nn/module.h"
@@ -18,8 +19,6 @@ namespace poisonrec::rec {
 class AutoRec : public Recommender {
  public:
   explicit AutoRec(const FitConfig& config = FitConfig());
-  AutoRec(const AutoRec& other);
-  AutoRec& operator=(const AutoRec&) = delete;
 
   std::string Name() const override { return "AutoRec"; }
   void Fit(const data::Dataset& dataset) override;
@@ -48,10 +47,10 @@ class AutoRec : public Recommender {
 
   FitConfig config_;
   std::size_t num_items_ = 0;
-  std::unique_ptr<Net> net_;
+  std::optional<Net> net_;
   // Per-user positive item sets double as the autoencoder inputs.
   std::vector<std::unordered_set<data::ItemId>> positives_;
-  std::vector<data::UserId> clean_users_;  // replay pool for Update
+  ReplayPool<data::UserId> clean_users_;
   std::uint64_t update_seed_ = 0;
 };
 

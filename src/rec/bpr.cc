@@ -11,8 +11,8 @@ Bpr::Bpr(const FitConfig& config) : config_(config) {}
 void Bpr::SgdEpochs(const std::vector<data::Interaction>& interactions,
                     std::size_t epochs, Rng* rng) {
   const std::size_t dim = factors_.dim;
-  const float lr = config_.learning_rate;
-  const float reg = config_.weight_decay;
+  const float lr = kLearningRate;
+  const float reg = kWeightDecay;
   std::vector<std::size_t> order(interactions.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
 
@@ -48,26 +48,30 @@ void Bpr::Fit(const data::Dataset& dataset) {
   factors_.Init(dataset.num_users(), dataset.num_items(),
                 config_.embedding_dim, 0.1f, &rng);
   positives_ = BuildPositiveSets(dataset);
-  clean_ = dataset.AllInteractions();
-  SgdEpochs(clean_, config_.epochs, &rng);
+  clean_ = std::make_shared<const std::vector<data::Interaction>>(
+      dataset.AllInteractions());
+  SgdEpochs(*clean_, config_.epochs, &rng);
   update_seed_ = rng.Fork();
 }
 
 void Bpr::Update(const data::Dataset& poison) {
+  POISONREC_CHECK(clean_ != nullptr) << "Update before Fit";
   POISONREC_CHECK_EQ(poison.num_items(), factors_.num_items());
   POISONREC_CHECK_LE(poison.num_users(), factors_.num_users());
   Rng rng(update_seed_ ^ 0xda3e39cb94b95bdbull);
   MergePositiveSets(poison, &positives_);
-  SgdEpochs(MixWithReplay(poison.AllInteractions(), clean_,
-                          config_.update_replay_ratio, &rng),
+  SgdEpochs(MixWithReplay(poison.AllInteractions(), *clean_, &rng),
             config_.update_epochs, &rng);
 }
 
 std::vector<double> Bpr::Score(
     data::UserId user, const std::vector<data::ItemId>& candidates) const {
+  POISONREC_CHECK_LT(user, factors_.num_users());
+  const std::size_t num_items = factors_.num_items();
   std::vector<double> scores;
   scores.reserve(candidates.size());
   for (data::ItemId item : candidates) {
+    POISONREC_CHECK_LT(item, num_items);
     scores.push_back(factors_.Dot(user, item));
   }
   return scores;

@@ -34,7 +34,7 @@ class Bpr : public Recommender {
   FitConfig config_;
   FactorTables factors_;
   std::vector<std::unordered_set<data::ItemId>> positives_;
-  std::vector<data::Interaction> clean_;  // replay pool for Update
+  ReplayPool<data::Interaction> clean_;
   std::uint64_t update_seed_ = 0;
 };
 

@@ -51,6 +51,7 @@ double CoVisitation::CoVisits(data::ItemId a, data::ItemId b) const {
 
 std::vector<double> CoVisitation::Score(
     data::UserId user, const std::vector<data::ItemId>& candidates) const {
+  for (data::ItemId j : candidates) POISONREC_CHECK_LT(j, covisits_.size());
   std::vector<double> scores(candidates.size(), 0.0);
   if (user >= history_.size()) return scores;
   const std::vector<data::ItemId>& h = history_[user];

@@ -29,18 +29,4 @@ data::ItemId SampleNegative(std::size_t num_items,
   return rng->Index(num_items);
 }
 
-std::vector<data::Interaction> MixWithReplay(
-    std::vector<data::Interaction> poison_events,
-    const std::vector<data::Interaction>& clean, double ratio, Rng* rng) {
-  if (!clean.empty() && ratio > 0.0) {
-    const std::size_t extra = static_cast<std::size_t>(
-        ratio * static_cast<double>(poison_events.size()));
-    poison_events.reserve(poison_events.size() + extra);
-    for (std::size_t i = 0; i < extra; ++i) {
-      poison_events.push_back(clean[rng->Index(clean.size())]);
-    }
-  }
-  return poison_events;
-}
-
 }  // namespace poisonrec::rec

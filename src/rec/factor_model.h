@@ -1,11 +1,14 @@
-// Shared plumbing for the hand-rolled latent-factor rankers (PMF, BPR):
-// flat row-major user/item factor tables with fast dot products. The
-// neural rankers use the autograd substrate instead; these two models have
-// closed-form SGD updates, so plain buffers are simpler and faster.
+// Shared plumbing for the six parametric rankers (PMF, BPR, NeuMF,
+// AutoRec, GRU4Rec, NGCF): the training constants they all use, positive
+// sets and negative sampling, and the update replay. PMF and BPR also
+// keep their factors here, as flat row-major user/item tables: they have
+// closed-form SGD updates, so plain buffers are simpler and faster than
+// the autograd substrate the neural rankers train on.
 #ifndef POISONREC_REC_FACTOR_MODEL_H_
 #define POISONREC_REC_FACTOR_MODEL_H_
 
 #include <cstddef>
+#include <memory>
 #include <unordered_set>
 #include <vector>
 
@@ -60,12 +63,40 @@ data::ItemId SampleNegative(std::size_t num_items,
                             const std::unordered_set<data::ItemId>& positives,
                             Rng* rng);
 
-/// Update-replay mix (see FitConfig::update_replay_ratio): returns the
-/// poison events plus `ratio * |poison|` interactions sampled uniformly
-/// with replacement from the clean log.
-std::vector<data::Interaction> MixWithReplay(
-    std::vector<data::Interaction> poison_events,
-    const std::vector<data::Interaction>& clean, double ratio, Rng* rng);
+/// Step size and L2 weight decay of every parametric ranker's SGD (PMF,
+/// BPR) or Adam (the neural rankers), in Fit and in Update.
+inline constexpr float kLearningRate = 0.05f;
+inline constexpr float kWeightDecay = 1e-4f;
+
+/// When a parametric ranker is incrementally updated with a poison log,
+/// each update epoch also replays kUpdateReplayRatio x as many clean
+/// training examples, drawn from the clean log. This models a production
+/// system that keeps training on its full log (which now contains the
+/// poison) instead of on the poison alone: without it, a handful of fake
+/// clicks catastrophically overwrite the model. Count-based models
+/// (ItemPop, CoVisitation, ItemKNN) are exact and replay nothing.
+inline constexpr double kUpdateReplayRatio = 4.0;
+
+/// The clean examples Update replays. Fit builds it once; clones share
+/// it, since no Update writes it.
+template <typename T>
+using ReplayPool = std::shared_ptr<const std::vector<T>>;
+
+/// The update-replay mix: `fresh` followed by kUpdateReplayRatio x
+/// |fresh| elements drawn uniformly with replacement from `clean` (none
+/// when `clean` is empty).
+template <typename T>
+std::vector<T> MixWithReplay(std::vector<T> fresh, const std::vector<T>& clean,
+                             Rng* rng) {
+  if (clean.empty()) return fresh;
+  const std::size_t extra = static_cast<std::size_t>(
+      kUpdateReplayRatio * static_cast<double>(fresh.size()));
+  fresh.reserve(fresh.size() + extra);
+  for (std::size_t i = 0; i < extra; ++i) {
+    fresh.push_back(clean[rng->Index(clean.size())]);
+  }
+  return fresh;
+}
 
 }  // namespace poisonrec::rec
 

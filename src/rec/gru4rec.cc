@@ -1,11 +1,19 @@
 #include "rec/gru4rec.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "nn/optimizer.h"
 #include "util/logging.h"
 
 namespace poisonrec::rec {
+namespace {
+
+/// Clicks of a sequence the GRU consumes: the most recent ones.
+constexpr std::size_t kMaxSequenceLength = 30;
+/// Uniformly drawn negatives beside each positive next item.
+constexpr std::size_t kSampledNegatives = 8;
+
+}  // namespace
 
 Gru4Rec::Net::Net(std::size_t num_items, std::size_t dim, Rng* rng)
     : items(num_items, dim, rng), gru(dim, dim, rng) {}
@@ -19,25 +27,15 @@ std::vector<nn::Tensor> Gru4Rec::Net::Parameters() const {
 
 Gru4Rec::Gru4Rec(const FitConfig& config) : config_(config) {}
 
-Gru4Rec::Gru4Rec(const Gru4Rec& other)
-    : config_(other.config_),
-      num_items_(other.num_items_),
-      net_(other.net_ != nullptr ? std::make_unique<Net>(*other.net_)
-                                 : nullptr),
-      history_(other.history_),
-      clean_sequences_(other.clean_sequences_),
-      update_seed_(other.update_seed_) {}
-
 const nn::Tensor& Gru4Rec::ItemEmbeddings() const {
-  POISONREC_CHECK(net_ != nullptr) << "GRU4Rec not fitted";
+  POISONREC_CHECK(net_.has_value()) << "GRU4Rec not fitted";
   return net_->items.table();
 }
 
 nn::Tensor Gru4Rec::Encode(const std::vector<data::ItemId>& sequence) const {
-  const std::size_t start =
-      sequence.size() > config_.max_sequence_length
-          ? sequence.size() - config_.max_sequence_length
-          : 0;
+  const std::size_t start = sequence.size() > kMaxSequenceLength
+                                ? sequence.size() - kMaxSequenceLength
+                                : 0;
   const std::vector<std::size_t> inputs(
       sequence.begin() + static_cast<std::ptrdiff_t>(start), sequence.end());
   const nn::GruCell& gru = net_->gru;
@@ -48,14 +46,12 @@ nn::Tensor Gru4Rec::Encode(const std::vector<data::ItemId>& sequence) const {
 void Gru4Rec::TrainEpochs(
     const std::vector<std::vector<data::ItemId>>& sequences,
     std::size_t epochs, Rng* rng) {
-  nn::Adam optimizer(net_->Parameters(), config_.learning_rate, 0.9f, 0.999f,
-                     1e-8f, config_.weight_decay);
+  nn::Adam optimizer(net_->Parameters(), kLearningRate, 0.9f, 0.999f, 1e-8f,
+                     kWeightDecay);
   std::vector<std::size_t> order;
   for (std::size_t s = 0; s < sequences.size(); ++s) {
     if (sequences[s].size() >= 2) order.push_back(s);
   }
-  const std::size_t n_neg = std::max<std::size_t>(
-      4, config_.negatives_per_positive * 4);
   const nn::GruCell& gru = net_->gru;
   std::vector<std::size_t> inputs;
   std::vector<std::size_t> cands;  // one row per step: positive, negatives
@@ -64,17 +60,16 @@ void Gru4Rec::TrainEpochs(
     rng->Shuffle(&order);
     for (std::size_t s : order) {
       const std::vector<data::ItemId>& full = sequences[s];
-      const std::size_t start =
-          full.size() > config_.max_sequence_length
-              ? full.size() - config_.max_sequence_length
-              : 0;
+      const std::size_t start = full.size() > kMaxSequenceLength
+                                    ? full.size() - kMaxSequenceLength
+                                    : 0;
       inputs.clear();
       cands.clear();
       for (std::size_t p = start; p + 1 < full.size(); ++p) {
         inputs.push_back(full[p]);
         // Sampled softmax: positive first, then negatives.
         cands.push_back(full[p + 1]);
-        for (std::size_t n = 0; n < n_neg; ++n) {
+        for (std::size_t n = 0; n < kSampledNegatives; ++n) {
           cands.push_back(rng->Index(num_items_));
         }
       }
@@ -92,21 +87,19 @@ void Gru4Rec::TrainEpochs(
 void Gru4Rec::Fit(const data::Dataset& dataset) {
   Rng rng(config_.seed);
   num_items_ = dataset.num_items();
-  net_ = std::make_unique<Net>(num_items_, config_.embedding_dim, &rng);
+  net_.emplace(num_items_, config_.embedding_dim, &rng);
   history_.assign(dataset.num_users(), {});
-  std::vector<std::vector<data::ItemId>> sequences;
-  sequences.reserve(dataset.num_users());
   for (data::UserId u = 0; u < dataset.num_users(); ++u) {
     history_[u] = dataset.Sequence(u);
-    sequences.push_back(dataset.Sequence(u));
   }
-  clean_sequences_ = sequences;
-  TrainEpochs(sequences, config_.epochs, &rng);
+  clean_sequences_ =
+      std::make_shared<const std::vector<std::vector<data::ItemId>>>(history_);
+  TrainEpochs(*clean_sequences_, config_.epochs, &rng);
   update_seed_ = rng.Fork();
 }
 
 void Gru4Rec::Update(const data::Dataset& poison) {
-  POISONREC_CHECK(net_ != nullptr) << "Update before Fit";
+  POISONREC_CHECK(net_.has_value()) << "Update before Fit";
   POISONREC_CHECK_EQ(poison.num_items(), num_items_);
   Rng rng(update_seed_ ^ 0xbb67ae8584caa73bull);
   if (poison.num_users() > history_.size()) {
@@ -119,23 +112,16 @@ void Gru4Rec::Update(const data::Dataset& poison) {
     history_[u].insert(history_[u].end(), seq.begin(), seq.end());
     sequences.push_back(seq);
   }
-  // Replay: mix in clean sequences so the model does not collapse onto
-  // the poison sessions (see FitConfig::update_replay_ratio).
-  if (!clean_sequences_.empty()) {
-    const std::size_t extra = static_cast<std::size_t>(
-        config_.update_replay_ratio *
-        static_cast<double>(sequences.size()));
-    for (std::size_t i = 0; i < extra; ++i) {
-      sequences.push_back(
-          clean_sequences_[rng.Index(clean_sequences_.size())]);
-    }
-  }
-  TrainEpochs(sequences, config_.update_epochs, &rng);
+  // Replayed clean sequences keep the model from collapsing onto the
+  // poison sessions.
+  TrainEpochs(MixWithReplay(std::move(sequences), *clean_sequences_, &rng),
+              config_.update_epochs, &rng);
 }
 
 std::vector<double> Gru4Rec::Score(
     data::UserId user, const std::vector<data::ItemId>& candidates) const {
-  POISONREC_CHECK(net_ != nullptr) << "Score before Fit";
+  POISONREC_CHECK(net_.has_value()) << "Score before Fit";
+  for (data::ItemId item : candidates) POISONREC_CHECK_LT(item, num_items_);
   nn::NoGradScope no_grad;
   static const std::vector<data::ItemId> kNoHistory;
   nn::Tensor h = Encode(user < history_.size() ? history_[user] : kNoHistory);
@@ -149,7 +135,7 @@ std::vector<double> Gru4Rec::Score(
 }
 
 std::unique_ptr<Recommender> Gru4Rec::Clone() const {
-  return std::unique_ptr<Recommender>(new Gru4Rec(*this));
+  return std::make_unique<Gru4Rec>(*this);
 }
 
 }  // namespace poisonrec::rec

@@ -8,6 +8,7 @@
 #define POISONREC_REC_GRU4REC_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "nn/module.h"
@@ -19,8 +20,6 @@ namespace poisonrec::rec {
 class Gru4Rec : public Recommender {
  public:
   explicit Gru4Rec(const FitConfig& config = FitConfig());
-  Gru4Rec(const Gru4Rec& other);
-  Gru4Rec& operator=(const Gru4Rec&) = delete;
 
   std::string Name() const override { return "GRU4Rec"; }
   void Fit(const data::Dataset& dataset) override;
@@ -41,8 +40,8 @@ class Gru4Rec : public Recommender {
     nn::GruCell gru;
   };
 
-  /// Hidden state after consuming `sequence` (truncated to the configured
-  /// maximum length; empty sequence -> zero state).
+  /// Hidden state after consuming `sequence` (its last kMaxSequenceLength
+  /// clicks; empty sequence -> zero state).
   nn::Tensor Encode(const std::vector<data::ItemId>& sequence) const;
 
   void TrainEpochs(const std::vector<std::vector<data::ItemId>>& sequences,
@@ -50,9 +49,9 @@ class Gru4Rec : public Recommender {
 
   FitConfig config_;
   std::size_t num_items_ = 0;
-  std::unique_ptr<Net> net_;
+  std::optional<Net> net_;
   std::vector<std::vector<data::ItemId>> history_;  // per user, from Fit
-  std::vector<std::vector<data::ItemId>> clean_sequences_;  // replay pool
+  ReplayPool<std::vector<data::ItemId>> clean_sequences_;
   std::uint64_t update_seed_ = 0;
 };
 

@@ -65,6 +65,7 @@ double ItemKnn::CoOccurrences(data::ItemId a, data::ItemId b) const {
 
 std::vector<double> ItemKnn::Score(
     data::UserId user, const std::vector<data::ItemId>& candidates) const {
+  for (data::ItemId j : candidates) POISONREC_CHECK_LT(j, item_users_.size());
   std::vector<double> scores(candidates.size(), 0.0);
   if (user >= history_.size()) return scores;
   std::unordered_set<data::ItemId> hist(history_[user].begin(),

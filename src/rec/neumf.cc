@@ -6,6 +6,14 @@
 #include "util/logging.h"
 
 namespace poisonrec::rec {
+namespace {
+
+/// Sampled unobserved items, each a 0-label row, per observed interaction.
+constexpr std::size_t kNegativesPerPositive = 2;
+/// Observed interactions per mini-batch: 63 rows with their negatives.
+constexpr std::size_t kBatchPositives = 21;
+
+}  // namespace
 
 NeuMf::Net::Net(std::size_t num_users, std::size_t num_items,
                 std::size_t dim, Rng* rng)
@@ -41,30 +49,18 @@ nn::NeuMfParams NeuMf::Net::Params() const {
 
 NeuMf::NeuMf(const FitConfig& config) : config_(config) {}
 
-NeuMf::NeuMf(const NeuMf& other)
-    : config_(other.config_),
-      num_users_(other.num_users_),
-      num_items_(other.num_items_),
-      net_(other.net_ != nullptr ? std::make_unique<Net>(*other.net_)
-                                 : nullptr),
-      positives_(other.positives_),
-      clean_(other.clean_),
-      update_seed_(other.update_seed_) {}
-
 const nn::Tensor& NeuMf::ItemEmbeddings() const {
-  POISONREC_CHECK(net_ != nullptr) << "NeuMF not fitted";
+  POISONREC_CHECK(net_.has_value()) << "NeuMF not fitted";
   return net_->gmf_item.table();
 }
 
 void NeuMf::TrainEpochs(const std::vector<data::Interaction>& interactions,
                         std::size_t epochs, Rng* rng) {
-  nn::Adam optimizer(net_->Parameters(), config_.learning_rate, 0.9f, 0.999f,
-                     1e-8f, config_.weight_decay);
+  nn::Adam optimizer(net_->Parameters(), kLearningRate, 0.9f, 0.999f, 1e-8f,
+                     kWeightDecay);
   const nn::NeuMfParams params = net_->Params();
   std::vector<std::size_t> order(interactions.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  const std::size_t batch_positives = std::max<std::size_t>(
-      1, config_.batch_size / (1 + config_.negatives_per_positive));
 
   std::vector<std::size_t> users;
   std::vector<std::size_t> items;
@@ -72,9 +68,9 @@ void NeuMf::TrainEpochs(const std::vector<data::Interaction>& interactions,
   for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
     rng->Shuffle(&order);
     for (std::size_t start = 0; start < order.size();
-         start += batch_positives) {
+         start += kBatchPositives) {
       const std::size_t end =
-          std::min(order.size(), start + batch_positives);
+          std::min(order.size(), start + kBatchPositives);
       users.clear();
       items.clear();
       labels.clear();
@@ -83,7 +79,7 @@ void NeuMf::TrainEpochs(const std::vector<data::Interaction>& interactions,
         users.push_back(ev.user);
         items.push_back(ev.item);
         labels.push_back(1.0f);
-        for (std::size_t n = 0; n < config_.negatives_per_positive; ++n) {
+        for (std::size_t n = 0; n < kNegativesPerPositive; ++n) {
           users.push_back(ev.user);
           items.push_back(
               SampleNegative(num_items_, positives_[ev.user], rng));
@@ -102,36 +98,36 @@ void NeuMf::Fit(const data::Dataset& dataset) {
   Rng rng(config_.seed);
   num_users_ = dataset.num_users();
   num_items_ = dataset.num_items();
-  net_ = std::make_unique<Net>(num_users_, num_items_,
-                               config_.embedding_dim, &rng);
+  net_.emplace(num_users_, num_items_, config_.embedding_dim, &rng);
   positives_ = BuildPositiveSets(dataset);
-  clean_ = dataset.AllInteractions();
-  TrainEpochs(clean_, config_.epochs, &rng);
+  clean_ = std::make_shared<const std::vector<data::Interaction>>(
+      dataset.AllInteractions());
+  TrainEpochs(*clean_, config_.epochs, &rng);
   update_seed_ = rng.Fork();
 }
 
 void NeuMf::Update(const data::Dataset& poison) {
-  POISONREC_CHECK(net_ != nullptr) << "Update before Fit";
+  POISONREC_CHECK(net_.has_value()) << "Update before Fit";
   POISONREC_CHECK_EQ(poison.num_items(), num_items_);
   POISONREC_CHECK_LE(poison.num_users(), num_users_);
   Rng rng(update_seed_ ^ 0x5bd1e9955bd1e995ull);
   MergePositiveSets(poison, &positives_);
-  TrainEpochs(MixWithReplay(poison.AllInteractions(), clean_,
-                            config_.update_replay_ratio, &rng),
+  TrainEpochs(MixWithReplay(poison.AllInteractions(), *clean_, &rng),
               config_.update_epochs, &rng);
 }
 
 std::vector<double> NeuMf::Score(
     data::UserId user, const std::vector<data::ItemId>& candidates) const {
-  POISONREC_CHECK(net_ != nullptr) << "Score before Fit";
+  POISONREC_CHECK(net_.has_value()) << "Score before Fit";
+  for (data::ItemId item : candidates) POISONREC_CHECK_LT(item, num_items_);
   const std::vector<std::size_t> users(candidates.size(), user);
-  const std::vector<std::size_t> items(candidates.begin(), candidates.end());
-  const nn::Tensor logits = nn::NeuMfLogits(net_->Params(), users, items);
+  const nn::Tensor logits =
+      nn::NeuMfLogits(net_->Params(), users, candidates);
   return std::vector<double>(logits.data().begin(), logits.data().end());
 }
 
 std::unique_ptr<Recommender> NeuMf::Clone() const {
-  return std::unique_ptr<Recommender>(new NeuMf(*this));
+  return std::make_unique<NeuMf>(*this);
 }
 
 }  // namespace poisonrec::rec

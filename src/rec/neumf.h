@@ -7,6 +7,7 @@
 #define POISONREC_REC_NEUMF_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "nn/module.h"
@@ -18,8 +19,6 @@ namespace poisonrec::rec {
 class NeuMf : public Recommender {
  public:
   explicit NeuMf(const FitConfig& config = FitConfig());
-  NeuMf(const NeuMf& other);
-  NeuMf& operator=(const NeuMf&) = delete;
 
   std::string Name() const override { return "NeuMF"; }
   void Fit(const data::Dataset& dataset) override;
@@ -56,9 +55,9 @@ class NeuMf : public Recommender {
   FitConfig config_;
   std::size_t num_users_ = 0;
   std::size_t num_items_ = 0;
-  std::unique_ptr<Net> net_;
+  std::optional<Net> net_;
   std::vector<std::unordered_set<data::ItemId>> positives_;
-  std::vector<data::Interaction> clean_;  // replay pool for Update
+  ReplayPool<data::Interaction> clean_;
   std::uint64_t update_seed_ = 0;
 };
 

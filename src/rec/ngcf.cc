@@ -8,11 +8,16 @@
 #include "util/logging.h"
 
 namespace poisonrec::rec {
+namespace {
 
-Ngcf::Net::Net(std::size_t num_nodes, std::size_t dim, std::size_t layers,
-               Rng* rng)
+/// Rounds of message passing (the propagation depth L).
+constexpr std::size_t kNumLayers = 2;
+
+}  // namespace
+
+Ngcf::Net::Net(std::size_t num_nodes, std::size_t dim, Rng* rng)
     : nodes(num_nodes, dim, rng) {
-  for (std::size_t l = 0; l < layers; ++l) {
+  for (std::size_t l = 0; l < kNumLayers; ++l) {
     w1.emplace_back(dim, dim, rng);
     w2.emplace_back(dim, dim, rng);
   }
@@ -32,23 +37,8 @@ std::vector<nn::Tensor> Ngcf::Net::Parameters() const {
 
 Ngcf::Ngcf(const FitConfig& config) : config_(config) {}
 
-Ngcf::Ngcf(const Ngcf& other)
-    : config_(other.config_),
-      num_users_(other.num_users_),
-      num_items_(other.num_items_),
-      net_(other.net_ != nullptr ? std::make_unique<Net>(*other.net_)
-                                 : nullptr),
-      laplacian_(other.laplacian_),
-      positives_(other.positives_),
-      clean_(other.clean_),
-      update_seed_(other.update_seed_) {
-  if (other.cached_final_.defined()) {
-    cached_final_ = other.cached_final_.DeepCopy();
-  }
-}
-
 const nn::Tensor& Ngcf::NodeEmbeddings() const {
-  POISONREC_CHECK(net_ != nullptr) << "NGCF not fitted";
+  POISONREC_CHECK(net_.has_value()) << "NGCF not fitted";
   return net_->nodes.table();
 }
 
@@ -80,7 +70,7 @@ void Ngcf::RebuildGraph() {
 nn::Tensor Ngcf::Propagate() const {
   nn::Tensor e = net_->nodes.table();
   nn::Tensor final_rep = e;
-  for (std::size_t l = 0; l < config_.num_layers; ++l) {
+  for (std::size_t l = 0; l < kNumLayers; ++l) {
     nn::Tensor m = nn::SparseMatMul(*laplacian_, e);  // L E
     nn::Tensor sum_part = net_->w1[l].Forward(nn::Add(m, e));
     nn::Tensor bi_part = net_->w2[l].Forward(nn::Mul(m, e));
@@ -92,14 +82,14 @@ nn::Tensor Ngcf::Propagate() const {
 
 void Ngcf::RefreshCache() {
   nn::NoGradScope no_grad;
-  cached_final_ = Propagate().DeepCopy();
+  cached_final_ = Propagate().data();
 }
 
 void Ngcf::TrainEpochs(const std::vector<data::Interaction>& interactions,
                        std::size_t epochs, Rng* rng) {
   if (interactions.empty()) return;
-  nn::Adam optimizer(net_->Parameters(), config_.learning_rate, 0.9f, 0.999f,
-                     1e-8f, config_.weight_decay);
+  nn::Adam optimizer(net_->Parameters(), kLearningRate, 0.9f, 0.999f, 1e-8f,
+                     kWeightDecay);
   for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
     nn::Tensor final_rep = Propagate();
     std::vector<std::size_t> users;
@@ -129,43 +119,44 @@ void Ngcf::Fit(const data::Dataset& dataset) {
   Rng rng(config_.seed);
   num_users_ = dataset.num_users();
   num_items_ = dataset.num_items();
-  net_ = std::make_unique<Net>(num_users_ + num_items_,
-                               config_.embedding_dim, config_.num_layers,
-                               &rng);
+  net_.emplace(num_users_ + num_items_, config_.embedding_dim, &rng);
   positives_ = BuildPositiveSets(dataset);
-  clean_ = dataset.AllInteractions();
+  clean_ = std::make_shared<const std::vector<data::Interaction>>(
+      dataset.AllInteractions());
   RebuildGraph();
-  TrainEpochs(clean_, config_.epochs, &rng);
+  TrainEpochs(*clean_, config_.epochs, &rng);
   RefreshCache();
   update_seed_ = rng.Fork();
 }
 
 void Ngcf::Update(const data::Dataset& poison) {
-  POISONREC_CHECK(net_ != nullptr) << "Update before Fit";
+  POISONREC_CHECK(net_.has_value()) << "Update before Fit";
   POISONREC_CHECK_EQ(poison.num_items(), num_items_);
   POISONREC_CHECK_LE(poison.num_users(), num_users_);
   Rng rng(update_seed_ ^ 0xa54ff53a5f1d36f1ull);
   MergePositiveSets(poison, &positives_);
   // The poison edges join the propagation graph.
   RebuildGraph();
-  TrainEpochs(MixWithReplay(poison.AllInteractions(), clean_,
-                            config_.update_replay_ratio, &rng),
+  TrainEpochs(MixWithReplay(poison.AllInteractions(), *clean_, &rng),
               config_.update_epochs, &rng);
   RefreshCache();
 }
 
 std::vector<double> Ngcf::Score(
     data::UserId user, const std::vector<data::ItemId>& candidates) const {
-  POISONREC_CHECK(cached_final_.defined()) << "Score before Fit";
-  const std::size_t dim = cached_final_.cols();
+  POISONREC_CHECK(!cached_final_.empty()) << "Score before Fit";
+  POISONREC_CHECK_LT(user, num_users_);
+  // Each row concatenates the base embedding and every layer's output.
+  const std::size_t dim = config_.embedding_dim * (kNumLayers + 1);
+  const float* eu = cached_final_.data() + user * dim;
   std::vector<double> scores;
   scores.reserve(candidates.size());
   for (data::ItemId item : candidates) {
-    const std::size_t node = num_users_ + item;
+    POISONREC_CHECK_LT(item, num_items_);
+    const float* ei = cached_final_.data() + (num_users_ + item) * dim;
     double acc = 0.0;
     for (std::size_t k = 0; k < dim; ++k) {
-      acc += static_cast<double>(cached_final_.at(user, k)) *
-             cached_final_.at(node, k);
+      acc += static_cast<double>(eu[k]) * ei[k];
     }
     scores.push_back(acc);
   }
@@ -173,7 +164,7 @@ std::vector<double> Ngcf::Score(
 }
 
 std::unique_ptr<Recommender> Ngcf::Clone() const {
-  return std::unique_ptr<Recommender>(new Ngcf(*this));
+  return std::make_unique<Ngcf>(*this);
 }
 
 }  // namespace poisonrec::rec

@@ -10,6 +10,7 @@
 #define POISONREC_REC_NGCF_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "nn/module.h"
@@ -22,8 +23,6 @@ namespace poisonrec::rec {
 class Ngcf : public Recommender {
  public:
   explicit Ngcf(const FitConfig& config = FitConfig());
-  Ngcf(const Ngcf& other);
-  Ngcf& operator=(const Ngcf&) = delete;
 
   std::string Name() const override { return "NGCF"; }
   void Fit(const data::Dataset& dataset) override;
@@ -40,8 +39,7 @@ class Ngcf : public Recommender {
 
  private:
   struct Net {
-    Net(std::size_t num_nodes, std::size_t dim, std::size_t layers,
-        Rng* rng);
+    Net(std::size_t num_nodes, std::size_t dim, Rng* rng);
     std::vector<nn::Tensor> Parameters() const;
     nn::Embedding nodes;  // (U+I) x dim
     std::vector<nn::Linear> w1;
@@ -55,7 +53,7 @@ class Ngcf : public Recommender {
   /// representation ((U+I) x dim*(layers+1)).
   nn::Tensor Propagate() const;
 
-  /// Recomputes cached final embeddings for scoring (no grad).
+  /// Recomputes the final representation for scoring (no grad).
   void RefreshCache();
 
   void TrainEpochs(const std::vector<data::Interaction>& interactions,
@@ -64,13 +62,14 @@ class Ngcf : public Recommender {
   FitConfig config_;
   std::size_t num_users_ = 0;
   std::size_t num_items_ = 0;
-  std::unique_ptr<Net> net_;
+  std::optional<Net> net_;
   /// Shared with clones: a CsrMatrix is immutable (its transpose is
   /// built at construction), and RebuildGraph swaps in a new one.
   std::shared_ptr<const nn::CsrMatrix> laplacian_;
   std::vector<std::unordered_set<data::ItemId>> positives_;
-  std::vector<data::Interaction> clean_;  // replay pool for Update
-  nn::Tensor cached_final_;  // plain data, no grad
+  ReplayPool<data::Interaction> clean_;
+  /// Propagate()'s output, row-major, as of the last Fit or Update.
+  std::vector<float> cached_final_;
   std::uint64_t update_seed_ = 0;
 };
 

@@ -3,14 +3,20 @@
 #include "util/logging.h"
 
 namespace poisonrec::rec {
+namespace {
+
+/// Sampled unobserved items, each a 0-target, per observed interaction.
+constexpr std::size_t kNegativesPerPositive = 2;
+
+}  // namespace
 
 Pmf::Pmf(const FitConfig& config) : config_(config) {}
 
 void Pmf::SgdEpochs(const std::vector<data::Interaction>& interactions,
                     std::size_t epochs, Rng* rng) {
   const std::size_t dim = factors_.dim;
-  const float lr = config_.learning_rate;
-  const float reg = config_.weight_decay;
+  const float lr = kLearningRate;
+  const float reg = kWeightDecay;
   std::vector<std::size_t> order(interactions.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
 
@@ -33,7 +39,7 @@ void Pmf::SgdEpochs(const std::vector<data::Interaction>& interactions,
     for (std::size_t idx : order) {
       const data::Interaction& ev = interactions[idx];
       sgd_pair(ev.user, ev.item, 1.0f);
-      for (std::size_t n = 0; n < config_.negatives_per_positive; ++n) {
+      for (std::size_t n = 0; n < kNegativesPerPositive; ++n) {
         const data::ItemId j = SampleNegative(factors_.num_items(),
                                               positives_[ev.user], rng);
         sgd_pair(ev.user, j, 0.0f);
@@ -47,26 +53,30 @@ void Pmf::Fit(const data::Dataset& dataset) {
   factors_.Init(dataset.num_users(), dataset.num_items(),
                 config_.embedding_dim, 0.1f, &rng);
   positives_ = BuildPositiveSets(dataset);
-  clean_ = dataset.AllInteractions();
-  SgdEpochs(clean_, config_.epochs, &rng);
+  clean_ = std::make_shared<const std::vector<data::Interaction>>(
+      dataset.AllInteractions());
+  SgdEpochs(*clean_, config_.epochs, &rng);
   update_seed_ = rng.Fork();
 }
 
 void Pmf::Update(const data::Dataset& poison) {
+  POISONREC_CHECK(clean_ != nullptr) << "Update before Fit";
   POISONREC_CHECK_EQ(poison.num_items(), factors_.num_items());
   POISONREC_CHECK_LE(poison.num_users(), factors_.num_users());
   Rng rng(update_seed_ ^ 0x9e3779b97f4a7c15ull);
   MergePositiveSets(poison, &positives_);
-  SgdEpochs(MixWithReplay(poison.AllInteractions(), clean_,
-                          config_.update_replay_ratio, &rng),
+  SgdEpochs(MixWithReplay(poison.AllInteractions(), *clean_, &rng),
             config_.update_epochs, &rng);
 }
 
 std::vector<double> Pmf::Score(
     data::UserId user, const std::vector<data::ItemId>& candidates) const {
+  POISONREC_CHECK_LT(user, factors_.num_users());
+  const std::size_t num_items = factors_.num_items();
   std::vector<double> scores;
   scores.reserve(candidates.size());
   for (data::ItemId item : candidates) {
+    POISONREC_CHECK_LT(item, num_items);
     scores.push_back(factors_.Dot(user, item));
   }
   return scores;

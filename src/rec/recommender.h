@@ -14,33 +14,18 @@
 
 namespace poisonrec::rec {
 
-/// Hyperparameters shared across rankers. Individual models ignore the
-/// fields that do not apply to them.
+/// Hyperparameters the callers set; each ranker reads those that apply to
+/// it. Every other fixed choice of a ranker is a constant beside the code
+/// that reads it (those all six parametric rankers share are in
+/// rec/factor_model.h).
 struct FitConfig {
   /// Latent/embedding dimension.
   std::size_t embedding_dim = 16;
   /// Epochs over the log for pretraining (Fit).
   std::size_t epochs = 5;
-  /// Epochs over the poison log for incremental updates (Update).
+  /// Epochs over the poison log, mixed with replayed clean data (see
+  /// kUpdateReplayRatio), for incremental updates (Update).
   std::size_t update_epochs = 3;
-  float learning_rate = 0.05f;
-  float weight_decay = 1e-4f;
-  /// Negative samples per observed positive (models with sampled losses).
-  std::size_t negatives_per_positive = 2;
-  /// Truncation for sequence models.
-  std::size_t max_sequence_length = 30;
-  /// Mini-batch size for the neural models.
-  std::size_t batch_size = 64;
-  /// Propagation depth for graph models (NGCF).
-  std::size_t num_layers = 2;
-  /// When the parametric models are incrementally updated with a poison
-  /// log, each update epoch also replays `update_replay_ratio` x as many
-  /// clean interactions sampled from the training log. This models a
-  /// production system that keeps training on its full log (which now
-  /// contains the poison) instead of on the poison alone — without it,
-  /// a handful of fake clicks catastrophically overwrite the model.
-  /// Count-based models (ItemPop, CoVisitation) are exact and ignore it.
-  double update_replay_ratio = 4.0;
   std::uint64_t seed = 7;
 };
 
@@ -67,7 +52,9 @@ class Recommender {
   virtual std::vector<double> Score(
       data::UserId user, const std::vector<data::ItemId>& candidates) const = 0;
 
-  /// Deep copy (model parameters + any cached state).
+  /// A copy whose Update leaves this ranker's scores unchanged. Copies
+  /// share only data that no Update writes (a replay pool, NGCF's
+  /// Laplacian).
   virtual std::unique_ptr<Recommender> Clone() const = 0;
 
   /// Top-k of the candidate set by score (descending; deterministic ties).

@@ -46,7 +46,6 @@ FitConfig FastConfig() {
   cfg.embedding_dim = 8;
   cfg.epochs = 6;
   cfg.update_epochs = 4;
-  cfg.learning_rate = 0.05f;
   cfg.seed = 31;
   return cfg;
 }
@@ -247,6 +246,33 @@ TEST_P(AllRecommendersTest, FittedBeatsColdItemsOnPopular) {
     if (scores[0] > scores[1]) ++wins;
   }
   EXPECT_GE(wins, 14) << GetParam();
+}
+
+// Score CHECKs every candidate against the fitted item count (TestLog's
+// 30), so an id past the tables aborts instead of reading beyond them.
+// The threadsafe style re-executes the binary for the child: earlier
+// tests leave kernel-pool threads running, and a child forked from them
+// would inherit the pool but none of its threads.
+TEST_P(AllRecommendersTest, ItemIdPastTheFittedCountAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto rec = MakeRecommender(GetParam(), FastConfig()).value();
+  rec->Fit(TestLog());
+  EXPECT_DEATH(rec->Score(3, {0, 30}), "Check failed: .*\\(30 vs 30\\)");
+}
+
+// The rankers that keep a row per user (PMF, BPR, NeuMF, NGCF) CHECK the
+// user id against TestLog's 72 as well. The others score an unknown user
+// as one with no history.
+TEST_P(AllRecommendersTest, UserIdPastTheFittedCountAbortsOnPerUserRows) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto rec = MakeRecommender(GetParam(), FastConfig()).value();
+  rec->Fit(TestLog());
+  const std::string name = GetParam();
+  if (name == "PMF" || name == "BPR" || name == "NeuMF" || name == "NGCF") {
+    EXPECT_DEATH(rec->Score(72, {0, 1}), "Check failed: .*\\(72 vs 72\\)");
+  } else {
+    for (double s : rec->Score(72, {0, 1})) EXPECT_TRUE(std::isfinite(s));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, AllRecommendersTest,

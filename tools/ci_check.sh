@@ -6,7 +6,8 @@
 # Builds with ASan/UBSan (POISONREC_SANITIZE=address;undefined) and
 # compiler warnings as errors, checks that the GEMMs' exact-product rows
 # hold no float multiply (tools/check_exact_products.py, here and in the
-# -march=native build below), runs ctest, then runs
+# -march=native build below), runs ctest and the campaign benchmark's
+# self-test (campbench/run.py --test), then runs
 # bench_fault_resilience (which fails when a nonzero failure rate forced
 # no retry), bench_obs_overhead (gates telemetry cost at
 # <3%/step and the guardrails' at <5%/step), and
@@ -58,6 +59,13 @@ cmake --build "${BUILD_DIR}" -j "$(nproc)"
 python3 tools/check_exact_products.py "${BUILD_DIR}/src/nn/libpoisonrec_nn.a"
 
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
+
+# The campaign benchmark is not part of the ctest build, but it sets
+# FitConfig and PoisonRecConfig fields and wraps every ranker in its own
+# decorator: build it (into the gitignored .bench_build/) and run its
+# identity and metric-name tests, so a src/ change that breaks it fails
+# here.
+python3 campbench/run.py --test
 
 # Small-scale harness runs; JSON outputs land in results/.
 export POISONREC_SCALE="${POISONREC_SCALE:-0.05}"
