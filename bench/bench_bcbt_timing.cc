@@ -5,13 +5,14 @@
 // target is that shape, not the absolute seconds (which depend on |e|, N,
 // T and the machine).
 //
-// The step here is sampling M episodes + K PPO epochs with synthetic
-// rewards — the policy-side work the optimization targets; environment
-// evaluation cost is identical across action spaces and is excluded.
+// The step here is the stacked rollout of M episodes and Algorithm 1's
+// update (core::PpoUpdate, K epochs) on synthetic rewards — the
+// policy-side work the optimization targets; environment evaluation cost
+// is identical across action spaces and is excluded.
 #include <benchmark/benchmark.h>
 
 #include "core/poisonrec.h"
-#include "util/stats.h"
+#include "util/random.h"
 
 namespace poisonrec::bench {
 namespace {
@@ -19,77 +20,53 @@ namespace {
 constexpr std::size_t kAttackers = 8;
 constexpr std::size_t kTrajectoryLength = 8;
 constexpr std::size_t kTargets = 8;
-constexpr std::size_t kEpisodes = 2;  // M
-constexpr std::size_t kEpochs = 3;    // K
-constexpr std::size_t kDim = 16;
 
-std::unique_ptr<core::Policy> MakePolicy(std::size_t num_original,
-                                         core::ActionSpaceKind kind) {
+// One policy-side training step (Algorithm 1 minus the black-box
+// queries): the stacked rollout of M episodes, as TrainStep samples them,
+// synthetic RecNum rewards, and Algorithm 1's update.
+double TrainingStep(const core::PoisonRecConfig& config,
+                    const core::Policy& policy, nn::Adam* optimizer,
+                    std::size_t step, Rng* rng) {
+  std::vector<Rng> rngs;
+  for (std::size_t m = 0; m < config.samples_per_step; ++m) {
+    rngs.emplace_back(DeriveStreamSeed(config.seed, step, m));
+  }
+  std::vector<std::vector<core::SampledTrajectory>> sampled =
+      policy.SampleEpisodesBatched(rngs.size(), kTrajectoryLength, &rngs);
+  std::vector<core::Episode> episodes(sampled.size());
+  for (std::size_t m = 0; m < episodes.size(); ++m) {
+    episodes[m].trajectories = std::move(sampled[m]);
+    episodes[m].reward = rng->Uniform(0.0, 100.0);
+  }
+  return core::PpoUpdate(config, policy, optimizer, episodes,
+                         /*pool=*/nullptr, rng)
+      .loss;
+}
+
+void BM_TrainingStep(benchmark::State& state) {
+  const std::size_t num_original = static_cast<std::size_t>(state.range(0));
+  core::PoisonRecConfig config;
+  config.samples_per_step = 2;  // M
+  config.batch_size = 2;        // B
+  config.update_epochs = 3;     // K
+  config.policy.embedding_dim = 16;
+  config.policy.action_space =
+      static_cast<core::ActionSpaceKind>(state.range(1));
+  config.policy.seed = 11;
   std::vector<data::ItemId> originals(num_original);
   for (std::size_t i = 0; i < num_original; ++i) originals[i] = i;
   std::vector<data::ItemId> targets(kTargets);
   for (std::size_t i = 0; i < kTargets; ++i) targets[i] = num_original + i;
-  core::PolicyConfig config;
-  config.embedding_dim = kDim;
-  config.action_space = kind;
-  config.seed = 11;
-  return std::make_unique<core::Policy>(kAttackers,
-                                        num_original + kTargets, originals,
-                                        targets, config);
-}
-
-// One full policy-side training step (Algorithm 1 minus the black-box
-// queries): sample M episodes, then K clipped-surrogate epochs.
-void TrainingStep(core::Policy& policy, nn::Adam& optimizer, Rng& rng) {
-  std::vector<std::vector<core::SampledTrajectory>> episodes;
-  std::vector<double> rewards;
-  for (std::size_t m = 0; m < kEpisodes; ++m) {
-    episodes.push_back(policy.SampleEpisode(kTrajectoryLength, &rng));
-    rewards.push_back(rng.Uniform(0.0, 100.0));  // synthetic RecNum
-  }
-  NormalizeRewards(&rewards);
-  for (std::size_t k = 0; k < kEpochs; ++k) {
-    std::vector<const core::SampledTrajectory*> trajs;
-    std::vector<double> advantages;
-    for (std::size_t m = 0; m < episodes.size(); ++m) {
-      for (const auto& t : episodes[m]) {
-        trajs.push_back(&t);
-        advantages.push_back(rewards[m]);
-      }
-    }
-    auto batches = policy.RecomputeLogProbs(trajs);
-    nn::Tensor loss;
-    for (const auto& batch : batches) {
-      std::vector<float> adv(batch.new_log_probs.rows());
-      std::vector<float> old_vals(batch.new_log_probs.rows());
-      for (std::size_t i = 0; i < adv.size(); ++i) {
-        adv[i] = static_cast<float>(advantages[batch.traj_index[i]]);
-        old_vals[i] = static_cast<float>(batch.old_log_probs[i]);
-      }
-      const std::size_t rows = adv.size();
-      nn::Tensor a = nn::Tensor::FromData(rows, 1, std::move(adv));
-      nn::Tensor o = nn::Tensor::FromData(rows, 1, std::move(old_vals));
-      nn::Tensor obj =
-          nn::Sum(nn::Mul(nn::Exp(nn::Sub(batch.new_log_probs, o)), a));
-      loss = loss.defined() ? nn::Add(loss, obj) : obj;
-    }
-    loss = nn::Scale(loss, -1.0f);
-    optimizer.ZeroGrad();
-    loss.Backward();
-    optimizer.Step();
-  }
-}
-
-void BM_TrainingStep(benchmark::State& state) {
-  const std::size_t num_items = static_cast<std::size_t>(state.range(0));
-  const auto kind = static_cast<core::ActionSpaceKind>(state.range(1));
-  auto policy = MakePolicy(num_items, kind);
-  nn::Adam optimizer(policy->Parameters(), 2e-3f);
+  const core::Policy policy(kAttackers, num_original + kTargets, originals,
+                            targets, config.policy);
+  nn::Adam optimizer(policy.Parameters(), config.learning_rate);
   Rng rng(7);
+  std::size_t step = 0;
   for (auto _ : state) {
-    TrainingStep(*policy, optimizer, rng);
+    benchmark::DoNotOptimize(
+        TrainingStep(config, policy, &optimizer, ++step, &rng));
   }
-  state.SetLabel(core::ActionSpaceKindName(kind));
+  state.SetLabel(core::ActionSpaceKindName(config.policy.action_space));
 }
 
 }  // namespace

@@ -9,55 +9,11 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/bytes.h"
-#include "util/fsio.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/stats.h"
 
 namespace poisonrec::core {
-
-namespace {
-
-// Attacker checkpoint framing ("PRCK"; versions below). Payload layout,
-// in util/bytes.h fields:
-//   u64 steps_taken
-//   policy parameters: u64 count, then per tensor u64 rows, u64 cols,
-//     float32 payload
-//   Adam: u64 step_count, then per parameter m[] and v[] float32 payloads
-//   RNG engine state: u64 length + text blob
-//   best episode: f64 reward, u8 observed, u64 n_trajectories, then per
-//     trajectory u64 attacker_index, u64 n_steps, per step u64 item,
-//     u64 path_len + i32s, u64 logprob_len + f64s
-//   v2 appends the adaptive-defender campaign state:
-//   account pool: u8 present; when present u64 num_slots, u64
-//     total_accounts, u64 next_account, u64 retired, then per slot a u64
-//     account id (dead slots as u64 max)
-//   defender: u8 attached; when attached u64 blob length + the
-//     DefendedEnvironment::SerializeState payload (history, bans, sweep
-//     cursor)
-//   v3 inserts the episode-sampling stream state right after
-//   steps_taken:
-//   u64 sampling stream root seed (== config.seed; episode m of step s
-//     draws from Rng(DeriveStreamSeed(root, s, m)))
-//   v4 keeps the v3 payload bit-identical but wraps the whole file in
-//   the util/fsio integrity footer ("PRIF": magic, version, payload
-//   length, CRC32C), so load verifies the checkpoint byte-for-byte and
-//   classifies damage as torn (interrupted publish) vs corrupt (bit
-//   rot) instead of trusting whatever parses.
-// Version history: v1 predates the account pool / defended environment
-// (PR 1-2); v2 predates per-episode sampling streams — under v2
-// sampling advanced the shared RNG, so a v2 engine blob encodes a draw
-// order that no longer exists and resuming from it would not reproduce
-// an uninterrupted run; v3 predates the whole-file checksum, so its
-// bytes cannot be verified against rot. Old versions are rejected with
-// kInvalidArgument rather than being misparsed.
-constexpr std::uint32_t kCheckpointMagic = 0x5052434bu;  // "PRCK"
-constexpr std::uint32_t kCheckpointVersion = 4;
-constexpr std::size_t kCheckpointHeaderBytes = 8;  // magic, version
-constexpr std::uint64_t kDeadSlotTag = ~0ull;
-
-}  // namespace
 
 PoisonRecAttacker::PoisonRecAttacker(const env::AttackEnvironment* environment,
                                      const PoisonRecConfig& config)
@@ -266,32 +222,16 @@ void PoisonRecAttacker::EmitStepTelemetry(const TrainStepStats& stats) {
   }
 }
 
-void PoisonRecAttacker::EmitCheckpointEvent(const char* op,
-                                            const std::string& path,
-                                            bool ok) const {
-  if (event_log_ == nullptr) return;
-  obs::JsonObjectBuilder b;
-  b.Str("type", "checkpoint")
-      .Str("op", op)
-      .Str("path", path)
-      .Bool("ok", ok)
-      .Int("steps_taken", steps_taken_);
-  event_log_->Append(std::move(b).Finish());
-}
-
 void PoisonRecAttacker::RecordGuardEvent(TrainStepStats* stats,
-                                         GuardEventKind kind, double value,
-                                         double threshold,
-                                         std::string detail) {
+                                         GuardEvent event) {
   static obs::Counter* const guard_trips =
       obs::MetricsRegistry::Global().GetCounter(
           "poisonrec_guard_trips_total");
   guard_trips->Increment();
-  GuardEvent event{kind, value, threshold, std::move(detail)};
   EmitGuardEvent(stats->step, event);
   POISONREC_LOG(Warning) << "guard tripped at step " << stats->step << ": "
-                         << GuardEventKindName(kind) << " (" << event.detail
-                         << ")";
+                         << GuardEventKindName(event.kind) << " ("
+                         << event.detail << ")";
   stats->guard.events.push_back(std::move(event));
 }
 
@@ -309,37 +249,21 @@ void PoisonRecAttacker::EmitGuardEvent(std::size_t step,
   event_log_->Append(std::move(b).Finish());
 }
 
-bool PoisonRecAttacker::SweepPostStep(TrainStepStats* stats) {
-  const std::vector<nn::Tensor>& params = optimizer_->parameters();
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    const FiniteSweep sweep = SweepFinite(params[i].data());
-    if (!sweep.clean()) {
-      RecordGuardEvent(stats, GuardEventKind::kNonFiniteParameter,
-                       std::numeric_limits<double>::quiet_NaN(), 0.0,
-                       "parameter " + std::to_string(i) + ": " +
-                           std::to_string(sweep.bad()) + "/" +
-                           std::to_string(sweep.checked) + " non-finite");
-      return false;
-    }
-  }
-  const std::vector<std::vector<float>>& m = optimizer_->first_moments();
-  const std::vector<std::vector<float>>& v = optimizer_->second_moments();
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    const std::size_t bad = SweepFinite(m[i]).bad() + SweepFinite(v[i]).bad();
-    if (bad > 0) {
-      RecordGuardEvent(stats, GuardEventKind::kNonFiniteOptimizerState,
-                       std::numeric_limits<double>::quiet_NaN(), 0.0,
-                       "Adam moments of parameter " + std::to_string(i) +
-                           ": " + std::to_string(bad) + " non-finite");
-      return false;
-    }
-  }
-  return true;
-}
+namespace {
 
-nn::Tensor PoisonRecAttacker::PpoLoss(
-    const std::vector<const Episode*>& batch, double* loss_value,
-    PpoDiagnostics* diagnostics) {
+// The clipped surrogate of Eq. 7/9 over one batch, with the telemetry the
+// guard monitors and TrainStepStats read.
+struct Surrogate {
+  nn::Tensor loss;  // differentiable: -(1/D) * sum of the unclipped terms
+  double value = 0.0;  // the whole loss, clipped (constant) terms included
+  double entropy = 0.0;    // mean -log pi(a|s): sampled-entropy estimate
+  double approx_kl = 0.0;  // mean log pi_old - log pi_new
+  std::size_t non_finite_log_probs = 0;
+};
+
+Surrogate ClippedSurrogate(const std::vector<const Episode*>& batch,
+                           const Policy& policy, const AccountPool* pool,
+                           float eps) {
   // Eq. 8: normalize rewards within the batch. Imputed (unobserved)
   // rewards are excluded from the statistics and get zero advantage.
   std::vector<double> advantages(batch.size());
@@ -358,22 +282,19 @@ nn::Tensor PoisonRecAttacker::PpoLoss(
   std::vector<double> traj_advantage;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     for (const SampledTrajectory& t : batch[i]->trajectories) {
-      if (pool_ != nullptr && !pool_->IsLive(t.attacker_index)) continue;
+      if (pool != nullptr && !pool->IsLive(t.attacker_index)) continue;
       trajs.push_back(&t);
       traj_advantage.push_back(advantages[i]);
     }
   }
-  const std::vector<DecisionBatch> decisions =
-      policy_->RecomputeLogProbs(trajs);
+  const std::vector<DecisionBatch> decisions = policy.RecomputeLogProbs(trajs);
 
   // Clipped surrogate (Eq. 7/9): obj = min(r*A, clip(r,1±ε)*A). The min
   // either selects the ratio term (gradient flows) or a clipped constant
   // (gradient zero); we encode that with a forward-computed mask.
-  const float eps = config_.clip_epsilon;
+  Surrogate s;  // entropy and approx_kl hold their sums until the end
   std::size_t n_decisions = 0;
   double const_part = 0.0;  // sum of clipped (constant) objective terms
-  double neg_logp_sum = 0.0;  // -log pi(a|s): sampled-entropy estimate
-  double kl_sum = 0.0;        // log pi_old - log pi_new: approx KL
   nn::Tensor total;  // scalar accumulator of sum(obj)
   for (const DecisionBatch& batch_k : decisions) {
     const std::size_t k = batch_k.new_log_probs.rows();
@@ -384,19 +305,11 @@ nn::Tensor PoisonRecAttacker::PpoLoss(
       const double adv = traj_advantage[batch_k.traj_index[i]];
       const double new_lp =
           static_cast<double>(batch_k.new_log_probs.at(i, 0));
-      if (diagnostics != nullptr) {
-        if (!std::isfinite(new_lp)) ++diagnostics->non_finite_log_probs;
-        neg_logp_sum -= new_lp;
-        kl_sum += batch_k.old_log_probs[i] - new_lp;
-      }
+      if (!std::isfinite(new_lp)) ++s.non_finite_log_probs;
+      s.entropy -= new_lp;
+      s.approx_kl += batch_k.old_log_probs[i] - new_lp;
       const double r = std::exp(new_lp - batch_k.old_log_probs[i]);
-      bool unclipped;
-      if (adv >= 0.0) {
-        unclipped = r <= 1.0 + eps;
-      } else {
-        unclipped = r >= 1.0 - eps;
-      }
-      if (unclipped) {
+      if (adv >= 0.0 ? r <= 1.0 + eps : r >= 1.0 - eps) {  // unclipped
         mask[i] = static_cast<float>(adv);
       } else {
         mask[i] = 0.0f;
@@ -414,20 +327,138 @@ nn::Tensor PoisonRecAttacker::PpoLoss(
     total = total.defined() ? nn::Add(total, obj) : obj;
   }
   POISONREC_CHECK_GT(n_decisions, 0u);
-  if (diagnostics != nullptr) {
-    diagnostics->entropy =
-        neg_logp_sum / static_cast<double>(n_decisions);
-    diagnostics->approx_kl = kl_sum / static_cast<double>(n_decisions);
-  }
+  s.entropy /= static_cast<double>(n_decisions);
+  s.approx_kl /= static_cast<double>(n_decisions);
 
   // loss = -(1/D) * (sum_masked + const_part)
-  nn::Tensor loss =
-      nn::Scale(total, -1.0f / static_cast<float>(n_decisions));
-  if (loss_value != nullptr) {
-    *loss_value = loss.item() -
-                  const_part / static_cast<double>(n_decisions);
+  s.loss = nn::Scale(total, -1.0f / static_cast<float>(n_decisions));
+  s.value = s.loss.item() - const_part / static_cast<double>(n_decisions);
+  return s;
+}
+
+// The monitors on one epoch's surrogate, checked before backward so a
+// divergent epoch never produces a gradient.
+std::optional<GuardEvent> CheckSurrogate(const GuardConfig& guard,
+                                         const Surrogate& s,
+                                         std::size_t epoch) {
+  const std::string where = "epoch " + std::to_string(epoch);
+  if (s.non_finite_log_probs > 0) {
+    return GuardEvent{GuardEventKind::kNonFiniteLogit,
+                      std::numeric_limits<double>::quiet_NaN(), 0.0,
+                      std::to_string(s.non_finite_log_probs) +
+                          " decision log-probs, " + where};
   }
-  return loss;
+  if (!std::isfinite(s.value)) {
+    return GuardEvent{GuardEventKind::kNonFiniteLoss, s.value, 0.0, where};
+  }
+  if (guard.entropy_floor > 0.0 && s.entropy < guard.entropy_floor) {
+    return GuardEvent{GuardEventKind::kEntropyCollapse, s.entropy,
+                      guard.entropy_floor, where};
+  }
+  if (guard.approx_kl_threshold > 0.0 &&
+      s.approx_kl > guard.approx_kl_threshold) {
+    return GuardEvent{GuardEventKind::kKlDivergence, s.approx_kl,
+                      guard.approx_kl_threshold, where};
+  }
+  return std::nullopt;
+}
+
+// Post-update sweep: gradients were already checked; this validates the
+// parameters and Adam moments after the last update epoch.
+std::optional<GuardEvent> SweepOptimizer(const nn::Adam& optimizer) {
+  const std::vector<nn::Tensor>& params = optimizer.parameters();
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const FiniteSweep sweep = SweepFinite(params[i].data());
+    if (!sweep.clean()) {
+      return GuardEvent{GuardEventKind::kNonFiniteParameter,
+                        std::numeric_limits<double>::quiet_NaN(), 0.0,
+                        "parameter " + std::to_string(i) + ": " +
+                            std::to_string(sweep.bad()) + "/" +
+                            std::to_string(sweep.checked) + " non-finite"};
+    }
+  }
+  const std::vector<std::vector<float>>& m = optimizer.first_moments();
+  const std::vector<std::vector<float>>& v = optimizer.second_moments();
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    const std::size_t bad = SweepFinite(m[i]).bad() + SweepFinite(v[i]).bad();
+    if (bad > 0) {
+      return GuardEvent{GuardEventKind::kNonFiniteOptimizerState,
+                        std::numeric_limits<double>::quiet_NaN(), 0.0,
+                        "Adam moments of parameter " + std::to_string(i) +
+                            ": " + std::to_string(bad) + " non-finite"};
+    }
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+PpoUpdateResult PpoUpdate(const PoisonRecConfig& config, const Policy& policy,
+                          nn::Adam* optimizer,
+                          const std::vector<Episode>& episodes,
+                          const AccountPool* pool, Rng* rng) {
+  const GuardConfig& guard = config.guard;
+  PpoUpdateResult result;  // loss, entropy, approx_kl: sums until the end
+  std::size_t diag_epochs = 0;
+  std::size_t completed_epochs = 0;
+  for (std::size_t epoch = 0; epoch < config.update_epochs; ++epoch) {
+    std::vector<const Episode*> batch;
+    if (config.batch_size >= episodes.size()) {
+      for (const Episode& ep : episodes) batch.push_back(&ep);
+    } else {
+      std::vector<std::size_t> picks =
+          rng->SampleWithoutReplacement(episodes.size(), config.batch_size);
+      for (std::size_t p : picks) batch.push_back(&episodes[p]);
+    }
+    Surrogate s = ClippedSurrogate(batch, policy, pool, config.clip_epsilon);
+    result.entropy += s.entropy;
+    result.approx_kl += s.approx_kl;
+    ++diag_epochs;
+    if (guard.enabled) {
+      result.guard_event = CheckSurrogate(guard, s, epoch);
+      if (result.guard_event) break;
+    }
+
+    optimizer->ZeroGrad();
+    s.loss.Backward();
+    const double pre_clip =
+        static_cast<double>(nn::GradNorm(optimizer->parameters()));
+    result.pre_clip_grad_norm = std::max(result.pre_clip_grad_norm, pre_clip);
+    if (guard.enabled && !std::isfinite(pre_clip)) {
+      result.guard_event =
+          GuardEvent{GuardEventKind::kNonFiniteGradient, pre_clip, 0.0,
+                     "global grad norm, epoch " + std::to_string(epoch)};
+      break;
+    }
+    if (guard.enabled && guard.grad_norm_threshold > 0.0 &&
+        pre_clip > guard.grad_norm_threshold) {
+      result.guard_event =
+          GuardEvent{GuardEventKind::kGradNormExplosion, pre_clip,
+                     guard.grad_norm_threshold,
+                     "epoch " + std::to_string(epoch)};
+      break;
+    }
+    if (config.max_grad_norm > 0.0f) {
+      nn::ClipGradNorm(optimizer->parameters(), config.max_grad_norm);
+    }
+    optimizer->Step();
+    result.loss += s.value;
+    ++completed_epochs;
+  }
+  // Post-update sweep once per step rather than per epoch: corruption
+  // introduced by an early epoch's update still surfaces this step, via
+  // the next epoch's logit/loss monitors or this final sweep.
+  if (guard.enabled && !result.guard_event && completed_epochs > 0) {
+    result.guard_event = SweepOptimizer(*optimizer);
+  }
+  if (completed_epochs > 0) {
+    result.loss /= static_cast<double>(completed_epochs);
+  }
+  if (diag_epochs > 0) {
+    result.entropy /= static_cast<double>(diag_epochs);
+    result.approx_kl /= static_cast<double>(diag_epochs);
+  }
+  return result;
 }
 
 TrainStepStats PoisonRecAttacker::TrainStep() {
@@ -461,11 +492,11 @@ void PoisonRecAttacker::RunStep(TrainStepStats* stats) {
   if (guard.enabled && guard.pre_step_param_sweep) {
     const FiniteSweep sweep = policy_->SweepParametersFinite();
     if (!sweep.clean()) {
-      RecordGuardEvent(stats, GuardEventKind::kNonFiniteParameter,
-                       std::numeric_limits<double>::quiet_NaN(), 0.0,
-                       std::to_string(sweep.bad()) + "/" +
-                           std::to_string(sweep.checked) +
-                           " non-finite before sampling");
+      RecordGuardEvent(stats, {GuardEventKind::kNonFiniteParameter,
+                               std::numeric_limits<double>::quiet_NaN(), 0.0,
+                               std::to_string(sweep.bad()) + "/" +
+                                   std::to_string(sweep.checked) +
+                                   " non-finite before sampling"});
       return;
     }
   }
@@ -554,9 +585,9 @@ void PoisonRecAttacker::RunStep(TrainStepStats* stats) {
     for (std::size_t m = 0; m < episodes.size(); ++m) {
       if (episodes[m].reward_observed &&
           !std::isfinite(episodes[m].reward)) {
-        RecordGuardEvent(stats, GuardEventKind::kNonFiniteReward,
-                         episodes[m].reward, 0.0,
-                         "episode " + std::to_string(m));
+        RecordGuardEvent(stats, {GuardEventKind::kNonFiniteReward,
+                                 episodes[m].reward, 0.0,
+                                 "episode " + std::to_string(m)});
       }
     }
     if (stats->guard.tripped()) return;
@@ -605,100 +636,18 @@ void PoisonRecAttacker::RunStep(TrainStepStats* stats) {
   // (pool drained with min_live_attackers == 0) has nothing to train on.
   if (reward_stats.count() < 2 ||
       (pool_ != nullptr && pool_->live_slots() == 0)) {
-    stats->loss = 0.0;
     return;
   }
   obs::TraceSpan update_span("ppo/update");
-  double loss_sum = 0.0;
-  double entropy_sum = 0.0;
-  double kl_sum = 0.0;
-  std::size_t diag_epochs = 0;
-  std::size_t completed_epochs = 0;
-  for (std::size_t epoch = 0; epoch < config_.update_epochs; ++epoch) {
-    std::vector<const Episode*> batch;
-    if (config_.batch_size >= episodes.size()) {
-      for (const Episode& ep : episodes) batch.push_back(&ep);
-    } else {
-      std::vector<std::size_t> picks = rng_.SampleWithoutReplacement(
-          episodes.size(), config_.batch_size);
-      for (std::size_t p : picks) batch.push_back(&episodes[p]);
-    }
-    double loss_value = 0.0;
-    PpoDiagnostics diag;
-    nn::Tensor loss = PpoLoss(batch, &loss_value, &diag);
-    entropy_sum += diag.entropy;
-    kl_sum += diag.approx_kl;
-    ++diag_epochs;
-
-    // Guard monitors on the Eq. 7/9 surrogate, checked before backward
-    // so a divergent epoch never produces a gradient.
-    if (guard.enabled) {
-      const std::string where = "epoch " + std::to_string(epoch);
-      if (diag.non_finite_log_probs > 0) {
-        RecordGuardEvent(stats, GuardEventKind::kNonFiniteLogit,
-                         std::numeric_limits<double>::quiet_NaN(), 0.0,
-                         std::to_string(diag.non_finite_log_probs) +
-                             " decision log-probs, " + where);
-        break;
-      }
-      if (!std::isfinite(loss_value)) {
-        RecordGuardEvent(stats, GuardEventKind::kNonFiniteLoss,
-                         loss_value, 0.0, where);
-        break;
-      }
-      if (guard.entropy_floor > 0.0 && diag.entropy < guard.entropy_floor) {
-        RecordGuardEvent(stats, GuardEventKind::kEntropyCollapse,
-                         diag.entropy, guard.entropy_floor, where);
-        break;
-      }
-      if (guard.approx_kl_threshold > 0.0 &&
-          diag.approx_kl > guard.approx_kl_threshold) {
-        RecordGuardEvent(stats, GuardEventKind::kKlDivergence,
-                         diag.approx_kl, guard.approx_kl_threshold, where);
-        break;
-      }
-    }
-
-    optimizer_->ZeroGrad();
-    loss.Backward();
-    const double pre_clip =
-        static_cast<double>(nn::GradNorm(optimizer_->parameters()));
-    stats->pre_clip_grad_norm = std::max(stats->pre_clip_grad_norm, pre_clip);
-    if (guard.enabled) {
-      if (!std::isfinite(pre_clip)) {
-        RecordGuardEvent(stats, GuardEventKind::kNonFiniteGradient,
-                         pre_clip, 0.0,
-                         "global grad norm, epoch " + std::to_string(epoch));
-        break;
-      }
-      if (guard.grad_norm_threshold > 0.0 &&
-          pre_clip > guard.grad_norm_threshold) {
-        RecordGuardEvent(stats, GuardEventKind::kGradNormExplosion,
-                         pre_clip, guard.grad_norm_threshold,
-                         "epoch " + std::to_string(epoch));
-        break;
-      }
-    }
-    if (config_.max_grad_norm > 0.0f) {
-      nn::ClipGradNorm(optimizer_->parameters(), config_.max_grad_norm);
-    }
-    optimizer_->Step();
-    loss_sum += loss_value;
-    ++completed_epochs;
+  PpoUpdateResult update = PpoUpdate(config_, *policy_, optimizer_.get(),
+                                     episodes, pool_.get(), &rng_);
+  if (update.guard_event) {
+    RecordGuardEvent(stats, std::move(*update.guard_event));
   }
-  // Post-update sweep once per step rather than per epoch: corruption
-  // introduced by an early epoch's update still surfaces this step, via
-  // the next epoch's logit/loss monitors or this final sweep.
-  if (guard.enabled && !stats->guard.tripped() && completed_epochs > 0) {
-    SweepPostStep(stats);
-  }
-  if (completed_epochs > 0) {
-    stats->loss = loss_sum / static_cast<double>(completed_epochs);
-  }
-  if (diag_epochs > 0) {
-    stats->entropy = entropy_sum / static_cast<double>(diag_epochs);
-    stats->approx_kl = kl_sum / static_cast<double>(diag_epochs);
-  }
+  stats->loss = update.loss;
+  stats->entropy = update.entropy;
+  stats->approx_kl = update.approx_kl;
+  stats->pre_clip_grad_norm = update.pre_clip_grad_norm;
   stats->update_seconds = update_span.Stop();
 }
 
@@ -821,301 +770,6 @@ GuardedTrainResult PoisonRecAttacker::TrainGuarded(
   }
   result.incidents = guard_incidents_ - baseline_incidents;
   return result;
-}
-
-StatusOr<std::string_view> CheckpointPayload(std::string_view file,
-                                             const std::string& path,
-                                             FileIntegrity* integrity) {
-  const auto fail = [&](FileIntegrity result, Status status) {
-    if (integrity != nullptr) *integrity = result;
-    return status;
-  };
-  ByteReader header(file);
-  const std::uint32_t magic = header.U32();
-  const std::uint32_t version = header.U32();
-  if (!header.ok()) {
-    // Zero-length or short file: the writer (or the filesystem, after a
-    // crash without the fsync path) lost the payload.
-    return fail(FileIntegrity::kTorn,
-                Status::DataLoss(path + ": shorter than the checkpoint "
-                                 "header (torn publish)"));
-  }
-  if (magic != kCheckpointMagic) {
-    return fail(FileIntegrity::kCorrupt,
-                Status::InvalidArgument(
-                    path + ": not a PoisonRec attacker checkpoint"));
-  }
-  if (version != kCheckpointVersion) {
-    std::string hint;
-    if (version < kCheckpointVersion) {
-      hint = " (version " + std::to_string(version) + " predates the v" +
-             std::to_string(kCheckpointVersion) +
-             " format's per-episode sampling streams and whole-file "
-             "checksum; re-run the campaign to produce a current "
-             "checkpoint)";
-    }
-    return fail(FileIntegrity::kCorrupt,
-                Status::InvalidArgument(
-                    path + ": unsupported attacker checkpoint version " +
-                    std::to_string(version) + hint));
-  }
-  // The header names a current checkpoint — now the integrity footer
-  // decides whether the rest of the bytes can be trusted: a length
-  // mismatch or missing footer is a torn publish, a CRC mismatch is
-  // bit rot. Both are kDataLoss (lost state), never misparsed.
-  std::size_t framed_size = 0;
-  POISONREC_RETURN_NOT_OK(
-      VerifyIntegrityFooter(file, path, &framed_size, integrity));
-  return file.substr(kCheckpointHeaderBytes,
-                     framed_size - kCheckpointHeaderBytes);
-}
-
-Status PoisonRecAttacker::SaveCheckpoint(const std::string& path) const {
-  POISONREC_TRACE_SPAN("ppo/checkpoint_save");
-  // Serialize into memory first: the payload needs a whole-file CRC
-  // before any byte touches disk, and the in-memory size is trivial
-  // next to the fsyncs the durable publish costs anyway.
-  std::string bytes;
-  ByteWriter out(&bytes);
-  out.U32(kCheckpointMagic);
-  out.U32(kCheckpointVersion);
-  out.U64(steps_taken_);
-  // v3: the sampling stream-derivation state. Together with steps_taken
-  // this pins every future episode's Rng stream, so a resumed campaign
-  // samples exactly what the uninterrupted one would.
-  out.U64(config_.seed);
-
-  const std::vector<nn::Tensor> params = policy_->Parameters();
-  out.U64(params.size());
-  for (const nn::Tensor& p : params) {
-    out.U64(p.rows());
-    out.U64(p.cols());
-    out.Floats(p.data());
-  }
-
-  out.U64(optimizer_->step_count());
-  for (const std::vector<float>& m : optimizer_->first_moments()) {
-    out.Floats(m);
-  }
-  for (const std::vector<float>& v : optimizer_->second_moments()) {
-    out.Floats(v);
-  }
-
-  out.Blob(rng_.SerializeState());
-
-  out.F64(best_episode_.reward);
-  out.U8(best_episode_.reward_observed ? 1 : 0);
-  out.U64(best_episode_.trajectories.size());
-  for (const SampledTrajectory& traj : best_episode_.trajectories) {
-    out.U64(traj.attacker_index);
-    out.U64(traj.steps.size());
-    for (const SampledStep& step : traj.steps) {
-      out.U64(step.item);
-      out.U64(step.path.size());
-      for (int node : step.path) out.I32(node);
-      out.U64(step.old_log_probs.size());
-      for (double lp : step.old_log_probs) out.F64(lp);
-    }
-  }
-
-  // v2: adaptive-defender campaign state (pool + platform ban state).
-  out.U8(pool_ != nullptr ? 1 : 0);
-  if (pool_ != nullptr) {
-    out.U64(pool_->num_slots());
-    out.U64(pool_->total_accounts());
-    out.U64(pool_->next_account());
-    out.U64(pool_->retired_accounts());
-    for (std::size_t a : pool_->slot_accounts()) {
-      out.U64(a == AccountPool::kDeadSlot ? kDeadSlotTag
-                                          : static_cast<std::uint64_t>(a));
-    }
-  }
-  out.U8(defended_ != nullptr ? 1 : 0);
-  if (defended_ != nullptr) out.Blob(defended_->SerializeState());
-
-  // Durable atomic publish with the integrity footer appended: write
-  // tmp, fsync, rename, fsync the parent directory — so the published
-  // name can never refer to unwritten data after a power loss, and a
-  // crash before the rename leaves any previous checkpoint at `path`
-  // untouched. The footer's CRC lets load verify every byte.
-  const Status status = WriteFileDurableChecksummed(path, bytes);
-  EmitCheckpointEvent("save", path, status.ok());
-  return status;
-}
-
-StatusOr<std::uint64_t> CheckpointSteps(const std::string& path) {
-  StatusOr<std::string> bytes = ReadFileBytes(path);
-  if (!bytes.ok()) return Status::IoError("cannot open " + path);
-  POISONREC_ASSIGN_OR_RETURN(const std::string_view payload,
-                             CheckpointPayload(*bytes, path));
-  ByteReader in(payload);
-  const std::uint64_t steps = in.U64();  // the payload's first field
-  if (!in.ok()) return Status::DataLoss("truncated checkpoint");
-  return steps;
-}
-
-Status PoisonRecAttacker::LoadCheckpoint(const std::string& path) {
-  POISONREC_TRACE_SPAN("ppo/checkpoint_load");
-  const Status status = [&]() -> Status {
-  const Status truncated = Status::DataLoss("truncated checkpoint");
-  StatusOr<std::string> bytes = ReadFileBytes(path);
-  if (!bytes.ok()) return Status::IoError("cannot open " + path);
-  POISONREC_ASSIGN_OR_RETURN(const std::string_view payload,
-                             CheckpointPayload(*bytes, path));
-  ByteReader in(payload);
-  const std::uint64_t steps = in.U64();
-  const std::uint64_t stream_seed = in.U64();
-  if (!in.ok()) return truncated;
-  if (stream_seed != config_.seed) {
-    return Status::InvalidArgument(
-        "checkpoint sampling stream seed " + std::to_string(stream_seed) +
-        " does not match configured seed " + std::to_string(config_.seed) +
-        "; resuming would change every future episode's RNG stream");
-  }
-
-  // Stage everything before touching live state: a truncated or
-  // mismatched file must leave the attacker unchanged.
-  std::vector<nn::Tensor> params = policy_->Parameters();
-  const std::uint64_t count = in.U64();
-  if (!in.ok()) return truncated;
-  if (count != params.size()) {
-    return Status::InvalidArgument(
-        "checkpoint has " + std::to_string(count) + " tensors, policy has " +
-        std::to_string(params.size()));
-  }
-  std::vector<std::vector<float>> staged_params(params.size());
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    const std::uint64_t rows = in.U64();
-    const std::uint64_t cols = in.U64();
-    if (!in.ok()) return truncated;
-    if (rows != params[i].rows() || cols != params[i].cols()) {
-      return Status::InvalidArgument(
-          "parameter " + std::to_string(i) + " shape mismatch: checkpoint " +
-          std::to_string(rows) + "x" + std::to_string(cols) + " vs policy " +
-          params[i].ShapeString());
-    }
-    staged_params[i].resize(params[i].size());
-    in.Floats(&staged_params[i]);
-    if (!in.ok()) return Status::DataLoss("truncated checkpoint payload");
-  }
-
-  const std::uint64_t adam_steps = in.U64();
-  std::vector<std::vector<float>> m(params.size());
-  std::vector<std::vector<float>> v(params.size());
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    m[i].resize(params[i].size());
-    in.Floats(&m[i]);
-  }
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    v[i].resize(params[i].size());
-    in.Floats(&v[i]);
-  }
-
-  const std::string_view rng_state = in.Blob();
-
-  // Every count is bounded by the bytes left (a trajectory takes at
-  // least 16, a step 24), so a damaged one reads as truncation.
-  Episode best;
-  best.reward = in.F64();
-  best.reward_observed = in.U8() != 0;
-  best.trajectories.resize(in.Count(16));
-  for (SampledTrajectory& traj : best.trajectories) {
-    traj.attacker_index = in.U64();
-    traj.steps.resize(in.Count(24));
-    for (SampledStep& step : traj.steps) {
-      step.item = in.U64();
-      step.path.resize(in.Count(sizeof(std::int32_t)));
-      for (int& node : step.path) node = in.I32();
-      step.old_log_probs.resize(in.Count(sizeof(double)));
-      for (double& lp : step.old_log_probs) lp = in.F64();
-    }
-  }
-
-  // v2 sections: account pool and defender state. Presence must match
-  // this attacker's configuration — a pooled checkpoint cannot restore
-  // into a pool-less attacker (or vice versa) without silently changing
-  // campaign semantics.
-  const bool pool_flag = in.U8() != 0;
-  if (!in.ok()) return truncated;
-  if (pool_flag != (pool_ != nullptr)) {
-    return Status::InvalidArgument(
-        pool_flag
-            ? "checkpoint carries account-pool state but this attacker has "
-              "no pool configured"
-            : "this attacker has an account pool but the checkpoint has no "
-              "pool state");
-  }
-  std::vector<std::size_t> staged_slots;
-  std::uint64_t pool_next = 0;
-  std::uint64_t pool_retired = 0;
-  if (pool_flag) {
-    const std::uint64_t slots = in.U64();
-    const std::uint64_t total = in.U64();
-    pool_next = in.U64();
-    pool_retired = in.U64();
-    if (!in.ok()) return truncated;
-    if (slots != pool_->num_slots() || total != pool_->total_accounts()) {
-      return Status::InvalidArgument(
-          "checkpoint pool shape " + std::to_string(slots) + "/" +
-          std::to_string(total) + " does not match configured pool " +
-          std::to_string(pool_->num_slots()) + "/" +
-          std::to_string(pool_->total_accounts()));
-    }
-    if (pool_next > total) {
-      return Status::InvalidArgument("corrupt pool state: next account " +
-                                     std::to_string(pool_next) + " > " +
-                                     std::to_string(total));
-    }
-    staged_slots.resize(slots);
-    for (std::size_t& a : staged_slots) {
-      // A failed read yields account 0, always valid: truncation is
-      // reported after the loop.
-      const std::uint64_t id = in.U64();
-      if (id != kDeadSlotTag && id >= total) {
-        return Status::InvalidArgument("corrupt pool state: slot maps to "
-                                       "account " + std::to_string(id));
-      }
-      a = id == kDeadSlotTag ? AccountPool::kDeadSlot
-                             : static_cast<std::size_t>(id);
-    }
-  }
-  const bool defender_flag = in.U8() != 0;
-  if (!in.ok()) return truncated;
-  if (defender_flag != (defended_ != nullptr)) {
-    return Status::InvalidArgument(
-        defender_flag
-            ? "checkpoint carries defender state; attach the "
-              "DefendedEnvironment before loading"
-            : "a DefendedEnvironment is attached but the checkpoint has no "
-              "defender state");
-  }
-  const std::string_view defender_blob =
-      defender_flag ? in.Blob() : std::string_view();
-  if (!in.ok()) return truncated;
-
-  // Commit: everything parsed cleanly. Fallible commits run first (the
-  // RNG deserialize stages into a local, the defender restore stages
-  // internally), so a bad payload still leaves the attacker untouched.
-  Rng restored_rng(0);
-  POISONREC_RETURN_NOT_OK(restored_rng.DeserializeState(std::string(rng_state)));
-  if (defended_ != nullptr) {
-    POISONREC_RETURN_NOT_OK(defended_->RestoreState(defender_blob));
-  }
-  if (pool_ != nullptr) {
-    pool_->Restore(std::move(staged_slots), pool_next, pool_retired);
-  }
-  POISONREC_RETURN_NOT_OK(
-      optimizer_->RestoreState(adam_steps, std::move(m), std::move(v)));
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    params[i].mutable_data() = std::move(staged_params[i]);
-  }
-  rng_ = restored_rng;
-  steps_taken_ = steps;
-  best_episode_ = std::move(best);
-  return Status::OK();
-  }();
-  EmitCheckpointEvent("load", path, status.ok());
-  return status;
 }
 
 }  // namespace poisonrec::core

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -137,6 +138,27 @@ struct GuardedTrainResult {
   /// checkpointing itself failed.
   Status status;
 };
+
+/// What one PpoUpdate did: the TrainStepStats fields of the same names,
+/// and the guard monitor that stopped it, if one tripped.
+struct PpoUpdateResult {
+  double loss = 0.0;
+  double entropy = 0.0;
+  double approx_kl = 0.0;
+  double pre_clip_grad_norm = 0.0;
+  std::optional<GuardEvent> guard_event;
+};
+
+/// Algorithm 1's update: K epochs, each one Adam step (`optimizer` holds
+/// `policy`'s parameters) on the clipped surrogate of Eq. 7/9 over B of
+/// the M `episodes` (all when B >= M, else drawn with `rng`), with Eq. 8
+/// advantages; slots `pool` reports dead (nullptr: none) are left out.
+/// With config.guard.enabled the monitors run every epoch and sweep the
+/// parameters and Adam moments after the last. Owns its autograd tape.
+PpoUpdateResult PpoUpdate(const PoisonRecConfig& config, const Policy& policy,
+                          nn::Adam* optimizer,
+                          const std::vector<Episode>& episodes,
+                          const AccountPool* pool, Rng* rng);
 
 /// The PoisonRec attack agent: ties a Policy to an AttackEnvironment and
 /// runs Algorithm 1.
@@ -275,35 +297,17 @@ class PoisonRecAttacker {
   std::size_t steps_taken() const { return steps_taken_; }
 
  private:
-  /// Cheap per-epoch telemetry computed alongside the surrogate loss;
-  /// feeds the divergence monitors and TrainStepStats.
-  struct PpoDiagnostics {
-    double entropy = 0.0;
-    double approx_kl = 0.0;
-    std::size_t non_finite_log_probs = 0;
-  };
-
   /// Body of TrainStep: sample, query and update phases, filling
   /// everything in `stats` but the step total.
   void RunStep(TrainStepStats* stats);
 
-  /// PPO surrogate loss over one batch of episodes; differentiable.
-  nn::Tensor PpoLoss(const std::vector<const Episode*>& batch,
-                     double* loss_value, PpoDiagnostics* diagnostics);
-
   /// Records a tripped guard into the step verdict and, through
   /// EmitGuardEvent, the incident count and event stream.
-  void RecordGuardEvent(TrainStepStats* stats, GuardEventKind kind,
-                        double value, double threshold, std::string detail);
+  void RecordGuardEvent(TrainStepStats* stats, GuardEvent event);
 
   /// Counts one guard incident and appends its {"type":"guard",...}
   /// record (when an event log is attached).
   void EmitGuardEvent(std::size_t step, const GuardEvent& event);
-
-  /// Post-update sweep: gradients were already checked; this validates
-  /// parameters and Adam moments after the step's last update epoch.
-  /// Returns true if clean.
-  bool SweepPostStep(TrainStepStats* stats);
 
   /// Maps sampled trajectory slots onto live platform accounts for
   /// injection (identity without a pool); dead slots are not injected.

@@ -1,6 +1,7 @@
 #include "data/dataset.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "util/csv.h"
 #include "util/logging.h"
@@ -92,18 +93,18 @@ StatusOr<Dataset> LoadDatasetCsv(const std::string& path,
       return Status::InvalidArgument("CSV row with fewer than 2 fields in " +
                                      path);
     }
-    char* end = nullptr;
-    const unsigned long long user = std::strtoull(row[0].c_str(), &end, 10);
-    if (end == row[0].c_str() || *end != '\0') {
+    // An id of SIZE_MAX would wrap the id space's size (max + 1) to 0.
+    const std::optional<std::size_t> user = ParseCount(row[0]);
+    if (!user.has_value() || *user == SIZE_MAX) {
       return Status::InvalidArgument("bad user id '" + row[0] + "'");
     }
-    const unsigned long long item = std::strtoull(row[1].c_str(), &end, 10);
-    if (end == row[1].c_str() || *end != '\0') {
+    const std::optional<std::size_t> item = ParseCount(row[1]);
+    if (!item.has_value() || *item == SIZE_MAX) {
       return Status::InvalidArgument("bad item id '" + row[1] + "'");
     }
-    max_user = std::max(max_user, static_cast<std::size_t>(user));
-    max_item = std::max(max_item, static_cast<std::size_t>(item));
-    events.emplace_back(user, item);
+    max_user = std::max(max_user, *user);
+    max_item = std::max(max_item, *item);
+    events.emplace_back(*user, *item);
   }
   Dataset dataset(std::max(min_users, events.empty() ? 0 : max_user + 1),
                   std::max(min_items, events.empty() ? 0 : max_item + 1));

@@ -1,5 +1,6 @@
 #include "util/csv.h"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 
@@ -18,6 +19,15 @@ std::vector<std::string> SplitCsvLine(const std::string& line) {
   }
   fields.push_back(current);
   return fields;
+}
+
+std::optional<std::size_t> ParseCount(const std::string& text) {
+  // from_chars takes no sign, space or prefix for an unsigned type.
+  const char* const last = text.data() + text.size();
+  std::size_t value = 0;
+  const auto [end, error] = std::from_chars(text.data(), last, value);
+  if (error != std::errc() || end != last) return std::nullopt;
+  return value;
 }
 
 StatusOr<std::vector<std::vector<std::string>>> ReadCsv(

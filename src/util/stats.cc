@@ -18,24 +18,7 @@ double StdDev(const std::vector<double>& values) {
 }
 
 void NormalizeRewards(std::vector<double>* values) {
-  if (values->empty()) return;
-  // A NaN/Inf reward would otherwise poison the mean/stddev and spread
-  // into every normalized value; a single-observation or constant batch
-  // would divide by (near-)zero. Both degrade to zero advantage instead.
-  std::vector<double> finite;
-  finite.reserve(values->size());
-  for (double v : *values) {
-    if (std::isfinite(v)) finite.push_back(v);
-  }
-  const double mean = Mean(finite);
-  const double sd = StdDev(finite);
-  if (finite.size() < 2 || sd <= 1e-12) {
-    for (double& v : *values) v = 0.0;
-    return;
-  }
-  for (double& v : *values) {
-    v = std::isfinite(v) ? (v - mean) / sd : 0.0;
-  }
+  NormalizeRewards(values, std::vector<char>(values->size(), 1));
 }
 
 void NormalizeRewards(std::vector<double>* values,

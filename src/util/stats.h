@@ -44,10 +44,10 @@ class RunningStats {
 };
 
 /// Normalizes `values` in place to zero mean / unit standard deviation
-/// (paper Eq. 8). Degenerate batches degrade to all-zero advantages
-/// instead of dividing by zero: constant batches, single-observation
-/// batches, and batches whose finite subset is smaller than 2. NaN/Inf
-/// entries are excluded from the statistics and forced to 0.
+/// (paper Eq. 8), as the masked overload with every entry valid: constant
+/// and single-observation batches, and batches whose finite subset is
+/// smaller than 2, degrade to all-zero advantages instead of dividing by
+/// zero; NaN/Inf entries are excluded from the statistics and forced to 0.
 void NormalizeRewards(std::vector<double>* values);
 
 /// Masked variant for degraded batches: mean/stddev are computed over

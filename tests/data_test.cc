@@ -110,14 +110,24 @@ TEST(CsvIoTest, RoundTrip) {
 }
 
 TEST(CsvIoTest, RejectsBadIds) {
+  // Each bad row follows a good one. A negative id must not read as
+  // 2^64 - 1, and neither it, 2^64 - 1 itself (whose id space, max + 1,
+  // wraps to 0) nor an id past 2^64 may reach Dataset::Add's CHECK.
   const std::string path =
       std::filesystem::temp_directory_path() / "poisonrec_bad.csv";
-  {
-    std::vector<std::vector<std::string>> rows = {{"x", "1"}};
-    ASSERT_TRUE(WriteCsv(path, rows).ok());
+  const std::vector<std::vector<std::string>> bad_rows = {
+      {"x", "1"},
+      {"-1", "2"},
+      {"0", "-1"},
+      {"18446744073709551615", "2"},
+      {"0", "18446744073709551615"},
+      {"99999999999999999999999", "2"}};
+  for (const std::vector<std::string>& bad : bad_rows) {
+    ASSERT_TRUE(WriteCsv(path, {{"0", "1"}, bad}).ok());
+    auto loaded = LoadDatasetCsv(path);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << bad[0] << "," << bad[1];
   }
-  auto loaded = LoadDatasetCsv(path);
-  EXPECT_FALSE(loaded.ok());
   std::remove(path.c_str());
 }
 

@@ -680,7 +680,7 @@ TEST(NeuMfLogitsTest, BitIdenticalToComposedForwardAndRecordsNoTape) {
 
 // The policy's recompute graph in miniature: an LSTM unrolled over
 // embedded items, each new state scored into a loss folded in step
-// order, as PpoLoss folds the decisions. The walk then queues h_{t-1}'s
+// order, as PpoUpdate folds the decisions. The walk then queues h_{t-1}'s
 // subgraph through step t-1's score before step t's affine node reaches
 // it, which is what makes the one-node pre-activation (parents
 // {x, W_x, h, W_h, b}) add each step's weight gradients in the composed

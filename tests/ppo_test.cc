@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bit_identity.h"
 #include "data/synthetic.h"
 #include "rec/registry.h"
 
@@ -74,6 +75,45 @@ TEST(TrajectoryUtilTest, TargetClickRatio) {
   ep.trajectories.push_back(t);
   EXPECT_DOUBLE_EQ(TargetClickRatio(ep, 100), 0.5);
   EXPECT_DOUBLE_EQ(TargetClickRatio(Episode{}, 100), 0.0);
+}
+
+TEST(PpoUpdateTest, EqualRewardsLeaveEveryParameterBitIdentical) {
+  // A plateau: equal observed rewards give every decision zero advantage
+  // under Eq. 8, so each of the K epochs steps Adam on zero gradients.
+  PoisonRecConfig config = Fixture::MakeAttackerConfig();
+  config.samples_per_step = 4;
+  config.batch_size = 3;  // B < M: `rng` draws each epoch's batch
+  config.update_epochs = 3;
+  std::vector<data::ItemId> originals(30);
+  for (std::size_t i = 0; i < originals.size(); ++i) originals[i] = i;
+  const Policy policy(5, 34, originals, {30, 31, 32, 33}, config.policy);
+  std::vector<Rng> rngs;
+  for (std::size_t m = 0; m < config.samples_per_step; ++m) {
+    rngs.emplace_back(DeriveStreamSeed(config.seed, 1, m));
+  }
+  std::vector<std::vector<SampledTrajectory>> sampled =
+      policy.SampleEpisodesBatched(rngs.size(), 6, &rngs);
+  std::vector<Episode> episodes(sampled.size());
+  for (std::size_t m = 0; m < episodes.size(); ++m) {
+    episodes[m].trajectories = std::move(sampled[m]);
+    episodes[m].reward = 7.0;
+  }
+  std::vector<std::vector<float>> before;
+  for (const nn::Tensor& p : policy.Parameters()) before.push_back(p.data());
+  nn::Adam adam(policy.Parameters(), config.learning_rate);
+  Rng rng(5);
+
+  const PpoUpdateResult result =
+      PpoUpdate(config, policy, &adam, episodes, /*pool=*/nullptr, &rng);
+  EXPECT_EQ(result.loss, 0.0);
+  EXPECT_EQ(result.pre_clip_grad_norm, 0.0);
+  EXPECT_FALSE(result.guard_event.has_value());
+  EXPECT_EQ(adam.step_count(), config.update_epochs);
+  const std::vector<nn::Tensor> after = policy.Parameters();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_TRUE(SameBits(before[i], after[i].data())) << "parameter " << i;
+  }
 }
 
 TEST(PoisonRecAttackerTest, TrainStepProducesStats) {

@@ -12,7 +12,8 @@
 # no retry), bench_obs_overhead (gates telemetry cost at
 # <3%/step and the guardrails' at <5%/step), and
 # bench_defended_attack at a tiny scale so their machine-readable JSON
-# lands under results/, runs a defended-campaign smoke through the CLI
+# lands under results/, runs the §IV-B timing bench's 3,000-item rows,
+# runs a defended-campaign smoke through the CLI
 # (adaptive defender + replacement pool end to end), checks that the CLI
 # rejects flags it does not read, positional arguments, out-of-range
 # rates, unparsable numbers and unknown rankers, attack methods and
@@ -84,6 +85,12 @@ mkdir -p "${POISONREC_OUT}"
 # by the golden fixtures in tests/batched_engine_test.cc, which ran in
 # the ctest pass above and run again in the TSan leg below.
 POISONREC_REPEATS=2 "${BUILD_DIR}/bench/bench_kernels"
+
+# The §IV-B timing bench's step ends in Algorithm 1's update
+# (core::PpoUpdate): run its smallest rows, Plain and BCBT at 3,000
+# items, so that call runs here rather than only compiling.
+"${BUILD_DIR}/bench/bench_bcbt_timing" \
+  --benchmark_filter='BM_TrainingStep/3000/' --benchmark_min_time=0.01
 
 # Defended-campaign smoke: adaptive defender in the loop, pooled attacker,
 # crash-safe checkpointing. Must finish without exhausting the pool.

@@ -158,7 +158,6 @@
 //                           guard, ban, rollback, checkpoint events)
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -196,22 +195,11 @@
 #include "orch/status.h"
 #include "rec/metrics.h"
 #include "rec/registry.h"
+#include "util/csv.h"
 #include "util/fsio.h"
 
 namespace poisonrec::cli {
 namespace {
-
-/// A count: decimal digits only (no sign or space) that fit a size_t.
-std::optional<std::size_t> ParseCount(const std::string& text) {
-  if (text.empty() || std::isdigit(static_cast<unsigned char>(text[0])) == 0) {
-    return std::nullopt;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno == ERANGE || *end != '\0') return std::nullopt;
-  return static_cast<std::size_t>(value);
-}
 
 /// A real: a whole value strtod reads, in range.
 std::optional<double> ParseReal(const std::string& text) {
